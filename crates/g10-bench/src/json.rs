@@ -10,6 +10,12 @@
 
 use std::fmt::Write as _;
 
+/// Deepest array/object nesting [`Json::parse`] accepts.  The parser
+/// recurses once per level, so without a cap a small hostile document
+/// (`[[[[…`) overflows the stack and aborts the process; every document
+/// this crate reads nests far less deeply.
+pub const MAX_DEPTH: usize = 32;
+
 /// One JSON value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
@@ -143,14 +149,15 @@ impl Json {
     /// # Errors
     ///
     /// Returns a message with a byte offset on malformed input, including
-    /// trailing non-whitespace after the top-level value.
+    /// trailing non-whitespace after the top-level value and arrays or
+    /// objects nested more than [`MAX_DEPTH`] deep.
     pub fn parse(text: &str) -> Result<Json, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
         };
         p.skip_ws();
-        let value = p.value()?;
+        let value = p.value(0)?;
         p.skip_ws();
         if p.pos != p.bytes.len() {
             return Err(format!("trailing input at byte {}", p.pos));
@@ -233,20 +240,25 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Json, String> {
+    /// Parses one value inside `depth` enclosing arrays/objects.
+    fn value(&mut self, depth: usize) -> Result<Json, String> {
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[' | b'{') if depth >= MAX_DEPTH => Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            Some(b'[') => self.array(depth + 1),
+            Some(b'{') => self.object(depth + 1),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
     }
 
-    fn array(&mut self) -> Result<Json, String> {
+    fn array(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'[')?;
         let mut items = Vec::new();
         self.skip_ws();
@@ -256,7 +268,7 @@ impl Parser<'_> {
         }
         loop {
             self.skip_ws();
-            items.push(self.value()?);
+            items.push(self.value(depth)?);
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -269,7 +281,7 @@ impl Parser<'_> {
         }
     }
 
-    fn object(&mut self) -> Result<Json, String> {
+    fn object(&mut self, depth: usize) -> Result<Json, String> {
         self.expect(b'{')?;
         let mut entries = Vec::new();
         self.skip_ws();
@@ -283,7 +295,7 @@ impl Parser<'_> {
             self.skip_ws();
             self.expect(b':')?;
             self.skip_ws();
-            entries.push((key, self.value()?));
+            entries.push((key, self.value(depth)?));
             self.skip_ws();
             match self.peek() {
                 Some(b',') => self.pos += 1,
@@ -452,6 +464,30 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "tru", "1 2", "\"\\q\""] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_up_to_the_cap_parses() {
+        let text = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(Json::parse(&text).is_ok());
+        let text = r#"{"a":"#.repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(Json::parse(&text).is_ok());
+    }
+
+    #[test]
+    fn deep_array_nesting_is_an_error_not_a_stack_overflow() {
+        let err = Json::parse(&"[".repeat(65_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let balanced = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&balanced).is_err());
+    }
+
+    #[test]
+    fn deep_object_nesting_is_an_error_not_a_stack_overflow() {
+        let err = Json::parse(&r#"{"a":"#.repeat(65_000)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let balanced = r#"{"a":"#.repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
+        assert!(Json::parse(&balanced).is_err());
     }
 
     #[test]

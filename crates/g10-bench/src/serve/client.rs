@@ -2,7 +2,8 @@
 //! over a fresh connection, returning the parsed status and JSON body.
 //!
 //! `experiments submit`, the integration tests and `scripts/kick-tires.sh`
-//! all go through [`exchange`], so there is exactly one implementation of
+//! all go through [`exchange`] (or [`exchange_raw`] for bodies that are
+//! not JSON), so there is exactly one implementation of
 //! the wire format on each side of the socket.
 
 use crate::json::Json;
@@ -26,13 +27,29 @@ pub fn exchange(
     body: Option<&Json>,
     timeout: Duration,
 ) -> Result<(u16, Json), String> {
+    let payload = body.map(Json::render).unwrap_or_default();
+    exchange_raw(addr, method, path, &payload, timeout)
+}
+
+/// [`exchange`] with the request payload sent byte for byte, so callers
+/// can probe the daemon with bodies that are not valid JSON.
+///
+/// # Errors
+///
+/// As for [`exchange`].
+pub fn exchange_raw(
+    addr: &str,
+    method: &str,
+    path: &str,
+    payload: &str,
+    timeout: Duration,
+) -> Result<(u16, Json), String> {
     let mut stream =
         TcpStream::connect(addr).map_err(|err| format!("could not connect to {addr}: {err}"))?;
     stream
         .set_read_timeout(Some(timeout))
         .and_then(|()| stream.set_write_timeout(Some(timeout)))
         .map_err(|err| format!("could not set socket timeout: {err}"))?;
-    let payload = body.map(Json::render).unwrap_or_default();
     let request = format!(
         "{method} {path} HTTP/1.1\r\nhost: {addr}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n\r\n{payload}",
         payload.len()

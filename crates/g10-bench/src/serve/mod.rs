@@ -28,6 +28,6 @@ pub mod protocol;
 pub mod queue;
 pub mod worker;
 
-pub use client::{exchange, summarize};
+pub use client::{exchange, exchange_raw, summarize};
 pub use daemon::{serve, ServeOptions};
 pub use protocol::{report_fingerprint, JobRequest, RunRequest};

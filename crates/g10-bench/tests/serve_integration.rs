@@ -9,7 +9,7 @@
 //! submit` and kick-tires use.
 
 use g10_bench::json::Json;
-use g10_bench::serve::exchange;
+use g10_bench::serve::{exchange, exchange_raw};
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -17,6 +17,12 @@ use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 const TIMEOUT: Duration = Duration::from_secs(30);
+
+/// A `POST /run` body of 65,000 `[` bytes: under the body-size cap, and
+/// deep enough to overflow the stack of a parser with no nesting limit.
+fn deep_nesting_body() -> String {
+    "[".repeat(65_000)
+}
 
 fn fresh_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -89,6 +95,10 @@ impl Daemon {
     fn submit(&self, body: &Json) -> (u16, Json) {
         exchange(&self.addr, "POST", "/run", Some(body), TIMEOUT).expect("run exchange")
     }
+
+    fn submit_raw(&self, payload: &str) -> (u16, Json) {
+        exchange_raw(&self.addr, "POST", "/run", payload, TIMEOUT).expect("run exchange")
+    }
 }
 
 impl Drop for Daemon {
@@ -130,8 +140,8 @@ fn response_tag(status: u16, body: &Json) -> String {
 }
 
 /// The acceptance chaos run: concurrent clients mixing valid, duplicate,
-/// unknown-policy, fault-injected, short-deadline and oversized requests
-/// against a deliberately tiny daemon.  Every response must be typed, the
+/// unknown-policy, fault-injected, short-deadline, oversized and
+/// deeply nested requests against a deliberately tiny daemon.  Every response must be typed, the
 /// byte cap must shed at least once with a 503, `/healthz` must stay OK
 /// throughout, and graceful shutdown must drain the last in-flight
 /// request rather than dropping it.
@@ -189,6 +199,11 @@ fn chaos_mixed_clients_all_get_typed_responses() {
                     daemon_ref.submit(&run_body("tinycnn", 32 + round, "g10", vec![]));
                 response_tag(status, &body)
             }));
+            // Deeply nested body: a typed 400, never a dead daemon.
+            handles.push(scope.spawn(move || {
+                let (status, body) = daemon_ref.submit_raw(&deep_nesting_body());
+                response_tag(status, &body)
+            }));
             // Health probe interleaved with the storm.
             handles.push(scope.spawn(move || {
                 let (status, body) =
@@ -214,6 +229,7 @@ fn chaos_mixed_clients_all_get_typed_responses() {
         "ok:disk",
         "health:ok",
         "400:unknown-policy",
+        "400:bad-request",
         "500:policy-fault",
         "504:deadline-exceeded",
         "504:cancelled",
@@ -228,6 +244,11 @@ fn chaos_mixed_clients_all_get_typed_responses() {
         "the over-cap request of each round must shed: {kinds:?}"
     );
     assert_eq!(count("health:ok"), 3, "{kinds:?}");
+    assert_eq!(
+        count("400:bad-request"),
+        3,
+        "every deeply nested body must be rejected as a bad request: {kinds:?}"
+    );
 
     // Sequential pass against the now-idle daemon: with an empty queue
     // nothing sheds, so each request class must reach its exact outcome.
@@ -257,6 +278,14 @@ fn chaos_mixed_clients_all_get_typed_responses() {
         let tag = response_tag(status, &response);
         assert!(tag.starts_with(expected), "expected {expected}, got {tag}");
     }
+    let (status, response) = daemon.submit_raw(&deep_nesting_body());
+    assert_eq!(response_tag(status, &response), "400:bad-request");
+    let (status, body) = exchange(&daemon.addr, "GET", "/healthz", None, TIMEOUT).expect("healthz");
+    assert_eq!(
+        status, 200,
+        "healthz must stay OK after a deep body: {body:?}"
+    );
+    assert_eq!(body.get("status").and_then(Json::as_str), Some("ok"));
 
     // Graceful shutdown drains in-flight work: race a fresh (uncached)
     // request against the shutdown; it must still get its full typed

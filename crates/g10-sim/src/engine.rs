@@ -935,17 +935,6 @@ impl<'a> ReplayEngine<'a> {
         }
     }
 
-    /// Replays the iteration and returns the report, panicking on a policy
-    /// fault or a cancelled run.  Legacy wrapper over
-    /// [`ReplayEngine::try_run`] for callers running trusted built-in
-    /// policies with no cancellation installed.
-    pub fn run(self) -> SimReport {
-        match self.try_run() {
-            Ok(report) => report,
-            Err(error) => panic!("{error}"),
-        }
-    }
-
     /// Replays the iteration, validating every policy-issued action (and,
     /// when the audit is active, the engine's own bookkeeping) each step.
     /// Each step's policy hooks run under panic containment, so a hostile
@@ -1336,7 +1325,7 @@ mod tests {
                 ..RuntimeOptions::default()
             },
         );
-        let report = engine.run();
+        let report = engine.try_run().expect("built-in policies never fault");
         assert_eq!(report.total_time, report.ideal_time);
         assert_eq!(report.stall_time, Nanos::ZERO);
         assert_eq!(report.fault_count, 0);
@@ -1357,7 +1346,8 @@ mod tests {
             Box::new(BaseUvmPolicy::new()),
             RuntimeOptions::default(),
         )
-        .run();
+        .try_run()
+        .expect("built-in policies never fault");
         assert_eq!(report.total_time, report.ideal_time);
         assert_eq!(report.traffic.total(), 0);
     }
@@ -1374,7 +1364,8 @@ mod tests {
             Box::new(BaseUvmPolicy::new()),
             RuntimeOptions::default(),
         )
-        .run();
+        .try_run()
+        .expect("built-in policies never fault");
         assert!(report.total_time > report.ideal_time);
         assert!(report.stall_time > Nanos::ZERO);
         assert!(report.traffic.total() > 0);
@@ -1396,7 +1387,8 @@ mod tests {
             Box::new(BaseUvmPolicy::new()),
             RuntimeOptions::default(),
         )
-        .run();
+        .try_run()
+        .expect("built-in policies never fault");
         assert_eq!(report.kernel_slowdowns.len(), graph.num_kernels());
         assert!(report.kernel_slowdowns.iter().all(|s| *s >= 1.0));
     }

@@ -38,7 +38,7 @@
 //!   through [`session::Experiment::jobs`] / `run_multi()`.
 //! * [`runner`] — the workload builder ([`runner::Workload`]), the
 //!   [`runner::PolicyKind`] enumeration of the paper's designs, the
-//!   [`runner::parallel_map`] sweep helper, and legacy run wrappers.
+//!   [`runner::parallel_map`] sweep helper.
 //!
 //! # Example
 //!
@@ -81,7 +81,7 @@ pub use engine::{
 pub use fault::{FaultPlan, FaultRecord, InjectedFault, OnPolicyFault, PolicyFaultKind, Validate};
 pub use metrics::{ReportFingerprint, SimReport};
 pub use policy::MemoryPolicy;
-pub use runner::{parallel_map, run_experiment, try_parallel_map, PolicyKind, Workload};
+pub use runner::{parallel_map, try_parallel_map, PolicyKind, Workload};
 pub use session::{
     register_policy, registered_policy_names, Experiment, MultiExperiment, PolicyContext,
     PolicyProvider, PolicyRegistry, PolicySpec, SimError,

@@ -1,15 +1,11 @@
-//! Experiment helpers: build a workload, replay it, sweep parameters.
+//! Experiment helpers: build a workload, name a design, sweep parameters.
 //!
-//! The run entry points here ([`run_experiment`], [`run_policy`],
-//! [`run_policy_with_planning_trace`], [`run_policy_with_options`]) are
-//! thin wrappers over the [`crate::session::Experiment`] builder — new code
-//! should use the builder directly; these remain for the closed
-//! [`PolicyKind`]-enumerated call shape the earlier experiment drivers and
-//! the golden-snapshot tests were written against.
+//! Runs themselves go through the [`crate::session::Experiment`] builder;
+//! this module holds what the builder is fed with ([`Workload`],
+//! [`PolicyKind`]) and the [`parallel_map`] sweep helper the experiment
+//! drivers fan cells out with.
 
-use crate::engine::RuntimeOptions;
-use crate::metrics::SimReport;
-use crate::session::{Experiment, SimError};
+use crate::session::SimError;
 use g10_core::config::SystemConfig;
 use g10_core::scheduler::SchedulerVariant;
 use g10_dnn::cost::GpuCostModel;
@@ -192,71 +188,6 @@ impl Workload {
     }
 }
 
-/// Replays `workload` under `policy` on the hardware described by `config`.
-///
-/// Thin wrapper over [`Experiment`].
-pub fn run_policy(workload: &Workload, policy: PolicyKind, config: &SystemConfig) -> SimReport {
-    Experiment::new(workload)
-        .policy(policy)
-        .config(*config)
-        .run()
-        .expect("built-in policies always resolve")
-}
-
-/// Like [`run_policy`], but lets the G10 scheduler plan against a different
-/// (e.g. noise-perturbed) trace than the one being replayed — the profiling
-/// error study of §7.6.
-///
-/// Thin wrapper over [`Experiment::planning_trace`].
-pub fn run_policy_with_planning_trace(
-    workload: &Workload,
-    policy: PolicyKind,
-    config: &SystemConfig,
-    planning_trace: &KernelTrace,
-) -> SimReport {
-    Experiment::new(workload)
-        .policy(policy)
-        .config(*config)
-        .planning_trace(planning_trace)
-        .run()
-        .expect("built-in policies always resolve")
-}
-
-/// Like [`run_policy_with_planning_trace`], but starting from caller-chosen
-/// [`RuntimeOptions`] (e.g. [`crate::engine::VictimSelection::NaiveScan`]
-/// for the reference-engine runs of `bench_replay` and the replay-scaling
-/// tests).  The policy-specific fields (GPU capacity override for Ideal,
-/// classic-UVM software overhead for the G10 ablations) are applied on top
-/// by the design's [`crate::session::PolicyProvider`].
-///
-/// Thin wrapper over [`Experiment::options`].
-pub fn run_policy_with_options(
-    workload: &Workload,
-    policy: PolicyKind,
-    config: &SystemConfig,
-    planning_trace: &KernelTrace,
-    options: RuntimeOptions,
-) -> SimReport {
-    Experiment::new(workload)
-        .policy(policy)
-        .config(*config)
-        .planning_trace(planning_trace)
-        .options(options)
-        .run()
-        .expect("built-in policies always resolve")
-}
-
-/// Convenience wrapper: build the workload and replay it in one call.
-pub fn run_experiment(
-    model: ModelKind,
-    batch: u64,
-    policy: PolicyKind,
-    config: &SystemConfig,
-) -> SimReport {
-    let workload = Workload::new(model, batch);
-    run_policy(&workload, policy, config)
-}
-
 /// Runs `f` over `items` on multiple threads, preserving input order.
 /// Used by the experiment harness to sweep models / batch sizes / hardware
 /// configurations in parallel.
@@ -341,9 +272,19 @@ where
 mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
+    use crate::metrics::SimReport;
+    use crate::session::Experiment;
 
     fn tiny_config() -> SystemConfig {
         SystemConfig::table2().with_gpu_memory(64 << 20)
+    }
+
+    fn run(workload: &Workload, policy: PolicyKind, config: &SystemConfig) -> SimReport {
+        Experiment::new(workload)
+            .policy(policy)
+            .config(*config)
+            .run()
+            .unwrap()
     }
 
     #[test]
@@ -361,9 +302,9 @@ mod tests {
     fn g10_beats_base_uvm_on_a_constrained_gpu() {
         let config = tiny_config();
         let workload = Workload::new(ModelKind::TinyCnn, 64);
-        let ideal = run_policy(&workload, PolicyKind::Ideal, &config);
-        let base = run_policy(&workload, PolicyKind::BaseUvm, &config);
-        let g10 = run_policy(&workload, PolicyKind::G10Full, &config);
+        let ideal = run(&workload, PolicyKind::Ideal, &config);
+        let base = run(&workload, PolicyKind::BaseUvm, &config);
+        let g10 = run(&workload, PolicyKind::G10Full, &config);
         assert!(base.total_time > ideal.total_time);
         assert!(g10.total_time <= base.total_time);
         assert!(g10.normalized_performance() > base.normalized_performance());
@@ -374,7 +315,7 @@ mod tests {
         let config = tiny_config();
         let workload = Workload::new(ModelKind::TinyCnn, 32);
         for policy in PolicyKind::ALL {
-            let report = run_policy(&workload, policy, &config);
+            let report = run(&workload, policy, &config);
             assert_eq!(report.policy, policy.label());
             assert_eq!(report.kernel_slowdowns.len(), workload.graph.num_kernels());
             assert!(report.total_time >= report.ideal_time);

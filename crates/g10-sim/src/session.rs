@@ -1405,27 +1405,11 @@ mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
     use crate::engine::{EngineState, Location};
-    use crate::runner::run_policy;
     use g10_dnn::models::ModelKind;
     use g10_dnn::tensor::TensorId;
 
     fn tiny_config() -> SystemConfig {
         SystemConfig::table2().with_gpu_memory(64 << 20)
-    }
-
-    #[test]
-    fn session_matches_legacy_for_every_builtin() {
-        let workload = Workload::new(ModelKind::TinyCnn, 64);
-        let config = tiny_config();
-        for kind in PolicyKind::ALL {
-            let legacy = run_policy(&workload, kind, &config);
-            let session = Experiment::new(&workload)
-                .policy(kind)
-                .config(config)
-                .run()
-                .expect("built-in policies always resolve");
-            assert_eq!(legacy, session, "{kind}: session diverged from legacy");
-        }
     }
 
     #[test]
@@ -1574,24 +1558,5 @@ mod tests {
         registry.register("toy", Arc::new(NeverEvictProvider));
         registry.register("toy", Arc::new(NeverEvictProvider));
         assert_eq!(registry.names(), vec!["toy".to_string()]);
-    }
-
-    #[test]
-    fn planning_trace_flows_to_planning_providers() {
-        let workload = Workload::new(ModelKind::TinyCnn, 64);
-        let config = tiny_config();
-        let noisy = workload.trace.with_noise(0.20, 7);
-        let session = Experiment::new(&workload)
-            .config(config)
-            .planning_trace(&noisy)
-            .run()
-            .expect("builtin resolves");
-        let legacy = crate::runner::run_policy_with_planning_trace(
-            &workload,
-            PolicyKind::G10Full,
-            &config,
-            &noisy,
-        );
-        assert_eq!(session, legacy);
     }
 }

@@ -1,43 +1,25 @@
-//! Flash SSD simulator substrate for the G10 reproduction.
+//! SSD endurance model for the G10 reproduction.
 //!
-//! The paper evaluates G10 on a simulator that incorporates an SSD model
-//! based on SSDSim so that flash-internal activities (channel/chip
-//! contention, garbage collection) are reflected in end-to-end results, and
-//! §7.7 analyses the impact of tensor migration traffic on SSD lifetime.
-//! This crate rebuilds that substrate:
+//! The replay engine models the SSD as bandwidth channels plus a fixed
+//! access latency (`g10_uvm::UnifiedMemory`); what the flash device adds on
+//! top is wear.  §7.7 of the paper analyses the impact of tensor migration
+//! traffic on SSD lifetime, and this crate holds the model behind that
+//! analysis:
 //!
-//! * [`config`] — SSD geometry and timing ([`SsdConfig`]), with a preset
-//!   matching the Samsung Z-NAND-class 3.2 TB device of Table 2.
-//! * [`flash`] — channel and chip timing state machines.
-//! * [`ftl`] — a page-mapping flash translation layer with out-of-place
-//!   writes, per-block validity tracking and greedy garbage collection.
-//! * [`device`] — the [`Ssd`] device front-end: host reads/writes (single
-//!   page and bulk), completion-time computation under channel/chip
-//!   contention, and statistics (write amplification, erase counts).
-//! * [`endurance`] — the drive-writes-per-day lifetime model used by the
-//!   paper's §7.7 analysis.
+//! * [`endurance`] — the drive-writes-per-day lifetime model, rated on the
+//!   Samsung Z-SSD of Table 2.
 //!
 //! # Example
 //!
 //! ```
-//! use g10_ssd::{Ssd, SsdConfig};
-//! use g10_time::Nanos;
+//! use g10_ssd::EnduranceModel;
 //!
-//! let mut ssd = Ssd::new(SsdConfig::small_test());
-//! let done = ssd.write(42, Nanos::ZERO).unwrap();
-//! let read_done = ssd.read(42, done).unwrap();
-//! assert!(read_done > done);
-//! assert_eq!(ssd.stats().host_writes, 1);
+//! let model = EnduranceModel::samsung_z_ssd();
+//! // Writing at 1.5 GB/s without pause wears the drive out in a few years.
+//! let years = model.lifetime_years(1.5e9);
+//! assert!(years > 3.0 && years < 5.0);
 //! ```
 
-pub mod config;
-pub mod device;
 pub mod endurance;
-pub mod error;
-pub mod flash;
-pub mod ftl;
 
-pub use config::SsdConfig;
-pub use device::{Ssd, SsdStats};
 pub use endurance::EnduranceModel;
-pub use error::SsdError;

@@ -17,8 +17,6 @@ pub struct BandwidthChannel {
     bytes_per_sec: f64,
     latency: Nanos,
     busy_until: Nanos,
-    total_bytes: u64,
-    total_busy: Nanos,
 }
 
 impl BandwidthChannel {
@@ -28,68 +26,18 @@ impl BandwidthChannel {
             bytes_per_sec,
             latency,
             busy_until: Nanos::ZERO,
-            total_bytes: 0,
-            total_busy: Nanos::ZERO,
         }
-    }
-
-    /// The configured rate in bytes per second.
-    pub fn bytes_per_sec(&self) -> f64 {
-        self.bytes_per_sec
-    }
-
-    /// Changes the channel rate (used by the SSD-bandwidth sensitivity
-    /// sweep, §7.5).  Does not affect transfers already accounted.
-    pub fn set_bytes_per_sec(&mut self, bytes_per_sec: f64) {
-        self.bytes_per_sec = bytes_per_sec;
-    }
-
-    /// The earliest time a new transfer could start.
-    pub fn free_at(&self) -> Nanos {
-        self.busy_until
-    }
-
-    /// Total bytes pushed through the channel.
-    pub fn total_bytes(&self) -> u64 {
-        self.total_bytes
-    }
-
-    /// Total time the channel has been occupied.
-    pub fn total_busy(&self) -> Nanos {
-        self.total_busy
-    }
-
-    /// Time this channel needs to move `bytes` in isolation (latency plus
-    /// serialization delay).
-    pub fn service_time(&self, bytes: u64) -> Nanos {
-        self.latency + Nanos::transfer_time(bytes, self.bytes_per_sec)
     }
 
     /// Reserves the channel for a transfer of `bytes` starting no earlier
-    /// than `earliest`, returning `(start, completion)`.
+    /// than `earliest`, returning `(start, completion)`.  The transfer takes
+    /// the channel latency plus its serialization delay.
     pub fn transfer(&mut self, bytes: u64, earliest: Nanos) -> (Nanos, Nanos) {
-        let duration = self.service_time(bytes);
+        let duration = self.latency + Nanos::transfer_time(bytes, self.bytes_per_sec);
         let start = earliest.max(self.busy_until);
         let end = start.saturating_add(duration);
         self.busy_until = end;
-        self.total_bytes += bytes;
-        self.total_busy = self.total_busy.saturating_add(duration);
         (start, end)
-    }
-
-    /// Would-be completion time of a transfer without committing it.
-    pub fn peek_completion(&self, bytes: u64, earliest: Nanos) -> Nanos {
-        earliest
-            .max(self.busy_until)
-            .saturating_add(self.service_time(bytes))
-    }
-
-    /// Utilisation of the channel over the interval `[0, horizon]`.
-    pub fn utilization(&self, horizon: Nanos) -> f64 {
-        if horizon.is_zero() {
-            return 0.0;
-        }
-        (self.total_busy.as_secs_f64() / horizon.as_secs_f64()).min(1.0)
     }
 }
 
@@ -112,7 +60,6 @@ mod tests {
         let (start, end) = ch.transfer(500_000_000, Nanos::ZERO);
         assert_eq!(start, Nanos::from_millis(500));
         assert_eq!(end, Nanos::from_secs(1));
-        assert_eq!(ch.total_bytes(), 1_000_000_000);
     }
 
     #[test]
@@ -120,30 +67,5 @@ mod tests {
         let mut ch = BandwidthChannel::new(1e9, Nanos::from_micros(20));
         let (_, end) = ch.transfer(0, Nanos::ZERO);
         assert_eq!(end, Nanos::from_micros(20));
-    }
-
-    #[test]
-    fn peek_does_not_commit() {
-        let ch = BandwidthChannel::new(1e9, Nanos::ZERO);
-        let t = ch.peek_completion(1_000_000, Nanos::from_micros(5));
-        assert_eq!(t, Nanos::from_micros(5) + Nanos::from_micros(1000));
-        assert_eq!(ch.free_at(), Nanos::ZERO);
-    }
-
-    #[test]
-    fn utilization_is_bounded() {
-        let mut ch = BandwidthChannel::new(1e9, Nanos::ZERO);
-        ch.transfer(1_000_000_000, Nanos::ZERO);
-        assert!((ch.utilization(Nanos::from_secs(2)) - 0.5).abs() < 1e-9);
-        assert_eq!(ch.utilization(Nanos::ZERO), 0.0);
-        assert!(ch.utilization(Nanos::from_millis(1)) <= 1.0);
-    }
-
-    #[test]
-    fn rate_can_be_rescaled() {
-        let mut ch = BandwidthChannel::new(1e9, Nanos::ZERO);
-        ch.set_bytes_per_sec(2e9);
-        let (_, end) = ch.transfer(2_000_000_000, Nanos::ZERO);
-        assert_eq!(end, Nanos::from_secs(1));
     }
 }

@@ -1,7 +1,7 @@
 //! GPU far-fault cost model.
 //!
-//! When a kernel touches a page whose unified-page-table entry does not point
-//! at GPU memory, the GPU raises a far fault; the host driver services it and
+//! When a kernel touches a tensor that is not resident in GPU memory, the
+//! GPU raises a far fault; the host driver services it and
 //! migrates data in.  Table 2 of the paper puts the handling latency at 45 µs
 //! per fault, and UVM drivers service faults in batches of up to a couple of
 //! megabytes.  The fault model turns "this many bytes arrived unplanned" into

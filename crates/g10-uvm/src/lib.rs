@@ -1,22 +1,19 @@
 //! Unified GPU memory and storage substrate for the G10 reproduction.
 //!
 //! G10 (§4.5–§4.6 of the paper) extends the GPU's Unified Virtual Memory so
-//! that a page table entry can point at GPU memory, host memory *or* a flash
-//! page, and executes tensor migrations through metadata queues, a migration
-//! arbiter, batched transfer sets and DMA / direct-storage-access engines.
-//! This crate provides those building blocks:
+//! that a tensor can live in GPU memory, host memory *or* flash, and moves
+//! tensors between them with planned migrations.  The replay engine charges
+//! those migrations with three costs — capacity, transfer and fault
+//! handling — and this crate models exactly those; the SSD is a pair of
+//! bandwidth channels with a fixed access latency, and its wear is the
+//! `g10-ssd` endurance model:
 //!
-//! * [`page`] — page-size constants, virtual page numbers and physical
-//!   locations (GPU / host / flash).
-//! * [`page_table`] — an extent-based unified page table mapping virtual
-//!   ranges to their current physical location.
-//! * [`memory`] — capacity tracking for the GPU HBM and host DRAM pools.
+//! * [`memory`] — the physical memory kinds (GPU / host / flash) and
+//!   capacity tracking for the GPU HBM and host DRAM pools.
 //! * [`bandwidth`] — serially reusable bandwidth channels used to model the
 //!   PCIe link and the SSD's internal read/write streams.
 //! * [`fault`] — the GPU far-fault cost model (45 µs handler latency per
 //!   fault batch, Table 2).
-//! * [`migration`] — migration metadata queues, the migration arbiter and
-//!   batched transfer sets (Figure 10).
 //! * [`uvm`] — the [`UnifiedMemory`] façade combining all of the above:
 //!   tensor-granularity evictions, prefetches and on-demand fault-ins with
 //!   completion-time computation and traffic accounting.
@@ -24,15 +21,9 @@
 pub mod bandwidth;
 pub mod fault;
 pub mod memory;
-pub mod migration;
-pub mod page;
-pub mod page_table;
 pub mod uvm;
 
 pub use bandwidth::BandwidthChannel;
 pub use fault::FaultModel;
-pub use memory::MemoryPool;
-pub use migration::{MigrationArbiter, MigrationKind, MigrationRequest, TransferSet};
-pub use page::{MemKind, Vpn, PAGE_BYTES};
-pub use page_table::UnifiedPageTable;
+pub use memory::{MemKind, MemoryPool};
 pub use uvm::{TrafficStats, UnifiedMemory, UnifiedMemoryConfig};

@@ -1,12 +1,24 @@
-//! Capacity tracking for the GPU HBM and host DRAM pools.
+//! Physical memory kinds and capacity tracking for the GPU HBM and host
+//! DRAM pools.
 
 use serde::{Deserialize, Serialize};
+
+/// The three physical backings a tensor can live in.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum MemKind {
+    /// GPU on-board HBM.
+    Gpu,
+    /// Host DRAM.
+    Host,
+    /// Flash pages inside the SSD.
+    Flash,
+}
 
 /// A fixed-capacity memory pool with byte-granularity accounting.
 ///
 /// The pool does not track placement (which pages live where); it only
-/// answers "does this allocation fit" and keeps occupancy statistics, which
-/// is all the migration planner and the replay engine need.
+/// answers "does this allocation fit", which is all the replay engine
+/// needs.
 ///
 /// # Example
 ///
@@ -23,7 +35,6 @@ use serde::{Deserialize, Serialize};
 pub struct MemoryPool {
     capacity_bytes: u64,
     used_bytes: u64,
-    high_water_bytes: u64,
 }
 
 impl MemoryPool {
@@ -32,7 +43,6 @@ impl MemoryPool {
         MemoryPool {
             capacity_bytes,
             used_bytes: 0,
-            high_water_bytes: 0,
         }
     }
 
@@ -51,34 +61,13 @@ impl MemoryPool {
         self.capacity_bytes.saturating_sub(self.used_bytes)
     }
 
-    /// Highest occupancy observed since construction.
-    pub fn high_water_bytes(&self) -> u64 {
-        self.high_water_bytes
-    }
-
-    /// Occupancy as a fraction of capacity (0.0 when the pool has zero
-    /// capacity).
-    pub fn utilization(&self) -> f64 {
-        if self.capacity_bytes == 0 {
-            0.0
-        } else {
-            self.used_bytes as f64 / self.capacity_bytes as f64
-        }
-    }
-
-    /// Returns `true` if an allocation of `bytes` would fit right now.
-    pub fn fits(&self, bytes: u64) -> bool {
-        bytes <= self.free_bytes()
-    }
-
     /// Attempts to allocate `bytes`; returns `false` (and changes nothing)
     /// if the pool does not have room.
     pub fn try_allocate(&mut self, bytes: u64) -> bool {
-        if !self.fits(bytes) {
+        if bytes > self.free_bytes() {
             return false;
         }
         self.used_bytes += bytes;
-        self.high_water_bytes = self.high_water_bytes.max(self.used_bytes);
         true
     }
 
@@ -88,7 +77,6 @@ impl MemoryPool {
     /// reported, never silently clamped).
     pub fn force_allocate(&mut self, bytes: u64) {
         self.used_bytes += bytes;
-        self.high_water_bytes = self.high_water_bytes.max(self.used_bytes);
     }
 
     /// Releases `bytes`.
@@ -105,12 +93,6 @@ impl MemoryPool {
         );
         self.used_bytes = self.used_bytes.saturating_sub(bytes);
     }
-
-    /// Returns `true` if the pool is oversubscribed (more allocated than
-    /// physically available).
-    pub fn is_oversubscribed(&self) -> bool {
-        self.used_bytes > self.capacity_bytes
-    }
 }
 
 #[cfg(test)]
@@ -124,34 +106,33 @@ mod tests {
         assert!(!pool.try_allocate(50));
         assert!(pool.try_allocate(40));
         assert_eq!(pool.free_bytes(), 0);
-        assert!(pool.fits(0));
-        assert!(!pool.fits(1));
+        assert!(pool.try_allocate(0));
+        assert!(!pool.try_allocate(1));
     }
 
     #[test]
-    fn free_restores_space_and_high_water_persists() {
+    fn free_restores_space() {
         let mut pool = MemoryPool::new(100);
         pool.try_allocate(80);
         pool.free(30);
         assert_eq!(pool.used_bytes(), 50);
-        assert_eq!(pool.high_water_bytes(), 80);
-        assert!((pool.utilization() - 0.5).abs() < 1e-12);
+        assert_eq!(pool.free_bytes(), 50);
     }
 
     #[test]
     fn force_allocate_tracks_oversubscription() {
         let mut pool = MemoryPool::new(100);
         pool.force_allocate(150);
-        assert!(pool.is_oversubscribed());
-        assert_eq!(pool.high_water_bytes(), 150);
+        assert_eq!(pool.used_bytes(), 150);
+        assert_eq!(pool.free_bytes(), 0);
         pool.free(150);
-        assert!(!pool.is_oversubscribed());
+        assert_eq!(pool.free_bytes(), 100);
     }
 
     #[test]
     fn zero_capacity_pool_is_safe() {
         let mut pool = MemoryPool::new(0);
-        assert_eq!(pool.utilization(), 0.0);
+        assert_eq!(pool.capacity_bytes(), 0);
         assert!(!pool.try_allocate(1));
         assert!(pool.try_allocate(0));
     }

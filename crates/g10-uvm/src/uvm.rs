@@ -9,8 +9,7 @@
 
 use crate::bandwidth::BandwidthChannel;
 use crate::fault::FaultModel;
-use crate::memory::MemoryPool;
-use crate::page::MemKind;
+use crate::memory::{MemKind, MemoryPool};
 use g10_time::Nanos;
 use serde::{Deserialize, Serialize};
 
@@ -153,11 +152,6 @@ impl UnifiedMemory {
         }
     }
 
-    /// The configuration this system was built with.
-    pub fn config(&self) -> &UnifiedMemoryConfig {
-        &self.cfg
-    }
-
     /// The GPU memory pool.
     pub fn gpu(&self) -> &MemoryPool {
         &self.gpu
@@ -187,34 +181,6 @@ impl UnifiedMemory {
     /// Number of far faults serviced so far.
     pub fn fault_count(&self) -> u64 {
         self.fault_count
-    }
-
-    /// Earliest time at which data could start flowing *into* the GPU.
-    pub fn inbound_free_at(&self) -> Nanos {
-        self.pcie_in.free_at()
-    }
-
-    /// Earliest time at which data could start flowing *out of* the GPU.
-    pub fn outbound_free_at(&self) -> Nanos {
-        self.pcie_out.free_at()
-    }
-
-    /// Estimated duration of a planned migration of `bytes` to/from the given
-    /// location, ignoring current queueing (used by planners for quick
-    /// estimates).
-    pub fn nominal_transfer_time(&self, bytes: u64, location: MemKind) -> Nanos {
-        match location {
-            MemKind::Gpu => Nanos::ZERO,
-            MemKind::Host => {
-                self.cfg.host_latency + Nanos::transfer_time(bytes, self.cfg.pcie_bytes_per_sec)
-            }
-            MemKind::Flash => {
-                let pcie = Nanos::transfer_time(bytes, self.cfg.pcie_bytes_per_sec);
-                let ssd = self.cfg.ssd_read_latency
-                    + Nanos::transfer_time(bytes, self.cfg.ssd_read_bytes_per_sec);
-                pcie.max(ssd)
-            }
-        }
     }
 
     fn batches(&self, bytes: u64) -> u64 {
@@ -285,14 +251,6 @@ impl UnifiedMemory {
         self.fault_handler_busy_until = handler_done;
         self.fault_count += self.cfg.fault.fault_count(bytes);
         self.transfer_to_gpu(bytes, source, handler_done)
-    }
-
-    /// Rescales the SSD read/write bandwidth (the §7.5 sensitivity study).
-    pub fn set_ssd_bandwidth(&mut self, read_bytes_per_sec: f64, write_bytes_per_sec: f64) {
-        self.cfg.ssd_read_bytes_per_sec = read_bytes_per_sec;
-        self.cfg.ssd_write_bytes_per_sec = write_bytes_per_sec;
-        self.ssd_read.set_bytes_per_sec(read_bytes_per_sec);
-        self.ssd_write.set_bytes_per_sec(write_bytes_per_sec);
     }
 }
 
@@ -388,26 +346,5 @@ mod tests {
         let classic_done = classic.transfer_to_gpu(bytes, MemKind::Host, Nanos::ZERO);
         let extended_done = extended.transfer_to_gpu(bytes, MemKind::Host, Nanos::ZERO);
         assert_eq!(classic_done - extended_done, Nanos::from_micros(10) * 32);
-    }
-
-    #[test]
-    fn ssd_bandwidth_rescaling_takes_effect() {
-        let mut m = uvm();
-        m.set_ssd_bandwidth(12.8e9, 12.8e9);
-        let bytes = 32u64 << 30;
-        let done = m.transfer_to_gpu(bytes, MemKind::Flash, Nanos::ZERO);
-        let expected = bytes as f64 / 12.8e9;
-        assert!((done.as_secs_f64() - expected).abs() / expected < 0.1);
-    }
-
-    #[test]
-    fn nominal_times_rank_locations_correctly() {
-        let m = uvm();
-        let bytes = 1 << 30;
-        assert_eq!(m.nominal_transfer_time(bytes, MemKind::Gpu), Nanos::ZERO);
-        assert!(
-            m.nominal_transfer_time(bytes, MemKind::Flash)
-                > m.nominal_transfer_time(bytes, MemKind::Host)
-        );
     }
 }

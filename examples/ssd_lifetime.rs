@@ -3,15 +3,14 @@
 //! Runs the Figure-11 workloads under DeepUM+, FlashNeuron and G10, measures
 //! how many bytes each design writes to the flash per iteration, and feeds
 //! the write rates into the drive-writes-per-day endurance model of the
-//! Samsung Z-SSD.  It also exercises the detailed flash simulator to show
-//! the garbage-collection write amplification a migration-heavy workload
-//! produces on a small device.
+//! Samsung Z-SSD.  The endurance rating already assumes the vendor's
+//! write amplification, so the flash is not simulated below the bandwidth
+//! channels the replay charges migrations on.
 //!
 //! Run with: `cargo run --release --example ssd_lifetime`
 
 use g10::prelude::*;
-use g10::ssd::{EnduranceModel, Ssd, SsdConfig};
-use g10::time::Nanos;
+use g10::ssd::EnduranceModel;
 
 fn main() -> Result<(), SimError> {
     let config = SystemConfig::table2();
@@ -44,31 +43,5 @@ fn main() -> Result<(), SimError> {
         println!();
     }
 
-    // Detailed flash-level view: hammer a small simulated device with a
-    // migration-like overwrite pattern and report write amplification.
-    println!("flash-level view (small simulated device, hot/cold overwrite pattern):");
-    let mut ssd = Ssd::new(SsdConfig::small_test());
-    let logical = ssd.config().logical_pages();
-    let mut now = Nanos::ZERO;
-    for lpn in 0..logical {
-        now = ssd.write(lpn, now).expect("initial fill");
-    }
-    for _ in 0..4 {
-        for lpn in (0..logical).step_by(3) {
-            now = ssd.write(lpn, now).expect("overwrite");
-        }
-    }
-    let stats = ssd.stats();
-    println!(
-        "  host writes: {} pages, GC moves: {} pages, erases: {}, write amplification: {:.2}",
-        stats.host_writes,
-        stats.gc_page_moves,
-        stats.block_erases,
-        stats.write_amplification()
-    );
-    println!(
-        "  mean device latency: {:.1} us",
-        stats.mean_latency().as_micros_f64()
-    );
     Ok(())
 }

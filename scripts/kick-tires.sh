@@ -199,6 +199,31 @@ grep -q '"status": "ok"' "$OUT_DIR/health2.log" || {
     exit 1
 }
 
+# A body of 65,000 `[` bytes fits under the body-size cap; a JSON parser
+# without a nesting limit overflows its stack on it and kills the daemon.
+# Sent as raw HTTP over bash's /dev/tcp, since it is not valid JSON.
+step "experiment service: deeply nested body gets a typed 400, daemon stays healthy"
+DEEP_BODY="$(printf '%65000s' '' | tr ' ' '[')"
+exec 3<>"/dev/tcp/${ADDR%:*}/${ADDR##*:}"
+printf 'POST /run HTTP/1.1\r\nhost: %s\r\ncontent-type: application/json\r\ncontent-length: %d\r\nconnection: close\r\n\r\n%s' \
+    "$ADDR" "${#DEEP_BODY}" "$DEEP_BODY" >&3
+cat <&3 >"$OUT_DIR/serve_deep.log"
+exec 3<&-
+head -n 1 "$OUT_DIR/serve_deep.log" | grep -q '^HTTP/1.1 400 ' || {
+    echo "error: deeply nested body must get a 400" >&2
+    head -c 400 "$OUT_DIR/serve_deep.log" >&2
+    exit 1
+}
+grep -q '"kind": "bad-request"' "$OUT_DIR/serve_deep.log" || {
+    echo "error: deeply nested body must get the typed bad-request error" >&2
+    exit 1
+}
+submit --health >"$OUT_DIR/health3.log"
+grep -q '"status": "ok"' "$OUT_DIR/health3.log" || {
+    echo "error: daemon must stay healthy after a deeply nested body" >&2
+    exit 1
+}
+
 step "experiment service: graceful shutdown"
 submit --shutdown >/dev/null
 if ! wait "$SERVE_PID"; then

@@ -7,9 +7,9 @@
 //! on a single crate:
 //!
 //! * [`dnn`] — DNN workload substrate (models, graphs, traces, cost model).
-//! * [`ssd`] — flash SSD simulator (FTL, garbage collection, endurance).
-//! * [`uvm`] — unified GPU/host/flash memory substrate (page table, PCIe,
-//!   fault model, migration queues).
+//! * [`ssd`] — the SSD endurance (lifetime) model of §7.7.
+//! * [`uvm`] — unified GPU/host/SSD memory: capacity pools, PCIe and SSD
+//!   bandwidth channels, and the far-fault cost model.
 //! * [`core`] — the paper's contribution: tensor vitality analysis and the
 //!   smart tensor migration scheduler.
 //! * [`sim`] — the trace-replay simulator: the programmable

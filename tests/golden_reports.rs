@@ -29,7 +29,7 @@
 
 use g10::core::config::SystemConfig;
 use g10::dnn::models::ModelKind;
-use g10::sim::runner::{run_policy, PolicyKind, Workload};
+use g10::sim::{Experiment, PolicyKind, SimReport, Workload};
 
 /// All seven designs of §7, in a fixed snapshot order.
 const ALL_POLICIES: [PolicyKind; 7] = [
@@ -42,15 +42,32 @@ const ALL_POLICIES: [PolicyKind; 7] = [
     PolicyKind::G10Full,
 ];
 
+fn run_cell(workload: &Workload, policy: PolicyKind, config: &SystemConfig) -> SimReport {
+    Experiment::new(workload)
+        .policy(policy)
+        .config(*config)
+        .run()
+        .expect("built-in policies resolve")
+}
+
 /// One snapshot line per (model, batch, gpu capacity, policy) cell:
 /// `model batch policy gpu_bytes stall_ns faults evictions hash`.
+///
+/// Every cell also checks the replay's time identity: the engine only ever
+/// adds stall time on top of the kernels' ideal run time, so
+/// `total_time == ideal_time + stall_time` holds exactly.
 fn snapshot_lines(cells: &[(ModelKind, u64, u64)]) -> Vec<String> {
     let mut lines = Vec::new();
     for &(model, batch, gpu_bytes) in cells {
         let workload = Workload::new(model, batch);
         let config = SystemConfig::table2().with_gpu_memory(gpu_bytes);
         for policy in ALL_POLICIES {
-            let report = run_policy(&workload, policy, &config);
+            let report = run_cell(&workload, policy, &config);
+            assert_eq!(
+                report.total_time,
+                report.ideal_time + report.stall_time,
+                "{model} batch {batch} under {policy}: total time is not ideal plus stall"
+            );
             lines.push(format!(
                 "{} {} {} {} {} {} {} {:016x}",
                 model.name(),
@@ -120,8 +137,8 @@ fn replay_is_deterministic() {
         PolicyKind::DeepUmPlus,
         PolicyKind::G10Full,
     ] {
-        let a = run_policy(&workload, policy, &config);
-        let b = run_policy(&workload, policy, &config);
+        let a = run_cell(&workload, policy, &config);
+        let b = run_cell(&workload, policy, &config);
         assert_eq!(a.fingerprint(), b.fingerprint());
         assert_eq!(a, b);
     }

@@ -1,12 +1,11 @@
-//! Session-vs-legacy equivalence: the [`Experiment`] / `PolicyProvider`
-//! redesign must be a pure re-plumbing of the run path.
+//! Session equivalence: runs that take different routes through the
+//! [`Experiment`] / `PolicyProvider` API must agree with each other.
 //!
-//! Every (tiny model, policy) cell is replayed through both the legacy free
-//! functions (`run_policy` and friends, now thin wrappers) and an explicit
-//! [`Experiment`] session, and the two [`SimReport`]s are compared through
-//! the same FNV fingerprint scheme `tests/golden_reports.rs` pins against
-//! its committed snapshots — so this file guards the *paths* against each
-//! other while the goldens guard both against history.
+//! A policy sweep must match one-policy-at-a-time runs, a planning trace
+//! set on the session must be the trace the G10 planner plans against, and
+//! a degraded cell must match a direct run of its fallback.  Reports are
+//! compared through the same FNV fingerprint scheme
+//! `tests/golden_reports.rs` pins against its committed snapshots.
 //!
 //! The second half exercises the open half of the redesign: a custom policy
 //! defined entirely in this test (outside `g10-sim`) is registered under a
@@ -14,47 +13,18 @@
 //! ([`PolicySpec::from_str`] and the `experiments run --policy <name>`
 //! driver), and run through the session.
 
+use g10::core::scheduler::{G10Scheduler, SchedulerVariant};
 use g10::prelude::*;
 use g10::sim::engine::EngineState;
+use g10::sim::policies::G10Policy;
 use g10::sim::policy::{largest_victim_to_ssd, MemoryPolicy};
-use g10::sim::runner::{run_policy, run_policy_with_planning_trace};
-use g10::sim::Location;
+use g10::sim::{Location, ReplayEngine};
 use std::sync::Arc;
 
 /// The canonical report digest shared with `tests/golden_reports.rs`
 /// (see [`g10::sim::ReportFingerprint`]).
 fn fingerprint_report(report: &SimReport) -> u64 {
     report.fingerprint()
-}
-
-/// The tiny-model cells of the golden-report suite: capacities chosen so the
-/// eviction, fault and prefetch paths are all exercised.
-const CELLS: [(ModelKind, u64, u64); 3] = [
-    (ModelKind::TinyCnn, 64, 64 << 20),
-    (ModelKind::TinyCnn, 64, 32 << 20),
-    (ModelKind::TinyTransformer, 32, 4 << 20),
-];
-
-#[test]
-fn session_and_legacy_paths_produce_identical_reports() {
-    for (model, batch, gpu_bytes) in CELLS {
-        let workload = Workload::new(model, batch);
-        let config = SystemConfig::table2().with_gpu_memory(gpu_bytes);
-        for policy in PolicyKind::ALL {
-            let legacy = run_policy(&workload, policy, &config);
-            let session = Experiment::new(&workload)
-                .policy(policy)
-                .config(config)
-                .run()
-                .expect("built-in policies resolve");
-            assert_eq!(
-                fingerprint_report(&legacy),
-                fingerprint_report(&session),
-                "{model} batch {batch} under {policy}: session diverged from legacy"
-            );
-            assert_eq!(legacy, session);
-        }
-    }
 }
 
 #[test]
@@ -66,26 +36,48 @@ fn session_sweep_matches_per_policy_runs() {
         .policies(PolicyKind::ALL)
         .expect("built-in policies resolve");
     for (policy, report) in PolicyKind::ALL.iter().zip(&swept) {
-        let single = run_policy(&workload, *policy, &config);
+        let single = Experiment::new(&workload)
+            .policy(*policy)
+            .config(config)
+            .run()
+            .expect("built-in policies resolve");
         assert_eq!(fingerprint_report(&single), fingerprint_report(report));
     }
 }
 
+/// The session hands its planning trace to the G10 planner: the report is
+/// the replay of a plan built directly from the noisy trace, and differs
+/// from the report planned against the replayed trace itself.
 #[test]
-fn session_planning_trace_matches_legacy() {
+fn planning_trace_reaches_the_g10_planner() {
     let workload = Workload::new(ModelKind::TinyCnn, 64);
     let config = SystemConfig::table2().with_gpu_memory(64 << 20);
     let noisy = workload.trace.with_noise(0.15, 42);
-    for policy in [PolicyKind::G10Full, PolicyKind::FlashNeuron] {
-        let legacy = run_policy_with_planning_trace(&workload, policy, &config, &noisy);
-        let session = Experiment::new(&workload)
-            .policy(policy)
-            .config(config)
-            .planning_trace(&noisy)
-            .run()
-            .expect("built-in policies resolve");
-        assert_eq!(fingerprint_report(&legacy), fingerprint_report(&session));
-    }
+    let session = Experiment::new(&workload)
+        .policy(PolicyKind::G10Full)
+        .config(config)
+        .planning_trace(&noisy)
+        .run()
+        .expect("built-in policies resolve");
+    let plan = G10Scheduler::new(config, SchedulerVariant::Full).plan(&workload.graph, &noisy);
+    let direct = ReplayEngine::new(
+        &workload.graph,
+        &workload.trace,
+        &config,
+        Box::new(G10Policy::new(plan, SchedulerVariant::Full)),
+        RuntimeOptions::default(),
+    )
+    .try_run()
+    .expect("built-in policies never fault");
+    assert_eq!(fingerprint_report(&session), fingerprint_report(&direct));
+    assert_eq!(session, direct);
+
+    let exact = Experiment::new(&workload)
+        .policy(PolicyKind::G10Full)
+        .config(config)
+        .run()
+        .expect("built-in policies resolve");
+    assert_ne!(fingerprint_report(&session), fingerprint_report(&exact));
 }
 
 /// Fallback degradation is a pure re-run: a cell whose policy faults under
