@@ -1,11 +1,13 @@
 //! Criterion bench: migration-planner scaling — naive flat-`Vec` timelines
-//! vs the indexed (segment-tree + Fenwick) timelines, on the synthetic
+//! vs the indexed (segment-tree + skip-pointer) timelines, on the synthetic
 //! deep GPT stress workload (`g10_dnn::models::stress`).
 //!
 //! The planning pipeline (eviction scheduling + eager prefetch rescheduling)
 //! is run end-to-end on both timeline families over identical vitality
 //! analyses, so the printed means are directly comparable; the `speedup`
-//! lines summarise the ratio.  Set `G10_BENCH_SMOKE=1` to run a reduced
+//! lines summarise the ratio.  It goes through `schedule_evictions_with`,
+//! which bypasses the eviction-order memo, so every iteration plans from
+//! scratch.  Set `G10_BENCH_SMOKE=1` to run a reduced
 //! size (used by the scheduled CI job to keep planner wall-time visible
 //! without paying for the full 10k-kernel naive baseline).
 

@@ -198,7 +198,9 @@ fn best_of_3_ms<T>(f: impl Fn() -> T) -> (T, f64) {
 }
 
 /// The planner pipeline on one timeline family (the `bench_planner`
-/// head-to-head, sized for the snapshot).
+/// head-to-head, sized for the snapshot).  `schedule_evictions_with` skips
+/// the eviction-order memo, so each of the best-of-3 runs plans from
+/// scratch.
 fn plan<P: PressureTimeline, B: BandwidthReservation>(
     analysis: &VitalityAnalysis,
     trace: &g10_dnn::trace::KernelTrace,

@@ -9,39 +9,36 @@
 //!
 //! # Complexity
 //!
-//! The flat-`Vec` implementation scanned bins linearly for every query and
-//! reservation.  [`BandwidthTimeline`] now keeps a Fenwick (binary indexed)
-//! tree over each bin's remaining free bytes plus a path-compressed
-//! next-unsaturated-bin pointer, so with `b` bins and `w` the bins a window
-//! or transfer spans:
+//! [`BandwidthTimeline`] keeps two zero-initialised per-bin arrays: the bytes
+//! reserved in each bin, and a path-compressed skip pointer past saturated
+//! bins.  With `b` bins and `w` the bins a window or transfer spans:
 //!
-//! | operation                                  | flat `Vec` | indexed            |
-//! |--------------------------------------------|------------|--------------------|
-//! | [`BandwidthTimeline::free_bytes_between`]  | O(w)       | O(log b)           |
-//! | [`BandwidthTimeline::is_saturated`]        | O(w)       | O(log b)           |
-//! | [`BandwidthTimeline::reserve`]             | O(w)       | O(t log b) ¹       |
+//! | operation                                  | flat `Vec` | [`BandwidthTimeline`] |
+//! |--------------------------------------------|------------|-----------------------|
+//! | [`BandwidthTimeline::new`]                 | O(1) ¹     | O(1) ¹                |
+//! | [`BandwidthTimeline::free_bytes_between`]  | O(w)       | O(w)                  |
+//! | [`BandwidthTimeline::is_saturated`]        | O(w)       | O(w)                  |
+//! | [`BandwidthTimeline::reserve`]             | O(w)       | O(t) amortised ²      |
 //!
-//! ¹ `t` is the number of bins the transfer actually *touches* (writes bytes
-//!   into); fully saturated runs between them are skipped in amortised O(α)
-//!   through the next-free pointers instead of being re-scanned.
+//! ¹ Both arrays are all-zero, so they come from a zeroed allocation whose
+//!   pages the OS maps on first touch; a plan pays only for the bins its
+//!   evictions reach, not for the whole horizon (about 208k bins on BERT).
 //!
-//! Per-bin arithmetic is kept identical to the flat implementation (the same
-//! `f64` operations in the same order), so reservation completion times are
-//! bit-identical; only aggregate free-byte sums may differ from a sequential
-//! scan in the last ulps (f64 addition is not associative, and the tree
-//! groups additions differently).  Consequently `is_saturated` can in
-//! principle disagree with the naive scan for a window whose true free
-//! capacity sits within ~1e-3 bytes of exactly the requested transfer — a
-//! measure-zero knife edge for integer-sized tensors.  The property tests
-//! exempt exactly that band; the golden-plan and planner-equivalence tests
-//! would fail loudly (deterministically, not flakily) if a committed
-//! workload ever landed on it.
+//! ² `t` is the number of bins the transfer actually *touches* (writes bytes
+//!   into); fully saturated runs between them are skipped through the
+//!   next-free pointers instead of being re-scanned.
+//!
+//! The planner asks "is the channel full?" once per *accepted* eviction, so
+//! an O(w) window scan costs far less than building and maintaining an
+//! O(b) prefix-sum index per plan.  The scan also sums bins in the same
+//! order as [`crate::naive::NaiveBandwidthTimeline`], so free-byte sums and
+//! saturation verdicts are bit-identical to the reference, not merely close.
 
 use g10_time::Nanos;
 use serde::{Deserialize, Serialize};
 
 /// The operations the eviction scheduler needs from a channel-reservation
-/// ledger.  Implemented by the Fenwick-indexed [`BandwidthTimeline`] (the
+/// ledger.  Implemented by the skip-pointer [`BandwidthTimeline`] (the
 /// default) and the flat-`Vec` [`crate::naive::NaiveBandwidthTimeline`]
 /// reference.
 pub trait BandwidthReservation {
@@ -70,18 +67,17 @@ pub trait BandwidthReservation {
     fn utilization(&self) -> f64;
 }
 
-/// A binned bandwidth-reservation timeline for one channel direction,
-/// indexed by a Fenwick tree over per-bin free bytes and a union-find
-/// next-unsaturated-bin pointer.
+/// A binned bandwidth-reservation timeline for one channel direction, with
+/// path-compressed skip pointers over saturated bins.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BandwidthTimeline {
     bin_width: Nanos,
     bytes_per_bin: f64,
+    /// Bytes reserved in each bin.
     used: Vec<f64>,
-    /// 1-based Fenwick tree over per-bin clamped free bytes.
-    free_tree: Vec<f64>,
-    /// `next_free[b] == b` while bin `b` may still have capacity; once a bin
-    /// saturates it points past itself (union-find with path compression).
+    /// `0` while bin `b` may still have capacity; once it saturates, a later
+    /// bin to resume the search from (path-compressed).  A saturated bin
+    /// always points past itself, so `0` is never a real pointer.
     next_free: Vec<u32>,
     total_reserved: f64,
 }
@@ -96,23 +92,11 @@ impl BandwidthTimeline {
     pub fn new(bytes_per_sec: f64, horizon: Nanos, bin_width: Nanos) -> Self {
         assert!(!bin_width.is_zero(), "bin width must be positive");
         let bins = (horizon.as_nanos() / bin_width.as_nanos() + 2) as usize;
-        let bytes_per_bin = bytes_per_sec * bin_width.as_secs_f64();
-        let mut free_tree = vec![0.0; bins + 1];
-        // O(b) Fenwick build over the uniform initial free capacity.
-        for i in 1..=bins {
-            free_tree[i] += bytes_per_bin;
-            let parent = i + (i & i.wrapping_neg());
-            if parent <= bins {
-                let carry = free_tree[i];
-                free_tree[parent] += carry;
-            }
-        }
         BandwidthTimeline {
             bin_width,
-            bytes_per_bin,
+            bytes_per_bin: bytes_per_sec * bin_width.as_secs_f64(),
             used: vec![0.0; bins],
-            free_tree,
-            next_free: (0..=bins as u32).collect(),
+            next_free: vec![0; bins],
             total_reserved: 0.0,
         }
     }
@@ -141,36 +125,10 @@ impl BandwidthTimeline {
         (self.bytes_per_bin - self.used[bin]).max(0.0)
     }
 
-    /// Fenwick point update at `bin` (0-based) by `delta`.
-    fn tree_add(&mut self, bin: usize, delta: f64) {
-        let mut i = bin + 1;
-        while i < self.free_tree.len() {
-            self.free_tree[i] += delta;
-            i += i & i.wrapping_neg();
-        }
-    }
-
-    /// Fenwick prefix sum of clamped free bytes over bins `0..=bin`.
-    fn tree_prefix(&self, bin: usize) -> f64 {
-        let mut i = (bin + 1).min(self.free_tree.len() - 1);
-        let mut sum = 0.0;
-        while i > 0 {
-            sum += self.free_tree[i];
-            i -= i & i.wrapping_neg();
-        }
-        sum
-    }
-
-    /// Adds `take` bytes of usage to `bin`, maintaining the Fenwick tree and
-    /// the saturation pointer.
+    /// Adds `take` bytes of usage to `bin`, marking it saturated once full.
     fn add_used(&mut self, bin: usize, take: f64) {
-        let before = self.clamped_free(bin);
         self.used[bin] += take;
-        let after = self.clamped_free(bin);
-        if after != before {
-            self.tree_add(bin, after - before);
-        }
-        if after <= 0.0 {
+        if self.clamped_free(bin) <= 0.0 {
             self.next_free[bin] = bin as u32 + 1;
         }
     }
@@ -179,11 +137,8 @@ impl BandwidthTimeline {
     /// (`bins()` if none), compressing the skip path on the way.
     fn find_free(&mut self, bin: usize) -> usize {
         let bins = self.used.len();
-        if bin >= bins {
-            return bin;
-        }
         let mut root = bin;
-        while root < bins && self.next_free[root] as usize != root {
+        while root < bins && self.next_free[root] != 0 {
             root = self.next_free[root] as usize;
         }
         // Path compression: point every visited bin at the found root.
@@ -196,21 +151,15 @@ impl BandwidthTimeline {
         root
     }
 
-    /// Free capacity (bytes) between `start` and `end`.
+    /// Free capacity (bytes) between `start` and `end`: a sequential scan in
+    /// the same order as the naive reference, so the sum is bit-identical.
     pub fn free_bytes_between(&self, start: Nanos, end: Nanos) -> f64 {
         if end <= start {
             return 0.0;
         }
         let lo = self.bin_of(start);
         let hi = self.bin_of(end);
-        let below_lo = if lo == 0 {
-            0.0
-        } else {
-            self.tree_prefix(lo - 1)
-        };
-        // Clamp away the sub-byte negative residue f64 tree sums can leave
-        // when every bin in the window is exactly full.
-        (self.tree_prefix(hi) - below_lo).max(0.0)
+        (lo..=hi).map(|b| self.clamped_free(b)).sum()
     }
 
     /// Returns `true` if a transfer of `bytes` starting at `start` cannot fit

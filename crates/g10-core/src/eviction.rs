@@ -16,18 +16,52 @@
 //! immediately if it still beats the next-best stale score — giving the same
 //! selection order as re-sorting every iteration (as written in Algorithm 1)
 //! at a fraction of the cost.
+//!
+//! # Select, then assign
+//!
+//! The scheduler is split into two steps that share one copy of the lazy
+//! greedy loop:
+//!
+//! * **Select** ranks candidates by benefit over the *SSD* migration cost and
+//!   subtracts every accepted eviction from the pressure curve, whatever its
+//!   destination turns out to be.  The order it accepts periods in therefore
+//!   reads only the analysis, the planning trace, `gpu_memory_bytes` and the
+//!   SSD/PCIe fields of [`SystemConfig::migration_cost`].  Host capacity and
+//!   the G10 variant (GDS, Host, Full) never enter it.
+//! * **Assign** replays that order through the destination choice of
+//!   Algorithm 1 (lines 7–17) and the channel reservations, which is where
+//!   host capacity and `allow_host` come in.
+//!
+//! [`schedule_evictions`] memoises the selected order process-wide, so the
+//! three variants of one cell and every point of a host-memory sweep share
+//! one selection.  The key is exactly what selection reads:
+//!
+//! * the identity of the analysis's shared [`GraphIndex`], held as a
+//!   [`Weak`] so an entry dies with its graph and its address is never
+//!   reused while the entry exists;
+//! * the planning [`KernelTrace`], compared exactly;
+//! * `gpu_memory_bytes` and the fields `migration_cost(_, Ssd)` reads.
+//!
+//! [`schedule_evictions_with`] is the un-memoised entry: it runs the same
+//! select loop with the assign step inline, on any timeline pair.
+//! `bench_planner`, `tests/planner_scaling.rs` and `experiments bench
+//! snapshot` time it, so their numbers measure planning, not memo hits.
+//! Host-only planning (`allow_ssd: false`) skips candidates the host cannot
+//! hold, which feeds back into selection, so it always takes that path.
 
 use crate::bandwidth::{BandwidthReservation, BandwidthTimeline};
 use crate::config::{Destination, SystemConfig};
 use crate::pressure::{MemoryTimeline, PressureTimeline};
-use crate::vitality::{PeriodId, VitalityAnalysis};
+use crate::vitality::{InactivePeriod, PeriodId, PeriodRanges, VitalityAnalysis};
 use g10_dnn::graph::KernelId;
+use g10_dnn::index::GraphIndex;
 use g10_dnn::tensor::TensorId;
 use g10_dnn::trace::KernelTrace;
 use g10_time::Nanos;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
 /// Which eviction destinations the planner may use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -154,51 +188,74 @@ impl Ord for Candidate {
     }
 }
 
-/// Runs the smart eviction scheduling algorithm on the indexed timelines.
+/// Runs the smart eviction scheduling algorithm on the indexed timelines,
+/// reusing the selected eviction order of any earlier call with the same
+/// graph, planning trace, GPU capacity and SSD/PCIe costs.
+///
+/// `analysis` must be `VitalityAnalysis::analyze(graph, trace)` for this
+/// `trace`.  An analysis whose period timings disagree with `trace` is
+/// planned without the memo.
 pub fn schedule_evictions(
     analysis: &VitalityAnalysis,
     trace: &KernelTrace,
     config: &SystemConfig,
     options: EvictionOptions,
 ) -> EvictionSchedule {
-    schedule_evictions_with::<MemoryTimeline, BandwidthTimeline>(analysis, trace, config, options)
+    if !options.allow_ssd || !analysed_under(analysis, trace) {
+        return schedule_evictions_with(analysis, trace, config, options);
+    }
+    let order = memoised_order(analysis, trace, config);
+    let n_kernels = trace.len();
+    let mut pressure = MemoryTimeline::new(analysis.live_bytes(), trace.durations());
+    let mut assign = Assign::new(trace, config, options);
+    for &id in order.iter() {
+        let period = analysis.period(id);
+        let ranges = period.ranges(n_kernels);
+        // SSD-capable planning places every selected period.
+        assign.place(period, ranges.as_slice());
+        pressure.add(ranges.as_slice(), -(period.bytes as i64));
+    }
+    assign.finish(pressure)
 }
 
 /// Runs the smart eviction scheduling algorithm on explicit timeline
-/// implementations (see [`crate::naive`] for the reference pair).
+/// implementations (see [`crate::naive`] for the reference pair), without
+/// the selection memo: every call plans from scratch.
 pub fn schedule_evictions_with<P: PressureTimeline, B: BandwidthReservation>(
     analysis: &VitalityAnalysis,
     trace: &KernelTrace,
     config: &SystemConfig,
     options: EvictionOptions,
 ) -> EvictionSchedule<P, B> {
-    let n_kernels = trace.len();
-    let durations: Vec<Nanos> = (0..n_kernels)
-        .map(|k| trace.duration(KernelId::new(k as u32)))
-        .collect();
-    let mut pressure = P::from_values(analysis.live_bytes(), &durations);
-    let mut host_occupancy = P::zeroed(&durations);
+    let mut pressure = P::from_values(analysis.live_bytes(), trace.durations());
+    let mut assign = Assign::new(trace, config, options);
+    let nominal = options.nominal_destination();
+    select(analysis, config, nominal, &mut pressure, |p, r| {
+        assign.place(p, r)
+    });
+    assign.finish(pressure)
+}
 
-    let horizon = trace.total_duration();
-    let bin = BandwidthTimeline::default_bin_width();
-    let mut to_ssd = B::with_rate(config.evict_bytes_per_sec(Destination::Ssd), horizon, bin);
-    let mut to_host = B::with_rate(config.evict_bytes_per_sec(Destination::Host), horizon, bin);
-
+/// The CELF lazy greedy of Algorithm 1 over `pressure`.  Each candidate it
+/// selects, in order, is offered to `accept`, which returns whether the
+/// eviction was placed; placed evictions are subtracted from `pressure`.
+fn select<P: PressureTimeline>(
+    analysis: &VitalityAnalysis,
+    config: &SystemConfig,
+    nominal_dest: Destination,
+    pressure: &mut P,
+    mut accept: impl FnMut(&InactivePeriod, &[(usize, usize)]) -> bool,
+) {
     let capacity = config.gpu_memory_bytes;
-    let nominal_dest = options.nominal_destination();
-
     // Interior ranges are immutable per period: compute them once into an
     // arena instead of re-allocating a `Vec` per candidate evaluation.
-    let ranges_arena = analysis.period_ranges(n_kernels);
+    let ranges_arena: Vec<PeriodRanges> = analysis.period_ranges(pressure.len());
 
     // Seed the lazy-greedy heap with every candidate whose inactive period is
     // long enough to cover the round-trip migration and whose eviction would
     // currently relieve pressure above the capacity limit.
     let mut heap: BinaryHeap<Candidate> = BinaryHeap::new();
     for period in analysis.periods() {
-        if !options.allow_ssd && !options.allow_host {
-            break;
-        }
         let cost = config.migration_cost(period.bytes, nominal_dest);
         if period.length() <= cost {
             continue;
@@ -217,7 +274,6 @@ pub fn schedule_evictions_with<P: PressureTimeline, B: BandwidthReservation>(
         });
     }
 
-    let mut decisions = Vec::new();
     while pressure.max_value() > capacity {
         let Some(top) = heap.pop() else { break };
         let period = analysis.period(top.period);
@@ -241,36 +297,69 @@ pub fn schedule_evictions_with<P: PressureTimeline, B: BandwidthReservation>(
                 continue;
             }
         }
+        if accept(period, ranges) {
+            pressure.add(ranges, -(period.bytes as i64));
+        }
+    }
+}
 
-        // Candidate accepted: pick the destination (Algorithm 1, lines 7–17).
+/// The assign step: destination choice and channel reservations for each
+/// selected period, in selection order.
+struct Assign<'a, P, B> {
+    config: &'a SystemConfig,
+    options: EvictionOptions,
+    host_occupancy: P,
+    to_ssd: B,
+    to_host: B,
+    decisions: Vec<EvictionDecision>,
+}
+
+impl<'a, P: PressureTimeline, B: BandwidthReservation> Assign<'a, P, B> {
+    fn new(trace: &KernelTrace, config: &'a SystemConfig, options: EvictionOptions) -> Self {
+        let horizon = trace.total_duration();
+        let bin = BandwidthTimeline::default_bin_width();
+        Assign {
+            config,
+            options,
+            host_occupancy: P::zeroed(trace.durations()),
+            to_ssd: B::with_rate(config.evict_bytes_per_sec(Destination::Ssd), horizon, bin),
+            to_host: B::with_rate(config.evict_bytes_per_sec(Destination::Host), horizon, bin),
+            decisions: Vec::new(),
+        }
+    }
+
+    /// Picks the destination of one selected period (Algorithm 1, lines
+    /// 7–17), reserves its channel and records the decision.  Returns
+    /// `false` only for host-only planning with no host room left, in which
+    /// case nothing is recorded.
+    fn place(&mut self, period: &InactivePeriod, ranges: &[(usize, usize)]) -> bool {
+        let config = self.config;
         let t_r = period.start_time;
-        let destination = {
-            let ssd_window = config.evict_time(period.bytes, Destination::Ssd);
-            let host_fits = options.allow_host
-                && host_occupancy.fits_extra(ranges, period.bytes, config.host_memory_bytes);
-            if options.allow_ssd {
-                if to_ssd.is_saturated(period.bytes, t_r, ssd_window) && host_fits {
-                    Destination::Host
-                } else {
-                    Destination::Ssd
-                }
-            } else if host_fits {
+        let ssd_window = config.evict_time(period.bytes, Destination::Ssd);
+        let host_fits = self.options.allow_host
+            && self
+                .host_occupancy
+                .fits_extra(ranges, period.bytes, config.host_memory_bytes);
+        let destination = if self.options.allow_ssd {
+            if self.to_ssd.is_saturated(period.bytes, t_r, ssd_window) && host_fits {
                 Destination::Host
             } else {
-                // Host-only planning with no host room left: skip.
-                continue;
+                Destination::Ssd
             }
+        } else if host_fits {
+            Destination::Host
+        } else {
+            return false;
         };
 
         let evict_complete = match destination {
-            Destination::Ssd => to_ssd.reserve(period.bytes, t_r),
+            Destination::Ssd => self.to_ssd.reserve(period.bytes, t_r),
             Destination::Host => {
-                host_occupancy.add(ranges, period.bytes as i64);
-                to_host.reserve(period.bytes, t_r)
+                self.host_occupancy.add(ranges, period.bytes as i64);
+                self.to_host.reserve(period.bytes, t_r)
             }
         };
-        pressure.add(ranges, -(period.bytes as i64));
-        decisions.push(EvictionDecision {
+        self.decisions.push(EvictionDecision {
             period: period.id,
             tensor: period.tensor,
             bytes: period.bytes,
@@ -279,21 +368,107 @@ pub fn schedule_evictions_with<P: PressureTimeline, B: BandwidthReservation>(
             evict_start: t_r,
             evict_complete,
         });
+        true
     }
 
-    EvictionSchedule {
-        decisions,
-        pressure,
-        host_occupancy,
-        to_ssd,
-        to_host,
+    fn finish(self, pressure: P) -> EvictionSchedule<P, B> {
+        EvictionSchedule {
+            decisions: self.decisions,
+            pressure,
+            host_occupancy: self.host_occupancy,
+            to_ssd: self.to_ssd,
+            to_host: self.to_host,
+        }
     }
+}
+
+/// Whether every period of `analysis` is timed by `trace`, i.e. the
+/// analysis was derived from the trace it is planned against.
+fn analysed_under(analysis: &VitalityAnalysis, trace: &KernelTrace) -> bool {
+    analysis.live_bytes().len() == trace.len()
+        && analysis.iteration_time() == trace.total_duration()
+        && analysis.periods().iter().all(|p| {
+            let end = if p.wraps_iteration {
+                trace.total_duration() + trace.start_time(p.end_kernel)
+            } else {
+                trace.start_time(p.end_kernel)
+            };
+            p.start_time == trace.end_time(p.start_kernel) && p.end_time == end
+        })
+}
+
+/// Every [`SystemConfig`] field selection reads: the capacity it packs
+/// under, and the inputs of `migration_cost(_, Destination::Ssd)`.
+fn selection_config(config: &SystemConfig) -> [u64; 6] {
+    [
+        config.gpu_memory_bytes,
+        config.pcie_bytes_per_sec.to_bits(),
+        config.ssd_read_bytes_per_sec.to_bits(),
+        config.ssd_write_bytes_per_sec.to_bits(),
+        config.ssd_read_latency.as_nanos(),
+        config.ssd_write_latency.as_nanos(),
+    ]
+}
+
+/// One memoised selection.  `order` is filled once by whichever thread
+/// looks the key up first; concurrent lookups of the same key wait for it
+/// instead of selecting twice.
+struct Selection {
+    graph: Weak<GraphIndex>,
+    config: [u64; 6],
+    trace: KernelTrace,
+    order: Arc<OnceLock<Arc<[PeriodId]>>>,
+}
+
+static SELECTIONS: Mutex<Vec<Selection>> = Mutex::new(Vec::new());
+
+/// The selected eviction order for this key, computed on first use.
+fn memoised_order(
+    analysis: &VitalityAnalysis,
+    trace: &KernelTrace,
+    config: &SystemConfig,
+) -> Arc<[PeriodId]> {
+    let graph = Arc::downgrade(analysis.graph_index());
+    let key = selection_config(config);
+    let slot = {
+        // A panicking holder cannot leave the list half-updated (`retain`
+        // and `push` keep it valid at every step), so a poisoned lock is
+        // safe to reuse.
+        let mut memo = SELECTIONS.lock().unwrap_or_else(PoisonError::into_inner);
+        let hit = memo
+            .iter()
+            .find(|s| s.graph.ptr_eq(&graph) && s.config == key && s.trace == *trace);
+        match hit {
+            Some(selection) => Arc::clone(&selection.order),
+            None => {
+                memo.retain(|s| s.graph.strong_count() > 0);
+                let order = Arc::new(OnceLock::new());
+                memo.push(Selection {
+                    graph,
+                    config: key,
+                    trace: trace.clone(),
+                    order: Arc::clone(&order),
+                });
+                order
+            }
+        }
+    };
+    Arc::clone(slot.get_or_init(|| {
+        let mut pressure = MemoryTimeline::new(analysis.live_bytes(), trace.durations());
+        let mut order = Vec::new();
+        select(analysis, config, Destination::Ssd, &mut pressure, |p, _| {
+            order.push(p.id);
+            true
+        });
+        order.into()
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use g10_dnn::cost::GpuCostModel;
+    use g10_dnn::graph::DnnGraph;
     use g10_dnn::models::{build_model, ModelKind};
 
     fn setup(gpu_bytes: u64) -> (VitalityAnalysis, KernelTrace, SystemConfig) {
@@ -374,10 +549,7 @@ mod tests {
         assert!(schedule.decisions.len() >= 2);
         // The first selected candidate must have at least as large an initial
         // benefit/cost score as the second (greedy order).
-        let durations: Vec<Nanos> = (0..trace.len())
-            .map(|k| trace.duration(KernelId::new(k as u32)))
-            .collect();
-        let fresh = MemoryTimeline::new(analysis.live_bytes(), &durations);
+        let fresh = MemoryTimeline::new(analysis.live_bytes(), trace.durations());
         let score = |d: &EvictionDecision| {
             let p = analysis.period(d.period);
             fresh.reduction_above(
@@ -389,5 +561,80 @@ mod tests {
                 .as_secs_f64()
         };
         assert!(score(&schedule.decisions[0]) + 1e-9 >= score(&schedule.decisions[1]));
+    }
+
+    /// Memo entries whose graph is `graph`.
+    fn entries_for(graph: &Weak<GraphIndex>) -> usize {
+        let memo = SELECTIONS.lock().unwrap_or_else(PoisonError::into_inner);
+        memo.iter().filter(|s| s.graph.ptr_eq(graph)).count()
+    }
+
+    fn plan(graph: &DnnGraph, trace: &KernelTrace, config: &SystemConfig) -> EvictionSchedule {
+        let analysis = VitalityAnalysis::analyze(graph, trace);
+        schedule_evictions(&analysis, trace, config, EvictionOptions::both())
+    }
+
+    #[test]
+    fn the_memo_key_is_graph_trace_gpu_capacity_and_ssd_costs() {
+        let graph = build_model(ModelKind::TinyCnn, 64);
+        let trace = KernelTrace::profile(&graph, &GpuCostModel::a100());
+        let config = SystemConfig::table2().with_gpu_memory(64 << 20);
+        let key = Arc::downgrade(&graph.shared_index());
+        plan(&graph, &trace, &config);
+        assert_eq!(entries_for(&key), 1);
+
+        // Host capacity and variant are not in the key: hits.
+        plan(&graph, &trace, &config.with_host_memory(0));
+        let analysis = VitalityAnalysis::analyze(&graph, &trace);
+        schedule_evictions(&analysis, &trace, &config, EvictionOptions::ssd_only());
+        assert_eq!(entries_for(&key), 1);
+
+        // Everything selection reads is: misses.
+        plan(&graph, &trace, &config.with_ssd_bandwidth(6.4e9));
+        assert_eq!(entries_for(&key), 2);
+        plan(&graph, &trace.with_noise(0.2, 7), &config);
+        assert_eq!(entries_for(&key), 3);
+        plan(&graph, &trace, &config.with_gpu_memory(48 << 20));
+        assert_eq!(entries_for(&key), 4);
+        let rebuilt = build_model(ModelKind::TinyCnn, 64);
+        plan(&rebuilt, &trace, &config);
+        assert_eq!(entries_for(&key), 4);
+        assert_eq!(entries_for(&Arc::downgrade(&rebuilt.shared_index())), 1);
+    }
+
+    #[test]
+    fn an_analysis_of_another_trace_bypasses_the_memo() {
+        let graph = build_model(ModelKind::TinyCnn, 64);
+        let trace = KernelTrace::profile(&graph, &GpuCostModel::a100());
+        let noisy = VitalityAnalysis::analyze(&graph, &trace.with_noise(0.2, 7));
+        let config = SystemConfig::table2().with_gpu_memory(64 << 20);
+        let options = EvictionOptions::both();
+        let memoised = schedule_evictions(&noisy, &trace, &config, options);
+        let direct = schedule_evictions_with::<MemoryTimeline, BandwidthTimeline>(
+            &noisy, &trace, &config, options,
+        );
+        assert_eq!(memoised.decisions, direct.decisions);
+        assert_eq!(entries_for(&Arc::downgrade(&graph.shared_index())), 0);
+    }
+
+    #[test]
+    fn entries_are_pruned_once_their_graph_is_dropped() {
+        let graph = build_model(ModelKind::TinyCnn, 64);
+        let trace = KernelTrace::profile(&graph, &GpuCostModel::a100());
+        let config = SystemConfig::table2().with_gpu_memory(64 << 20);
+        // Holding a `Weak` of our own keeps the address from being reused.
+        let key = Arc::downgrade(&graph.shared_index());
+        plan(&graph, &trace, &config);
+        assert_eq!(entries_for(&key), 1);
+        drop(graph);
+        assert_eq!(key.strong_count(), 0);
+        // The next insertion sweeps dead entries.
+        let other = build_model(ModelKind::TinyCnn, 32);
+        plan(
+            &other,
+            &KernelTrace::profile(&other, &GpuCostModel::a100()),
+            &config,
+        );
+        assert_eq!(entries_for(&key), 0);
     }
 }

@@ -17,11 +17,12 @@
 //!   lazy-propagation segment tree (O(log n) range queries and updates).
 //! * [`bandwidth`] — binned bandwidth-reservation timelines for the GPU–SSD
 //!   and GPU–host channels ("is the SSD traffic full during [t, t+s]?"),
-//!   backed by a Fenwick tree with next-unsaturated-bin skip pointers.
+//!   with next-unsaturated-bin skip pointers.
 //! * [`naive`] — the pre-refactor flat-`Vec` timelines, kept as the
 //!   reference for equivalence tests and the `bench_planner` baseline.
 //! * [`eviction`] — Algorithm 1: iterative benefit/cost candidate selection
-//!   with destination choice.
+//!   (memoised per graph, trace, GPU capacity and SSD cost) followed by
+//!   destination choice.
 //! * [`prefetch`] — latest-safe prefetch times plus the eager prefetch
 //!   rescheduling of §4.4.
 //! * [`plan`] — the migration plan data structure keyed by kernel index.

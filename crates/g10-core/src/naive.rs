@@ -5,7 +5,7 @@
 //! [`crate::pressure`] and [`crate::bandwidth`]:
 //!
 //! * the property tests assert that the segment-tree
-//!   [`MemoryTimeline`](crate::pressure::MemoryTimeline) and Fenwick
+//!   [`MemoryTimeline`](crate::pressure::MemoryTimeline) and skip-pointer
 //!   [`BandwidthTimeline`](crate::bandwidth::BandwidthTimeline) agree with
 //!   these on random operation sequences, and
 //! * `bench_planner` runs the whole eviction + prefetch pipeline against

@@ -251,6 +251,12 @@ impl VitalityAnalysis {
         }
     }
 
+    /// The shared index of the graph this analysis was built from; its
+    /// identity names the graph in the eviction scheduler's selection memo.
+    pub(crate) fn graph_index(&self) -> &std::sync::Arc<g10_dnn::index::GraphIndex> {
+        &self.index
+    }
+
     /// Lifetime facts for every used tensor.
     pub fn lifetimes(&self) -> &[TensorLifetime] {
         &self.lifetimes

@@ -1,28 +1,19 @@
-//! Property tests: the indexed planning timelines (segment-tree
-//! [`MemoryTimeline`], Fenwick [`BandwidthTimeline`]) must agree with the
-//! flat-`Vec` reference implementations in `g10_core::naive` on random
-//! operation sequences.
+//! Property tests: the planning timelines (segment-tree [`MemoryTimeline`],
+//! skip-pointer [`BandwidthTimeline`]) must agree with the flat-`Vec`
+//! reference implementations in `g10_core::naive` on random operation
+//! sequences.
 //!
-//! Integer-valued queries (`max_value`, `max_in`, `fits_extra`,
-//! `latest_fit`, `value`, `values`) and the integer-accumulated
-//! `reduction_above` must match *exactly*.  Aggregate `f64` sums
-//! (`free_bytes_between`) may differ in the last ulp because the Fenwick
-//! tree groups additions differently than a sequential scan, so those are
-//! compared within a tight relative tolerance and boolean saturation tests
-//! are only required to agree away from the knife's edge.
+//! Every query must match *exactly*: the integer-valued ones (`max_value`,
+//! `max_in`, `fits_extra`, `latest_fit`, `value`, `values`), the
+//! integer-accumulated `reduction_above`, and the `f64` free-byte sums,
+//! which both ledgers add up bin by bin in the same order, so they are
+//! compared bit for bit along with every saturation verdict.
 
 use g10_core::bandwidth::{BandwidthReservation, BandwidthTimeline};
 use g10_core::naive::{NaiveBandwidthTimeline, NaiveMemoryTimeline};
 use g10_core::pressure::{MemoryTimeline, PressureTimeline};
 use g10_time::Nanos;
 use proptest::prelude::*;
-
-fn close(a: f64, b: f64) -> bool {
-    // Relative tolerance for large sums plus a sub-byte absolute floor for
-    // windows whose true free capacity is (near) zero.
-    let scale = a.abs().max(b.abs()).max(1.0);
-    (a - b).abs() <= 1e-9 * scale || (a - b).abs() <= 1e-3
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -102,38 +93,36 @@ proptest! {
         horizon_ms in 1u64..50,
         bin_us in 100u64..2_000,
         ops in proptest::collection::vec(
-            (0u8..3, 0u64..60_000, 1u64..5_000, 0u64..(1u64 << 28)),
+            (0u8..4, 0u64..60_000, 1u64..5_000, 0u64..(1u64 << 28)),
             1..48,
         ),
     ) {
         let rate = rate_mb as f64 * 1e6;
         let horizon = Nanos::from_millis(horizon_ms);
         let bin = Nanos::from_micros(bin_us);
-        let mut fenwick = BandwidthTimeline::new(rate, horizon, bin);
+        let mut ledger = BandwidthTimeline::new(rate, horizon, bin);
         let mut flat = NaiveBandwidthTimeline::new(rate, horizon, bin);
-        prop_assert_eq!(fenwick.bins(), flat.bins());
+        prop_assert_eq!(ledger.bins(), flat.bins());
 
         for (op, start_us, dur_us, bytes) in ops {
             let start = Nanos::from_micros(start_us);
             let end = start.saturating_add(Nanos::from_micros(dur_us));
             match op {
-                0 => {
-                    // Per-bin arithmetic is identical between the two, so
-                    // completion times match exactly.
-                    prop_assert_eq!(fenwick.reserve(bytes, start), flat.reserve(bytes, start));
-                }
-                1 => {
-                    let a = fenwick.free_bytes_between(start, end);
-                    let b = flat.free_bytes_between(start, end);
-                    prop_assert!(close(a, b), "free bytes diverged: {a} vs {b}");
-                }
-                2 => {
-                    // Saturation verdicts must agree whenever the window is
-                    // not within float noise of exactly-full.
-                    let free = flat.free_bytes_between(start, end);
-                    if (free - bytes as f64).abs() > 1e-6 * (bytes as f64 + 1.0) {
+                0 => prop_assert_eq!(ledger.reserve(bytes, start), flat.reserve(bytes, start)),
+                1 => prop_assert_eq!(
+                    ledger.free_bytes_between(start, end).to_bits(),
+                    flat.free_bytes_between(start, end).to_bits()
+                ),
+                2 => prop_assert_eq!(
+                    ledger.is_saturated(bytes, start, Nanos::from_micros(dur_us)),
+                    flat.is_saturated(bytes, start, Nanos::from_micros(dur_us))
+                ),
+                3 => {
+                    // The knife edge: a transfer of exactly the free bytes.
+                    let edge = flat.free_bytes_between(start, end) as u64;
+                    for bytes in [edge, edge + 1] {
                         prop_assert_eq!(
-                            fenwick.is_saturated(bytes, start, Nanos::from_micros(dur_us)),
+                            ledger.is_saturated(bytes, start, Nanos::from_micros(dur_us)),
                             flat.is_saturated(bytes, start, Nanos::from_micros(dur_us))
                         );
                     }
@@ -142,10 +131,11 @@ proptest! {
             }
         }
 
-        prop_assert_eq!(fenwick.total_reserved_bytes(), flat.total_reserved_bytes());
-        prop_assert_eq!(fenwick.utilization(), flat.utilization());
-        let full_a = fenwick.free_bytes_between(Nanos::ZERO, horizon);
-        let full_b = flat.free_bytes_between(Nanos::ZERO, horizon);
-        prop_assert!(close(full_a, full_b));
+        prop_assert_eq!(ledger.total_reserved_bytes(), flat.total_reserved_bytes());
+        prop_assert_eq!(ledger.utilization(), flat.utilization());
+        prop_assert_eq!(
+            ledger.free_bytes_between(Nanos::ZERO, horizon).to_bits(),
+            flat.free_bytes_between(Nanos::ZERO, horizon).to_bits()
+        );
     }
 }

@@ -1,7 +1,7 @@
 //! Golden-plan equivalence tests.
 //!
-//! The planner refactor (segment-tree pressure timelines, Fenwick bandwidth
-//! reservations) must leave the emitted `MigrationPlan` byte-for-byte
+//! The planner refactors (segment-tree pressure timelines, skip-pointer
+//! bandwidth reservations, the memoised eviction order) must leave the emitted `MigrationPlan` byte-for-byte
 //! identical to the pre-refactor flat-`Vec` implementation.  These tests pin
 //! that: every decision field of the eviction and prefetch schedules plus the
 //! full plan instruction stream is folded into an FNV-1a fingerprint and
@@ -15,15 +15,20 @@
 //! G10_BLESS=1 cargo test --release --test golden_plans -- --include-ignored
 //! ```
 
-use g10::core::config::SystemConfig;
-use g10::core::eviction::{schedule_evictions, EvictionOptions};
+use g10::core::bandwidth::BandwidthTimeline;
+use g10::core::config::{Destination, SystemConfig};
+use g10::core::eviction::{
+    schedule_evictions, schedule_evictions_with, EvictionDecision, EvictionOptions,
+};
 use g10::core::prefetch::schedule_prefetches;
+use g10::core::pressure::MemoryTimeline;
 use g10::core::scheduler::{G10Scheduler, SchedulerVariant};
 use g10::core::vitality::VitalityAnalysis;
 use g10::core::Instruction;
 use g10::dnn::models::{build_model, ModelKind};
 use g10::dnn::trace::KernelTrace;
 use g10::sim::runner::Workload;
+use g10::time::Nanos;
 use g10_bench::workload_pipeline::Fingerprint;
 
 fn destination_code(d: g10::core::config::Destination) -> u64 {
@@ -158,15 +163,70 @@ fn check_against_snapshot(path: &str, lines: Vec<String>) {
     );
 }
 
+/// The tiny golden cells: `(model, batch, gpu_bytes)`.
+const TINY_CELLS: [(ModelKind, u64, u64); 3] = [
+    (ModelKind::TinyCnn, 64, 64 << 20),
+    (ModelKind::TinyCnn, 64, 48 << 20),
+    (ModelKind::TinyTransformer, 32, 4 << 20),
+];
+
 /// Fast pin on the tiny models: runs on every push in the tier-1 suite.
 #[test]
 fn golden_plans_tiny_models() {
-    let cells = [
-        (ModelKind::TinyCnn, 64, 64 << 20),
-        (ModelKind::TinyCnn, 64, 48 << 20),
-        (ModelKind::TinyTransformer, 32, 4 << 20),
-    ];
-    check_against_snapshot("plans_tiny.txt", snapshot_lines(&cells));
+    check_against_snapshot("plans_tiny.txt", snapshot_lines(&TINY_CELLS));
+}
+
+/// The invariant the eviction-order memo relies on: host capacity and the
+/// variant only pick destinations, never which periods are evicted or in
+/// what order.  Planned through the un-memoised entry, so the memo cannot
+/// make this true by construction.  The slow-SSD config makes the SSD
+/// channel saturate, so host destinations really are in play.
+#[test]
+fn eviction_order_ignores_host_capacity_and_variant() {
+    // Every decision field except the two the destination decides.
+    let masked = |decisions: Vec<EvictionDecision>| -> Vec<EvictionDecision> {
+        decisions
+            .into_iter()
+            .map(|d| EvictionDecision {
+                destination: Destination::Ssd,
+                evict_complete: Nanos::ZERO,
+                ..d
+            })
+            .collect()
+    };
+    for &(model, batch, gpu_bytes) in &TINY_CELLS {
+        let workload = Workload::new(model, batch);
+        let analysis = VitalityAnalysis::analyze(&workload.graph, &workload.trace);
+        let table2 = SystemConfig::table2().with_gpu_memory(gpu_bytes);
+        for base in [table2, table2.with_ssd_bandwidth(50e6)] {
+            let mut reference: Option<Vec<EvictionDecision>> = None;
+            for host_bytes in [0, 1 << 20, table2.host_memory_bytes] {
+                let config = base.with_host_memory(host_bytes);
+                for variant in SchedulerVariant::ALL {
+                    let options = EvictionOptions {
+                        allow_ssd: true,
+                        allow_host: variant.allows_host(),
+                    };
+                    let order = masked(
+                        schedule_evictions_with::<MemoryTimeline, BandwidthTimeline>(
+                            &analysis,
+                            &workload.trace,
+                            &config,
+                            options,
+                        )
+                        .decisions,
+                    );
+                    let reference = reference.get_or_insert_with(|| order.clone());
+                    assert_eq!(
+                        &order,
+                        reference,
+                        "{} gpu={gpu_bytes} host={host_bytes} {variant}: order diverged",
+                        model.name()
+                    );
+                }
+            }
+        }
+    }
 }
 
 /// Full pin: every paper model at its evaluation batch size, all three

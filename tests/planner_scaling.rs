@@ -60,12 +60,11 @@ fn plan<P: PressureTimeline, B: BandwidthReservation>(
 }
 
 /// Exact plan identity between the timeline families.  Integer-valued
-/// pressure queries and per-bin reservation arithmetic are bit-identical by
-/// construction; the one knife edge is `is_saturated`, whose Fenwick-grouped
-/// f64 sum can disagree with the sequential scan only when a window's free
-/// capacity sits within ~1e-3 bytes of the requested transfer (see the
-/// module docs of `g10_core::bandwidth`).  These fixed workloads sit nowhere
-/// near that band, so a failure here means a real behavioural divergence.
+/// pressure queries, per-bin reservation arithmetic and the sequential
+/// free-byte scans are bit-identical by construction, so a failure here
+/// means a real behavioural divergence.  `schedule_evictions_with` is the
+/// un-memoised entry, so every call here (and every timed one below) plans
+/// from scratch.
 fn assert_identical_plans(case: &Case) -> usize {
     let (ev_indexed, pf_indexed) = plan::<MemoryTimeline, BandwidthTimeline>(case);
     let (ev_naive, pf_naive) = plan::<NaiveMemoryTimeline, NaiveBandwidthTimeline>(case);
