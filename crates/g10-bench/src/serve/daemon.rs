@@ -57,7 +57,7 @@ impl Default for ServeOptions {
 }
 
 /// Process-wide SIGTERM/SIGINT latch.  Registered handlers may only set
-/// this flag; the accept loop polls it.
+/// this flag; the accept loop checks it each time it wakes.
 static TERMINATE: AtomicBool = AtomicBool::new(false);
 
 /// Installs minimal SIGTERM/SIGINT handlers (unix only; elsewhere
@@ -91,6 +91,50 @@ fn install_signal_handlers() {
 
 #[cfg(not(unix))]
 fn install_signal_handlers() {}
+
+/// Blocks until `listener` has a connection to accept or `timeout`
+/// passes.  A signal landing on this thread ends the wait early with
+/// `EINTR`; readiness, timeout and interruption all send the caller back
+/// around the accept loop, so the result is not inspected.  `poll(2)` is
+/// declared by hand for the same reason as `signal` above.
+#[cfg(unix)]
+fn wait_for_connection(listener: &TcpListener, timeout: Duration) {
+    use std::os::raw::{c_int, c_short};
+    use std::os::unix::io::AsRawFd;
+
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type Nfds = std::os::raw::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type Nfds = std::os::raw::c_uint;
+
+    #[repr(C)]
+    struct PollFd {
+        fd: c_int,
+        events: c_short,
+        revents: c_short,
+    }
+    extern "C" {
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout: c_int) -> c_int;
+    }
+    const POLLIN: c_short = 0x1;
+
+    let mut fds = PollFd {
+        fd: listener.as_raw_fd(),
+        events: POLLIN,
+        revents: 0,
+    };
+    let timeout_ms = c_int::try_from(timeout.as_millis()).unwrap_or(c_int::MAX);
+    // SAFETY: `fds` is one valid, exclusively borrowed `pollfd` for the
+    // duration of the call, and `nfds` says exactly one.
+    unsafe {
+        poll(&mut fds, 1, timeout_ms);
+    }
+}
+
+#[cfg(not(unix))]
+fn wait_for_connection(_listener: &TcpListener, timeout: Duration) {
+    std::thread::sleep(timeout);
+}
 
 /// Runs the daemon until shutdown completes.  Blocks the calling thread.
 ///
@@ -181,7 +225,11 @@ pub fn serve(options: &ServeOptions) -> Result<(), String> {
                 }
             }
             Err(err) if err.kind() == ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
+                // Serving, the timeout only bounds how late a SIGTERM
+                // caught by a worker thread is noticed.  Draining, it keeps
+                // the idle check and the drain deadline on a 5 ms cadence.
+                let timeout_ms = if draining { 5 } else { 100 };
+                wait_for_connection(&listener, Duration::from_millis(timeout_ms));
             }
             Err(err) => {
                 // Transient accept errors (aborted handshakes) are not

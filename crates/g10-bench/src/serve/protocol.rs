@@ -12,8 +12,7 @@
 use crate::json::{obj, Json};
 use g10_dnn::models::ModelKind;
 use g10_sim::{FaultPlan, SimError};
-use std::io::{self, Read, Write};
-use std::net::TcpStream;
+use std::io::{self, BufRead, BufReader, Read, Write};
 
 /// Hard cap on the request head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 8 * 1024;
@@ -34,23 +33,43 @@ pub struct HttpRequest {
 
 /// Reads one request from `stream`, honouring the head/body caps.
 ///
+/// The head and the body come through one buffered reader, so a request
+/// the client sent in one write is usually read in one syscall.  Bytes
+/// after the body are dropped: one request per connection.
+///
 /// # Errors
 ///
 /// Returns a message suitable for a 400 response: malformed request line,
 /// oversized head or body, bad `Content-Length`, or connection errors.
-pub fn read_request(stream: &mut TcpStream) -> Result<HttpRequest, String> {
+pub fn read_request<R: Read>(stream: &mut R) -> Result<HttpRequest, String> {
+    const TERMINATOR: &[u8] = b"\r\n\r\n";
+    let mut reader = BufReader::with_capacity(MAX_HEAD_BYTES, stream);
     let mut head = Vec::new();
-    let mut byte = [0u8; 1];
-    // One-byte reads keep the parser trivially correct about not consuming
-    // body bytes; request heads are tiny and connections are local.
-    while !head.ends_with(b"\r\n\r\n") {
-        match stream.read(&mut byte) {
-            Ok(0) => return Err("connection closed mid-request".to_string()),
-            Ok(_) => head.push(byte[0]),
+    loop {
+        let chunk = match reader.fill_buf() {
+            Ok([]) => return Err("connection closed mid-request".to_string()),
+            Ok(chunk) => chunk,
+            Err(err) if err.kind() == io::ErrorKind::Interrupted => continue,
             Err(err) => return Err(format!("read error: {err}")),
-        }
-        if head.len() > MAX_HEAD_BYTES {
+        };
+        // The terminator may straddle the previous chunk, so the scan
+        // restarts three bytes before the new data.
+        let scan_from = head.len().saturating_sub(TERMINATOR.len() - 1);
+        let before = head.len();
+        head.extend_from_slice(chunk);
+        let end = head[scan_from..]
+            .windows(TERMINATOR.len())
+            .position(|window| window == TERMINATOR)
+            .map(|at| scan_from + at + TERMINATOR.len());
+        let head_len = end.unwrap_or(head.len());
+        // Only the head's bytes are consumed; the rest is body.
+        reader.consume(head_len - before);
+        if head_len > MAX_HEAD_BYTES {
             return Err(format!("request head exceeds {MAX_HEAD_BYTES} bytes"));
+        }
+        if end.is_some() {
+            head.truncate(head_len);
+            break;
         }
     }
     let head = String::from_utf8_lossy(&head);
@@ -75,7 +94,7 @@ pub fn read_request(stream: &mut TcpStream) -> Result<HttpRequest, String> {
         return Err(format!("request body exceeds {MAX_BODY_BYTES} bytes"));
     }
     let mut body = vec![0u8; content_length];
-    stream
+    reader
         .read_exact(&mut body)
         .map_err(|err| format!("short body: {err}"))?;
     Ok(HttpRequest {
@@ -87,10 +106,11 @@ pub fn read_request(stream: &mut TcpStream) -> Result<HttpRequest, String> {
 
 /// Writes one HTTP response with a JSON body and closes the exchange.
 /// `retry_after` adds the `Retry-After` header 503 shedding responses
-/// carry.  Write failures are returned so callers can count them, but a
-/// client that hung up early is not an error worth more than a tally.
-pub fn write_response(
-    stream: &mut TcpStream,
+/// carry.  Head and body go out in one write.  Write failures are
+/// returned so callers can count them, but a client that hung up early is
+/// not an error worth more than a tally.
+pub fn write_response<W: Write>(
+    stream: &mut W,
     status: u16,
     retry_after: Option<u64>,
     body: &Json,
@@ -105,16 +125,16 @@ pub fn write_response(
         _ => "Unknown",
     };
     let body = body.render();
-    let mut head = format!(
+    let mut response = format!(
         "HTTP/1.1 {status} {reason}\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\n",
         body.len()
     );
     if let Some(seconds) = retry_after {
-        head.push_str(&format!("retry-after: {seconds}\r\n"));
+        response.push_str(&format!("retry-after: {seconds}\r\n"));
     }
-    head.push_str("\r\n");
-    stream.write_all(head.as_bytes())?;
-    stream.write_all(body.as_bytes())?;
+    response.push_str("\r\n");
+    response.push_str(&body);
+    stream.write_all(response.as_bytes())?;
     stream.flush()
 }
 
@@ -609,6 +629,30 @@ mod tests {
             RunRequest::from_json(&obj(vec![])).is_err(),
             "accepted empty body"
         );
+    }
+
+    #[test]
+    fn response_goes_out_in_one_write() {
+        struct Recorder(Vec<Vec<u8>>);
+        impl Write for Recorder {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut recorder = Recorder(Vec::new());
+        let body = error_body("overloaded", "retry shortly");
+        write_response(&mut recorder, 503, Some(1), &body).unwrap();
+        assert_eq!(recorder.0.len(), 1, "head and body must share one write");
+        let rendered = body.render();
+        let expected = format!(
+            "HTTP/1.1 503 Service Unavailable\r\ncontent-type: application/json\r\ncontent-length: {}\r\nconnection: close\r\nretry-after: 1\r\n\r\n{rendered}",
+            rendered.len()
+        );
+        assert_eq!(String::from_utf8_lossy(&recorder.0[0]), expected);
     }
 
     #[test]

@@ -13,7 +13,6 @@ use g10_sim::CancelToken;
 use std::collections::VecDeque;
 use std::net::TcpStream;
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
 
 use super::protocol::RunRequest;
 
@@ -118,13 +117,9 @@ impl Admission {
             if state.closed {
                 return None;
             }
-            // A timeout keeps a worker from sleeping through a lost wakeup
-            // forever; correctness only needs the loop re-check.
-            state = self
-                .available
-                .wait_timeout(state, Duration::from_millis(100))
-                .expect("admission lock poisoned")
-                .0;
+            // No wakeup can be lost: the queue is re-checked under the
+            // lock, and `offer` and `close` notify after changing it.
+            state = self.available.wait(state).expect("admission lock poisoned");
         }
     }
 

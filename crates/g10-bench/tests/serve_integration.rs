@@ -13,7 +13,7 @@ use g10_bench::serve::{exchange, exchange_raw};
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::mpsc;
+use std::sync::{mpsc, Mutex};
 use std::time::{Duration, Instant};
 
 const TIMEOUT: Duration = Duration::from_secs(30);
@@ -36,6 +36,9 @@ fn fresh_dir(name: &str) -> PathBuf {
 struct Daemon {
     child: Child,
     addr: String,
+    /// The daemon's stdout, line by line, after the startup line.  Locked
+    /// so client threads can share a `&Daemon`.
+    stdout: Mutex<mpsc::Receiver<String>>,
 }
 
 impl Daemon {
@@ -55,25 +58,32 @@ impl Daemon {
         let stdout = child.stdout.take().expect("daemon stdout piped");
         let (send, recv) = mpsc::channel();
         std::thread::spawn(move || {
-            // Forward the startup line, then keep draining so the daemon
-            // never blocks on a full pipe.
+            // Forward every line, and keep draining after the receiver is
+            // gone so the daemon never blocks on a full pipe.
             for line in BufReader::new(stdout).lines() {
                 let Ok(line) = line else { break };
-                if line.contains("listening on ") {
-                    let _ = send.send(line);
-                }
+                let _ = send.send(line);
             }
         });
-        let line = recv
-            .recv_timeout(TIMEOUT)
-            .expect("daemon did not print its listening address");
+        let line = loop {
+            let line = recv
+                .recv_timeout(TIMEOUT)
+                .expect("daemon did not print its listening address");
+            if line.contains("listening on ") {
+                break line;
+            }
+        };
         let addr = line
             .split("listening on ")
             .nth(1)
             .and_then(|rest| rest.split_whitespace().next())
             .expect("malformed listening line")
             .to_string();
-        Daemon { child, addr }
+        Daemon {
+            child,
+            addr,
+            stdout: Mutex::new(recv),
+        }
     }
 
     /// Posts `/shutdown` and asserts the daemon drains and exits cleanly.
@@ -309,6 +319,126 @@ fn chaos_mixed_clients_all_get_typed_responses() {
         "in-flight request neither answered nor shed: {tag}"
     );
 
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+/// Median wall time of `samples` runs of `exchange`, each asserted to
+/// answer 200.
+fn median_exchange_ms(samples: usize, mut exchange: impl FnMut() -> (u16, Json)) -> f64 {
+    let mut times: Vec<f64> = (0..samples)
+        .map(|_| {
+            let start = Instant::now();
+            let (status, body) = exchange();
+            let elapsed = start.elapsed().as_secs_f64() * 1e3;
+            assert_eq!(status, 200, "{body:?}");
+            elapsed
+        })
+        .collect();
+    times.sort_by(f64::total_cmp);
+    times[samples / 2]
+}
+
+/// The acceptor waits on socket readiness, so a request that needs no
+/// replay is answered in well under a millisecond.  An accept loop that
+/// sleeps 5 ms whenever no connection is waiting puts both medians near
+/// 5 ms.
+#[test]
+fn hot_requests_are_answered_without_an_accept_delay() {
+    const SAMPLES: usize = 50;
+    const MEDIAN_CEILING_MS: f64 = 2.5;
+    let store = fresh_dir("latency");
+    let daemon = Daemon::spawn(&store, &[]);
+
+    let health = median_exchange_ms(SAMPLES, || {
+        exchange(&daemon.addr, "GET", "/healthz", None, TIMEOUT).expect("healthz")
+    });
+    assert!(
+        health < MEDIAN_CEILING_MS,
+        "median /healthz exchange took {health:.3} ms"
+    );
+
+    let body = run_body("tinycnn", 5, "g10", vec![]);
+    let (status, first) = daemon.submit(&body);
+    assert_eq!(status, 200, "warm-up run must succeed: {first:?}");
+    let hot = median_exchange_ms(SAMPLES, || {
+        let (status, response) = daemon.submit(&body);
+        assert_eq!(
+            response.get("source").and_then(Json::as_str),
+            Some("memory"),
+            "a repeated cell must be a memory hit"
+        );
+        (status, response)
+    });
+    assert!(
+        hot < MEDIAN_CEILING_MS,
+        "median cached-cell exchange took {hot:.3} ms"
+    );
+
+    daemon.shutdown();
+    let _ = std::fs::remove_dir_all(&store);
+}
+
+/// SIGTERM drains like `POST /shutdown`: a request in flight when the
+/// signal lands still gets a typed answer, and the daemon exits 0 promptly
+/// with its drain recorded.
+#[cfg(unix)]
+#[test]
+fn sigterm_drains_in_flight_work_and_exits_cleanly() {
+    let store = fresh_dir("sigterm");
+    let mut daemon = Daemon::spawn(&store, &[]);
+    // An uncached G10 cell under memory pressure: it plans before it
+    // replays, so it is usually still running when the signal lands.
+    let straggler = std::thread::spawn({
+        let addr = daemon.addr.clone();
+        move || {
+            let body = run_body("senet154", 8, "g10", vec![]);
+            exchange(&addr, "POST", "/run", Some(&body), TIMEOUT).expect("straggler exchange")
+        }
+    });
+    let admitted = Instant::now() + TIMEOUT;
+    loop {
+        let (_, stats) =
+            exchange(&daemon.addr, "GET", "/stats", None, TIMEOUT).expect("stats exchange");
+        if stats.get("admitted").and_then(Json::as_u64) == Some(1) {
+            break;
+        }
+        assert!(Instant::now() < admitted, "straggler was never admitted");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    let killed = Command::new("kill")
+        .args(["-TERM", &daemon.child.id().to_string()])
+        .status()
+        .expect("could not run kill");
+    assert!(killed.success(), "kill -TERM failed: {killed:?}");
+    let deadline = Instant::now() + Duration::from_secs(2);
+    let exit = loop {
+        if let Some(exit) = daemon.child.try_wait().expect("wait on daemon") {
+            break exit;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "daemon did not exit within 2 s of SIGTERM"
+        );
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(
+        exit.success(),
+        "daemon must exit 0 on SIGTERM, got {exit:?}"
+    );
+    let stdout = daemon.stdout.lock().expect("stdout lock");
+    let log: Vec<String> = std::iter::from_fn(|| stdout.recv_timeout(TIMEOUT).ok()).collect();
+    assert!(
+        log.iter().any(|line| line == "serve: drained and stopped"),
+        "daemon must log the completed drain: {log:?}"
+    );
+
+    let (status, body) = straggler.join().expect("straggler thread");
+    let tag = response_tag(status, &body);
+    assert!(
+        tag == "ok:replayed" || tag == "503:shutting-down" || tag == "504:cancelled",
+        "in-flight request neither answered nor shed: {tag}"
+    );
     let _ = std::fs::remove_dir_all(&store);
 }
 

@@ -236,6 +236,34 @@ grep -q 'drained and stopped' "$SERVE_LOG" || {
     cat "$SERVE_LOG" >&2
     exit 1
 }
+
+# SIGTERM takes the same drain path as POST /shutdown.  `cargo run` execs
+# the daemon in its own place, so $SERVE_PID is the daemon itself.
+SERVE_LOG="$OUT_DIR/serve_sigterm.log"
+step "experiment service: SIGTERM drains and exits zero"
+cargo run "$PROFILE_FLAG" -q -p g10-bench --bin experiments -- \
+    serve --addr 127.0.0.1:0 --cache-dir "$CACHE_DIR" >"$SERVE_LOG" 2>&1 &
+SERVE_PID=$!
+for _ in $(seq 1 100); do
+    grep -q 'listening on' "$SERVE_LOG" && break
+    sleep 0.1
+done
+grep -q 'listening on' "$SERVE_LOG" || {
+    echo "error: second daemon never printed its listening address" >&2
+    cat "$SERVE_LOG" >&2
+    exit 1
+}
+kill -TERM "$SERVE_PID"
+if ! wait "$SERVE_PID"; then
+    echo "error: daemon must drain and exit zero on SIGTERM" >&2
+    cat "$SERVE_LOG" >&2
+    exit 1
+fi
+grep -q 'drained and stopped' "$SERVE_LOG" || {
+    echo "error: daemon log must record the drain after SIGTERM" >&2
+    cat "$SERVE_LOG" >&2
+    exit 1
+}
 trap 'rm -rf "$OUT_DIR"' EXIT
 
 printf '\nkick-tires: all steps passed.\n'
