@@ -1,26 +1,18 @@
-//! Criterion bench: replay-engine scaling — the naive linear-scan victim
-//! selection vs the incremental victim index, replaying the synthetic deep
-//! GPT stress workload (`g10_dnn::models::stress`) under the
+//! Criterion bench: replay-engine cost at scale — the synthetic deep GPT
+//! stress workload (`g10_dnn::models::stress`) replayed under the
 //! eviction-heaviest designs (Base UVM and DeepUM+) on a GPU sized to half
-//! the workload's peak live bytes.
-//!
-//! Both engine paths replay identical workloads, so the printed means are
-//! directly comparable; the `replay_speedup` lines summarise the ratio and
-//! assert that the two paths produce identical `SimReport`s.  A second
-//! group keeps the Figure-11 end-to-end G10 replays (plan + replay per
-//! paper model) visible.  Set `G10_BENCH_SMOKE=1` to run a reduced size
-//! (used by the scheduled CI job to keep replay wall-time visible without
-//! paying for the full 10k-kernel naive baseline).
+//! the workload's peak live bytes, so victim selection (the engine's
+//! incremental victim index) runs on nearly every step.  A second group
+//! keeps the Figure-11 end-to-end G10 replays (plan + replay per paper
+//! model) visible.  Set `G10_BENCH_SMOKE=1` to run a reduced size (used by
+//! the scheduled CI job).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use g10_core::config::SystemConfig;
 use g10_core::vitality::VitalityAnalysis;
 use g10_dnn::models::stress::StressGptConfig;
 use g10_dnn::models::ModelKind;
-use g10_sim::{
-    parallel_map, Experiment, PolicyKind, RuntimeOptions, SimReport, VictimSelection, Workload,
-};
-use std::time::Instant;
+use g10_sim::{parallel_map, Experiment, PolicyKind, Workload};
 
 struct StressCase {
     label: String,
@@ -30,7 +22,7 @@ struct StressCase {
 
 fn stress_case(target_kernels: usize) -> StressCase {
     // Batch 2: small activations, so the constrained GPU holds many
-    // resident tensors and victim selection dominates the naive path.
+    // resident tensors to choose victims from.
     let workload = Workload::stress(2, &StressGptConfig::with_target_kernels(target_kernels));
     let analysis = VitalityAnalysis::analyze(&workload.graph, &workload.trace);
     // Half the peak live bytes: deep oversubscription, so the replay faults
@@ -43,18 +35,6 @@ fn stress_case(target_kernels: usize) -> StressCase {
     }
 }
 
-fn replay(case: &StressCase, policy: PolicyKind, selection: VictimSelection) -> SimReport {
-    Experiment::new(&case.workload)
-        .policy(policy)
-        .config(case.config)
-        .options(RuntimeOptions {
-            victim_selection: selection,
-            ..RuntimeOptions::default()
-        })
-        .run()
-        .expect("built-in policies resolve")
-}
-
 const POLICIES: [PolicyKind; 2] = [PolicyKind::BaseUvm, PolicyKind::DeepUmPlus];
 
 fn bench_replay(c: &mut Criterion) {
@@ -62,55 +42,22 @@ fn bench_replay(c: &mut Criterion) {
     let sizes: &[usize] = if smoke { &[1_000] } else { &[2_000, 10_000] };
     let cases = parallel_map(sizes.to_vec(), |target| stress_case(*target));
 
-    let mut group = c.benchmark_group("replay_indexed");
+    let mut group = c.benchmark_group("replay_stress");
     group.sample_size(if smoke { 3 } else { 5 });
     for case in &cases {
         for policy in POLICIES {
+            let experiment = Experiment::new(&case.workload)
+                .policy(policy)
+                .config(case.config);
             group.bench_function(format!("{}/{}", case.label, policy), |b| {
-                b.iter(|| black_box(replay(case, policy, VictimSelection::Indexed)))
+                b.iter(|| black_box(experiment.run().expect("built-in policies resolve")))
             });
         }
     }
     group.finish();
-
-    let mut group = c.benchmark_group("replay_naive");
-    group.sample_size(if smoke { 3 } else { 2 });
-    for case in &cases {
-        for policy in POLICIES {
-            group.bench_function(format!("{}/{}", case.label, policy), |b| {
-                b.iter(|| black_box(replay(case, policy, VictimSelection::NaiveScan)))
-            });
-        }
-    }
-    group.finish();
-
-    // One timed head-to-head run per (size, policy) so the ratio is printed
-    // directly, with report identity asserted on the way.
-    for case in &cases {
-        for policy in POLICIES {
-            let start = Instant::now();
-            let indexed = replay(case, policy, VictimSelection::Indexed);
-            let indexed_time = start.elapsed();
-            let start = Instant::now();
-            let naive = replay(case, policy, VictimSelection::NaiveScan);
-            let naive_time = start.elapsed();
-            assert_eq!(indexed, naive, "naive and indexed replays diverged");
-            println!(
-                "bench replay_speedup/{}/{}: naive {:>10.3} ms, indexed {:>9.3} ms, \
-                 speedup {:>6.1}x ({} evictions, {} faults)",
-                case.label,
-                policy,
-                naive_time.as_secs_f64() * 1e3,
-                indexed_time.as_secs_f64() * 1e3,
-                naive_time.as_secs_f64() / indexed_time.as_secs_f64().max(1e-12),
-                indexed.evictions_issued,
-                indexed.fault_count,
-            );
-        }
-    }
 
     // The Figure-11 end-to-end G10 replays (plan + replay), one per paper
-    // model, unchanged from the pre-refactor bench.
+    // model.
     if !smoke {
         let config = SystemConfig::table2();
         let mut group = c.benchmark_group("fig11_replay_g10");

@@ -11,9 +11,8 @@
 //!       [--gpu-mib N]
 //!   multi [--tenants N] [--stress] [--policy <name>[,<name>...]]
 //!       [--gpu-mib N]
-//!   bench snapshot [--full]
-//!   bench compare <baseline.json> <fresh.json>
-//!       [--min-speedup-ratio X] [--max-wall-ratio X]
+//!   bench snapshot
+//!   bench compare <baseline.json> <fresh.json> [--max-wall-ratio X]
 //! ```
 //!
 //! Each figure command prints the rows the paper reports and writes a CSV
@@ -44,17 +43,17 @@
 //! training jobs.
 //!
 //! `bench snapshot` emits a `BENCH_<n>.json` perf-trajectory snapshot
-//! (head-to-head pillar timings + the full grid) under the output
-//! directory, and `bench compare` gates a fresh snapshot against a
-//! committed baseline — see `scripts/bench-compare.sh` and the README's
-//! bench-trajectory section.
+//! (the full grid's wall time and counters) under the output directory,
+//! and `bench compare` gates a fresh snapshot against a committed
+//! baseline — see `scripts/bench-compare.sh` and the README's
+//! perf-trajectory section.
 
 use g10_bench::experiments::{self, run_cache_stats, set_run_store, EndToEndRuns};
 use g10_bench::json::Json;
 use g10_bench::output::{write_csv, Table};
 use g10_bench::serve::{self, JobRequest, RunRequest, ServeOptions};
 use g10_bench::store::RunStore;
-use g10_bench::trajectory::{self, CompareOptions, SnapshotMode};
+use g10_bench::trajectory::{self, CompareOptions};
 use g10_core::config::SystemConfig;
 use g10_dnn::models::ModelKind;
 use g10_sim::{CancelToken, FaultPlan, JobSpec, OnPolicyFault, PolicySpec, RuntimeOptions};
@@ -77,7 +76,7 @@ fn emit_all(tables: &[Table], out_dir: &Path, prefix: &str) {
 }
 
 /// Runs one figure driver, printing its wall time (the `all` command uses
-/// this so per-figure grid speedups are visible run to run).
+/// this so per-figure grid costs are visible run to run).
 fn figure(label: &str, f: impl FnOnce()) {
     let started = Instant::now();
     f();
@@ -96,8 +95,6 @@ struct Flags {
     gpu_mib: Option<u64>,
     cache_dir: Option<PathBuf>,
     no_cache: bool,
-    full: bool,
-    min_speedup_ratio: Option<f64>,
     max_wall_ratio: Option<f64>,
     /// Deterministic fault injection (`--inject-fault <step>:<kind>`):
     /// exercises the typed fault and degradation paths from the CLI.
@@ -417,21 +414,11 @@ fn cache_gc(flags: &Flags) -> Result<(), String> {
 }
 
 /// `bench snapshot`: emit the next `BENCH_<n>.json` under the out dir.
-fn bench_snapshot(flags: &Flags, out_dir: &Path) -> Result<(), String> {
-    let mode = if flags.full {
-        SnapshotMode::Full
-    } else {
-        SnapshotMode::Default
-    };
-    let snapshot = trajectory::collect(mode, out_dir);
-    for phase in &snapshot.phases {
-        println!("[bench] {:18} {:>10.1} ms", phase.name, phase.wall_ms);
-    }
-    for (pillar, ratio) in &snapshot.speedups {
-        println!("[bench] {pillar}_speedup: {ratio:.1}x");
-    }
+fn bench_snapshot(out_dir: &Path) -> Result<(), String> {
+    let snapshot = trajectory::collect(out_dir);
     println!(
-        "[bench] grid: {} cells replayed, {} memory hits, {} disk hits, {} CSV files",
+        "[bench] grid: {:.1} ms, {} cells replayed, {} memory hits, {} disk hits, {} CSV files",
+        snapshot.grid.wall_ms,
         snapshot.grid.cells_replayed,
         snapshot.grid.memory_hits,
         snapshot.grid.disk_hits,
@@ -452,9 +439,6 @@ fn bench_compare(flags: &Flags, baseline_path: &str, fresh_path: &str) -> Result
     let baseline = load(baseline_path)?;
     let fresh = load(fresh_path)?;
     let mut opts = CompareOptions::default();
-    if let Some(ratio) = flags.min_speedup_ratio {
-        opts.min_speedup_ratio = ratio;
-    }
     if let Some(ratio) = flags.max_wall_ratio {
         opts.max_wall_ratio = ratio;
     }
@@ -467,9 +451,8 @@ fn bench_compare(flags: &Flags, baseline_path: &str, fresh_path: &str) -> Result
     }
     if outcome.is_ok() {
         println!(
-            "[bench] no perf regression vs {baseline_path} \
-             (speedup floor ratio {}, wall ceiling ratio {})",
-            opts.min_speedup_ratio, opts.max_wall_ratio
+            "[bench] no perf regression vs {baseline_path} (wall ceiling ratio {})",
+            opts.max_wall_ratio
         );
         Ok(())
     } else {
@@ -591,7 +574,6 @@ fn main() -> ExitCode {
                 }
             },
             "--no-cache" => flags.no_cache = true,
-            "--full" => flags.full = true,
             "--inject-fault" => match iter.next().map(|plan| plan.parse::<FaultPlan>()) {
                 Some(Ok(plan)) => flags.inject_fault = Some(plan),
                 Some(Err(err)) => {
@@ -680,13 +662,6 @@ fn main() -> ExitCode {
             "--health" => flags.health = true,
             "--stats" => flags.stats = true,
             "--shutdown" => flags.shutdown = true,
-            "--min-speedup-ratio" => match iter.next().map(|v| v.parse::<f64>()) {
-                Some(Ok(ratio)) => flags.min_speedup_ratio = Some(ratio),
-                _ => {
-                    eprintln!("error: --min-speedup-ratio needs a number argument");
-                    return ExitCode::FAILURE;
-                }
-            },
             "--max-wall-ratio" => match iter.next().map(|v| v.parse::<f64>()) {
                 Some(Ok(ratio)) => flags.max_wall_ratio = Some(ratio),
                 _ => {
@@ -723,9 +698,9 @@ fn main() -> ExitCode {
                      \x20      experiments cache gc --max-mib N [--cache-dir DIR]\n\
                      \n\
                      perf-trajectory harness (see scripts/bench-compare.sh):\n\
-                     \x20      experiments bench snapshot [--full] [--out DIR]\n\
+                     \x20      experiments bench snapshot [--out DIR]\n\
                      \x20      experiments bench compare <baseline.json> <fresh.json>\n\
-                     \x20                  [--min-speedup-ratio X] [--max-wall-ratio X]\n\
+                     \x20                  [--max-wall-ratio X]\n\
                      \n\
                      --policy accepts the built-in designs (ideal, base-uvm, deepum+,\n\
                      flashneuron, g10-gds, g10-host, g10) and any policy registered via\n\
@@ -767,10 +742,14 @@ fn main() -> ExitCode {
     let started = std::time::Instant::now();
     let result = match positionals[0].as_str() {
         "bench" => match positionals.get(1).map(String::as_str) {
-            Some("snapshot") => bench_snapshot(&flags, &out_dir),
-            Some("compare") => match (positionals.get(2), positionals.get(3)) {
-                (Some(baseline), Some(fresh)) => bench_compare(&flags, baseline, fresh),
-                _ => Err("bench compare needs <baseline.json> <fresh.json>".to_string()),
+            Some("snapshot") if positionals.len() == 2 => bench_snapshot(&out_dir),
+            Some("snapshot") => Err(format!(
+                "bench snapshot takes no arguments, got: {}",
+                positionals[2..].join(" ")
+            )),
+            Some("compare") => match &positionals[2..] {
+                [baseline, fresh] => bench_compare(&flags, baseline, fresh),
+                _ => Err("bench compare needs exactly <baseline.json> <fresh.json>".to_string()),
             },
             _ => Err("bench needs a subcommand: snapshot | compare".to_string()),
         },

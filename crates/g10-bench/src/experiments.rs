@@ -132,36 +132,49 @@ pub fn cached_run(
     let slot = cell_slot(run_cell_cache(), &key);
     // `None` after get_or_init means another thread initialised the slot —
     // an in-memory hit.
-    let mut first_touch: Option<&AtomicU64> = None;
+    let mut first_touch = None;
     let report = slot.get_or_init(|| {
-        let store = run_store();
-        let store_key = store_key(model, batch, policy, config);
-        if let Some(store) = &store {
-            if let Some(report) = store.load(&store_key) {
-                first_touch = Some(&RUN_CACHE_DISK_HITS);
-                return Arc::new(report);
-            }
-        }
-        first_touch = Some(&RUN_CACHE_REPLAYS);
-        let report = Experiment::new(&workload(model, batch))
-            .policy(policy)
-            .config(*config)
-            .run()
-            .expect("built-in policies always resolve");
-        if let Some(store) = &store {
-            if let Err(err) = store.save(&store_key, &report) {
-                eprintln!(
-                    "warning: could not persist run-cache entry {}: {err}",
-                    store.entry_path(&store_key).display()
-                );
-            }
-        }
+        let (report, outcome) =
+            load_or_replay(model, batch, policy, config, RuntimeOptions::default())
+                .expect("built-in policies always resolve");
+        first_touch = Some(outcome);
         Arc::new(report)
     });
-    first_touch
-        .unwrap_or(&RUN_CACHE_MEMORY_HITS)
-        .fetch_add(1, Ordering::Relaxed);
+    first_touch.unwrap_or(CacheOutcome::MemoryHit).tally();
     report.clone()
+}
+
+/// The miss path shared by [`cached_run`] and [`cached_run_cancellable`]:
+/// serves the cell from the persistent store if one is installed and holds
+/// it, else replays it under `options` and persists the result (a failed
+/// write only warns).  A failed replay writes nothing.  Touches neither the
+/// in-memory cell map nor the counters; the callers own both.
+fn load_or_replay(
+    model: ModelKind,
+    batch: u64,
+    policy: PolicyKind,
+    config: &SystemConfig,
+    options: RuntimeOptions,
+) -> Result<(SimReport, CacheOutcome), SimError> {
+    let store = run_store();
+    let store_key = store_key(model, batch, policy, config);
+    if let Some(report) = store.as_ref().and_then(|store| store.load(&store_key)) {
+        return Ok((report, CacheOutcome::DiskHit));
+    }
+    let report = Experiment::new(&workload(model, batch))
+        .policy(policy)
+        .config(*config)
+        .options(options)
+        .run()?;
+    if let Some(store) = &store {
+        if let Err(err) = store.save(&store_key, &report) {
+            eprintln!(
+                "warning: could not persist run-cache entry {}: {err}",
+                store.entry_path(&store_key).display()
+            );
+        }
+    }
+    Ok((report, CacheOutcome::Replayed))
 }
 
 /// Where a [`cached_run_cancellable`] lookup was served from.  The serve
@@ -186,6 +199,16 @@ impl CacheOutcome {
             CacheOutcome::MemoryHit => "memory",
             CacheOutcome::DiskHit => "disk",
         }
+    }
+
+    /// Counts one lookup served this way in [`run_cache_stats`].
+    fn tally(self) {
+        let counter = match self {
+            CacheOutcome::Replayed => &RUN_CACHE_REPLAYS,
+            CacheOutcome::MemoryHit => &RUN_CACHE_MEMORY_HITS,
+            CacheOutcome::DiskHit => &RUN_CACHE_DISK_HITS,
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -233,38 +256,17 @@ pub fn cached_run_cancellable(
     let key = (model, batch, policy, config.cache_key());
     let slot = cell_slot(run_cell_cache(), &key);
     if let Some(report) = slot.get() {
-        RUN_CACHE_MEMORY_HITS.fetch_add(1, Ordering::Relaxed);
+        CacheOutcome::MemoryHit.tally();
         return Ok((report.clone(), CacheOutcome::MemoryHit));
-    }
-    let store = run_store();
-    let store_key = store_key(model, batch, policy, config);
-    if let Some(store) = &store {
-        if let Some(report) = store.load(&store_key) {
-            let report = slot.get_or_init(|| Arc::new(report)).clone();
-            RUN_CACHE_DISK_HITS.fetch_add(1, Ordering::Relaxed);
-            return Ok((report, CacheOutcome::DiskHit));
-        }
     }
     let options = RuntimeOptions {
         cancel: Some(cancel),
         ..RuntimeOptions::default()
     };
-    let report = Experiment::new(&workload(model, batch))
-        .policy(policy)
-        .config(*config)
-        .options(options)
-        .run()?;
-    if let Some(store) = &store {
-        if let Err(err) = store.save(&store_key, &report) {
-            eprintln!(
-                "warning: could not persist run-cache entry {}: {err}",
-                store.entry_path(&store_key).display()
-            );
-        }
-    }
+    let (report, outcome) = load_or_replay(model, batch, policy, config, options)?;
     let report = slot.get_or_init(|| Arc::new(report)).clone();
-    RUN_CACHE_REPLAYS.fetch_add(1, Ordering::Relaxed);
-    Ok((report, CacheOutcome::Replayed))
+    outcome.tally();
+    Ok((report, outcome))
 }
 
 /// Cumulative [`cached_run`] outcome counters — see [`run_cache_stats`].

@@ -333,16 +333,21 @@ impl Parser<'_> {
                         b'r' => out.push('\r'),
                         b't' => out.push('\t'),
                         b'u' => {
-                            let hi = self.hex4()?;
-                            let code = if (0xD800..0xDC00).contains(&hi)
+                            let mut code = self.hex4()?;
+                            if (0xD800..0xDC00).contains(&code)
                                 && self.bytes[self.pos..].starts_with(b"\\u")
                             {
                                 self.pos += 2;
                                 let lo = self.hex4()?;
-                                0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
-                            } else {
-                                hi
-                            };
+                                if (0xDC00..0xE000).contains(&lo) {
+                                    code = 0x10000 + ((code - 0xD800) << 10) + (lo - 0xDC00);
+                                } else {
+                                    // An unpaired high surrogate: replace
+                                    // it and keep the second escape.
+                                    out.push('\u{FFFD}');
+                                    code = lo;
+                                }
+                            }
                             out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
                         }
                         other => {
@@ -488,6 +493,23 @@ mod tests {
         assert!(err.contains("nesting deeper than"), "{err}");
         let balanced = r#"{"a":"#.repeat(MAX_DEPTH + 1) + "1" + &"}".repeat(MAX_DEPTH + 1);
         assert!(Json::parse(&balanced).is_err());
+    }
+
+    #[test]
+    fn unpaired_surrogate_escapes_are_replaced_not_fatal() {
+        for (text, expected) in [
+            (r#""\uD800\u0041""#, "\u{FFFD}A"),
+            (r#""\uDBFF\uD800""#, "\u{FFFD}\u{FFFD}"),
+            (r#""\uD834\uDD1E""#, "𝄞"),
+            (r#""\uDC00""#, "\u{FFFD}"),
+            (r#""\uD800x""#, "\u{FFFD}x"),
+        ] {
+            assert_eq!(
+                Json::parse(text),
+                Ok(Json::Str(expected.to_string())),
+                "{text}"
+            );
+        }
     }
 
     #[test]

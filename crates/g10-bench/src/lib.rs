@@ -9,7 +9,6 @@ pub mod output;
 pub mod serve;
 pub mod store;
 pub mod trajectory;
-pub mod workload_pipeline;
 
 pub use output::{write_csv, Table};
 pub use store::{RunKey, RunStore};

@@ -583,8 +583,8 @@ mod tests {
 
     #[test]
     fn checksum_matches_the_fingerprint_family() {
-        // Same FNV-1a constants as `workload_pipeline::Fingerprint`.
-        let mut fp = crate::workload_pipeline::Fingerprint::new();
+        // Same FNV-1a constants as `g10_sim::ReportFingerprint`.
+        let mut fp = g10_sim::ReportFingerprint::new();
         fp.push(0xDEADBEEF);
         assert_eq!(checksum(&0xDEADBEEFu64.to_le_bytes()), fp.finish());
     }

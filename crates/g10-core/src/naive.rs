@@ -1,15 +1,16 @@
 //! Flat-`Vec` reference implementations of the planning timelines.
 //!
 //! These are the pre-refactor O(range)-per-operation data structures, kept
-//! as the semantic reference for the hierarchical index structures in
+//! only as the correctness oracle for the index structures in
 //! [`crate::pressure`] and [`crate::bandwidth`]:
 //!
-//! * the property tests assert that the segment-tree
-//!   [`MemoryTimeline`](crate::pressure::MemoryTimeline) and skip-pointer
+//! * the property tests (`crates/g10-core/tests/timeline_props.rs`) assert
+//!   that the segment-tree
+//!   [`MemoryTimeline`](crate::pressure::MemoryTimeline) and
 //!   [`BandwidthTimeline`](crate::bandwidth::BandwidthTimeline) agree with
 //!   these on random operation sequences, and
-//! * `bench_planner` runs the whole eviction + prefetch pipeline against
-//!   both to measure the indexed structures' speedup at 10k+ kernels.
+//! * `tests/planner_scaling.rs` runs the whole eviction + prefetch pipeline
+//!   on both families and requires identical plans at mid scale.
 //!
 //! [`NaiveMemoryTimeline::reduction_above`] accumulates in integer
 //! byte·nanoseconds exactly like the segment tree, so benefits are

@@ -86,22 +86,6 @@ pub enum Location {
     Ssd,
 }
 
-/// How the engine picks eviction victims for the LRU / largest-victim
-/// selection helpers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum VictimSelection {
-    /// The incrementally-maintained ordered index
-    /// ([`crate::victim::VictimIndex`]): O(log R) per selection.  The
-    /// default.
-    #[default]
-    Indexed,
-    /// The pre-refactor full linear scan over
-    /// [`EngineState::evictable_tensors`] ([`crate::naive`]): O(R) per
-    /// selection.  Kept as the property-tested reference and the
-    /// `bench_replay` / `replay_scaling` baseline.
-    NaiveScan,
-}
-
 /// Extra runtime knobs that differ between the compared designs.
 #[derive(Debug, Clone)]
 pub struct RuntimeOptions {
@@ -112,9 +96,6 @@ pub struct RuntimeOptions {
     /// migrations (non-zero for designs running on the classic UVM driver:
     /// G10-GDS and G10-Host).
     pub software_overhead_per_batch: Nanos,
-    /// Victim-selection implementation (indexed by default; the naive scan
-    /// is for reference runs and benchmarks).
-    pub victim_selection: VictimSelection,
     /// When the per-step [`crate::guard::InvariantGuard`] bookkeeping audit
     /// runs (debug-only by default; cheap per-action checks are always on).
     pub validate: Validate,
@@ -159,7 +140,6 @@ impl Default for RuntimeOptions {
         RuntimeOptions {
             gpu_capacity_override: None,
             software_overhead_per_batch: Nanos::ZERO,
-            victim_selection: VictimSelection::Indexed,
             validate: Validate::DebugOnly,
             on_policy_fault: OnPolicyFault::Fail,
             fault_plan: None,
@@ -233,8 +213,6 @@ pub struct EngineState {
     /// Ordered victim index over the evictable residents, maintained
     /// incrementally on every location / last-touch change.
     victims: VictimIndex,
-    /// Which victim-selection implementation the selection helpers use.
-    victim_selection: VictimSelection,
     protected: Vec<bool>,
     pays_fault_overhead: bool,
     prefetches_issued: u64,
@@ -401,47 +379,37 @@ impl EngineState {
     /// The tensor the LRU selection helper would evict right now: the first
     /// unprotected evictable resident by `(last_touch, tensor_id)`.
     ///
-    /// Dispatches on [`RuntimeOptions::victim_selection`]; the indexed path
-    /// is cross-checked against the linear scan in debug builds.
+    /// Answered by the victim index in O(log R); debug builds cross-check
+    /// every answer against the linear scan in [`crate::naive`].
     pub fn lru_victim_candidate(&self) -> Option<TensorId> {
-        match self.victim_selection {
-            VictimSelection::NaiveScan => crate::naive::lru_scan(self),
-            VictimSelection::Indexed => {
-                let picked = self
-                    .victims
-                    .lru(|idx| self.protected[idx as usize])
-                    .map(TensorId::new);
-                debug_assert_eq!(
-                    picked,
-                    crate::naive::lru_scan(self),
-                    "victim index diverged from the LRU linear scan"
-                );
-                picked
-            }
-        }
+        let picked = self
+            .victims
+            .lru(|idx| self.protected[idx as usize])
+            .map(TensorId::new);
+        debug_assert_eq!(
+            picked,
+            crate::naive::lru_scan(self),
+            "victim index diverged from the LRU linear scan"
+        );
+        picked
     }
 
     /// The tensor the largest-victim selection helper would evict right
     /// now: the last unprotected evictable resident by `(bytes, tensor_id)`.
     ///
-    /// Dispatches on [`RuntimeOptions::victim_selection`]; the indexed path
-    /// is cross-checked against the linear scan in debug builds.
+    /// Answered by the victim index in O(log R); debug builds cross-check
+    /// every answer against the linear scan in [`crate::naive`].
     pub fn largest_victim_candidate(&self) -> Option<TensorId> {
-        match self.victim_selection {
-            VictimSelection::NaiveScan => crate::naive::largest_scan(self),
-            VictimSelection::Indexed => {
-                let picked = self
-                    .victims
-                    .largest(|idx| self.protected[idx as usize])
-                    .map(TensorId::new);
-                debug_assert_eq!(
-                    picked,
-                    crate::naive::largest_scan(self),
-                    "victim index diverged from the largest-victim linear scan"
-                );
-                picked
-            }
-        }
+        let picked = self
+            .victims
+            .largest(|idx| self.protected[idx as usize])
+            .map(TensorId::new);
+        debug_assert_eq!(
+            picked,
+            crate::naive::largest_scan(self),
+            "victim index diverged from the largest-victim linear scan"
+        );
+        picked
     }
 
     /// Starts an asynchronous prefetch of `tensor` into GPU memory.  Returns
@@ -908,7 +876,6 @@ impl<'a> ReplayEngine<'a> {
                 pending_gpu_free_bytes: 0,
                 resident_gpu,
                 victims,
-                victim_selection: options.victim_selection,
                 protected: vec![false; num_tensors],
                 pays_fault_overhead: policy.pays_fault_overhead(),
                 prefetches_issued: 0,

@@ -75,9 +75,7 @@ pub mod tenancy;
 pub mod victim;
 
 pub use cancel::{CancelKind, CancelRecord, CancelToken};
-pub use engine::{
-    EngineError, Location, ReplayEngine, RuntimeOptions, StepOutcome, VictimSelection,
-};
+pub use engine::{EngineError, Location, ReplayEngine, RuntimeOptions, StepOutcome};
 pub use fault::{FaultPlan, FaultRecord, InjectedFault, OnPolicyFault, PolicyFaultKind, Validate};
 pub use metrics::{ReportFingerprint, SimReport};
 pub use policy::MemoryPolicy;

@@ -1,18 +1,16 @@
 //! Linear-scan reference implementations of eviction-victim selection.
 //!
-//! These are the pre-refactor O(R)-per-victim scans over
-//! [`EngineState::evictable_tensors`], kept — mirroring the
-//! `g10_core::naive` pattern of the planner refactor — as the semantic
-//! reference for the incremental [`crate::victim::VictimIndex`]:
+//! These are O(R)-per-victim scans over
+//! [`EngineState::evictable_tensors`], kept — like `g10_core::naive` for the
+//! planner — only as the correctness oracle for the incremental
+//! [`crate::victim::VictimIndex`], which is the engine's one selection path:
 //!
 //! * the property tests (`crates/g10-sim/tests/victim_props.rs`) assert that
 //!   the index agrees with these scans on randomized touch/evict sequences,
+//!   and
 //! * a debug assertion in the engine cross-checks every indexed selection
-//!   against the scan result, so the whole debug test suite continuously
-//!   validates the equivalence, and
-//! * `bench_replay` and `tests/replay_scaling.rs` replay entire workloads
-//!   with [`VictimSelection::NaiveScan`](crate::engine::VictimSelection) to
-//!   measure the index's speedup and pin `SimReport` identity end-to-end.
+//!   against the scan result, so every replay in the debug test suite
+//!   validates the equivalence end to end.
 //!
 //! Tie-breaking is inherited from id-ordered iteration: `min_by_key` keeps
 //! the *first* minimum (smallest tensor id) and `max_by_key` keeps the

@@ -54,9 +54,7 @@ pub trait MemoryPolicy {
 /// shared default used by Base UVM, DeepUM+ and as G10's fallback.
 ///
 /// Selection goes through [`EngineState::lru_victim_candidate`]: O(log R)
-/// against the incremental victim index by default, or the reference linear
-/// scan when the engine runs with
-/// [`VictimSelection::NaiveScan`](crate::engine::VictimSelection).
+/// against the engine's incremental victim index.
 pub fn lru_victim(state: &EngineState) -> Option<(TensorId, Location)> {
     let victim = state.lru_victim_candidate()?;
     let bytes = state.bytes_of(victim);
@@ -71,8 +69,8 @@ pub fn lru_victim(state: &EngineState) -> Option<(TensorId, Location)> {
 /// Largest-resident victim selection with SSD-only placement, used by
 /// FlashNeuron's explicit memory manager.
 ///
-/// Selection goes through [`EngineState::largest_victim_candidate`] (see
-/// [`lru_victim`] for the indexed/naive dispatch).
+/// Selection goes through [`EngineState::largest_victim_candidate`], also
+/// answered by the victim index.
 pub fn largest_victim_to_ssd(state: &EngineState) -> Option<(TensorId, Location)> {
     state
         .largest_victim_candidate()

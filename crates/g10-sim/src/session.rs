@@ -851,10 +851,9 @@ impl<'a> Experiment<'a> {
         self
     }
 
-    /// Starts from caller-chosen engine options (e.g.
-    /// [`crate::engine::VictimSelection::NaiveScan`] for reference-engine
-    /// runs).  The provider's [`PolicyProvider::adjust_options`] is applied
-    /// on top.
+    /// Starts from caller-chosen engine options (e.g. a fault plan, a
+    /// cancellation token or a forced invariant audit).  The provider's
+    /// [`PolicyProvider::adjust_options`] is applied on top.
     #[must_use]
     pub fn options(mut self, options: RuntimeOptions) -> Self {
         self.options = options;

@@ -8,7 +8,7 @@
 #
 #   G10_BLESS=1 scripts/bench-compare.sh   # re-bless: copy the fresh
 #                                          # snapshot over the baseline
-#   G10_MIN_SPEEDUP_RATIO / G10_MAX_WALL_RATIO override the thresholds.
+#   G10_MAX_WALL_RATIO overrides the grid wall-time ceiling ratio.
 #
 # CI runs this in the bench-trajectory job on every push; the fresh
 # snapshot and the grid's CSVs land in bench-out/ and are uploaded as
@@ -46,8 +46,6 @@ test -s "$BASELINE" || {
 }
 
 COMPARE_FLAGS=()
-[[ -n "${G10_MIN_SPEEDUP_RATIO:-}" ]] &&
-    COMPARE_FLAGS+=(--min-speedup-ratio "$G10_MIN_SPEEDUP_RATIO")
 [[ -n "${G10_MAX_WALL_RATIO:-}" ]] &&
     COMPARE_FLAGS+=(--max-wall-ratio "$G10_MAX_WALL_RATIO")
 

@@ -28,8 +28,8 @@ use g10::core::Instruction;
 use g10::dnn::models::{build_model, ModelKind};
 use g10::dnn::trace::KernelTrace;
 use g10::sim::runner::Workload;
+use g10::sim::ReportFingerprint;
 use g10::time::Nanos;
-use g10_bench::workload_pipeline::Fingerprint;
 
 fn destination_code(d: g10::core::config::Destination) -> u64 {
     match d {
@@ -58,7 +58,7 @@ fn fingerprint_plan(
         &mut schedule.pressure
     });
 
-    let mut fp = Fingerprint::new();
+    let mut fp = ReportFingerprint::new();
     for d in &schedule.decisions {
         fp.push(d.period.index() as u64);
         fp.push(d.tensor.index() as u64);

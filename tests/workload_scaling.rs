@@ -1,94 +1,244 @@
-//! Workload build+analysis scaling tests on the synthetic deep-GPT stress
-//! workload — the third sub-linear pillar next to `planner_scaling` and
-//! `replay_scaling`.
-//!
-//! The fast test checks that the indexed pipeline (the shared
-//! `GraphIndex` feeding stats, vitality and the engines' working-set
-//! arenas) and the naive reference pipeline (one `tensor_use_sites`
-//! adjacency re-derivation per consumer, per-kernel `HashSet`
-//! deduplication) compute *identical* analysis facts on a mid-size stress
-//! cell and on a paper model.  The `#[ignore]`d test (run by the scheduled
-//! full-size CI job with `--release --ignored`) measures build+analyze wall
-//! time for one seven-policy experiment cell at ≥ 10k kernels and asserts
-//! the ≥ 5× speedup the refactor was sized for (measured 5.7× on the
-//! development machine; BERT's Figure-11 cell measures 8.3×).
-//!
-//! Both pipelines live in `g10_bench::workload_pipeline` and are shared
-//! with the `bench_workload` criterion bench.
+//! Workload analysis agreement test: the indexed pipeline (the graph's
+//! shared `GraphIndex` feeding stats, vitality and the engines'
+//! working-set arenas) and a naive reference pipeline (each consumer
+//! re-derives the tensor→use-site adjacency with
+//! `DnnGraph::tensor_use_sites` and deduplicates working sets with
+//! per-kernel `HashSet`s, as the pre-index consumers did) must compute
+//! *identical* analysis facts on a mid-size stress cell and on tiny paper
+//! models.  Both sides fold their facts into one FNV-1a fingerprint.
 
-use g10_bench::workload_pipeline::{
-    build_workload, indexed_analysis_fingerprint, naive_analysis_fingerprint, WorkloadCase,
-};
-use g10_dnn::models::ModelKind;
-use std::time::Instant;
+use g10::core::config::SystemConfig;
+use g10::core::vitality::VitalityAnalysis;
+use g10::dnn::graph::{DnnGraph, KernelId};
+use g10::dnn::models::stress::StressGptConfig;
+use g10::dnn::models::ModelKind;
+use g10::dnn::trace::KernelTrace;
+use g10::sim::{ReportFingerprint, Workload};
+use std::collections::HashSet;
 
-#[test]
-fn naive_and_indexed_analyses_agree_at_mid_scale() {
-    for case in [
-        WorkloadCase::stress(700),
-        WorkloadCase::model(ModelKind::TinyTransformer, 8),
-    ] {
-        let (graph, trace) = build_workload(&case);
-        assert_eq!(
-            indexed_analysis_fingerprint(&graph, &trace),
-            naive_analysis_fingerprint(&graph, &trace),
-            "{}: analysis pipelines diverged",
-            case.label
-        );
+/// The facts every analysis consumer contributes, expressed identically by
+/// both derivation families.
+struct AnalysisFacts {
+    peak_active: u64,
+    peak_live: u64,
+    period_count: u64,
+    period_total_ns: u64,
+    lifetime_count: u64,
+    vitality_peak: u64,
+    engine_arena_len: u64,
+    engine_last_use_sum: u64,
+    max_working_set: u64,
+    working_set_exceeds_gpu: bool,
+}
+
+impl AnalysisFacts {
+    fn fingerprint(&self) -> u64 {
+        let mut fp = ReportFingerprint::new();
+        for word in [
+            self.peak_active,
+            self.peak_live,
+            self.period_count,
+            self.period_total_ns,
+            self.lifetime_count,
+            self.vitality_peak,
+            self.engine_arena_len,
+            self.engine_last_use_sum,
+            self.max_working_set,
+            self.working_set_exceeds_gpu as u64,
+        ] {
+            fp.push(word);
+        }
+        fp.finish()
     }
 }
 
+/// The indexed pipeline: everything reads the graph's shared `GraphIndex`
+/// through the real public entry points.
+fn indexed_analysis_fingerprint(graph: &DnnGraph, trace: &KernelTrace) -> u64 {
+    let gpu_capacity = SystemConfig::table2().gpu_memory_bytes;
+    let mc = g10::dnn::stats::memory_consumption(graph);
+    let periods = g10::dnn::stats::inactive_periods(graph, trace);
+    let analysis = VitalityAnalysis::analyze(graph, trace);
+    let index = graph.index();
+    let (flat, _offsets) = index.working_sets();
+    let engine_last_use_sum = graph
+        .tensors()
+        .iter()
+        .filter_map(|info| index.last_use(info.id()))
+        .map(|last| last.index() as u64)
+        .sum();
+    AnalysisFacts {
+        peak_active: mc.peak_active_bytes(),
+        peak_live: mc.peak_live_bytes(),
+        period_count: periods.len() as u64,
+        period_total_ns: periods.iter().map(|p| p.length.as_nanos()).sum(),
+        lifetime_count: analysis.lifetimes().len() as u64,
+        vitality_peak: analysis.peak_live_bytes(),
+        engine_arena_len: flat.len() as u64,
+        engine_last_use_sum,
+        max_working_set: graph.max_kernel_working_set_bytes(),
+        working_set_exceeds_gpu: index.max_kernel_working_set_bytes() > gpu_capacity,
+    }
+    .fingerprint()
+}
+
+/// Live bytes per kernel by a difference-array sweep over the use sites.
+fn naive_live_bytes(graph: &DnnGraph, uses: &[Vec<KernelId>]) -> Vec<u64> {
+    let n_kernels = graph.num_kernels();
+    let mut delta = vec![0i64; n_kernels + 1];
+    for tensor in graph.tensors() {
+        let sites = &uses[tensor.id().index()];
+        if sites.is_empty() {
+            continue;
+        }
+        let (birth, death) = if tensor.is_global() {
+            (0usize, n_kernels - 1)
+        } else {
+            (sites[0].index(), sites[sites.len() - 1].index())
+        };
+        delta[birth] += tensor.bytes() as i64;
+        delta[death + 1] -= tensor.bytes() as i64;
+    }
+    let mut running = 0i64;
+    delta
+        .iter()
+        .take(n_kernels)
+        .map(|d| {
+            running += d;
+            running.max(0) as u64
+        })
+        .collect()
+}
+
+/// Counts the inactive periods and their total length under `trace`,
+/// including each global tensor's wrap-around period.
+fn naive_periods(graph: &DnnGraph, trace: &KernelTrace, uses: &[Vec<KernelId>]) -> (u64, u64) {
+    let total = trace.total_duration();
+    let mut count = 0u64;
+    let mut length_ns = 0u64;
+    for tensor in graph.tensors() {
+        let sites = &uses[tensor.id().index()];
+        if sites.is_empty() {
+            continue;
+        }
+        for window in sites.windows(2) {
+            let (prev, next) = (window[0], window[1]);
+            if next.index() <= prev.index() + 1 {
+                continue;
+            }
+            let start = trace.end_time(prev);
+            let end = trace.start_time(next);
+            if end > start {
+                count += 1;
+                length_ns += (end - start).as_nanos();
+            }
+        }
+        if tensor.is_global() {
+            let start = trace.end_time(sites[sites.len() - 1]);
+            let end = total + trace.start_time(sites[0]);
+            if end > start {
+                count += 1;
+                length_ns += (end - start).as_nanos();
+            }
+        }
+    }
+    (count, length_ns)
+}
+
+/// The naive pipeline: the adjacency comes from the retained
+/// `tensor_use_sites` reference and every fact is re-derived from it.
+fn naive_analysis_fingerprint(graph: &DnnGraph, trace: &KernelTrace) -> u64 {
+    let gpu_capacity = SystemConfig::table2().gpu_memory_bytes;
+    let uses = graph.tensor_use_sites();
+
+    let mut active = vec![0u64; graph.num_kernels()];
+    for tensor in graph.tensors() {
+        for site in &uses[tensor.id().index()] {
+            active[site.index()] += tensor.bytes();
+        }
+    }
+    let peak_live = naive_live_bytes(graph, &uses)
+        .into_iter()
+        .max()
+        .unwrap_or(0);
+    let (period_count, period_total_ns) = naive_periods(graph, trace, &uses);
+
+    // The engines' epoch-deduplicated working-set arena.
+    let mut flat = Vec::new();
+    let mut offsets = vec![0];
+    let mut seen_epoch = vec![u32::MAX; graph.num_tensors()];
+    for (k, kernel) in graph.kernels().iter().enumerate() {
+        for t in kernel.tensors() {
+            let stamp = &mut seen_epoch[t.index()];
+            if *stamp != k as u32 {
+                *stamp = k as u32;
+                flat.push(t);
+            }
+        }
+        offsets.push(flat.len());
+    }
+    let working_set_exceeds_gpu = offsets.windows(2).any(|w| {
+        let ws: u64 = flat[w[0]..w[1]]
+            .iter()
+            .map(|&t| graph.tensor(t).bytes())
+            .sum();
+        ws > gpu_capacity
+    });
+
+    // The max-working-set scan with a per-kernel `HashSet`.
+    let max_working_set = graph
+        .kernels()
+        .iter()
+        .map(|kernel| {
+            let mut seen = HashSet::new();
+            kernel
+                .tensors()
+                .filter(|&t| seen.insert(t))
+                .map(|t| graph.tensor(t).bytes())
+                .sum::<u64>()
+        })
+        .max()
+        .unwrap_or(0);
+
+    AnalysisFacts {
+        peak_active: active.into_iter().max().unwrap_or(0),
+        peak_live,
+        period_count,
+        period_total_ns,
+        lifetime_count: uses.iter().filter(|sites| !sites.is_empty()).count() as u64,
+        vitality_peak: peak_live,
+        engine_arena_len: flat.len() as u64,
+        engine_last_use_sum: uses
+            .iter()
+            .filter_map(|sites| sites.last())
+            .map(|last| last.index() as u64)
+            .sum(),
+        max_working_set,
+        working_set_exceeds_gpu,
+    }
+    .fingerprint()
+}
+
 #[test]
-#[ignore = "10k-kernel build+analyze; run with --release --ignored"]
-fn indexed_workload_pipeline_is_5x_faster_at_10k_kernels() {
-    let case = WorkloadCase::stress(10_000);
-    {
-        // Shape sanity + equality first (also warms both code paths).
-        let (graph, trace) = build_workload(&case);
-        let kernels = graph.num_kernels();
-        assert!(kernels >= 9_500, "stress graph came up short: {kernels}");
+fn naive_and_indexed_analyses_agree_at_mid_scale() {
+    let stress = Workload::stress(2, &StressGptConfig::with_target_kernels(700));
+    let kernels = stress.graph.num_kernels();
+    assert!(
+        (600..=760).contains(&kernels),
+        "stress graph missed its target: {kernels}"
+    );
+    for (label, workload) in [
+        ("stress_700", stress),
+        (
+            "TinyTransformer_8",
+            Workload::new(ModelKind::TinyTransformer, 8),
+        ),
+        ("TinyCNN_8", Workload::new(ModelKind::TinyCnn, 8)),
+    ] {
         assert_eq!(
-            indexed_analysis_fingerprint(&graph, &trace),
-            naive_analysis_fingerprint(&graph, &trace),
-            "analysis pipelines diverged"
+            indexed_analysis_fingerprint(&workload.graph, &workload.trace),
+            naive_analysis_fingerprint(&workload.graph, &workload.trace),
+            "{label}: analysis pipelines diverged"
         );
     }
-
-    // Min of three runs per pipeline: the minimum is the least noisy
-    // estimate of what the code actually costs.  Each sample rebuilds the
-    // workload so the graph build (which includes the one-time index
-    // construction) is charged to both sides.
-    let timed_min = |indexed: bool| {
-        (0..3)
-            .map(|_| {
-                let start = Instant::now();
-                let (graph, trace) = build_workload(&case);
-                if indexed {
-                    std::hint::black_box(indexed_analysis_fingerprint(&graph, &trace));
-                } else {
-                    std::hint::black_box(naive_analysis_fingerprint(&graph, &trace));
-                }
-                start.elapsed()
-            })
-            .min()
-            .expect("three timed runs")
-    };
-    let indexed_time = timed_min(true);
-    let naive_time = timed_min(false);
-
-    let speedup = naive_time.as_secs_f64() / indexed_time.as_secs_f64().max(1e-9);
-    let (graph, _) = build_workload(&case);
-    eprintln!(
-        "workload build+analyze at {} kernels / {} tensors: \
-         naive {:.1} ms, indexed {:.1} ms, speedup {:.1}x",
-        graph.num_kernels(),
-        graph.num_tensors(),
-        naive_time.as_secs_f64() * 1e3,
-        indexed_time.as_secs_f64() * 1e3,
-        speedup
-    );
-    assert!(
-        speedup >= 5.0,
-        "expected >= 5x workload build+analyze speedup at 10k kernels, measured {speedup:.1}x"
-    );
 }
