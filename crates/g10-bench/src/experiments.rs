@@ -373,24 +373,9 @@ pub fn figure_set() -> Vec<(&'static str, FigureDriver)> {
 /// persistent caches as the figure grid; custom registered policies replay
 /// directly (their semantics are process-local, so persisting them by name
 /// would be unsound across processes).
-pub fn custom_run(
-    model: ModelKind,
-    batch: u64,
-    policy_names: &[String],
-    config: &SystemConfig,
-) -> Result<Table, SimError> {
-    custom_run_with_options(
-        model,
-        batch,
-        policy_names,
-        config,
-        &RuntimeOptions::default(),
-    )
-}
-
-/// [`custom_run`] with explicit [`RuntimeOptions`] — the driver behind the
-/// CLI's hardening flags (`--inject-fault`, `--on-fault`) and its
-/// `--deadline-ms` cancellation budget.
+///
+/// `options` carry the CLI's hardening flags (`--inject-fault`,
+/// `--on-fault`) and its `--deadline-ms` cancellation budget.
 ///
 /// Hardened options (a fault plan, fallback degradation, or a forced
 /// invariant audit) bypass both run caches: their reports are not the

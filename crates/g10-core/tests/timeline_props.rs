@@ -87,14 +87,25 @@ proptest! {
         prop_assert_eq!(tree.max_in(&split), flat.max_in(&split));
     }
 
+    /// Ledgers of up to 30,000 bins.  Each operation starts within three bins
+    /// of a multiple of 16–512 bins, so starts, windows and transfers keep
+    /// crossing the ledger's internal page boundaries, and about one start
+    /// in nine lies past the horizon.  Transfer sizes are log-uniform up to
+    /// 16 GiB, from a fraction of a bin to far more than the whole ledger
+    /// holds, so reservations also spill into the last bin.
     #[test]
     fn bandwidth_timelines_agree_on_random_operations(
         rate_mb in 1u64..4_000,
-        horizon_ms in 1u64..50,
+        horizon_ms in 1u64..3_000,
         bin_us in 100u64..2_000,
         ops in proptest::collection::vec(
-            (0u8..4, 0u64..60_000, 1u64..5_000, 0u64..(1u64 << 28)),
-            1..48,
+            (
+                (0u8..4, 4u32..10, 0u64..7),
+                0u64..(1 << 20),
+                (0u64..600, 0u64..(1 << 20)),
+                (0u32..35, 0u64..(1 << 34)),
+            ),
+            1..96,
         ),
     ) {
         let rate = rate_mb as f64 * 1e6;
@@ -103,10 +114,16 @@ proptest! {
         let mut ledger = BandwidthTimeline::new(rate, horizon, bin);
         let mut flat = NaiveBandwidthTimeline::new(rate, horizon, bin);
         prop_assert_eq!(ledger.bins(), flat.bins());
+        let bins = flat.bins() as u64;
 
-        for (op, start_us, dur_us, bytes) in ops {
-            let start = Nanos::from_micros(start_us);
-            let end = start.saturating_add(Nanos::from_micros(dur_us));
+        for ((op, shift, nudge), anchor, (dur_bins, sub_ns), (log2, raw)) in ops {
+            let stride = 1u64 << shift;
+            let anchors = (bins + bins / 8) / stride + 1;
+            let start_bin = ((anchor % anchors) * stride + nudge).saturating_sub(3);
+            let start = bin * start_bin + Nanos::from_nanos(sub_ns % bin.as_nanos());
+            let window = bin * dur_bins + Nanos::from_nanos(raw % bin.as_nanos());
+            let end = start.saturating_add(window);
+            let bytes = raw >> (34 - log2);
             match op {
                 0 => prop_assert_eq!(ledger.reserve(bytes, start), flat.reserve(bytes, start)),
                 1 => prop_assert_eq!(
@@ -114,16 +131,16 @@ proptest! {
                     flat.free_bytes_between(start, end).to_bits()
                 ),
                 2 => prop_assert_eq!(
-                    ledger.is_saturated(bytes, start, Nanos::from_micros(dur_us)),
-                    flat.is_saturated(bytes, start, Nanos::from_micros(dur_us))
+                    ledger.is_saturated(bytes, start, window),
+                    flat.is_saturated(bytes, start, window)
                 ),
                 3 => {
                     // The knife edge: a transfer of exactly the free bytes.
                     let edge = flat.free_bytes_between(start, end) as u64;
-                    for bytes in [edge, edge + 1] {
+                    for bytes in [edge.saturating_sub(1), edge, edge + 1] {
                         prop_assert_eq!(
-                            ledger.is_saturated(bytes, start, Nanos::from_micros(dur_us)),
-                            flat.is_saturated(bytes, start, Nanos::from_micros(dur_us))
+                            ledger.is_saturated(bytes, start, window),
+                            flat.is_saturated(bytes, start, window)
                         );
                     }
                 }
@@ -137,5 +154,14 @@ proptest! {
             ledger.free_bytes_between(Nanos::ZERO, horizon).to_bits(),
             flat.free_bytes_between(Nanos::ZERO, horizon).to_bits()
         );
+        // Every bin, read one at a time, holds the same free bytes.
+        for b in 0..bins {
+            let start = bin * b;
+            let end = start + Nanos::from_nanos(1);
+            prop_assert_eq!(
+                ledger.free_bytes_between(start, end).to_bits(),
+                flat.free_bytes_between(start, end).to_bits()
+            );
+        }
     }
 }

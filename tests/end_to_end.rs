@@ -5,6 +5,7 @@ use g10::core::plan::Instruction;
 use g10::core::scheduler::{G10Scheduler, SchedulerVariant};
 use g10::core::vitality::VitalityAnalysis;
 use g10::prelude::*;
+use g10::time::Nanos;
 
 fn constrained_config() -> SystemConfig {
     SystemConfig::table2().with_gpu_memory(64 << 20)
@@ -155,4 +156,67 @@ fn more_host_memory_never_hurts_g10() {
     let constrained = run_policy(&workload, PolicyKind::G10Full, &small_host);
     let comfortable = run_policy(&workload, PolicyKind::G10Full, &big_host);
     assert!(comfortable.total_time <= constrained.total_time.scale(1.02));
+}
+
+/// The tiny workloads the metamorphic tests sweep: both tiny models at
+/// their default batch and at a batch that oversubscribes a small GPU.
+fn tiny_workloads() -> Vec<Workload> {
+    [ModelKind::TinyCnn, ModelKind::TinyTransformer]
+        .into_iter()
+        .flat_map(|model| [32, 64].map(|batch| Workload::new(model, batch)))
+        .collect()
+}
+
+/// GPU capacities from far below a tiny working set to far above it.
+const GPU_MIB: [u64; 9] = [4, 8, 16, 32, 48, 64, 128, 512, 4096];
+
+#[test]
+fn ideal_report_does_not_depend_on_gpu_capacity() {
+    for workload in tiny_workloads() {
+        let reference = run_policy(
+            &workload,
+            PolicyKind::Ideal,
+            &SystemConfig::table2().with_gpu_memory(GPU_MIB[0] << 20),
+        );
+        assert_eq!(reference.total_time, reference.ideal_time);
+        for gpu_mib in &GPU_MIB[1..] {
+            let config = SystemConfig::table2().with_gpu_memory(gpu_mib << 20);
+            let report = run_policy(&workload, PolicyKind::Ideal, &config);
+            assert_eq!(
+                report, reference,
+                "{} batch {}: Ideal changed at {gpu_mib} MiB of GPU memory",
+                workload.model, workload.batch
+            );
+        }
+    }
+}
+
+#[test]
+fn more_ssd_bandwidth_never_slows_flashneuron() {
+    const SSD_GBPS: [f64; 7] = [0.5, 1.0, 2.0, 3.2, 6.4, 12.8, 25.6];
+    let mut speedups = 0;
+    for workload in tiny_workloads() {
+        for gpu_mib in GPU_MIB {
+            let mut slower: Option<(f64, Nanos)> = None;
+            for gbps in SSD_GBPS {
+                let config = SystemConfig::table2()
+                    .with_gpu_memory(gpu_mib << 20)
+                    .with_ssd_bandwidth(gbps * 1e9);
+                let total = run_policy(&workload, PolicyKind::FlashNeuron, &config).total_time;
+                if let Some((slow_gbps, slow_total)) = slower {
+                    assert!(
+                        total <= slow_total,
+                        "{} batch {} at {gpu_mib} MiB: FlashNeuron took {total} at \
+                         {gbps} GB/s but {slow_total} at {slow_gbps} GB/s",
+                        workload.model,
+                        workload.batch
+                    );
+                    speedups += usize::from(total < slow_total);
+                }
+                slower = Some((gbps, total));
+            }
+        }
+    }
+    // The sweep must reach capacities where FlashNeuron moves data at all.
+    assert!(speedups > 0, "no GPU capacity made FlashNeuron SSD-bound");
 }

@@ -176,11 +176,12 @@ fn custom_policy_round_trips_through_the_cli_string_parse_path() {
 
     // And through the driver behind `experiments run --policy <name>`:
     // built-in and custom names side by side in one CLI-shaped invocation.
-    let table = g10_bench::experiments::custom_run(
+    let table = g10_bench::experiments::custom_run_with_options(
         ModelKind::TinyCnn,
         64,
         &["base-uvm".to_string(), "largest-first".to_string()],
         &config,
+        &RuntimeOptions::default(),
     )
     .expect("CLI path resolves the custom policy");
     let rendered = table.render();
@@ -188,11 +189,12 @@ fn custom_policy_round_trips_through_the_cli_string_parse_path() {
     assert!(rendered.contains("Base UVM"), "{rendered}");
 
     // An unknown name fails the CLI path with the typed error.
-    let err = g10_bench::experiments::custom_run(
+    let err = g10_bench::experiments::custom_run_with_options(
         ModelKind::TinyCnn,
         64,
         &["no-such-design".to_string()],
         &config,
+        &RuntimeOptions::default(),
     )
     .unwrap_err();
     assert!(matches!(err, SimError::UnknownPolicy { .. }));
