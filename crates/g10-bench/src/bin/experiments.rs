@@ -51,13 +51,13 @@
 use g10_bench::experiments::{self, run_cache_stats, set_run_store, EndToEndRuns};
 use g10_bench::json::Json;
 use g10_bench::output::{write_csv, Table};
+use g10_bench::serve::protocol::{parse_job, split_list, MAX_MIB};
 use g10_bench::serve::{self, JobRequest, RunRequest, ServeOptions};
 use g10_bench::store::RunStore;
 use g10_bench::trajectory::{self, CompareOptions};
 use g10_core::config::SystemConfig;
 use g10_dnn::models::ModelKind;
-use g10_sim::{CancelToken, FaultPlan, JobSpec, OnPolicyFault, PolicySpec, RuntimeOptions};
-use g10_time::Nanos;
+use g10_sim::{CancelToken, FaultPlan, OnPolicyFault, PolicySpec, RuntimeOptions};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::time::{Duration, Instant};
@@ -134,6 +134,37 @@ struct Flags {
     shutdown: bool,
 }
 
+/// The `--policy` names, or `default` when the flag is absent.
+fn policy_names(flags: &Flags, default: &str) -> Result<Vec<String>, String> {
+    let policies: Vec<String> = split_list(flags.policies.as_deref().unwrap_or(default))
+        .map(str::to_string)
+        .collect();
+    if policies.is_empty() {
+        return Err("--policy needs at least one policy name".to_string());
+    }
+    Ok(policies)
+}
+
+/// The `--jobs` entries, empty when the flag is absent.
+fn job_requests(flags: &Flags) -> Result<Vec<JobRequest>, String> {
+    flags.jobs.as_deref().map_or(Ok(Vec::new()), |list| {
+        split_list(list).map(parse_job).collect()
+    })
+}
+
+/// The hardware of `run` and `multi`: Table 2 with the `--gpu-mib`
+/// capacity, if given.
+fn hardware(flags: &Flags) -> Result<SystemConfig, String> {
+    // `mib << 20` must not overflow the byte count.
+    if flags
+        .gpu_mib
+        .is_some_and(|mib| !(1..=MAX_MIB).contains(&mib))
+    {
+        return Err(format!("--gpu-mib must be between 1 and {MAX_MIB} MiB"));
+    }
+    Ok(experiments::gpu_config(flags.gpu_mib))
+}
+
 /// The `run` command: one (model, batch) cell under any list of policy
 /// names, resolved through the open policy registry.
 fn custom_run(flags: &Flags, out_dir: &Path) -> Result<(), String> {
@@ -143,31 +174,11 @@ fn custom_run(flags: &Flags, out_dir: &Path) -> Result<(), String> {
         .ok_or_else(|| "run requires --model <name> (try --help)".to_string())?
         .parse()?;
     let batch = flags.batch.unwrap_or_else(|| model.eval_batch());
-    let policies: Vec<String> = flags
-        .policies
-        .as_deref()
-        .unwrap_or("g10")
-        .split(',')
-        .map(|name| name.trim().to_string())
-        .filter(|name| !name.is_empty())
-        .collect();
-    if policies.is_empty() {
-        return Err("--policy needs at least one policy name".to_string());
-    }
+    let policies = policy_names(flags, "g10")?;
     if batch == 0 {
         return Err("--batch must be at least 1".to_string());
     }
-    let mut config = SystemConfig::table2();
-    if let Some(gpu_mib) = flags.gpu_mib {
-        // `mib << 20` must not overflow the byte count.
-        if gpu_mib == 0 || gpu_mib > (u64::MAX >> 20) {
-            return Err(format!(
-                "--gpu-mib must be between 1 and {} MiB",
-                u64::MAX >> 20
-            ));
-        }
-        config = config.with_gpu_memory(gpu_mib << 20);
-    }
+    let config = hardware(flags)?;
     let mut options = RuntimeOptions::default();
     if let Some(plan) = flags.inject_fault {
         options.fault_plan = Some(plan);
@@ -199,55 +210,20 @@ fn multi_cmd(flags: &Flags, out_dir: &Path) -> Result<(), String> {
     if tenants == 0 {
         return Err("--tenants must be at least 1".to_string());
     }
-    let policies: Vec<String> = flags
-        .policies
-        .as_deref()
-        .unwrap_or("base-uvm,g10,tensile")
-        .split(',')
-        .map(|name| name.trim().to_string())
-        .filter(|name| !name.is_empty())
-        .collect();
-    if policies.is_empty() {
-        return Err("--policy needs at least one policy name".to_string());
-    }
-    let mut config = SystemConfig::table2();
-    if let Some(gpu_mib) = flags.gpu_mib {
-        if gpu_mib == 0 || gpu_mib > (u64::MAX >> 20) {
-            return Err(format!(
-                "--gpu-mib must be between 1 and {} MiB",
-                u64::MAX >> 20
-            ));
-        }
-        config = config.with_gpu_memory(gpu_mib << 20);
-    }
-    let jobs = if let Some(entries) = &flags.jobs {
+    let policies = policy_names(flags, "base-uvm,g10,tensile")?;
+    let config = hardware(flags)?;
+    let jobs = if flags.jobs.is_some() {
         if flags.stress_mix || flags.tenants.is_some() {
             return Err("--jobs is an explicit mix; drop --tenants/--stress".to_string());
         }
-        let requests = entries
-            .split(',')
-            .map(str::trim)
-            .filter(|entry| !entry.is_empty())
-            .map(parse_job)
-            .collect::<Result<Vec<_>, _>>()?;
+        let requests = job_requests(flags)?;
         if requests.is_empty() {
             return Err("--jobs needs at least one model[:batch:...] entry".to_string());
         }
         requests
             .iter()
             .enumerate()
-            .map(|(i, job)| {
-                let mut spec = JobSpec::new(
-                    format!("job-{i}-{}", job.model.name()),
-                    experiments::workload(job.model, job.batch),
-                )
-                .priority(job.priority)
-                .arrival(Nanos::from_micros(job.arrival_us));
-                if let Some(mib) = job.quota_mib {
-                    spec = spec.quota_bytes(mib << 20);
-                }
-                spec
-            })
+            .map(|(i, job)| job.to_spec(i))
             .collect()
     } else if flags.stress_mix {
         experiments::stress_tenant_mix(tenants)
@@ -274,7 +250,7 @@ fn serve_cmd(flags: &Flags) -> Result<(), String> {
         options.queue_depth = depth;
     }
     if let Some(mib) = flags.queue_mib {
-        if mib == 0 || mib > (u64::MAX >> 20) {
+        if mib == 0 || mib > MAX_MIB {
             return Err("--queue-mib out of range".to_string());
         }
         options.queue_bytes = mib << 20;
@@ -283,47 +259,6 @@ fn serve_cmd(flags: &Flags) -> Result<(), String> {
         options.drain_ms = ms;
     }
     serve::serve(&options)
-}
-
-/// Parses one `--jobs` entry:
-/// `model[:batch[:priority[:quota_mib[:arrival_us]]]]`.
-fn parse_job(entry: &str) -> Result<JobRequest, String> {
-    let mut parts = entry.split(':');
-    let model: ModelKind = parts
-        .next()
-        .filter(|name| !name.is_empty())
-        .ok_or_else(|| format!("--jobs entry {entry:?} is missing a model name"))?
-        .parse()?;
-    let mut field = |name: &str| -> Result<Option<u64>, String> {
-        match parts.next() {
-            None | Some("") | Some("-") => Ok(None),
-            Some(text) => text
-                .parse::<u64>()
-                .map(Some)
-                .map_err(|_| format!("--jobs entry {entry:?}: {name} must be an integer")),
-        }
-    };
-    let batch = field("batch")?.unwrap_or_else(|| model.eval_batch());
-    let priority = field("priority")?.unwrap_or(1);
-    let quota_mib = field("quota_mib")?;
-    let arrival_us = field("arrival_us")?.unwrap_or(0);
-    if parts.next().is_some() {
-        return Err(format!("--jobs entry {entry:?} has too many fields"));
-    }
-    if batch == 0 {
-        return Err(format!("--jobs entry {entry:?}: batch must be at least 1"));
-    }
-    let priority = u8::try_from(priority)
-        .ok()
-        .filter(|&p| p > 0)
-        .ok_or_else(|| format!("--jobs entry {entry:?}: priority must be between 1 and 255"))?;
-    Ok(JobRequest {
-        model,
-        batch,
-        priority,
-        quota_mib,
-        arrival_us,
-    })
 }
 
 /// The `submit` command: one exchange against a running daemon.  Shares
@@ -353,15 +288,7 @@ fn submit(flags: &Flags) -> Result<(), String> {
     if flags.shutdown {
         return probe("POST", "/shutdown");
     }
-    let jobs: Vec<JobRequest> = match &flags.jobs {
-        Some(entries) => entries
-            .split(',')
-            .map(str::trim)
-            .filter(|entry| !entry.is_empty())
-            .map(parse_job)
-            .collect::<Result<_, _>>()?,
-        None => Vec::new(),
-    };
+    let jobs = job_requests(flags)?;
     let model: ModelKind = match (&flags.model, jobs.first()) {
         (Some(name), _) => name.parse()?,
         (None, Some(job)) => job.model,
@@ -403,7 +330,7 @@ fn cache_gc(flags: &Flags) -> Result<(), String> {
     let max_mib = flags
         .max_mib
         .ok_or_else(|| "cache gc requires --max-mib <N>".to_string())?;
-    if max_mib > (u64::MAX >> 20) {
+    if max_mib > MAX_MIB {
         return Err("--max-mib out of range".to_string());
     }
     let outcome = store

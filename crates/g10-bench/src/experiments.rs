@@ -128,6 +128,16 @@ pub fn cached_run(
     policy: PolicyKind,
     config: &SystemConfig,
 ) -> Arc<SimReport> {
+    cached_cell(model, batch, policy, config).0
+}
+
+/// [`cached_run`], also reporting where the cell was served from.
+fn cached_cell(
+    model: ModelKind,
+    batch: u64,
+    policy: PolicyKind,
+    config: &SystemConfig,
+) -> (Arc<SimReport>, CacheOutcome) {
     let key = (model, batch, policy, config.cache_key());
     let slot = cell_slot(run_cell_cache(), &key);
     // `None` after get_or_init means another thread initialised the slot —
@@ -140,8 +150,9 @@ pub fn cached_run(
         first_touch = Some(outcome);
         Arc::new(report)
     });
-    first_touch.unwrap_or(CacheOutcome::MemoryHit).tally();
-    report.clone()
+    let outcome = first_touch.unwrap_or(CacheOutcome::MemoryHit);
+    outcome.tally();
+    (report.clone(), outcome)
 }
 
 /// The miss path shared by [`cached_run`] and [`cached_run_cancellable`]:
@@ -360,6 +371,59 @@ pub fn figure_set() -> Vec<(&'static str, FigureDriver)> {
 // Free-form runs: the `experiments run --policy <name>` command
 // ---------------------------------------------------------------------------
 
+/// The Table 2 hardware, with the GPU capacity overridden to `gpu_mib` MiB
+/// when given: the hardware of every `experiments run` / `multi` cell and
+/// every served request.  Callers validate `gpu_mib` against
+/// [`crate::serve::protocol::MAX_MIB`] first.
+pub fn gpu_config(gpu_mib: Option<u64>) -> SystemConfig {
+    let config = SystemConfig::table2();
+    match gpu_mib {
+        Some(mib) => config.with_gpu_memory(mib << 20),
+        None => config,
+    }
+}
+
+/// Runs one free-form cell for the `experiments run` command and the serve
+/// daemon, reporting where the result came from (`None` for a direct
+/// replay).
+///
+/// The cell uses the run caches exactly when its result is the cell's
+/// canonical one: a built-in design with no fault plan, no fallback and no
+/// forced invariant audit.  Such hardened reports would poison
+/// [`cached_run`]'s default-options key, and custom registry policies are
+/// process-local, so persisting them by name would be unsound across
+/// processes; both replay directly under `options`.  A cancel token alone
+/// is *not* hardening — a run that completes within its budget is the
+/// canonical result — so a cacheable cell with a token goes through
+/// [`cached_run_cancellable`], honouring the budget mid-replay.
+pub(crate) fn run_cell(
+    model: ModelKind,
+    batch: u64,
+    spec: &PolicySpec,
+    config: &SystemConfig,
+    options: &RuntimeOptions,
+) -> Result<(Arc<SimReport>, Option<CacheOutcome>), SimError> {
+    let canonical = options.fault_plan.is_none()
+        && matches!(options.on_policy_fault, OnPolicyFault::Fail)
+        && !matches!(options.validate, Validate::Always);
+    match (spec, &options.cancel) {
+        (PolicySpec::Builtin(kind), None) if canonical => {
+            let (report, outcome) = cached_cell(model, batch, *kind, config);
+            Ok((report, Some(outcome)))
+        }
+        (PolicySpec::Builtin(kind), Some(cancel)) if canonical => {
+            cached_run_cancellable(model, batch, *kind, config, cancel.clone())
+                .map(|(report, outcome)| (report, Some(outcome)))
+        }
+        _ => Experiment::new(&workload(model, batch))
+            .config(*config)
+            .policy(spec.clone())
+            .options(options.clone())
+            .run()
+            .map(|report| (Arc::new(report), None)),
+    }
+}
+
 /// One free-form experiment cell: a model at a batch size under a list of
 /// policies named by string — built-ins and registered custom policies
 /// alike.  This is the driver behind the `experiments run` command, so
@@ -368,23 +432,14 @@ pub fn figure_set() -> Vec<(&'static str, FigureDriver)> {
 ///
 /// Policy names resolve through [`PolicySpec`] parsing; an unknown name
 /// fails the whole run with a [`SimError::UnknownPolicy`] that lists every
-/// registered policy.  Built-in policies route through [`cached_run`], so
-/// free-form runs populate — and are served by — the same in-memory and
-/// persistent caches as the figure grid; custom registered policies replay
-/// directly (their semantics are process-local, so persisting them by name
-/// would be unsound across processes).
+/// registered policy.  Each cell goes through the same dispatch as a
+/// served request (`run_cell`): built-in policies populate — and are
+/// served by — the same in-memory and persistent caches as the figure
+/// grid, while custom registered policies and hardened runs replay
+/// directly.
 ///
 /// `options` carry the CLI's hardening flags (`--inject-fault`,
 /// `--on-fault`) and its `--deadline-ms` cancellation budget.
-///
-/// Hardened options (a fault plan, fallback degradation, or a forced
-/// invariant audit) bypass both run caches: their reports are not the
-/// cell's canonical result, so serving or persisting them through
-/// [`cached_run`]'s default-options key would poison the grid.  A cancel
-/// token alone is *not* hardening — a run that completes within its budget
-/// is the canonical result — so built-ins with only a deadline installed
-/// route through [`cached_run_cancellable`], keeping the cell cacheable
-/// while still honouring the budget mid-replay.
 pub fn custom_run_with_options(
     model: ModelKind,
     batch: u64,
@@ -392,28 +447,12 @@ pub fn custom_run_with_options(
     config: &SystemConfig,
     options: &RuntimeOptions,
 ) -> Result<Table, SimError> {
-    let hardened = options.fault_plan.is_some()
-        || !matches!(options.on_policy_fault, OnPolicyFault::Fail)
-        || matches!(options.validate, Validate::Always);
     let specs: Vec<PolicySpec> = policy_names
         .iter()
         .map(|name| name.parse())
         .collect::<Result<_, _>>()?;
-    let workload = workload(model, batch);
-    let reports: Vec<Arc<SimReport>> = parallel_map(specs, |spec| match (spec, &options.cancel) {
-        (PolicySpec::Builtin(kind), None) if !hardened => {
-            Ok(cached_run(model, batch, *kind, config))
-        }
-        (PolicySpec::Builtin(kind), Some(cancel)) if !hardened => {
-            cached_run_cancellable(model, batch, *kind, config, cancel.clone())
-                .map(|(report, _)| report)
-        }
-        (spec, _) => Experiment::new(&workload)
-            .config(*config)
-            .policy(spec.clone())
-            .options(options.clone())
-            .run()
-            .map(Arc::new),
+    let reports: Vec<Arc<SimReport>> = parallel_map(specs, |spec| {
+        run_cell(model, batch, spec, config, options).map(|(report, _)| report)
     })
     .into_iter()
     .collect::<Result<_, SimError>>()?;

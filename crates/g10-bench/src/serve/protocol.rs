@@ -9,9 +9,11 @@
 //! every error class, load shedding — is a JSON body with a stable
 //! `status` / `kind` shape, so clients never have to scrape prose.
 
+use crate::experiments::workload;
 use crate::json::{obj, Json};
 use g10_dnn::models::ModelKind;
-use g10_sim::{FaultPlan, SimError};
+use g10_sim::{FaultPlan, JobSpec, SimError};
+use g10_time::Nanos;
 use std::io::{self, BufRead, BufReader, Read, Write};
 
 /// Hard cap on the request head (request line + headers).
@@ -142,6 +144,14 @@ pub fn write_response<W: Write>(
 // Run requests
 // ---------------------------------------------------------------------------
 
+/// The largest MiB count whose byte size (`mib << 20`) fits a `u64`: the
+/// upper bound of every MiB-sized field and flag.
+pub const MAX_MIB: u64 = u64::MAX >> 20;
+
+/// The largest integer a JSON number carries exactly (2^53).  A `--jobs`
+/// field above it would not survive the trip to the daemon unchanged.
+const MAX_EXACT: u64 = 1 << 53;
+
 /// One tenant of a multi-job request: an entry of the `jobs: [...]` array.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JobRequest {
@@ -236,7 +246,7 @@ impl RunRequest {
             None | Some(Json::Null) => None,
             Some(v) => Some(
                 v.as_u64()
-                    .filter(|&mib| mib > 0 && mib <= (u64::MAX >> 20))
+                    .filter(|mib| (1..=MAX_MIB).contains(mib))
                     .ok_or_else(|| "gpu_mib out of range".to_string())?,
             ),
         };
@@ -343,7 +353,7 @@ impl JobRequest {
             None | Some(Json::Null) => None,
             Some(v) => Some(
                 v.as_u64()
-                    .filter(|&mib| mib > 0 && mib <= (u64::MAX >> 20))
+                    .filter(|mib| (1..=MAX_MIB).contains(mib))
                     .ok_or_else(|| "quota_mib out of range".to_string())?,
             ),
         };
@@ -362,6 +372,21 @@ impl JobRequest {
         })
     }
 
+    /// The tenant this entry describes, named `job-<index>-<model>`, on the
+    /// shared [`workload`] cache.
+    pub fn to_spec(&self, index: usize) -> JobSpec {
+        let spec = JobSpec::new(
+            format!("job-{index}-{}", self.model.name()),
+            workload(self.model, self.batch),
+        )
+        .priority(self.priority)
+        .arrival(Nanos::from_micros(self.arrival_us));
+        match self.quota_mib {
+            Some(mib) => spec.quota_bytes(mib << 20),
+            None => spec,
+        }
+    }
+
     /// Renders one `jobs: [...]` entry.
     pub fn to_json(&self) -> Json {
         let mut entries = vec![
@@ -377,6 +402,51 @@ impl JobRequest {
         }
         obj(entries)
     }
+}
+
+/// Splits a comma-separated CLI list (`--policy`, `--jobs`), trimming each
+/// entry and dropping empty ones.
+pub fn split_list(list: &str) -> impl Iterator<Item = &str> {
+    list.split(',')
+        .map(str::trim)
+        .filter(|entry| !entry.is_empty())
+}
+
+/// Parses one `--jobs` entry, `model[:batch[:priority[:quota_mib[:arrival_us]]]]`,
+/// into the `jobs: [...]` object it stands for and hands that to
+/// [`JobRequest::from_json`], so the CLI and the daemon share one set of
+/// field checks and defaults.  An empty or `-` field takes its default.
+/// Numeric fields must be decimal integers of at most 2^53, which a JSON
+/// number carries exactly, so every accepted entry survives
+/// [`JobRequest::to_json`] unchanged.
+///
+/// # Errors
+///
+/// A one-line message naming the entry and the offending field.
+pub fn parse_job(entry: &str) -> Result<JobRequest, String> {
+    const FIELDS: [&str; 4] = ["batch", "priority", "quota_mib", "arrival_us"];
+    // `from_json` echoes an unknown model name verbatim; escaping keeps
+    // the message on one line.
+    let invalid = |err: &str| format!("--jobs entry {entry:?}: {}", err.escape_debug());
+    let mut parts = entry.split(':');
+    let model = parts
+        .next()
+        .filter(|name| !name.is_empty())
+        .ok_or_else(|| invalid("missing a model name"))?;
+    let mut fields = vec![("model", Json::Str(model.to_string()))];
+    for (i, text) in parts.enumerate() {
+        let name = *FIELDS.get(i).ok_or_else(|| invalid("too many fields"))?;
+        if text.is_empty() || text == "-" {
+            continue;
+        }
+        let value = text
+            .parse::<u64>()
+            .ok()
+            .filter(|&n| n <= MAX_EXACT)
+            .ok_or_else(|| invalid(&format!("{name} must be an integer up to 2^53")))?;
+        fields.push((name, Json::Num(value as f64)));
+    }
+    JobRequest::from_json(&obj(fields)).map_err(|err| invalid(&err))
 }
 
 // ---------------------------------------------------------------------------

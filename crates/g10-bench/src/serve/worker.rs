@@ -9,19 +9,17 @@
 //! itself never dies with a request — panic containment turns the panic
 //! into the 500 body and the loop continues.
 
-use g10_core::config::SystemConfig;
 use g10_sim::fault::catch_policy_panic;
 use g10_sim::{
-    register_tensile, CancelToken, Experiment, JobSpec, MultiReport, PolicySpec, RuntimeOptions,
-    SimError, SimReport,
+    register_tensile, CancelToken, Experiment, MultiReport, PolicySpec, RuntimeOptions, SimError,
+    SimReport,
 };
-use g10_time::Nanos;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use super::protocol::{self, RunRequest};
 use super::queue::{Admission, Job};
-use crate::experiments::{cached_run_cancellable, workload};
+use crate::experiments::{gpu_config, run_cell, CacheOutcome};
 use crate::json::Json;
 
 /// Monotonic counters behind `GET /stats`, shared by acceptor and workers.
@@ -108,10 +106,21 @@ impl RunningTokens {
     }
 }
 
-/// Executes one run request under its token.  Built-in policies under
-/// default hardware go through the shared [`cached_run_cancellable`] path
-/// (the same cells the figure drivers replay); custom registry policies
-/// and fault-injected runs execute directly and report `source: "direct"`.
+/// The engine options of a request: its token and fault plan.
+fn request_options(request: &RunRequest, cancel: CancelToken) -> RuntimeOptions {
+    RuntimeOptions {
+        cancel: Some(cancel),
+        fault_plan: request.inject_fault,
+        ..RuntimeOptions::default()
+    }
+}
+
+/// Executes one run request under its token, through the same cell
+/// dispatch as `experiments run`: built-in policies without a fault plan,
+/// at any `gpu_mib`, are served from (and populate) the run caches like
+/// the figure drivers' cells and report `replayed` / `memory` / `disk`;
+/// custom registry policies and fault-injected runs execute directly and
+/// report `source: "direct"`.
 ///
 /// # Errors
 ///
@@ -122,34 +131,21 @@ pub fn run_request(
     cancel: CancelToken,
 ) -> Result<(Arc<SimReport>, &'static str), SimError> {
     let spec: PolicySpec = request.policy.parse()?;
-    let mut config = SystemConfig::table2();
-    if let Some(gpu_mib) = request.gpu_mib {
-        config = config.with_gpu_memory(gpu_mib << 20);
-    }
-    match (&spec, request.inject_fault) {
-        (PolicySpec::Builtin(kind), None) => {
-            cached_run_cancellable(request.model, request.batch, *kind, &config, cancel)
-                .map(|(report, outcome)| (report, outcome.label()))
-        }
-        _ => {
-            let options = RuntimeOptions {
-                cancel: Some(cancel),
-                fault_plan: request.inject_fault,
-                ..RuntimeOptions::default()
-            };
-            Experiment::new(&workload(request.model, request.batch))
-                .policy(spec)
-                .config(config)
-                .options(options)
-                .run()
-                .map(|report| (Arc::new(report), "direct"))
-        }
-    }
+    let (report, outcome) = run_cell(
+        request.model,
+        request.batch,
+        &spec,
+        &gpu_config(request.gpu_mib),
+        &request_options(request, cancel),
+    )?;
+    Ok((report, outcome.map_or("direct", CacheOutcome::label)))
 }
 
 /// Executes one multi-job request: each `jobs: [...]` tenant becomes a
-/// [`JobSpec`] and the mix replays concurrently on one simulated device
-/// through the tenancy subsystem.  Multi runs never touch the run caches —
+/// [`JobSpec`](g10_sim::JobSpec) through
+/// [`JobRequest::to_spec`](protocol::JobRequest::to_spec), as the
+/// `experiments multi --jobs` tenants do, and the mix replays
+/// concurrently on one simulated device through the tenancy subsystem.  Multi runs never touch the run caches —
 /// a job's report depends on the whole mix, not just its own cell key —
 /// and the cross-job-aware `tensile` design is registered first so clients
 /// can name it like any built-in.
@@ -164,37 +160,17 @@ pub fn run_multi_request(
 ) -> Result<MultiReport, SimError> {
     register_tensile();
     let spec: PolicySpec = request.policy.parse()?;
-    let mut config = SystemConfig::table2();
-    if let Some(gpu_mib) = request.gpu_mib {
-        config = config.with_gpu_memory(gpu_mib << 20);
-    }
-    let jobs: Vec<JobSpec> = request
-        .jobs
-        .iter()
-        .enumerate()
-        .map(|(i, job)| {
-            let mut spec = JobSpec::new(
-                format!("job-{i}-{}", job.model.name()),
-                workload(job.model, job.batch),
-            )
-            .priority(job.priority)
-            .arrival(Nanos::from_micros(job.arrival_us));
-            if let Some(mib) = job.quota_mib {
-                spec = spec.quota_bytes(mib << 20);
-            }
-            spec
-        })
-        .collect();
-    let options = RuntimeOptions {
-        cancel: Some(cancel),
-        fault_plan: request.inject_fault,
-        ..RuntimeOptions::default()
-    };
-    Experiment::jobs(jobs)
-        .policy(spec)
-        .config(config)
-        .options(options)
-        .run_multi()
+    Experiment::jobs(
+        request
+            .jobs
+            .iter()
+            .enumerate()
+            .map(|(i, job)| job.to_spec(i)),
+    )
+    .policy(spec)
+    .config(gpu_config(request.gpu_mib))
+    .options(request_options(request, cancel))
+    .run_multi()
 }
 
 /// The worker loop: take jobs until the queue closes, answer every one.

@@ -1,8 +1,9 @@
 //! Property tests for the parsers behind the daemon's wire surface and the
 //! CLI's spec flags: `g10_bench::json::Json::parse` (every `POST /run`
 //! body and every `bench compare` snapshot), `RunRequest::from_json`,
-//! `FaultPlan::from_str` (`--inject-fault`, `inject_fault`) and
-//! `PolicySpec::from_str` (`--policy`, `policy`).
+//! `FaultPlan::from_str` (`--inject-fault`, `inject_fault`),
+//! `PolicySpec::from_str` (`--policy`, `policy`) and `protocol::parse_job`
+//! (`--jobs` entries, which `experiments submit` sends as `jobs: [...]`).
 //!
 //! Arbitrary, truncated and deeply nested input must come back as an `Ok`
 //! or a typed `Err`, never a panic; generated JSON values must survive
@@ -11,7 +12,8 @@
 //! escapes, surrogate halves, brackets, colons) show up often.
 
 use g10_bench::json::{Json, MAX_DEPTH};
-use g10_bench::serve::RunRequest;
+use g10_bench::serve::protocol::{parse_job, MAX_MIB};
+use g10_bench::serve::{JobRequest, RunRequest};
 use g10_sim::{FaultPlan, PolicyKind, PolicySpec, SimError};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -75,6 +77,59 @@ fn decode(picks: &mut impl Iterator<Item = usize>, depth: usize) -> Json {
         ),
     }
 }
+
+/// The checks every `--jobs` parse must pass: an accepted entry survives
+/// `to_json` then `from_json` — in memory and through rendered text, the
+/// way `experiments submit` sends it — and a refused one gets a one-line
+/// message naming the entry.
+fn check_job_entry(entry: &str) -> Option<JobRequest> {
+    match parse_job(entry) {
+        Ok(job) => {
+            prop_assert_eq!(JobRequest::from_json(&job.to_json()), Ok(job.clone()));
+            let wire = Json::parse(&job.to_json().render()).expect("rendered entries parse");
+            prop_assert_eq!(JobRequest::from_json(&wire), Ok(job.clone()));
+            Some(job)
+        }
+        Err(message) => {
+            prop_assert!(
+                message.starts_with("--jobs entry "),
+                "untyped error: {message}"
+            );
+            prop_assert!(!message.contains('\n'), "multi-line error: {message}");
+            None
+        }
+    }
+}
+
+/// Tokens of `--jobs` entries: model names good and bad, separators, and
+/// integers at every field's boundaries (0, 255/256, `MAX_MIB`, 2^53,
+/// `u64::MAX` and one past it).
+const JOB_TOKENS: [&str; 24] = [
+    "tinycnn",
+    "TinyTransformer",
+    "bert",
+    "nope",
+    ":",
+    ":",
+    ":",
+    ":",
+    "-",
+    "",
+    " ",
+    "0",
+    "1",
+    "32",
+    "255",
+    "256",
+    "17592186044415",
+    "17592186044416",
+    "9007199254740992",
+    "9007199254740993",
+    "18446744073709551615",
+    "18446744073709551616",
+    "x",
+    "é",
+];
 
 fn json_value() -> impl Strategy<Value = Json> {
     (vec(0usize..1 << 16, 0..160), 0usize..8)
@@ -307,5 +362,86 @@ proptest! {
             text = format!("  {text}\t");
         }
         prop_assert_eq!(text.parse::<PolicySpec>().ok(), Some(PolicySpec::Builtin(kind)));
+    }
+
+    /// Token soups and arbitrary bytes as `--jobs` entries: `Ok` or a typed
+    /// `Err`, never a panic, and every `Ok` survives the wire.
+    #[test]
+    fn job_entries_parse_or_fail_without_panicking(
+        picks in vec(0usize..64, 0..16),
+        bytes in vec(0u8..=255, 0..48),
+    ) {
+        check_job_entry(&join(&JOB_TOKENS, &picks));
+        check_job_entry(&String::from_utf8_lossy(&bytes));
+    }
+}
+
+/// Each `--jobs` field at each of its boundaries, the others valid: the
+/// entry parses exactly when the field is in range, an empty or `-` field
+/// takes its default, and every prefix of the entry (a truncated entry)
+/// parses or fails clean.
+#[test]
+fn job_entry_fields_are_range_checked() {
+    const EDGES: [u64; 9] = [
+        0,
+        1,
+        255,
+        256,
+        MAX_MIB,
+        MAX_MIB + 1,
+        1 << 53,
+        (1 << 53) + 1,
+        u64::MAX,
+    ];
+    const TYPICAL: [&str; 4] = ["32", "2", "64", "5"];
+    for model in ["tinycnn", "TinyTransformer", "bert"] {
+        for field in 0..TYPICAL.len() {
+            let texts = EDGES.iter().map(u64::to_string);
+            for text in texts.chain(["".to_string(), "-".to_string()]) {
+                let mut fields = TYPICAL.map(str::to_string);
+                fields[field] = text.clone();
+                let entry = format!("{model}:{}", fields.join(":"));
+                let value = |i: usize| fields[i].parse::<u64>().ok();
+                let valid = match (field, text.parse::<u64>().ok()) {
+                    (_, None) => true,
+                    (_, Some(v)) if v > 1 << 53 => false,
+                    (0, Some(v)) => v >= 1,
+                    (1, Some(v)) => (1..=255).contains(&v),
+                    (2, Some(v)) => (1..=MAX_MIB).contains(&v),
+                    _ => true,
+                };
+                match check_job_entry(&entry) {
+                    Some(job) => {
+                        assert!(valid, "accepted {entry:?}");
+                        assert_eq!(job.batch, value(0).unwrap_or(job.model.eval_batch()));
+                        assert_eq!(Some(u64::from(job.priority)), value(1).or(Some(1)));
+                        assert_eq!(job.quota_mib, value(2));
+                        assert_eq!(job.arrival_us, value(3).unwrap_or(0));
+                    }
+                    None => assert!(!valid, "refused {entry:?}"),
+                }
+                for cut in 0..entry.len() {
+                    check_job_entry(&entry[..cut]);
+                }
+            }
+        }
+        let extra = format!("{model}:{}:0", TYPICAL.join(":"));
+        assert_eq!(check_job_entry(&extra), None, "accepted {extra:?}");
+    }
+}
+
+/// The two `--jobs` quotas the CLI used to accept: a 0-byte quota and one
+/// whose byte count wraps `u64` to 1 MiB.  Both get the daemon's message.
+#[test]
+fn out_of_range_quotas_are_refused_like_the_daemon() {
+    for quota in ["0", "17592186044417"] {
+        let entry = format!("tinycnn:32:1:{quota}");
+        let message = parse_job(&entry).expect_err("out-of-range quota must be refused");
+        assert!(message.ends_with("quota_mib out of range"), "{message}");
+        let body = Json::parse(&format!(r#"{{"model":"tinycnn","quota_mib":{quota}}}"#)).unwrap();
+        assert_eq!(
+            JobRequest::from_json(&body),
+            Err("quota_mib out of range".to_string())
+        );
     }
 }

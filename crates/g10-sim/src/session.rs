@@ -781,6 +781,220 @@ impl FromStr for PolicySpec {
 // The experiment session builder
 // ---------------------------------------------------------------------------
 
+/// The knobs both session builders share, and the one run path behind them:
+/// policy resolution, contained engine construction and fault fallback.
+/// [`Experiment`] and [`MultiExperiment`] each embed one, so a solo cell
+/// and a tenant go through the same code up to the point the engine runs.
+#[derive(Debug, Clone)]
+struct Setup<'a> {
+    policy: PolicySpec,
+    config: SystemConfig,
+    options: RuntimeOptions,
+    registry: Option<&'a PolicyRegistry>,
+}
+
+/// Where a faulted run degrades to: the fallback design, its provider, and
+/// the fault to record on the fallback's report.
+struct Fallback {
+    spec: PolicySpec,
+    provider: ProviderHandle,
+    fault: FaultRecord,
+}
+
+/// A fault at step 0 of `spec`: a panic in provider `build()` or in engine
+/// construction.
+fn build_panic(spec: &PolicySpec, message: String) -> EngineError {
+    EngineError::Fault(FaultRecord {
+        policy: spec.to_string(),
+        step: 0,
+        kind: PolicyFaultKind::BuildPanic { message },
+    })
+}
+
+/// Attributes a fault or cancellation to the caller's spec string rather
+/// than the policy's self-reported name.
+fn attribute(mut error: EngineError, spec: &PolicySpec) -> EngineError {
+    match &mut error {
+        EngineError::Fault(fault) => fault.policy = spec.to_string(),
+        EngineError::Cancelled(record) => record.policy = spec.to_string(),
+    }
+    error
+}
+
+impl<'a> Setup<'a> {
+    /// Every knob at its default: the full G10, the Table 2 hardware,
+    /// default options, the process-global registry.
+    fn new() -> Self {
+        Setup {
+            policy: PolicySpec::Builtin(PolicyKind::G10Full),
+            config: SystemConfig::table2(),
+            options: RuntimeOptions::default(),
+            registry: None,
+        }
+    }
+
+    fn resolve(&self, spec: &PolicySpec) -> Result<ProviderHandle, SimError> {
+        match spec {
+            PolicySpec::Builtin(kind) => Ok(ProviderHandle::Builtin(kind.provider())),
+            PolicySpec::Named(name) => {
+                let normalized = normalize(name);
+                let found = match self.registry {
+                    Some(registry) => registry.resolve(&normalized),
+                    None => read_global().resolve(&normalized),
+                };
+                found.ok_or_else(|| match self.registry {
+                    Some(registry) => SimError::UnknownPolicy {
+                        name: name.clone(),
+                        known: registry.names(),
+                    },
+                    None => SimError::unknown_policy(name),
+                })
+            }
+        }
+    }
+
+    /// The engine options for a run under `provider`: the caller's options
+    /// with the provider's adjustments on top.  A fallback run also has
+    /// fault injection disabled and no second level of fallback.
+    fn options_for(&self, provider: &dyn PolicyProvider, fallback: bool) -> RuntimeOptions {
+        let mut options = self.options.clone();
+        if fallback {
+            options.fault_plan = None;
+            options.on_policy_fault = OnPolicyFault::Fail;
+        }
+        provider.adjust_options(&mut options);
+        options
+    }
+
+    /// The fallback decision for a faulted run of `spec`: the configured
+    /// fallback design, or the fault (attributed to `spec`) as the final
+    /// error when the session fails on faults or the run already is a
+    /// fallback (`already_fell_back`) — there is no second level of
+    /// degradation.
+    fn fallback(
+        &self,
+        mut fault: FaultRecord,
+        spec: &PolicySpec,
+        already_fell_back: bool,
+    ) -> Result<Fallback, SimError> {
+        fault.policy = spec.to_string();
+        let spec = match &self.options.on_policy_fault {
+            OnPolicyFault::FallbackTo(spec) if !already_fell_back => spec.clone(),
+            _ => return Err(fault.into()),
+        };
+        let provider = self.resolve(&spec)?;
+        Ok(Fallback {
+            spec,
+            provider,
+            fault,
+        })
+    }
+
+    /// Builds one engine and hands it to `then`, under panic containment:
+    /// an already-fired cancel token short-circuits *before* the provider
+    /// build, so an expired deadline never pays for planning; an injected
+    /// or genuine panic in provider `build()`, in engine construction (the
+    /// policy's `initial_location` runs there) or in `then` becomes
+    /// [`PolicyFaultKind::BuildPanic`].  Errors carry the caller's spec.
+    fn build_engine<'e, R>(
+        &'e self,
+        workload: &'e Workload,
+        spec: &PolicySpec,
+        provider: &dyn PolicyProvider,
+        planning_trace: &KernelTrace,
+        options: RuntimeOptions,
+        then: impl FnOnce(ReplayEngine<'e>) -> R,
+    ) -> Result<R, EngineError> {
+        if let Some(kind) = options.cancel.as_ref().and_then(|token| token.fired(0)) {
+            return Err(EngineError::Cancelled(CancelRecord {
+                policy: spec.to_string(),
+                step: 0,
+                kind,
+            }));
+        }
+        let injected_build_panic = options
+            .fault_plan
+            .is_some_and(|plan| plan.fault == InjectedFault::BuildPanic);
+        let ctx = PolicyContext {
+            workload,
+            config: &self.config,
+            planning_trace,
+        };
+        let policy = catch_policy_panic(|| {
+            if injected_build_panic {
+                panic!("injected provider build panic");
+            }
+            provider.build(&ctx)
+        })
+        .map_err(|message| build_panic(spec, message))?;
+        catch_policy_panic(|| {
+            then(ReplayEngine::new(
+                &workload.graph,
+                &workload.trace,
+                &self.config,
+                policy,
+                options,
+            ))
+        })
+        .map_err(|message| build_panic(spec, message))
+    }
+
+    /// One contained solo run: [`Setup::build_engine`], then a replay whose
+    /// faults and cancellations carry the caller's spec.
+    fn run_once(
+        &self,
+        workload: &Workload,
+        spec: &PolicySpec,
+        provider: &dyn PolicyProvider,
+        planning_trace: &KernelTrace,
+        fallback: bool,
+    ) -> Result<SimReport, EngineError> {
+        let options = self.options_for(provider, fallback);
+        // `try_run` contains each step's panics itself, so one escaping it
+        // can only have come from engine construction.
+        self.build_engine(
+            workload,
+            spec,
+            provider,
+            planning_trace,
+            options,
+            ReplayEngine::try_run,
+        )?
+        .map_err(|error| attribute(error, spec))
+    }
+
+    /// Runs one solo cell, degrading to the configured fallback design if
+    /// the policy faults.  The fallback re-runs the cell from scratch
+    /// (faulted engine state is poisoned and discarded); its report
+    /// records the quarantined policy.  A fault in the fallback itself
+    /// fails the cell, and cancellation never falls back: the caller's
+    /// budget is spent, so re-running the cell under another design is
+    /// exactly the work it asked us not to do.
+    fn execute(
+        &self,
+        workload: &Workload,
+        spec: &PolicySpec,
+        provider: &dyn PolicyProvider,
+        planning_trace: &KernelTrace,
+    ) -> Result<SimReport, SimError> {
+        let fault = match self.run_once(workload, spec, provider, planning_trace, false) {
+            Ok(report) => return Ok(report),
+            Err(EngineError::Cancelled(record)) => return Err(record.into()),
+            Err(EngineError::Fault(fault)) => fault,
+        };
+        let fallback = self.fallback(fault, spec, false)?;
+        let mut report = self.run_once(
+            workload,
+            &fallback.spec,
+            fallback.provider.as_dyn(),
+            planning_trace,
+            true,
+        )?;
+        report.policy_fault = Some(fallback.fault);
+        Ok(report)
+    }
+}
+
 /// A fluent description of one simulation run (or a sweep of runs): a
 /// workload replayed under a policy on some hardware.
 ///
@@ -792,11 +1006,8 @@ impl FromStr for PolicySpec {
 #[derive(Debug, Clone)]
 pub struct Experiment<'a> {
     workload: &'a Workload,
-    policy: PolicySpec,
-    config: SystemConfig,
     planning_trace: Option<&'a KernelTrace>,
-    options: RuntimeOptions,
-    registry: Option<&'a PolicyRegistry>,
+    setup: Setup<'a>,
 }
 
 impl<'a> Experiment<'a> {
@@ -804,11 +1015,8 @@ impl<'a> Experiment<'a> {
     pub fn new(workload: &'a Workload) -> Self {
         Experiment {
             workload,
-            policy: PolicySpec::Builtin(PolicyKind::G10Full),
-            config: SystemConfig::table2(),
             planning_trace: None,
-            options: RuntimeOptions::default(),
-            registry: None,
+            setup: Setup::new(),
         }
     }
 
@@ -819,10 +1027,7 @@ impl<'a> Experiment<'a> {
     pub fn jobs(jobs: impl IntoIterator<Item = JobSpec>) -> MultiExperiment<'a> {
         MultiExperiment {
             jobs: jobs.into_iter().collect(),
-            policy: PolicySpec::Builtin(PolicyKind::G10Full),
-            config: SystemConfig::table2(),
-            options: RuntimeOptions::default(),
-            registry: None,
+            setup: Setup::new(),
         }
     }
 
@@ -830,7 +1035,7 @@ impl<'a> Experiment<'a> {
     /// [`PolicyKind`] or a [`PolicySpec`].
     #[must_use]
     pub fn policy(mut self, spec: impl Into<PolicySpec>) -> Self {
-        self.policy = spec.into();
+        self.setup.policy = spec.into();
         self
     }
 
@@ -838,7 +1043,7 @@ impl<'a> Experiment<'a> {
     /// [`SystemConfig::table2`]).
     #[must_use]
     pub fn config(mut self, config: SystemConfig) -> Self {
-        self.config = config;
+        self.setup.config = config;
         self
     }
 
@@ -856,7 +1061,7 @@ impl<'a> Experiment<'a> {
     /// [`PolicyProvider::adjust_options`] is applied on top.
     #[must_use]
     pub fn options(mut self, options: RuntimeOptions) -> Self {
-        self.options = options;
+        self.setup.options = options;
         self
     }
 
@@ -864,7 +1069,7 @@ impl<'a> Experiment<'a> {
     /// process-global one (built-ins always resolve).
     #[must_use]
     pub fn registry(mut self, registry: &'a PolicyRegistry) -> Self {
-        self.registry = registry.into();
+        self.setup.registry = Some(registry);
         self
     }
 
@@ -879,9 +1084,14 @@ impl<'a> Experiment<'a> {
     /// [`OnPolicyFault::FallbackTo`], a fallback re-run whose report records
     /// the quarantined policy in [`SimReport::policy_fault`].
     pub fn run(&self) -> Result<SimReport, SimError> {
-        let provider = self.resolve(&self.policy)?;
+        let provider = self.setup.resolve(&self.setup.policy)?;
         let planning = self.planning_trace.unwrap_or(&self.workload.trace);
-        self.execute(self.workload, &self.policy, provider.as_dyn(), planning)
+        self.setup.execute(
+            self.workload,
+            &self.setup.policy,
+            provider.as_dyn(),
+            planning,
+        )
     }
 
     /// Runs the same workload under each design in `specs`, in parallel
@@ -909,13 +1119,14 @@ impl<'a> Experiment<'a> {
             .into_iter()
             .map(|spec| {
                 let spec = spec.into();
-                let provider = self.resolve(&spec)?;
+                let provider = self.setup.resolve(&spec)?;
                 Ok((spec, provider))
             })
             .collect::<Result<_, SimError>>()?;
         let planning = self.planning_trace.unwrap_or(&self.workload.trace);
         Ok(parallel_map(cells, |(spec, provider)| {
-            self.execute(self.workload, spec, provider.as_dyn(), planning)
+            self.setup
+                .execute(self.workload, spec, provider.as_dyn(), planning)
         }))
     }
 
@@ -928,153 +1139,20 @@ impl<'a> Experiment<'a> {
         &self,
         batches: impl IntoIterator<Item = u64>,
     ) -> Result<Vec<SimReport>, SimError> {
-        let provider = self.resolve(&self.policy)?;
+        let provider = self.setup.resolve(&self.setup.policy)?;
         let model = self.workload.model;
         let batches: Vec<u64> = batches.into_iter().collect();
         parallel_map(batches, |&batch| {
             let workload = Workload::new(model, batch);
-            self.execute(&workload, &self.policy, provider.as_dyn(), &workload.trace)
+            self.setup.execute(
+                &workload,
+                &self.setup.policy,
+                provider.as_dyn(),
+                &workload.trace,
+            )
         })
         .into_iter()
         .collect()
-    }
-
-    fn resolve(&self, spec: &PolicySpec) -> Result<ProviderHandle, SimError> {
-        match spec {
-            PolicySpec::Builtin(kind) => Ok(ProviderHandle::Builtin(kind.provider())),
-            PolicySpec::Named(name) => {
-                let normalized = normalize(name);
-                let found = match self.registry {
-                    Some(registry) => registry.resolve(&normalized),
-                    None => read_global().resolve(&normalized),
-                };
-                found.ok_or_else(|| match self.registry {
-                    Some(registry) => SimError::UnknownPolicy {
-                        name: name.clone(),
-                        known: registry.names(),
-                    },
-                    None => SimError::unknown_policy(name),
-                })
-            }
-        }
-    }
-
-    /// Runs one cell, degrading to the configured fallback design if the
-    /// policy faults.  The fallback re-runs the cell from scratch (faulted
-    /// engine state is poisoned and discarded) with fault injection
-    /// disabled and no second level of fallback; its report records the
-    /// quarantined policy.  A fault in the fallback itself fails the cell.
-    fn execute(
-        &self,
-        workload: &Workload,
-        spec: &PolicySpec,
-        provider: &dyn PolicyProvider,
-        planning_trace: &KernelTrace,
-    ) -> Result<SimReport, SimError> {
-        let mut options = self.options.clone();
-        provider.adjust_options(&mut options);
-        let fault = match self.execute_once(workload, spec, provider, planning_trace, options) {
-            Ok(report) => return Ok(report),
-            // Cancellation bypasses fallback degradation entirely: the
-            // caller's budget is spent, so re-running the cell under
-            // another design is exactly the work it asked us not to do.
-            Err(EngineError::Cancelled(record)) => return Err(record.into()),
-            Err(EngineError::Fault(fault)) => fault,
-        };
-        let fallback_spec = match &self.options.on_policy_fault {
-            OnPolicyFault::Fail => return Err(fault.into()),
-            OnPolicyFault::FallbackTo(spec) => spec.clone(),
-        };
-        let fallback = self.resolve(&fallback_spec)?;
-        let mut options = self.options.clone();
-        options.fault_plan = None;
-        options.on_policy_fault = OnPolicyFault::Fail;
-        fallback.as_dyn().adjust_options(&mut options);
-        let mut report = self
-            .execute_once(
-                workload,
-                &fallback_spec,
-                fallback.as_dyn(),
-                planning_trace,
-                options,
-            )
-            .map_err(SimError::from)?;
-        report.policy_fault = Some(fault);
-        Ok(report)
-    }
-
-    /// One engine run under panic containment: an injected or genuine panic
-    /// in provider `build()` becomes [`PolicyFaultKind::BuildPanic`], one
-    /// during engine construction (the policy's `initial_location` runs
-    /// there) or replay becomes a typed fault from
-    /// [`ReplayEngine::try_run`].  Faults and cancellations are attributed
-    /// to the caller's spec string rather than the policy's self-reported
-    /// name.  An already-fired cancel token short-circuits *before* the
-    /// provider build, so an expired deadline never pays for planning.
-    fn execute_once(
-        &self,
-        workload: &Workload,
-        spec: &PolicySpec,
-        provider: &dyn PolicyProvider,
-        planning_trace: &KernelTrace,
-        options: RuntimeOptions,
-    ) -> Result<SimReport, EngineError> {
-        if let Some(kind) = options.cancel.as_ref().and_then(|token| token.fired(0)) {
-            return Err(EngineError::Cancelled(CancelRecord {
-                policy: spec.to_string(),
-                step: 0,
-                kind,
-            }));
-        }
-        let injected_build_panic = options
-            .fault_plan
-            .is_some_and(|plan| plan.fault == InjectedFault::BuildPanic);
-        let ctx = PolicyContext {
-            workload,
-            config: &self.config,
-            planning_trace,
-        };
-        let policy = catch_policy_panic(|| {
-            if injected_build_panic {
-                panic!("injected provider build panic");
-            }
-            provider.build(&ctx)
-        })
-        .map_err(|message| {
-            EngineError::Fault(FaultRecord {
-                policy: spec.to_string(),
-                step: 0,
-                kind: PolicyFaultKind::BuildPanic { message },
-            })
-        })?;
-        let contained = catch_policy_panic(|| {
-            ReplayEngine::new(
-                &workload.graph,
-                &workload.trace,
-                &self.config,
-                policy,
-                options,
-            )
-            .try_run()
-        });
-        match contained {
-            // A panic that escaped `try_run`'s per-step containment can only
-            // have come from engine construction.
-            Err(message) => Err(EngineError::Fault(FaultRecord {
-                policy: spec.to_string(),
-                step: 0,
-                kind: PolicyFaultKind::BuildPanic { message },
-            })),
-            Ok(Err(EngineError::Fault(mut fault))) => {
-                fault.policy = spec.to_string();
-                Err(EngineError::Fault(fault))
-            }
-            Ok(Err(EngineError::Cancelled(mut record))) => {
-                record.policy = spec.to_string();
-                Err(EngineError::Cancelled(record))
-            }
-            Ok(Ok(report)) => Ok(report),
-        }
     }
 }
 
@@ -1094,17 +1172,14 @@ impl<'a> Experiment<'a> {
 #[derive(Debug, Clone)]
 pub struct MultiExperiment<'a> {
     jobs: Vec<JobSpec>,
-    policy: PolicySpec,
-    config: SystemConfig,
-    options: RuntimeOptions,
-    registry: Option<&'a PolicyRegistry>,
+    setup: Setup<'a>,
 }
 
 impl<'a> MultiExperiment<'a> {
     /// Selects the design every job runs under (default: the full G10).
     #[must_use]
     pub fn policy(mut self, spec: impl Into<PolicySpec>) -> Self {
-        self.policy = spec.into();
+        self.setup.policy = spec.into();
         self
     }
 
@@ -1112,7 +1187,7 @@ impl<'a> MultiExperiment<'a> {
     /// [`SystemConfig::table2`]).
     #[must_use]
     pub fn config(mut self, config: SystemConfig) -> Self {
-        self.config = config;
+        self.setup.config = config;
         self
     }
 
@@ -1122,7 +1197,7 @@ impl<'a> MultiExperiment<'a> {
     /// the shared ledger, and its quota-capped GPU capacity.
     #[must_use]
     pub fn options(mut self, options: RuntimeOptions) -> Self {
-        self.options = options;
+        self.setup.options = options;
         self
     }
 
@@ -1130,39 +1205,17 @@ impl<'a> MultiExperiment<'a> {
     /// process-global one.
     #[must_use]
     pub fn registry(mut self, registry: &'a PolicyRegistry) -> Self {
-        self.registry = Some(registry);
+        self.setup.registry = Some(registry);
         self
     }
 
-    fn resolve(&self, spec: &PolicySpec) -> Result<ProviderHandle, SimError> {
-        match spec {
-            PolicySpec::Builtin(kind) => Ok(ProviderHandle::Builtin(kind.provider())),
-            PolicySpec::Named(name) => {
-                let normalized = normalize(name);
-                let found = match self.registry {
-                    Some(registry) => registry.resolve(&normalized),
-                    None => read_global().resolve(&normalized),
-                };
-                found.ok_or_else(|| match self.registry {
-                    Some(registry) => SimError::UnknownPolicy {
-                        name: name.clone(),
-                        known: registry.names(),
-                    },
-                    None => SimError::unknown_policy(name),
-                })
-            }
-        }
-    }
-
-    /// Builds one job's engine under panic containment, mirroring
-    /// [`Experiment`]'s `execute_once` up to the point the engine exists:
-    /// cancel pre-check, injected build panics, provider `build()`, engine
-    /// construction.  On top of the provider-adjusted options the tenancy
-    /// layer sets the tenant tag, the shared ledger, and — when the job has
-    /// a quota — caps the engine's GPU capacity at
-    /// `min(capacity, quota_bytes)`.  A job without a quota sees exactly
-    /// the options a solo run would, which is what makes the single-job
-    /// path byte-identical to the legacy engine.
+    /// Builds one job's engine through [`Setup::build_engine`], the same
+    /// contained construction a solo run uses.  On top of the
+    /// provider-adjusted options the tenancy layer sets the tenant tag, the
+    /// shared ledger, and — when the job has a quota — caps the engine's
+    /// GPU capacity at `min(capacity, quota_bytes)`.  A job without a quota
+    /// sees exactly the options a solo run would, which is what makes the
+    /// single-job path byte-identical to the solo one.
     fn build_tenant_engine<'j>(
         &'j self,
         job: &'j JobSpec,
@@ -1170,87 +1223,55 @@ impl<'a> MultiExperiment<'a> {
         spec: &PolicySpec,
         provider: &dyn PolicyProvider,
         ledger: &Arc<DeviceLedger>,
-        is_fallback: bool,
+        fallback: bool,
     ) -> Result<ReplayEngine<'j>, EngineError> {
-        let mut options = self.options.clone();
-        if is_fallback {
-            options.fault_plan = None;
-            options.on_policy_fault = OnPolicyFault::Fail;
-        }
-        if let Some(kind) = options.cancel.as_ref().and_then(|token| token.fired(0)) {
-            return Err(EngineError::Cancelled(CancelRecord {
-                policy: spec.to_string(),
-                step: 0,
-                kind,
-            }));
-        }
-        provider.adjust_options(&mut options);
+        let mut options = self.setup.options_for(provider, fallback);
         options.tenant = tenant;
         options.device_ledger = Some(Arc::clone(ledger));
         if let Some(quota) = job.quota_bytes {
             let capacity = options
                 .gpu_capacity_override
-                .unwrap_or(self.config.gpu_memory_bytes);
+                .unwrap_or(self.setup.config.gpu_memory_bytes);
             options.gpu_capacity_override = Some(capacity.min(quota));
         }
-        let injected_build_panic = options
-            .fault_plan
-            .is_some_and(|plan| plan.fault == InjectedFault::BuildPanic);
-        let workload: &Workload = &job.workload;
-        let ctx = PolicyContext {
-            workload,
-            config: &self.config,
-            planning_trace: &workload.trace,
-        };
-        let policy = catch_policy_panic(|| {
-            if injected_build_panic {
-                panic!("injected provider build panic");
-            }
-            provider.build(&ctx)
-        })
-        .map_err(|message| {
-            EngineError::Fault(FaultRecord {
-                policy: spec.to_string(),
-                step: 0,
-                kind: PolicyFaultKind::BuildPanic { message },
-            })
-        })?;
-        catch_policy_panic(|| {
-            ReplayEngine::new(
-                &workload.graph,
-                &workload.trace,
-                &self.config,
-                policy,
-                options,
-            )
-        })
-        .map_err(|message| {
-            EngineError::Fault(FaultRecord {
-                policy: spec.to_string(),
-                step: 0,
-                kind: PolicyFaultKind::BuildPanic { message },
-            })
-        })
+        self.setup.build_engine(
+            &job.workload,
+            spec,
+            provider,
+            &job.workload.trace,
+            options,
+            |engine| engine,
+        )
     }
 
-    /// The configured fallback spec, or the (label-rewritten) fault as the
-    /// final error.  A tenant that already fell back once
-    /// (`already_faulted`) fails the whole run on its second fault — no
-    /// second level of degradation, matching [`Experiment::run`].
-    fn fallback_spec_for(
-        &self,
-        mut fault: FaultRecord,
-        already_faulted: bool,
-    ) -> Result<(PolicySpec, FaultRecord), SimError> {
-        fault.policy = self.policy.to_string();
-        let spec = match &self.options.on_policy_fault {
-            OnPolicyFault::Fail => return Err(fault.into()),
-            OnPolicyFault::FallbackTo(spec) => spec.clone(),
-        };
-        if already_faulted {
-            return Err(fault.into());
-        }
-        Ok((spec, fault))
+    /// Puts `tenant` on its fallback design after a fault: the same
+    /// decision as a solo run's, then a replacement engine built on the
+    /// shared ledger.
+    fn fallback_engine<'j>(
+        &'j self,
+        tenant: TenantId,
+        fault: FaultRecord,
+        ledger: &Arc<DeviceLedger>,
+        already_fell_back: bool,
+    ) -> Result<(ReplayEngine<'j>, FaultRecord), SimError> {
+        let fallback = self
+            .setup
+            .fallback(fault, &self.setup.policy, already_fell_back)?;
+        // Zero the quarantined tenant's residency *before* the replacement
+        // engine posts its initial placement, or the ledger double-counts
+        // it.  (Construction posts last, so after a failed build this is a
+        // no-op.)
+        ledger.reset_residency(tenant);
+        let job = &self.jobs[usize::from(tenant.0)];
+        let engine = self.build_tenant_engine(
+            job,
+            tenant,
+            &fallback.spec,
+            fallback.provider.as_dyn(),
+            ledger,
+            true,
+        )?;
+        Ok((engine, fallback.fault))
     }
 
     /// Runs the mix: solo baselines first, then the shared-device replay.
@@ -1270,21 +1291,23 @@ impl<'a> MultiExperiment<'a> {
         if self.jobs.is_empty() {
             return Err(SimError::EmptyJobs);
         }
-        let provider = self.resolve(&self.policy)?;
+        let policy = &self.setup.policy;
+        let provider = self.setup.resolve(policy)?;
         // Solo baselines: each job alone on the full device under the same
         // policy, config and options — the denominator of every slowdown.
-        let mut solo_reports = Vec::with_capacity(self.jobs.len());
-        for job in &self.jobs {
-            let mut experiment = Experiment::new(&job.workload)
-                .policy(self.policy.clone())
-                .config(self.config)
-                .options(self.options.clone());
-            if let Some(registry) = self.registry {
-                experiment = experiment.registry(registry);
-            }
-            solo_reports.push(experiment.run()?);
-        }
-        let ledger = Arc::new(DeviceLedger::new(self.config.gpu_memory_bytes));
+        let solo_reports = self
+            .jobs
+            .iter()
+            .map(|job| {
+                self.setup.execute(
+                    &job.workload,
+                    policy,
+                    provider.as_dyn(),
+                    &job.workload.trace,
+                )
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        let ledger = Arc::new(DeviceLedger::new(self.setup.config.gpu_memory_bytes));
         for (i, job) in self.jobs.iter().enumerate() {
             ledger.register(TenantId(i as u16), job.priority, job.quota_bytes);
         }
@@ -1292,74 +1315,27 @@ impl<'a> MultiExperiment<'a> {
         let mut scheduler = TenantScheduler::new(Arc::clone(&ledger));
         for (i, job) in self.jobs.iter().enumerate() {
             let tenant = TenantId(i as u16);
-            match self.build_tenant_engine(
-                job,
-                tenant,
-                &self.policy,
-                provider.as_dyn(),
-                &ledger,
-                false,
-            ) {
+            match self.build_tenant_engine(job, tenant, policy, provider.as_dyn(), &ledger, false) {
                 Ok(engine) => scheduler.admit(tenant, job, engine),
-                Err(EngineError::Cancelled(mut record)) => {
-                    record.policy = self.policy.to_string();
-                    return Err(record.into());
-                }
+                Err(EngineError::Cancelled(record)) => return Err(record.into()),
                 Err(EngineError::Fault(fault)) => {
-                    let (fallback_spec, fault) = self.fallback_spec_for(fault, false)?;
-                    let fallback = self.resolve(&fallback_spec)?;
-                    let engine = self
-                        .build_tenant_engine(
-                            job,
-                            tenant,
-                            &fallback_spec,
-                            fallback.as_dyn(),
-                            &ledger,
-                            true,
-                        )
-                        .map_err(SimError::from)?;
+                    let (engine, fault) = self.fallback_engine(tenant, fault, &ledger, false)?;
                     scheduler.admit(tenant, job, engine);
                     faults.insert(tenant, fault);
                 }
             }
         }
-        loop {
-            match scheduler.run() {
-                Ok(()) => break,
-                Err(TenantFault {
-                    tenant: _,
-                    error: EngineError::Cancelled(mut record),
-                }) => {
-                    // Cancellation bypasses fallback: the budget is spent.
-                    record.policy = self.policy.to_string();
-                    return Err(record.into());
-                }
-                Err(TenantFault {
-                    tenant,
-                    error: EngineError::Fault(fault),
-                }) => {
-                    let (fallback_spec, fault) =
-                        self.fallback_spec_for(fault, faults.contains_key(&tenant))?;
-                    let fallback = self.resolve(&fallback_spec)?;
-                    // Zero the quarantined tenant's residency *before* the
-                    // replacement engine posts its initial placement, or
-                    // the ledger double-counts it.
-                    ledger.reset_residency(tenant);
-                    let job = &self.jobs[usize::from(tenant.0)];
-                    let engine = self
-                        .build_tenant_engine(
-                            job,
-                            tenant,
-                            &fallback_spec,
-                            fallback.as_dyn(),
-                            &ledger,
-                            true,
-                        )
-                        .map_err(SimError::from)?;
-                    scheduler.replace_engine(tenant, engine);
-                    faults.insert(tenant, fault);
-                }
-            }
+        while let Err(TenantFault { tenant, error }) = scheduler.run() {
+            let fault = match attribute(error, policy) {
+                // Cancellation bypasses fallback: the budget is spent.
+                EngineError::Cancelled(record) => return Err(record.into()),
+                EngineError::Fault(fault) => fault,
+            };
+            let already_fell_back = faults.contains_key(&tenant);
+            let (engine, fault) =
+                self.fallback_engine(tenant, fault, &ledger, already_fell_back)?;
+            scheduler.replace_engine(tenant, engine);
+            faults.insert(tenant, fault);
         }
         let outcomes = scheduler.finish();
         let mut makespan = Nanos::ZERO;
@@ -1391,8 +1367,8 @@ impl<'a> MultiExperiment<'a> {
             });
         }
         Ok(MultiReport {
-            policy: self.policy.to_string(),
-            device_capacity_bytes: self.config.gpu_memory_bytes,
+            policy: policy.to_string(),
+            device_capacity_bytes: self.setup.config.gpu_memory_bytes,
             makespan,
             jobs,
         })

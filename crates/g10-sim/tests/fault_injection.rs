@@ -7,14 +7,14 @@
 use g10_core::config::SystemConfig;
 use g10_dnn::models::ModelKind;
 use g10_sim::{
-    Experiment, FaultPlan, InjectedFault, OnPolicyFault, PolicyFaultKind, PolicyKind, PolicySpec,
-    RuntimeOptions, SimError, Workload,
+    Experiment, FaultPlan, InjectedFault, JobSpec, OnPolicyFault, PolicyFaultKind, PolicyKind,
+    PolicySpec, RuntimeOptions, SimError, Workload,
 };
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
-fn workload() -> &'static Workload {
-    static WORKLOAD: OnceLock<Workload> = OnceLock::new();
-    WORKLOAD.get_or_init(|| Workload::new(ModelKind::TinyCnn, 4))
+fn workload() -> &'static Arc<Workload> {
+    static WORKLOAD: OnceLock<Arc<Workload>> = OnceLock::new();
+    WORKLOAD.get_or_init(|| Arc::new(Workload::new(ModelKind::TinyCnn, 4)))
 }
 
 fn config() -> SystemConfig {
@@ -61,21 +61,40 @@ fn every_injected_fault_surfaces_typed() {
 }
 
 /// Under `FallbackTo(Base UVM)` every injected fault is quarantined: the
-/// cell completes under the fallback with the fault on the report.
+/// cell completes under the fallback with the fault on the report.  A
+/// one-job multi-tenant run takes the same fallback path and must end with
+/// the same report, after one restart (none for a build panic, where the
+/// job is admitted straight onto the fallback engine).
 #[test]
 fn every_injected_fault_degrades_to_fallback() {
     for fault in InjectedFault::ALL {
         let step = inject_step(fault);
+        let options = RuntimeOptions {
+            fault_plan: Some(FaultPlan { step, fault }),
+            on_policy_fault: OnPolicyFault::FallbackTo(PolicySpec::from(PolicyKind::BaseUvm)),
+            ..RuntimeOptions::default()
+        };
         let report = Experiment::new(workload())
             .policy(PolicyKind::DeepUmPlus)
             .config(config())
-            .options(RuntimeOptions {
-                fault_plan: Some(FaultPlan { step, fault }),
-                on_policy_fault: OnPolicyFault::FallbackTo(PolicySpec::from(PolicyKind::BaseUvm)),
-                ..RuntimeOptions::default()
-            })
+            .options(options.clone())
             .run()
             .unwrap_or_else(|err| panic!("fallback must absorb {fault:?}, got {err}"));
+        let multi = Experiment::jobs([JobSpec::new("solo", Arc::clone(workload()))])
+            .policy(PolicyKind::DeepUmPlus)
+            .config(config())
+            .options(options)
+            .run_multi()
+            .unwrap_or_else(|err| panic!("tenant fallback must absorb {fault:?}, got {err}"));
+        let job = &multi.jobs[0];
+        assert_eq!(job.report, report, "tenant fallback report for {fault:?}");
+        assert_eq!(job.report.fingerprint(), report.fingerprint());
+        let restarts = if fault == InjectedFault::BuildPanic {
+            0
+        } else {
+            1
+        };
+        assert_eq!(job.restarts, restarts, "restarts after {fault:?}");
         let record = report
             .policy_fault
             .as_ref()

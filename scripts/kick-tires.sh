@@ -106,6 +106,21 @@ grep -q 'step-panic@2 in `DeepUM+`' "$OUT_DIR/fallback.log" || {
     exit 1
 }
 
+step "hardening: out-of-range --jobs quota fails clean"
+if cargo run "$PROFILE_FLAG" -q -p g10-bench --bin experiments -- \
+    multi --jobs tinycnn:32:1:0 --policy g10 --no-cache --out "$OUT_DIR/hard" \
+    >"$OUT_DIR/quota.log" 2>&1; then
+    echo "error: a 0 MiB --jobs quota must exit non-zero" >&2
+    exit 1
+fi
+if [ "$(wc -l <"$OUT_DIR/quota.log")" -ne 1 ] ||
+    ! grep -q 'quota_mib out of range' "$OUT_DIR/quota.log" ||
+    grep -qi 'stack backtrace\|panicked at' "$OUT_DIR/quota.log"; then
+    echo "error: a bad --jobs quota must print one typed line, as the daemon does" >&2
+    cat "$OUT_DIR/quota.log" >&2
+    exit 1
+fi
+
 # Multi-tenant replay: a two-job mix sharing one simulated GPU must
 # produce physical per-job slowdowns (>= 1.0) and byte-identical CSVs
 # across two fresh processes — the tenant scheduler is deterministic.
