@@ -1,9 +1,9 @@
-//! Criterion bench: the memory-pressure timeline operations the eviction
-//! algorithm performs in its inner loop (benefit scoring and pressure
-//! updates).
+//! Criterion bench: the memory-pressure operations the eviction algorithm
+//! performs in its inner loop (benefit scoring on selection's
+//! above-capacity index, and pressure updates).
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use g10_core::pressure::MemoryTimeline;
+use g10_core::pressure::{AboveCapacity, MemoryTimeline};
 use g10_time::Nanos;
 
 fn bench_pressure(c: &mut Criterion) {
@@ -16,8 +16,8 @@ fn bench_pressure(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("pressure_timeline");
     group.bench_function("reduction_above_full_range", |b| {
-        let timeline = MemoryTimeline::new(&values, &durations);
-        b.iter(|| timeline.reduction_above(&[(0, kernels)], 64 << 20, capacity))
+        let index = AboveCapacity::new(&values, &durations, capacity);
+        b.iter(|| index.reduction(&[(0, kernels)], 64 << 20))
     });
     group.bench_function("add_and_max", |b| {
         let mut timeline = MemoryTimeline::new(&values, &durations);

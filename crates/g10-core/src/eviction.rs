@@ -12,10 +12,21 @@
 //! Because every eviction only ever *lowers* the pressure curve, candidate
 //! benefits are non-increasing over the course of the search.  The
 //! implementation exploits this with a lazy-greedy (CELF-style) priority
-//! queue: a candidate popped with a stale score is re-scored, and accepted
-//! immediately if it still beats the next-best stale score — giving the same
-//! selection order as re-sorting every iteration (as written in Algorithm 1)
-//! at a fraction of the cost.
+//! queue keyed on (score, period index): the top candidate is re-scored and
+//! accepted if its fresh score comes within `1e-12` of the runner-up's key;
+//! otherwise it is re-keyed and the loop goes on.  Keys are upper bounds on
+//! fresh scores, so every accepted score is the best fresh score up to that
+//! tolerance.  Among candidates tied at the best score, though, the winner is
+//! the one popped first: the largest key, stale or not, with equal keys going
+//! to the higher period index.  Which tied candidate wins therefore depends
+//! on which keys are still stale, and re-sorting every iteration (as written
+//! in Algorithm 1) could pick another.  Exact ties are common — most
+//! acceptances on the paper models tie with the runner-up's key — and
+//! `tests/golden_plans.rs` pins this rule, not the re-sort's.
+//!
+//! Benefits come from [`AboveCapacity`], an index of the kernels above the
+//! GPU capacity that only ever loses pressure, so a re-score descends only
+//! toward kernels within the candidate's size of the capacity.
 //!
 //! # Select, then assign
 //!
@@ -44,14 +55,14 @@
 //!
 //! [`schedule_evictions_with`] is the un-memoised entry: it runs the same
 //! select loop with the assign step inline, on any timeline pair.
-//! `bench_planner`, `tests/planner_scaling.rs` and `experiments bench
-//! snapshot` time it, so their numbers measure planning, not memo hits.
+//! `bench_planner`, `bench_scheduler` and `tests/planner_scaling.rs` use it,
+//! so their numbers measure planning, not memo hits.
 //! Host-only planning (`allow_ssd: false`) skips candidates the host cannot
 //! hold, which feeds back into selection, so it always takes that path.
 
 use crate::bandwidth::{BandwidthReservation, BandwidthTimeline};
 use crate::config::{Destination, SystemConfig};
-use crate::pressure::{MemoryTimeline, PressureTimeline};
+use crate::pressure::{AboveCapacity, MemoryTimeline, PressureTimeline};
 use crate::vitality::{InactivePeriod, PeriodId, PeriodRanges, VitalityAnalysis};
 use g10_dnn::graph::KernelId;
 use g10_dnn::index::GraphIndex;
@@ -60,7 +71,7 @@ use g10_dnn::trace::KernelTrace;
 use g10_time::Nanos;
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
 /// Which eviction destinations the planner may use.
@@ -230,26 +241,33 @@ pub fn schedule_evictions_with<P: PressureTimeline, B: BandwidthReservation>(
     let mut pressure = P::from_values(analysis.live_bytes(), trace.durations());
     let mut assign = Assign::new(trace, config, options);
     let nominal = options.nominal_destination();
-    select(analysis, config, nominal, &mut pressure, |p, r| {
-        assign.place(p, r)
+    select(analysis, trace, config, nominal, |p, r| {
+        let placed = assign.place(p, r);
+        if placed {
+            pressure.add(r, -(p.bytes as i64));
+        }
+        placed
     });
     assign.finish(pressure)
 }
 
-/// The CELF lazy greedy of Algorithm 1 over `pressure`.  Each candidate it
-/// selects, in order, is offered to `accept`, which returns whether the
-/// eviction was placed; placed evictions are subtracted from `pressure`.
-fn select<P: PressureTimeline>(
+/// The CELF lazy greedy of Algorithm 1 over the pressure curve
+/// `analysis.live_bytes()`, with kernels timed by `trace`.  Each candidate
+/// it selects, in order, is offered to `accept`, which returns whether the
+/// eviction was placed; placed evictions are subtracted from the curve.
+fn select(
     analysis: &VitalityAnalysis,
+    trace: &KernelTrace,
     config: &SystemConfig,
     nominal_dest: Destination,
-    pressure: &mut P,
     mut accept: impl FnMut(&InactivePeriod, &[(usize, usize)]) -> bool,
 ) {
     let capacity = config.gpu_memory_bytes;
-    // Interior ranges are immutable per period: compute them once into an
-    // arena instead of re-allocating a `Vec` per candidate evaluation.
-    let ranges_arena: Vec<PeriodRanges> = analysis.period_ranges(pressure.len());
+    let mut above = AboveCapacity::new(analysis.live_bytes(), trace.durations(), capacity);
+    // Interior ranges and migration costs are fixed per period: compute them
+    // once instead of per candidate evaluation.
+    let ranges_arena: Vec<PeriodRanges> = analysis.period_ranges(trace.len());
+    let mut cost_s = vec![0.0; analysis.periods().len()];
 
     // Seed the lazy-greedy heap with every candidate whose inactive period is
     // long enough to cover the round-trip migration and whose eviction would
@@ -264,43 +282,55 @@ fn select<P: PressureTimeline>(
         if ranges.is_empty() {
             continue;
         }
-        let benefit = pressure.reduction_above(ranges, period.bytes, capacity);
+        let benefit = above.reduction(ranges, period.bytes);
         if benefit <= 0.0 {
             continue;
         }
+        let cost = cost.as_secs_f64().max(1e-12);
+        cost_s[period.id.index()] = cost;
         heap.push(Candidate {
-            score: benefit / cost.as_secs_f64().max(1e-12),
+            score: benefit / cost,
             period: period.id,
         });
     }
 
-    while pressure.max_value() > capacity {
-        let Some(top) = heap.pop() else { break };
-        let period = analysis.period(top.period);
-        let ranges = ranges_arena[top.period.index()].as_slice();
-        let cost = config
-            .migration_cost(period.bytes, nominal_dest)
-            .as_secs_f64()
-            .max(1e-12);
-        let fresh_benefit = pressure.reduction_above(ranges, period.bytes, capacity);
-        let fresh_score = fresh_benefit / cost;
+    while above.any_above() {
+        let runner_up = runner_up_score(&heap);
+        let Some(mut top) = heap.peek_mut() else {
+            break;
+        };
+        let id = top.period;
+        let period = analysis.period(id);
+        let ranges = ranges_arena[id.index()].as_slice();
+        let fresh_score = above.reduction(ranges, period.bytes) / cost_s[id.index()];
         if fresh_score <= 0.0 {
             // Benefits only shrink, so this candidate is permanently useless.
+            PeekMut::pop(top);
             continue;
         }
-        if let Some(next) = heap.peek() {
-            if fresh_score + 1e-12 < next.score {
-                heap.push(Candidate {
-                    score: fresh_score,
-                    period: top.period,
-                });
-                continue;
-            }
+        if runner_up.is_some_and(|next| fresh_score + 1e-12 < next) {
+            // Re-key in place; the heap sifts it down when `top` drops.
+            // Keys are distinct (each period is in the heap at most once),
+            // so the pop order matches a pop followed by a push.
+            top.score = fresh_score;
+            continue;
         }
+        PeekMut::pop(top);
         if accept(period, ranges) {
-            pressure.add(ranges, -(period.bytes as i64));
+            above.sub(ranges, period.bytes);
         }
     }
+}
+
+/// The key of the heap's second-best candidate: the larger of the root's
+/// two children in `BinaryHeap`'s array layout.
+fn runner_up_score(heap: &BinaryHeap<Candidate>) -> Option<f64> {
+    heap.as_slice()
+        .iter()
+        .skip(1)
+        .take(2)
+        .max()
+        .map(|c| c.score)
 }
 
 /// The assign step: destination choice and channel reservations for each
@@ -454,9 +484,8 @@ fn memoised_order(
         }
     };
     Arc::clone(slot.get_or_init(|| {
-        let mut pressure = MemoryTimeline::new(analysis.live_bytes(), trace.durations());
         let mut order = Vec::new();
-        select(analysis, config, Destination::Ssd, &mut pressure, |p, _| {
+        select(analysis, trace, config, Destination::Ssd, |p, _| {
             order.push(p.id);
             true
         });
@@ -549,18 +578,44 @@ mod tests {
         assert!(schedule.decisions.len() >= 2);
         // The first selected candidate must have at least as large an initial
         // benefit/cost score as the second (greedy order).
-        let fresh = MemoryTimeline::new(analysis.live_bytes(), trace.durations());
+        let fresh = AboveCapacity::new(
+            analysis.live_bytes(),
+            trace.durations(),
+            config.gpu_memory_bytes,
+        );
         let score = |d: &EvictionDecision| {
             let p = analysis.period(d.period);
-            fresh.reduction_above(
-                &p.interior_ranges(trace.len()),
-                p.bytes,
-                config.gpu_memory_bytes,
-            ) / config
-                .migration_cost(p.bytes, Destination::Ssd)
-                .as_secs_f64()
+            fresh.reduction(&p.interior_ranges(trace.len()), p.bytes)
+                / config
+                    .migration_cost(p.bytes, Destination::Ssd)
+                    .as_secs_f64()
         };
         assert!(score(&schedule.decisions[0]) + 1e-9 >= score(&schedule.decisions[1]));
+    }
+
+    #[test]
+    fn the_runner_up_is_the_best_key_after_the_top() {
+        // `runner_up_score` reads the root's children of `BinaryHeap`'s
+        // array layout; check it against popping, with tied scores.
+        let mut heap = BinaryHeap::new();
+        assert_eq!(runner_up_score(&heap), None);
+        for i in 0..200u64 {
+            heap.push(Candidate {
+                score: ((i * 7919) % 37) as f64,
+                period: PeriodId(i as usize),
+            });
+        }
+        while !heap.is_empty() {
+            let mut rest = heap.clone();
+            rest.pop();
+            assert_eq!(runner_up_score(&heap), rest.peek().map(|c| c.score));
+            // Re-key the top in place, as selection does, then drop the
+            // new top.
+            if let Some(mut top) = heap.peek_mut() {
+                top.score -= 3.0;
+            }
+            heap.pop();
+        }
     }
 
     /// Memo entries whose graph is `graph`.

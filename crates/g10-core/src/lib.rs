@@ -14,7 +14,9 @@
 //!   intermediate classification and inactive periods.
 //! * [`pressure`] — the GPU memory-pressure timeline (and the host-memory
 //!   occupancy timeline) the eviction algorithm maintains, backed by a
-//!   lazy-propagation segment tree (O(log n) range queries and updates).
+//!   lazy-propagation segment tree (O(log n) range queries and updates),
+//!   and eviction selection's index of the kernels above GPU capacity,
+//!   which scores candidates.
 //! * [`bandwidth`] — binned bandwidth-reservation timelines for the GPU–SSD
 //!   and GPU–host channels ("is the SSD traffic full during [t, t+s]?"),
 //!   with next-unsaturated-bin skip pointers.

@@ -12,9 +12,11 @@
 //! * `tests/planner_scaling.rs` runs the whole eviction + prefetch pipeline
 //!   on both families and requires identical plans at mid scale.
 //!
-//! [`NaiveMemoryTimeline::reduction_above`] accumulates in integer
-//! byte·nanoseconds exactly like the segment tree, so benefits are
-//! bit-identical between the two regardless of traversal order.
+//! [`NaiveMemoryTimeline::reduction_above`] is the reference for eviction
+//! selection's benefit index,
+//! [`AboveCapacity`](crate::pressure::AboveCapacity).  Both accumulate in
+//! integer byte·nanoseconds, so benefits are bit-identical regardless of
+//! traversal order.
 
 use crate::bandwidth::BandwidthReservation;
 use crate::pressure::PressureTimeline;
@@ -43,6 +45,25 @@ impl NaiveMemoryTimeline {
             values: values.iter().map(|v| *v as i64).collect(),
             durations: durations.to_vec(),
         }
+    }
+
+    /// The benefit (in byte·seconds) of removing `bytes` over the given
+    /// ranges, counting only occupancy above `capacity`: the reference for
+    /// [`AboveCapacity::reduction`](crate::pressure::AboveCapacity::reduction).
+    pub fn reduction_above(&self, ranges: &[(usize, usize)], bytes: u64, capacity: u64) -> f64 {
+        let cap = capacity as i64;
+        let bytes = bytes as i64;
+        let mut byte_ns: u128 = 0;
+        for &(lo, hi) in ranges {
+            for k in lo..hi.min(self.values.len()) {
+                let over = (self.values[k] - cap).max(0);
+                let removed = over.min(bytes);
+                if removed > 0 {
+                    byte_ns += removed as u128 * self.durations[k].as_nanos() as u128;
+                }
+            }
+        }
+        byte_ns as f64 / 1e9
     }
 }
 
@@ -99,22 +120,6 @@ impl PressureTimeline for NaiveMemoryTimeline {
             .zip(&self.durations)
             .map(|(v, d)| ((v - cap).max(0) as f64) * d.as_secs_f64())
             .sum()
-    }
-
-    fn reduction_above(&self, ranges: &[(usize, usize)], bytes: u64, capacity: u64) -> f64 {
-        let cap = capacity as i64;
-        let bytes = bytes as i64;
-        let mut byte_ns: u128 = 0;
-        for &(lo, hi) in ranges {
-            for k in lo..hi.min(self.values.len()) {
-                let over = (self.values[k] - cap).max(0);
-                let removed = over.min(bytes);
-                if removed > 0 {
-                    byte_ns += removed as u128 * self.durations[k].as_nanos() as u128;
-                }
-            }
-        }
-        byte_ns as f64 / 1e9
     }
 
     fn fits_extra(&self, ranges: &[(usize, usize)], bytes: u64, capacity: u64) -> bool {

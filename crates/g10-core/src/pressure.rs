@@ -22,26 +22,35 @@
 //! | [`MemoryTimeline::fits_extra`]      | O(r)       | O(log n)              |
 //! | [`MemoryTimeline::add`]             | O(r)       | O(log n)              |
 //! | [`MemoryTimeline::latest_fit`]      | O(r²)¹     | O(log n)              |
-//! | [`MemoryTimeline::reduction_above`] | O(r)       | O(log n) – O(r)²      |
 //! | [`MemoryTimeline::value`]           | O(1)       | O(log n)              |
 //! | [`MemoryTimeline::values`]          | O(n)       | O(n)                  |
+//! | [`AboveCapacity::reduction`]        | O(r)       | O((1 + k) log n)²     |
+//! | [`AboveCapacity::sub`]              | O(r)       | O(log n) amortised³   |
+//! | [`AboveCapacity::any_above`]        | O(n)       | O(1)                  |
 //!
 //! ¹ as open-coded by the eager-prefetch backward walk: O(r) `fits_extra`
 //!   probes of an O(r) suffix each.
-//! ² the descent skips subtrees entirely below the capacity (contribute 0)
-//!   and short-circuits subtrees entirely saturated above `capacity + bytes`
-//!   (contribute `bytes × Σ duration` in one step); it only recurses into
-//!   subtrees straddling the capacity boundary.
+//! ² `k` is the number of kernels in the range that are above capacity by
+//!   less than `bytes`; every other subtree is answered in one step, as 0
+//!   (nothing above capacity) or as `bytes × Σ duration` (everything at
+//!   least `bytes` above it).
+//! ³ per range, plus O(log n) for each kernel the update lowers to the
+//!   capacity or below, which happens at most once per kernel.
 //!
-//! `reduction_above` accumulates exactly in integer byte·nanoseconds and
-//! converts to byte·seconds once at the end, so the result is independent of
-//! the traversal grouping — the naive reference in [`crate::naive`] produces
-//! bit-identical benefits, which the planner-equivalence tests rely on.
+//! [`AboveCapacity`] is eviction selection's view of the pressure curve:
+//! fixed to one capacity and only ever lowered.  Its benefit accumulates
+//! exactly in integer byte·nanoseconds and converts to byte·seconds once at
+//! the end, so the result is independent of the traversal grouping — the
+//! naive reference in [`crate::naive`] produces bit-identical benefits,
+//! which the planner-equivalence tests rely on.  On the paper models at
+//! eval batch a CELF re-score visits half the nodes that a pruned descent
+//! of the range-max tree above needs (23 against 47 on average); the
+//! README's planner section has the measured planning times.
 //!
-//! Measured on the BERT Figure-11 plan (1073 kernels, 335 evictions) this
-//! drops `G10Scheduler::plan` from ~72 ms to ~11 ms, and on the synthetic
-//! 10k-kernel StressGPT workload from ~22 s to ~0.7 s (29×); see
-//! `bench_planner` for the head-to-head measurement.
+//! Measured on the BERT Figure-11 plan (1073 kernels, 335 evictions) the
+//! segment tree dropped `G10Scheduler::plan` from ~72 ms to ~11 ms, and on
+//! the synthetic 10k-kernel StressGPT workload from ~22 s to ~0.7 s (29×),
+//! against the flat `Vec`.
 
 use g10_time::Nanos;
 use serde::{Deserialize, Serialize};
@@ -84,10 +93,6 @@ pub trait PressureTimeline {
 
     /// Total byte·seconds by which the timeline exceeds `capacity`.
     fn area_above(&self, capacity: u64) -> f64;
-
-    /// The benefit (byte·seconds) of removing `bytes` over the given ranges,
-    /// counting only occupancy above `capacity`.
-    fn reduction_above(&self, ranges: &[(usize, usize)], bytes: u64, capacity: u64) -> f64;
 
     /// Returns `true` if adding `bytes` over the given ranges keeps the
     /// occupancy at or below `capacity`.
@@ -217,46 +222,6 @@ impl MemoryTimeline {
             .max(self.range_max(2 * node + 1, mid, nr, l, r, acc))
     }
 
-    /// Pruned benefit descent, accumulating exact byte·nanoseconds.
-    #[allow(clippy::too_many_arguments)]
-    fn reduction(
-        &self,
-        node: usize,
-        nl: usize,
-        nr: usize,
-        l: usize,
-        r: usize,
-        bytes: i64,
-        cap: i64,
-        acc: i64,
-    ) -> u128 {
-        if r <= nl || nr <= l || bytes <= 0 {
-            return 0;
-        }
-        let max = self.max_v[node] + acc;
-        // Entirely at or below capacity: removing bytes earns nothing.  This
-        // prune is sound even for partially-covered nodes.
-        if max <= cap {
-            return 0;
-        }
-        if l <= nl && nr <= r {
-            let min = self.min_v[node] + acc;
-            // Entirely saturated: every kernel earns the full `bytes`.
-            if (min as i128) >= (cap as i128) + (bytes as i128) {
-                return bytes as u128 * self.dur_ns[node];
-            }
-            if nr - nl == 1 {
-                let over = (max - cap).max(0);
-                let removed = over.min(bytes);
-                return removed as u128 * self.dur_ns[node];
-            }
-        }
-        let mid = nl + (nr - nl) / 2;
-        let acc = acc + self.lazy[node];
-        self.reduction(2 * node, nl, mid, l, r, bytes, cap, acc)
-            + self.reduction(2 * node + 1, mid, nr, l, r, bytes, cap, acc)
-    }
-
     /// Rightmost kernel in `[l, r)` whose occupancy exceeds `threshold`.
     #[allow(clippy::too_many_arguments)]
     fn rightmost_above(
@@ -379,22 +344,6 @@ impl MemoryTimeline {
             .sum()
     }
 
-    /// The benefit (in byte·seconds) of removing `bytes` from the timeline
-    /// over the given ranges: only the part of the occupancy *above*
-    /// `capacity` counts, exactly as in Figure 7(2) of the paper.
-    pub fn reduction_above(&self, ranges: &[(usize, usize)], bytes: u64, capacity: u64) -> f64 {
-        let cap = capacity as i64;
-        let bytes = bytes as i64;
-        let mut byte_ns: u128 = 0;
-        for &(lo, hi) in ranges {
-            let hi = hi.min(self.len);
-            if lo < hi {
-                byte_ns += self.reduction(1, 0, self.len, lo, hi, bytes, cap, 0);
-            }
-        }
-        byte_ns as f64 / 1e9
-    }
-
     /// Returns `true` if adding `bytes` to every kernel in the given ranges
     /// keeps the occupancy at or below `capacity` (used by both the host
     /// destination check and the eager-prefetch search).
@@ -469,9 +418,6 @@ impl PressureTimeline for MemoryTimeline {
     fn area_above(&self, capacity: u64) -> f64 {
         MemoryTimeline::area_above(self, capacity)
     }
-    fn reduction_above(&self, ranges: &[(usize, usize)], bytes: u64, capacity: u64) -> f64 {
-        MemoryTimeline::reduction_above(self, ranges, bytes, capacity)
-    }
     fn fits_extra(&self, ranges: &[(usize, usize)], bytes: u64, capacity: u64) -> bool {
         MemoryTimeline::fits_extra(self, ranges, bytes, capacity)
     }
@@ -480,6 +426,203 @@ impl PressureTimeline for MemoryTimeline {
     }
     fn durations(&self) -> &[Nanos] {
         MemoryTimeline::durations(self)
+    }
+}
+
+/// `min_over` of a subtree with no kernel above capacity.
+const NONE_ABOVE: u64 = u64::MAX;
+
+#[derive(Debug, Clone, Copy)]
+struct AboveNode {
+    /// Smallest excess over capacity among the subtree's kernels that are
+    /// above it, or [`NONE_ABOVE`].
+    min_over: u64,
+    /// Summed duration, in nanoseconds, of the subtree's kernels above
+    /// capacity.
+    dur_ns: u64,
+    /// Bytes subtracted from the whole subtree and not yet pushed to the
+    /// children.
+    lazy: u64,
+}
+
+const EMPTY_NODE: AboveNode = AboveNode {
+    min_over: NONE_ABOVE,
+    dur_ns: 0,
+    lazy: 0,
+};
+
+/// The pressure curve as eviction *selection* sees it: fixed to the one
+/// capacity it packs under, and only ever lowered.
+///
+/// A segment tree over the kernels that sit above `capacity`.  Each node
+/// keeps the smallest excess over capacity among them and their summed
+/// duration.  Because pressure only falls, a kernel leaves the
+/// above-capacity set at most once, so [`sub`](Self::sub) costs amortised
+/// O(log n) per kernel.  A [`reduction`](Self::reduction) query stops at any
+/// covered node whose smallest excess is at least `bytes` (every kernel in
+/// it earns the full `bytes`), so it descends only toward kernels within
+/// `bytes` of capacity, instead of into every subtree straddling it as a
+/// range-max tree must.
+#[derive(Debug)]
+pub struct AboveCapacity {
+    len: usize,
+    nodes: Vec<AboveNode>,
+}
+
+impl AboveCapacity {
+    /// Indexes the kernels of `values` above `capacity`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the two slices have different lengths.
+    pub fn new(values: &[u64], durations: &[Nanos], capacity: u64) -> Self {
+        assert_eq!(
+            values.len(),
+            durations.len(),
+            "one value per kernel required"
+        );
+        let len = values.len();
+        let mut index = AboveCapacity {
+            len,
+            nodes: vec![EMPTY_NODE; 2 * len.next_power_of_two().max(1)],
+        };
+        if len > 0 {
+            index.build(1, 0, len, values, durations, capacity);
+        }
+        index
+    }
+
+    fn build(
+        &mut self,
+        node: usize,
+        nl: usize,
+        nr: usize,
+        values: &[u64],
+        durations: &[Nanos],
+        capacity: u64,
+    ) {
+        if nr - nl == 1 {
+            if values[nl] > capacity {
+                self.nodes[node] = AboveNode {
+                    min_over: values[nl] - capacity,
+                    dur_ns: durations[nl].as_nanos(),
+                    lazy: 0,
+                };
+            }
+            return;
+        }
+        let mid = nl + (nr - nl) / 2;
+        self.build(2 * node, nl, mid, values, durations, capacity);
+        self.build(2 * node + 1, mid, nr, values, durations, capacity);
+        self.pull(node);
+    }
+
+    fn pull(&mut self, node: usize) {
+        let (left, right) = (self.nodes[2 * node], self.nodes[2 * node + 1]);
+        self.nodes[node].min_over = left.min_over.min(right.min_over);
+        self.nodes[node].dur_ns = left.dur_ns + right.dur_ns;
+    }
+
+    /// Lowers a whole subtree whose kernels all stay above capacity.
+    fn apply(&mut self, node: usize, bytes: u64) {
+        let n = &mut self.nodes[node];
+        if n.min_over != NONE_ABOVE {
+            n.min_over -= bytes;
+            n.lazy += bytes;
+        }
+    }
+
+    fn push(&mut self, node: usize) {
+        let bytes = self.nodes[node].lazy;
+        if bytes != 0 {
+            self.apply(2 * node, bytes);
+            self.apply(2 * node + 1, bytes);
+            self.nodes[node].lazy = 0;
+        }
+    }
+
+    fn sub_range(&mut self, node: usize, nl: usize, nr: usize, l: usize, r: usize, bytes: u64) {
+        if r <= nl || nr <= l || self.nodes[node].min_over == NONE_ABOVE {
+            return;
+        }
+        if l <= nl && nr <= r && self.nodes[node].min_over > bytes {
+            self.apply(node, bytes);
+            return;
+        }
+        if nr - nl == 1 {
+            // The kernel falls to capacity or below, for good.
+            self.nodes[node] = EMPTY_NODE;
+            return;
+        }
+        self.push(node);
+        let mid = nl + (nr - nl) / 2;
+        self.sub_range(2 * node, nl, mid, l, r, bytes);
+        self.sub_range(2 * node + 1, mid, nr, l, r, bytes);
+        self.pull(node);
+    }
+
+    /// Exact byte·nanoseconds of removing `bytes` over `[l, r)`; `pending`
+    /// is the ancestors' lazy subtraction not yet pushed to `node`.
+    #[allow(clippy::too_many_arguments)]
+    fn byte_ns(
+        &self,
+        node: usize,
+        nl: usize,
+        nr: usize,
+        l: usize,
+        r: usize,
+        bytes: u64,
+        pending: u64,
+    ) -> u128 {
+        let n = self.nodes[node];
+        if r <= nl || nr <= l || n.min_over == NONE_ABOVE {
+            return 0;
+        }
+        let min_over = n.min_over - pending;
+        if l <= nl && nr <= r {
+            if min_over >= bytes {
+                return bytes as u128 * n.dur_ns as u128;
+            }
+            if nr - nl == 1 {
+                return min_over as u128 * n.dur_ns as u128;
+            }
+        }
+        let mid = nl + (nr - nl) / 2;
+        let pending = pending + n.lazy;
+        self.byte_ns(2 * node, nl, mid, l, r, bytes, pending)
+            + self.byte_ns(2 * node + 1, mid, nr, l, r, bytes, pending)
+    }
+
+    /// Returns `true` while any kernel, of any duration, is above capacity.
+    pub fn any_above(&self) -> bool {
+        self.nodes[1].min_over != NONE_ABOVE
+    }
+
+    /// Subtracts `bytes` from every kernel inside the given half-open
+    /// ranges (ranges are clipped to the timeline).
+    pub fn sub(&mut self, ranges: &[(usize, usize)], bytes: u64) {
+        for &(lo, hi) in ranges {
+            let hi = hi.min(self.len);
+            if lo < hi {
+                self.sub_range(1, 0, self.len, lo, hi, bytes);
+            }
+        }
+    }
+
+    /// The benefit (in byte·seconds) of removing `bytes` over the given
+    /// ranges: only the part of the pressure *above* capacity counts,
+    /// exactly as in Figure 7(2) of the paper.  Accumulated in integer
+    /// byte·nanoseconds and converted once, so it is bit-identical to
+    /// [`crate::naive::NaiveMemoryTimeline::reduction_above`].
+    pub fn reduction(&self, ranges: &[(usize, usize)], bytes: u64) -> f64 {
+        let mut byte_ns: u128 = 0;
+        for &(lo, hi) in ranges {
+            let hi = hi.min(self.len);
+            if lo < hi {
+                byte_ns += self.byte_ns(1, 0, self.len, lo, hi, bytes, 0);
+            }
+        }
+        byte_ns as f64 / 1e9
     }
 }
 
@@ -524,16 +667,32 @@ mod tests {
     }
 
     #[test]
-    fn reduction_above_saturates_at_the_overflow() {
-        let t = timeline();
+    fn reduction_saturates_at_the_overflow() {
+        let durations = vec![Nanos::from_micros(10); 6];
+        let index = AboveCapacity::new(&[10, 50, 90, 90, 40, 10], &durations, 60);
         // Removing 100 bytes only earns credit for the 30 above capacity.
-        let r = t.reduction_above(&[(2, 4)], 100, 60);
+        let r = index.reduction(&[(2, 4)], 100);
         assert!((r - 2.0 * 30.0 * 10e-6).abs() < 1e-12);
         // Removing 10 bytes earns exactly 10 per kernel.
-        let r = t.reduction_above(&[(2, 4)], 10, 60);
+        let r = index.reduction(&[(2, 4)], 10);
         assert!((r - 2.0 * 10.0 * 10e-6).abs() < 1e-12);
         // No credit below capacity.
-        assert_eq!(t.reduction_above(&[(0, 1)], 100, 60), 0.0);
+        assert_eq!(index.reduction(&[(0, 1)], 100), 0.0);
+    }
+
+    #[test]
+    fn kernels_leave_the_index_once_lowered_to_capacity() {
+        let durations = vec![Nanos::from_micros(10); 6];
+        let mut index = AboveCapacity::new(&[10, 50, 90, 90, 40, 10], &durations, 60);
+        assert!(index.any_above());
+        index.sub(&[(2, 3)], 30);
+        assert!((index.reduction(&[(0, 6)], 100) - 30.0 * 10e-6).abs() < 1e-12);
+        index.sub(&[(3, 100)], 10);
+        assert!(index.any_above());
+        assert!((index.reduction(&[(0, 6)], 100) - 20.0 * 10e-6).abs() < 1e-12);
+        index.sub(&[(3, 4)], 20);
+        assert!(!index.any_above());
+        assert!(!AboveCapacity::new(&[], &[], 0).any_above());
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! Property tests: the planning timelines (segment-tree [`MemoryTimeline`],
-//! skip-pointer [`BandwidthTimeline`]) must agree with the flat-`Vec`
-//! reference implementations in `g10_core::naive` on random operation
-//! sequences.
+//! selection's [`AboveCapacity`] index, skip-pointer [`BandwidthTimeline`])
+//! must agree with the flat-`Vec` reference implementations in
+//! `g10_core::naive` on random operation sequences.
 //!
 //! Every query must match *exactly*: the integer-valued ones (`max_value`,
 //! `max_in`, `fits_extra`, `latest_fit`, `value`, `values`), the
-//! integer-accumulated `reduction_above`, and the `f64` free-byte sums,
+//! integer-accumulated benefit above capacity, and the `f64` free-byte sums,
 //! which both ledgers add up bin by bin in the same order, so they are
 //! compared bit for bit along with every saturation verdict.
 
 use g10_core::bandwidth::{BandwidthReservation, BandwidthTimeline};
 use g10_core::naive::{NaiveBandwidthTimeline, NaiveMemoryTimeline};
-use g10_core::pressure::{MemoryTimeline, PressureTimeline};
+use g10_core::pressure::{AboveCapacity, MemoryTimeline, PressureTimeline};
 use g10_time::Nanos;
 use proptest::prelude::*;
 
@@ -23,7 +23,7 @@ proptest! {
         values in proptest::collection::vec(0u64..(1u64 << 38), 1..80),
         dur_us in proptest::collection::vec(1u64..2_000, 1..80),
         ops in proptest::collection::vec(
-            (0u8..6, 0usize..96, 1usize..96, 0u64..(1u64 << 36)),
+            (0u8..5, 0usize..96, 1usize..96, 0u64..(1u64 << 36)),
             1..48,
         ),
         capacity in 0u64..(1u64 << 38),
@@ -48,15 +48,11 @@ proptest! {
                     flat.add(&[(lo, hi)], -(amount as i64));
                 }
                 2 => prop_assert_eq!(
-                    tree.reduction_above(&[(lo, hi)], amount, capacity),
-                    flat.reduction_above(&[(lo, hi)], amount, capacity)
-                ),
-                3 => prop_assert_eq!(
                     tree.fits_extra(&[(lo, hi)], amount, capacity),
                     flat.fits_extra(&[(lo, hi)], amount, capacity)
                 ),
-                4 => prop_assert_eq!(tree.max_in(&[(lo, hi)]), flat.max_in(&[(lo, hi)])),
-                5 => {
+                3 => prop_assert_eq!(tree.max_in(&[(lo, hi)]), flat.max_in(&[(lo, hi)])),
+                4 => {
                     let floor = lo.min(n);
                     let end = (lo + b).min(n + 2);
                     prop_assert_eq!(
@@ -80,11 +76,87 @@ proptest! {
         prop_assert_eq!(tree.area_above(capacity), flat.area_above(capacity));
         // Wrap-around-style split ranges agree too.
         let split = [(0, n / 2), (n / 2 + 1, n)];
-        prop_assert_eq!(
-            tree.reduction_above(&split, 1 << 20, capacity),
-            flat.reduction_above(&split, 1 << 20, capacity)
-        );
         prop_assert_eq!(tree.max_in(&split), flat.max_in(&split));
+    }
+
+    /// Selection's benefit index under what selection does to it: random
+    /// decreasing updates at one fixed capacity, from 0 to above the peak.
+    /// Pressures, the capacity and update sizes are small multiples of one
+    /// quantum plus 0–2 bytes, so excesses keep landing exactly on, one
+    /// byte under and one byte over an update's size.  Ranges include empty
+    /// ones, ones past the end, wrap-style split pairs and the whole
+    /// iteration, which drives every kernel down to capacity in many cases;
+    /// one kernel in 2–7 takes no time.
+    #[test]
+    fn above_capacity_index_matches_the_flat_benefit(
+        quantum_log2 in 0u32..36,
+        kernels in proptest::collection::vec((0u64..48, 0u64..3, 0u64..2_000), 1..120),
+        zero_every in 2usize..8,
+        capacity in (0u64..52, 0u64..3),
+        ops in proptest::collection::vec(
+            (0u8..4, 0usize..130, 0usize..130, (0u64..12, 0u64..3)),
+            1..64,
+        ),
+    ) {
+        let quantum = 1u64 << quantum_log2;
+        let at = |(steps, bytes): (u64, u64)| steps * quantum + bytes;
+        let n = kernels.len();
+        let values: Vec<u64> = kernels.iter().map(|&(steps, bytes, _)| at((steps, bytes))).collect();
+        let durations: Vec<Nanos> = kernels
+            .iter()
+            .enumerate()
+            .map(|(k, &(_, _, us))| if k % zero_every == 0 { Nanos::ZERO } else { Nanos::from_micros(us) })
+            .collect();
+        let capacity = at(capacity);
+
+        let mut index = AboveCapacity::new(&values, &durations, capacity);
+        let mut flat = NaiveMemoryTimeline::new(&values, &durations);
+        prop_assert_eq!(index.any_above(), flat.max_value() > capacity);
+
+        for (op, a, b, size) in ops {
+            let bytes = at(size);
+            // About one start in eight lies past the end; b % 40 == 0 gives
+            // an empty range.
+            let lo = a % (n + n / 8 + 1);
+            let hi = lo + b % 40;
+            let ranges: Vec<(usize, usize)> = match op {
+                0 => vec![(lo, hi)],
+                // A wrap-style pair: the tail of the iteration and its head.
+                1 => vec![(lo.min(n), n), (0, b % (n + 1))],
+                2 => vec![(lo, hi), (hi, hi + b % 7)],
+                _ => vec![(0, n)],
+            };
+            prop_assert_eq!(
+                index.reduction(&ranges, bytes).to_bits(),
+                flat.reduction_above(&ranges, bytes, capacity).to_bits()
+            );
+            index.sub(&ranges, bytes);
+            flat.add(&ranges, -(bytes as i64));
+            prop_assert_eq!(index.any_above(), flat.max_value() > capacity);
+        }
+
+        // Every kernel, one at a time, and the whole iteration.
+        for k in 0..n {
+            for bytes in [0, 1, quantum - 1, quantum, quantum + 1, 3 * quantum, u64::MAX >> 2] {
+                prop_assert_eq!(
+                    index.reduction(&[(k, k + 1)], bytes).to_bits(),
+                    flat.reduction_above(&[(k, k + 1)], bytes, capacity).to_bits()
+                );
+            }
+        }
+        prop_assert_eq!(
+            index.reduction(&[(0, n + 5)], quantum).to_bits(),
+            flat.reduction_above(&[(0, n + 5)], quantum, capacity).to_bits()
+        );
+
+        // Lowering everything by the largest excess leaves the peak kernel
+        // exactly at capacity, so nothing is above it any more.
+        let excess = flat.max_value().saturating_sub(capacity);
+        index.sub(&[(0, n)], excess);
+        flat.add(&[(0, n)], -(excess as i64));
+        prop_assert!(!index.any_above());
+        prop_assert!(flat.max_value() <= capacity);
+        prop_assert_eq!(index.reduction(&[(0, n)], quantum), 0.0);
     }
 
     /// Ledgers of up to 30,000 bins.  Each operation starts within three bins
