@@ -7,11 +7,16 @@
 //! order, so timing it in a loop would time memo hits after the first
 //! iteration; the bench runs the same stages through the un-memoised
 //! `schedule_evictions_with` instead.
+//!
+//! `g10_scheduler_assign` times exactly those memo hits: it warms
+//! `schedule_evictions` once per model, then times repeat calls, which skip
+//! selection and run only the assign step (destination choice and the
+//! channel-ledger reservations).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use g10_core::bandwidth::BandwidthTimeline;
 use g10_core::config::SystemConfig;
-use g10_core::eviction::{schedule_evictions_with, EvictionOptions};
+use g10_core::eviction::{schedule_evictions, schedule_evictions_with, EvictionOptions};
 use g10_core::prefetch::schedule_prefetches;
 use g10_core::pressure::MemoryTimeline;
 use g10_core::vitality::VitalityAnalysis;
@@ -46,5 +51,21 @@ fn bench_scheduler(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_scheduler);
+fn bench_assign(c: &mut Criterion) {
+    let config = SystemConfig::table2();
+    let mut group = c.benchmark_group("g10_scheduler_assign");
+    group.sample_size(20);
+    for model in ModelKind::PAPER_MODELS {
+        let workload = Workload::new(model, model.eval_batch());
+        let analysis = VitalityAnalysis::analyze(&workload.graph, &workload.trace);
+        let plan =
+            || schedule_evictions(&analysis, &workload.trace, &config, EvictionOptions::both());
+        // The first call selects and memoises the eviction order.
+        plan();
+        group.bench_function(model.name(), |b| b.iter(plan));
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_scheduler, bench_assign);
 criterion_main!(benches);

@@ -10,45 +10,51 @@
 //! # Memory
 //!
 //! A ledger spans the whole iteration (about 580k bins of 250 µs on
-//! SENet154), but a plan reserves into only a fraction of them.  Per bin it
-//! keeps the bytes reserved and a path-compressed skip pointer past
-//! saturated bins, each in its own table of fixed-size pages.  A page is
-//! allocated on the first write into it: a `used` page on the first
-//! reservation that lands in it, a skip page only once one of its bins
-//! saturates.  An unwritten bin reads as empty.  So [`BandwidthTimeline::new`]
-//! allocates one null pointer per page per table, and a plan's memory
-//! follows the bins its evictions write, not the iteration length.
+//! SENet154), but a reservation leaves behind a simple shape: every bin it
+//! reaches is full except possibly the last.  So the ledger stores only
+//! coalesced runs of saturated bins (`start → end`) and the bins that hold
+//! a reservation but still have room (`bin → bytes used`); any other bin is
+//! empty.  A reservation adds at most one run and one partly-filled bin, and
+//! the runs it crosses merge into one, so a plan's memory follows its
+//! reservations, not the iteration length or the bins they cover.
 //!
 //! # Complexity
 //!
-//! With `b` bins and `w` the bins a window or transfer spans:
+//! With `b` bins, `w` the bins a window or transfer spans, `r` the runs and
+//! partly-filled bins held, `s` the runs and partly-filled bins inside a
+//! window and `e` the empty bins it crosses:
 //!
-//! | operation                                  | flat `Vec` | [`BandwidthTimeline`] |
-//! |--------------------------------------------|------------|-----------------------|
-//! | [`BandwidthTimeline::new`]                 | O(b)       | O(b / 64)             |
-//! | [`BandwidthTimeline::free_bytes_between`]  | O(w)       | O(w)                  |
-//! | [`BandwidthTimeline::is_saturated`]        | O(w)       | O(w), stops early ¹   |
-//! | [`BandwidthTimeline::reserve`]             | O(w)       | O(t) amortised ²      |
+//! | operation                                  | flat `Vec` | [`BandwidthTimeline`]       |
+//! |--------------------------------------------|------------|-----------------------------|
+//! | [`BandwidthTimeline::new`]                 | O(b)       | O(1)                        |
+//! | [`BandwidthTimeline::free_bytes_between`]  | O(w)       | O((1 + s) log r + e)        |
+//! | [`BandwidthTimeline::is_saturated`]        | O(w)       | as above, stops early ¹     |
+//! | [`BandwidthTimeline::reserve`]             | O(w)       | O(log r) amortised + e ²    |
 //!
 //! ¹ The scan stops once the free bytes seen cover the transfer.  Every term
 //!   is non-negative, so the rounded partial sum never decreases and the
 //!   verdict equals that of the full sum.
 //!
-//! ² `t` is the number of bins the transfer actually *touches* (writes bytes
-//!   into); fully saturated runs between them are skipped through the
-//!   next-free pointers instead of being re-scanned.
+//! ² Each saturated run a reservation jumps over merges into the one it
+//!   leaves behind, and each partly-filled bin it reaches fills up, so
+//!   lookups are amortised over the entries that reservations create.  The
+//!   `e` term is one float subtraction per empty bin filled.
 //!
-//! The planner asks "is the channel full?" once per *accepted* eviction, so
-//! an O(w) window scan costs far less than building and maintaining an
-//! O(b) prefix-sum index per plan.  The scan also sums bins in the same
-//! order as [`crate::naive::NaiveBandwidthTimeline`], so free-byte sums and
-//! saturation verdicts are bit-identical to the reference, not merely close.
+//! Empty bins are summed and filled one at a time, in a tight loop with no
+//! lookups, because float arithmetic over a non-integer `bytes_per_bin` has
+//! no exact closed form.  The scans add and subtract bin by bin in the same
+//! order as [`crate::naive::NaiveBandwidthTimeline`], and a skipped
+//! saturated bin would add exactly `+0.0`, so free-byte sums, saturation
+//! verdicts and completion times are bit-identical to the reference, not
+//! merely close.
+
+use std::collections::BTreeMap;
 
 use g10_time::Nanos;
 use serde::{Deserialize, Serialize};
 
 /// The operations the eviction scheduler needs from a channel-reservation
-/// ledger.  Implemented by the skip-pointer [`BandwidthTimeline`] (the
+/// ledger.  Implemented by the run-length [`BandwidthTimeline`] (the
 /// default) and the flat-`Vec` [`crate::naive::NaiveBandwidthTimeline`]
 /// reference.
 pub trait BandwidthReservation {
@@ -77,25 +83,30 @@ pub trait BandwidthReservation {
     fn utilization(&self) -> f64;
 }
 
-/// Bins per page of a [`BandwidthTimeline`]'s page tables.
-const PAGE: usize = 64;
-
-/// A binned bandwidth-reservation timeline for one channel direction, with
-/// path-compressed skip pointers over saturated bins, stored in lazily
-/// allocated pages.
+/// A binned bandwidth-reservation timeline for one channel direction, stored
+/// as runs of saturated bins plus the partly-filled bins.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BandwidthTimeline {
     bin_width: Nanos,
     bytes_per_bin: f64,
     bins: usize,
-    /// Bytes reserved in each bin; a missing page reads as all zero.
-    used: Vec<Option<Box<[f64; PAGE]>>>,
-    /// `0` while bin `b` may still have capacity; once it saturates, a later
-    /// bin to resume the search from (path-compressed).  A saturated bin
-    /// always points past itself, so `0` is never a real pointer.  A missing
-    /// page reads as all zero.
-    next_free: Vec<Option<Box<[u32; PAGE]>>>,
+    /// Coalesced runs of saturated bins, `start → end` (exclusive).  No two
+    /// runs touch.
+    saturated: BTreeMap<usize, usize>,
+    /// Bytes reserved in each bin that holds a reservation but still has
+    /// room.  A bin in neither map is empty.
+    partial: BTreeMap<usize, f64>,
     total_reserved: f64,
+}
+
+/// What the ledger holds at a bin, and how far that extends.
+enum Segment {
+    /// The bins up to `end` (exclusive) are saturated.
+    Saturated { end: usize },
+    /// The bin holds `used` bytes and still has room.
+    Partial { used: f64 },
+    /// The bins up to `end` (exclusive) are empty.
+    Empty { end: usize },
 }
 
 impl BandwidthTimeline {
@@ -108,13 +119,12 @@ impl BandwidthTimeline {
     pub fn new(bytes_per_sec: f64, horizon: Nanos, bin_width: Nanos) -> Self {
         assert!(!bin_width.is_zero(), "bin width must be positive");
         let bins = (horizon.as_nanos() / bin_width.as_nanos() + 2) as usize;
-        let pages = bins.div_ceil(PAGE);
         BandwidthTimeline {
             bin_width,
             bytes_per_bin: bytes_per_sec * bin_width.as_secs_f64(),
             bins,
-            used: vec![None; pages],
-            next_free: vec![None; pages],
+            saturated: BTreeMap::new(),
+            partial: BTreeMap::new(),
             total_reserved: 0.0,
         }
     }
@@ -139,70 +149,96 @@ impl BandwidthTimeline {
         ((time.as_nanos() / self.bin_width.as_nanos()) as usize).min(self.bins - 1)
     }
 
-    fn used(&self, bin: usize) -> f64 {
-        self.used[bin / PAGE]
-            .as_ref()
-            .map_or(0.0, |page| page[bin % PAGE])
+    /// Free capacity of a bin holding `used` bytes.
+    fn clamped_free(&self, used: f64) -> f64 {
+        (self.bytes_per_bin - used).max(0.0)
     }
 
-    fn next_free(&self, bin: usize) -> u32 {
-        self.next_free[bin / PAGE]
-            .as_ref()
-            .map_or(0, |page| page[bin % PAGE])
-    }
-
-    fn set_next_free(&mut self, bin: usize, next: u32) {
-        let page = self.next_free[bin / PAGE].get_or_insert_with(|| Box::new([0; PAGE]));
-        page[bin % PAGE] = next;
-    }
-
-    fn clamped_free(&self, bin: usize) -> f64 {
-        (self.bytes_per_bin - self.used(bin)).max(0.0)
-    }
-
-    /// Adds `take` bytes of usage to `bin`, marking it saturated once full.
-    fn add_used(&mut self, bin: usize, take: f64) {
-        let page = self.used[bin / PAGE].get_or_insert_with(|| Box::new([0.0; PAGE]));
-        page[bin % PAGE] += take;
-        if self.clamped_free(bin) <= 0.0 {
-            self.set_next_free(bin, bin as u32 + 1);
+    /// The segment that `bin` starts in.
+    fn segment(&self, bin: usize) -> Segment {
+        let run = self.saturated.range(..=bin).next_back();
+        if let Some((_, &end)) = run.filter(|(_, &end)| end > bin) {
+            return Segment::Saturated { end };
+        }
+        let next_partial = self.partial.range(bin..).next();
+        if let Some((_, &used)) = next_partial.filter(|(&b, _)| b == bin) {
+            return Segment::Partial { used };
+        }
+        let next_run = self
+            .saturated
+            .range(bin..)
+            .next()
+            .map_or(self.bins, |(&s, _)| s);
+        let next_partial = next_partial.map_or(self.bins, |(&b, _)| b);
+        Segment::Empty {
+            end: next_run.min(next_partial),
         }
     }
 
-    /// First bin at or after `bin` that may still have free capacity
-    /// (`bins()` if none), compressing the skip path on the way.
-    fn find_free(&mut self, bin: usize) -> usize {
-        let mut root = bin;
-        while root < self.bins && self.next_free(root) != 0 {
-            root = self.next_free(root) as usize;
+    /// Marks the unsaturated bins `lo..hi` saturated, merging with the runs
+    /// on either side.
+    fn saturate(&mut self, lo: usize, hi: usize) {
+        if lo >= hi {
+            return;
         }
-        // Path compression: point every visited bin at the found root.  Each
-        // visited bin is saturated, so its skip page already exists.
-        let mut b = bin;
-        while b < root {
-            let next = self.next_free(b) as usize;
-            self.set_next_free(b, root as u32);
-            b = next;
-        }
-        root
-    }
-
-    /// Free capacity of each bin from `start`'s through `end`'s, in order;
-    /// empty when `end <= start`.
-    fn free_bins(&self, start: Nanos, end: Nanos) -> impl Iterator<Item = f64> + '_ {
-        let lo = self.bin_of(start);
-        let hi = if end <= start {
-            lo
-        } else {
-            self.bin_of(end) + 1
+        let lo = match self.saturated.range(..lo).next_back() {
+            Some((&start, &end)) if end == lo => start,
+            _ => lo,
         };
-        (lo..hi).map(|b| self.clamped_free(b))
+        let hi = self.saturated.remove(&hi).unwrap_or(hi);
+        self.saturated.insert(lo, hi);
     }
 
-    /// Free capacity (bytes) between `start` and `end`: a sequential scan in
-    /// the same order as the naive reference, so the sum is bit-identical.
+    /// Records that the unsaturated `bin` now holds `used` bytes.
+    fn fill(&mut self, bin: usize, used: f64) {
+        if self.clamped_free(used) <= 0.0 {
+            self.partial.remove(&bin);
+            self.saturate(bin, bin + 1);
+        } else {
+            self.partial.insert(bin, used);
+        }
+    }
+
+    /// Free bytes of the bins from `start`'s through `end`'s, summed in
+    /// order; the scan may stop once the sum reaches `enough`.  `+0.0` when
+    /// `end <= start`, as in the reference.
+    fn free_up_to(&self, start: Nanos, end: Nanos, enough: f64) -> f64 {
+        if end <= start {
+            return 0.0;
+        }
+        let hi = self.bin_of(end) + 1;
+        let empty_free = self.clamped_free(0.0);
+        let mut free = 0.0;
+        let mut bin = self.bin_of(start);
+        while bin < hi && free < enough {
+            match self.segment(bin) {
+                // A saturated bin adds `+0.0`, which leaves the sum as is.
+                Segment::Saturated { end } => bin = end,
+                Segment::Partial { used } => {
+                    free += self.clamped_free(used);
+                    bin += 1;
+                }
+                Segment::Empty { end } => {
+                    let end = end.min(hi);
+                    if empty_free > 0.0 {
+                        for _ in bin..end {
+                            free += empty_free;
+                            if free >= enough {
+                                return free;
+                            }
+                        }
+                    }
+                    bin = end;
+                }
+            }
+        }
+        free
+    }
+
+    /// Free capacity (bytes) between `start` and `end`: a sequential sum in
+    /// the same order as the naive reference, so it is bit-identical.
     pub fn free_bytes_between(&self, start: Nanos, end: Nanos) -> f64 {
-        self.free_bins(start, end).sum()
+        self.free_up_to(start, end, f64::INFINITY)
     }
 
     /// Returns `true` if a transfer of `bytes` starting at `start` cannot fit
@@ -215,14 +251,7 @@ impl BandwidthTimeline {
     pub fn is_saturated(&self, bytes: u64, start: Nanos, nominal_duration: Nanos) -> bool {
         let bytes = bytes as f64;
         let end = start.saturating_add(nominal_duration);
-        let mut free = 0.0;
-        for bin_free in self.free_bins(start, end) {
-            if free >= bytes {
-                return false;
-            }
-            free += bin_free;
-        }
-        free < bytes
+        self.free_up_to(start, end, bytes) < bytes
     }
 
     /// Reserves `bytes` starting at `start`, filling bins greedily forward,
@@ -234,24 +263,47 @@ impl BandwidthTimeline {
         if remaining <= 0.0 {
             return self.end_of_bin(bin);
         }
-        loop {
-            let b = self.find_free(bin);
-            if b >= self.bins {
-                // Past the planning horizon: everything fits notionally at
-                // the very end.
-                let last = self.bins - 1;
-                self.add_used(last, remaining);
-                return self.end_of_bin(last);
+        let empty_free = self.clamped_free(0.0);
+        while bin < self.bins {
+            match self.segment(bin) {
+                Segment::Saturated { end } => bin = end,
+                Segment::Partial { used } => {
+                    let take = self.clamped_free(used).min(remaining);
+                    remaining -= take;
+                    self.fill(bin, used + take);
+                    if remaining <= 0.0 {
+                        return self.end_of_bin(bin);
+                    }
+                    bin += 1;
+                }
+                Segment::Empty { end } if empty_free > 0.0 => {
+                    // Each bin takes all of its capacity, and so saturates,
+                    // until the one that takes the last byte.
+                    for last in bin..end {
+                        let take = empty_free.min(remaining);
+                        remaining -= take;
+                        if remaining <= 0.0 {
+                            self.saturate(bin, last);
+                            self.fill(last, take);
+                            return self.end_of_bin(last);
+                        }
+                    }
+                    self.saturate(bin, end);
+                    bin = end;
+                }
+                // A zero-rate channel: nothing fits in an empty bin.
+                Segment::Empty { end } => bin = end,
             }
-            let free = self.clamped_free(b);
-            let take = free.min(remaining);
-            self.add_used(b, take);
-            remaining -= take;
-            if remaining <= 0.0 {
-                return self.end_of_bin(b);
-            }
-            bin = b + 1;
         }
+        // Past the planning horizon: everything fits notionally at the very
+        // end.
+        let last = self.bins - 1;
+        match self.segment(last) {
+            Segment::Saturated { .. } => {}
+            Segment::Partial { used } => self.fill(last, used + remaining),
+            Segment::Empty { .. } => self.fill(last, remaining),
+        }
+        self.end_of_bin(last)
     }
 
     fn end_of_bin(&self, bin: usize) -> Nanos {
@@ -326,10 +378,8 @@ mod tests {
         let t = timeline();
         let one_bin = t.free_bytes_between(Nanos::ZERO, Nanos::from_micros(500));
         assert!((one_bin - 1_000_000.0).abs() < 1.0);
-        assert_eq!(
-            t.free_bytes_between(Nanos::from_millis(5), Nanos::from_millis(5)),
-            0.0
-        );
+        let empty = t.free_bytes_between(Nanos::from_millis(5), Nanos::from_millis(5));
+        assert_eq!(empty.to_bits(), 0.0f64.to_bits());
     }
 
     #[test]
@@ -358,53 +408,79 @@ mod tests {
         // A reservation starting at zero must land in bin 11.
         let done = t.reserve(1_000_000, Nanos::ZERO);
         assert_eq!(done, Nanos::from_millis(11));
-        // The skip pointers now jump over the saturated prefix.
-        assert!(t.find_free(0) >= 10);
+        // The saturated prefix is held as one run.
+        assert_eq!(t.saturated.iter().next(), Some((&0, &11)));
     }
 
-    fn pages_held(t: &BandwidthTimeline) -> (usize, usize) {
-        (
-            t.used.iter().filter(|p| p.is_some()).count(),
-            t.next_free.iter().filter(|p| p.is_some()).count(),
-        )
+    /// Runs plus partly-filled bins held, after checking that the runs are
+    /// coalesced and the partly-filled bins lie between them with room left.
+    fn entries(t: &BandwidthTimeline) -> usize {
+        let mut prev_end = None;
+        for (&start, &end) in &t.saturated {
+            assert!(start < end && end <= t.bins, "run {start}..{end}");
+            assert!(
+                prev_end.is_none_or(|prev| prev < start),
+                "runs touch at {start}"
+            );
+            prev_end = Some(end);
+        }
+        for (&bin, &used) in &t.partial {
+            assert!(matches!(t.segment(bin), Segment::Partial { .. }));
+            assert!(
+                used > 0.0 && t.clamped_free(used) > 0.0,
+                "bin {bin} holds {used}"
+            );
+        }
+        t.saturated.len() + t.partial.len()
     }
 
     #[test]
-    fn pages_are_allocated_only_where_reservations_land() {
-        // 146 s at the planner's 250 µs bins: 584,002 bins, 9,126 pages.
+    fn entries_follow_reservations_not_the_horizon() {
+        // 146 s at the planner's 250 µs bins: 584,002 bins.
         let bin = BandwidthTimeline::default_bin_width();
         let mut t = BandwidthTimeline::new(1e9, Nanos::from_secs(146), bin);
         assert_eq!(t.bins(), 584_002);
-        assert_eq!(t.used.len(), 584_002usize.div_ceil(PAGE));
-        assert_eq!(pages_held(&t), (0, 0));
+        assert_eq!(entries(&t), 0);
 
-        // Queries read unwritten bins as empty and allocate nothing.
+        // Queries read the empty ledger as free and store nothing.
         let window = Nanos::from_millis(100);
         let per_bin = 1e9 * bin.as_secs_f64();
         let free = t.free_bytes_between(Nanos::ZERO, window);
         assert_eq!(free, (0..=400).map(|_| per_bin).sum::<f64>());
         assert!(!t.is_saturated(1_000_000, Nanos::ZERO, window));
-        assert_eq!(pages_held(&t), (0, 0));
+        assert_eq!(entries(&t), 0);
 
-        // Three and a half bins from the last bin of page 7: the transfer
-        // saturates bins 511..=513 and half-fills 514, so it writes pages 7
-        // and 8 of both tables.
-        let start = bin * (8 * PAGE as u64 - 1);
-        let done = t.reserve((3.5 * per_bin) as u64, start);
-        assert_eq!(done, bin * (8 * PAGE as u64 + 3));
-        assert_eq!(pages_held(&t), (2, 2));
-        assert!(t.used[7].is_some() && t.used[8].is_some());
+        // Three and a half bins: one run of three bins and one partly-filled
+        // bin, however many bins the transfer covers.
+        let done = t.reserve((3.5 * per_bin) as u64, bin * 511);
+        assert_eq!(done, bin * 515);
+        assert_eq!(t.saturated.iter().next(), Some((&511, &514)));
+        assert_eq!(t.partial.keys().next(), Some(&514));
+        assert_eq!(entries(&t), 2);
 
-        // A partial fill allocates a `used` page but no skip page.
-        t.reserve(1_000, bin * 100 * PAGE as u64);
-        assert_eq!(pages_held(&t), (3, 2));
+        // A minute-long transfer is still one run and one partial bin.
+        let mut long = BandwidthTimeline::new(1e9, Nanos::from_secs(146), bin);
+        long.reserve(60_000_000_000 + 1_000, Nanos::from_secs(10));
+        assert_eq!(entries(&long), 2);
 
-        // A transfer that spills past the horizon writes only the last page.
-        let mut t = BandwidthTimeline::new(1e9, Nanos::from_secs(146), bin);
-        let end = t.reserve((2.0 * per_bin) as u64, Nanos::from_secs(200));
-        assert_eq!(end, bin * 584_002);
-        assert_eq!(pages_held(&t), (1, 1));
-        assert!(t.used.last().unwrap().is_some());
+        // Reservations of every size from everywhere, overlapping, spilling
+        // past the horizon and closing gaps between runs: after `k` of them
+        // the ledger holds at most `2k + 1` entries.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for k in 1..=2_000u64 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let start = bin * (state % 600_000) + Nanos::from_nanos(state % 250_000);
+            let bytes = (state >> 20) % (1 << (state % 34));
+            t.reserve(bytes, start);
+            assert!(
+                entries(&t) as u64 <= 2 * (k + 1) + 1,
+                "{} entries",
+                entries(&t)
+            );
+        }
+        assert!(t.saturated.len() > 1);
     }
 
     #[test]

@@ -19,7 +19,7 @@
 //!   which scores candidates.
 //! * [`bandwidth`] — binned bandwidth-reservation timelines for the GPU–SSD
 //!   and GPU–host channels ("is the SSD traffic full during [t, t+s]?"),
-//!   with next-unsaturated-bin skip pointers.
+//!   stored as runs of saturated bins plus the partly-filled bins.
 //! * [`naive`] — the pre-refactor flat-`Vec` timelines, kept as the
 //!   reference for equivalence tests and the `bench_planner` baseline.
 //! * [`eviction`] — Algorithm 1: iterative benefit/cost candidate selection

@@ -1,6 +1,6 @@
 //! Golden-plan equivalence tests.
 //!
-//! The planner refactors (segment-tree pressure timelines, skip-pointer
+//! The planner refactors (segment-tree pressure timelines, run-length
 //! bandwidth reservations, the memoised eviction order) must leave the emitted `MigrationPlan` byte-for-byte
 //! identical to the pre-refactor flat-`Vec` implementation.  These tests pin
 //! that: every decision field of the eviction and prefetch schedules plus the
