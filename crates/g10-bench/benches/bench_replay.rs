@@ -1,8 +1,10 @@
 //! Criterion bench: replay-engine cost at scale — the synthetic deep GPT
-//! stress workload (`g10_dnn::models::stress`) replayed under the
-//! eviction-heaviest designs (Base UVM and DeepUM+) on a GPU sized to half
-//! the workload's peak live bytes, so victim selection (the engine's
-//! incremental victim index) runs on nearly every step.  A second group
+//! stress workload (`g10_dnn::models::stress`) replayed under the four
+//! non-planning designs on a GPU sized to half the workload's peak live
+//! bytes.  Base UVM and DeepUM+ ask the engine's incremental victim index
+//! for an LRU victim on nearly every step, FlashNeuron asks for the largest
+//! victim (so its lazily built size order is timed), and Ideal never asks
+//! (so only the index upkeep per kernel is timed).  A second group
 //! keeps the Figure-11 end-to-end G10 replays (plan + replay per paper
 //! model) visible.  Set `G10_BENCH_SMOKE=1` to run a reduced size (used by
 //! the scheduled CI job).
@@ -35,7 +37,12 @@ fn stress_case(target_kernels: usize) -> StressCase {
     }
 }
 
-const POLICIES: [PolicyKind; 2] = [PolicyKind::BaseUvm, PolicyKind::DeepUmPlus];
+const POLICIES: [PolicyKind; 4] = [
+    PolicyKind::Ideal,
+    PolicyKind::BaseUvm,
+    PolicyKind::DeepUmPlus,
+    PolicyKind::FlashNeuron,
+];
 
 fn bench_replay(c: &mut Criterion) {
     let smoke = std::env::var("G10_BENCH_SMOKE").is_ok();

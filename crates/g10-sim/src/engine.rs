@@ -350,14 +350,13 @@ impl EngineState {
         let t = self.tensors[idx];
         if t.location == Location::Gpu && location != Location::Gpu {
             self.resident_gpu.remove(idx);
-            self.victims.remove(idx as u32, t.last_touch, t.bytes);
+            self.victims.remove(idx as u32);
             self.ledger_note(|usage| {
                 usage.resident_bytes = usage.resident_bytes.saturating_sub(t.bytes);
             });
         } else if t.location != Location::Gpu && location == Location::Gpu {
             self.resident_gpu.insert(idx);
-            self.victims
-                .insert_for(idx as u32, t.last_touch, t.bytes, self.tenant);
+            self.victims.insert(idx as u32, t.last_touch, t.bytes);
             self.ledger_note(|usage| {
                 usage.resident_bytes = usage.resident_bytes.saturating_add(t.bytes);
                 usage.resident_high_water = usage.resident_high_water.max(usage.resident_bytes);
@@ -366,21 +365,21 @@ impl EngineState {
         self.tensors[idx].location = location;
     }
 
-    /// Records that `kernel` just used the tensor, re-keying the victim
-    /// index if the tensor is an evictable resident.
+    /// Records that `kernel` uses the tensor, re-keying the victim index
+    /// if the tensor is an evictable resident.
     fn touch(&mut self, idx: usize, kernel: usize) {
-        let old = self.tensors[idx].last_touch;
-        if old != kernel {
+        if self.tensors[idx].last_touch != kernel {
             self.tensors[idx].last_touch = kernel;
-            self.victims.touch(idx as u32, old, kernel);
+            self.victims.touch(idx as u32, kernel);
         }
     }
 
     /// The tensor the LRU selection helper would evict right now: the first
     /// unprotected evictable resident by `(last_touch, tensor_id)`.
     ///
-    /// Answered by the victim index in O(log R); debug builds cross-check
-    /// every answer against the linear scan in [`crate::naive`].
+    /// Answered by the victim index's recency list in O(1 + protected);
+    /// debug builds cross-check every answer against the linear scan in
+    /// [`crate::naive`].
     pub fn lru_victim_candidate(&self) -> Option<TensorId> {
         let picked = self
             .victims
@@ -397,8 +396,9 @@ impl EngineState {
     /// The tensor the largest-victim selection helper would evict right
     /// now: the last unprotected evictable resident by `(bytes, tensor_id)`.
     ///
-    /// Answered by the victim index in O(log R); debug builds cross-check
-    /// every answer against the linear scan in [`crate::naive`].
+    /// Answered by the victim index's size order in O(log R + protected),
+    /// built on the first call; debug builds cross-check every answer
+    /// against the linear scan in [`crate::naive`].
     pub fn largest_victim_candidate(&self) -> Option<TensorId> {
         let picked = self
             .victims
@@ -852,7 +852,7 @@ impl<'a> ReplayEngine<'a> {
         for (idx, t) in tensors.iter().enumerate() {
             if t.location == Location::Gpu {
                 resident_gpu.insert(idx);
-                victims.insert_for(idx as u32, t.last_touch, t.bytes, options.tenant);
+                victims.insert(idx as u32, t.last_touch, t.bytes);
                 initial_resident_bytes += t.bytes;
             }
         }
@@ -1132,10 +1132,18 @@ impl<'a> ReplayEngine<'a> {
         // mutated concurrently without cloning the list per kernel.
         let (lo, hi) = (self.required_offsets[k], self.required_offsets[k + 1]);
 
-        // Protect the working set of this kernel from eviction.
+        // Protect the working set of this kernel from eviction and stamp it
+        // as used by this kernel.  Stamping before anything below makes a
+        // tensor resident means every tensor entering the victim index
+        // during this step (birth, settled prefetch, demand fetch) carries
+        // the newest stamp, so linking it walks only past this kernel's
+        // entries.  No selection can see the new stamps early: protected
+        // tensors are invisible to every victim query, and `before_kernel`
+        // above saw the old ones.
         for i in lo..hi {
-            let t = self.required_flat[i];
-            self.state.protected[t.index()] = true;
+            let idx = self.required_flat[i].index();
+            self.state.protected[idx] = true;
+            self.state.touch(idx, k);
         }
 
         // Make every required tensor resident (or allocated, for new
@@ -1190,9 +1198,7 @@ impl<'a> ReplayEngine<'a> {
         for i in lo..hi {
             let t = self.required_flat[i];
             self.state.settle(t);
-            let idx = t.index();
-            self.state.touch(idx, k);
-            self.state.protected[idx] = false;
+            self.state.protected[t.index()] = false;
         }
         self.state.apply_pending(self.state.now);
 

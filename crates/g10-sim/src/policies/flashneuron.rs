@@ -12,7 +12,7 @@
 use crate::engine::{EngineState, Location};
 use crate::policy::{largest_victim_to_ssd, MemoryPolicy};
 use g10_core::config::SystemConfig;
-use g10_core::vitality::VitalityAnalysis;
+use g10_core::vitality::{InactivePeriod, VitalityAnalysis};
 use g10_dnn::graph::DnnGraph;
 use g10_dnn::tensor::{TensorId, TensorKind};
 use g10_dnn::trace::KernelTrace;
@@ -40,14 +40,25 @@ impl FlashNeuronPolicy {
         let budget = (config.gpu_memory_bytes as f64 * MEMORY_BUDGET_FRACTION) as u64;
         let peak = analysis.peak_live_bytes();
 
+        // Each tensor's longest non-wrapping period, indexed in one pass.
+        // On equal lengths the later period wins, as `max_by_key` picks.
+        let mut longest: Vec<Option<&InactivePeriod>> = vec![None; graph.num_tensors()];
+        for period in analysis.periods().iter().filter(|p| !p.wraps_iteration) {
+            let slot = &mut longest[period.tensor.index()];
+            if slot.is_none_or(|kept| period.length() >= kept.length()) {
+                *slot = Some(period);
+            }
+        }
+
         // Linear tensor selection: walk activation tensors in the order they
         // are produced and offload them until the projected peak fits the
         // budget.  Weights and gradients are never offloaded.  The offload
         // set keeps that deterministic first-use order (each lifetime names
         // a distinct tensor): iterating a hash set here made the planned
         // eviction/prefetch instruction order — and therefore the replayed
-        // migration interleaving — vary run to run.
-        let mut selected: Vec<TensorId> = Vec::new();
+        // migration interleaving — vary run to run.  Each selected tensor is
+        // kept with the longest period found above.
+        let mut selected: Vec<&InactivePeriod> = Vec::new();
         let mut projected = peak;
         let mut candidates: Vec<_> = analysis
             .lifetimes()
@@ -63,27 +74,18 @@ impl FlashNeuronPolicy {
             // is unused for some window between forward and backward; unlike
             // G10 it does not weigh the migration cost against the period
             // length, which is exactly the behaviour the paper contrasts.
-            let has_period = analysis
-                .periods()
-                .iter()
-                .any(|p| p.tensor == lifetime.tensor && !p.wraps_iteration);
-            if !has_period {
+            let Some(period) = longest[lifetime.tensor.index()] else {
                 continue;
-            }
-            selected.push(lifetime.tensor);
+            };
+            selected.push(period);
             projected = projected.saturating_sub(lifetime.bytes);
         }
 
         // Attach evictions and prefetches to kernels.
         let mut evict_after = vec![Vec::new(); n_kernels];
         let mut prefetch_before = vec![Vec::new(); n_kernels];
-        for &tensor in &selected {
-            let period = analysis
-                .periods()
-                .iter()
-                .filter(|p| p.tensor == tensor && !p.wraps_iteration)
-                .max_by_key(|p| p.length())
-                .expect("selected tensors have a period");
+        for period in &selected {
+            let tensor = period.tensor;
             evict_after[period.start_kernel.index()].push(tensor);
             // Prefetch early enough to cover the SSD read at the trace's
             // kernel granularity.

@@ -53,8 +53,8 @@ pub trait MemoryPolicy {
 /// Least-recently-used victim selection with host-then-SSD placement: the
 /// shared default used by Base UVM, DeepUM+ and as G10's fallback.
 ///
-/// Selection goes through [`EngineState::lru_victim_candidate`]: O(log R)
-/// against the engine's incremental victim index.
+/// Selection goes through [`EngineState::lru_victim_candidate`]: O(1 +
+/// protected) against the engine's incremental victim index.
 pub fn lru_victim(state: &EngineState) -> Option<(TensorId, Location)> {
     let victim = state.lru_victim_candidate()?;
     let bytes = state.bytes_of(victim);

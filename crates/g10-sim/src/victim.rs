@@ -3,52 +3,106 @@
 //! The replay engine's victim selection used to be a full scan over
 //! [`crate::engine::EngineState::evictable_tensors`] per eviction — O(R) in
 //! the number of GPU-resident tensors, and quadratic over a replay that
-//! evicts continuously.  [`VictimIndex`] replaces the scan with two ordered
-//! sets over the evictable residents, keyed so that their extremal elements
-//! are *exactly* the tensors the linear scans would have picked:
+//! evicts continuously.  [`VictimIndex`] replaces the scan with two orders
+//! over the evictable residents, keyed so that their extremal elements are
+//! *exactly* the tensors the linear scans would have picked:
 //!
-//! * `by_recency`, keyed by `(last_touch, tensor_id)`: the linear LRU scan
+//! * **Recency**, keyed by `(last_touch, tensor_id)`: the linear LRU scan
 //!   (`min_by_key` over id-ordered iteration) returns the first tensor with
 //!   the minimal `last_touch`, i.e. the lexicographic minimum of
-//!   `(last_touch, tensor_id)` — the first element of this set.
-//! * `by_size`, keyed by `(bytes, tensor_id)`: FlashNeuron's largest-victim
-//!   scan (`max_by_key` over id-ordered iteration) returns the *last* tensor
-//!   with the maximal size, i.e. the lexicographic maximum of
-//!   `(bytes, tensor_id)` — the last element of this set.
+//!   `(last_touch, tensor_id)` — the head of this order.
+//! * **Size**, keyed by `(bytes, tensor_id)`: FlashNeuron's largest-victim
+//!   scan (`max_by_key` over id-ordered iteration) returns the *last*
+//!   tensor with the maximal size, i.e. the lexicographic maximum of
+//!   `(bytes, tensor_id)` — the last element of this order.
 //!
 //! Membership mirrors the engine's GPU resident set (tensors resident and
 //! not in flight); the per-kernel *protected* working set stays in the index
 //! and is skipped at query time instead, so protection changes cost nothing.
-//! A query therefore walks at most `protected + 1` entries from the extremal
-//! end — O(log R + P) with P bounded by one kernel's working-set size —
-//! while insert / remove / touch are O(log R).
+//!
+//! # Recency list
+//!
+//! The recency order is an intrusive doubly-linked list over tensor ids
+//! (flat per-id `prev` / `next` links plus each member's stamp), sorted by
+//! `(last_touch, tensor_id)` with the head at the LRU end.  `insert` and
+//! `touch` link an entry by walking back from the tail past the entries
+//! with a larger key, so the list is exact for any stamp sequence; `remove`
+//! unlinks in O(1).  The engine stamps a kernel's working set with the
+//! kernel's index *before* any of it becomes resident (see
+//! `ReplayEngine::step`), so every entry linked during a step carries the
+//! newest stamp and the walk passes only the entries that same kernel
+//! already touched.
+//!
+//! # Size order
+//!
+//! The size order is an ordered set built from the list on the first
+//! [`VictimIndex::largest`] query and maintained from then on.  Only
+//! FlashNeuron asks for the largest victim, so every other design never
+//! pays for it.
+//!
+//! | operation | cost |
+//! |---|---|
+//! | `insert`, `touch` | O(1 + entries with a larger key); O(1 + this kernel's entries) in the engine, plus O(log R) once the size order exists |
+//! | `remove` | O(1), plus O(log R) once the size order exists |
+//! | `lru` | O(1 + protected) |
+//! | `largest` | O(log R + protected), after a one-time O(R log R) build |
 //!
 //! The pre-index linear scans live on in [`crate::naive`] as the
 //! property-tested reference (`crates/g10-sim/tests/victim_props.rs` pins
 //! the two against each other on randomized touch/evict sequences).
-//!
-//! For multi-tenant runs (see [`crate::tenancy`]) every entry additionally
-//! carries a tenant tag in a side table: the ordered-set keys are
-//! unchanged, so solo behaviour is byte-identical, but cross-job-aware
-//! policies can ask for the coldest tensor *of a preferred tenant*
-//! ([`VictimIndex::lru_preferring`]) — e.g. prefer low-priority tenants'
-//! cold tensors before touching anyone else's.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::cell::OnceCell;
+use std::collections::BTreeSet;
 
-use crate::tenancy::TenantId;
+/// End-of-list marker for the recency links.
+const NIL: u32 = u32::MAX;
+
+/// One tensor id's slot in the recency list.
+#[derive(Debug, Clone, Copy)]
+struct Link {
+    prev: u32,
+    next: u32,
+    /// The `last_touch` the entry is ordered by.
+    stamp: usize,
+    bytes: u64,
+    linked: bool,
+}
+
+impl Link {
+    const UNLINKED: Link = Link {
+        prev: NIL,
+        next: NIL,
+        stamp: 0,
+        bytes: 0,
+        linked: false,
+    };
+}
 
 /// Ordered index over evictable GPU-resident tensors.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct VictimIndex {
-    /// Evictable residents keyed by `(last_touch, tensor_id)`.
-    by_recency: BTreeSet<(usize, u32)>,
-    /// Evictable residents keyed by `(bytes, tensor_id)`.
-    by_size: BTreeSet<(u64, u32)>,
-    /// Tenant tags; tensors absent from this table belong to
-    /// [`TenantId::SOLO`].  Kept out of the set keys so tagging cannot
-    /// perturb single-tenant eviction order.
-    tenants: BTreeMap<u32, TenantId>,
+    /// Recency-list slots, indexed by tensor id.
+    links: Vec<Link>,
+    /// Least-recently-used end of the list.
+    head: u32,
+    /// Most-recently-used end of the list.
+    tail: u32,
+    len: usize,
+    /// Members keyed by `(bytes, tensor_id)`, built on the first
+    /// [`VictimIndex::largest`] query.
+    by_size: OnceCell<BTreeSet<(u64, u32)>>,
+}
+
+impl Default for VictimIndex {
+    fn default() -> Self {
+        VictimIndex {
+            links: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            len: 0,
+            by_size: OnceCell::new(),
+        }
+    }
 }
 
 impl VictimIndex {
@@ -57,89 +111,70 @@ impl VictimIndex {
         VictimIndex::default()
     }
 
-    /// Adds a tensor that just became an evictable resident, owned by
-    /// [`TenantId::SOLO`].
+    /// Adds a tensor that just became an evictable resident.
     pub fn insert(&mut self, idx: u32, last_touch: usize, bytes: u64) {
-        self.insert_for(idx, last_touch, bytes, TenantId::SOLO);
-    }
-
-    /// Adds a tensor that just became an evictable resident, tagged with
-    /// its owning tenant.
-    pub fn insert_for(&mut self, idx: u32, last_touch: usize, bytes: u64, tenant: TenantId) {
-        self.by_recency.insert((last_touch, idx));
-        self.by_size.insert((bytes, idx));
-        if tenant != TenantId::SOLO {
-            self.tenants.insert(idx, tenant);
+        let slot = idx as usize;
+        if slot >= self.links.len() {
+            self.links.resize(slot + 1, Link::UNLINKED);
+        }
+        debug_assert!(!self.links[slot].linked, "tensor {idx} is already indexed");
+        self.links[slot].stamp = last_touch;
+        self.links[slot].bytes = bytes;
+        self.link(idx);
+        self.len += 1;
+        if let Some(by_size) = self.by_size.get_mut() {
+            by_size.insert((bytes, idx));
         }
     }
 
-    /// The tenant a currently indexed tensor was inserted for.
-    pub fn tenant_of(&self, idx: u32) -> TenantId {
-        self.tenants.get(&idx).copied().unwrap_or(TenantId::SOLO)
-    }
-
-    /// Removes a tensor that is no longer an evictable resident.  The caller
-    /// passes the same `last_touch` / `bytes` the tensor was inserted with
-    /// (the engine's tensor table is the source of truth for both).
-    pub fn remove(&mut self, idx: u32, last_touch: usize, bytes: u64) {
-        self.by_recency.remove(&(last_touch, idx));
-        self.by_size.remove(&(bytes, idx));
-        self.tenants.remove(&idx);
+    /// Removes a tensor that is no longer an evictable resident.  A no-op
+    /// for tensors not currently in the index.
+    pub fn remove(&mut self, idx: u32) {
+        if !self.contains(idx) {
+            return;
+        }
+        self.unlink(idx);
+        self.len -= 1;
+        let bytes = self.links[idx as usize].bytes;
+        if let Some(by_size) = self.by_size.get_mut() {
+            by_size.remove(&(bytes, idx));
+        }
     }
 
     /// Re-keys a tensor after its `last_touch` changed.  A no-op for tensors
     /// not currently in the index (size keys are unaffected: tensor sizes
     /// are immutable).
-    pub fn touch(&mut self, idx: u32, old_last_touch: usize, new_last_touch: usize) {
-        if self.by_recency.remove(&(old_last_touch, idx)) {
-            self.by_recency.insert((new_last_touch, idx));
+    pub fn touch(&mut self, idx: u32, last_touch: usize) {
+        if !self.contains(idx) || self.links[idx as usize].stamp == last_touch {
+            return;
         }
+        self.unlink(idx);
+        self.links[idx as usize].stamp = last_touch;
+        self.link(idx);
     }
 
     /// The least-recently-used unprotected resident: minimal
     /// `(last_touch, tensor_id)`, skipping protected entries.
     pub fn lru(&self, is_protected: impl Fn(u32) -> bool) -> Option<u32> {
-        self.by_recency
-            .iter()
-            .map(|&(_, idx)| idx)
-            .find(|&idx| !is_protected(idx))
-    }
-
-    /// The least-recently-used unprotected resident *owned by `tenant`*,
-    /// or `None` if that tenant has no evictable residents.
-    pub fn lru_of_tenant(
-        &self,
-        tenant: TenantId,
-        is_protected: impl Fn(u32) -> bool,
-    ) -> Option<u32> {
-        self.by_recency
-            .iter()
-            .map(|&(_, idx)| idx)
-            .find(|&idx| self.tenant_of(idx) == tenant && !is_protected(idx))
-    }
-
-    /// The least-recently-used unprotected resident, preferring tenants in
-    /// the given order: the first preferred tenant with an evictable
-    /// resident wins; if none of them has one, falls back to the global
-    /// LRU.  With an empty preference list this is exactly
-    /// [`VictimIndex::lru`].
-    pub fn lru_preferring(
-        &self,
-        preference: &[TenantId],
-        is_protected: impl Fn(u32) -> bool,
-    ) -> Option<u32> {
-        for &tenant in preference {
-            if let Some(idx) = self.lru_of_tenant(tenant, &is_protected) {
-                return Some(idx);
+        let mut cur = self.head;
+        while cur != NIL {
+            if !is_protected(cur) {
+                return Some(cur);
             }
+            cur = self.links[cur as usize].next;
         }
-        self.lru(is_protected)
+        None
     }
 
     /// The largest unprotected resident: maximal `(bytes, tensor_id)`,
-    /// skipping protected entries.
+    /// skipping protected entries.  The first call builds the size order.
     pub fn largest(&self, is_protected: impl Fn(u32) -> bool) -> Option<u32> {
         self.by_size
+            .get_or_init(|| {
+                self.members()
+                    .map(|idx| (self.links[idx as usize].bytes, idx))
+                    .collect()
+            })
             .iter()
             .rev()
             .map(|&(_, idx)| idx)
@@ -148,12 +183,68 @@ impl VictimIndex {
 
     /// Number of evictable residents in the index.
     pub fn len(&self) -> usize {
-        self.by_recency.len()
+        self.len
     }
 
     /// Returns `true` if no evictable residents are indexed.
     pub fn is_empty(&self) -> bool {
-        self.by_recency.is_empty()
+        self.len == 0
+    }
+
+    fn contains(&self, idx: u32) -> bool {
+        self.links.get(idx as usize).is_some_and(|link| link.linked)
+    }
+
+    /// Members in recency order, LRU first.
+    fn members(&self) -> impl Iterator<Item = u32> + '_ {
+        std::iter::successors((self.head != NIL).then_some(self.head), |&idx| {
+            let next = self.links[idx as usize].next;
+            (next != NIL).then_some(next)
+        })
+    }
+
+    /// Links an unlinked slot (its stamp already set) into its place: after
+    /// the last entry whose `(stamp, id)` is smaller, found by walking back
+    /// from the tail.
+    fn link(&mut self, idx: u32) {
+        let key = (self.links[idx as usize].stamp, idx);
+        let mut before = self.tail;
+        while before != NIL && (self.links[before as usize].stamp, before) > key {
+            before = self.links[before as usize].prev;
+        }
+        let after = if before == NIL {
+            std::mem::replace(&mut self.head, idx)
+        } else {
+            std::mem::replace(&mut self.links[before as usize].next, idx)
+        };
+        if after == NIL {
+            self.tail = idx;
+        } else {
+            self.links[after as usize].prev = idx;
+        }
+        let link = &mut self.links[idx as usize];
+        link.prev = before;
+        link.next = after;
+        link.linked = true;
+    }
+
+    /// Unlinks a linked slot in O(1).
+    fn unlink(&mut self, idx: u32) {
+        let Link { prev, next, .. } = self.links[idx as usize];
+        if prev == NIL {
+            self.head = next;
+        } else {
+            self.links[prev as usize].next = next;
+        }
+        if next == NIL {
+            self.tail = prev;
+        } else {
+            self.links[next as usize].prev = prev;
+        }
+        let link = &mut self.links[idx as usize];
+        link.prev = NIL;
+        link.next = NIL;
+        link.linked = false;
     }
 }
 
@@ -168,7 +259,7 @@ mod tests {
         index.insert(2, 3, 100);
         index.insert(9, 7, 100);
         assert_eq!(index.lru(|_| false), Some(2));
-        index.remove(2, 3, 100);
+        index.remove(2);
         assert_eq!(index.lru(|_| false), Some(5));
         assert_eq!(index.len(), 2);
     }
@@ -180,7 +271,7 @@ mod tests {
         index.insert(2, 0, 100);
         index.insert(9, 0, 50);
         assert_eq!(index.largest(|_| false), Some(5));
-        index.remove(5, 0, 100);
+        index.remove(5);
         assert_eq!(index.largest(|_| false), Some(2));
     }
 
@@ -189,39 +280,30 @@ mod tests {
         let mut index = VictimIndex::new();
         index.insert(1, 0, 10);
         index.insert(2, 0, 20);
-        index.touch(1, 0, 5);
+        index.touch(1, 5);
         assert_eq!(index.lru(|_| false), Some(2));
         // Touching an absent tensor must not resurrect it.
-        index.touch(7, 0, 5);
+        index.touch(7, 5);
         assert_eq!(index.len(), 2);
         assert_eq!(index.lru(|idx| idx == 2), Some(1));
     }
 
     #[test]
-    fn tenant_tags_ride_along_without_changing_order() {
+    fn touching_the_tail_with_an_equal_stamp_keeps_id_order() {
         let mut index = VictimIndex::new();
-        index.insert_for(1, 0, 10, TenantId(1));
-        index.insert_for(2, 1, 20, TenantId(2));
-        index.insert(3, 2, 30); // solo
-                                // Global order is untouched by tagging.
-        assert_eq!(index.lru(|_| false), Some(1));
-        assert_eq!(index.tenant_of(1), TenantId(1));
-        assert_eq!(index.tenant_of(3), TenantId::SOLO);
-        // Per-tenant and preference-ordered queries.
-        assert_eq!(index.lru_of_tenant(TenantId(2), |_| false), Some(2));
-        assert_eq!(index.lru_of_tenant(TenantId(9), |_| false), None);
-        assert_eq!(
-            index.lru_preferring(&[TenantId(9), TenantId(2)], |_| false),
-            Some(2)
-        );
-        // Empty preference and all-miss preference fall back to global LRU.
-        assert_eq!(index.lru_preferring(&[], |_| false), Some(1));
-        assert_eq!(index.lru_preferring(&[TenantId(9)], |_| false), Some(1));
-        // Protection applies inside tenant queries too.
-        assert_eq!(index.lru_of_tenant(TenantId(1), |idx| idx == 1), None);
-        // Removal clears the tag.
-        index.remove(1, 0, 10);
-        assert_eq!(index.tenant_of(1), TenantId::SOLO);
+        index.insert(7, 4, 10);
+        index.insert(3, 4, 10);
+        index.insert(5, 1, 10);
+        assert_eq!(index.members().collect::<Vec<_>>(), vec![5, 3, 7]);
+        // 7 is the tail: (4, 3) < (4, 7), and re-stamping it with 4 keeps it
+        // there.
+        index.touch(7, 4);
+        assert_eq!(index.members().collect::<Vec<_>>(), vec![5, 3, 7]);
+        // Moving 5 up to the tail's stamp links it between 3 and 7.
+        index.touch(5, 4);
+        assert_eq!(index.members().collect::<Vec<_>>(), vec![3, 5, 7]);
+        assert_eq!(index.lru(|_| false), Some(3));
+        assert_eq!(index.lru(|idx| idx == 3), Some(5));
     }
 
     #[test]
@@ -233,5 +315,23 @@ mod tests {
         assert_eq!(index.largest(|idx| idx == 2), Some(1));
         assert_eq!(index.lru(|_| true), None);
         assert_eq!(index.largest(|_| true), None);
+    }
+
+    #[test]
+    fn size_order_built_late_tracks_later_changes() {
+        let mut index = VictimIndex::new();
+        index.insert(1, 0, 10);
+        index.insert(2, 0, 30);
+        index.touch(2, 3);
+        assert_eq!(index.largest(|_| false), Some(2));
+        index.insert(3, 3, 50);
+        assert_eq!(index.largest(|_| false), Some(3));
+        index.remove(3);
+        index.remove(2);
+        assert_eq!(index.largest(|_| false), Some(1));
+        index.remove(1);
+        assert_eq!(index.largest(|_| false), None);
+        assert_eq!(index.lru(|_| false), None);
+        assert!(index.is_empty());
     }
 }

@@ -43,6 +43,25 @@ fn scan_largest(slots: &[Slot]) -> Option<u32> {
         .map(|(i, _)| i as u32)
 }
 
+/// Asserts the index's size and LRU answer (and, with `with_largest`, its
+/// largest-victim answer) against the linear scans.
+fn assert_agrees(index: &VictimIndex, slots: &[Slot], with_largest: bool) {
+    let resident = slots.iter().filter(|s| s.resident).count();
+    assert_eq!(index.len(), resident);
+    assert_eq!(
+        index.lru(|i| slots[i as usize].protected),
+        scan_lru(slots),
+        "LRU selection diverged from the linear scan"
+    );
+    if with_largest {
+        assert_eq!(
+            index.largest(|i| slots[i as usize].protected),
+            scan_largest(slots),
+            "largest-victim selection diverged from the linear scan"
+        );
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -75,7 +94,7 @@ proptest! {
                 1 => {
                     if slot.resident {
                         slot.resident = false;
-                        index.remove(idx as u32, slot.last_touch, slot.bytes);
+                        index.remove(idx as u32);
                     }
                 }
                 // A kernel used the tensor: last_touch moves, index re-keys
@@ -84,7 +103,7 @@ proptest! {
                     let old = slot.last_touch;
                     if old != stamp {
                         slot.last_touch = stamp;
-                        index.touch(idx as u32, old, stamp);
+                        index.touch(idx as u32, stamp);
                     }
                 }
                 // The working-set protection flag flips: a query-time
@@ -105,6 +124,89 @@ proptest! {
                 scan_largest(&slots),
                 "largest-victim selection diverged from the linear scan"
             );
+        }
+    }
+
+    /// The engine's access pattern: kernel stamps never decrease and stay
+    /// equal for a whole working set (and across kernels, when the stamp
+    /// does not advance), each working set is stamped and then made
+    /// resident in scrambled id order, and hundreds of ids keep the list
+    /// long.  The first largest-victim query comes after a random number
+    /// of operations, so the size order is built mid-sequence and must
+    /// then track every later change.
+    #[test]
+    fn index_matches_linear_scans_on_engine_like_sequences(
+        sizes in proptest::collection::vec(1u64..6, 50..500),
+        initial in proptest::collection::vec(0u8..2, 500..501),
+        kernels in proptest::collection::vec(
+            (0usize..3, proptest::collection::vec(0usize..500, 0..40), 0usize..6, 0usize..4),
+            1..60,
+        ),
+        first_largest in 0usize..1_500,
+    ) {
+        let n = sizes.len();
+        let mut slots: Vec<Slot> = sizes
+            .iter()
+            .map(|&bytes| Slot { resident: false, protected: false, last_touch: 0, bytes })
+            .collect();
+        let mut index = VictimIndex::new();
+        for (idx, slot) in slots.iter_mut().enumerate() {
+            if initial[idx] == 1 {
+                slot.resident = true;
+                index.insert(idx as u32, 0, slot.bytes);
+            }
+        }
+
+        let mut ops = 0usize;
+        let mut check = |index: &VictimIndex, slots: &[Slot]| {
+            ops += 1;
+            assert_agrees(index, slots, ops > first_largest);
+        };
+
+        let mut stamp = 0usize;
+        for (advance, raw_working_set, evictions, deaths) in kernels {
+            stamp += advance;
+            let mut working_set: Vec<usize> = Vec::new();
+            for raw in raw_working_set {
+                if !working_set.contains(&(raw % n)) {
+                    working_set.push(raw % n);
+                }
+            }
+            // Protect and stamp the working set, then make it resident.
+            for &idx in &working_set {
+                let slot = &mut slots[idx];
+                slot.protected = true;
+                if slot.last_touch != stamp {
+                    slot.last_touch = stamp;
+                    index.touch(idx as u32, stamp);
+                }
+                check(&index, &slots);
+            }
+            for &idx in &working_set {
+                if !slots[idx].resident {
+                    slots[idx].resident = true;
+                    index.insert(idx as u32, stamp, slots[idx].bytes);
+                    check(&index, &slots);
+                }
+            }
+            // Evict the LRU victim to make room.
+            for _ in 0..evictions {
+                let Some(victim) = scan_lru(&slots) else { break };
+                slots[victim as usize].resident = false;
+                index.remove(victim);
+                check(&index, &slots);
+            }
+            // Release, then unprotect, the working set; the first `deaths`
+            // members die.
+            for &idx in working_set.iter().take(deaths) {
+                slots[idx].resident = false;
+                index.remove(idx as u32);
+                check(&index, &slots);
+            }
+            for &idx in &working_set {
+                slots[idx].protected = false;
+            }
+            check(&index, &slots);
         }
     }
 }
