@@ -24,6 +24,16 @@
 //! acceptances on the paper models tie with the runner-up's key — and
 //! `tests/golden_plans.rs` pins this rule, not the re-sort's.
 //!
+//! Each heap key is one `u128`: the score's IEEE-754 bits in the high 64
+//! bits and the period index in the low 64.  Every score in the heap is
+//! positive and finite: seeding keeps only candidates with benefit > 0 and
+//! cost ≥ 1e-12 s, and a fresh score ≤ 0 pops its candidate instead of
+//! re-keying it.  A positive finite float has its sign bit clear and its
+//! exponent above its mantissa, so its bits, read as an unsigned integer,
+//! order exactly as the float does.  Integer order on keys is therefore
+//! exactly `(score.total_cmp, period index)` order, and the heap's sifts
+//! compare two integers instead of a float and then a tie-break.
+//!
 //! Benefits come from [`AboveCapacity`], an index of the kernels above the
 //! GPU capacity that only ever loses pressure, so a re-score descends only
 //! toward kernels within the candidate's size of the capacity.
@@ -41,7 +51,12 @@
 //!   the G10 variant (GDS, Host, Full) never enter it.
 //! * **Assign** replays that order through the destination choice of
 //!   Algorithm 1 (lines 7–17) and the channel reservations, which is where
-//!   host capacity and `allow_host` come in.
+//!   host capacity and `allow_host` come in.  It asks whether the host has
+//!   room only when the answer decides something: on a saturated SSD
+//!   channel, or when planning is host-only.
+//!
+//! Assign never reads the post-eviction pressure curve, so both entries
+//! build it once, after the last placement, with [`pressure_after`].
 //!
 //! [`schedule_evictions`] memoises the selected order process-wide, so the
 //! three variants of one cell and every point of a host-memory sweep share
@@ -62,7 +77,7 @@
 
 use crate::bandwidth::{BandwidthReservation, BandwidthTimeline};
 use crate::config::{Destination, SystemConfig};
-use crate::pressure::{AboveCapacity, MemoryTimeline, PressureTimeline};
+use crate::pressure::{pressure_after, AboveCapacity, MemoryTimeline, PressureTimeline};
 use crate::vitality::{InactivePeriod, PeriodId, PeriodRanges, VitalityAnalysis};
 use g10_dnn::graph::KernelId;
 use g10_dnn::index::GraphIndex;
@@ -70,7 +85,6 @@ use g10_dnn::tensor::TensorId;
 use g10_dnn::trace::KernelTrace;
 use g10_time::Nanos;
 use serde::{Deserialize, Serialize};
-use std::cmp::Ordering;
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
@@ -150,15 +164,6 @@ pub struct EvictionSchedule<P = MemoryTimeline, B = BandwidthTimeline> {
 }
 
 impl<P: PressureTimeline, B> EvictionSchedule<P, B> {
-    /// Bytes scheduled for eviction to the SSD.
-    pub fn ssd_bytes(&self) -> u64 {
-        self.decisions
-            .iter()
-            .filter(|d| d.destination == Destination::Ssd)
-            .map(|d| d.bytes)
-            .sum()
-    }
-
     /// Bytes scheduled for eviction to host memory.
     pub fn host_bytes(&self) -> u64 {
         self.decisions
@@ -174,29 +179,24 @@ impl<P: PressureTimeline, B> EvictionSchedule<P, B> {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Candidate {
-    score: f64,
-    period: PeriodId,
+/// A CELF heap key: the score's bits above the period index (see the
+/// module doc for why integer order is `(score, period index)` order).
+type Key = u128;
+
+fn key(score: f64, period: PeriodId) -> Key {
+    debug_assert!(
+        score > 0.0 && score.is_finite(),
+        "CELF scores are positive and finite, got {score}"
+    );
+    (u128::from(score.to_bits()) << 64) | period.index() as u128
 }
 
-impl PartialEq for Candidate {
-    fn eq(&self, other: &Self) -> bool {
-        self.score == other.score && self.period == other.period
-    }
+fn key_score(key: Key) -> f64 {
+    f64::from_bits((key >> 64) as u64)
 }
-impl Eq for Candidate {}
-impl PartialOrd for Candidate {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Candidate {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.score
-            .total_cmp(&other.score)
-            .then_with(|| self.period.index().cmp(&other.period.index()))
-    }
+
+fn key_period(key: Key) -> PeriodId {
+    PeriodId(key as u64 as usize)
 }
 
 /// Runs the smart eviction scheduling algorithm on the indexed timelines,
@@ -217,16 +217,13 @@ pub fn schedule_evictions(
     }
     let order = memoised_order(analysis, trace, config);
     let n_kernels = trace.len();
-    let mut pressure = MemoryTimeline::new(analysis.live_bytes(), trace.durations());
     let mut assign = Assign::new(trace, config, options);
     for &id in order.iter() {
         let period = analysis.period(id);
-        let ranges = period.ranges(n_kernels);
         // SSD-capable planning places every selected period.
-        assign.place(period, ranges.as_slice());
-        pressure.add(ranges.as_slice(), -(period.bytes as i64));
+        assign.place(period, period.ranges(n_kernels).as_slice());
     }
-    assign.finish(pressure)
+    assign.finish(analysis, trace)
 }
 
 /// Runs the smart eviction scheduling algorithm on explicit timeline
@@ -238,17 +235,10 @@ pub fn schedule_evictions_with<P: PressureTimeline, B: BandwidthReservation>(
     config: &SystemConfig,
     options: EvictionOptions,
 ) -> EvictionSchedule<P, B> {
-    let mut pressure = P::from_values(analysis.live_bytes(), trace.durations());
     let mut assign = Assign::new(trace, config, options);
     let nominal = options.nominal_destination();
-    select(analysis, trace, config, nominal, |p, r| {
-        let placed = assign.place(p, r);
-        if placed {
-            pressure.add(r, -(p.bytes as i64));
-        }
-        placed
-    });
-    assign.finish(pressure)
+    select(analysis, trace, config, nominal, |p, r| assign.place(p, r));
+    assign.finish(analysis, trace)
 }
 
 /// The CELF lazy greedy of Algorithm 1 over the pressure curve
@@ -272,7 +262,7 @@ fn select(
     // Seed the lazy-greedy heap with every candidate whose inactive period is
     // long enough to cover the round-trip migration and whose eviction would
     // currently relieve pressure above the capacity limit.
-    let mut heap: BinaryHeap<Candidate> = BinaryHeap::new();
+    let mut heap: BinaryHeap<Key> = BinaryHeap::new();
     for period in analysis.periods() {
         let cost = config.migration_cost(period.bytes, nominal_dest);
         if period.length() <= cost {
@@ -288,10 +278,7 @@ fn select(
         }
         let cost = cost.as_secs_f64().max(1e-12);
         cost_s[period.id.index()] = cost;
-        heap.push(Candidate {
-            score: benefit / cost,
-            period: period.id,
-        });
+        heap.push(key(benefit / cost, period.id));
     }
 
     while above.any_above() {
@@ -299,7 +286,7 @@ fn select(
         let Some(mut top) = heap.peek_mut() else {
             break;
         };
-        let id = top.period;
+        let id = key_period(*top);
         let period = analysis.period(id);
         let ranges = ranges_arena[id.index()].as_slice();
         let fresh_score = above.reduction(ranges, period.bytes) / cost_s[id.index()];
@@ -312,7 +299,7 @@ fn select(
             // Re-key in place; the heap sifts it down when `top` drops.
             // Keys are distinct (each period is in the heap at most once),
             // so the pop order matches a pop followed by a push.
-            top.score = fresh_score;
+            *top = key(fresh_score, id);
             continue;
         }
         PeekMut::pop(top);
@@ -324,13 +311,13 @@ fn select(
 
 /// The key of the heap's second-best candidate: the larger of the root's
 /// two children in `BinaryHeap`'s array layout.
-fn runner_up_score(heap: &BinaryHeap<Candidate>) -> Option<f64> {
+fn runner_up_score(heap: &BinaryHeap<Key>) -> Option<f64> {
     heap.as_slice()
         .iter()
         .skip(1)
         .take(2)
         .max()
-        .map(|c| c.score)
+        .map(|&k| key_score(k))
 }
 
 /// The assign step: destination choice and channel reservations for each
@@ -366,17 +353,21 @@ impl<'a, P: PressureTimeline, B: BandwidthReservation> Assign<'a, P, B> {
         let config = self.config;
         let t_r = period.start_time;
         let ssd_window = config.evict_time(period.bytes, Destination::Ssd);
-        let host_fits = self.options.allow_host
-            && self
-                .host_occupancy
-                .fits_extra(ranges, period.bytes, config.host_memory_bytes);
+        // A range query, so it runs only when its answer decides something:
+        // on a saturated SSD channel or when planning is host-only.
+        let host_fits = || {
+            self.options.allow_host
+                && self
+                    .host_occupancy
+                    .fits_extra(ranges, period.bytes, config.host_memory_bytes)
+        };
         let destination = if self.options.allow_ssd {
-            if self.to_ssd.is_saturated(period.bytes, t_r, ssd_window) && host_fits {
+            if self.to_ssd.is_saturated(period.bytes, t_r, ssd_window) && host_fits() {
                 Destination::Host
             } else {
                 Destination::Ssd
             }
-        } else if host_fits {
+        } else if host_fits() {
             Destination::Host
         } else {
             return false;
@@ -401,7 +392,17 @@ impl<'a, P: PressureTimeline, B: BandwidthReservation> Assign<'a, P, B> {
         true
     }
 
-    fn finish(self, pressure: P) -> EvictionSchedule<P, B> {
+    /// The schedule, with the pressure curve after every placed eviction
+    /// built in one pass.
+    fn finish(self, analysis: &VitalityAnalysis, trace: &KernelTrace) -> EvictionSchedule<P, B> {
+        let n_kernels = trace.len();
+        let pressure = pressure_after(
+            analysis.live_bytes(),
+            trace.durations(),
+            self.decisions
+                .iter()
+                .map(|d| (analysis.period(d.period).ranges(n_kernels), d.bytes)),
+        );
         EvictionSchedule {
             decisions: self.decisions,
             pressure,
@@ -594,25 +595,70 @@ mod tests {
     }
 
     #[test]
+    fn packed_keys_order_as_score_then_period() {
+        let scores = [
+            f64::from_bits(1), // the smallest subnormal
+            f64::from_bits(2),
+            f64::MIN_POSITIVE / 2.0, // subnormal
+            f64::MIN_POSITIVE,
+            f64::MIN_POSITIVE.next_up(),
+            1e-12,
+            0.5,
+            1.0,
+            1.0f64.next_up(),
+            1.0f64.next_up().next_up(),
+            3.0,
+            1e300,
+            f64::MAX.next_down(),
+            f64::MAX,
+        ];
+        let periods = [
+            0,
+            1,
+            2,
+            u32::MAX as usize,
+            u32::MAX as usize + 1,
+            (u64::MAX >> 1) as usize,
+            u64::MAX as usize,
+        ];
+        let cases: Vec<(f64, PeriodId)> = scores
+            .iter()
+            .flat_map(|&s| periods.iter().map(move |&p| (s, PeriodId(p))))
+            .collect();
+        for &(s, p) in &cases {
+            assert_eq!(key_score(key(s, p)).to_bits(), s.to_bits());
+            assert_eq!(key_period(key(s, p)), p);
+            for &(t, q) in &cases {
+                let expected = s.total_cmp(&t).then(p.index().cmp(&q.index()));
+                assert_eq!(
+                    key(s, p).cmp(&key(t, q)),
+                    expected,
+                    "({s:e}, {p:?}) vs ({t:e}, {q:?})"
+                );
+            }
+        }
+    }
+
+    #[test]
     fn the_runner_up_is_the_best_key_after_the_top() {
         // `runner_up_score` reads the root's children of `BinaryHeap`'s
         // array layout; check it against popping, with tied scores.
         let mut heap = BinaryHeap::new();
         assert_eq!(runner_up_score(&heap), None);
         for i in 0..200u64 {
-            heap.push(Candidate {
-                score: ((i * 7919) % 37) as f64,
-                period: PeriodId(i as usize),
-            });
+            heap.push(key(((i * 7919) % 37 + 1) as f64, PeriodId(i as usize)));
         }
         while !heap.is_empty() {
             let mut rest = heap.clone();
             rest.pop();
-            assert_eq!(runner_up_score(&heap), rest.peek().map(|c| c.score));
+            assert_eq!(runner_up_score(&heap), rest.peek().map(|&k| key_score(k)));
             // Re-key the top in place, as selection does, then drop the
             // new top.
             if let Some(mut top) = heap.peek_mut() {
-                top.score -= 3.0;
+                let lowered = key_score(*top) - 3.0;
+                if lowered > 0.0 {
+                    *top = key(lowered, key_period(*top));
+                }
             }
             heap.pop();
         }

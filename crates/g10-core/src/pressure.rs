@@ -27,15 +27,22 @@
 //! | [`AboveCapacity::reduction`]        | O(r)       | O((1 + k) log n)²     |
 //! | [`AboveCapacity::sub`]              | O(r)       | O(log n) amortised³   |
 //! | [`AboveCapacity::any_above`]        | O(n)       | O(1)                  |
+//! | [`pressure_after`], `e` evictions   | O(n + e·r) | O(n + e)⁴             |
 //!
 //! ¹ as open-coded by the eager-prefetch backward walk: O(r) `fits_extra`
 //!   probes of an O(r) suffix each.
 //! ² `k` is the number of kernels in the range that are above capacity by
 //!   less than `bytes`; every other subtree is answered in one step, as 0
 //!   (nothing above capacity) or as `bytes × Σ duration` (everything at
-//!   least `bytes` above it).
+//!   least `bytes` above it).  The descent tests each child before calling
+//!   into it, so no call lands outside the range or in a subtree with
+//!   nothing above capacity.
 //! ³ per range, plus O(log n) for each kernel the update lowers to the
 //!   capacity or below, which happens at most once per kernel.
+//! ⁴ the flat column is one `add` per eviction; the indexed column is one
+//!   difference-array pass and one O(n) build, where `e` lazy range-adds
+//!   would cost O(n + e log n).  Both schedulers build their post-eviction
+//!   curve this way, once per plan.
 //!
 //! [`AboveCapacity`] is eviction selection's view of the pressure curve:
 //! fixed to one capacity and only ever lowered.  Its benefit accumulates
@@ -429,6 +436,56 @@ impl PressureTimeline for MemoryTimeline {
     }
 }
 
+/// The curve `values` after each `(ranges, bytes)` eviction is subtracted
+/// from it, as one timeline: a per-kernel difference array over every
+/// eviction's ranges, a prefix sum over `values`, then one
+/// [`PressureTimeline::from_values`].
+///
+/// The result's values equal `P::from_values(values, durations)` followed
+/// by one `add(ranges, -bytes)` per eviction: the arithmetic is integer, so
+/// the order of the subtractions does not matter.  Ranges are clipped to the
+/// timeline, as [`PressureTimeline::add`] clips them.  It costs O(n + e)
+/// for `n` kernels and `e` evictions, against O(e log n) lazy range-adds
+/// into an O(n) build.
+///
+/// # Panics
+///
+/// Panics if the slices have different lengths, or if the evictions lower
+/// a kernel below zero.  Neither happens for the planner's evictions: a
+/// tensor is live, and so counted in `values`, over each of its inactive
+/// periods, and at most one of its periods covers any kernel.
+pub fn pressure_after<P, R>(
+    values: &[u64],
+    durations: &[Nanos],
+    evictions: impl IntoIterator<Item = (R, u64)>,
+) -> P
+where
+    P: PressureTimeline,
+    R: AsRef<[(usize, usize)]>,
+{
+    let len = values.len();
+    let mut diff = vec![0i64; len + 1];
+    for (ranges, bytes) in evictions {
+        for &(lo, hi) in ranges.as_ref() {
+            let hi = hi.min(len);
+            if lo < hi {
+                diff[lo] -= bytes as i64;
+                diff[hi] += bytes as i64;
+            }
+        }
+    }
+    let mut delta = 0i64;
+    let lowered: Vec<u64> = values
+        .iter()
+        .zip(&diff)
+        .map(|(&v, &d)| {
+            delta += d;
+            u64::try_from(v as i64 + delta).expect("evictions lower a kernel below zero")
+        })
+        .collect();
+    P::from_values(&lowered, durations)
+}
+
 /// `min_over` of a subtree with no kernel above capacity.
 const NONE_ABOVE: u64 = u64::MAX;
 
@@ -561,8 +618,11 @@ impl AboveCapacity {
         self.pull(node);
     }
 
-    /// Exact byte·nanoseconds of removing `bytes` over `[l, r)`; `pending`
-    /// is the ancestors' lazy subtraction not yet pushed to `node`.
+    /// Exact byte·nanoseconds of removing `bytes` over `[l, r)`, which
+    /// overlaps `[nl, nr)`, a subtree holding a kernel above capacity: each
+    /// call tests both conditions for a child before descending into it.
+    /// `pending` is the ancestors' lazy subtraction not yet pushed to
+    /// `node`.
     #[allow(clippy::too_many_arguments)]
     fn byte_ns(
         &self,
@@ -575,9 +635,6 @@ impl AboveCapacity {
         pending: u64,
     ) -> u128 {
         let n = self.nodes[node];
-        if r <= nl || nr <= l || n.min_over == NONE_ABOVE {
-            return 0;
-        }
         let min_over = n.min_over - pending;
         if l <= nl && nr <= r {
             if min_over >= bytes {
@@ -589,8 +646,14 @@ impl AboveCapacity {
         }
         let mid = nl + (nr - nl) / 2;
         let pending = pending + n.lazy;
-        self.byte_ns(2 * node, nl, mid, l, r, bytes, pending)
-            + self.byte_ns(2 * node + 1, mid, nr, l, r, bytes, pending)
+        let mut sum = 0;
+        if l < mid && self.nodes[2 * node].min_over != NONE_ABOVE {
+            sum += self.byte_ns(2 * node, nl, mid, l, r, bytes, pending);
+        }
+        if mid < r && self.nodes[2 * node + 1].min_over != NONE_ABOVE {
+            sum += self.byte_ns(2 * node + 1, mid, nr, l, r, bytes, pending);
+        }
+        sum
     }
 
     /// Returns `true` while any kernel, of any duration, is above capacity.
@@ -615,6 +678,9 @@ impl AboveCapacity {
     /// byte·nanoseconds and converted once, so it is bit-identical to
     /// [`crate::naive::NaiveMemoryTimeline::reduction_above`].
     pub fn reduction(&self, ranges: &[(usize, usize)], bytes: u64) -> f64 {
+        if !self.any_above() {
+            return 0.0;
+        }
         let mut byte_ns: u128 = 0;
         for &(lo, hi) in ranges {
             let hi = hi.min(self.len);

@@ -1,7 +1,7 @@
 //! The top-level G10 scheduler: vitality analysis → eviction scheduling →
 //! prefetch scheduling → migration plan.
 
-use crate::config::{Destination, SystemConfig};
+use crate::config::SystemConfig;
 use crate::eviction::{schedule_evictions, EvictionOptions};
 use crate::plan::{Instruction, MigrationPlan};
 use crate::prefetch::schedule_prefetches;
@@ -207,13 +207,6 @@ impl G10Scheduler {
         }
 
         plan
-    }
-
-    /// First-choice eviction destination.  Every variant targets the SSD
-    /// first (Algorithm 1); host memory is only a spillover target for
-    /// host-capable variants when SSD write bandwidth saturates.
-    pub fn preferred_destination(&self) -> Destination {
-        Destination::Ssd
     }
 }
 

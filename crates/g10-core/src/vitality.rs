@@ -108,6 +108,12 @@ impl PeriodRanges {
     }
 }
 
+impl AsRef<[(usize, usize)]> for PeriodRanges {
+    fn as_ref(&self) -> &[(usize, usize)] {
+        self.as_slice()
+    }
+}
+
 impl InactivePeriod {
     /// Length of the period in the ideal schedule.
     pub fn length(&self) -> Nanos {

@@ -8,10 +8,13 @@
 //! integer-accumulated benefit above capacity, and the `f64` free-byte sums,
 //! which both ledgers add up bin by bin in the same order, so they are
 //! compared bit for bit along with every saturation verdict.
+//!
+//! The one-pass post-eviction curve, [`pressure_after`], must equal the
+//! reference lowered by one `add` per evicted range.
 
 use g10_core::bandwidth::{BandwidthReservation, BandwidthTimeline};
 use g10_core::naive::{NaiveBandwidthTimeline, NaiveMemoryTimeline};
-use g10_core::pressure::{AboveCapacity, MemoryTimeline, PressureTimeline};
+use g10_core::pressure::{pressure_after, AboveCapacity, MemoryTimeline, PressureTimeline};
 use g10_time::Nanos;
 use proptest::prelude::*;
 
@@ -157,6 +160,57 @@ proptest! {
         prop_assert!(!index.any_above());
         prop_assert!(flat.max_value() <= capacity);
         prop_assert_eq!(index.reduction(&[(0, n)], quantum), 0.0);
+    }
+
+    /// Periods as the planner sees them: one range, or a wrap-style pair
+    /// (the iteration's tail and its head), some reaching past the end.
+    /// Each period's bytes are live over its ranges on top of a random
+    /// base, as a tensor is live over its inactive periods, and a random
+    /// subset of the periods is evicted.
+    #[test]
+    fn one_pass_pressure_matches_one_add_per_eviction(
+        kernels in proptest::collection::vec((0u64..(1u64 << 36), 0u64..2_000), 1..120),
+        periods in proptest::collection::vec(
+            (0u8..2, 0usize..140, 0usize..60, 1u64..(1u64 << 34), 0u8..2),
+            0..40,
+        ),
+    ) {
+        let n = kernels.len();
+        let base: Vec<u64> = kernels.iter().map(|&(bytes, _)| bytes).collect();
+        let durations: Vec<Nanos> = kernels.iter().map(|&(_, us)| Nanos::from_micros(us)).collect();
+        let periods: Vec<_> = periods
+            .into_iter()
+            .map(|(wraps, a, b, bytes, placed)| {
+                let ranges = if wraps == 1 {
+                    vec![(a.min(n), n), (0, b.min(a.min(n)))]
+                } else {
+                    vec![(a, a + b)]
+                };
+                (ranges, bytes, placed == 1)
+            })
+            .collect();
+
+        let mut live = NaiveMemoryTimeline::new(&base, &durations);
+        for (ranges, bytes, _) in &periods {
+            live.add(ranges, *bytes as i64);
+        }
+        let values = live.values();
+        let placed: Vec<(&[(usize, usize)], u64)> = periods
+            .iter()
+            .filter(|(_, _, placed)| *placed)
+            .map(|(ranges, bytes, _)| (ranges.as_slice(), *bytes))
+            .collect();
+
+        let mut expected = NaiveMemoryTimeline::new(&values, &durations);
+        for &(ranges, bytes) in &placed {
+            expected.add(ranges, -(bytes as i64));
+        }
+        let tree: MemoryTimeline = pressure_after(&values, &durations, placed.iter().copied());
+        let flat: NaiveMemoryTimeline = pressure_after(&values, &durations, placed.iter().copied());
+        prop_assert_eq!(tree.values(), expected.values());
+        prop_assert_eq!(&flat, &expected);
+        prop_assert_eq!(tree.max_value(), expected.max_value());
+        prop_assert_eq!(tree.durations(), expected.durations());
     }
 }
 

@@ -187,11 +187,6 @@ pub fn build_model(kind: ModelKind, batch: u64) -> DnnGraph {
     }
 }
 
-/// Builds a model at its Figure-11 evaluation batch size.
-pub fn build_eval_model(kind: ModelKind) -> DnnGraph {
-    build_model(kind, kind.eval_batch())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -313,12 +313,6 @@ impl EngineState {
         t.location == Location::Gpu || t.inbound_ready.is_some()
     }
 
-    /// Free GPU bytes right now (pending eviction completions up to the
-    /// current time have been applied).
-    pub fn gpu_free_bytes(&self) -> u64 {
-        self.uvm.gpu().free_bytes()
-    }
-
     /// Free host staging bytes right now.
     pub fn host_free_bytes(&self) -> u64 {
         self.uvm.host().free_bytes()
@@ -922,11 +916,6 @@ impl<'a> ReplayEngine<'a> {
     /// Number of kernels in the replayed trace.
     pub fn num_kernels(&self) -> usize {
         self.graph.num_kernels()
-    }
-
-    /// The next kernel [`ReplayEngine::advance`] would execute.
-    pub fn next_kernel(&self) -> usize {
-        self.cursor
     }
 
     /// Whether every kernel has executed.
