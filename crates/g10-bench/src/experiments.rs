@@ -864,25 +864,43 @@ impl EndToEndRuns {
     /// serial seven-policy loops — so wall-clock follows the slowest *cell*
     /// rather than the slowest *model*.  Cells route through [`cached_run`],
     /// so any cell another figure already replayed is free.
+    ///
+    /// The list is policy-major with the G10 variants first.  A model's
+    /// G10-GDS, G10-Host and G10 plans share one eviction selection, so
+    /// model-major order would hand two workers the same model's G10 cells
+    /// and leave one waiting on the other's selection; this order hands
+    /// them different models, and the cheap non-G10 cells fill the tail.
+    /// The reports are regrouped per model in presentation order.
     pub fn collect() -> Self {
         let config = SystemConfig::table2();
         let mut policies = vec![PolicyKind::Ideal];
         policies.extend(PolicyKind::FIGURE11);
-        let mut cells = Vec::with_capacity(ModelKind::PAPER_MODELS.len() * policies.len());
-        for model in ModelKind::PAPER_MODELS {
-            for &policy in &policies {
-                cells.push((model, policy));
-            }
-        }
+        let mut order = policies.clone();
+        order.sort_by_key(|policy| policy.scheduler_variant().is_none());
+        let models = ModelKind::PAPER_MODELS;
+        let cells: Vec<(ModelKind, PolicyKind)> = order
+            .iter()
+            .flat_map(|&policy| models.iter().map(move |&model| (model, policy)))
+            .collect();
         let reports = parallel_map(cells, |(model, policy)| {
             cached_run(*model, model.eval_batch(), *policy, &config)
         });
-        // Regroup the flat results into the per-model report lists the
-        // figure renderers consume, preserving the presentation order.
-        let runs = ModelKind::PAPER_MODELS
+        let report = |m: usize, policy: &PolicyKind| {
+            let p = order
+                .iter()
+                .position(|o| o == policy)
+                .expect("every policy is run");
+            Arc::clone(&reports[p * models.len() + m])
+        };
+        let runs = models
             .iter()
-            .zip(reports.chunks(policies.len()))
-            .map(|(model, chunk)| (*model, chunk.to_vec()))
+            .enumerate()
+            .map(|(m, model)| {
+                (
+                    *model,
+                    policies.iter().map(|policy| report(m, policy)).collect(),
+                )
+            })
             .collect();
         EndToEndRuns { runs }
     }
@@ -1194,33 +1212,35 @@ pub const SSD_BANDWIDTH_SWEEP_GBPS: [f64; 5] = [6.4, 12.8, 19.2, 25.6, 32.0];
 
 /// Figure 18: performance (normalised to ideal) as the SSD bandwidth grows,
 /// with a PCIe 4.0 x16 interconnect.
+///
+/// Each (model, SSD rate) point is one parallel item: every point plans G10
+/// afresh, and 25 items keep two workers busy where five per-model items
+/// left one idle behind the slowest model.  Rows keep model-major order.
 pub fn fig18() -> Table {
     let mut table = Table::new(
         "Figure 18: normalized performance vs SSD bandwidth (PCIe 4.0)",
         &["model", "ssd_gbps", "policy", "normalized_performance"],
     );
-    let rows = parallel_map(ModelKind::PAPER_MODELS.to_vec(), |model| {
-        let mut rows = Vec::new();
-        for gbps in SSD_BANDWIDTH_SWEEP_GBPS {
-            let config = SystemConfig::table2()
-                .with_ssd_bandwidth(gbps * 1e9)
-                .with_pcie_bandwidth(32e9);
-            for policy in PolicyKind::COMPARED {
-                let report = cached_run(*model, model.eval_batch(), policy, &config);
-                rows.push(vec![
-                    model.name().to_string(),
-                    format!("{gbps:.1}"),
-                    report.policy.clone(),
-                    format!("{:.3}", report.normalized_performance()),
-                ]);
-            }
-        }
-        rows
+    let points: Vec<(ModelKind, f64)> = ModelKind::PAPER_MODELS
+        .iter()
+        .flat_map(|&model| SSD_BANDWIDTH_SWEEP_GBPS.map(|gbps| (model, gbps)))
+        .collect();
+    let rows = parallel_map(points, |&(model, gbps)| {
+        let config = SystemConfig::table2()
+            .with_ssd_bandwidth(gbps * 1e9)
+            .with_pcie_bandwidth(32e9);
+        PolicyKind::COMPARED.map(|policy| {
+            let report = cached_run(model, model.eval_batch(), policy, &config);
+            vec![
+                model.name().to_string(),
+                format!("{gbps:.1}"),
+                report.policy.clone(),
+                format!("{:.3}", report.normalized_performance()),
+            ]
+        })
     });
-    for group in rows {
-        for row in group {
-            table.push_row(row);
-        }
+    for row in rows.into_iter().flatten() {
+        table.push_row(row);
     }
     table
 }
@@ -1234,42 +1254,48 @@ pub const PROFILING_ERRORS: [f64; 5] = [0.0, 0.05, 0.10, 0.15, 0.20];
 
 /// Figure 19: G10 performance when the scheduler plans against kernel timings
 /// perturbed by random error, normalised to the error-free plan.
+///
+/// Each (model, error) point is one parallel item, 25 in all, for the same
+/// reason as [`fig18`]: every perturbed trace plans G10 from scratch.  The
+/// error-free baselines are fetched first, one per model.  Rows keep
+/// model-major order.
 pub fn fig19() -> Table {
     let mut table = Table::new(
         "Figure 19: G10 performance under kernel timing prediction errors",
         &["model", "error_pct", "normalized_to_no_error"],
     );
     let config = SystemConfig::table2();
-    let rows = parallel_map(ModelKind::PAPER_MODELS.to_vec(), |model| {
-        let workload = workload(*model, model.eval_batch());
-        // The error-free baseline is the same cell Figure 11 and Figure 15
-        // already replay; the perturbed-trace runs below plan against noisy
-        // timings and are not cacheable by the grid key.
-        let baseline = cached_run(*model, model.eval_batch(), PolicyKind::G10Full, &config);
-        let mut rows = Vec::new();
-        for error in PROFILING_ERRORS {
-            let noisy = workload.trace.with_noise(error, 0xC0FFEE);
-            let report = Experiment::new(&workload)
-                .policy(PolicyKind::G10Full)
-                .config(config)
-                .planning_trace(&noisy)
-                .run()
-                .expect("built-in policies always resolve");
-            rows.push(vec![
-                model.name().to_string(),
-                format!("{:.0}", error * 100.0),
-                format!(
-                    "{:.4}",
-                    baseline.total_time.as_secs_f64() / report.total_time.as_secs_f64()
-                ),
-            ]);
-        }
-        rows
+    let models = ModelKind::PAPER_MODELS;
+    // The error-free baseline is the same cell Figure 11 and Figure 15
+    // already replay; the perturbed-trace runs below plan against noisy
+    // timings and are not cacheable by the grid key.
+    let baselines = parallel_map(models.to_vec(), |model| {
+        cached_run(*model, model.eval_batch(), PolicyKind::G10Full, &config)
     });
-    for group in rows {
-        for row in group {
-            table.push_row(row);
-        }
+    let points: Vec<(usize, f64)> = (0..models.len())
+        .flat_map(|m| PROFILING_ERRORS.map(|error| (m, error)))
+        .collect();
+    let rows = parallel_map(points, |&(m, error)| {
+        let model = models[m];
+        let workload = workload(model, model.eval_batch());
+        let noisy = workload.trace.with_noise(error, 0xC0FFEE);
+        let report = Experiment::new(&workload)
+            .policy(PolicyKind::G10Full)
+            .config(config)
+            .planning_trace(&noisy)
+            .run()
+            .expect("built-in policies always resolve");
+        vec![
+            model.name().to_string(),
+            format!("{:.0}", error * 100.0),
+            format!(
+                "{:.4}",
+                baselines[m].total_time.as_secs_f64() / report.total_time.as_secs_f64()
+            ),
+        ]
+    });
+    for row in rows {
+        table.push_row(row);
     }
     table
 }
@@ -1357,5 +1383,28 @@ mod tests {
         assert!(PROFILING_ERRORS.windows(2).all(|w| w[0] < w[1]));
         assert!(HOST_SWEEP_GIB.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(characterization_models().len(), 4);
+    }
+
+    /// The planner's channel ledgers hold whole bytes per 250 µs bin.  On
+    /// every rate the figures plan with, `rate × bin width` is already a
+    /// whole number, so the ledgers' rounding never changes a plan.
+    #[test]
+    fn planning_rates_give_whole_bytes_per_bin() {
+        use g10_core::bandwidth::BandwidthTimeline;
+        use g10_core::config::Destination;
+
+        let bin = BandwidthTimeline::default_bin_width().as_secs_f64();
+        let mut configs = vec![SystemConfig::table2()];
+        configs.extend(SSD_BANDWIDTH_SWEEP_GBPS.map(|gbps| {
+            SystemConfig::table2()
+                .with_ssd_bandwidth(gbps * 1e9)
+                .with_pcie_bandwidth(32e9)
+        }));
+        for config in configs {
+            for dest in [Destination::Ssd, Destination::Host] {
+                let per_bin = config.evict_bytes_per_sec(dest) * bin;
+                assert_eq!(per_bin.fract(), 0.0, "{dest:?}: {per_bin} bytes per bin");
+            }
+        }
     }
 }

@@ -4,8 +4,9 @@
 //! GPU–SSD or GPU–host channel still has room for another migration at a
 //! given point in time ("if to_ssd_traffic is full during t_r to t_r + t_s",
 //! Algorithm 1).  A [`BandwidthTimeline`] divides the iteration into
-//! fixed-width bins, gives each bin `rate × bin_width` bytes of capacity and
-//! lets the planner reserve bytes greedily from a start time forward.
+//! fixed-width bins, gives each bin `rate × bin_width` bytes of capacity
+//! (rounded to a whole byte) and lets the planner reserve bytes greedily
+//! from a start time forward.
 //!
 //! # Memory
 //!
@@ -21,32 +22,28 @@
 //! # Complexity
 //!
 //! With `b` bins, `w` the bins a window or transfer spans, `r` the runs and
-//! partly-filled bins held, `s` the runs and partly-filled bins inside a
-//! window and `e` the empty bins it crosses:
+//! partly-filled bins held and `s` the runs and partly-filled bins inside a
+//! window:
 //!
 //! | operation                                  | flat `Vec` | [`BandwidthTimeline`]       |
 //! |--------------------------------------------|------------|-----------------------------|
 //! | [`BandwidthTimeline::new`]                 | O(b)       | O(1)                        |
-//! | [`BandwidthTimeline::free_bytes_between`]  | O(w)       | O((1 + s) log r + e)        |
+//! | [`BandwidthTimeline::free_bytes_between`]  | O(w)       | O((1 + s) log r)            |
 //! | [`BandwidthTimeline::is_saturated`]        | O(w)       | as above, stops early ¹     |
-//! | [`BandwidthTimeline::reserve`]             | O(w)       | O(log r) amortised + e ²    |
+//! | [`BandwidthTimeline::reserve`]             | O(w)       | O(log r) amortised ²        |
 //!
-//! ¹ The scan stops once the free bytes seen cover the transfer.  Every term
-//!   is non-negative, so the rounded partial sum never decreases and the
-//!   verdict equals that of the full sum.
+//! ¹ The scan stops once the free bytes seen cover the transfer.
 //!
 //! ² Each saturated run a reservation jumps over merges into the one it
 //!   leaves behind, and each partly-filled bin it reaches fills up, so
-//!   lookups are amortised over the entries that reservations create.  The
-//!   `e` term is one float subtraction per empty bin filled.
+//!   lookups are amortised over the entries that reservations create.
 //!
-//! Empty bins are summed and filled one at a time, in a tight loop with no
-//! lookups, because float arithmetic over a non-integer `bytes_per_bin` has
-//! no exact closed form.  The scans add and subtract bin by bin in the same
-//! order as [`crate::naive::NaiveBandwidthTimeline`], and a skipped
-//! saturated bin would add exactly `+0.0`, so free-byte sums, saturation
-//! verdicts and completion times are bit-identical to the reference, not
-//! merely close.
+//! Bytes are whole numbers, so a run of `n` empty bins of capacity `c`
+//! holds exactly `n · c` free bytes, and a transfer of `remaining` bytes
+//! into it fills `k = ⌈remaining / c⌉` bins, the last with
+//! `remaining − (k − 1) · c`.  Both are one step however many bins the run
+//! covers, and both equal what the bin-by-bin reference
+//! [`crate::naive::NaiveBandwidthTimeline`] computes.
 
 use std::collections::BTreeMap;
 
@@ -65,11 +62,8 @@ pub trait BandwidthReservation {
     /// Number of bins in the timeline.
     fn bins(&self) -> usize;
 
-    /// Total bytes reserved so far.
-    fn total_reserved_bytes(&self) -> f64;
-
     /// Free capacity (bytes) between `start` and `end`.
-    fn free_bytes_between(&self, start: Nanos, end: Nanos) -> f64;
+    fn free_bytes_between(&self, start: Nanos, end: Nanos) -> u64;
 
     /// Returns `true` if a transfer of `bytes` starting at `start` cannot
     /// fit inside the window `[start, start + nominal_duration]`.
@@ -78,9 +72,13 @@ pub trait BandwidthReservation {
     /// Reserves `bytes` starting at `start`, filling bins greedily forward,
     /// and returns the time at which the last byte is transferred.
     fn reserve(&mut self, bytes: u64, start: Nanos) -> Nanos;
+}
 
-    /// Average utilisation of the channel over its whole horizon.
-    fn utilization(&self) -> f64;
+/// Whole bytes a bin of `bin_width` carries on a channel of `bytes_per_sec`:
+/// the product rounded to the nearest byte, so a product one ulp under a
+/// whole number keeps that number.
+pub(crate) fn bin_capacity(bytes_per_sec: f64, bin_width: Nanos) -> u64 {
+    (bytes_per_sec * bin_width.as_secs_f64()).round() as u64
 }
 
 /// A binned bandwidth-reservation timeline for one channel direction, stored
@@ -88,15 +86,14 @@ pub trait BandwidthReservation {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BandwidthTimeline {
     bin_width: Nanos,
-    bytes_per_bin: f64,
+    bytes_per_bin: u64,
     bins: usize,
     /// Coalesced runs of saturated bins, `start → end` (exclusive).  No two
     /// runs touch.
     saturated: BTreeMap<usize, usize>,
     /// Bytes reserved in each bin that holds a reservation but still has
     /// room.  A bin in neither map is empty.
-    partial: BTreeMap<usize, f64>,
-    total_reserved: f64,
+    partial: BTreeMap<usize, u64>,
 }
 
 /// What the ledger holds at a bin, and how far that extends.
@@ -104,7 +101,7 @@ enum Segment {
     /// The bins up to `end` (exclusive) are saturated.
     Saturated { end: usize },
     /// The bin holds `used` bytes and still has room.
-    Partial { used: f64 },
+    Partial { used: u64 },
     /// The bins up to `end` (exclusive) are empty.
     Empty { end: usize },
 }
@@ -121,11 +118,10 @@ impl BandwidthTimeline {
         let bins = (horizon.as_nanos() / bin_width.as_nanos() + 2) as usize;
         BandwidthTimeline {
             bin_width,
-            bytes_per_bin: bytes_per_sec * bin_width.as_secs_f64(),
+            bytes_per_bin: bin_capacity(bytes_per_sec, bin_width),
             bins,
             saturated: BTreeMap::new(),
             partial: BTreeMap::new(),
-            total_reserved: 0.0,
         }
     }
 
@@ -140,18 +136,19 @@ impl BandwidthTimeline {
         self.bins
     }
 
-    /// Total bytes reserved so far.
-    pub fn total_reserved_bytes(&self) -> f64 {
-        self.total_reserved
-    }
-
     fn bin_of(&self, time: Nanos) -> usize {
         ((time.as_nanos() / self.bin_width.as_nanos()) as usize).min(self.bins - 1)
     }
 
     /// Free capacity of a bin holding `used` bytes.
-    fn clamped_free(&self, used: f64) -> f64 {
-        (self.bytes_per_bin - used).max(0.0)
+    fn clamped_free(&self, used: u64) -> u64 {
+        self.bytes_per_bin.saturating_sub(used)
+    }
+
+    /// Free capacity of the empty bins `lo..hi` (saturating, for channels
+    /// far faster than any planner uses).
+    fn empty_free(&self, lo: usize, hi: usize) -> u64 {
+        ((hi - lo) as u64).saturating_mul(self.bytes_per_bin)
     }
 
     /// The segment that `bin` starts in.
@@ -190,8 +187,8 @@ impl BandwidthTimeline {
     }
 
     /// Records that the unsaturated `bin` now holds `used` bytes.
-    fn fill(&mut self, bin: usize, used: f64) {
-        if self.clamped_free(used) <= 0.0 {
+    fn fill(&mut self, bin: usize, used: u64) {
+        if self.clamped_free(used) == 0 {
             self.partial.remove(&bin);
             self.saturate(bin, bin + 1);
         } else {
@@ -199,20 +196,17 @@ impl BandwidthTimeline {
         }
     }
 
-    /// Free bytes of the bins from `start`'s through `end`'s, summed in
-    /// order; the scan may stop once the sum reaches `enough`.  `+0.0` when
-    /// `end <= start`, as in the reference.
-    fn free_up_to(&self, start: Nanos, end: Nanos, enough: f64) -> f64 {
+    /// Free bytes of the bins from `start`'s through `end`'s; the scan may
+    /// stop once the sum reaches `enough`.  Zero when `end <= start`.
+    fn free_up_to(&self, start: Nanos, end: Nanos, enough: u64) -> u64 {
         if end <= start {
-            return 0.0;
+            return 0;
         }
         let hi = self.bin_of(end) + 1;
-        let empty_free = self.clamped_free(0.0);
-        let mut free = 0.0;
+        let mut free = 0;
         let mut bin = self.bin_of(start);
         while bin < hi && free < enough {
             match self.segment(bin) {
-                // A saturated bin adds `+0.0`, which leaves the sum as is.
                 Segment::Saturated { end } => bin = end,
                 Segment::Partial { used } => {
                     free += self.clamped_free(used);
@@ -220,14 +214,7 @@ impl BandwidthTimeline {
                 }
                 Segment::Empty { end } => {
                     let end = end.min(hi);
-                    if empty_free > 0.0 {
-                        for _ in bin..end {
-                            free += empty_free;
-                            if free >= enough {
-                                return free;
-                            }
-                        }
-                    }
+                    free = free.saturating_add(self.empty_free(bin, end));
                     bin = end;
                 }
             }
@@ -235,10 +222,10 @@ impl BandwidthTimeline {
         free
     }
 
-    /// Free capacity (bytes) between `start` and `end`: a sequential sum in
-    /// the same order as the naive reference, so it is bit-identical.
-    pub fn free_bytes_between(&self, start: Nanos, end: Nanos) -> f64 {
-        self.free_up_to(start, end, f64::INFINITY)
+    /// Free capacity (bytes) between `start` and `end`: every bin from
+    /// `start`'s through `end`'s, zero for an empty or reversed window.
+    pub fn free_bytes_between(&self, start: Nanos, end: Nanos) -> u64 {
+        self.free_up_to(start, end, u64::MAX)
     }
 
     /// Returns `true` if a transfer of `bytes` starting at `start` cannot fit
@@ -246,10 +233,8 @@ impl BandwidthTimeline {
     /// "traffic is full" test.
     ///
     /// Equal to `free_bytes_between(start, end) < bytes`, but the scan stops
-    /// as soon as the partial sum covers `bytes`: every term is `>= 0`, so
-    /// the rounded sum cannot fall back below it.
+    /// as soon as the free bytes seen cover `bytes`.
     pub fn is_saturated(&self, bytes: u64, start: Nanos, nominal_duration: Nanos) -> bool {
-        let bytes = bytes as f64;
         let end = start.saturating_add(nominal_duration);
         self.free_up_to(start, end, bytes) < bytes
     }
@@ -257,13 +242,12 @@ impl BandwidthTimeline {
     /// Reserves `bytes` starting at `start`, filling bins greedily forward,
     /// and returns the time at which the last byte is transferred.
     pub fn reserve(&mut self, bytes: u64, start: Nanos) -> Nanos {
-        let mut remaining = bytes as f64;
-        self.total_reserved += bytes as f64;
+        let mut remaining = bytes;
         let mut bin = self.bin_of(start);
-        if remaining <= 0.0 {
+        if remaining == 0 {
             return self.end_of_bin(bin);
         }
-        let empty_free = self.clamped_free(0.0);
+        let c = self.bytes_per_bin;
         while bin < self.bins {
             match self.segment(bin) {
                 Segment::Saturated { end } => bin = end,
@@ -271,52 +255,37 @@ impl BandwidthTimeline {
                     let take = self.clamped_free(used).min(remaining);
                     remaining -= take;
                     self.fill(bin, used + take);
-                    if remaining <= 0.0 {
+                    if remaining == 0 {
                         return self.end_of_bin(bin);
                     }
                     bin += 1;
                 }
-                Segment::Empty { end } if empty_free > 0.0 => {
-                    // Each bin takes all of its capacity, and so saturates,
-                    // until the one that takes the last byte.
-                    for last in bin..end {
-                        let take = empty_free.min(remaining);
-                        remaining -= take;
-                        if remaining <= 0.0 {
-                            self.saturate(bin, last);
-                            self.fill(last, take);
-                            return self.end_of_bin(last);
-                        }
+                Segment::Empty { end } => {
+                    let room = self.empty_free(bin, end);
+                    if remaining <= room {
+                        // Every bin takes all of its capacity, and so
+                        // saturates, until the `k`-th takes the last byte.
+                        let k = remaining.div_ceil(c);
+                        let last = bin + k as usize - 1;
+                        self.saturate(bin, last);
+                        self.fill(last, remaining - (k - 1) * c);
+                        return self.end_of_bin(last);
                     }
+                    // The whole run fills, as does a zero-rate channel's
+                    // run, which has no room.
+                    remaining -= room;
                     self.saturate(bin, end);
                     bin = end;
                 }
-                // A zero-rate channel: nothing fits in an empty bin.
-                Segment::Empty { end } => bin = end,
             }
         }
-        // Past the planning horizon: everything fits notionally at the very
-        // end.
-        let last = self.bins - 1;
-        match self.segment(last) {
-            Segment::Saturated { .. } => {}
-            Segment::Partial { used } => self.fill(last, used + remaining),
-            Segment::Empty { .. } => self.fill(last, remaining),
-        }
-        self.end_of_bin(last)
+        // Past the planning horizon, every bin from the start on is
+        // saturated: the rest fits notionally at the very end.
+        self.end_of_bin(self.bins - 1)
     }
 
     fn end_of_bin(&self, bin: usize) -> Nanos {
         Nanos::from_nanos((bin as u64 + 1) * self.bin_width.as_nanos())
-    }
-
-    /// Average utilisation of the channel over its whole horizon.
-    pub fn utilization(&self) -> f64 {
-        if self.bins == 0 || self.bytes_per_bin <= 0.0 {
-            return 0.0;
-        }
-        let capacity = self.bytes_per_bin * self.bins as f64;
-        (self.total_reserved / capacity).min(1.0)
     }
 }
 
@@ -327,10 +296,7 @@ impl BandwidthReservation for BandwidthTimeline {
     fn bins(&self) -> usize {
         BandwidthTimeline::bins(self)
     }
-    fn total_reserved_bytes(&self) -> f64 {
-        BandwidthTimeline::total_reserved_bytes(self)
-    }
-    fn free_bytes_between(&self, start: Nanos, end: Nanos) -> f64 {
+    fn free_bytes_between(&self, start: Nanos, end: Nanos) -> u64 {
         BandwidthTimeline::free_bytes_between(self, start, end)
     }
     fn is_saturated(&self, bytes: u64, start: Nanos, nominal_duration: Nanos) -> bool {
@@ -338,9 +304,6 @@ impl BandwidthReservation for BandwidthTimeline {
     }
     fn reserve(&mut self, bytes: u64, start: Nanos) -> Nanos {
         BandwidthTimeline::reserve(self, bytes, start)
-    }
-    fn utilization(&self) -> f64 {
-        BandwidthTimeline::utilization(self)
     }
 }
 
@@ -376,28 +339,140 @@ mod tests {
     #[test]
     fn free_bytes_between_is_window_limited() {
         let t = timeline();
+        assert_eq!(t.bins(), 12);
         let one_bin = t.free_bytes_between(Nanos::ZERO, Nanos::from_micros(500));
-        assert!((one_bin - 1_000_000.0).abs() < 1.0);
-        let empty = t.free_bytes_between(Nanos::from_millis(5), Nanos::from_millis(5));
-        assert_eq!(empty.to_bits(), 0.0f64.to_bits());
+        assert_eq!(one_bin, 1_000_000);
+        assert_eq!(
+            t.free_bytes_between(Nanos::from_millis(5), Nanos::from_millis(5)),
+            0
+        );
+        assert_eq!(
+            t.free_bytes_between(Nanos::from_millis(5), Nanos::from_millis(4)),
+            0
+        );
+    }
+
+    /// Bin capacity in [`timeline`].
+    const C: u64 = 1_000_000;
+
+    #[test]
+    fn transfers_of_whole_bins_and_one_byte_either_side() {
+        for k in 1..=4u64 {
+            let bins = k as usize;
+            // Exactly `k` bins: all saturated, no partly-filled bin.
+            let mut t = timeline();
+            assert_eq!(t.reserve(k * C, Nanos::ZERO), Nanos::from_millis(k));
+            assert_eq!(t.saturated.iter().next(), Some((&0, &bins)));
+            assert!(t.partial.is_empty());
+            assert_eq!(
+                t.free_bytes_between(Nanos::ZERO, Nanos::from_millis(11)),
+                (12 - k) * C
+            );
+
+            // One byte short: the `k`-th bin keeps one byte of room.
+            let mut t = timeline();
+            assert_eq!(t.reserve(k * C - 1, Nanos::ZERO), Nanos::from_millis(k));
+            assert_eq!(t.partial.iter().next(), Some((&(bins - 1), &(C - 1))));
+            assert_eq!(
+                t.saturated.iter().next().map(|(_, &e)| e),
+                (k > 1).then_some(bins - 1)
+            );
+            assert_eq!(
+                t.free_bytes_between(Nanos::ZERO, Nanos::from_millis(11)),
+                (12 - k) * C + 1
+            );
+
+            // One byte over: the next bin holds that byte.
+            let mut t = timeline();
+            assert_eq!(t.reserve(k * C + 1, Nanos::ZERO), Nanos::from_millis(k + 1));
+            assert_eq!(t.saturated.iter().next(), Some((&0, &bins)));
+            assert_eq!(t.partial.iter().next(), Some((&bins, &1)));
+        }
+    }
+
+    #[test]
+    fn a_start_inside_a_partly_filled_bin_tops_it_up_first() {
+        let mut t = timeline();
+        assert_eq!(t.reserve(C / 4, Nanos::ZERO), Nanos::from_millis(1));
+        // Starting mid-bin still draws on the bin's remaining room.
+        let done = t.reserve(C, Nanos::from_micros(600));
+        assert_eq!(done, Nanos::from_millis(2));
+        assert_eq!(t.saturated.iter().next(), Some((&0, &1)));
+        assert_eq!(t.partial.iter().next(), Some((&1, &(C / 4))));
+        assert_eq!(
+            t.free_bytes_between(Nanos::from_micros(600), Nanos::from_micros(1_500)),
+            C * 3 / 4
+        );
+        // Topping the bin up exactly saturates it and merges the run.
+        assert_eq!(
+            t.reserve(C * 3 / 4, Nanos::from_micros(1_999)),
+            Nanos::from_millis(2)
+        );
+        assert_eq!(t.saturated.iter().next(), Some((&0, &2)));
+        assert!(t.partial.is_empty());
+    }
+
+    #[test]
+    fn a_zero_rate_channel_has_no_room_anywhere() {
+        let mut t = BandwidthTimeline::new(0.0, Nanos::from_millis(10), Nanos::from_millis(1));
+        let horizon = Nanos::from_millis(12);
+        assert_eq!(t.free_bytes_between(Nanos::ZERO, horizon), 0);
+        assert!(t.is_saturated(1, Nanos::ZERO, horizon));
+        assert!(!t.is_saturated(0, Nanos::ZERO, horizon));
+        // Every transfer completes, notionally, at the end of the last bin,
+        // and the bins it crossed are held as one saturated run.
+        assert_eq!(t.reserve(1, Nanos::ZERO), horizon);
+        assert_eq!(t.saturated.iter().next(), Some((&0, &12)));
+        assert_eq!(t.reserve(5 * C, Nanos::from_millis(3)), horizon);
+        assert_eq!(t.reserve(0, Nanos::from_millis(3)), Nanos::from_millis(4));
+        assert_eq!(t.free_bytes_between(Nanos::ZERO, horizon), 0);
     }
 
     #[test]
     fn overflow_past_horizon_still_completes() {
         let mut t = timeline();
-        let done = t.reserve(1_000_000_000, Nanos::ZERO);
+        // From bin 4, 1 GB is far more than the 8 bins left can carry.
+        let done = t.reserve(1_000_000_000, Nanos::from_millis(4));
         assert_eq!(done, Nanos::from_millis(12));
-        assert!(t.utilization() <= 1.0);
+        assert_eq!(t.saturated.iter().next(), Some((&4, &12)));
+        assert!(t.partial.is_empty());
+        // Only the bins before the start keep room, and a later transfer
+        // lands there or spills too.
+        assert_eq!(
+            t.free_bytes_between(Nanos::ZERO, Nanos::from_millis(11)),
+            4 * C
+        );
+        assert_eq!(t.reserve(1, Nanos::from_millis(5)), Nanos::from_millis(12));
+        assert_eq!(t.reserve(4 * C, Nanos::ZERO), Nanos::from_millis(4));
+        assert_eq!(t.saturated.iter().next(), Some((&0, &12)));
     }
 
     #[test]
-    fn utilization_tracks_reservations() {
+    fn a_transfer_of_exactly_the_free_bytes_fits() {
         let mut t = timeline();
-        assert_eq!(t.utilization(), 0.0);
-        t.reserve(6_000_000, Nanos::ZERO);
-        assert!(t.utilization() > 0.4 && t.utilization() <= 1.0);
-        assert!(t.total_reserved_bytes() > 0.0);
-        assert_eq!(t.bins(), 12);
+        t.reserve(C / 2, Nanos::ZERO);
+        t.reserve(C, Nanos::from_millis(2));
+        // Bins 0..=3: half of bin 0, all of bin 1, none of bin 2, bin 3.
+        let window = Nanos::from_micros(3_500);
+        let free = t.free_bytes_between(Nanos::ZERO, window);
+        assert_eq!(free, C / 2 + 2 * C);
+        assert!(!t.is_saturated(free, Nanos::ZERO, window));
+        assert!(t.is_saturated(free + 1, Nanos::ZERO, window));
+        assert!(!t.is_saturated(free - 1, Nanos::ZERO, window));
+    }
+
+    #[test]
+    fn bin_capacity_rounds_to_the_nearest_byte() {
+        let bin = Nanos::from_micros(250);
+        assert_eq!(bin_capacity(1e9, bin), 250_000);
+        // A product one ulp under a whole number keeps that number.
+        let rate = f64::from_bits(4e9f64.to_bits() - 1);
+        assert!(rate * bin.as_secs_f64() < 1e6);
+        assert_eq!(bin_capacity(rate, bin), 1_000_000);
+        // A fractional capacity rounds either way.
+        assert_eq!(bin_capacity(50e6 * (3.0 / 3.2), bin), 11_719);
+        assert_eq!(bin_capacity(1_001.0, Nanos::from_millis(1)), 1);
+        assert_eq!(bin_capacity(0.0, bin), 0);
     }
 
     #[test]
@@ -427,7 +502,7 @@ mod tests {
         for (&bin, &used) in &t.partial {
             assert!(matches!(t.segment(bin), Segment::Partial { .. }));
             assert!(
-                used > 0.0 && t.clamped_free(used) > 0.0,
+                used > 0 && t.clamped_free(used) > 0,
                 "bin {bin} holds {used}"
             );
         }
@@ -444,15 +519,15 @@ mod tests {
 
         // Queries read the empty ledger as free and store nothing.
         let window = Nanos::from_millis(100);
-        let per_bin = 1e9 * bin.as_secs_f64();
+        let per_bin = 250_000;
         let free = t.free_bytes_between(Nanos::ZERO, window);
-        assert_eq!(free, (0..=400).map(|_| per_bin).sum::<f64>());
+        assert_eq!(free, 401 * per_bin);
         assert!(!t.is_saturated(1_000_000, Nanos::ZERO, window));
         assert_eq!(entries(&t), 0);
 
         // Three and a half bins: one run of three bins and one partly-filled
         // bin, however many bins the transfer covers.
-        let done = t.reserve((3.5 * per_bin) as u64, bin * 511);
+        let done = t.reserve(3 * per_bin + per_bin / 2, bin * 511);
         assert_eq!(done, bin * 515);
         assert_eq!(t.saturated.iter().next(), Some((&511, &514)));
         assert_eq!(t.partial.keys().next(), Some(&514));
@@ -489,6 +564,6 @@ mod tests {
         let before = t.free_bytes_between(Nanos::ZERO, Nanos::from_millis(10));
         t.reserve(3_000_000, Nanos::ZERO);
         let after = t.free_bytes_between(Nanos::ZERO, Nanos::from_millis(10));
-        assert!((before - after - 3_000_000.0).abs() < 1.0);
+        assert_eq!(before - after, 3_000_000);
     }
 }

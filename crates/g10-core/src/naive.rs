@@ -16,9 +16,10 @@
 //! selection's benefit index,
 //! [`AboveCapacity`](crate::pressure::AboveCapacity).  Both accumulate in
 //! integer byte·nanoseconds, so benefits are bit-identical regardless of
-//! traversal order.
+//! traversal order.  Likewise both bandwidth ledgers count whole bytes per
+//! bin, so free bytes and completion times agree exactly.
 
-use crate::bandwidth::BandwidthReservation;
+use crate::bandwidth::{bin_capacity, BandwidthReservation};
 use crate::pressure::PressureTimeline;
 use g10_time::Nanos;
 
@@ -157,9 +158,8 @@ impl PressureTimeline for NaiveMemoryTimeline {
 #[derive(Debug, Clone, PartialEq)]
 pub struct NaiveBandwidthTimeline {
     bin_width: Nanos,
-    bytes_per_bin: f64,
-    used: Vec<f64>,
-    total_reserved: f64,
+    bytes_per_bin: u64,
+    used: Vec<u64>,
 }
 
 impl NaiveBandwidthTimeline {
@@ -174,9 +174,8 @@ impl NaiveBandwidthTimeline {
         let bins = (horizon.as_nanos() / bin_width.as_nanos() + 2) as usize;
         NaiveBandwidthTimeline {
             bin_width,
-            bytes_per_bin: bytes_per_sec * bin_width.as_secs_f64(),
-            used: vec![0.0; bins],
-            total_reserved: 0.0,
+            bytes_per_bin: bin_capacity(bytes_per_sec, bin_width),
+            used: vec![0; bins],
         }
     }
 
@@ -198,56 +197,43 @@ impl BandwidthReservation for NaiveBandwidthTimeline {
         self.used.len()
     }
 
-    fn total_reserved_bytes(&self) -> f64 {
-        self.total_reserved
-    }
-
-    fn free_bytes_between(&self, start: Nanos, end: Nanos) -> f64 {
+    fn free_bytes_between(&self, start: Nanos, end: Nanos) -> u64 {
         if end <= start {
-            return 0.0;
+            return 0;
         }
         let lo = self.bin_of(start);
         let hi = self.bin_of(end);
         (lo..=hi)
-            .map(|b| (self.bytes_per_bin - self.used[b]).max(0.0))
+            .map(|b| self.bytes_per_bin.saturating_sub(self.used[b]))
             .sum()
     }
 
     fn is_saturated(&self, bytes: u64, start: Nanos, nominal_duration: Nanos) -> bool {
         let end = start.saturating_add(nominal_duration);
-        self.free_bytes_between(start, end) < bytes as f64
+        self.free_bytes_between(start, end) < bytes
     }
 
     fn reserve(&mut self, bytes: u64, start: Nanos) -> Nanos {
-        let mut remaining = bytes as f64;
-        self.total_reserved += bytes as f64;
+        let mut remaining = bytes;
         let mut bin = self.bin_of(start);
-        while remaining > 0.0 {
+        while remaining > 0 {
             if bin >= self.used.len() {
                 let last = self.used.len() - 1;
-                self.used[last] += remaining;
+                self.used[last] = self.used[last].saturating_add(remaining);
                 return self.end_of_bin(last);
             }
-            let free = (self.bytes_per_bin - self.used[bin]).max(0.0);
-            if free > 0.0 {
-                let take = free.min(remaining);
-                self.used[bin] += take;
-                remaining -= take;
-                if remaining <= 0.0 {
-                    return self.end_of_bin(bin);
-                }
+            let take = self
+                .bytes_per_bin
+                .saturating_sub(self.used[bin])
+                .min(remaining);
+            self.used[bin] += take;
+            remaining -= take;
+            if remaining == 0 {
+                return self.end_of_bin(bin);
             }
             bin += 1;
         }
-        self.end_of_bin(bin.min(self.used.len() - 1))
-    }
-
-    fn utilization(&self) -> f64 {
-        if self.used.is_empty() || self.bytes_per_bin <= 0.0 {
-            return 0.0;
-        }
-        let capacity = self.bytes_per_bin * self.used.len() as f64;
-        (self.total_reserved / capacity).min(1.0)
+        self.end_of_bin(bin)
     }
 }
 
@@ -279,7 +265,9 @@ mod tests {
         let done = t.reserve(2_000_000, Nanos::ZERO);
         assert_eq!(done, Nanos::from_millis(2));
         assert!(t.is_saturated(1_000_000, Nanos::ZERO, Nanos::from_millis(1)));
-        assert!(t.utilization() > 0.0);
-        assert!(t.total_reserved_bytes() > 0.0);
+        assert_eq!(
+            t.free_bytes_between(Nanos::ZERO, Nanos::from_millis(3)),
+            2_000_000
+        );
     }
 }

@@ -52,10 +52,9 @@ fn plan<P: PressureTimeline, B: BandwidthReservation>(
     (schedule.decisions, prefetches)
 }
 
-/// Exact plan identity between the timeline families.  Integer-valued
-/// pressure queries, per-bin reservation arithmetic and the sequential
-/// free-byte scans are bit-identical by construction, so a failure here
-/// means a real behavioural divergence.  `schedule_evictions_with` is the
+/// Exact plan identity between the timeline families.  Pressure queries
+/// and the ledgers' whole-byte reservations and free-byte sums are integer
+/// arithmetic, so a failure here means a real behavioural divergence.  `schedule_evictions_with` is the
 /// un-memoised entry, so every call here plans from scratch.
 fn assert_identical_plans(case: &Case) -> usize {
     let (ev_indexed, pf_indexed) = plan::<MemoryTimeline, BandwidthTimeline>(case);
