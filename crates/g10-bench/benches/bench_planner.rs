@@ -1,6 +1,6 @@
 //! Criterion bench: migration-planner cost at scale — eviction scheduling
 //! plus eager prefetch rescheduling on the indexed (segment-tree pressure,
-//! sequential-scan bandwidth) timelines, over the synthetic deep GPT stress
+//! run-length bandwidth) timelines, over the synthetic deep GPT stress
 //! workload (`g10_dnn::models::stress`).  It goes through
 //! `schedule_evictions_with`, which bypasses the eviction-order memo, so
 //! every iteration plans from scratch.  Set `G10_BENCH_SMOKE=1` to run a
@@ -10,7 +10,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use g10_core::bandwidth::BandwidthTimeline;
 use g10_core::config::SystemConfig;
 use g10_core::eviction::{schedule_evictions_with, EvictionOptions};
-use g10_core::prefetch::schedule_prefetches_with;
+use g10_core::prefetch::schedule_prefetches;
 use g10_core::pressure::MemoryTimeline;
 use g10_core::vitality::VitalityAnalysis;
 use g10_dnn::cost::GpuCostModel;
@@ -48,7 +48,7 @@ fn plan(case: &StressCase) -> usize {
         &case.config,
         EvictionOptions::both(),
     );
-    let prefetches = schedule_prefetches_with(
+    let prefetches = schedule_prefetches(
         &case.analysis,
         &case.trace,
         &case.config,

@@ -20,7 +20,7 @@ fn bench_pressure(c: &mut Criterion) {
         b.iter(|| index.reduction(&[(0, kernels)], 64 << 20))
     });
     group.bench_function("add_and_max", |b| {
-        let mut timeline = MemoryTimeline::new(&values, &durations);
+        let mut timeline = MemoryTimeline::new(&values);
         b.iter(|| {
             timeline.add(&[(100, 1800)], -(32 << 20));
             let max = timeline.max_value();
@@ -29,7 +29,7 @@ fn bench_pressure(c: &mut Criterion) {
         })
     });
     group.bench_function("fits_extra", |b| {
-        let timeline = MemoryTimeline::new(&values, &durations);
+        let timeline = MemoryTimeline::new(&values);
         b.iter(|| timeline.fits_extra(&[(256, 1024)], 16 << 20, capacity))
     });
     group.finish();

@@ -460,11 +460,13 @@ fn main() -> ExitCode {
     let mut iter = args.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
-            "--out" => {
-                if let Some(dir) = iter.next() {
-                    out_dir = PathBuf::from(dir);
+            "--out" => match iter.next() {
+                Some(dir) => out_dir = PathBuf::from(dir),
+                None => {
+                    eprintln!("error: --out needs a directory argument");
+                    return ExitCode::FAILURE;
                 }
-            }
+            },
             "--model" => match iter.next() {
                 Some(model) => flags.model = Some(model.clone()),
                 None => {
@@ -590,9 +592,11 @@ fn main() -> ExitCode {
             "--stats" => flags.stats = true,
             "--shutdown" => flags.shutdown = true,
             "--max-wall-ratio" => match iter.next().map(|v| v.parse::<f64>()) {
-                Some(Ok(ratio)) => flags.max_wall_ratio = Some(ratio),
+                Some(Ok(ratio)) if ratio.is_finite() && ratio > 0.0 => {
+                    flags.max_wall_ratio = Some(ratio)
+                }
                 _ => {
-                    eprintln!("error: --max-wall-ratio needs a number argument");
+                    eprintln!("error: --max-wall-ratio needs a finite positive number argument");
                     return ExitCode::FAILURE;
                 }
             },

@@ -81,14 +81,6 @@ impl Json {
         }
     }
 
-    /// The entries, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(entries) => Some(entries),
-            _ => None,
-        }
-    }
-
     /// Pretty-prints with two-space indentation and a trailing newline.
     pub fn render(&self) -> String {
         let mut out = String::new();

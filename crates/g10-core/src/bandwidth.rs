@@ -43,7 +43,8 @@
 //! into it fills `k = ⌈remaining / c⌉` bins, the last with
 //! `remaining − (k − 1) · c`.  Both are one step however many bins the run
 //! covers, and both equal what the bin-by-bin reference
-//! [`crate::naive::NaiveBandwidthTimeline`] computes.
+//! (`NaiveBandwidthTimeline` in `crates/g10-core/tests/support/naive.rs`)
+//! computes.
 
 use std::collections::BTreeMap;
 
@@ -52,18 +53,13 @@ use serde::{Deserialize, Serialize};
 
 /// The operations the eviction scheduler needs from a channel-reservation
 /// ledger.  Implemented by the run-length [`BandwidthTimeline`] (the
-/// default) and the flat-`Vec` [`crate::naive::NaiveBandwidthTimeline`]
-/// reference.
+/// default) and by the flat-`Vec` reference in
+/// `crates/g10-core/tests/support/naive.rs`, which the planner-equivalence
+/// tests substitute through this trait.
 pub trait BandwidthReservation {
     /// Creates a timeline covering `[0, horizon]` for a channel of
     /// `bytes_per_sec`, using bins of `bin_width`.
     fn with_rate(bytes_per_sec: f64, horizon: Nanos, bin_width: Nanos) -> Self;
-
-    /// Number of bins in the timeline.
-    fn bins(&self) -> usize;
-
-    /// Free capacity (bytes) between `start` and `end`.
-    fn free_bytes_between(&self, start: Nanos, end: Nanos) -> u64;
 
     /// Returns `true` if a transfer of `bytes` starting at `start` cannot
     /// fit inside the window `[start, start + nominal_duration]`.
@@ -292,12 +288,6 @@ impl BandwidthTimeline {
 impl BandwidthReservation for BandwidthTimeline {
     fn with_rate(bytes_per_sec: f64, horizon: Nanos, bin_width: Nanos) -> Self {
         BandwidthTimeline::new(bytes_per_sec, horizon, bin_width)
-    }
-    fn bins(&self) -> usize {
-        BandwidthTimeline::bins(self)
-    }
-    fn free_bytes_between(&self, start: Nanos, end: Nanos) -> u64 {
-        BandwidthTimeline::free_bytes_between(self, start, end)
     }
     fn is_saturated(&self, bytes: u64, start: Nanos, nominal_duration: Nanos) -> bool {
         BandwidthTimeline::is_saturated(self, bytes, start, nominal_duration)

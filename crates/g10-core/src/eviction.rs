@@ -147,8 +147,8 @@ pub struct EvictionDecision {
 /// The full result of the eviction-scheduling pass.
 ///
 /// Generic over the timeline implementations so the same algorithm runs on
-/// the indexed structures (the default) and on the naive references in
-/// [`crate::naive`] (equivalence tests, `bench_planner` baseline).
+/// the indexed structures (the default) and on the flat references that
+/// `tests/planner_scaling.rs` plans with.
 #[derive(Debug, Clone)]
 pub struct EvictionSchedule<P = MemoryTimeline, B = BandwidthTimeline> {
     /// The scheduled evictions, in the order they were selected.
@@ -227,8 +227,8 @@ pub fn schedule_evictions(
 }
 
 /// Runs the smart eviction scheduling algorithm on explicit timeline
-/// implementations (see [`crate::naive`] for the reference pair), without
-/// the selection memo: every call plans from scratch.
+/// implementations, without the selection memo: every call plans from
+/// scratch.
 pub fn schedule_evictions_with<P: PressureTimeline, B: BandwidthReservation>(
     analysis: &VitalityAnalysis,
     trace: &KernelTrace,
@@ -338,7 +338,7 @@ impl<'a, P: PressureTimeline, B: BandwidthReservation> Assign<'a, P, B> {
         Assign {
             config,
             options,
-            host_occupancy: P::zeroed(trace.durations()),
+            host_occupancy: P::zeroed(trace.len()),
             to_ssd: B::with_rate(config.evict_bytes_per_sec(Destination::Ssd), horizon, bin),
             to_host: B::with_rate(config.evict_bytes_per_sec(Destination::Host), horizon, bin),
             decisions: Vec::new(),
@@ -398,7 +398,6 @@ impl<'a, P: PressureTimeline, B: BandwidthReservation> Assign<'a, P, B> {
         let n_kernels = trace.len();
         let pressure = pressure_after(
             analysis.live_bytes(),
-            trace.durations(),
             self.decisions
                 .iter()
                 .map(|d| (analysis.period(d.period).ranges(n_kernels), d.bytes)),

@@ -19,9 +19,9 @@
 //!   which scores candidates.
 //! * [`bandwidth`] — binned bandwidth-reservation timelines for the GPU–SSD
 //!   and GPU–host channels ("is the SSD traffic full during [t, t+s]?"),
-//!   stored as runs of saturated bins plus the partly-filled bins.
-//! * [`naive`] — the pre-refactor flat-`Vec` timelines, kept as the
-//!   reference for equivalence tests and the `bench_planner` baseline.
+//!   stored as runs of saturated bins plus the partly-filled bins.  The
+//!   flat-`Vec` references that both index structures are tested against
+//!   live outside the library, in `tests/support/naive.rs`.
 //! * [`eviction`] — Algorithm 1: iterative benefit/cost candidate selection
 //!   (memoised per graph, trace, GPU capacity and SSD cost) followed by
 //!   destination choice.
@@ -54,7 +54,6 @@ pub mod bandwidth;
 pub mod config;
 pub mod eviction;
 pub mod instrument;
-pub mod naive;
 pub mod plan;
 pub mod prefetch;
 pub mod pressure;

@@ -11,7 +11,7 @@
 
 use crate::config::{Destination, SystemConfig};
 use crate::eviction::EvictionDecision;
-use crate::pressure::{MemoryTimeline, PressureTimeline};
+use crate::pressure::PressureTimeline;
 use crate::vitality::{PeriodId, VitalityAnalysis};
 use g10_dnn::graph::KernelId;
 use g10_dnn::tensor::TensorId;
@@ -50,18 +50,7 @@ impl PrefetchDecision {
 /// Schedules a prefetch for every eviction, applying the eager rescheduling
 /// of §4.4, and updates `pressure` to account for tensors becoming resident
 /// earlier than strictly necessary.
-pub fn schedule_prefetches(
-    analysis: &VitalityAnalysis,
-    trace: &KernelTrace,
-    config: &SystemConfig,
-    evictions: &[EvictionDecision],
-    pressure: &mut MemoryTimeline,
-) -> Vec<PrefetchDecision> {
-    schedule_prefetches_with(analysis, trace, config, evictions, pressure)
-}
-
-/// [`schedule_prefetches`] on an explicit pressure-timeline implementation.
-pub fn schedule_prefetches_with<P: PressureTimeline>(
+pub fn schedule_prefetches<P: PressureTimeline>(
     analysis: &VitalityAnalysis,
     trace: &KernelTrace,
     config: &SystemConfig,

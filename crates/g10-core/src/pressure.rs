@@ -4,9 +4,11 @@
 //! the total size of non-evicted live tensors — as a step function over the
 //! kernels of the iteration, and equivalently tracks how much host memory
 //! its decisions have consumed over time.  Both are instances of
-//! [`MemoryTimeline`]: one value per kernel plus the kernel durations, so
-//! "area above the capacity limit" (the benefit measure of Figure 7) can be
-//! computed in byte·seconds.
+//! [`MemoryTimeline`]: one value per kernel, lowered and raised over kernel
+//! ranges and range-tested against a capacity.  Only eviction selection
+//! weighs kernels by their durations, to price "area above the capacity
+//! limit" (the benefit measure of Figure 7) in byte·seconds; it does so on
+//! its own index, [`AboveCapacity`].
 //!
 //! # Complexity
 //!
@@ -18,11 +20,9 @@
 //! | operation                           | flat `Vec` | segment tree          |
 //! |-------------------------------------|------------|-----------------------|
 //! | [`MemoryTimeline::max_value`]       | O(n)       | O(1)                  |
-//! | [`MemoryTimeline::max_in`]          | O(r)       | O(log n)              |
 //! | [`MemoryTimeline::fits_extra`]      | O(r)       | O(log n)              |
 //! | [`MemoryTimeline::add`]             | O(r)       | O(log n)              |
 //! | [`MemoryTimeline::latest_fit`]      | O(r²)¹     | O(log n)              |
-//! | [`MemoryTimeline::value`]           | O(1)       | O(log n)              |
 //! | [`MemoryTimeline::values`]          | O(n)       | O(n)                  |
 //! | [`AboveCapacity::reduction`]        | O(r)       | O((1 + k) log n)²     |
 //! | [`AboveCapacity::sub`]              | O(r)       | O(log n) amortised³   |
@@ -48,8 +48,8 @@
 //! fixed to one capacity and only ever lowered.  Its benefit accumulates
 //! exactly in integer byte·nanoseconds and converts to byte·seconds once at
 //! the end, so the result is independent of the traversal grouping — the
-//! naive reference in [`crate::naive`] produces bit-identical benefits,
-//! which the planner-equivalence tests rely on.  On the paper models at
+//! flat reference in `crates/g10-core/tests/support/naive.rs` produces
+//! bit-identical benefits, which the planner-equivalence tests rely on.  On the paper models at
 //! eval batch a CELF re-score visits half the nodes that a pruned descent
 //! of the range-max tree above needs (23 against 47 on average); the
 //! README's planner section has the measured planning times.
@@ -66,40 +66,20 @@ use serde::{Deserialize, Serialize};
 /// per-kernel memory-occupancy step function.
 ///
 /// Implemented by the segment-tree [`MemoryTimeline`] (the default) and by
-/// the flat-`Vec` [`crate::naive::NaiveMemoryTimeline`] reference used by
-/// the equivalence tests and the `bench_planner` baseline.
+/// the flat-`Vec` reference in `crates/g10-core/tests/support/naive.rs`,
+/// which the planner-equivalence tests substitute through this trait.
 pub trait PressureTimeline {
-    /// Creates a timeline from initial per-kernel occupancy and durations.
-    fn from_values(values: &[u64], durations: &[Nanos]) -> Self;
+    /// Creates a timeline from initial per-kernel occupancy.
+    fn from_values(values: &[u64]) -> Self;
 
-    /// Creates an all-zero timeline over the given kernel durations.
-    fn zeroed(durations: &[Nanos]) -> Self;
-
-    /// Number of kernels covered.
-    fn len(&self) -> usize;
-
-    /// Returns `true` if the timeline covers no kernels.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Occupancy at one kernel, clamped at zero.
-    fn value(&self, kernel: usize) -> u64;
-
-    /// All per-kernel occupancies, clamped at zero.
-    fn values(&self) -> Vec<u64>;
+    /// Creates an all-zero timeline over `kernels` kernels.
+    fn zeroed(kernels: usize) -> Self;
 
     /// The peak occupancy across the whole iteration.
     fn max_value(&self) -> u64;
 
-    /// The peak occupancy inside the given half-open kernel ranges.
-    fn max_in(&self, ranges: &[(usize, usize)]) -> u64;
-
     /// Adds `delta` bytes to every kernel inside the given half-open ranges.
     fn add(&mut self, ranges: &[(usize, usize)], delta: i64);
-
-    /// Total byte·seconds by which the timeline exceeds `capacity`.
-    fn area_above(&self, capacity: u64) -> f64;
 
     /// Returns `true` if adding `bytes` over the given ranges keeps the
     /// occupancy at or below `capacity`.
@@ -109,9 +89,6 @@ pub trait PressureTimeline {
     /// over the suffix `[j, end)` keeps the occupancy at or below
     /// `capacity` (the eager-prefetch backward walk of §4.4 as one query).
     fn latest_fit(&self, floor: usize, end: usize, bytes: u64, capacity: u64) -> usize;
-
-    /// The per-kernel durations backing the timeline.
-    fn durations(&self) -> &[Nanos];
 }
 
 /// A per-kernel memory-occupancy step function on a lazy-propagation
@@ -125,24 +102,11 @@ pub struct MemoryTimeline {
     min_v: Vec<i64>,
     /// Pending range-add deltas not yet pushed to children.
     lazy: Vec<i64>,
-    /// Static per-node sums of kernel durations in nanoseconds.
-    dur_ns: Vec<u128>,
-    durations: Vec<Nanos>,
 }
 
 impl MemoryTimeline {
-    /// Creates a timeline from initial per-kernel occupancy and kernel
-    /// durations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two slices have different lengths.
-    pub fn new(values: &[u64], durations: &[Nanos]) -> Self {
-        assert_eq!(
-            values.len(),
-            durations.len(),
-            "one value per kernel required"
-        );
+    /// Creates a timeline from initial per-kernel occupancy.
+    pub fn new(values: &[u64]) -> Self {
         let len = values.len();
         let nodes = if len == 0 { 1 } else { 4 * len };
         let mut t = MemoryTimeline {
@@ -150,8 +114,6 @@ impl MemoryTimeline {
             max_v: vec![0; nodes],
             min_v: vec![0; nodes],
             lazy: vec![0; nodes],
-            dur_ns: vec![0; nodes],
-            durations: durations.to_vec(),
         };
         if len > 0 {
             t.build(1, 0, len, values);
@@ -159,11 +121,10 @@ impl MemoryTimeline {
         t
     }
 
-    /// Creates an all-zero timeline over the given kernel durations (used
-    /// for host-memory occupancy, which starts empty).
-    pub fn zeroed(durations: &[Nanos]) -> Self {
-        let zeros = vec![0u64; durations.len()];
-        MemoryTimeline::new(&zeros, durations)
+    /// Creates an all-zero timeline over `kernels` kernels (used for
+    /// host-memory occupancy, which starts empty).
+    pub fn zeroed(kernels: usize) -> Self {
+        MemoryTimeline::new(&vec![0; kernels])
     }
 
     fn build(&mut self, node: usize, nl: usize, nr: usize, values: &[u64]) {
@@ -171,14 +132,12 @@ impl MemoryTimeline {
             let v = values[nl] as i64;
             self.max_v[node] = v;
             self.min_v[node] = v;
-            self.dur_ns[node] = self.durations[nl].as_nanos() as u128;
             return;
         }
         let mid = nl + (nr - nl) / 2;
         self.build(2 * node, nl, mid, values);
         self.build(2 * node + 1, mid, nr, values);
         self.pull(node);
-        self.dur_ns[node] = self.dur_ns[2 * node] + self.dur_ns[2 * node + 1];
     }
 
     fn pull(&mut self, node: usize) {
@@ -282,26 +241,6 @@ impl MemoryTimeline {
         self.len == 0
     }
 
-    /// Occupancy at one kernel, clamped at zero.
-    pub fn value(&self, kernel: usize) -> u64 {
-        assert!(kernel < self.len, "kernel index out of range");
-        let mut node = 1;
-        let (mut nl, mut nr) = (0, self.len);
-        let mut acc = 0;
-        while nr - nl > 1 {
-            acc += self.lazy[node];
-            let mid = nl + (nr - nl) / 2;
-            if kernel < mid {
-                node *= 2;
-                nr = mid;
-            } else {
-                node = 2 * node + 1;
-                nl = mid;
-            }
-        }
-        (self.max_v[node] + acc).max(0) as u64
-    }
-
     /// All per-kernel occupancies, clamped at zero.
     pub fn values(&self) -> Vec<u64> {
         self.raw_values()
@@ -318,18 +257,6 @@ impl MemoryTimeline {
         self.max_v[1].max(0) as u64
     }
 
-    /// The peak occupancy inside the given half-open kernel ranges.
-    pub fn max_in(&self, ranges: &[(usize, usize)]) -> u64 {
-        let mut max = 0i64;
-        for &(lo, hi) in ranges {
-            let hi = hi.min(self.len);
-            if lo < hi {
-                max = max.max(self.range_max(1, 0, self.len, lo, hi, 0));
-            }
-        }
-        max.max(0) as u64
-    }
-
     /// Adds `delta` bytes to every kernel inside the given half-open ranges
     /// (negative deltas model evictions).
     pub fn add(&mut self, ranges: &[(usize, usize)], delta: i64) {
@@ -339,16 +266,6 @@ impl MemoryTimeline {
                 self.range_add(1, 0, self.len, lo, hi, delta);
             }
         }
-    }
-
-    /// Total byte·seconds by which the timeline exceeds `capacity`.
-    pub fn area_above(&self, capacity: u64) -> f64 {
-        let cap = capacity as i64;
-        self.raw_values()
-            .iter()
-            .zip(&self.durations)
-            .map(|(v, d)| ((v - cap).max(0) as f64) * d.as_secs_f64())
-            .sum()
     }
 
     /// Returns `true` if adding `bytes` to every kernel in the given ranges
@@ -390,49 +307,26 @@ impl MemoryTimeline {
             None => floor,
         }
     }
-
-    /// The per-kernel durations backing the timeline.
-    pub fn durations(&self) -> &[Nanos] {
-        &self.durations
-    }
 }
 
 impl PressureTimeline for MemoryTimeline {
-    fn from_values(values: &[u64], durations: &[Nanos]) -> Self {
-        MemoryTimeline::new(values, durations)
+    fn from_values(values: &[u64]) -> Self {
+        MemoryTimeline::new(values)
     }
-    fn zeroed(durations: &[Nanos]) -> Self {
-        MemoryTimeline::zeroed(durations)
-    }
-    fn len(&self) -> usize {
-        MemoryTimeline::len(self)
-    }
-    fn value(&self, kernel: usize) -> u64 {
-        MemoryTimeline::value(self, kernel)
-    }
-    fn values(&self) -> Vec<u64> {
-        MemoryTimeline::values(self)
+    fn zeroed(kernels: usize) -> Self {
+        MemoryTimeline::zeroed(kernels)
     }
     fn max_value(&self) -> u64 {
         MemoryTimeline::max_value(self)
     }
-    fn max_in(&self, ranges: &[(usize, usize)]) -> u64 {
-        MemoryTimeline::max_in(self, ranges)
-    }
     fn add(&mut self, ranges: &[(usize, usize)], delta: i64) {
         MemoryTimeline::add(self, ranges, delta)
-    }
-    fn area_above(&self, capacity: u64) -> f64 {
-        MemoryTimeline::area_above(self, capacity)
     }
     fn fits_extra(&self, ranges: &[(usize, usize)], bytes: u64, capacity: u64) -> bool {
         MemoryTimeline::fits_extra(self, ranges, bytes, capacity)
     }
     fn latest_fit(&self, floor: usize, end: usize, bytes: u64, capacity: u64) -> usize {
         MemoryTimeline::latest_fit(self, floor, end, bytes, capacity)
-    }
-    fn durations(&self) -> &[Nanos] {
-        MemoryTimeline::durations(self)
     }
 }
 
@@ -441,7 +335,7 @@ impl PressureTimeline for MemoryTimeline {
 /// eviction's ranges, a prefix sum over `values`, then one
 /// [`PressureTimeline::from_values`].
 ///
-/// The result's values equal `P::from_values(values, durations)` followed
+/// The result's values equal `P::from_values(values)` followed
 /// by one `add(ranges, -bytes)` per eviction: the arithmetic is integer, so
 /// the order of the subtractions does not matter.  Ranges are clipped to the
 /// timeline, as [`PressureTimeline::add`] clips them.  It costs O(n + e)
@@ -450,15 +344,11 @@ impl PressureTimeline for MemoryTimeline {
 ///
 /// # Panics
 ///
-/// Panics if the slices have different lengths, or if the evictions lower
-/// a kernel below zero.  Neither happens for the planner's evictions: a
-/// tensor is live, and so counted in `values`, over each of its inactive
-/// periods, and at most one of its periods covers any kernel.
-pub fn pressure_after<P, R>(
-    values: &[u64],
-    durations: &[Nanos],
-    evictions: impl IntoIterator<Item = (R, u64)>,
-) -> P
+/// Panics if the evictions lower a kernel below zero.  That never happens
+/// for the planner's evictions: a tensor is live, and so counted in
+/// `values`, over each of its inactive periods, and at most one of its
+/// periods covers any kernel.
+pub fn pressure_after<P, R>(values: &[u64], evictions: impl IntoIterator<Item = (R, u64)>) -> P
 where
     P: PressureTimeline,
     R: AsRef<[(usize, usize)]>,
@@ -483,7 +373,7 @@ where
             u64::try_from(v as i64 + delta).expect("evictions lower a kernel below zero")
         })
         .collect();
-    P::from_values(&lowered, durations)
+    P::from_values(&lowered)
 }
 
 /// `min_over` of a subtree with no kernel above capacity.
@@ -675,8 +565,9 @@ impl AboveCapacity {
     /// The benefit (in byte·seconds) of removing `bytes` over the given
     /// ranges: only the part of the pressure *above* capacity counts,
     /// exactly as in Figure 7(2) of the paper.  Accumulated in integer
-    /// byte·nanoseconds and converted once, so it is bit-identical to
-    /// [`crate::naive::NaiveMemoryTimeline::reduction_above`].
+    /// byte·nanoseconds and converted once, so it is bit-identical to the
+    /// flat reference, `NaiveMemoryTimeline::reduction_above` in
+    /// `crates/g10-core/tests/support/naive.rs`.
     pub fn reduction(&self, ranges: &[(usize, usize)], bytes: u64) -> f64 {
         if !self.any_above() {
             return 0.0;
@@ -697,8 +588,7 @@ mod tests {
     use super::*;
 
     fn timeline() -> MemoryTimeline {
-        let durations = vec![Nanos::from_micros(10); 6];
-        MemoryTimeline::new(&[10, 50, 90, 90, 40, 10], &durations)
+        MemoryTimeline::new(&[10, 50, 90, 90, 40, 10])
     }
 
     #[test]
@@ -706,30 +596,17 @@ mod tests {
         let t = timeline();
         assert_eq!(t.len(), 6);
         assert_eq!(t.max_value(), 90);
-        assert_eq!(t.value(0), 10);
-        assert_eq!(t.max_in(&[(0, 2)]), 50);
-        assert_eq!(t.max_in(&[(4, 6)]), 40);
-        assert_eq!(t.max_in(&[]), 0);
+        assert_eq!(t.values(), vec![10, 50, 90, 90, 40, 10]);
     }
 
     #[test]
     fn add_and_clamp() {
         let mut t = timeline();
         t.add(&[(1, 4)], -60);
-        assert_eq!(t.value(1), 0); // clamped view of -10
-        assert_eq!(t.value(2), 30);
-        assert_eq!(t.value(4), 40); // outside the range, unchanged
+        // Kernel 1 is clamped from -10; kernel 4 is outside the range.
+        assert_eq!(t.values(), vec![10, 0, 30, 30, 40, 10]);
         t.add(&[(1, 4)], 60);
         assert_eq!(t.values(), vec![10, 50, 90, 90, 40, 10]);
-    }
-
-    #[test]
-    fn area_above_counts_only_overflow() {
-        let t = timeline();
-        // Capacity 60: kernels 2 and 3 exceed it by 30 each, for 10 µs each.
-        let expected = 2.0 * 30.0 * 10e-6;
-        assert!((t.area_above(60) - expected).abs() < 1e-12);
-        assert_eq!(t.area_above(1000), 0.0);
     }
 
     #[test]
@@ -771,18 +648,19 @@ mod tests {
 
     #[test]
     fn zeroed_timeline_starts_empty() {
-        let t = MemoryTimeline::zeroed(&[Nanos::from_micros(5); 4]);
+        let t = MemoryTimeline::zeroed(4);
         assert_eq!(t.max_value(), 0);
         assert!(!t.is_empty());
-        assert_eq!(t.durations().len(), 4);
+        assert_eq!(t.len(), 4);
     }
 
     #[test]
     fn ranges_past_the_end_are_clipped() {
         let mut t = timeline();
         t.add(&[(4, 100)], 5);
-        assert_eq!(t.value(5), 15);
-        assert_eq!(t.max_in(&[(5, 100)]), 15);
+        assert_eq!(t.values(), vec![10, 50, 90, 90, 45, 15]);
+        assert!(t.fits_extra(&[(5, 100)], 75, 90));
+        assert!(!t.fits_extra(&[(5, 100)], 76, 90));
     }
 
     #[test]
@@ -803,10 +681,9 @@ mod tests {
 
     #[test]
     fn empty_timeline_is_well_behaved() {
-        let t = MemoryTimeline::new(&[], &[]);
+        let t = MemoryTimeline::new(&[]);
         assert!(t.is_empty());
         assert_eq!(t.max_value(), 0);
-        assert_eq!(t.max_in(&[(0, 5)]), 0);
         assert!(t.fits_extra(&[(0, 5)], 10, 0));
         assert_eq!(t.values(), Vec::<u64>::new());
     }

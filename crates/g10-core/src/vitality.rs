@@ -315,22 +315,6 @@ impl VitalityAnalysis {
     pub fn iteration_time(&self) -> Nanos {
         self.iteration_time
     }
-
-    /// Kernel at which each intermediate tensor should be allocated and the
-    /// kernel after which it can be freed, as (birth, death) pairs; global
-    /// tensors report the full iteration.
-    pub fn allocation_window(&self, tensor: TensorId) -> Option<(KernelId, KernelId)> {
-        self.lifetime(tensor).map(|l| {
-            if l.is_global {
-                (
-                    KernelId::new(0),
-                    KernelId::new((self.live_bytes.len() - 1) as u32),
-                )
-            } else {
-                (l.first_use, l.last_use)
-            }
-        })
-    }
 }
 
 #[cfg(test)]
@@ -415,15 +399,6 @@ mod tests {
         let n_wraps = a.periods().iter().filter(|p| p.wraps_iteration).count();
         assert!(n_wraps > 0);
         assert!(n_wraps <= n_weights);
-    }
-
-    #[test]
-    fn allocation_windows_are_ordered() {
-        let (graph, _, a) = analysis();
-        for t in graph.tensors() {
-            let (birth, death) = a.allocation_window(t.id()).unwrap();
-            assert!(birth <= death);
-        }
     }
 
     #[test]

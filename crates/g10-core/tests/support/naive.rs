@@ -2,101 +2,58 @@
 //!
 //! These are the pre-refactor O(range)-per-operation data structures, kept
 //! only as the correctness oracle for the index structures in
-//! [`crate::pressure`] and [`crate::bandwidth`]:
+//! `g10_core::pressure` and `g10_core::bandwidth`:
 //!
 //! * the property tests (`crates/g10-core/tests/timeline_props.rs`) assert
-//!   that the segment-tree
-//!   [`MemoryTimeline`](crate::pressure::MemoryTimeline) and
-//!   [`BandwidthTimeline`](crate::bandwidth::BandwidthTimeline) agree with
-//!   these on random operation sequences, and
+//!   that the segment-tree `MemoryTimeline` and the run-length
+//!   `BandwidthTimeline` agree with these on random operation sequences,
+//!   and
 //! * `tests/planner_scaling.rs` runs the whole eviction + prefetch pipeline
-//!   on both families and requires identical plans at mid scale.
+//!   on both families, through the `PressureTimeline` and
+//!   `BandwidthReservation` traits, and requires identical plans at mid
+//!   scale.
 //!
 //! [`NaiveMemoryTimeline::reduction_above`] is the reference for eviction
-//! selection's benefit index,
-//! [`AboveCapacity`](crate::pressure::AboveCapacity).  Both accumulate in
-//! integer byte·nanoseconds, so benefits are bit-identical regardless of
-//! traversal order.  Likewise both bandwidth ledgers count whole bytes per
-//! bin, so free bytes and completion times agree exactly.
+//! selection's benefit index, `AboveCapacity`.  Both accumulate in integer
+//! byte·nanoseconds, so benefits are bit-identical regardless of traversal
+//! order.  Likewise both bandwidth ledgers count whole bytes per bin, so
+//! free bytes and completion times agree exactly.
 
-use crate::bandwidth::{bin_capacity, BandwidthReservation};
-use crate::pressure::PressureTimeline;
+use g10_core::bandwidth::BandwidthReservation;
+use g10_core::pressure::PressureTimeline;
 use g10_time::Nanos;
 
 /// The flat-`Vec` memory-pressure timeline (one value per kernel).
 #[derive(Debug, Clone, PartialEq)]
 pub struct NaiveMemoryTimeline {
     values: Vec<i64>,
-    durations: Vec<Nanos>,
 }
 
 impl NaiveMemoryTimeline {
-    /// Creates a timeline from initial per-kernel occupancy and durations.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two slices have different lengths.
-    pub fn new(values: &[u64], durations: &[Nanos]) -> Self {
-        assert_eq!(
-            values.len(),
-            durations.len(),
-            "one value per kernel required"
-        );
+    /// Creates a timeline from initial per-kernel occupancy.
+    pub fn new(values: &[u64]) -> Self {
         NaiveMemoryTimeline {
             values: values.iter().map(|v| *v as i64).collect(),
-            durations: durations.to_vec(),
         }
     }
 
-    /// The benefit (in byte·seconds) of removing `bytes` over the given
-    /// ranges, counting only occupancy above `capacity`: the reference for
-    /// [`AboveCapacity::reduction`](crate::pressure::AboveCapacity::reduction).
-    pub fn reduction_above(&self, ranges: &[(usize, usize)], bytes: u64, capacity: u64) -> f64 {
-        let cap = capacity as i64;
-        let bytes = bytes as i64;
-        let mut byte_ns: u128 = 0;
-        for &(lo, hi) in ranges {
-            for k in lo..hi.min(self.values.len()) {
-                let over = (self.values[k] - cap).max(0);
-                let removed = over.min(bytes);
-                if removed > 0 {
-                    byte_ns += removed as u128 * self.durations[k].as_nanos() as u128;
-                }
-            }
-        }
-        byte_ns as f64 / 1e9
-    }
-}
-
-impl PressureTimeline for NaiveMemoryTimeline {
-    fn from_values(values: &[u64], durations: &[Nanos]) -> Self {
-        NaiveMemoryTimeline::new(values, durations)
-    }
-
-    fn zeroed(durations: &[Nanos]) -> Self {
-        NaiveMemoryTimeline {
-            values: vec![0; durations.len()],
-            durations: durations.to_vec(),
-        }
-    }
-
-    fn len(&self) -> usize {
+    /// Number of kernels covered.
+    pub fn len(&self) -> usize {
         self.values.len()
     }
 
-    fn value(&self, kernel: usize) -> u64 {
+    /// Occupancy at one kernel, clamped at zero.
+    pub fn value(&self, kernel: usize) -> u64 {
         self.values[kernel].max(0) as u64
     }
 
-    fn values(&self) -> Vec<u64> {
+    /// All per-kernel occupancies, clamped at zero.
+    pub fn values(&self) -> Vec<u64> {
         self.values.iter().map(|v| (*v).max(0) as u64).collect()
     }
 
-    fn max_value(&self) -> u64 {
-        self.values.iter().copied().max().unwrap_or(0).max(0) as u64
-    }
-
-    fn max_in(&self, ranges: &[(usize, usize)]) -> u64 {
+    /// The peak occupancy inside the given half-open kernel ranges.
+    pub fn max_in(&self, ranges: &[(usize, usize)]) -> u64 {
         let mut max = 0i64;
         for &(lo, hi) in ranges {
             for k in lo..hi.min(self.values.len()) {
@@ -106,21 +63,58 @@ impl PressureTimeline for NaiveMemoryTimeline {
         max.max(0) as u64
     }
 
+    /// The benefit (in byte·seconds) of removing `bytes` over the given
+    /// ranges, counting only occupancy above `capacity` and weighting each
+    /// kernel by its entry in `durations`: the reference for
+    /// `AboveCapacity::reduction`.
+    pub fn reduction_above(
+        &self,
+        ranges: &[(usize, usize)],
+        bytes: u64,
+        capacity: u64,
+        durations: &[Nanos],
+    ) -> f64 {
+        let cap = capacity as i64;
+        let bytes = bytes as i64;
+        let mut byte_ns: u128 = 0;
+        for &(lo, hi) in ranges {
+            let hi = hi.min(self.values.len());
+            if lo >= hi {
+                continue;
+            }
+            for (v, d) in self.values[lo..hi].iter().zip(&durations[lo..hi]) {
+                let over = (v - cap).max(0);
+                let removed = over.min(bytes);
+                if removed > 0 {
+                    byte_ns += removed as u128 * d.as_nanos() as u128;
+                }
+            }
+        }
+        byte_ns as f64 / 1e9
+    }
+}
+
+impl PressureTimeline for NaiveMemoryTimeline {
+    fn from_values(values: &[u64]) -> Self {
+        NaiveMemoryTimeline::new(values)
+    }
+
+    fn zeroed(kernels: usize) -> Self {
+        NaiveMemoryTimeline {
+            values: vec![0; kernels],
+        }
+    }
+
+    fn max_value(&self) -> u64 {
+        self.values.iter().copied().max().unwrap_or(0).max(0) as u64
+    }
+
     fn add(&mut self, ranges: &[(usize, usize)], delta: i64) {
         for &(lo, hi) in ranges {
             for k in lo..hi.min(self.values.len()) {
                 self.values[k] += delta;
             }
         }
-    }
-
-    fn area_above(&self, capacity: u64) -> f64 {
-        let cap = capacity as i64;
-        self.values
-            .iter()
-            .zip(&self.durations)
-            .map(|(v, d)| ((v - cap).max(0) as f64) * d.as_secs_f64())
-            .sum()
     }
 
     fn fits_extra(&self, ranges: &[(usize, usize)], bytes: u64, capacity: u64) -> bool {
@@ -148,10 +142,6 @@ impl PressureTimeline for NaiveMemoryTimeline {
         }
         j
     }
-
-    fn durations(&self) -> &[Nanos] {
-        &self.durations
-    }
 }
 
 /// The flat-`Vec` bandwidth-reservation timeline (linear bin scans).
@@ -164,7 +154,8 @@ pub struct NaiveBandwidthTimeline {
 
 impl NaiveBandwidthTimeline {
     /// Creates a timeline covering `[0, horizon]` for a channel of
-    /// `bytes_per_sec`, using bins of `bin_width`.
+    /// `bytes_per_sec`, using bins of `bin_width`, each carrying
+    /// `rate × bin_width` rounded to the nearest whole byte.
     ///
     /// # Panics
     ///
@@ -174,9 +165,27 @@ impl NaiveBandwidthTimeline {
         let bins = (horizon.as_nanos() / bin_width.as_nanos() + 2) as usize;
         NaiveBandwidthTimeline {
             bin_width,
-            bytes_per_bin: bin_capacity(bytes_per_sec, bin_width),
+            bytes_per_bin: (bytes_per_sec * bin_width.as_secs_f64()).round() as u64,
             used: vec![0; bins],
         }
+    }
+
+    /// Number of bins in the timeline.
+    pub fn bins(&self) -> usize {
+        self.used.len()
+    }
+
+    /// Free capacity (bytes) of every bin from `start`'s through `end`'s,
+    /// zero for an empty or reversed window.
+    pub fn free_bytes_between(&self, start: Nanos, end: Nanos) -> u64 {
+        if end <= start {
+            return 0;
+        }
+        let lo = self.bin_of(start);
+        let hi = self.bin_of(end);
+        (lo..=hi)
+            .map(|b| self.bytes_per_bin.saturating_sub(self.used[b]))
+            .sum()
     }
 
     fn bin_of(&self, time: Nanos) -> usize {
@@ -191,21 +200,6 @@ impl NaiveBandwidthTimeline {
 impl BandwidthReservation for NaiveBandwidthTimeline {
     fn with_rate(bytes_per_sec: f64, horizon: Nanos, bin_width: Nanos) -> Self {
         NaiveBandwidthTimeline::new(bytes_per_sec, horizon, bin_width)
-    }
-
-    fn bins(&self) -> usize {
-        self.used.len()
-    }
-
-    fn free_bytes_between(&self, start: Nanos, end: Nanos) -> u64 {
-        if end <= start {
-            return 0;
-        }
-        let lo = self.bin_of(start);
-        let hi = self.bin_of(end);
-        (lo..=hi)
-            .map(|b| self.bytes_per_bin.saturating_sub(self.used[b]))
-            .sum()
     }
 
     fn is_saturated(&self, bytes: u64, start: Nanos, nominal_duration: Nanos) -> bool {
@@ -234,40 +228,5 @@ impl BandwidthReservation for NaiveBandwidthTimeline {
             bin += 1;
         }
         self.end_of_bin(bin)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn naive_pressure_matches_documented_semantics() {
-        let durations = vec![Nanos::from_micros(10); 6];
-        let mut t = NaiveMemoryTimeline::new(&[10, 50, 90, 90, 40, 10], &durations);
-        assert_eq!(t.len(), 6);
-        assert_eq!(t.max_value(), 90);
-        assert_eq!(t.max_in(&[(0, 2)]), 50);
-        assert!(t.fits_extra(&[(0, 2)], 40, 90));
-        assert!(!t.fits_extra(&[(0, 3)], 40, 90));
-        assert_eq!(t.latest_fit(0, 6, 40, 90), 4);
-        t.add(&[(1, 4)], -60);
-        assert_eq!(t.value(1), 0);
-        assert_eq!(t.value(2), 30);
-        let r = t.reduction_above(&[(0, 6)], 100, 20);
-        assert!(r > 0.0);
-    }
-
-    #[test]
-    fn naive_bandwidth_matches_documented_semantics() {
-        let mut t = NaiveBandwidthTimeline::new(1e9, Nanos::from_millis(10), Nanos::from_millis(1));
-        assert_eq!(t.bins(), 12);
-        let done = t.reserve(2_000_000, Nanos::ZERO);
-        assert_eq!(done, Nanos::from_millis(2));
-        assert!(t.is_saturated(1_000_000, Nanos::ZERO, Nanos::from_millis(1)));
-        assert_eq!(
-            t.free_bytes_between(Nanos::ZERO, Nanos::from_millis(3)),
-            2_000_000
-        );
     }
 }

@@ -71,20 +71,6 @@ impl GpuCostModel {
         }
     }
 
-    /// The cost model used for reproducing the paper's evaluation.
-    ///
-    /// The paper replays kernel traces collected through its UVMSmart +
-    /// GPGPU-Sim simulation stack, whose effective per-kernel throughput is
-    /// roughly an order of magnitude below native A100 execution (its ideal
-    /// ResNet-152 / SENet-154 training throughputs are ~10 images/s, Fig. 15).
-    /// What determines every result in §7 is the *ratio* between compute
-    /// time and migration time, so this model slows the A100 roofline down
-    /// uniformly to land in the same regime.  See EXPERIMENTS.md for the
-    /// calibration discussion.
-    pub fn paper_calibrated() -> Self {
-        GpuCostModel::a100().slowed(8.0)
-    }
-
     /// Estimated duration for a kernel with the given analytic cost.
     /// `dense` selects the dense-pipeline efficiency (convolutions, GEMMs).
     pub fn duration_of(&self, cost: OpCost, dense: bool) -> Nanos {
@@ -170,6 +156,5 @@ mod tests {
         let ratio =
             slow.duration_of(cost, true).as_secs_f64() / fast.duration_of(cost, true).as_secs_f64();
         assert!((6.0..10.0).contains(&ratio), "ratio was {ratio}");
-        assert_eq!(GpuCostModel::paper_calibrated(), fast.slowed(8.0));
     }
 }

@@ -116,7 +116,7 @@ impl ModelKind {
     /// one to two orders of magnitude below native A100 execution for the
     /// CNN workloads; what every experiment depends on is the *ratio*
     /// between compute time and migration time, so the reproduction
-    /// calibrates that ratio per model (see EXPERIMENTS.md).
+    /// calibrates that ratio per model.
     pub const fn calibration_factor(self) -> f64 {
         match self {
             ModelKind::Bert => 4.5,

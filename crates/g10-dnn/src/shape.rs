@@ -50,22 +50,6 @@ impl FeatureMap {
             w: self.w.div_ceil(stride),
         }
     }
-
-    /// Returns the shape after global average pooling (spatial dims collapse
-    /// to 1×1).
-    pub fn global_pool(&self) -> FeatureMap {
-        FeatureMap {
-            n: self.n,
-            c: self.c,
-            h: 1,
-            w: 1,
-        }
-    }
-
-    /// Returns a copy with a different channel count.
-    pub fn with_channels(&self, c: u64) -> FeatureMap {
-        FeatureMap { c, ..*self }
-    }
 }
 
 impl fmt::Display for FeatureMap {
@@ -111,11 +95,6 @@ impl SeqShape {
     pub const fn attention_score_elements(&self, heads: u64) -> u64 {
         self.n * heads * self.l * self.l
     }
-
-    /// Byte size of the attention-score tensor `N × heads × L × L`.
-    pub fn attention_score_bytes(&self, heads: u64) -> u64 {
-        fp32_bytes(self.attention_score_elements(heads))
-    }
 }
 
 impl fmt::Display for SeqShape {
@@ -142,12 +121,6 @@ mod tests {
         assert_eq!(out, FeatureMap::new(1, 64, 112, 112));
         let odd = FeatureMap::new(1, 3, 7, 7).conv_output(8, 2);
         assert_eq!(odd, FeatureMap::new(1, 8, 4, 4));
-    }
-
-    #[test]
-    fn global_pool_collapses_spatial_dims() {
-        let fm = FeatureMap::new(4, 2048, 7, 7);
-        assert_eq!(fm.global_pool(), FeatureMap::new(4, 2048, 1, 1));
     }
 
     #[test]

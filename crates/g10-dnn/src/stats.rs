@@ -143,15 +143,6 @@ pub fn inactive_periods(graph: &DnnGraph, trace: &KernelTrace) -> Vec<InactivePe
     periods
 }
 
-/// Cumulative distribution of inactive-period lengths: returns the period
-/// lengths sorted ascending, so `lengths[i]` is the `(i+1)/len` quantile
-/// (Figure 3).
-pub fn inactive_period_cdf(periods: &[InactivePeriod]) -> Vec<Nanos> {
-    let mut lengths: Vec<Nanos> = periods.iter().map(|p| p.length).collect();
-    lengths.sort_unstable();
-    lengths
-}
-
 /// Fraction of inactive periods longer than the given threshold — e.g. how
 /// many could hide a 20 µs SSD access (the paper reports 60–80 %).
 pub fn fraction_longer_than(periods: &[InactivePeriod], threshold: Nanos) -> f64 {
@@ -248,11 +239,9 @@ mod tests {
     }
 
     #[test]
-    fn cdf_is_sorted_and_fraction_is_consistent() {
+    fn fraction_is_consistent() {
         let (g, t) = toy();
         let periods = inactive_periods(&g, &t);
-        let cdf = inactive_period_cdf(&periods);
-        assert!(cdf.windows(2).all(|w| w[0] <= w[1]));
         assert_eq!(fraction_longer_than(&periods, Nanos::ZERO), 1.0);
         assert_eq!(fraction_longer_than(&periods, Nanos::MAX), 0.0);
         assert_eq!(fraction_longer_than(&[], Nanos::ZERO), 0.0);

@@ -1,8 +1,9 @@
 //! Linear-scan reference implementations of eviction-victim selection.
 //!
 //! These are O(R)-per-victim scans over
-//! [`EngineState::evictable_tensors`], kept — like `g10_core::naive` for the
-//! planner — only as the correctness oracle for the incremental
+//! [`EngineState::evictable_tensors`], kept — like the planner's flat
+//! timelines in `crates/g10-core/tests/support/naive.rs` — only as the
+//! correctness oracle for the incremental
 //! [`crate::victim::VictimIndex`], which is the engine's one selection path:
 //!
 //! * the property tests (`crates/g10-sim/tests/victim_props.rs`) assert that

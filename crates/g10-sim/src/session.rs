@@ -90,8 +90,6 @@
 //! # Ok::<(), g10_sim::session::SimError>(())
 //! ```
 
-pub mod adversarial;
-
 use crate::cancel::{CancelKind, CancelRecord};
 use crate::engine::{EngineError, ReplayEngine, RuntimeOptions};
 use crate::fault::{
@@ -172,19 +170,6 @@ impl SimError {
         SimError::UnknownPolicy {
             name: name.to_string(),
             known: registered_policy_names(),
-        }
-    }
-
-    /// The fault behind an [`SimError::PolicyFault`], if that is what this
-    /// error is.
-    pub fn as_policy_fault(&self) -> Option<FaultRecord> {
-        match self {
-            SimError::PolicyFault { policy, step, kind } => Some(FaultRecord {
-                policy: policy.clone(),
-                step: *step,
-                kind: kind.clone(),
-            }),
-            _ => None,
         }
     }
 }

@@ -4,7 +4,7 @@
 //! and report misbehaviour only as typed
 //! [`SimError::PolicyFault`](g10_sim::SimError)s.
 //!
-//! The adversary ([`g10_sim::session::adversarial`]) draws a seeded stream
+//! The adversary (`support/adversarial.rs`) draws a seeded stream
 //! of legal requests, out-of-range ids, strict-API misuse, and mid-hook
 //! panics.  Each fuzz case runs the same hostile spec twice: once with the
 //! default fail-fast handling (the result must be `Ok` or a typed fault)
@@ -17,9 +17,10 @@
 //! invariant: the harness treats those as test failures, which is exactly
 //! the "never violates capacity" property.
 
+mod support;
+
 use g10_core::config::SystemConfig;
 use g10_dnn::models::ModelKind;
-use g10_sim::session::adversarial::{AdversarialProvider, AdversarialSpec};
 use g10_sim::{
     Experiment, JobSpec, OnPolicyFault, PolicyFaultKind, PolicyRegistry, PolicySpec,
     RuntimeOptions, SimError, Validate, Workload,
@@ -27,6 +28,7 @@ use g10_sim::{
 use g10_time::Nanos;
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
+use support::adversarial::{AdversarialProvider, AdversarialSpec};
 
 /// The fuzz workload, built once: small enough for hundreds of runs,
 /// large enough (dozens of kernels, both globals and intermediates) that

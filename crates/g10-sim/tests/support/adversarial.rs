@@ -7,8 +7,8 @@
 //! fuzz harness (`tests/policy_fuzz.rs`) asserts that whatever this policy
 //! does, the engine never panics, never corrupts its bookkeeping, and
 //! reports misbehaviour only as typed
-//! [`PolicyFault`](crate::session::SimError::PolicyFault)s.  The same
-//! specs also drive the multi-tenant path ([`crate::tenancy`]): hostile
+//! [`PolicyFault`](g10_sim::SimError::PolicyFault)s.  The same
+//! specs also drive the multi-tenant path ([`g10_sim::tenancy`]): hostile
 //! policies steering concurrent quota'd jobs must never panic the
 //! scheduler, breach a tenant's quota without a forced oversubscription,
 //! or starve the invariant guard.
@@ -17,10 +17,10 @@
 //! replays the same hostile action sequence, so fuzz failures reproduce
 //! from the printed spec alone.
 
-use crate::engine::{EngineState, Location};
-use crate::policy::{lru_victim, MemoryPolicy};
-use crate::session::{PolicyContext, PolicyProvider};
 use g10_dnn::tensor::{TensorId, TensorInfo};
+use g10_sim::engine::{EngineState, Location};
+use g10_sim::policy::{lru_victim, MemoryPolicy};
+use g10_sim::session::{PolicyContext, PolicyProvider};
 
 /// Everything that parameterises one adversarial run.  `Copy` and built
 /// from plain integers so property tests can generate and print it.

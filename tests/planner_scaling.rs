@@ -1,18 +1,25 @@
 //! Planner agreement test on the synthetic deep-GPT stress workload: the
-//! indexed timelines and the `g10_core::naive` reference pair must plan
-//! decision-for-decision identically on a mid-size stress graph.  The
-//! planner's current cost is measured by `bench_planner` and `perfbench/`.
+//! indexed timelines and the flat-`Vec` reference pair of
+//! `crates/g10-core/tests/support/naive.rs` must plan decision-for-decision
+//! identically on a mid-size stress graph.  The planner's current cost is
+//! measured by `bench_planner` and `perfbench/`.
+
+// The reference pair, shared with `g10-core`'s own property tests; this
+// test plans through its trait impls only.
+#[allow(dead_code)]
+#[path = "../crates/g10-core/tests/support/naive.rs"]
+mod naive;
 
 use g10::core::bandwidth::{BandwidthReservation, BandwidthTimeline};
 use g10::core::config::SystemConfig;
 use g10::core::eviction::{schedule_evictions_with, EvictionDecision, EvictionOptions};
-use g10::core::naive::{NaiveBandwidthTimeline, NaiveMemoryTimeline};
-use g10::core::prefetch::{schedule_prefetches_with, PrefetchDecision};
+use g10::core::prefetch::{schedule_prefetches, PrefetchDecision};
 use g10::core::pressure::{MemoryTimeline, PressureTimeline};
 use g10::core::vitality::VitalityAnalysis;
 use g10::dnn::cost::GpuCostModel;
 use g10::dnn::models::stress::{build, StressGptConfig};
 use g10::dnn::trace::KernelTrace;
+use naive::{NaiveBandwidthTimeline, NaiveMemoryTimeline};
 
 struct Case {
     trace: KernelTrace,
@@ -42,7 +49,7 @@ fn plan<P: PressureTimeline, B: BandwidthReservation>(
         &case.config,
         EvictionOptions::both(),
     );
-    let prefetches = schedule_prefetches_with(
+    let prefetches = schedule_prefetches(
         &case.analysis,
         &case.trace,
         &case.config,

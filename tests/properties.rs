@@ -116,8 +116,7 @@ proptest! {
         len in 1usize..32,
         delta in 1i64..1_000_000,
     ) {
-        let durations = vec![Nanos::from_micros(10); values.len()];
-        let mut timeline = MemoryTimeline::new(&values, &durations);
+        let mut timeline = MemoryTimeline::new(&values);
         let before = timeline.values();
         let hi = (lo + len).min(values.len());
         let lo = lo.min(values.len());
