@@ -390,6 +390,16 @@ fn bench_compare(flags: &Flags, baseline_path: &str, fresh_path: &str) -> Result
     }
 }
 
+/// The error for words after the `command` words of a command that takes
+/// no arguments.
+fn extra_words(words: &[&str], command: usize) -> Result<(), String> {
+    Err(format!(
+        "{} takes no arguments, got: {}",
+        words[..command].join(" "),
+        words[command..].join(" ")
+    ))
+}
+
 fn run(command: &str, flags: &Flags, out_dir: &Path) -> Result<(), String> {
     match command {
         "run" => custom_run(flags, out_dir)?,
@@ -642,6 +652,10 @@ fn main() -> ExitCode {
                 );
                 return ExitCode::SUCCESS;
             }
+            other if other.starts_with('-') => {
+                eprintln!("error: unknown flag: {other} (try --help)");
+                return ExitCode::FAILURE;
+            }
             other => positionals.push(other.to_string()),
         }
     }
@@ -671,26 +685,22 @@ fn main() -> ExitCode {
     }
 
     let started = std::time::Instant::now();
-    let result = match positionals[0].as_str() {
-        "bench" => match positionals.get(1).map(String::as_str) {
-            Some("snapshot") if positionals.len() == 2 => bench_snapshot(&out_dir),
-            Some("snapshot") => Err(format!(
-                "bench snapshot takes no arguments, got: {}",
-                positionals[2..].join(" ")
-            )),
-            Some("compare") => match &positionals[2..] {
-                [baseline, fresh] => bench_compare(&flags, baseline, fresh),
-                _ => Err("bench compare needs exactly <baseline.json> <fresh.json>".to_string()),
-            },
-            _ => Err("bench needs a subcommand: snapshot | compare".to_string()),
-        },
-        "serve" => serve_cmd(&flags),
-        "submit" => submit(&flags),
-        "cache" => match positionals.get(1).map(String::as_str) {
-            Some("gc") => cache_gc(&flags),
-            _ => Err("cache needs a subcommand: gc".to_string()),
-        },
-        command => run(command, &flags, &out_dir),
+    let words: Vec<&str> = positionals.iter().map(String::as_str).collect();
+    let result = match words[..] {
+        ["bench", "compare", baseline, fresh] => bench_compare(&flags, baseline, fresh),
+        ["bench", "compare", ..] => {
+            Err("bench compare needs exactly <baseline.json> <fresh.json>".to_string())
+        }
+        ["bench", "snapshot"] => bench_snapshot(&out_dir),
+        ["cache", "gc"] => cache_gc(&flags),
+        ["bench", "snapshot", ..] | ["cache", "gc", ..] => extra_words(&words, 2),
+        ["bench", ..] => Err("bench needs a subcommand: snapshot | compare".to_string()),
+        ["cache", ..] => Err("cache needs a subcommand: gc".to_string()),
+        ["serve"] => serve_cmd(&flags),
+        ["submit"] => submit(&flags),
+        [command] => run(command, &flags, &out_dir),
+        [_, _, ..] => extra_words(&words, 1),
+        [] => unreachable!("an empty command line exits above"),
     };
     let command = positionals.join(" ");
     match result {

@@ -1,8 +1,9 @@
-//! CLI coverage for flag values the `experiments` binary must refuse: a
-//! valued flag with its value missing, and a wall-time ratio that would
-//! make `bench compare`'s gate pass or fail whatever the snapshots say.
-//! Each case runs the real binary as a subprocess, so the exit code and
-//! the one-line error are pinned, not just the parsing logic.
+//! CLI coverage for command lines the `experiments` binary must refuse: a
+//! valued flag with its value missing, a wall-time ratio that would make
+//! `bench compare`'s gate pass or fail whatever the snapshots say, a flag
+//! it does not know, and words after a complete command.  Each case runs
+//! the real binary as a subprocess, so the exit code and the one-line
+//! error are pinned, not just the parsing logic.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -41,17 +42,26 @@ fn snapshot(dir: &Path, name: &str, wall_ms: f64) -> String {
     path.display().to_string()
 }
 
+/// Runs a command line that must fail before any work starts: non-zero
+/// exit, exactly `expected` on stderr, nothing on stdout, and nothing
+/// written to the default output directory.
+fn refused(name: &str, args: &[&str], expected: &str) {
+    let cwd = fresh_dir(name);
+    let (ok, stdout, stderr) = experiments(&cwd, args);
+    assert!(!ok, "{args:?} must fail:\n{stdout}\n{stderr}");
+    assert_eq!(stderr.trim(), expected, "{args:?}");
+    assert_eq!(stdout, "", "{args:?}");
+    assert!(!cwd.join("results").exists(), "{args:?} wrote results");
+    let _ = std::fs::remove_dir_all(&cwd);
+}
+
 #[test]
 fn out_without_a_directory_is_an_error() {
-    let cwd = fresh_dir("out");
-    let (ok, stdout, stderr) = experiments(&cwd, &["table2", "--no-cache", "--out"]);
-    assert!(!ok, "a trailing --out must fail:\n{stdout}\n{stderr}");
-    assert_eq!(stderr.trim(), "error: --out needs a directory argument");
-    assert!(
-        !cwd.join("results").exists(),
-        "nothing may be written to the default output directory"
+    refused(
+        "out",
+        &["table2", "--no-cache", "--out"],
+        "error: --out needs a directory argument",
     );
-    let _ = std::fs::remove_dir_all(&cwd);
 }
 
 #[test]
@@ -121,4 +131,32 @@ fn a_nan_or_non_positive_wall_ratio_is_rejected() {
     let (ok, stdout, stderr) = experiments(&dir, &args);
     assert!(ok, "a finite positive ratio must pass:\n{stdout}\n{stderr}");
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn an_unknown_flag_is_an_error() {
+    refused(
+        "misspelled",
+        &["table2", "--no-cahce", "--gpu_mib", "64"],
+        "error: unknown flag: --no-cahce (try --help)",
+    );
+    refused(
+        "short",
+        &["-x", "table2"],
+        "error: unknown flag: -x (try --help)",
+    );
+}
+
+#[test]
+fn words_after_a_command_are_an_error() {
+    refused(
+        "two_figures",
+        &["fig3", "table2", "--no-cache"],
+        "error: fig3 takes no arguments, got: table2",
+    );
+    refused(
+        "cache_gc",
+        &["cache", "gc", "now", "--max-mib", "1"],
+        "error: cache gc takes no arguments, got: now",
+    );
 }

@@ -11,11 +11,6 @@ use crate::plan::{Instruction, MigrationPlan};
 use g10_dnn::graph::{DnnGraph, KernelId};
 use std::fmt::Write as _;
 
-/// Renders the instrumented program for the whole iteration.
-pub fn render_program(graph: &DnnGraph, plan: &MigrationPlan) -> String {
-    render_window(graph, plan, 0, graph.num_kernels())
-}
-
 /// Renders the instrumented program for kernels `[start, end)` only, which
 /// keeps the output readable for large models.
 pub fn render_window(graph: &DnnGraph, plan: &MigrationPlan, start: usize, end: usize) -> String {
@@ -94,7 +89,7 @@ mod tests {
         let trace = KernelTrace::profile(&graph, &GpuCostModel::a100());
         let config = SystemConfig::table2().with_gpu_memory(64 << 20);
         let plan = G10Scheduler::new(config, SchedulerVariant::Full).plan(&graph, &trace);
-        let program = render_program(&graph, &plan);
+        let program = render_window(&graph, &plan, 0, graph.num_kernels());
         assert!(program.contains("g10_alloc("));
         assert!(program.contains("g10_free("));
         assert!(program.contains("g10_pre_evict("));

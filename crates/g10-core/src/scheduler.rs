@@ -10,7 +10,6 @@ use g10_dnn::graph::DnnGraph;
 use g10_dnn::trace::KernelTrace;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::str::FromStr;
 
 /// The three G10 design points evaluated in Figure 11.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -57,29 +56,6 @@ impl SchedulerVariant {
 impl fmt::Display for SchedulerVariant {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
-    }
-}
-
-impl FromStr for SchedulerVariant {
-    type Err = String;
-
-    /// Parses a variant name with the same normalization the simulator's
-    /// policy registry applies (lowercase, spaces/underscores → dashes), so
-    /// `"G10 GDS"`, `"g10_gds"` and `"gds"` all resolve alike.
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s
-            .trim()
-            .to_ascii_lowercase()
-            .replace([' ', '_'], "-")
-            .as_str()
-        {
-            "g10-gds" | "gds" => Ok(SchedulerVariant::Gds),
-            "g10-host" | "host" => Ok(SchedulerVariant::Host),
-            "g10" | "full" | "g10-full" => Ok(SchedulerVariant::Full),
-            other => Err(format!(
-                "unknown scheduler variant `{other}` (expected one of: g10-gds, g10-host, g10)"
-            )),
-        }
     }
 }
 
@@ -259,13 +235,9 @@ mod tests {
     }
 
     #[test]
-    fn variant_parsing_and_labels() {
-        for v in SchedulerVariant::ALL {
-            assert_eq!(v.label().parse::<SchedulerVariant>().unwrap(), v);
-        }
+    fn variant_flags() {
         assert!(SchedulerVariant::Full.extended_uvm());
         assert!(!SchedulerVariant::Host.extended_uvm());
         assert!(!SchedulerVariant::Gds.allows_host());
-        assert!("bogus".parse::<SchedulerVariant>().is_err());
     }
 }

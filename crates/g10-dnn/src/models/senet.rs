@@ -9,7 +9,7 @@ use crate::models::resnet::{bottleneck, ResNetConfig};
 /// The SENet-154 configuration: stages `[3, 8, 36, 3]`, 64 convolution
 /// groups, bottleneck mid-width of half the output channels and SE reduction
 /// of 16.
-pub fn senet154_config() -> ResNetConfig {
+fn senet154_config() -> ResNetConfig {
     ResNetConfig {
         stage_blocks: [3, 8, 36, 3],
         stage_channels: [256, 512, 1024, 2048],

@@ -117,15 +117,6 @@ impl OpCost {
             bytes: self.bytes * factor,
         }
     }
-
-    /// Arithmetic intensity in FLOPs per byte; zero-byte costs report zero.
-    pub fn arithmetic_intensity(self) -> f64 {
-        if self.bytes <= 0.0 {
-            0.0
-        } else {
-            self.flops / self.bytes
-        }
-    }
 }
 
 /// Cost of a 2-D convolution forward pass.
@@ -228,7 +219,7 @@ mod tests {
     #[test]
     fn elementwise_is_memory_bound() {
         let c = elementwise_cost(1 << 20, 2);
-        assert!(c.arithmetic_intensity() < 1.0);
+        assert!(c.flops < c.bytes);
     }
 
     #[test]
@@ -251,7 +242,6 @@ mod tests {
         let d = c.scale(2.0);
         assert_eq!(d.flops, 30.0);
         assert_eq!(d.bytes, 300.0);
-        assert_eq!(OpCost::new(1.0, 0.0).arithmetic_intensity(), 0.0);
     }
 
     #[test]

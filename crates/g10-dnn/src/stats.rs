@@ -38,27 +38,6 @@ impl MemoryConsumption {
     pub fn peak_active_bytes(&self) -> u64 {
         self.active_bytes.iter().copied().max().unwrap_or(0)
     }
-
-    /// Mean ratio of active to live footprint across kernels; the paper
-    /// reports ~1 % on average and <10 % for most models.
-    pub fn mean_active_fraction(&self) -> f64 {
-        if self.live_bytes.is_empty() {
-            return 0.0;
-        }
-        let mut sum = 0.0;
-        let mut count = 0usize;
-        for (a, l) in self.active_bytes.iter().zip(&self.live_bytes) {
-            if *l > 0 {
-                sum += *a as f64 / *l as f64;
-                count += 1;
-            }
-        }
-        if count == 0 {
-            0.0
-        } else {
-            sum / count as f64
-        }
-    }
 }
 
 /// Computes the per-kernel active and live footprint of a graph (Figure 2).
@@ -182,7 +161,6 @@ mod tests {
             assert!(a <= l, "active {a} exceeded live {l}");
         }
         assert!(mc.peak_live_bytes() >= mc.peak_active_bytes());
-        assert!(mc.mean_active_fraction() > 0.0 && mc.mean_active_fraction() <= 1.0);
     }
 
     #[test]

@@ -77,12 +77,6 @@ impl TensorKind {
         matches!(self, TensorKind::Weight | TensorKind::OptimizerState)
     }
 
-    /// Returns `true` if tensors of this kind are intermediate, i.e. can be
-    /// deallocated after their last use in the iteration.
-    pub const fn is_intermediate(self) -> bool {
-        !self.is_global()
-    }
-
     /// A short human-readable label, used by the instrumented-program
     /// renderer and by the characterisation reports.
     pub const fn label(self) -> &'static str {
@@ -191,13 +185,14 @@ mod tests {
     fn kind_globality() {
         assert!(TensorKind::Weight.is_global());
         assert!(TensorKind::OptimizerState.is_global());
-        assert!(TensorKind::Activation.is_intermediate());
-        assert!(TensorKind::ActivationGradient.is_intermediate());
-        assert!(TensorKind::WeightGradient.is_intermediate());
-        assert!(TensorKind::Workspace.is_intermediate());
-        assert!(TensorKind::Input.is_intermediate());
-        for kind in TensorKind::ALL {
-            assert_ne!(kind.is_global(), kind.is_intermediate());
+        for kind in [
+            TensorKind::Activation,
+            TensorKind::ActivationGradient,
+            TensorKind::WeightGradient,
+            TensorKind::Workspace,
+            TensorKind::Input,
+        ] {
+            assert!(!kind.is_global());
         }
     }
 

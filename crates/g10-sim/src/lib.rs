@@ -29,8 +29,9 @@
 //!   traffic, fault counts and SSD-lifetime inputs.
 //! * [`session`] — the programmable run API: the fluent
 //!   [`session::Experiment`] builder over the open
-//!   [`session::PolicyProvider`] registry, through which the built-in
-//!   designs and any registered custom design run alike.
+//!   [`session::PolicyProvider`] registry.  A registry holds only custom
+//!   designs; the built-ins answer to their [`runner::PolicyKind::names`]
+//!   in every registry, so both run alike.
 //! * [`tenancy`] — multi-tenant replay: several jobs (arrival time,
 //!   priority, byte quota) sharing one simulated GPU, with per-job engines
 //!   stride-scheduled onto one device timeline, a shared cross-job

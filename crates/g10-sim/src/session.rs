@@ -8,9 +8,11 @@
 //! [`PolicyKind`], a run is described by an [`Experiment`] — workload,
 //! policy, hardware, planning trace, runtime options — and the policy slot
 //! accepts *any* [`PolicyProvider`], looked up by name through a
-//! [`PolicyRegistry`].  The seven built-in designs are ordinary registry
-//! entries; a new design is a downstream `impl` plus one [`register_policy`]
-//! call, after which it parses from CLI strings exactly like a built-in.
+//! [`PolicyRegistry`].  The seven built-in designs answer to their
+//! [`PolicyKind::names`] in every registry, which holds only custom
+//! registrations; a new design is a downstream `impl` plus one
+//! [`register_policy`] call, after which it parses from CLI strings exactly
+//! like a built-in.
 //!
 //! # Running a built-in design
 //!
@@ -109,7 +111,7 @@ use g10_time::Nanos;
 use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, RwLock};
 
 // ---------------------------------------------------------------------------
 // Errors
@@ -478,8 +480,8 @@ impl PolicyKind {
 // Registry
 // ---------------------------------------------------------------------------
 
-/// A provider handle as stored in (and resolved out of) a registry: the
-/// built-ins are `'static`, custom registrations are shared `Arc`s.
+/// A provider handle as resolved out of a registry: the built-ins are
+/// `'static`, custom registrations are shared `Arc`s.
 #[derive(Clone)]
 enum ProviderHandle {
     Builtin(&'static dyn PolicyProvider),
@@ -495,70 +497,32 @@ impl ProviderHandle {
     }
 }
 
-struct RegistryEntry {
-    name: String,
-    aliases: Vec<String>,
-    provider: ProviderHandle,
-    builtin: bool,
-}
-
-impl RegistryEntry {
-    fn answers_to(&self, normalized: &str) -> bool {
-        self.name == normalized || self.aliases.iter().any(|a| a == normalized)
-    }
-}
-
 /// A name→provider map over memory-management designs.
 ///
-/// [`PolicyRegistry::with_builtins`] seeds the seven §7 designs under their
-/// [`PolicyKind::names`] aliases; [`PolicyRegistry::register`] adds custom
-/// providers.  Most code uses the process-global registry implicitly
-/// (through [`register_policy`], [`PolicySpec`] parsing and
-/// [`Experiment::run`]); an explicit registry handed to
-/// [`Experiment::registry`] scopes custom policies to one session — useful
-/// for tests that must not leak registrations.
+/// A registry holds only custom registrations: the seven §7 designs answer
+/// to their [`PolicyKind::names`] in every registry, and
+/// [`PolicyRegistry::register`] adds custom providers.  Most code uses the
+/// process-global registry implicitly (through [`register_policy`],
+/// [`PolicySpec`] parsing and [`Experiment::run`]); an explicit registry
+/// handed to [`Experiment::registry`] scopes custom policies to one
+/// session — useful for tests that must not leak registrations.
 ///
 /// ```
 /// use g10_sim::session::{PolicyRegistry, IdealProvider};
 /// use std::sync::Arc;
 ///
-/// let mut registry = PolicyRegistry::with_builtins();
+/// let mut registry = PolicyRegistry::default();
 /// assert!(registry.contains("base-uvm"));
 /// registry.register("my-ideal-twin", Arc::new(IdealProvider));
 /// assert!(registry.contains("my-ideal-twin"));
 /// assert_eq!(registry.names().len(), 8);
 /// ```
+#[derive(Default)]
 pub struct PolicyRegistry {
-    entries: Vec<RegistryEntry>,
+    custom: Vec<(String, Arc<dyn PolicyProvider>)>,
 }
 
 impl PolicyRegistry {
-    /// An empty registry (no built-ins; rarely what you want).
-    pub fn empty() -> Self {
-        PolicyRegistry {
-            entries: Vec::new(),
-        }
-    }
-
-    /// A registry pre-seeded with the seven built-in §7 designs, each
-    /// registered under its [`PolicyKind::names`] aliases.
-    pub fn with_builtins() -> Self {
-        let mut registry = PolicyRegistry::empty();
-        for kind in PolicyKind::ALL {
-            let (name, aliases) = kind
-                .names()
-                .split_first()
-                .expect("every built-in has a canonical name");
-            registry.entries.push(RegistryEntry {
-                name: (*name).to_string(),
-                aliases: aliases.iter().map(|a| (*a).to_string()).collect(),
-                provider: ProviderHandle::Builtin(kind.provider()),
-                builtin: true,
-            });
-        }
-        registry
-    }
-
     /// Registers `provider` under `name` (normalized like every lookup:
     /// lowercase, spaces/underscores → dashes).
     ///
@@ -567,70 +531,44 @@ impl PolicyRegistry {
     ///
     /// # Panics
     ///
-    /// Panics if `name` collides with a built-in name or alias — the
-    /// built-in designs are pinned by the paper's figures and cannot be
-    /// shadowed.
+    /// Panics, before changing anything, if `name` is a built-in name or
+    /// alias — the built-in designs are pinned by the paper's figures and
+    /// cannot be shadowed.
     pub fn register(&mut self, name: &str, provider: Arc<dyn PolicyProvider>) -> &mut Self {
-        self.register_with_aliases(name, &[], provider)
-    }
-
-    /// Like [`PolicyRegistry::register`], with extra lookup aliases.
-    pub fn register_with_aliases(
-        &mut self,
-        name: &str,
-        aliases: &[&str],
-        provider: Arc<dyn PolicyProvider>,
-    ) -> &mut Self {
         let name = normalize(name);
-        let aliases: Vec<String> = aliases.iter().map(|a| normalize(a)).collect();
-        for candidate in std::iter::once(&name).chain(&aliases) {
-            if let Some(hit) = self.entries.iter().find(|e| e.answers_to(candidate)) {
-                assert!(
-                    !hit.builtin,
-                    "cannot shadow the built-in policy `{}` with `{candidate}`",
-                    hit.name
-                );
-                assert!(
-                    hit.name == name,
-                    "policy name `{candidate}` is already registered by `{}`",
-                    hit.name
-                );
-            }
+        if let Some(kind) = builtin_for(&name) {
+            panic!(
+                "cannot shadow the built-in policy `{}` with `{name}`",
+                kind.names()[0]
+            );
         }
-        self.entries.retain(|e| e.name != name);
-        self.entries.push(RegistryEntry {
-            name,
-            aliases,
-            provider: ProviderHandle::Custom(provider),
-            builtin: false,
-        });
+        self.custom.retain(|(custom, _)| *custom != name);
+        self.custom.push((name, provider));
         self
     }
 
     /// Whether `name` (any alias) resolves in this registry.
     pub fn contains(&self, name: &str) -> bool {
-        let normalized = normalize(name);
-        self.entries.iter().any(|e| e.answers_to(&normalized))
+        self.resolve(&normalize(name)).is_some()
     }
 
-    /// Every registered canonical policy name: built-ins in
-    /// [`PolicyKind::ALL`] order, then custom registrations in
+    /// Every policy name this registry resolves, canonical names only:
+    /// built-ins in [`PolicyKind::ALL`] order, then custom registrations in
     /// registration order.
     pub fn names(&self) -> Vec<String> {
-        self.entries.iter().map(|e| e.name.clone()).collect()
+        let builtins = PolicyKind::ALL.map(|kind| kind.names()[0].to_string());
+        let custom = self.custom.iter().map(|(name, _)| name.clone());
+        builtins.into_iter().chain(custom).collect()
     }
 
     fn resolve(&self, normalized: &str) -> Option<ProviderHandle> {
-        self.entries
+        if let Some(kind) = builtin_for(normalized) {
+            return Some(ProviderHandle::Builtin(kind.provider()));
+        }
+        self.custom
             .iter()
-            .find(|e| e.answers_to(normalized))
-            .map(|e| e.provider.clone())
-    }
-}
-
-impl Default for PolicyRegistry {
-    fn default() -> Self {
-        PolicyRegistry::with_builtins()
+            .find(|(name, _)| name == normalized)
+            .map(|(_, provider)| ProviderHandle::Custom(Arc::clone(provider)))
     }
 }
 
@@ -642,23 +580,20 @@ impl fmt::Debug for PolicyRegistry {
     }
 }
 
-fn global_registry() -> &'static RwLock<PolicyRegistry> {
-    static GLOBAL: OnceLock<RwLock<PolicyRegistry>> = OnceLock::new();
-    GLOBAL.get_or_init(|| RwLock::new(PolicyRegistry::with_builtins()))
-}
+static GLOBAL: RwLock<PolicyRegistry> = RwLock::new(PolicyRegistry { custom: Vec::new() });
 
 /// Lock accessor that shrugs off poisoning: [`PolicyRegistry::register`]
-/// panics on name collisions *before* mutating any entry, so a poisoned
+/// panics on name collisions *before* mutating anything, so a poisoned
 /// global registry is always still in a valid state — one caller's bad
 /// registration must not brick policy resolution for the whole process.
 fn read_global() -> std::sync::RwLockReadGuard<'static, PolicyRegistry> {
-    global_registry()
+    GLOBAL
         .read()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
 
 fn write_global() -> std::sync::RwLockWriteGuard<'static, PolicyRegistry> {
-    global_registry()
+    GLOBAL
         .write()
         .unwrap_or_else(|poisoned| poisoned.into_inner())
 }
@@ -669,17 +604,6 @@ fn write_global() -> std::sync::RwLockWriteGuard<'static, PolicyRegistry> {
 /// the [module documentation](self) for an end-to-end example.
 pub fn register_policy(name: &str, provider: Arc<dyn PolicyProvider>) {
     write_global().register(name, provider);
-}
-
-/// Like [`register_policy`], but also binds alias names to the same
-/// provider (e.g. [`crate::tenancy::register_tensile`] registers `tensile`
-/// with the alias `tensile-quota`).
-pub fn register_policy_with_aliases(
-    name: &str,
-    aliases: &[&str],
-    provider: impl PolicyProvider + 'static,
-) {
-    write_global().register_with_aliases(name, aliases, Arc::new(provider));
 }
 
 /// Every policy name registered in the process-global registry (built-ins
@@ -714,9 +638,11 @@ pub enum PolicySpec {
 }
 
 impl PolicySpec {
-    /// A spec naming a registered custom policy.  The name is normalized but
-    /// *not* validated here; resolution happens at [`Experiment::run`] time,
-    /// so specs may be constructed before the provider is registered.
+    /// A spec naming a policy by string: a registered custom policy, or a
+    /// built-in through any of its [`PolicyKind::names`].  The name is
+    /// normalized but *not* validated here; resolution happens at
+    /// [`Experiment::run`] time, so specs may be constructed before the
+    /// provider is registered.
     pub fn named(name: impl AsRef<str>) -> Self {
         PolicySpec::Named(normalize(name.as_ref()))
     }
@@ -987,7 +913,7 @@ impl<'a> Setup<'a> {
 /// hardware, the workload's own profiled trace for planning, default
 /// [`RuntimeOptions`], the process-global policy registry.  See the
 /// [module documentation](self) for examples, and
-/// [`Experiment::policies`] / [`Experiment::batches`] for parallel sweeps.
+/// [`Experiment::policies`] for parallel sweeps.
 #[derive(Debug, Clone)]
 pub struct Experiment<'a> {
     workload: &'a Workload,
@@ -1033,8 +959,7 @@ impl<'a> Experiment<'a> {
     }
 
     /// Plans against `trace` instead of the workload's own profiled trace —
-    /// the §7.6 profiling-error study.  Ignored by [`Experiment::batches`],
-    /// which rebuilds a workload (and therefore a trace) per batch size.
+    /// the §7.6 profiling-error study.
     #[must_use]
     pub fn planning_trace(mut self, trace: &'a KernelTrace) -> Self {
         self.planning_trace = Some(trace);
@@ -1083,23 +1008,11 @@ impl<'a> Experiment<'a> {
     /// (via [`parallel_map`]), preserving input order.  All specs are
     /// resolved up front, so an unknown name fails the whole sweep before
     /// any replay starts; a policy fault in one cell fails the sweep with
-    /// that cell's error (use [`Experiment::try_policies`] to keep the
-    /// other cells).
+    /// that cell's error.
     pub fn policies<S: Into<PolicySpec>>(
         &self,
         specs: impl IntoIterator<Item = S>,
     ) -> Result<Vec<SimReport>, SimError> {
-        self.try_policies(specs)?.into_iter().collect()
-    }
-
-    /// Like [`Experiment::policies`], but returns each cell's own outcome
-    /// instead of failing the whole sweep on the first fault: one hostile
-    /// or buggy design costs its own cell, not the comparison.  Unknown
-    /// names still fail the sweep up front (outer `Err`).
-    pub fn try_policies<S: Into<PolicySpec>>(
-        &self,
-        specs: impl IntoIterator<Item = S>,
-    ) -> Result<Vec<Result<SimReport, SimError>>, SimError> {
         let cells: Vec<(PolicySpec, ProviderHandle)> = specs
             .into_iter()
             .map(|spec| {
@@ -1109,32 +1022,9 @@ impl<'a> Experiment<'a> {
             })
             .collect::<Result<_, SimError>>()?;
         let planning = self.planning_trace.unwrap_or(&self.workload.trace);
-        Ok(parallel_map(cells, |(spec, provider)| {
+        parallel_map(cells, |(spec, provider)| {
             self.setup
                 .execute(self.workload, spec, provider.as_dyn(), planning)
-        }))
-    }
-
-    /// Runs the selected design at each batch size, in parallel, preserving
-    /// input order.  Each batch rebuilds the workload via [`Workload::new`]
-    /// for this workload's model (and plans against that fresh trace — a
-    /// caller-supplied [`Experiment::planning_trace`] cannot apply across
-    /// batch sizes and is ignored).
-    pub fn batches(
-        &self,
-        batches: impl IntoIterator<Item = u64>,
-    ) -> Result<Vec<SimReport>, SimError> {
-        let provider = self.setup.resolve(&self.setup.policy)?;
-        let model = self.workload.model;
-        let batches: Vec<u64> = batches.into_iter().collect();
-        parallel_map(batches, |&batch| {
-            let workload = Workload::new(model, batch);
-            self.setup.execute(
-                &workload,
-                &self.setup.policy,
-                provider.as_dyn(),
-                &workload.trace,
-            )
         })
         .into_iter()
         .collect()
@@ -1385,19 +1275,6 @@ mod tests {
     }
 
     #[test]
-    fn batches_sweep_rebuilds_the_workload() {
-        let workload = Workload::new(ModelKind::TinyCnn, 16);
-        let reports = Experiment::new(&workload)
-            .policy(PolicyKind::BaseUvm)
-            .config(tiny_config())
-            .batches([16, 32])
-            .expect("built-ins resolve");
-        assert_eq!(reports.len(), 2);
-        assert_eq!(reports[0].batch, 16);
-        assert_eq!(reports[1].batch, 32);
-    }
-
-    #[test]
     fn unknown_policy_error_lists_the_builtins() {
         let workload = Workload::new(ModelKind::TinyCnn, 8);
         let err = Experiment::new(&workload)
@@ -1455,7 +1332,7 @@ mod tests {
 
     #[test]
     fn explicit_registry_scopes_custom_policies() {
-        let mut registry = PolicyRegistry::with_builtins();
+        let mut registry = PolicyRegistry::default();
         registry.register("Never Evict", Arc::new(NeverEvictProvider));
         assert!(registry.contains("never-evict"));
         assert!(registry.contains("never_evict"));
@@ -1489,10 +1366,57 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "cannot shadow the built-in policy")]
     fn builtin_names_cannot_be_shadowed() {
-        let mut registry = PolicyRegistry::with_builtins();
-        registry.register("uvm", Arc::new(NeverEvictProvider));
+        let mut registry = PolicyRegistry::default();
+        registry.register("toy", Arc::new(NeverEvictProvider));
+        for kind in PolicyKind::ALL {
+            for alias in kind.names() {
+                let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    registry.register(alias, Arc::new(NeverEvictProvider));
+                }));
+                let message = *attempt
+                    .expect_err("shadowing a built-in must panic")
+                    .downcast::<String>()
+                    .unwrap();
+                assert_eq!(
+                    message,
+                    format!(
+                        "cannot shadow the built-in policy `{}` with `{alias}`",
+                        kind.names()[0]
+                    )
+                );
+                // The alias still resolves to the built-in, and the custom
+                // registration survives.
+                assert_eq!(registry.names().len(), PolicyKind::ALL.len() + 1);
+                assert!(matches!(
+                    registry.resolve(alias),
+                    Some(ProviderHandle::Builtin(_))
+                ));
+            }
+        }
+    }
+
+    #[test]
+    fn named_builtin_aliases_run_the_builtin() {
+        let workload = Workload::new(ModelKind::TinyCnn, 16);
+        let expected = Experiment::new(&workload)
+            .policy(PolicyKind::BaseUvm)
+            .config(tiny_config())
+            .run()
+            .unwrap();
+        let registry = PolicyRegistry::default();
+        for alias in ["Base UVM", "base_uvm", "baseuvm", "uvm"] {
+            let spec = PolicySpec::named(alias);
+            let session = Experiment::new(&workload)
+                .policy(spec)
+                .config(tiny_config());
+            for report in [
+                session.clone().registry(&registry).run().unwrap(),
+                session.run().unwrap(),
+            ] {
+                assert_eq!(report.fingerprint(), expected.fingerprint(), "{alias}");
+            }
+        }
     }
 
     #[test]
@@ -1514,9 +1438,13 @@ mod tests {
 
     #[test]
     fn reregistering_a_custom_name_replaces_it() {
-        let mut registry = PolicyRegistry::empty();
+        let mut registry = PolicyRegistry::default();
         registry.register("toy", Arc::new(NeverEvictProvider));
+        registry.register("other", Arc::new(NeverEvictProvider));
         registry.register("toy", Arc::new(NeverEvictProvider));
-        assert_eq!(registry.names(), vec!["toy".to_string()]);
+        let names = registry.names();
+        let builtins: Vec<&str> = PolicyKind::ALL.iter().map(|k| k.names()[0]).collect();
+        assert_eq!(names[..PolicyKind::ALL.len()], builtins[..]);
+        assert_eq!(names[PolicyKind::ALL.len()..], ["other", "toy"]);
     }
 }

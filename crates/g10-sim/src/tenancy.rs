@@ -768,10 +768,10 @@ impl PolicyProvider for TensileProvider {
 }
 
 /// Registers the TENSILE-style policy in the global registry under
-/// `tensile` (alias `tensile-quota`).  Idempotent: repeated calls replace
-/// the previous registration with an identical one.
+/// `tensile`.  Idempotent: repeated calls replace the previous
+/// registration with an identical one.
 pub fn register_tensile() {
-    crate::session::register_policy_with_aliases("tensile", &["tensile-quota"], TensileProvider);
+    crate::session::register_policy("tensile", Arc::new(TensileProvider));
 }
 
 #[cfg(test)]

@@ -44,7 +44,7 @@ fn workload() -> &'static Workload {
 fn check_case(spec: AdversarialSpec, gpu_mib: u64) -> Result<(), PolicyFaultKind> {
     let workload = workload();
     let config = SystemConfig::table2().with_gpu_memory(gpu_mib << 20);
-    let mut registry = PolicyRegistry::with_builtins();
+    let mut registry = PolicyRegistry::default();
     registry.register("adversary", Arc::new(AdversarialProvider { spec }));
 
     // Fail-fast: Ok or a typed policy fault — anything else (a panic, a
@@ -150,7 +150,7 @@ fn multi_workloads() -> &'static [Arc<Workload>; 2] {
 fn check_multi_case(spec: AdversarialSpec, gpu_mib: u64) -> Result<(), PolicyFaultKind> {
     let [first, second] = multi_workloads();
     let config = SystemConfig::table2().with_gpu_memory(gpu_mib << 20);
-    let mut registry = PolicyRegistry::with_builtins();
+    let mut registry = PolicyRegistry::default();
     registry.register("adversary", Arc::new(AdversarialProvider { spec }));
     let jobs = || {
         [

@@ -43,20 +43,6 @@ impl EnduranceModel {
         let seconds = self.total_write_budget_bytes() / write_bytes_per_sec;
         seconds / (365.0 * 24.0 * 3600.0)
     }
-
-    /// Expected lifetime in years for a training workload that writes
-    /// `write_bytes_per_iteration` every `iteration_seconds`, running
-    /// continuously.
-    pub fn lifetime_under_training(
-        &self,
-        write_bytes_per_iteration: f64,
-        iteration_seconds: f64,
-    ) -> f64 {
-        if iteration_seconds <= 0.0 {
-            return f64::INFINITY;
-        }
-        self.lifetime_years(write_bytes_per_iteration / iteration_seconds)
-    }
 }
 
 impl Default for EnduranceModel {
@@ -92,16 +78,5 @@ mod tests {
     fn zero_write_rate_is_infinite_lifetime() {
         let model = EnduranceModel::default();
         assert!(model.lifetime_years(0.0).is_infinite());
-        assert!(model.lifetime_under_training(1e9, 0.0).is_infinite());
-    }
-
-    #[test]
-    fn training_form_matches_rate_form() {
-        let model = EnduranceModel::samsung_z_ssd();
-        let per_iter = 300e9; // 300 GB written per iteration
-        let iter_secs = 100.0;
-        let a = model.lifetime_under_training(per_iter, iter_secs);
-        let b = model.lifetime_years(per_iter / iter_secs);
-        assert!((a - b).abs() < 1e-9);
     }
 }

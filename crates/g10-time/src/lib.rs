@@ -69,16 +69,6 @@ impl Nanos {
         }
     }
 
-    /// Creates a time value from fractional microseconds, rounding to the
-    /// nearest nanosecond.  Negative inputs saturate to zero.
-    pub fn from_micros_f64(us: f64) -> Self {
-        if us <= 0.0 {
-            Nanos(0)
-        } else {
-            Nanos((us * 1e3).round() as u64)
-        }
-    }
-
     /// Returns the raw number of nanoseconds.
     pub const fn as_nanos(self) -> u64 {
         self.0
@@ -243,13 +233,11 @@ mod tests {
         assert_eq!(Nanos::from_millis(1), Nanos::from_micros(1_000));
         assert_eq!(Nanos::from_secs(1), Nanos::from_millis(1_000));
         assert_eq!(Nanos::from_secs_f64(0.5), Nanos::from_millis(500));
-        assert_eq!(Nanos::from_micros_f64(1.5), Nanos::from_nanos(1_500));
     }
 
     #[test]
     fn negative_float_saturates_to_zero() {
         assert_eq!(Nanos::from_secs_f64(-1.0), Nanos::ZERO);
-        assert_eq!(Nanos::from_micros_f64(-0.1), Nanos::ZERO);
     }
 
     #[test]

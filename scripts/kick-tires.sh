@@ -121,6 +121,20 @@ if [ "$(wc -l <"$OUT_DIR/quota.log")" -ne 1 ] ||
     exit 1
 fi
 
+step "hardening: a misspelled flag fails clean"
+if cargo run "$PROFILE_FLAG" -q -p g10-bench --bin experiments -- \
+    table2 --no-cahce --out "$OUT_DIR/hard" >"$OUT_DIR/flag.log" 2>&1; then
+    echo "error: a misspelled flag must exit non-zero" >&2
+    exit 1
+fi
+if [ "$(wc -l <"$OUT_DIR/flag.log")" -ne 1 ] ||
+    ! grep -q 'unknown flag: --no-cahce' "$OUT_DIR/flag.log" ||
+    grep -qi 'stack backtrace\|panicked at' "$OUT_DIR/flag.log"; then
+    echo "error: a misspelled flag must print one typed line" >&2
+    cat "$OUT_DIR/flag.log" >&2
+    exit 1
+fi
+
 # Multi-tenant replay: a two-job mix sharing one simulated GPU must
 # produce physical per-job slowdowns (>= 1.0) and byte-identical CSVs
 # across two fresh processes — the tenant scheduler is deterministic.

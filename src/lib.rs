@@ -14,8 +14,9 @@
 //!   smart tensor migration scheduler.
 //! * [`sim`] — the trace-replay simulator: the programmable
 //!   [`sim::Experiment`] session over an open [`sim::PolicyProvider`]
-//!   registry, with every compared design built in (Ideal, Base UVM,
-//!   DeepUM+, FlashNeuron, G10 and its ablations).
+//!   registry of custom designs, with every compared design built in
+//!   (Ideal, Base UVM, DeepUM+, FlashNeuron, G10 and its ablations) and
+//!   named only by [`sim::PolicyKind`].
 //! * [`prelude`] — one-line import of the common surface.
 //!
 //! # Quick start
