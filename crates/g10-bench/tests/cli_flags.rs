@@ -1,7 +1,8 @@
 //! CLI coverage for command lines the `experiments` binary must refuse: a
 //! valued flag with its value missing, a wall-time ratio that would make
 //! `bench compare`'s gate pass or fail whatever the snapshots say, a flag
-//! it does not know, and words after a complete command.  Each case runs
+//! it does not know, a flag the chosen command does not read, and words
+//! after a complete command.  Each case runs
 //! the real binary as a subprocess, so the exit code and the one-line
 //! error are pinned, not just the parsing logic.
 
@@ -158,5 +159,33 @@ fn words_after_a_command_are_an_error() {
         "cache_gc",
         &["cache", "gc", "now", "--max-mib", "1"],
         "error: cache gc takes no arguments, got: now",
+    );
+}
+
+#[test]
+fn a_flag_the_command_does_not_read_is_an_error() {
+    // Accepting these would run the mix with neither a deadline nor a
+    // fault, and write Table 2 under no policy at all.
+    refused(
+        "multi_deadline",
+        &[
+            "multi",
+            "--deadline-ms",
+            "0",
+            "--inject-fault",
+            "0:build-panic",
+            "--no-cache",
+        ],
+        "error: multi does not take --deadline-ms",
+    );
+    refused(
+        "table2_policy",
+        &["table2", "--policy", "g10"],
+        "error: table2 does not take --policy",
+    );
+    refused(
+        "compare_out",
+        &["bench", "compare", "a.json", "b.json", "--out", "x"],
+        "error: bench compare does not take --out",
     );
 }

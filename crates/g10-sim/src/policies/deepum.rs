@@ -44,7 +44,7 @@ impl DeepUmPolicy {
     }
 
     /// Creates the policy with an explicit look-ahead window (in kernels).
-    pub fn with_lookahead(graph: &DnnGraph, lookahead: usize) -> Self {
+    fn with_lookahead(graph: &DnnGraph, lookahead: usize) -> Self {
         DeepUmPolicy {
             index: graph.shared_index(),
             lookahead: lookahead.max(1),

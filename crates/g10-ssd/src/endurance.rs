@@ -30,7 +30,7 @@ impl EnduranceModel {
     }
 
     /// Total bytes that may be written over the device's rated life.
-    pub fn total_write_budget_bytes(&self) -> f64 {
+    fn total_write_budget_bytes(&self) -> f64 {
         self.dwpd * self.warranty_years * 365.0 * self.capacity_bytes as f64
     }
 

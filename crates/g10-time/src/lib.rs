@@ -79,11 +79,6 @@ impl Nanos {
         self.0 as f64 / 1e3
     }
 
-    /// Returns the value in milliseconds as a float.
-    pub fn as_millis_f64(self) -> f64 {
-        self.0 as f64 / 1e6
-    }
-
     /// Returns the value in seconds as a float.
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e9
@@ -156,7 +151,7 @@ impl fmt::Display for Nanos {
         if ns >= 1_000_000_000 {
             write!(f, "{:.3}s", self.as_secs_f64())
         } else if ns >= 1_000_000 {
-            write!(f, "{:.3}ms", self.as_millis_f64())
+            write!(f, "{:.3}ms", ns as f64 / 1e6)
         } else if ns >= 1_000 {
             write!(f, "{:.3}us", self.as_micros_f64())
         } else {

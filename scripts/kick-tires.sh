@@ -135,6 +135,21 @@ if [ "$(wc -l <"$OUT_DIR/flag.log")" -ne 1 ] ||
     exit 1
 fi
 
+step "hardening: a flag the command does not read fails clean"
+if cargo run "$PROFILE_FLAG" -q -p g10-bench --bin experiments -- \
+    multi --deadline-ms 0 --inject-fault 0:build-panic --no-cache --out "$OUT_DIR/hard" \
+    >"$OUT_DIR/unread.log" 2>&1; then
+    echo "error: a flag the command does not read must exit non-zero" >&2
+    exit 1
+fi
+if [ "$(wc -l <"$OUT_DIR/unread.log")" -ne 1 ] ||
+    ! grep -q 'multi does not take --deadline-ms' "$OUT_DIR/unread.log" ||
+    grep -qi 'stack backtrace\|panicked at' "$OUT_DIR/unread.log"; then
+    echo "error: a flag the command does not read must print one typed line" >&2
+    cat "$OUT_DIR/unread.log" >&2
+    exit 1
+fi
+
 # Multi-tenant replay: a two-job mix sharing one simulated GPU must
 # produce physical per-job slowdowns (>= 1.0) and byte-identical CSVs
 # across two fresh processes — the tenant scheduler is deterministic.
