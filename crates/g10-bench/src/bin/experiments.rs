@@ -20,7 +20,7 @@
 use g10_bench::cli::{self, Args, Command};
 use g10_bench::experiments::{self, run_cache_stats, set_run_store};
 use g10_bench::json::Json;
-use g10_bench::output::{write_csv, Table};
+use g10_bench::output::{write_figure_csvs, Table};
 use g10_bench::serve::protocol::{parse_job, split_list, MAX_MIB};
 use g10_bench::serve::{self, JobRequest, RunRequest, ServeOptions};
 use g10_bench::store::RunStore;
@@ -35,16 +35,10 @@ use std::time::{Duration, Instant};
 /// Prints `tables` and writes them as `<name>.csv`, or `<name>_<i>.csv`
 /// when there are several.
 fn emit(name: &str, tables: &[Table], out_dir: &Path) {
-    for (i, table) in tables.iter().enumerate() {
-        let file = match tables.len() {
-            1 => name.to_string(),
-            _ => format!("{name}_{i}"),
-        };
+    for table in tables {
         println!("{}", table.render());
-        if let Err(err) = write_csv(table, out_dir, &file) {
-            eprintln!("warning: could not write {file}.csv: {err}");
-        }
     }
+    write_figure_csvs(tables, out_dir, name);
 }
 
 /// A figure command: its driver from [`experiments::figure_set`], or for

@@ -8,9 +8,9 @@
 use crate::output::Table;
 use crate::store::{RunKey, RunStore};
 use g10_core::config::SystemConfig;
+use g10_core::vitality::VitalityAnalysis;
 use g10_dnn::models::stress::StressGptConfig;
 use g10_dnn::models::ModelKind;
-use g10_dnn::stats::{fraction_longer_than, inactive_periods, memory_consumption};
 use g10_sim::metrics::SimReport;
 use g10_sim::{
     parallel_map, register_tensile, CancelRecord, CancelToken, Experiment, JobSpec, OnPolicyFault,
@@ -752,19 +752,19 @@ pub fn fig2() -> Vec<Table> {
     parallel_map(characterization_models(), |model| {
         let batch = model.characterization_batch();
         let workload = workload(*model, batch);
-        let mc = memory_consumption(&workload.graph);
-        let peak = mc.peak_live_bytes().max(1) as f64;
+        let index = workload.graph.index();
+        let (active, live) = (index.active_bytes(), index.live_bytes());
+        let peak = index.peak_live_bytes().max(1) as f64;
         let mut table = Table::new(
             format!("Figure 2: memory consumption, {}-{}", model.name(), batch),
             &["kernel_index", "active_pct_of_peak", "all_pct_of_peak"],
         );
-        let n = mc.active_bytes.len();
-        let step = (n / 200).max(1);
-        for k in (0..n).step_by(step) {
+        let step = (active.len() / 200).max(1);
+        for k in (0..active.len()).step_by(step) {
             table.push_row(vec![
                 k.to_string(),
-                format!("{:.3}", mc.active_bytes[k] as f64 / peak * 100.0),
-                format!("{:.3}", mc.live_bytes[k] as f64 / peak * 100.0),
+                format!("{:.3}", active[k] as f64 / peak * 100.0),
+                format!("{:.3}", live[k] as f64 / peak * 100.0),
             ]);
         }
         table
@@ -791,8 +791,9 @@ pub fn fig3() -> Table {
     let rows = parallel_map(characterization_models(), |model| {
         let batch = model.characterization_batch();
         let workload = workload(*model, batch);
-        let periods = inactive_periods(&workload.graph, &workload.trace);
-        let mut lengths: Vec<f64> = periods.iter().map(|p| p.length.as_micros_f64()).collect();
+        let analysis = VitalityAnalysis::analyze(&workload.graph, &workload.trace);
+        let periods = analysis.periods();
+        let mut lengths: Vec<f64> = periods.iter().map(|p| p.length().as_micros_f64()).collect();
         lengths.sort_by(|a, b| a.total_cmp(b));
         let q = |p: f64| -> f64 {
             if lengths.is_empty() {
@@ -800,7 +801,13 @@ pub fn fig3() -> Table {
             }
             lengths[((lengths.len() - 1) as f64 * p) as usize]
         };
-        let hide = fraction_longer_than(&periods, Nanos::from_micros(20));
+        // How many periods could hide a 20 µs SSD access (the paper reports
+        // 60–80 %); 0 when there are none.
+        let ssd_latency = Nanos::from_micros(20);
+        let hide = match periods.len() {
+            0 => 0.0,
+            n => periods.iter().filter(|p| p.length() > ssd_latency).count() as f64 / n as f64,
+        };
         vec![
             model.name().to_string(),
             batch.to_string(),
@@ -825,7 +832,8 @@ pub fn fig4() -> Vec<Table> {
     parallel_map(characterization_models(), |model| {
         let batch = model.characterization_batch();
         let workload = workload(*model, batch);
-        let periods = inactive_periods(&workload.graph, &workload.trace);
+        let analysis = VitalityAnalysis::analyze(&workload.graph, &workload.trace);
+        let periods = analysis.periods();
         let mut table = Table::new(
             format!(
                 "Figure 4: period length vs size, {}-{}",
@@ -838,7 +846,7 @@ pub fn fig4() -> Vec<Table> {
         for p in periods.iter().step_by(step) {
             table.push_row(vec![
                 p.bytes.to_string(),
-                format!("{:.1}", p.length.as_micros_f64()),
+                format!("{:.1}", p.length().as_micros_f64()),
             ]);
         }
         table
@@ -928,16 +936,11 @@ pub fn fig11(data: &EndToEndRuns) -> Table {
     );
     let config = SystemConfig::table2();
     for (model, reports) in &data.runs {
-        let total_bytes = workload(*model, model.eval_batch())
-            .graph
-            .total_tensor_bytes() as f64;
+        let memory_ratio = workload(*model, model.eval_batch()).memory_ratio(&config);
         let mut row = vec![
             model.name().to_string(),
             model.eval_batch().to_string(),
-            format!(
-                "{:.1}",
-                total_bytes / config.gpu_memory_bytes as f64 * 100.0
-            ),
+            format!("{:.1}", memory_ratio * 100.0),
         ];
         for report in reports {
             row.push(format!("{:.3}", report.normalized_performance()));

@@ -95,6 +95,24 @@ pub fn write_csv(table: &Table, dir: &Path, name: &str) -> std::io::Result<()> {
     file.write_all(table.to_csv().as_bytes())
 }
 
+/// Writes a figure's tables as `<dir>/<name>.csv`, or `<name>_<i>.csv` when
+/// there are several, warning on stderr about any file that could not be
+/// written.  Returns the number of files written.
+pub fn write_figure_csvs(tables: &[Table], dir: &Path, name: &str) -> u64 {
+    let mut written = 0;
+    for (i, table) in tables.iter().enumerate() {
+        let file = match tables.len() {
+            1 => name.to_string(),
+            _ => format!("{name}_{i}"),
+        };
+        match write_csv(table, dir, &file) {
+            Ok(()) => written += 1,
+            Err(err) => eprintln!("warning: could not write {file}.csv: {err}"),
+        }
+    }
+    written
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -123,5 +141,23 @@ mod tests {
         write_csv(&t, &dir, "demo").unwrap();
         let content = std::fs::read_to_string(dir.join("demo.csv")).unwrap();
         assert!(content.contains("x,1"));
+    }
+
+    #[test]
+    fn figure_csvs_are_numbered_only_when_several() {
+        let t = Table::new("demo", &["k"]);
+        let dir =
+            std::env::temp_dir().join(format!("g10_bench_figure_csvs_{}", std::process::id()));
+        assert_eq!(write_figure_csvs(std::slice::from_ref(&t), &dir, "one"), 1);
+        assert_eq!(write_figure_csvs(&[t.clone(), t], &dir, "two"), 2);
+        for file in ["one.csv", "two_0.csv", "two_1.csv"] {
+            assert!(dir.join(file).is_file(), "{file} missing");
+        }
+        assert!(!dir.join("one_0.csv").exists() && !dir.join("two.csv").exists());
+        // A path under a regular file cannot be a directory: nothing is
+        // written and the count says so.
+        let blocked = dir.join("one.csv").join("sub");
+        assert_eq!(write_figure_csvs(&[Table::default()], &blocked, "x"), 0);
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -20,7 +20,7 @@
 
 use crate::experiments::{self, run_cache_stats};
 use crate::json::{obj, Json};
-use crate::output::write_csv;
+use crate::output::write_figure_csvs;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::time::Instant;
@@ -103,20 +103,7 @@ pub fn collect(out_dir: &Path) -> BenchSnapshot {
     let mut csv_files = 0u64;
     let started = Instant::now();
     for (name, driver) in experiments::figure_set() {
-        let tables = driver();
-        let single = tables.len() == 1;
-        for (i, table) in tables.iter().enumerate() {
-            let file = if single {
-                name.to_string()
-            } else {
-                format!("{name}_{i}")
-            };
-            if let Err(err) = write_csv(table, &results_dir, &file) {
-                eprintln!("warning: could not write {file}.csv: {err}");
-            } else {
-                csv_files += 1;
-            }
-        }
+        csv_files += write_figure_csvs(&driver(), &results_dir, name);
     }
     let grid_ms = started.elapsed().as_secs_f64() * 1e3;
     let grid_delta = run_cache_stats().since(&before);

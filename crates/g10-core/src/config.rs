@@ -49,7 +49,11 @@ pub struct SystemConfig {
     pub host_latency: Nanos,
     /// GPU page-fault handling latency (45 µs).
     pub fault_latency: Nanos,
-    /// Bytes serviced per fault batch.
+    /// Bytes serviced per fault batch (64 KiB): the effective service batch
+    /// a UVM driver achieves under the scattered access patterns of demand
+    /// paging.  It caps fault-driven migration far below the prefetch-path
+    /// bandwidth, which is what makes the paper's Base UVM baseline 4–5×
+    /// slower than ideal.
     pub fault_batch_bytes: u64,
     /// Bytes per planned migration batch.
     pub migration_batch_bytes: u64,

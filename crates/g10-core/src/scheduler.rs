@@ -131,26 +131,24 @@ impl G10Scheduler {
         plan.set_planned_peak_pressure(schedule.pressure.max_value());
         plan.set_planned_ideal_time(trace.total_duration());
 
-        // Allocation and deallocation instructions for intermediate tensors,
-        // derived from the vitality analysis (Fig. 9 shows them interleaved
-        // with the launches).
-        for lifetime in analysis.lifetimes() {
-            if lifetime.is_global {
+        // Allocation and deallocation instructions for intermediate tensors
+        // at their first and last use, in tensor id order (Fig. 9 shows them
+        // interleaved with the launches).
+        let index = graph.index();
+        for tensor in graph.tensors().iter().filter(|t| !t.is_global()) {
+            let id = tensor.id();
+            let (Some(first_use), Some(last_use)) = (index.first_use(id), index.last_use(id))
+            else {
                 continue;
-            }
+            };
             plan.push_before(
-                lifetime.first_use,
+                first_use,
                 Instruction::Alloc {
-                    tensor: lifetime.tensor,
-                    bytes: lifetime.bytes,
+                    tensor: id,
+                    bytes: tensor.bytes(),
                 },
             );
-            plan.push_after(
-                lifetime.last_use,
-                Instruction::Free {
-                    tensor: lifetime.tensor,
-                },
-            );
+            plan.push_after(last_use, Instruction::Free { tensor: id });
         }
 
         // Pre-evictions after the kernel that ends each exploited period.

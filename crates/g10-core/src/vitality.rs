@@ -1,15 +1,19 @@
 //! Tensor vitality analysis (§4.2 of the paper).
 //!
-//! The analyzer walks the dataflow graph once and derives, for every tensor:
-//! its classification (global vs intermediate), its birth and death kernels,
-//! the complete list of kernels that use it, and every *inactive period* —
-//! an interval between two consecutive uses during which the tensor could
-//! safely live in host memory or on the SSD.  Global tensors additionally
-//! get a wrap-around period spanning from their last use in one iteration to
-//! their first use in the next.
+//! The analyzer walks every tensor's use sites once and derives every
+//! *inactive period* — an interval between two consecutive uses during
+//! which the tensor could safely live in host memory or on the SSD.  Global
+//! tensors additionally get a wrap-around period spanning from their last
+//! use in one iteration to their first use in the next.
+//!
+//! This module is the one place that decides what an inactive period is:
+//! the planners schedule against these periods, and Figures 3–4 of the
+//! paper measure the same ones.  Per-tensor facts (use sites, first and
+//! last use) and the no-eviction liveness curve stay in the graph's shared
+//! [`g10_dnn::index::GraphIndex`], which the analysis keeps a handle to.
 
 use g10_dnn::graph::{DnnGraph, KernelId};
-use g10_dnn::tensor::{TensorId, TensorKind};
+use g10_dnn::tensor::TensorId;
 use g10_dnn::trace::KernelTrace;
 use g10_time::Nanos;
 use serde::{Deserialize, Serialize};
@@ -22,36 +26,6 @@ impl PeriodId {
     /// Raw index into [`VitalityAnalysis::periods`].
     pub const fn index(self) -> usize {
         self.0
-    }
-}
-
-/// Lifetime facts about one tensor.
-///
-/// The full use-site list lives in the graph's shared
-/// [`g10_dnn::index::GraphIndex`]; [`VitalityAnalysis::uses`] borrows it
-/// from there, so the analysis does not clone a `Vec` per tensor.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct TensorLifetime {
-    /// The tensor.
-    pub tensor: TensorId,
-    /// Size in bytes.
-    pub bytes: u64,
-    /// Its semantic kind.
-    pub kind: TensorKind,
-    /// `true` for weights / optimizer state (live across iterations).
-    pub is_global: bool,
-    /// First kernel that uses the tensor (its birth for intermediates).
-    pub first_use: KernelId,
-    /// Last kernel that uses the tensor (its death for intermediates).
-    pub last_use: KernelId,
-    /// Number of kernels that use the tensor.
-    use_count: usize,
-}
-
-impl TensorLifetime {
-    /// Number of kernels that touch the tensor.
-    pub fn use_count(&self) -> usize {
-        self.use_count
     }
 }
 
@@ -153,23 +127,21 @@ impl InactivePeriod {
 /// The result of analysing one training-iteration graph.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VitalityAnalysis {
-    /// The graph's shared analysis index, kept so use-site queries borrow
-    /// the CSR adjacency instead of owning per-tensor copies.
+    /// The graph's shared analysis index, kept so use-site and liveness
+    /// queries borrow it instead of owning copies.
     index: std::sync::Arc<g10_dnn::index::GraphIndex>,
-    lifetimes: Vec<TensorLifetime>,
     periods: Vec<InactivePeriod>,
-    live_bytes: Vec<u64>,
     iteration_time: Nanos,
 }
 
 impl VitalityAnalysis {
     /// Analyses a graph under the given kernel trace.
     ///
-    /// The tensor→use-site adjacency and the no-eviction liveness curve come
-    /// from the graph's shared [`g10_dnn::index::GraphIndex`] instead of a
-    /// private O(E) re-derivation, so repeated analyses of one graph (the
-    /// three G10 scheduler variants plus FlashNeuron all analyze per
-    /// experiment cell) share one adjacency build.
+    /// The tensor→use-site adjacency comes from the graph's shared
+    /// [`g10_dnn::index::GraphIndex`] instead of a private O(E)
+    /// re-derivation, so repeated analyses of one graph (the three G10
+    /// scheduler variants plus FlashNeuron all analyze per experiment cell)
+    /// share one adjacency build.
     ///
     /// # Panics
     ///
@@ -182,7 +154,6 @@ impl VitalityAnalysis {
         );
         let index = graph.index();
 
-        let mut lifetimes = Vec::with_capacity(graph.num_tensors());
         // Every period sits between two consecutive uses (plus one
         // wrap-around per global), so the total use-site count bounds the
         // period count: one allocation, no growth doublings.
@@ -193,19 +164,6 @@ impl VitalityAnalysis {
             if sites.is_empty() {
                 continue;
             }
-            let is_global = tensor.is_global();
-            let first_use = sites[0];
-            let last_use = sites[sites.len() - 1];
-            lifetimes.push(TensorLifetime {
-                tensor: tensor.id(),
-                bytes: tensor.bytes(),
-                kind: tensor.kind(),
-                is_global,
-                first_use,
-                last_use,
-                use_count: sites.len(),
-            });
-
             // Inactive periods between consecutive uses.
             for window in sites.windows(2) {
                 let (prev, next) = (window[0], window[1]);
@@ -230,7 +188,8 @@ impl VitalityAnalysis {
             }
 
             // Wrap-around period for global tensors.
-            if is_global {
+            if tensor.is_global() {
+                let (first_use, last_use) = (sites[0], sites[sites.len() - 1]);
                 let start_time = trace.end_time(last_use);
                 let end_time = trace.total_duration() + trace.start_time(first_use);
                 if end_time > start_time {
@@ -249,9 +208,7 @@ impl VitalityAnalysis {
         }
 
         VitalityAnalysis {
-            lifetimes,
             periods,
-            live_bytes: index.live_bytes().to_vec(),
             iteration_time: trace.total_duration(),
             index: graph.shared_index(),
         }
@@ -261,22 +218,6 @@ impl VitalityAnalysis {
     /// identity names the graph in the eviction scheduler's selection memo.
     pub(crate) fn graph_index(&self) -> &std::sync::Arc<g10_dnn::index::GraphIndex> {
         &self.index
-    }
-
-    /// Lifetime facts for every used tensor.
-    pub fn lifetimes(&self) -> &[TensorLifetime] {
-        &self.lifetimes
-    }
-
-    /// Every kernel that uses the tensor, in execution order (borrowed from
-    /// the graph's shared index; empty for unused tensors).
-    pub fn uses(&self, tensor: TensorId) -> &[KernelId] {
-        self.index.use_sites(tensor)
-    }
-
-    /// Lifetime facts for one tensor, if it is used at all.
-    pub fn lifetime(&self, tensor: TensorId) -> Option<&TensorLifetime> {
-        self.lifetimes.iter().find(|l| l.tensor == tensor)
     }
 
     /// Every inactive period, indexable by [`PeriodId`].
@@ -301,14 +242,14 @@ impl VitalityAnalysis {
     }
 
     /// Per-kernel live bytes assuming nothing is ever evicted (the initial
-    /// GPU memory-pressure curve).
+    /// GPU memory-pressure curve), read from the graph's index.
     pub fn live_bytes(&self) -> &[u64] {
-        &self.live_bytes
+        self.index.live_bytes()
     }
 
     /// Peak of the no-eviction pressure curve.
     pub fn peak_live_bytes(&self) -> u64 {
-        self.live_bytes.iter().copied().max().unwrap_or(0)
+        self.index.peak_live_bytes()
     }
 
     /// Length of one iteration in the ideal schedule.
@@ -328,28 +269,6 @@ mod tests {
         let trace = KernelTrace::profile(&graph, &GpuCostModel::a100());
         let a = VitalityAnalysis::analyze(&graph, &trace);
         (graph, trace, a)
-    }
-
-    #[test]
-    fn every_used_tensor_has_a_lifetime() {
-        let (graph, _, a) = analysis();
-        assert_eq!(a.lifetimes().len(), graph.num_tensors());
-        for lt in a.lifetimes() {
-            let uses = a.uses(lt.tensor);
-            assert!(!uses.is_empty());
-            assert_eq!(lt.use_count(), uses.len());
-            assert!(lt.first_use <= lt.last_use);
-            assert_eq!(uses[0], lt.first_use);
-            assert_eq!(*uses.last().unwrap(), lt.last_use);
-        }
-    }
-
-    #[test]
-    fn live_bytes_match_the_characterisation_module() {
-        let (graph, _, a) = analysis();
-        let mc = g10_dnn::stats::memory_consumption(&graph);
-        assert_eq!(a.live_bytes(), mc.live_bytes.as_slice());
-        assert_eq!(a.peak_live_bytes(), mc.peak_live_bytes());
     }
 
     #[test]

@@ -12,7 +12,6 @@ use crate::index::{GraphIndex, IndexCell};
 use crate::op::{KernelClass, OpCost};
 use crate::tensor::{TensorId, TensorInfo, TensorKind};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::fmt;
 use std::sync::Arc;
 
@@ -91,16 +90,6 @@ impl Kernel {
             .iter()
             .copied()
             .chain(self.outputs.iter().copied())
-    }
-
-    /// Returns `true` if the kernel reads or writes the given tensor, by a
-    /// linear scan over the kernel's operand lists.
-    ///
-    /// This is the naive reference retained for property tests; queries on
-    /// a graph should go through [`DnnGraph::kernel_uses`], which binary
-    /// searches the shared [`GraphIndex`] instead.
-    pub fn uses(&self, tensor: TensorId) -> bool {
-        self.inputs.contains(&tensor) || self.outputs.contains(&tensor)
     }
 }
 
@@ -225,13 +214,6 @@ impl DnnGraph {
         self.index.get_or_build(self).clone()
     }
 
-    /// Returns `true` if the kernel reads or writes the tensor, by binary
-    /// search over the indexed use sites (the indexed counterpart of the
-    /// linear [`Kernel::uses`] scan).
-    pub fn kernel_uses(&self, kernel: KernelId, tensor: TensorId) -> bool {
-        self.index().kernel_uses(kernel, tensor)
-    }
-
     /// All tensors, indexable by [`TensorId::index`].
     pub fn tensors(&self) -> &[TensorInfo] {
         &self.tensors
@@ -275,46 +257,6 @@ impl DnnGraph {
     /// to the GPU capacity.  Cached in the shared [`GraphIndex`].
     pub fn total_tensor_bytes(&self) -> u64 {
         self.index().total_tensor_bytes()
-    }
-
-    /// Sum of the sizes of global (weight / optimizer-state) tensors.
-    /// Cached in the shared [`GraphIndex`].
-    pub fn global_tensor_bytes(&self) -> u64 {
-        self.index().global_tensor_bytes()
-    }
-
-    /// Bytes of tensors that are live (inputs or outputs) for the given
-    /// kernel — the *active* working set of that kernel.  Served from the
-    /// shared [`GraphIndex`] (the former per-call `HashSet` deduplication
-    /// lives on as the reference in the index property tests).
-    pub fn kernel_working_set_bytes(&self, id: KernelId) -> u64 {
-        self.index().kernel_working_set_bytes(id)
-    }
-
-    /// The largest per-kernel working set in the graph.  The paper notes the
-    /// largest kernel in its studied models occupies 5.7 GB — far below the
-    /// 40 GB A100 capacity — which is what makes swapping viable at all.
-    /// Served from the shared [`GraphIndex`].
-    pub fn max_kernel_working_set_bytes(&self) -> u64 {
-        self.index().max_kernel_working_set_bytes()
-    }
-
-    /// For every tensor, the list of kernels (in execution order) that use it.
-    ///
-    /// This is the naive O(E) derivation (a fresh `HashSet` per kernel, a
-    /// `Vec` per tensor) retained as the property-tested reference; hot
-    /// paths read the CSR adjacency of [`DnnGraph::index`] instead.
-    pub fn tensor_use_sites(&self) -> Vec<Vec<KernelId>> {
-        let mut uses = vec![Vec::new(); self.tensors.len()];
-        for kernel in &self.kernels {
-            let mut seen = HashSet::new();
-            for t in kernel.tensors() {
-                if seen.insert(t) {
-                    uses[t.index()].push(kernel.id());
-                }
-            }
-        }
-        uses
     }
 
     /// Checks structural invariants: every referenced tensor exists, every
@@ -427,38 +369,39 @@ mod tests {
         assert_eq!(g.num_kernels(), 4);
         assert_eq!(g.num_tensors(), 5);
         assert_eq!(g.kernel(KernelId::new(0)).name(), "fwd");
-        assert!(g.kernel(KernelId::new(0)).uses(TensorId::new(0)));
-        assert!(!g.kernel(KernelId::new(1)).uses(TensorId::new(0)));
-        // The indexed membership query agrees with the linear-scan helper.
-        assert!(g.kernel_uses(KernelId::new(0), TensorId::new(0)));
-        assert!(!g.kernel_uses(KernelId::new(1), TensorId::new(0)));
+        assert!(g.index().kernel_uses(KernelId::new(0), TensorId::new(0)));
+        assert!(!g.index().kernel_uses(KernelId::new(1), TensorId::new(0)));
         assert!(g.validate().is_ok());
     }
 
     #[test]
     fn byte_accounting() {
         let g = tiny_graph();
+        let index = g.index();
         assert_eq!(g.total_tensor_bytes(), 4096 * 3 + 1024 * 2);
-        assert_eq!(g.global_tensor_bytes(), 1024);
+        assert_eq!(index.global_tensor_bytes(), 1024);
         // fwd touches x (4096) + w (1024) + y (4096).
         assert_eq!(
-            g.kernel_working_set_bytes(KernelId::new(0)),
+            index.kernel_working_set_bytes(KernelId::new(0)),
             4096 + 1024 + 4096
         );
-        assert!(g.max_kernel_working_set_bytes() >= 4096 + 1024 + 4096);
+        assert!(index.max_kernel_working_set_bytes() >= 4096 + 1024 + 4096);
     }
 
     #[test]
     fn use_sites_in_execution_order() {
         let g = tiny_graph();
-        let uses = g.tensor_use_sites();
+        let index = g.index();
         // Weight w (t1) is used by kernels 0, 2, 3.
         assert_eq!(
-            uses[1],
-            vec![KernelId::new(0), KernelId::new(2), KernelId::new(3)]
+            index.use_sites(TensorId::new(1)),
+            [KernelId::new(0), KernelId::new(2), KernelId::new(3)]
         );
         // In-place optimizer update counts the weight once.
-        assert_eq!(uses[4], vec![KernelId::new(2), KernelId::new(3)]);
+        assert_eq!(
+            index.use_sites(TensorId::new(4)),
+            [KernelId::new(2), KernelId::new(3)]
+        );
     }
 
     #[test]

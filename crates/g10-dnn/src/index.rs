@@ -1,8 +1,10 @@
 //! The shared graph-analysis index.
 //!
-//! Every downstream consumer of a [`DnnGraph`] — the characterisation
-//! queries of [`crate::stats`], the tensor vitality analyzer in `g10-core`,
-//! the replay engine and the DeepUM+ prefetcher in `g10-sim` — needs the
+//! Every downstream consumer of a [`DnnGraph`] — the Figure 2
+//! characterisation, the tensor vitality analyzer in `g10-core` (and the
+//! Figure 3–4 inactive periods it derives), the G10 and FlashNeuron
+//! planners, the replay engine and the DeepUM+ prefetcher in `g10-sim` —
+//! needs the
 //! same handful of derived facts: which kernels use each tensor, each
 //! tensor's first and last use, each kernel's deduplicated working set, and
 //! the no-eviction liveness curve.  Before this module each consumer
@@ -16,11 +18,13 @@
 //! so consumers borrow slices instead of owning nested `Vec`s.  The index
 //! is built at [`crate::builder::GraphBuilder::finish`] (or lazily on first
 //! use for hand-assembled graphs), cached inside the graph, and invalidated
-//! whenever the graph is mutated.
+//! whenever the graph is mutated.  It is the only home of these facts:
+//! the graph itself keeps no per-tensor or per-kernel derivations.
 //!
-//! The pre-index derivation, [`DnnGraph::tensor_use_sites`], is retained as
-//! the naive reference: property tests pin the index against it on random
-//! graphs (`crates/g10-dnn/tests/graph_index_props.rs`).
+//! The pre-index derivations live on as naive references in the test
+//! crate (`crates/g10-dnn/tests/support/naive.rs`); property tests pin the
+//! index against them on random graphs
+//! (`crates/g10-dnn/tests/graph_index_props.rs`).
 
 use crate::graph::{DnnGraph, KernelId};
 use crate::tensor::TensorId;
@@ -39,11 +43,14 @@ use std::sync::{Arc, OnceLock};
 ///
 /// let graph = build_model(ModelKind::TinyCnn, 4);
 /// let index = graph.index();
-/// // The CSR adjacency agrees with the naive reference derivation.
-/// let naive = graph.tensor_use_sites();
+/// // Every tensor of a built model has use sites, in execution order.
 /// for tensor in graph.tensors() {
-///     assert_eq!(index.use_sites(tensor.id()), naive[tensor.id().index()].as_slice());
+///     let sites = index.use_sites(tensor.id());
+///     assert!(sites.windows(2).all(|pair| pair[0] < pair[1]));
+///     assert_eq!(index.first_use(tensor.id()), sites.first().copied());
 /// }
+/// // Weights stay live all iteration, so they bound the peak from below.
+/// assert!(index.peak_live_bytes() >= index.global_tensor_bytes());
 /// assert_eq!(index.total_tensor_bytes(), graph.total_tensor_bytes());
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -247,7 +254,9 @@ impl GraphIndex {
         &self.ws_bytes
     }
 
-    /// The largest per-kernel working set in the graph.
+    /// The largest per-kernel working set in the graph.  The paper notes the
+    /// largest kernel in its studied models occupies 5.7 GB — far below the
+    /// 40 GB A100 capacity — which is what makes swapping viable at all.
     pub fn max_kernel_working_set_bytes(&self) -> u64 {
         self.max_ws_bytes
     }
@@ -335,22 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn use_sites_match_naive_reference() {
-        let graph = model_graph();
-        let index = graph.index();
-        let naive = graph.tensor_use_sites();
-        assert_eq!(index.num_tensors(), graph.num_tensors());
-        assert_eq!(index.num_kernels(), graph.num_kernels());
-        for tensor in graph.tensors() {
-            let sites = index.use_sites(tensor.id());
-            assert_eq!(sites, naive[tensor.id().index()].as_slice());
-            assert_eq!(index.use_count(tensor.id()), sites.len());
-            assert_eq!(index.first_use(tensor.id()), sites.first().copied());
-            assert_eq!(index.last_use(tensor.id()), sites.last().copied());
-        }
-    }
-
-    #[test]
     fn working_sets_are_deduplicated_in_first_occurrence_order() {
         let graph = model_graph();
         let index = graph.index();
@@ -394,23 +387,6 @@ mod tests {
                 .map(|t| t.bytes())
                 .sum::<u64>()
         );
-    }
-
-    #[test]
-    fn kernel_uses_agrees_with_the_linear_scan() {
-        let graph = model_graph();
-        let index = graph.index();
-        for kernel in graph.kernels() {
-            for tensor in graph.tensors() {
-                assert_eq!(
-                    index.kernel_uses(kernel.id(), tensor.id()),
-                    kernel.uses(tensor.id()),
-                    "kernel {} tensor {} membership diverged",
-                    kernel.id(),
-                    tensor.id()
-                );
-            }
-        }
     }
 
     #[test]

@@ -15,7 +15,10 @@
 //!   order with their input/output tensor sets.
 //! * [`index`] — the shared [`index::GraphIndex`]: CSR tensor→use-site
 //!   adjacency, per-tensor lifetimes, per-kernel working sets and the
-//!   liveness curve, derived once per graph and cached.
+//!   liveness curve, derived once per graph and cached.  It is the one
+//!   source of the per-tensor and per-kernel facts behind Figure 2 of the
+//!   paper (active vs. live footprint); the inactive periods of Figures
+//!   3–4 are derived from it by `g10-core`'s vitality analysis.
 //! * [`builder`] — a layer-level builder that records a forward pass and
 //!   automatically derives the backward pass and optimizer step, mirroring
 //!   how a framework such as PyTorch materialises a training iteration.
@@ -26,8 +29,6 @@
 //! * [`trace`] — [`trace::KernelTrace`]: the (kernel, duration) sequence the
 //!   scheduler and the replay simulator consume, with optional noise
 //!   injection for the profiling-error study (§7.6).
-//! * [`stats`] — the characterisation queries behind Figures 2–4 of the
-//!   paper (active vs. total footprint, inactive-period distributions).
 //!
 //! # Example
 //!
@@ -50,7 +51,6 @@ pub mod index;
 pub mod models;
 pub mod op;
 pub mod shape;
-pub mod stats;
 pub mod tensor;
 pub mod time;
 pub mod trace;

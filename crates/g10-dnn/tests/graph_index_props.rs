@@ -1,11 +1,13 @@
 //! Property tests: the shared [`g10_dnn::index::GraphIndex`] must agree
 //! with the naive reference derivations on random graphs.
 //!
-//! The references are the pre-index implementations retained per repo
-//! convention: [`DnnGraph::tensor_use_sites`] (a fresh `HashSet` per kernel,
-//! a `Vec` per tensor), [`Kernel::uses`] (linear operand scan), a per-kernel
-//! `HashSet` working-set deduplication, and the liveness-delta sweep the
-//! characterisation module used before it was retargeted onto the index.
+//! The references are the pre-index implementations of
+//! `tests/support/naive.rs` (a fresh `HashSet` per kernel, a `Vec` per
+//! tensor, a linear operand scan and the liveness-delta sweep) plus a
+//! per-kernel `HashSet` working-set deduplication.
+
+#[path = "support/naive.rs"]
+mod naive;
 
 use g10_dnn::graph::{DnnGraph, KernelId};
 use g10_dnn::op::{KernelClass, OpCost};
@@ -50,33 +52,6 @@ fn assemble(sizes: &[u64], kernels: &[(Vec<usize>, Vec<usize>)]) -> DnnGraph {
     graph
 }
 
-/// The pre-refactor liveness sweep: globals live for the whole iteration,
-/// intermediates from first to last use, accumulated via deltas.
-fn naive_live_bytes(graph: &DnnGraph, uses: &[Vec<KernelId>]) -> Vec<u64> {
-    let n_kernels = graph.num_kernels();
-    let mut delta = vec![0i64; n_kernels + 1];
-    for tensor in graph.tensors() {
-        let sites = &uses[tensor.id().index()];
-        if sites.is_empty() {
-            continue;
-        }
-        let (birth, death) = if tensor.is_global() {
-            (0usize, n_kernels - 1)
-        } else {
-            (sites[0].index(), sites[sites.len() - 1].index())
-        };
-        delta[birth] += tensor.bytes() as i64;
-        delta[death + 1] -= tensor.bytes() as i64;
-    }
-    let mut live = Vec::with_capacity(n_kernels);
-    let mut running = 0i64;
-    for d in delta.iter().take(n_kernels) {
-        running += d;
-        live.push(running.max(0) as u64);
-    }
-    live
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -93,7 +68,7 @@ proptest! {
     ) {
         let graph = assemble(&sizes, &kernels);
         let index = graph.index();
-        let naive = graph.tensor_use_sites();
+        let naive = naive::tensor_use_sites(&graph);
 
         prop_assert_eq!(index.num_tensors(), graph.num_tensors());
         prop_assert_eq!(index.num_kernels(), graph.num_kernels());
@@ -108,7 +83,7 @@ proptest! {
             for kernel in graph.kernels() {
                 prop_assert_eq!(
                     index.kernel_uses(kernel.id(), tensor.id()),
-                    kernel.uses(tensor.id()),
+                    naive::kernel_uses(kernel, tensor.id()),
                     "membership diverged for kernel {} tensor {}",
                     kernel.id(),
                     tensor.id()
@@ -130,14 +105,25 @@ proptest! {
             }
             prop_assert_eq!(index.kernel_working_set(kernel.id()), reference.as_slice());
             prop_assert_eq!(index.kernel_working_set_bytes(kernel.id()), bytes);
-            prop_assert_eq!(graph.kernel_working_set_bytes(kernel.id()), bytes);
             max_ws = max_ws.max(bytes);
         }
         prop_assert_eq!(index.max_kernel_working_set_bytes(), max_ws);
-        prop_assert_eq!(graph.max_kernel_working_set_bytes(), max_ws);
 
         // Liveness curve and cached footprint totals.
-        prop_assert_eq!(index.live_bytes(), naive_live_bytes(&graph, &naive).as_slice());
+        prop_assert_eq!(index.live_bytes(), naive::live_bytes(&graph, &naive).as_slice());
+        // A kernel's active set is live while it runs, and every used
+        // global stays live all iteration (an unused one never becomes
+        // live), so both bound the live curve from below.
+        for (k, (active, live)) in index.active_bytes().iter().zip(index.live_bytes()).enumerate() {
+            prop_assert!(active <= live, "kernel {}: active {} exceeds live {}", k, active, live);
+        }
+        let used_global_bytes: u64 = graph
+            .tensors()
+            .iter()
+            .filter(|t| t.is_global() && !naive[t.id().index()].is_empty())
+            .map(|t| t.bytes())
+            .sum();
+        prop_assert!(index.peak_live_bytes() >= used_global_bytes);
         prop_assert_eq!(
             index.total_tensor_bytes(),
             graph.tensors().iter().map(|t| t.bytes()).sum::<u64>()

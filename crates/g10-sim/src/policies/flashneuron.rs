@@ -53,20 +53,22 @@ impl FlashNeuronPolicy {
         // Linear tensor selection: walk activation tensors in the order they
         // are produced and offload them until the projected peak fits the
         // budget.  Weights and gradients are never offloaded.  The offload
-        // set keeps that deterministic first-use order (each lifetime names
-        // a distinct tensor): iterating a hash set here made the planned
+        // set keeps that deterministic first-use order (ties in tensor id
+        // order): iterating a hash set here made the planned
         // eviction/prefetch instruction order — and therefore the replayed
         // migration interleaving — vary run to run.  Each selected tensor is
         // kept with the longest period found above.
+        let index = graph.index();
         let mut selected: Vec<&InactivePeriod> = Vec::new();
         let mut projected = peak;
-        let mut candidates: Vec<_> = analysis
-            .lifetimes()
+        let mut candidates: Vec<_> = graph
+            .tensors()
             .iter()
-            .filter(|l| l.kind == TensorKind::Activation && !l.is_global)
+            .filter(|t| t.kind() == TensorKind::Activation)
+            .filter_map(|t| Some((index.first_use(t.id())?, t)))
             .collect();
-        candidates.sort_by_key(|l| l.first_use);
-        for lifetime in candidates {
+        candidates.sort_by_key(|&(first_use, _)| first_use);
+        for (_, tensor) in candidates {
             if projected <= budget {
                 break;
             }
@@ -74,11 +76,11 @@ impl FlashNeuronPolicy {
             // is unused for some window between forward and backward; unlike
             // G10 it does not weigh the migration cost against the period
             // length, which is exactly the behaviour the paper contrasts.
-            let Some(period) = longest[lifetime.tensor.index()] else {
+            let Some(period) = longest[tensor.id().index()] else {
                 continue;
             };
             selected.push(period);
-            projected = projected.saturating_sub(lifetime.bytes);
+            projected = projected.saturating_sub(tensor.bytes());
         }
 
         // Attach evictions and prefetches to kernels.

@@ -20,18 +20,6 @@ pub struct FaultModel {
 }
 
 impl FaultModel {
-    /// The Table 2 configuration: 45 µs per fault.  Faults are serviced at a
-    /// 64 KiB granularity — the effective service batch a UVM driver achieves
-    /// under the scattered access patterns of demand paging, which caps
-    /// fault-driven migration far below the prefetch-path bandwidth (this is
-    /// what makes the paper's Base UVM baseline 4–5x slower than ideal).
-    pub fn table2() -> Self {
-        FaultModel {
-            fault_latency: Nanos::from_micros(45),
-            batch_bytes: 64 << 10,
-        }
-    }
-
     /// Number of fault batches needed to bring in `bytes`.
     pub fn fault_count(&self, bytes: u64) -> u64 {
         if bytes == 0 {
@@ -48,26 +36,28 @@ impl FaultModel {
     }
 }
 
-impl Default for FaultModel {
-    fn default() -> Self {
-        FaultModel::table2()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Table 2's 45 µs per fault, serviced in 64 KiB batches.
+    fn table2() -> FaultModel {
+        FaultModel {
+            fault_latency: Nanos::from_micros(45),
+            batch_bytes: 64 << 10,
+        }
+    }
+
     #[test]
     fn zero_bytes_is_free() {
-        let m = FaultModel::table2();
+        let m = table2();
         assert_eq!(m.fault_count(0), 0);
         assert_eq!(m.handling_time(0), Nanos::ZERO);
     }
 
     #[test]
     fn partial_batches_round_up() {
-        let m = FaultModel::table2();
+        let m = table2();
         assert_eq!(m.fault_count(1), 1);
         assert_eq!(m.fault_count(64 << 10), 1);
         assert_eq!(m.fault_count((64 << 10) + 1), 2);
@@ -75,7 +65,7 @@ mod tests {
 
     #[test]
     fn handling_time_matches_table2() {
-        let m = FaultModel::table2();
+        let m = table2();
         // A 1 GiB tensor arriving entirely through faults costs 16384 x 45 us.
         let t = m.handling_time(1 << 30);
         assert_eq!(t, Nanos::from_micros(45) * 16384);

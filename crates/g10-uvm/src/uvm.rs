@@ -13,7 +13,9 @@ use crate::memory::{MemKind, MemoryPool};
 use g10_time::Nanos;
 use serde::{Deserialize, Serialize};
 
-/// Hardware parameters of the unified memory system (Table 2 defaults).
+/// Hardware parameters of the unified memory system.  The replay engine
+/// fills them in from `g10_core::config::SystemConfig`, which holds the
+/// paper's Table 2 values.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct UnifiedMemoryConfig {
     /// GPU on-board memory capacity in bytes (40 GB HBM2e).
@@ -40,32 +42,6 @@ pub struct UnifiedMemoryConfig {
     /// migrations are executed through the classic UVM driver rather than
     /// G10's extended UVM (used by the G10-GDS / G10-Host ablations).
     pub software_overhead_per_batch: Nanos,
-}
-
-impl UnifiedMemoryConfig {
-    /// The Table 2 configuration with G10's extended UVM (no extra software
-    /// overhead on planned migrations).
-    pub fn table2() -> Self {
-        UnifiedMemoryConfig {
-            gpu_capacity_bytes: 40 * (1 << 30),
-            host_capacity_bytes: 128 * (1 << 30),
-            pcie_bytes_per_sec: 15.754e9,
-            ssd_read_bytes_per_sec: 3.2e9,
-            ssd_write_bytes_per_sec: 3.0e9,
-            ssd_read_latency: Nanos::from_micros(20),
-            ssd_write_latency: Nanos::from_micros(16),
-            host_latency: Nanos::from_micros(5),
-            fault: FaultModel::table2(),
-            migration_batch_bytes: 2 << 20,
-            software_overhead_per_batch: Nanos::ZERO,
-        }
-    }
-}
-
-impl Default for UnifiedMemoryConfig {
-    fn default() -> Self {
-        UnifiedMemoryConfig::table2()
-    }
 }
 
 /// Migration traffic accumulated by direction (the quantities behind
@@ -109,10 +85,22 @@ impl TrafficStats {
 /// # Example
 ///
 /// ```
-/// use g10_uvm::{MemKind, UnifiedMemory, UnifiedMemoryConfig};
+/// use g10_uvm::{FaultModel, MemKind, UnifiedMemory, UnifiedMemoryConfig};
 /// use g10_time::Nanos;
 ///
-/// let mut uvm = UnifiedMemory::new(UnifiedMemoryConfig::table2());
+/// let mut uvm = UnifiedMemory::new(UnifiedMemoryConfig {
+///     gpu_capacity_bytes: 40 << 30,
+///     host_capacity_bytes: 128 << 30,
+///     pcie_bytes_per_sec: 15.754e9,
+///     ssd_read_bytes_per_sec: 3.2e9,
+///     ssd_write_bytes_per_sec: 3.0e9,
+///     ssd_read_latency: Nanos::from_micros(20),
+///     ssd_write_latency: Nanos::from_micros(16),
+///     host_latency: Nanos::from_micros(5),
+///     fault: FaultModel { fault_latency: Nanos::from_micros(45), batch_bytes: 64 << 10 },
+///     migration_batch_bytes: 2 << 20,
+///     software_overhead_per_batch: Nanos::ZERO,
+/// });
 /// // Evict 1 GiB to the SSD, then prefetch it back.
 /// let evicted = uvm.transfer_from_gpu(1 << 30, MemKind::Flash, Nanos::ZERO);
 /// let back = uvm.transfer_to_gpu(1 << 30, MemKind::Flash, evicted);
@@ -258,8 +246,29 @@ impl UnifiedMemory {
 mod tests {
     use super::*;
 
+    /// Table 2's hardware with G10's extended UVM (no software overhead on
+    /// planned migrations).
+    fn table2() -> UnifiedMemoryConfig {
+        UnifiedMemoryConfig {
+            gpu_capacity_bytes: 40 << 30,
+            host_capacity_bytes: 128 << 30,
+            pcie_bytes_per_sec: 15.754e9,
+            ssd_read_bytes_per_sec: 3.2e9,
+            ssd_write_bytes_per_sec: 3.0e9,
+            ssd_read_latency: Nanos::from_micros(20),
+            ssd_write_latency: Nanos::from_micros(16),
+            host_latency: Nanos::from_micros(5),
+            fault: FaultModel {
+                fault_latency: Nanos::from_micros(45),
+                batch_bytes: 64 << 10,
+            },
+            migration_batch_bytes: 2 << 20,
+            software_overhead_per_batch: Nanos::ZERO,
+        }
+    }
+
     fn uvm() -> UnifiedMemory {
-        UnifiedMemory::new(UnifiedMemoryConfig::table2())
+        UnifiedMemory::new(table2())
     }
 
     #[test]
@@ -320,12 +329,9 @@ mod tests {
         let planned_done = planned.transfer_to_gpu(bytes, MemKind::Host, Nanos::ZERO);
         let fault_done = faulted.fault_in(bytes, MemKind::Host, Nanos::ZERO);
         assert!(fault_done > planned_done);
-        let expected_extra = FaultModel::table2().handling_time(bytes);
-        assert_eq!(fault_done - planned_done, expected_extra);
-        assert_eq!(
-            faulted.fault_count(),
-            bytes / FaultModel::table2().batch_bytes
-        );
+        let fault = table2().fault;
+        assert_eq!(fault_done - planned_done, fault.handling_time(bytes));
+        assert_eq!(faulted.fault_count(), bytes / fault.batch_bytes);
     }
 
     #[test]
@@ -338,7 +344,7 @@ mod tests {
 
     #[test]
     fn software_overhead_applies_per_batch() {
-        let mut cfg = UnifiedMemoryConfig::table2();
+        let mut cfg = table2();
         cfg.software_overhead_per_batch = Nanos::from_micros(10);
         let mut classic = UnifiedMemory::new(cfg);
         let mut extended = uvm();

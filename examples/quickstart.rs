@@ -27,7 +27,7 @@ fn main() -> Result<(), SimError> {
     let analysis = VitalityAnalysis::analyze(&workload.graph, &workload.trace);
     println!(
         "vitality: {} tensors, {} inactive periods, peak live footprint {:.1} MiB (GPU capacity {:.1} MiB)",
-        analysis.lifetimes().len(),
+        workload.graph.num_tensors(),
         analysis.periods().len(),
         analysis.peak_live_bytes() as f64 / (1 << 20) as f64,
         config.gpu_memory_bytes as f64 / (1 << 20) as f64,

@@ -49,7 +49,7 @@ proptest! {
         // at least the global tensors.
         let total = graph.total_tensor_bytes();
         prop_assert!(analysis.live_bytes().iter().all(|b| *b <= total));
-        prop_assert!(analysis.peak_live_bytes() >= graph.global_tensor_bytes());
+        prop_assert!(analysis.peak_live_bytes() >= graph.index().global_tensor_bytes());
         // Every inactive period ends strictly after it starts and belongs to
         // a real tensor.
         for p in analysis.periods() {

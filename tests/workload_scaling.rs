@@ -1,11 +1,16 @@
 //! Workload analysis agreement test: the indexed pipeline (the graph's
-//! shared `GraphIndex` feeding stats, vitality and the engines'
-//! working-set arenas) and a naive reference pipeline (each consumer
-//! re-derives the tensor→use-site adjacency with
-//! `DnnGraph::tensor_use_sites` and deduplicates working sets with
-//! per-kernel `HashSet`s, as the pre-index consumers did) must compute
+//! shared `GraphIndex` feeding the Figure 2 curves, vitality and the
+//! engines' working-set arenas) and a naive reference pipeline (each
+//! consumer re-derives the tensor→use-site adjacency with the reference of
+//! `crates/g10-dnn/tests/support/naive.rs` and deduplicates working sets
+//! with per-kernel `HashSet`s, as the pre-index consumers did) must compute
 //! *identical* analysis facts on a mid-size stress cell and on tiny paper
 //! models.  Both sides fold their facts into one FNV-1a fingerprint.
+
+// The reference derivations, shared with `g10-dnn`'s own property tests.
+#[allow(dead_code)]
+#[path = "../crates/g10-dnn/tests/support/naive.rs"]
+mod naive;
 
 use g10::core::config::SystemConfig;
 use g10::core::vitality::VitalityAnalysis;
@@ -23,7 +28,7 @@ struct AnalysisFacts {
     peak_live: u64,
     period_count: u64,
     period_total_ns: u64,
-    lifetime_count: u64,
+    used_tensor_count: u64,
     vitality_peak: u64,
     engine_arena_len: u64,
     engine_last_use_sum: u64,
@@ -39,7 +44,7 @@ impl AnalysisFacts {
             self.peak_live,
             self.period_count,
             self.period_total_ns,
-            self.lifetime_count,
+            self.used_tensor_count,
             self.vitality_peak,
             self.engine_arena_len,
             self.engine_last_use_sum,
@@ -56,9 +61,8 @@ impl AnalysisFacts {
 /// through the real public entry points.
 fn indexed_analysis_fingerprint(graph: &DnnGraph, trace: &KernelTrace) -> u64 {
     let gpu_capacity = SystemConfig::table2().gpu_memory_bytes;
-    let mc = g10::dnn::stats::memory_consumption(graph);
-    let periods = g10::dnn::stats::inactive_periods(graph, trace);
     let analysis = VitalityAnalysis::analyze(graph, trace);
+    let periods = analysis.periods();
     let index = graph.index();
     let (flat, _offsets) = index.working_sets();
     let engine_last_use_sum = graph
@@ -68,46 +72,22 @@ fn indexed_analysis_fingerprint(graph: &DnnGraph, trace: &KernelTrace) -> u64 {
         .map(|last| last.index() as u64)
         .sum();
     AnalysisFacts {
-        peak_active: mc.peak_active_bytes(),
-        peak_live: mc.peak_live_bytes(),
+        peak_active: index.active_bytes().iter().copied().max().unwrap_or(0),
+        peak_live: index.peak_live_bytes(),
         period_count: periods.len() as u64,
-        period_total_ns: periods.iter().map(|p| p.length.as_nanos()).sum(),
-        lifetime_count: analysis.lifetimes().len() as u64,
+        period_total_ns: periods.iter().map(|p| p.length().as_nanos()).sum(),
+        used_tensor_count: graph
+            .tensors()
+            .iter()
+            .filter(|info| index.use_count(info.id()) > 0)
+            .count() as u64,
         vitality_peak: analysis.peak_live_bytes(),
         engine_arena_len: flat.len() as u64,
         engine_last_use_sum,
-        max_working_set: graph.max_kernel_working_set_bytes(),
+        max_working_set: index.max_kernel_working_set_bytes(),
         working_set_exceeds_gpu: index.max_kernel_working_set_bytes() > gpu_capacity,
     }
     .fingerprint()
-}
-
-/// Live bytes per kernel by a difference-array sweep over the use sites.
-fn naive_live_bytes(graph: &DnnGraph, uses: &[Vec<KernelId>]) -> Vec<u64> {
-    let n_kernels = graph.num_kernels();
-    let mut delta = vec![0i64; n_kernels + 1];
-    for tensor in graph.tensors() {
-        let sites = &uses[tensor.id().index()];
-        if sites.is_empty() {
-            continue;
-        }
-        let (birth, death) = if tensor.is_global() {
-            (0usize, n_kernels - 1)
-        } else {
-            (sites[0].index(), sites[sites.len() - 1].index())
-        };
-        delta[birth] += tensor.bytes() as i64;
-        delta[death + 1] -= tensor.bytes() as i64;
-    }
-    let mut running = 0i64;
-    delta
-        .iter()
-        .take(n_kernels)
-        .map(|d| {
-            running += d;
-            running.max(0) as u64
-        })
-        .collect()
 }
 
 /// Counts the inactive periods and their total length under `trace`,
@@ -145,11 +125,11 @@ fn naive_periods(graph: &DnnGraph, trace: &KernelTrace, uses: &[Vec<KernelId>]) 
     (count, length_ns)
 }
 
-/// The naive pipeline: the adjacency comes from the retained
-/// `tensor_use_sites` reference and every fact is re-derived from it.
+/// The naive pipeline: the adjacency comes from the reference
+/// `tensor_use_sites` and every fact is re-derived from it.
 fn naive_analysis_fingerprint(graph: &DnnGraph, trace: &KernelTrace) -> u64 {
     let gpu_capacity = SystemConfig::table2().gpu_memory_bytes;
-    let uses = graph.tensor_use_sites();
+    let uses = naive::tensor_use_sites(graph);
 
     let mut active = vec![0u64; graph.num_kernels()];
     for tensor in graph.tensors() {
@@ -157,7 +137,7 @@ fn naive_analysis_fingerprint(graph: &DnnGraph, trace: &KernelTrace) -> u64 {
             active[site.index()] += tensor.bytes();
         }
     }
-    let peak_live = naive_live_bytes(graph, &uses)
+    let peak_live = naive::live_bytes(graph, &uses)
         .into_iter()
         .max()
         .unwrap_or(0);
@@ -205,7 +185,7 @@ fn naive_analysis_fingerprint(graph: &DnnGraph, trace: &KernelTrace) -> u64 {
         peak_live,
         period_count,
         period_total_ns,
-        lifetime_count: uses.iter().filter(|sites| !sites.is_empty()).count() as u64,
+        used_tensor_count: uses.iter().filter(|sites| !sites.is_empty()).count() as u64,
         vitality_peak: peak_live,
         engine_arena_len: flat.len() as u64,
         engine_last_use_sum: uses
