@@ -30,4 +30,4 @@ pub mod worker;
 
 pub use client::{exchange, exchange_raw, summarize};
 pub use daemon::{serve, ServeOptions};
-pub use protocol::{report_fingerprint, JobRequest, RunRequest};
+pub use protocol::{JobRequest, RunRequest};

@@ -518,7 +518,7 @@ pub fn ok_body(source: &str, report: &g10_sim::SimReport) -> Json {
                 ),
                 (
                     "fingerprint",
-                    Json::Str(format!("{:016x}", report_fingerprint(report))),
+                    Json::Str(format!("{:016x}", report.fingerprint())),
                 ),
             ]),
         ),
@@ -572,17 +572,6 @@ pub fn ok_multi_body(report: &g10_sim::MultiReport) -> Json {
             ]),
         ),
     ])
-}
-
-/// The canonical report digest ([`g10_sim::SimReport::fingerprint`]): two
-/// reports fingerprint equal iff every numeric field — times, full
-/// slowdown vector, traffic, counters — is bit-identical.  The
-/// cross-restart byte-identity check the store already guarantees, made
-/// observable over the wire, with the same value the golden-report and
-/// session-equivalence suites pin.  (This used to be a third local FNV-1a
-/// implementation over a narrower field subset.)
-pub fn report_fingerprint(report: &g10_sim::SimReport) -> u64 {
-    report.fingerprint()
 }
 
 #[cfg(test)]
@@ -755,7 +744,7 @@ mod tests {
         };
         let ideal = run(PolicyKind::Ideal);
         let uvm = run(PolicyKind::BaseUvm);
-        assert_eq!(report_fingerprint(&ideal), report_fingerprint(&ideal));
-        assert_ne!(report_fingerprint(&ideal), report_fingerprint(&uvm));
+        assert_eq!(ideal.fingerprint(), ideal.fingerprint());
+        assert_ne!(ideal.fingerprint(), uvm.fingerprint());
     }
 }

@@ -142,6 +142,23 @@ fn a_bad_fault_plan_is_refused_with_its_parse_error() {
         let err = cli::parse(&line).expect_err(plan);
         assert!(err.starts_with("--inject-fault: "), "{plan:?}: {err}");
     }
+    // Bookkeeping corruptions are not injectable; the error lists the
+    // five kinds that are.
+    let line = argv(&[
+        "run",
+        "--model",
+        "tinycnn",
+        "--inject-fault",
+        "2:ledger-corrupt",
+    ]);
+    let err = cli::parse(&line).expect_err("ledger-corrupt");
+    assert!(
+        err.starts_with("--inject-fault: unknown fault kind `ledger-corrupt`"),
+        "{err}"
+    );
+    for fault in g10_sim::InjectedFault::ALL {
+        assert!(err.contains(fault.tag()), "{err}");
+    }
 }
 
 #[test]

@@ -585,7 +585,7 @@ mod tests {
         );
         let score = |d: &EvictionDecision| {
             let p = analysis.period(d.period);
-            fresh.reduction(&p.interior_ranges(trace.len()), p.bytes)
+            fresh.reduction(p.ranges(trace.len()).as_slice(), p.bytes)
                 / config
                     .migration_cost(p.bytes, Destination::Ssd)
                     .as_secs_f64()

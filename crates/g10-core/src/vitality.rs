@@ -117,11 +117,6 @@ impl InactivePeriod {
         }
         ranges
     }
-
-    /// [`InactivePeriod::ranges`] as an owned `Vec` (compatibility helper).
-    pub fn interior_ranges(&self, num_kernels: usize) -> Vec<(usize, usize)> {
-        self.ranges(num_kernels).as_slice().to_vec()
-    }
 }
 
 /// The result of analysing one training-iteration graph.
@@ -285,7 +280,7 @@ mod tests {
                 assert!(graph.tensor(p.tensor).is_global());
                 assert!(p.end_time >= trace.total_duration());
             }
-            for (lo, hi) in p.interior_ranges(graph.num_kernels()) {
+            for &(lo, hi) in p.ranges(graph.num_kernels()).as_slice() {
                 assert!(lo < hi && hi <= graph.num_kernels());
             }
         }

@@ -369,8 +369,13 @@ mod tests {
         assert_eq!(g.num_kernels(), 4);
         assert_eq!(g.num_tensors(), 5);
         assert_eq!(g.kernel(KernelId::new(0)).name(), "fwd");
-        assert!(g.index().kernel_uses(KernelId::new(0), TensorId::new(0)));
-        assert!(!g.index().kernel_uses(KernelId::new(1), TensorId::new(0)));
+        let index = g.index();
+        assert!(index
+            .kernel_working_set(KernelId::new(0))
+            .contains(&TensorId::new(0)));
+        assert!(!index
+            .kernel_working_set(KernelId::new(1))
+            .contains(&TensorId::new(0)));
         assert!(g.validate().is_ok());
     }
 
@@ -381,10 +386,7 @@ mod tests {
         assert_eq!(g.total_tensor_bytes(), 4096 * 3 + 1024 * 2);
         assert_eq!(index.global_tensor_bytes(), 1024);
         // fwd touches x (4096) + w (1024) + y (4096).
-        assert_eq!(
-            index.kernel_working_set_bytes(KernelId::new(0)),
-            4096 + 1024 + 4096
-        );
+        assert_eq!(index.active_bytes()[0], 4096 + 1024 + 4096);
         assert!(index.max_kernel_working_set_bytes() >= 4096 + 1024 + 4096);
     }
 

@@ -223,12 +223,6 @@ impl GraphIndex {
         self.use_sites(tensor).last().copied()
     }
 
-    /// Returns `true` if the kernel reads or writes the tensor, by binary
-    /// search over the tensor's (sorted) use sites.
-    pub fn kernel_uses(&self, kernel: KernelId, tensor: TensorId) -> bool {
-        self.use_sites(tensor).binary_search(&kernel).is_ok()
-    }
-
     /// The kernel's unique working set in first-occurrence order (inputs
     /// then outputs).
     pub fn kernel_working_set(&self, kernel: KernelId) -> &[TensorId] {
@@ -240,12 +234,6 @@ impl GraphIndex {
     /// the DeepUM+ look-ahead window consume this form directly.
     pub fn working_sets(&self) -> (&[TensorId], &[usize]) {
         (&self.ws_flat, &self.ws_offsets)
-    }
-
-    /// Bytes of tensors live (inputs or outputs) for the given kernel — the
-    /// deduplicated *active* working set of that kernel.
-    pub fn kernel_working_set_bytes(&self, kernel: KernelId) -> u64 {
-        self.ws_bytes[kernel.index()]
     }
 
     /// Per-kernel working-set bytes, indexed by kernel execution order (the
@@ -359,7 +347,7 @@ mod tests {
                 }
             }
             assert_eq!(ws, reference.as_slice());
-            assert_eq!(index.kernel_working_set_bytes(kernel.id()), bytes);
+            assert_eq!(index.active_bytes()[kernel.id().index()], bytes);
         }
         let (flat, offsets) = index.working_sets();
         assert_eq!(offsets.len(), graph.num_kernels() + 1);

@@ -8,8 +8,7 @@
 //! * `tests/workload_scaling.rs` re-derives every analysis fact from them
 //!   on a mid-size stress graph and on tiny paper models.
 
-use g10_dnn::graph::{DnnGraph, Kernel, KernelId};
-use g10_dnn::tensor::TensorId;
+use g10_dnn::graph::{DnnGraph, KernelId};
 use std::collections::HashSet;
 
 /// For every tensor, the kernels (in execution order, deduplicated) that
@@ -25,12 +24,6 @@ pub fn tensor_use_sites(graph: &DnnGraph) -> Vec<Vec<KernelId>> {
         }
     }
     uses
-}
-
-/// Returns `true` if the kernel reads or writes the tensor, by a linear
-/// scan over its operand lists.
-pub fn kernel_uses(kernel: &Kernel, tensor: TensorId) -> bool {
-    kernel.inputs().contains(&tensor) || kernel.outputs().contains(&tensor)
 }
 
 /// Live bytes per kernel assuming nothing is evicted: globals for the whole

@@ -12,10 +12,7 @@
 //! kernel stalls.
 
 use crate::cancel::{CancelRecord, CancelToken};
-use crate::fault::{
-    catch_policy_panic, FaultPlan, FaultRecord, InjectedFault, OnPolicyFault, PolicyFaultKind,
-    Validate,
-};
+use crate::fault::{catch_policy_panic, FaultRecord, OnPolicyFault, PolicyFaultKind, Validate};
 use crate::guard::{AuditView, InvariantGuard};
 use crate::metrics::SimReport;
 use crate::policy::MemoryPolicy;
@@ -104,9 +101,10 @@ pub struct RuntimeOptions {
     /// it under a fallback design with the fault recorded on the report.
     pub on_policy_fault: OnPolicyFault,
     /// Deterministic fault injection for exercising the degradation paths.
-    /// Installing a plan forces the invariant audit on in every build
-    /// profile, so injected faults are always caught.
-    pub fault_plan: Option<FaultPlan>,
+    /// Like `on_policy_fault`, a session-level knob the engine never reads:
+    /// the session wraps the chosen design in a policy that misbehaves at
+    /// the planned step through the public [`EngineState`] API.
+    pub fault_plan: Option<crate::fault::FaultPlan>,
     /// Cooperative cancellation: the engine observes the token at every
     /// kernel step boundary and aborts with
     /// [`EngineError::Cancelled`] once it fires (a per-request deadline in
@@ -219,6 +217,8 @@ pub struct EngineState {
     prefetches_dropped: u64,
     evictions_issued: u64,
     oversubscribed: bool,
+    /// Per-kernel slowdowns recorded so far, in execution order.
+    kernel_slowdowns: Vec<f64>,
     /// Kernel index of the step in progress, for fault attribution.
     current_kernel: usize,
     /// First policy fault flagged this run, `(step, kind)`.  Interior
@@ -549,7 +549,7 @@ impl EngineState {
     /// flagged as a [`PolicyFaultKind::PrefetchResident`] policy fault
     /// instead of being tolerated.  Built-in designs use the graceful API
     /// (re-requesting a maybe-resident tensor is part of their contract);
-    /// hardened custom policies and the fault-injection hook use this one.
+    /// hardened custom policies and injected faults use this one.
     pub fn request_prefetch_strict(&mut self, tensor: TensorId) -> bool {
         if !self.tensor_in_range(tensor) {
             return false;
@@ -726,14 +726,11 @@ pub struct ReplayEngine<'a> {
     /// slices instead of cloning a `Vec` per kernel.
     required_flat: &'a [TensorId],
     required_offsets: &'a [usize],
-    kernel_slowdowns: Vec<f64>,
     stall_time: Nanos,
     working_set_exceeds_gpu: bool,
     /// Whether the per-step invariant audit runs (from
-    /// [`RuntimeOptions::validate`]; forced on by an installed fault plan).
+    /// [`RuntimeOptions::validate`]).
     validate_active: bool,
-    /// Deterministic fault injection, if any.
-    fault_plan: Option<FaultPlan>,
     /// Cooperative cancellation handle, if any.
     cancel: Option<CancelToken>,
     /// Next kernel to execute; `try_run` is `advance` to the end.
@@ -858,7 +855,7 @@ impl<'a> ReplayEngine<'a> {
                 usage.resident_high_water = usage.resident_high_water.max(usage.resident_bytes);
             });
         }
-        let validate_active = options.validate.is_active() || options.fault_plan.is_some();
+        let validate_active = options.validate.is_active();
         ReplayEngine {
             graph,
             trace,
@@ -876,6 +873,7 @@ impl<'a> ReplayEngine<'a> {
                 prefetches_dropped: 0,
                 evictions_issued: 0,
                 oversubscribed: false,
+                kernel_slowdowns: Vec::with_capacity(num_kernels),
                 current_kernel: 0,
                 fault: RefCell::new(None),
                 tenant: options.tenant,
@@ -884,11 +882,9 @@ impl<'a> ReplayEngine<'a> {
             policy,
             required_flat,
             required_offsets,
-            kernel_slowdowns: Vec::with_capacity(num_kernels),
             stall_time: Nanos::ZERO,
             working_set_exceeds_gpu,
             validate_active,
-            fault_plan: options.fault_plan,
             cancel: options.cancel,
             cursor: 0,
             guard: InvariantGuard::new(),
@@ -932,8 +928,8 @@ impl<'a> ReplayEngine<'a> {
     /// exposed so a [`crate::tenancy::TenantScheduler`] can interleave whole
     /// kernels from several engines on one device timeline.  Containment is
     /// identical to a full run: the cancel token is observed first, policy
-    /// hooks run under panic containment, injected faults fire at their
-    /// step, and the invariant audit (when active) closes the step.
+    /// hooks run under panic containment, and the invariant audit (when
+    /// active) closes the step.
     ///
     /// # Errors
     ///
@@ -959,26 +955,14 @@ impl<'a> ReplayEngine<'a> {
             }));
         }
         self.state.current_kernel = k;
-        let injected = self
-            .fault_plan
-            .and_then(|plan| (plan.step == k).then_some(plan.fault));
-        let stepped = catch_policy_panic(|| {
-            if let Some(fault) = injected {
-                self.inject_before_step(fault, k);
-            }
-            self.step(k);
-        });
-        if let Err(message) = stepped {
+        if let Err(message) = catch_policy_panic(|| self.step(k)) {
             return Err(self
                 .fault_record(k, PolicyFaultKind::StepPanic { message })
                 .into());
         }
-        if let Some(fault) = injected {
-            self.inject_after_step(fault, k);
-        }
         if self.validate_active {
             let view = self.state.audit_view();
-            let last_slowdown = self.kernel_slowdowns.last().copied();
+            let last_slowdown = self.state.kernel_slowdowns.last().copied();
             self.audits_run += 1;
             if let Some(kind) = self.guard.check_step(&view, last_slowdown, k) {
                 self.state.flag_fault(kind);
@@ -1003,92 +987,6 @@ impl<'a> ReplayEngine<'a> {
         }
     }
 
-    /// Injects the action-shaped faults (and the panic) that must fire
-    /// *inside* the contained step, through the same strict request paths a
-    /// hostile policy would hit.
-    fn inject_before_step(&mut self, fault: InjectedFault, k: usize) {
-        match fault {
-            InjectedFault::StepPanic => panic!("injected policy panic at step {k}"),
-            InjectedFault::TensorOutOfRange => {
-                let beyond = TensorId::new(self.graph.num_tensors() as u32);
-                self.state.request_prefetch(beyond);
-            }
-            InjectedFault::EvictNonResident => {
-                let victim = (0..self.state.tensors.len())
-                    .map(|idx| TensorId::new(idx as u32))
-                    .find(|t| self.state.tensors[t.index()].location != Location::Gpu);
-                match victim {
-                    Some(t) => {
-                        self.state.request_evict_strict(t, Location::Ssd);
-                    }
-                    // Everything resident: flag the illegal intent directly.
-                    None => self
-                        .state
-                        .flag_fault(PolicyFaultKind::EvictNonResident { tensor: u32::MAX }),
-                }
-            }
-            InjectedFault::PrefetchResident => {
-                let resident = (0..self.state.tensors.len())
-                    .map(|idx| TensorId::new(idx as u32))
-                    .find(|t| self.state.tensors[t.index()].location == Location::Gpu);
-                match resident {
-                    Some(t) => {
-                        self.state.request_prefetch_strict(t);
-                    }
-                    // Nothing resident yet: flag the illegal intent directly.
-                    None => self
-                        .state
-                        .flag_fault(PolicyFaultKind::PrefetchResident { tensor: u32::MAX }),
-                }
-            }
-            // Bookkeeping corruptions are applied after the step (the step
-            // would repair or overwrite them); BuildPanic is intercepted at
-            // the session layer before an engine exists.
-            _ => {}
-        }
-    }
-
-    /// Injects the bookkeeping-corruption faults after the step completes,
-    /// right before the invariant audit that must catch them.
-    fn inject_after_step(&mut self, fault: InjectedFault, _k: usize) {
-        match fault {
-            InjectedFault::CapacityExceeded => {
-                // Overcommit past capacity plus in-flight frees, without
-                // acknowledging oversubscription.
-                let over = self.state.uvm.gpu().free_bytes() + self.state.pending_gpu_free_bytes;
-                self.state.uvm.gpu_mut().force_allocate(over + 1);
-            }
-            InjectedFault::LedgerCorrupt => {
-                self.state.pending_gpu_free_bytes += 12_345;
-            }
-            InjectedFault::TimeRegression => {
-                if self.state.now > Nanos::ZERO {
-                    self.state.now = Nanos::ZERO;
-                } else {
-                    // Time has not advanced yet, so there is nothing to
-                    // rewind: flag the regression directly.
-                    self.state.flag_fault(PolicyFaultKind::TimeRegression {
-                        from: Nanos::ZERO,
-                        to: Nanos::ZERO,
-                    });
-                }
-            }
-            InjectedFault::NonFiniteSlowdown => {
-                if let Some(last) = self.kernel_slowdowns.last_mut() {
-                    *last = f64::NAN;
-                }
-            }
-            InjectedFault::ResidencyDesync => {
-                if self.state.uvm.gpu().used_bytes() > 0 {
-                    self.state.uvm.gpu_mut().free(1);
-                } else {
-                    self.state.uvm.gpu_mut().force_allocate(1);
-                }
-            }
-            _ => {}
-        }
-    }
-
     /// Assembles the final report; meaningful once [`ReplayEngine::is_done`]
     /// (the tenancy scheduler consumes finished lanes through this).
     pub(crate) fn into_report(self) -> SimReport {
@@ -1100,7 +998,7 @@ impl<'a> ReplayEngine<'a> {
             total_time: state.now,
             ideal_time: self.trace.total_duration(),
             stall_time: self.stall_time,
-            kernel_slowdowns: self.kernel_slowdowns,
+            kernel_slowdowns: state.kernel_slowdowns,
             traffic: state.uvm.traffic(),
             fault_count: state.uvm.fault_count(),
             prefetches_issued: state.prefetches_issued,
@@ -1180,7 +1078,7 @@ impl<'a> ReplayEngine<'a> {
         } else {
             (stall + duration).as_secs_f64() / duration.as_secs_f64()
         };
-        self.kernel_slowdowns.push(slowdown);
+        self.state.kernel_slowdowns.push(slowdown);
         self.state.now = end;
 
         // The kernel has consumed its inputs and produced its outputs.
@@ -1353,5 +1251,84 @@ mod tests {
         .expect("built-in policies never fault");
         assert_eq!(report.kernel_slowdowns.len(), graph.num_kernels());
         assert!(report.kernel_slowdowns.iter().all(|s| *s >= 1.0));
+    }
+
+    /// The step whose `after_kernel` hook [`Corrupting`] corrupts in.
+    const CORRUPT_AT: usize = 2;
+
+    /// Base UVM, except that its `after_kernel` hook at [`CORRUPT_AT`]
+    /// corrupts private engine bookkeeping, exactly as no policy can
+    /// through the public API: only an engine bug could.
+    struct Corrupting(fn(&mut EngineState));
+
+    impl MemoryPolicy for Corrupting {
+        fn name(&self) -> String {
+            "Corrupting".to_string()
+        }
+        fn before_kernel(&mut self, _: usize, _: &mut EngineState) {}
+        fn after_kernel(&mut self, kernel: usize, state: &mut EngineState) {
+            if kernel == CORRUPT_AT {
+                (self.0)(state);
+            }
+        }
+    }
+
+    /// Replays under [`Validate::Always`] and returns the tag of the fault
+    /// `advance` reports, which must be at [`CORRUPT_AT`]: the audit closing
+    /// that step sees the corruption, and every earlier step passes.
+    fn caught(corrupt: fn(&mut EngineState)) -> &'static str {
+        let graph = build_model(ModelKind::TinyCnn, 4);
+        let trace = KernelTrace::profile(&graph, &GpuCostModel::a100());
+        let config = SystemConfig::table2().with_gpu_memory(32 << 20);
+        let options = RuntimeOptions {
+            validate: Validate::Always,
+            ..RuntimeOptions::default()
+        };
+        let policy = Box::new(Corrupting(corrupt));
+        let mut engine = ReplayEngine::new(&graph, &trace, &config, policy, options);
+        for k in 0..CORRUPT_AT {
+            assert_eq!(engine.advance().map(|step| step.kernel), Ok(k));
+        }
+        match engine.advance() {
+            Err(EngineError::Fault(fault)) if fault.step == CORRUPT_AT => fault.kind.tag(),
+            other => panic!("corruption at step {CORRUPT_AT} must fault, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn audit_catches_capacity_overcommit() {
+        // Overcommit past capacity plus in-flight frees, unacknowledged.
+        let tag = caught(|state| {
+            let over = state.uvm.gpu().free_bytes() + state.pending_gpu_free_bytes;
+            state.uvm.gpu_mut().force_allocate(over + 1);
+        });
+        assert_eq!(tag, "capacity-exceeded");
+    }
+
+    #[test]
+    fn audit_catches_ledger_corruption() {
+        let tag = caught(|state| state.pending_gpu_free_bytes += 12_345);
+        assert_eq!(tag, "ledger-corrupt");
+    }
+
+    #[test]
+    fn audit_catches_time_regression() {
+        let tag = caught(|state| {
+            assert!(state.now > Nanos::ZERO, "nothing to rewind");
+            state.now = Nanos::ZERO;
+        });
+        assert_eq!(tag, "time-regression");
+    }
+
+    #[test]
+    fn audit_catches_non_finite_slowdown() {
+        let tag = caught(|state| state.kernel_slowdowns[CORRUPT_AT] = f64::NAN);
+        assert_eq!(tag, "non-finite-slowdown");
+    }
+
+    #[test]
+    fn audit_catches_residency_desync() {
+        let tag = caught(|state| state.uvm.gpu_mut().free(1));
+        assert_eq!(tag, "residency-desync");
     }
 }

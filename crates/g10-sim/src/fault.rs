@@ -16,14 +16,21 @@
 //!   release fast path keeps its wall times).
 //! * [`OnPolicyFault`] — what a session does when a policy faults: fail the
 //!   cell, or quarantine the policy and re-run under a fallback design.
-//! * [`FaultPlan`] / [`InjectedFault`] — deterministic fault injection, so
-//!   every degradation path above is exercisable from tests and from a
-//!   hidden `experiments` flag without writing a bespoke hostile policy per
-//!   fault.
+//! * [`FaultPlan`] / [`InjectedFault`] — deterministic fault injection for
+//!   the five policy-shaped faults.  The session wraps the chosen design in
+//!   a policy that misbehaves at the planned step through the same public
+//!   [`crate::engine::EngineState`] API a hostile policy would use, so the
+//!   engine has no injection path of its own.  The five bookkeeping kinds
+//!   no policy can cause are covered by the guard's and the engine's unit
+//!   tests instead.
 //! * [`catch_policy_panic`] — `catch_unwind` containment with a silenced
 //!   panic hook, so one panicking policy becomes a typed per-cell error
 //!   instead of a backtrace and a dead `parallel_map` sweep.
 
+use crate::engine::{EngineState, Location, RuntimeOptions};
+use crate::policy::MemoryPolicy;
+use crate::session::{PolicyContext, PolicyProvider};
+use g10_dnn::tensor::{TensorId, TensorInfo};
 use g10_time::Nanos;
 use std::cell::Cell;
 use std::fmt;
@@ -38,8 +45,7 @@ use std::sync::Once;
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum PolicyFaultKind {
-    /// The provider's `build()` panicked (or an injected build fault fired)
-    /// before the engine ever ran.
+    /// The provider's `build()` panicked before the engine ever ran.
     BuildPanic {
         /// The panic payload, if it was a string.
         message: String,
@@ -236,8 +242,8 @@ impl fmt::Display for FaultRecord {
 /// golden-pinned release fast path at its measured wall times.
 ///
 /// Cheap per-action checks (tensor-id range, strict-mode action legality)
-/// are always on regardless of this setting, and installing a
-/// [`FaultPlan`] forces the audit on so injected faults are always caught.
+/// are always on regardless of this setting, so every injectable
+/// [`FaultPlan`] is caught without the audit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Validate {
     /// Audit every step in every build profile (the fuzz harness and any
@@ -276,9 +282,11 @@ pub enum OnPolicyFault {
 }
 
 /// A deterministic fault to inject at a fixed kernel step, used to exercise
-/// every typed fault path without writing a hostile policy per kind.
-/// Installed via [`crate::engine::RuntimeOptions::fault_plan`] (tests) or
-/// the hidden `experiments run --inject-fault <step>:<kind>` flag.
+/// every policy-shaped fault path without writing a hostile policy per
+/// kind.  Installed via [`crate::engine::RuntimeOptions::fault_plan`]
+/// (tests) or the hidden `experiments run --inject-fault <step>:<kind>`
+/// flag; the session then runs the chosen design wrapped in a policy that
+/// misbehaves through the public API.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
     /// The kernel step at which the fault fires ([`InjectedFault::BuildPanic`]
@@ -292,7 +300,7 @@ impl FromStr for FaultPlan {
     type Err = String;
 
     /// Parses `"<step>:<kind>"`, e.g. `"3:step-panic"`.  Kinds are the
-    /// [`PolicyFaultKind::tag`] names.
+    /// [`InjectedFault::tag`] names.
     fn from_str(s: &str) -> Result<Self, Self::Err> {
         let (step, kind) = s
             .split_once(':')
@@ -315,44 +323,30 @@ impl FromStr for FaultPlan {
     }
 }
 
-/// The injectable faults, one per [`PolicyFaultKind`].
+/// The injectable faults: the policy-shaped [`PolicyFaultKind`]s, the ones
+/// a hostile policy can cause through the public API.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InjectedFault {
     /// Panic inside the provider's `build()`.
     BuildPanic,
-    /// Panic inside a per-step policy hook.
+    /// Panic inside the policy's `before_kernel` hook.
     StepPanic,
-    /// Issue an action naming a tensor outside the graph's universe.
+    /// Prefetch a tensor id just outside the graph's universe.
     TensorOutOfRange,
-    /// Strictly request eviction of a non-resident tensor.
+    /// Strictly request eviction of a tensor that is not on the GPU.
     EvictNonResident,
-    /// Strictly request a prefetch of an already-resident tensor.
+    /// Strictly request a prefetch of a tensor already on the GPU.
     PrefetchResident,
-    /// Overcommit GPU memory without acknowledging oversubscription.
-    CapacityExceeded,
-    /// Corrupt the pending-free ledger's running byte prefix.
-    LedgerCorrupt,
-    /// Rewind the simulated clock.
-    TimeRegression,
-    /// Poison a recorded kernel slowdown with NaN.
-    NonFiniteSlowdown,
-    /// Desynchronise the residency bookkeeping from the allocator.
-    ResidencyDesync,
 }
 
 impl InjectedFault {
     /// Every injectable fault, in [`PolicyFaultKind`] declaration order.
-    pub const ALL: [InjectedFault; 10] = [
+    pub const ALL: [InjectedFault; 5] = [
         InjectedFault::BuildPanic,
         InjectedFault::StepPanic,
         InjectedFault::TensorOutOfRange,
         InjectedFault::EvictNonResident,
         InjectedFault::PrefetchResident,
-        InjectedFault::CapacityExceeded,
-        InjectedFault::LedgerCorrupt,
-        InjectedFault::TimeRegression,
-        InjectedFault::NonFiniteSlowdown,
-        InjectedFault::ResidencyDesync,
     ];
 
     /// The kebab-case tag (matches [`PolicyFaultKind::tag`] of the fault
@@ -364,17 +358,96 @@ impl InjectedFault {
             InjectedFault::TensorOutOfRange => "tensor-out-of-range",
             InjectedFault::EvictNonResident => "evict-non-resident",
             InjectedFault::PrefetchResident => "prefetch-resident",
-            InjectedFault::CapacityExceeded => "capacity-exceeded",
-            InjectedFault::LedgerCorrupt => "ledger-corrupt",
-            InjectedFault::TimeRegression => "time-regression",
-            InjectedFault::NonFiniteSlowdown => "non-finite-slowdown",
-            InjectedFault::ResidencyDesync => "residency-desync",
         }
     }
 
     /// Resolves a tag back to the fault, for [`FaultPlan`] parsing.
     pub fn from_tag(tag: &str) -> Option<InjectedFault> {
         InjectedFault::ALL.into_iter().find(|f| f.tag() == tag)
+    }
+}
+
+/// A provider that builds `inner`'s design and makes it misbehave as
+/// `plan` says.  Every method forwards to `inner`, so a plan that never
+/// fires leaves the run byte-identical to the unwrapped one.
+pub(crate) struct Misbehaving<'a> {
+    pub(crate) inner: &'a dyn PolicyProvider,
+    pub(crate) plan: FaultPlan,
+}
+
+impl PolicyProvider for Misbehaving<'_> {
+    fn build(&self, ctx: &PolicyContext<'_>) -> Box<dyn MemoryPolicy> {
+        if self.plan.fault == InjectedFault::BuildPanic {
+            panic!("injected provider build panic");
+        }
+        Box::new(MisbehavingPolicy {
+            inner: self.inner.build(ctx),
+            plan: self.plan,
+            num_tensors: ctx.workload.graph.num_tensors(),
+        })
+    }
+
+    fn adjust_options(&self, options: &mut RuntimeOptions) {
+        self.inner.adjust_options(options);
+    }
+}
+
+/// The policy [`Misbehaving`] builds: the wrapped design, plus one illegal
+/// action in `before_kernel` at the first step at or past `plan.step`
+/// where the action is possible.  The fault aborts the run, so it fires
+/// once.
+struct MisbehavingPolicy {
+    inner: Box<dyn MemoryPolicy>,
+    plan: FaultPlan,
+    num_tensors: usize,
+}
+
+impl MemoryPolicy for MisbehavingPolicy {
+    fn name(&self) -> String {
+        self.inner.name()
+    }
+
+    fn initial_location(&self, tensor: &TensorInfo) -> Location {
+        self.inner.initial_location(tensor)
+    }
+
+    fn before_kernel(&mut self, kernel: usize, state: &mut EngineState) {
+        let first = |state: &EngineState, on_gpu: bool| {
+            (0..self.num_tensors as u32)
+                .map(TensorId::new)
+                .find(|&tensor| (state.location(tensor) == Location::Gpu) == on_gpu)
+        };
+        match self.plan.fault {
+            _ if kernel < self.plan.step => {}
+            InjectedFault::BuildPanic => {}
+            InjectedFault::StepPanic => panic!("injected policy panic at step {kernel}"),
+            InjectedFault::TensorOutOfRange => {
+                state.request_prefetch(TensorId::new(self.num_tensors as u32));
+            }
+            InjectedFault::EvictNonResident => {
+                if let Some(tensor) = first(state, false) {
+                    state.request_evict_strict(tensor, Location::Ssd);
+                }
+            }
+            InjectedFault::PrefetchResident => {
+                if let Some(tensor) = first(state, true) {
+                    state.request_prefetch_strict(tensor);
+                }
+            }
+        }
+        self.inner.before_kernel(kernel, state);
+    }
+
+    fn after_kernel(&mut self, kernel: usize, state: &mut EngineState) {
+        self.inner.after_kernel(kernel, state);
+    }
+
+    fn select_victim(&mut self, state: &EngineState) -> Option<(TensorId, Location)> {
+        self.inner.select_victim(state)
+    }
+
+    fn pays_fault_overhead(&self) -> bool {
+        self.inner.pays_fault_overhead()
     }
 }
 
@@ -437,23 +510,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn fault_plan_parses_and_rejects() {
-        let plan: FaultPlan = "3:step-panic".parse().unwrap();
-        assert_eq!(plan.step, 3);
-        assert_eq!(plan.fault, InjectedFault::StepPanic);
-        for fault in InjectedFault::ALL {
-            let text = format!("7:{}", fault.tag());
-            let parsed: FaultPlan = text.parse().unwrap();
-            assert_eq!(parsed.fault, fault);
-            assert_eq!(parsed.step, 7);
-        }
-        assert!("nope".parse::<FaultPlan>().is_err());
-        assert!("x:step-panic".parse::<FaultPlan>().is_err());
-        let err = "3:unknown-kind".parse::<FaultPlan>().unwrap_err();
-        assert!(err.contains("ledger-corrupt"), "{err}");
-    }
-
-    #[test]
     fn catch_policy_panic_contains_and_reports() {
         assert_eq!(catch_policy_panic(|| 41 + 1), Ok(42));
         let err = catch_policy_panic(|| panic!("boom {}", 7)).unwrap_err();
@@ -469,15 +525,5 @@ mod tests {
         assert!(Validate::Always.is_active());
         assert_eq!(Validate::DebugOnly.is_active(), cfg!(debug_assertions));
         assert_eq!(Validate::default(), Validate::DebugOnly);
-    }
-
-    #[test]
-    fn tags_are_unique_and_round_trip() {
-        let mut seen = std::collections::HashSet::new();
-        for fault in InjectedFault::ALL {
-            assert!(seen.insert(fault.tag()), "duplicate tag {}", fault.tag());
-            assert_eq!(InjectedFault::from_tag(fault.tag()), Some(fault));
-        }
-        assert_eq!(InjectedFault::from_tag("no-such"), None);
     }
 }

@@ -9,10 +9,12 @@
 //!
 //! The audit walks the tensor table, so it is O(tensors) per kernel and is
 //! gated by [`crate::engine::RuntimeOptions::validate`] (debug-only by
-//! default; forced on whenever a
-//! [`crate::fault::FaultPlan`] is installed).  Violations surface as
-//! [`crate::fault::PolicyFaultKind`] values, which the engine converts into
-//! typed errors instead of corrupted reports.
+//! default).  Violations surface as [`crate::fault::PolicyFaultKind`]
+//! values, which the engine converts into typed errors instead of
+//! corrupted reports.  No policy can cause these bookkeeping faults through
+//! the public API, so none is injectable: this module's tests check each
+//! one on a corrupted `AuditView`, and the engine's tests corrupt a live
+//! engine and check that `advance` reports it.
 
 use crate::fault::PolicyFaultKind;
 use g10_time::Nanos;

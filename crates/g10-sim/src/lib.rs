@@ -17,7 +17,8 @@
 //!   code: the per-step invariant audit ([`guard::InvariantGuard`]), typed
 //!   policy faults ([`fault::PolicyFaultKind`]), panic containment,
 //!   fallback degradation ([`fault::OnPolicyFault`]) and deterministic
-//!   fault injection ([`fault::FaultPlan`]).
+//!   injection of the policy-shaped faults ([`fault::FaultPlan`]), which
+//!   misbehaves through the public policy API.
 //! * [`policy`] — the [`policy::MemoryPolicy`] trait through which a memory
 //!   management design plugs into the engine.
 //! * [`policies`] — the designs compared in the paper: Ideal (infinite GPU

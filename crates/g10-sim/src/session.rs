@@ -94,9 +94,7 @@
 
 use crate::cancel::{CancelKind, CancelRecord};
 use crate::engine::{EngineError, ReplayEngine, RuntimeOptions};
-use crate::fault::{
-    catch_policy_panic, FaultRecord, InjectedFault, OnPolicyFault, PolicyFaultKind,
-};
+use crate::fault::{catch_policy_panic, FaultRecord, Misbehaving, OnPolicyFault, PolicyFaultKind};
 use crate::metrics::SimReport;
 use crate::policies::{BaseUvmPolicy, DeepUmPolicy, FlashNeuronPolicy, G10Policy, IdealPolicy};
 use crate::policy::MemoryPolicy;
@@ -338,10 +336,9 @@ impl PolicyContext<'_> {
 ///   boundary.
 /// - A per-step [`InvariantGuard`](crate::guard::InvariantGuard) audit
 ///   (always on in debug builds, opt-in via
-///   [`Validate::Always`](crate::fault::Validate), forced on whenever a
-///   [`FaultPlan`](crate::fault::FaultPlan) is installed) re-derives the
-///   engine's memory accounting each kernel, so bookkeeping corruption is
-///   reported as a fault rather than a wrong result.
+///   [`Validate::Always`](crate::fault::Validate)) re-derives the engine's
+///   memory accounting each kernel, so bookkeeping corruption is reported
+///   as a fault rather than a wrong result.
 ///
 /// A fault fails the cell with [`SimError::PolicyFault`] by default;
 /// [`OnPolicyFault::FallbackTo`] instead quarantines the faulting design,
@@ -803,10 +800,12 @@ impl<'a> Setup<'a> {
 
     /// Builds one engine and hands it to `then`, under panic containment:
     /// an already-fired cancel token short-circuits *before* the provider
-    /// build, so an expired deadline never pays for planning; an injected
-    /// or genuine panic in provider `build()`, in engine construction (the
-    /// policy's `initial_location` runs there) or in `then` becomes
+    /// build, so an expired deadline never pays for planning; a panic in
+    /// provider `build()`, in engine construction (the policy's
+    /// `initial_location` runs there) or in `then` becomes
     /// [`PolicyFaultKind::BuildPanic`].  Errors carry the caller's spec.
+    /// An installed [`RuntimeOptions::fault_plan`] wraps `provider` in
+    /// [`Misbehaving`], so injected faults take the hostile-policy path.
     fn build_engine<'e, R>(
         &'e self,
         workload: &'e Workload,
@@ -823,21 +822,20 @@ impl<'a> Setup<'a> {
                 kind,
             }));
         }
-        let injected_build_panic = options
-            .fault_plan
-            .is_some_and(|plan| plan.fault == InjectedFault::BuildPanic);
+        let misbehaving = options.fault_plan.map(|plan| Misbehaving {
+            inner: provider,
+            plan,
+        });
+        let provider = misbehaving
+            .as_ref()
+            .map_or(provider, |m| m as &dyn PolicyProvider);
         let ctx = PolicyContext {
             workload,
             config: &self.config,
             planning_trace,
         };
-        let policy = catch_policy_panic(|| {
-            if injected_build_panic {
-                panic!("injected provider build panic");
-            }
-            provider.build(&ctx)
-        })
-        .map_err(|message| build_panic(spec, message))?;
+        let policy = catch_policy_panic(|| provider.build(&ctx))
+            .map_err(|message| build_panic(spec, message))?;
         catch_policy_panic(|| {
             then(ReplayEngine::new(
                 &workload.graph,

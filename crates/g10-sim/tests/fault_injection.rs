@@ -3,6 +3,8 @@
 //! [`SimError::PolicyFault`] under fail-fast handling and as a recorded
 //! [`SimReport::policy_fault`](g10_sim::SimReport) under fallback
 //! degradation — and the typed paths must render readable diagnostics.
+//! An installed plan wraps the design in a policy that misbehaves through
+//! the public API, so a plan that never fires must change nothing.
 
 use g10_core::config::SystemConfig;
 use g10_dnn::models::ModelKind;
@@ -21,8 +23,17 @@ fn config() -> SystemConfig {
     SystemConfig::table2().with_gpu_memory(32 << 20)
 }
 
+/// A workload too large for [`config`]'s GPU, so every design migrates and
+/// G10 starts some tensors off the GPU: each forwarded policy method moves
+/// the report.
+fn pressured() -> &'static Arc<Workload> {
+    static WORKLOAD: OnceLock<Arc<Workload>> = OnceLock::new();
+    WORKLOAD.get_or_init(|| Arc::new(Workload::new(ModelKind::TinyCnn, 64)))
+}
+
 /// The step each injection fires at.  Build panics are a construction-time
-/// event; everything else fires mid-run so the engine has state to corrupt.
+/// event; everything else fires mid-run, once the engine has residents and
+/// unborn tensors to misuse.
 fn inject_step(fault: InjectedFault) -> usize {
     match fault {
         InjectedFault::BuildPanic => 0,
@@ -30,32 +41,88 @@ fn inject_step(fault: InjectedFault) -> usize {
     }
 }
 
+fn with_plan(plan: FaultPlan) -> RuntimeOptions {
+    RuntimeOptions {
+        fault_plan: Some(plan),
+        ..RuntimeOptions::default()
+    }
+}
+
 /// Every injectable fault produces a typed `PolicyFault` whose kind tag
-/// and step match the plan — in release builds too, because installing a
-/// plan forces the invariant audit on.
+/// and step match the plan, whichever design it wraps — in release builds
+/// too, because the engine's per-action checks catch every kind without
+/// the invariant audit.
 #[test]
 fn every_injected_fault_surfaces_typed() {
-    for fault in InjectedFault::ALL {
-        let step = inject_step(fault);
-        let result = Experiment::new(workload())
-            .policy(PolicyKind::BaseUvm)
-            .config(config())
-            .options(RuntimeOptions {
-                fault_plan: Some(FaultPlan { step, fault }),
-                ..RuntimeOptions::default()
-            })
-            .run();
-        match result {
-            Err(SimError::PolicyFault {
-                policy,
-                step: at,
-                kind,
-            }) => {
-                assert_eq!(kind.tag(), fault.tag(), "wrong kind for {fault:?}");
-                assert_eq!(at, step, "wrong step for {fault:?}");
-                assert_eq!(policy, "Base UVM", "fault must name the faulting spec");
+    for policy in PolicyKind::ALL {
+        for fault in InjectedFault::ALL {
+            let step = inject_step(fault);
+            let result = Experiment::new(workload())
+                .policy(policy)
+                .config(config())
+                .options(with_plan(FaultPlan { step, fault }))
+                .run();
+            match result {
+                Err(SimError::PolicyFault {
+                    policy: named,
+                    step: at,
+                    kind,
+                }) => {
+                    assert_eq!(
+                        kind.tag(),
+                        fault.tag(),
+                        "{policy:?}: wrong kind for {fault:?}"
+                    );
+                    assert_eq!(at, step, "{policy:?}: wrong step for {fault:?}");
+                    assert_eq!(
+                        named,
+                        PolicySpec::from(policy).to_string(),
+                        "fault must name the faulting spec"
+                    );
+                }
+                other => panic!("{policy:?}: injected {fault:?} must fault, got {other:?}"),
             }
-            other => panic!("injected {fault:?} must fault, got {other:?}"),
+        }
+    }
+}
+
+/// A plan whose step is at or past the kernel count never fires, and the
+/// wrapper forwards every policy method: each built-in design gives the
+/// report it gives unwrapped, solo and as a one-job multi-tenant run.
+#[test]
+fn a_plan_that_never_fires_changes_no_report() {
+    let kernels = pressured().graph.num_kernels();
+    for policy in PolicyKind::ALL {
+        let unwrapped = Experiment::new(pressured())
+            .policy(policy)
+            .config(config())
+            .run()
+            .unwrap_or_else(|err| panic!("{policy:?} must run, got {err}"));
+        if policy != PolicyKind::Ideal {
+            assert!(unwrapped.traffic.total() > 0, "{policy:?} must migrate");
+        }
+        for (i, &fault) in InjectedFault::ALL[1..].iter().enumerate() {
+            let step = if i % 2 == 0 { kernels } else { usize::MAX };
+            let options = with_plan(FaultPlan { step, fault });
+            let solo = Experiment::new(pressured())
+                .policy(policy)
+                .config(config())
+                .options(options.clone())
+                .run()
+                .unwrap_or_else(|err| panic!("{policy:?} under {fault:?}@{step}: {err}"));
+            assert_eq!(solo, unwrapped, "{policy:?} under {fault:?}@{step}");
+            assert_eq!(solo.fingerprint(), unwrapped.fingerprint());
+            let multi = Experiment::jobs([JobSpec::new("solo", Arc::clone(pressured()))])
+                .policy(policy)
+                .config(config())
+                .options(options)
+                .run_multi()
+                .unwrap_or_else(|err| panic!("{policy:?} multi under {fault:?}@{step}: {err}"));
+            assert_eq!(
+                multi.jobs[0].report.fingerprint(),
+                unwrapped.fingerprint(),
+                "{policy:?} multi under {fault:?}@{step}"
+            );
         }
     }
 }
@@ -70,9 +137,8 @@ fn every_injected_fault_degrades_to_fallback() {
     for fault in InjectedFault::ALL {
         let step = inject_step(fault);
         let options = RuntimeOptions {
-            fault_plan: Some(FaultPlan { step, fault }),
             on_policy_fault: OnPolicyFault::FallbackTo(PolicySpec::from(PolicyKind::BaseUvm)),
-            ..RuntimeOptions::default()
+            ..with_plan(FaultPlan { step, fault })
         };
         let report = Experiment::new(workload())
             .policy(PolicyKind::DeepUmPlus)
@@ -109,11 +175,15 @@ fn every_injected_fault_degrades_to_fallback() {
     }
 }
 
-/// `FaultPlan` parses from `<step>:<kind>` for every kind tag and rejects
-/// malformed plans — the contract behind the CLI's `--inject-fault` flag.
+/// `FaultPlan` parses from `<step>:<kind>` for every (unique) kind tag and
+/// rejects malformed plans — the contract behind the CLI's
+/// `--inject-fault` flag.  The bookkeeping kinds, which no policy can
+/// cause, are unknown kinds, and the error lists the injectable ones.
 #[test]
 fn fault_plan_round_trips_every_tag() {
+    let mut seen = std::collections::HashSet::new();
     for fault in InjectedFault::ALL {
+        assert!(seen.insert(fault.tag()), "duplicate tag {}", fault.tag());
         let text = format!("7:{}", fault.tag());
         let plan: FaultPlan = text.parse().unwrap_or_else(|err| {
             panic!("plan {text:?} must parse, got {err}");
@@ -122,8 +192,25 @@ fn fault_plan_round_trips_every_tag() {
         assert_eq!(plan.fault, fault);
         assert_eq!(InjectedFault::from_tag(fault.tag()), Some(fault));
     }
+    assert_eq!(InjectedFault::from_tag("no-such"), None);
     for bad in ["", "7", "x:step-panic", "3:not-a-kind", ":step-panic"] {
         assert!(bad.parse::<FaultPlan>().is_err(), "{bad:?} must not parse");
+    }
+    for retired in [
+        "capacity-exceeded",
+        "ledger-corrupt",
+        "time-regression",
+        "non-finite-slowdown",
+        "residency-desync",
+    ] {
+        let err = format!("2:{retired}")
+            .parse::<FaultPlan>()
+            .expect_err(retired);
+        let known = err
+            .strip_prefix(&format!("unknown fault kind `{retired}`; known kinds: "))
+            .unwrap_or_else(|| panic!("untyped error for {retired}: {err}"));
+        let listed: Vec<&str> = InjectedFault::ALL.iter().map(|f| f.tag()).collect();
+        assert_eq!(known, listed.join(", "));
     }
 }
 

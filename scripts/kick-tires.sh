@@ -97,6 +97,28 @@ if grep -qi 'stack backtrace\|panicked at' "$OUT_DIR/unknown.log" "$OUT_DIR/faul
     exit 1
 fi
 
+step "hardening: a bookkeeping fault kind is not injectable"
+if cargo run "$PROFILE_FLAG" -q -p g10-bench --bin experiments -- \
+    run --model tinycnn --batch 16 --policy base-uvm --inject-fault 2:ledger-corrupt \
+    --no-cache --out "$OUT_DIR/hard" >"$OUT_DIR/retired.log" 2>&1; then
+    echo "error: --inject-fault 2:ledger-corrupt must exit non-zero" >&2
+    exit 1
+fi
+if [ "$(wc -l <"$OUT_DIR/retired.log")" -ne 1 ] ||
+    ! grep -q -- '--inject-fault: unknown fault kind `ledger-corrupt`' "$OUT_DIR/retired.log" ||
+    grep -qi 'stack backtrace\|panicked at' "$OUT_DIR/retired.log"; then
+    echo "error: a retired fault kind must print one typed line" >&2
+    cat "$OUT_DIR/retired.log" >&2
+    exit 1
+fi
+for kind in build-panic step-panic tensor-out-of-range evict-non-resident prefetch-resident; do
+    grep -q -- "$kind" "$OUT_DIR/retired.log" || {
+        echo "error: the unknown-kind error must list $kind" >&2
+        cat "$OUT_DIR/retired.log" >&2
+        exit 1
+    }
+done
+
 step "hardening: fallback degradation completes with the fault recorded"
 cargo run "$PROFILE_FLAG" -q -p g10-bench --bin experiments -- \
     run --model tinycnn --batch 16 --policy deepum+ --inject-fault 2:step-panic \

@@ -69,7 +69,8 @@ pub use g10_uvm as uvm;
 /// ([`SimReport`](g10_sim::SimReport)), and the untrusted-policy hardening
 /// knobs ([`Validate`](g10_sim::Validate),
 /// [`OnPolicyFault`](g10_sim::OnPolicyFault),
-/// [`FaultPlan`](g10_sim::FaultPlan),
+/// [`FaultPlan`](g10_sim::FaultPlan) over the five policy-shaped
+/// [`InjectedFault`](g10_sim::InjectedFault)s,
 /// [`PolicyFaultKind`](g10_sim::PolicyFaultKind)), and the multi-tenant
 /// surface ([`JobSpec`](g10_sim::JobSpec),
 /// [`MultiReport`](g10_sim::MultiReport), [`TenantId`](g10_sim::TenantId),
