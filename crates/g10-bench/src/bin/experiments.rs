@@ -97,9 +97,6 @@ fn custom_run(args: &Args, out_dir: &Path) -> Result<(), String> {
         .parse()?;
     let batch = args.get("--batch").unwrap_or_else(|| model.eval_batch());
     let policies = policy_names(args, "g10")?;
-    if batch == 0 {
-        return Err("--batch must be at least 1".to_string());
-    }
     let config = hardware(args)?;
     // Same plumbing as the daemon: a wall-clock token threaded into the
     // engine's step loop, so expiry is the identical typed error.

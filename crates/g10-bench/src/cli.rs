@@ -8,6 +8,7 @@
 //! binary only dispatches.  [`usage`] builds `--help` from the same table.
 
 use crate::experiments::figure_set;
+use g10_dnn::models::MAX_BATCH;
 use g10_sim::FaultPlan;
 use std::str::FromStr;
 
@@ -49,14 +50,16 @@ impl Command {
 
 /// How a flag's value is checked: a `Switch` takes none; `Text` takes any
 /// text, which `--help` shows as the given placeholder; `U64` a `u64`,
-/// `PositiveU64` one of at least 1, `PositiveF64` a finite `f64` above zero
-/// and `Fault` a [`FaultPlan`] (`<step>:<kind>`).
+/// `PositiveU64` one of at least 1, `Batch` one from 1 to [`MAX_BATCH`],
+/// `PositiveF64` a finite `f64` above zero and `Fault` a [`FaultPlan`]
+/// (`<step>:<kind>`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Check {
     Switch,
     Text(&'static str),
     U64,
     PositiveU64,
+    Batch,
     PositiveF64,
     Fault,
 }
@@ -87,7 +90,7 @@ pub const FLAGS: &[Flag] = &[
     flag("--cache-dir",      Text("DIR"),       "a directory",              &Command::ALL),
     flag("--no-cache",       Switch,            "",                         &Command::ALL),
     flag("--model",          Text("NAME"),      "a model name",             &[Run, Submit]),
-    flag("--batch",          U64,               "an integer",               &[Run, Submit]),
+    flag("--batch",          Batch,             "a 1-to-1048576 integer",   &[Run, Submit]),
     flag("--policy",         Text("NAME,..."),  "a policy-name",            &[Run, Multi, Submit]),
     flag("--gpu-mib",        U64,               "an integer",               &[Run, Multi, Submit]),
     flag("--inject-fault",   Fault,             "a <step>:<kind>",          &[Run, Submit]),
@@ -125,6 +128,9 @@ impl Flag {
             Switch | Text(_) => true,
             U64 => text.parse::<u64>().is_ok(),
             PositiveU64 => text.parse::<u64>().is_ok_and(|n| n > 0),
+            Batch => text
+                .parse::<u64>()
+                .is_ok_and(|n| (1..=MAX_BATCH).contains(&n)),
             PositiveF64 => text.parse::<f64>().is_ok_and(|x| x.is_finite() && x > 0.0),
             Fault => match text.parse::<FaultPlan>() {
                 Ok(_) => true,
@@ -139,7 +145,7 @@ impl Flag {
         let placeholder = match self.check {
             Switch => return format!("[{}]", self.name),
             Text(placeholder) => placeholder,
-            U64 | PositiveU64 => "N",
+            U64 | PositiveU64 | Batch => "N",
             PositiveF64 => "X",
             Fault => "STEP:KIND",
         };
@@ -263,7 +269,8 @@ pub fn usage() -> String {
          G10_CACHE_DIR=DIR) and refuses any other flag.  <figure> is one of\n  {}.\n\
          run needs --model; submit needs --addr and --model, --jobs, --health,\n\
          --stats or --shutdown; cache gc needs --max-mib.  A JOB is\n\
-         model[:batch[:priority[:quota_mib[:arrival_us]]]].  --policy takes\n\
+         model[:batch[:priority[:quota_mib[:arrival_us]]]]; a batch, given by\n\
+         --batch or in a JOB, is 1 to {MAX_BATCH}.  --policy takes\n\
          ideal, base-uvm, deepum+, flashneuron, g10-gds, g10-host, g10, tensile\n\
          or any policy registered via g10_sim::register_policy.",
         global.join(" "),

@@ -11,7 +11,7 @@
 
 use crate::experiments::workload;
 use crate::json::{obj, Json};
-use g10_dnn::models::ModelKind;
+use g10_dnn::models::{ModelKind, MAX_BATCH};
 use g10_sim::{FaultPlan, JobSpec, SimError};
 use g10_time::Nanos;
 use std::io::{self, BufRead, BufReader, Read, Write};
@@ -197,8 +197,8 @@ impl RunRequest {
     /// # Errors
     ///
     /// Returns a 400-ready message naming the offending field: unknown
-    /// model, missing/zero batch, out-of-range `gpu_mib`, malformed
-    /// `inject_fault`.  Unknown *policies* are deliberately **not** a parse
+    /// model, a batch outside 1 to [`MAX_BATCH`], out-of-range `gpu_mib`,
+    /// malformed `inject_fault`.  Unknown *policies* are deliberately **not** a parse
     /// error — the registry is consulted at run time so the error carries
     /// the live list of known names.
     pub fn from_json(value: &Json) -> Result<RunRequest, String> {
@@ -227,16 +227,8 @@ impl RunRequest {
                 None => return Err("missing field: model".to_string()),
             },
         };
-        let batch = match value.get("batch") {
-            None | Some(Json::Null) => match jobs.first() {
-                Some(job) => job.batch,
-                None => model.eval_batch(),
-            },
-            Some(v) => v
-                .as_u64()
-                .filter(|&b| b > 0)
-                .ok_or_else(|| "batch must be a positive integer".to_string())?,
-        };
+        let default_batch = jobs.first().map_or(model.eval_batch(), |job| job.batch);
+        let batch = batch_field(value, default_batch)?;
         let policy = value
             .get("policy")
             .and_then(Json::as_str)
@@ -321,6 +313,18 @@ impl RunRequest {
     }
 }
 
+/// A body's `batch` field: `default` when absent or null, otherwise an
+/// integer from 1 to [`MAX_BATCH`].
+fn batch_field(body: &Json, default: u64) -> Result<u64, String> {
+    match body.get("batch") {
+        None | Some(Json::Null) => Ok(default),
+        Some(v) => v
+            .as_u64()
+            .filter(|batch| (1..=MAX_BATCH).contains(batch))
+            .ok_or_else(|| format!("batch must be an integer from 1 to {MAX_BATCH}")),
+    }
+}
+
 impl JobRequest {
     /// Parses one `jobs: [...]` entry; same field conventions as the
     /// top-level request (`model` required, everything else defaulted).
@@ -334,13 +338,7 @@ impl JobRequest {
             .and_then(Json::as_str)
             .ok_or_else(|| "missing field: model".to_string())?
             .parse()?;
-        let batch = match value.get("batch") {
-            None | Some(Json::Null) => model.eval_batch(),
-            Some(v) => v
-                .as_u64()
-                .filter(|&b| b > 0)
-                .ok_or_else(|| "batch must be a positive integer".to_string())?,
-        };
+        let batch = batch_field(value, model.eval_batch())?;
         let priority = match value.get("priority") {
             None | Some(Json::Null) => 1,
             Some(v) => v

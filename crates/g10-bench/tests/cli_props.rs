@@ -1,15 +1,17 @@
 //! Property tests for `g10_bench::cli::parse`, the `experiments` command
 //! line, called directly (no subprocess).  Argv is drawn from the flag
 //! names of `cli::FLAGS`, command words, and values each check must weigh:
-//! `""`, `-1`, `nan`, `inf`, `1e999`, `18446744073709551616`, `0` and
-//! `3:step-panic`.
+//! `""`, `-1`, `nan`, `inf`, `1e999`, `18446744073709551616`, `0`,
+//! `MAX_BATCH` and one past it, `u64::MAX` and `3:step-panic`.
 //!
 //! No argv panics; every valued flag given last errors with `needs`; every
 //! (flag, command) pair outside the table is refused with `does not take`,
 //! and every pair inside it parses when given a valid value; numeric flags
-//! refuse NaN, infinity, negatives and overflow.
+//! refuse NaN, infinity, negatives and overflow, and `--batch` anything
+//! above `MAX_BATCH`.
 
 use g10_bench::cli::{self, Check, Command, FLAGS};
+use g10_dnn::models::MAX_BATCH;
 use proptest::collection::vec;
 use proptest::prelude::*;
 
@@ -41,7 +43,7 @@ fn valid(check: Check) -> Option<&'static str> {
         Check::Switch => None,
         Check::Text(_) => Some("x"),
         Check::U64 => Some("0"),
-        Check::PositiveU64 => Some("1"),
+        Check::PositiveU64 | Check::Batch => Some("1"),
         Check::PositiveF64 => Some("1.5"),
         Check::Fault => Some("3:step-panic"),
     }
@@ -109,29 +111,62 @@ fn numeric_flags_refuse_nan_infinity_negatives_and_overflow() {
         "", "x", "nan", "NaN", "inf", "-inf", "infinity", "1e999", "-1", "-0.5",
     ];
     for flag in FLAGS {
-        let zero_ok = match flag.check {
-            Check::U64 => true,
-            Check::PositiveU64 | Check::PositiveF64 => false,
+        let (zero_ok, max) = match flag.check {
+            Check::U64 => (true, u64::MAX),
+            Check::PositiveU64 | Check::PositiveF64 => (false, u64::MAX),
+            Check::Batch => (false, MAX_BATCH),
             _ => continue,
         };
         let (command, words, _) = COMMANDS
             .iter()
             .find(|(command, _, _)| flag.commands.contains(command))
             .expect("every flag has a command");
-        let zero = (!zero_ok).then_some("0");
+        let zero = (!zero_ok).then(|| "0".to_string());
         // One past `u64::MAX` overflows an integer; a float reads it
         // exactly, and overflows at `1e999` instead.
-        let overflow = (flag.check != Check::PositiveF64).then_some("18446744073709551616");
-        for value in refused.into_iter().chain(zero).chain(overflow) {
+        let overflow = (flag.check != Check::PositiveF64).then(|| "18446744073709551616".into());
+        // A bound below `u64::MAX` refuses one past it and `u64::MAX`.
+        let above = (max < u64::MAX).then(|| [max + 1, u64::MAX].map(|n| n.to_string()));
+        let refused = refused.into_iter().map(str::to_string);
+        for value in refused
+            .chain(zero)
+            .chain(overflow)
+            .chain(above.into_iter().flatten())
+        {
             let mut line = argv(words);
-            line.extend([flag.name.to_string(), value.to_string()]);
+            line.extend([flag.name.to_string(), value]);
             let expected = format!("{} needs {} argument", flag.name, flag.noun);
             assert_eq!(cli::parse(&line).map(|_| ()), Err(expected), "{line:?}");
         }
         let mut line = argv(words);
-        line.extend([flag.name.to_string(), "18446744073709551615".to_string()]);
-        let args = cli::parse(&line).expect("u64::MAX is in range").unwrap();
+        line.extend([flag.name.to_string(), max.to_string()]);
+        let args = cli::parse(&line).expect("the bound is in range").unwrap();
         assert_eq!(args.command, *command);
+    }
+}
+
+#[test]
+fn batch_is_bounded_by_max_batch_and_help_says_so() {
+    let bound = MAX_BATCH.to_string();
+    let batch = FLAGS.iter().find(|flag| flag.name == "--batch").unwrap();
+    assert_eq!(batch.check, Check::Batch);
+    assert!(batch.noun.contains(&bound), "{}", batch.noun);
+    assert!(cli::usage().contains(&format!("is 1 to {bound}")));
+    for command in ["run", "submit"] {
+        for (value, ok) in [
+            ("1", true),
+            (bound.as_str(), true),
+            ("1048577", false),
+            ("18446744073709551615", false),
+        ] {
+            let line = argv(&[command, "--model", "tinycnn", "--batch", value]);
+            let parsed = cli::parse(&line).map(|args| args.unwrap().get::<u64>("--batch"));
+            let expected = match ok {
+                true => Ok(value.parse().ok()),
+                false => Err(format!("--batch needs {} argument", batch.noun)),
+            };
+            assert_eq!(parsed, expected, "{line:?}");
+        }
     }
 }
 
@@ -185,13 +220,16 @@ const WORDS: [&str; 14] = [
 ];
 
 /// Values every check must weigh, and flags no table row names.
-const VALUES: [&str; 16] = [
+const VALUES: [&str; 19] = [
     "",
     "-1",
     "nan",
     "inf",
     "1e999",
     "18446744073709551616",
+    "18446744073709551615",
+    "1048576",
+    "1048577",
     "0",
     "1",
     "1.5",
@@ -236,6 +274,9 @@ proptest! {
                     let checked = match flag.check {
                         Check::U64 => args.get::<u64>(flag.name).is_some(),
                         Check::PositiveU64 => args.get::<u64>(flag.name).is_some_and(|n| n > 0),
+                        Check::Batch => args
+                            .get::<u64>(flag.name)
+                            .is_some_and(|n| (1..=MAX_BATCH).contains(&n)),
                         Check::PositiveF64 => args
                             .get::<f64>(flag.name)
                             .is_some_and(|x| x.is_finite() && x > 0.0),

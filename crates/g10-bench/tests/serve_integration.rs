@@ -10,6 +10,7 @@
 
 use g10_bench::json::Json;
 use g10_bench::serve::{exchange, exchange_raw};
+use g10_dnn::models::MAX_BATCH;
 use std::io::{BufRead, BufReader};
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
@@ -282,6 +283,10 @@ fn chaos_mixed_clients_all_get_typed_responses() {
             "504:deadline-exceeded",
         ),
         (run_body("tinycnn", 32, "g10", vec![]), "503:overloaded"),
+        (
+            run_body("tinycnn", MAX_BATCH + 1, "g10", vec![]),
+            "400:bad-request",
+        ),
     ];
     for (body, expected) in sequential {
         let (status, response) = daemon.submit(&body);

@@ -14,6 +14,7 @@
 use g10_bench::json::{Json, MAX_DEPTH};
 use g10_bench::serve::protocol::{parse_job, MAX_MIB};
 use g10_bench::serve::{JobRequest, RunRequest};
+use g10_dnn::models::MAX_BATCH;
 use g10_sim::{FaultPlan, PolicyKind, PolicySpec, SimError};
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -102,9 +103,9 @@ fn check_job_entry(entry: &str) -> Option<JobRequest> {
 }
 
 /// Tokens of `--jobs` entries: model names good and bad, separators, and
-/// integers at every field's boundaries (0, 255/256, `MAX_MIB`, 2^53,
-/// `u64::MAX` and one past it).
-const JOB_TOKENS: [&str; 24] = [
+/// integers at every field's boundaries (0, 255/256, `MAX_BATCH`,
+/// `MAX_MIB`, 2^53, `u64::MAX` and one past it).
+const JOB_TOKENS: [&str; 26] = [
     "tinycnn",
     "TinyTransformer",
     "bert",
@@ -121,6 +122,8 @@ const JOB_TOKENS: [&str; 24] = [
     "32",
     "255",
     "256",
+    "1048576",
+    "1048577",
     "17592186044415",
     "17592186044416",
     "9007199254740992",
@@ -382,11 +385,13 @@ proptest! {
 /// parses or fails clean.
 #[test]
 fn job_entry_fields_are_range_checked() {
-    const EDGES: [u64; 9] = [
+    const EDGES: [u64; 11] = [
         0,
         1,
         255,
         256,
+        MAX_BATCH,
+        MAX_BATCH + 1,
         MAX_MIB,
         MAX_MIB + 1,
         1 << 53,
@@ -405,7 +410,7 @@ fn job_entry_fields_are_range_checked() {
                 let valid = match (field, text.parse::<u64>().ok()) {
                     (_, None) => true,
                     (_, Some(v)) if v > 1 << 53 => false,
-                    (0, Some(v)) => v >= 1,
+                    (0, Some(v)) => (1..=MAX_BATCH).contains(&v),
                     (1, Some(v)) => (1..=255).contains(&v),
                     (2, Some(v)) => (1..=MAX_MIB).contains(&v),
                     _ => true,
@@ -443,5 +448,37 @@ fn out_of_range_quotas_are_refused_like_the_daemon() {
             JobRequest::from_json(&body),
             Err("quota_mib out of range".to_string())
         );
+    }
+}
+
+/// A batch above `MAX_BATCH`, at the top level or in a job, is refused with
+/// one message; the wrapped-`u64` batch among them.  `MAX_BATCH` itself is
+/// accepted.
+#[test]
+fn batches_above_max_batch_are_refused() {
+    let refusal = format!("batch must be an integer from 1 to {MAX_BATCH}");
+    for (batch, ok) in [(MAX_BATCH, true), (MAX_BATCH + 1, false), (u64::MAX, false)] {
+        let top = Json::parse(&format!(r#"{{"model":"tinycnn","batch":{batch}}}"#)).unwrap();
+        let job = Json::parse(&format!(
+            r#"{{"jobs":[{{"model":"tinycnn","batch":{batch}}}]}}"#
+        ))
+        .unwrap();
+        let parsed = [&top, &job].map(|body| RunRequest::from_json(body).map(|r| r.batch));
+        let entry = parse_job(&format!("tinycnn:{batch}")).map(|job| job.batch);
+        if ok {
+            assert_eq!(parsed, [Ok(batch), Ok(batch)]);
+            assert_eq!(entry, Ok(batch));
+        } else {
+            assert_eq!(
+                parsed,
+                [Err(refusal.clone()), Err(format!("jobs[0]: {refusal}"))]
+            );
+            let message = entry.expect_err("an over-large --jobs batch is refused");
+            assert!(
+                message.ends_with(&refusal)
+                    || message.ends_with("batch must be an integer up to 2^53"),
+                "{message}"
+            );
+        }
     }
 }

@@ -106,14 +106,6 @@ impl EvictionOptions {
         }
     }
 
-    /// SSD only (the G10-GDS ablation).
-    pub fn ssd_only() -> Self {
-        EvictionOptions {
-            allow_ssd: true,
-            allow_host: false,
-        }
-    }
-
     /// The destination used for nominal cost estimates.
     fn nominal_destination(&self) -> Destination {
         if self.allow_ssd {
@@ -545,7 +537,11 @@ mod tests {
     #[test]
     fn gds_only_never_uses_host_memory() {
         let (analysis, trace, config) = setup(64 << 20);
-        let schedule = schedule_evictions(&analysis, &trace, &config, EvictionOptions::ssd_only());
+        let ssd_only = EvictionOptions {
+            allow_ssd: true,
+            allow_host: false,
+        };
+        let schedule = schedule_evictions(&analysis, &trace, &config, ssd_only);
         assert!(!schedule.decisions.is_empty());
         assert_eq!(schedule.host_bytes(), 0);
         assert_eq!(schedule.host_occupancy.max_value(), 0);
@@ -686,7 +682,11 @@ mod tests {
         // Host capacity and variant are not in the key: hits.
         plan(&graph, &trace, &config.with_host_memory(0));
         let analysis = VitalityAnalysis::analyze(&graph, &trace);
-        schedule_evictions(&analysis, &trace, &config, EvictionOptions::ssd_only());
+        let ssd_only = EvictionOptions {
+            allow_ssd: true,
+            allow_host: false,
+        };
+        schedule_evictions(&analysis, &trace, &config, ssd_only);
         assert_eq!(entries_for(&key), 1);
 
         // Everything selection reads is: misses.

@@ -20,23 +20,18 @@ pub fn render_window(graph: &DnnGraph, plan: &MigrationPlan, start: usize, end: 
     for k in start..end {
         let kernel_id = KernelId::new(k as u32);
         let kernel = graph.kernel(kernel_id);
+        let name = graph.kernel_name(kernel_id);
         let at = plan.at(kernel_id);
         for instr in &at.before {
             let _ = writeln!(out, "  {}", render_instruction(instr));
         }
-        let args: Vec<String> = kernel
-            .inputs()
+        let args: Vec<String> = graph
+            .operands(kernel_id)
             .iter()
-            .chain(kernel.outputs().iter())
             .map(|t| format!("tensor{}", t.index()))
             .collect();
-        let _ = writeln!(
-            out,
-            "  // Kernel {k} [{}] {}",
-            kernel.class(),
-            kernel.name()
-        );
-        let _ = writeln!(out, "  {}({});", sanitize(kernel.name()), args.join(", "));
+        let _ = writeln!(out, "  // Kernel {k} [{}] {name}", kernel.class());
+        let _ = writeln!(out, "  {}({});", sanitize(name), args.join(", "));
         for instr in &at.after {
             let _ = writeln!(out, "  {}", render_instruction(instr));
         }

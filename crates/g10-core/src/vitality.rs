@@ -294,7 +294,7 @@ mod tests {
         let early_act = graph
             .tensors()
             .iter()
-            .find(|t| t.name() == "stem.relu.out")
+            .find(|t| graph.tensor_name(t.id()) == "stem.relu.out")
             .expect("stem relu output exists")
             .id();
         let period = a

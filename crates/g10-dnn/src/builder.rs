@@ -18,13 +18,21 @@
 //! used once early and once again much later in the backward pass, weights
 //! are used in forward, backward and optimizer, and workspaces live for a
 //! single kernel.
+//!
+//! Like the graph, the builder keeps no per-layer heap data: layer names go
+//! into one name arena and each layer's activation inputs and weights into
+//! one operand arena.  Tensor names (`conv1.weight`, `conv1.out`) and the
+//! derived names of [`GraphBuilder::finish`] (`conv1.forward`,
+//! `conv1.out.grad`, `conv1.momentum`) are written straight into the
+//! graph's name arena, and `finish` assembles each kernel's operand lists
+//! in scratch buffers it reuses across kernels.
 
-use crate::graph::DnnGraph;
+use crate::graph::{DnnGraph, Span};
 use crate::op::{
     conv2d_cost, elementwise_cost, embedding_cost, gemm_cost, normalization_cost, optimizer_cost,
     pooling_cost, softmax_cost, KernelClass, OpCost,
 };
-use crate::shape::{FeatureMap, SeqShape};
+use crate::shape::{product, FeatureMap, SeqShape};
 use crate::tensor::{fp32_bytes, TensorId, TensorKind};
 
 /// Maximum size of a single cuDNN-style convolution workspace.  The paper's
@@ -32,22 +40,6 @@ use crate::tensor::{fp32_bytes, TensorId, TensorKind};
 /// we cap ours at 2 GiB which keeps the same order of magnitude without
 /// letting synthetic workspaces dominate peak memory.
 const MAX_WORKSPACE_BYTES: u64 = 2 << 30;
-
-/// Concatenates a layer-name prefix and a fixed suffix into an
-/// exact-capacity `String`.
-///
-/// Derived names (`conv1.forward`, `conv1.weight`, `conv1.out.grad`, …)
-/// account for most of the builder's per-kernel `String` construction; a
-/// plain two-segment concatenation skips the `format!` machinery and never
-/// reallocates, which is worth ~40 % of graph-construction wall time on the
-/// 10k-kernel stress model.  Deep synthetic models (`models::stress`) use
-/// it for their layer names too.
-pub(crate) fn joined(prefix: &str, suffix: &str) -> String {
-    let mut name = String::with_capacity(prefix.len() + suffix.len());
-    name.push_str(prefix);
-    name.push_str(suffix);
-    name
-}
 
 /// Shape attached to an activation handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,7 +63,7 @@ impl ActShape {
         match *self {
             ActShape::Map(m) => m.elements(),
             ActShape::Seq(s) => s.elements(),
-            ActShape::Flat { n, features } => n * features,
+            ActShape::Flat { n, features } => product(&[n, features]),
         }
     }
 
@@ -136,13 +128,15 @@ impl Act {
 }
 
 /// One recorded forward layer, with everything needed to derive its backward
-/// kernels later.
-#[derive(Debug, Clone)]
+/// kernels later.  Its name and operand lists are spans of the builder's own
+/// arenas; `act_inputs` and `weights` are adjacent, so together they are the
+/// forward kernel's inputs.
+#[derive(Debug, Clone, Copy)]
 struct LayerRecord {
-    name: String,
+    name: Span,
     class: KernelClass,
-    weights: Vec<TensorId>,
-    act_inputs: Vec<TensorId>,
+    act_inputs: Span,
+    weights: Span,
     output: TensorId,
     output_bytes: u64,
     fwd_cost: OpCost,
@@ -182,6 +176,10 @@ pub struct GraphBuilder {
     graph: DnnGraph,
     batch: u64,
     records: Vec<LayerRecord>,
+    /// Every recorded layer name, back to back.
+    names: String,
+    /// Every recorded layer's activation inputs then weights.
+    operands: Vec<TensorId>,
 }
 
 impl GraphBuilder {
@@ -191,6 +189,8 @@ impl GraphBuilder {
             graph: DnnGraph::with_batch_size(name, batch),
             batch,
             records: Vec::new(),
+            names: String::new(),
+            operands: Vec::new(),
         }
     }
 
@@ -199,15 +199,18 @@ impl GraphBuilder {
         self.batch
     }
 
-    fn add_activation(&mut self, name: &str, shape: ActShape) -> Act {
-        let tensor = self
-            .graph
-            .add_tensor(TensorKind::Activation, shape.bytes(), name);
+    /// Registers layer `layer`'s output activation, `<layer>.out`.
+    fn add_activation(&mut self, layer: &str, shape: ActShape) -> Act {
+        let tensor =
+            self.graph
+                .add_tensor_named(TensorKind::Activation, shape.bytes(), &[layer, ".out"]);
         Act { tensor, shape }
     }
 
-    fn add_weight(&mut self, name: &str, bytes: u64) -> TensorId {
-        self.graph.add_tensor(TensorKind::Weight, bytes, name)
+    /// Registers layer `layer`'s parameters, `<layer>.weight`.
+    fn add_weight(&mut self, layer: &str, bytes: u64) -> TensorId {
+        self.graph
+            .add_tensor_named(TensorKind::Weight, bytes, &[layer, ".weight"])
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -215,8 +218,8 @@ impl GraphBuilder {
         &mut self,
         name: &str,
         class: KernelClass,
-        weights: Vec<TensorId>,
-        act_inputs: Vec<TensorId>,
+        weights: impl IntoIterator<Item = TensorId>,
+        act_inputs: impl IntoIterator<Item = TensorId>,
         output: Act,
         fwd_cost: OpCost,
         bwd_data_cost: OpCost,
@@ -226,11 +229,17 @@ impl GraphBuilder {
         produces_input_grads: bool,
         workspace_bytes: u64,
     ) -> Act {
+        let name_start = self.names.len();
+        self.names.push_str(name);
+        let start = self.operands.len();
+        self.operands.extend(act_inputs);
+        let split = self.operands.len();
+        self.operands.extend(weights);
         self.records.push(LayerRecord {
-            name: name.to_string(),
+            name: Span::new(name_start, self.names.len()),
             class,
-            weights,
-            act_inputs,
+            act_inputs: Span::new(start, split),
+            weights: Span::new(split, self.operands.len()),
             output: output.tensor,
             output_bytes: output.shape.bytes(),
             fwd_cost,
@@ -260,19 +269,19 @@ impl GraphBuilder {
     /// Registers a token-id input batch and an embedding lookup producing a
     /// `batch × seq × hidden` sequence.
     pub fn embedding(&mut self, name: &str, seq: u64, hidden: u64, vocab: u64) -> Act {
-        let ids_bytes = self.batch * seq * 4;
+        let ids_bytes = product(&[self.batch, seq, 4]);
         let ids = self
             .graph
-            .add_tensor(TensorKind::Input, ids_bytes, joined(name, ".ids"));
-        let table = self.add_weight(&joined(name, ".weight"), fp32_bytes(vocab * hidden));
+            .add_tensor_named(TensorKind::Input, ids_bytes, &[name, ".ids"]);
+        let table = self.add_weight(name, fp32_bytes(vocab * hidden));
         let out_shape = ActShape::Seq(SeqShape::new(self.batch, seq, hidden));
-        let out = self.add_activation(&joined(name, ".out"), out_shape);
+        let out = self.add_activation(name, out_shape);
         let cost = embedding_cost(out_shape.elements());
         self.record(
             name,
             KernelClass::Embedding,
-            vec![table],
-            vec![ids],
+            [table],
+            [ids],
             out,
             cost,
             cost,
@@ -301,8 +310,8 @@ impl GraphBuilder {
         let in_map = input.map();
         let out_map = in_map.conv_output(out_c, stride);
         let weight_bytes = fp32_bytes(out_c * (in_map.c / groups.max(1)) * k * k);
-        let weight = self.add_weight(&joined(name, ".weight"), weight_bytes);
-        let out = self.add_activation(&joined(name, ".out"), ActShape::Map(out_map));
+        let weight = self.add_weight(name, weight_bytes);
+        let out = self.add_activation(name, ActShape::Map(out_map));
         let fwd = conv2d_cost(
             in_map.n, in_map.c, out_c, out_map.h, out_map.w, k, groups, in_map.h, in_map.w,
         );
@@ -312,8 +321,8 @@ impl GraphBuilder {
         self.record(
             name,
             KernelClass::Conv2d,
-            vec![weight],
-            vec![input.tensor],
+            [weight],
+            [input.tensor],
             out,
             fwd,
             fwd,
@@ -328,14 +337,14 @@ impl GraphBuilder {
     /// Batch normalisation over a feature map.
     pub fn batch_norm(&mut self, name: &str, input: &Act) -> Act {
         let map = input.map();
-        let scale = self.add_weight(&joined(name, ".weight"), fp32_bytes(map.c * 2));
-        let out = self.add_activation(&joined(name, ".out"), input.shape);
+        let scale = self.add_weight(name, fp32_bytes(map.c * 2));
+        let out = self.add_activation(name, input.shape);
         let cost = normalization_cost(map.elements());
         self.record(
             name,
             KernelClass::BatchNorm,
-            vec![scale],
-            vec![input.tensor],
+            [scale],
+            [input.tensor],
             out,
             cost,
             cost,
@@ -351,13 +360,13 @@ impl GraphBuilder {
     pub fn max_pool(&mut self, name: &str, input: &Act, k: u64, stride: u64) -> Act {
         let map = input.map();
         let out_map = map.conv_output(map.c, stride);
-        let out = self.add_activation(&joined(name, ".out"), ActShape::Map(out_map));
+        let out = self.add_activation(name, ActShape::Map(out_map));
         let cost = pooling_cost(out_map.elements(), k);
         self.record(
             name,
             KernelClass::Pooling,
-            vec![],
-            vec![input.tensor],
+            [],
+            [input.tensor],
             out,
             cost,
             cost,
@@ -382,13 +391,13 @@ impl GraphBuilder {
             n: map.n,
             features: map.c,
         };
-        let out = self.add_activation(&joined(name, ".out"), out_shape);
+        let out = self.add_activation(name, out_shape);
         let cost = pooling_cost(out_shape.elements(), map.h.clamp(1, 16));
         self.record(
             name,
             KernelClass::Pooling,
-            vec![],
-            vec![input.tensor],
+            [],
+            [input.tensor],
             out,
             cost,
             cost,
@@ -405,13 +414,13 @@ impl GraphBuilder {
     // ------------------------------------------------------------------
 
     fn activation_layer(&mut self, name: &str, input: &Act, class: KernelClass) -> Act {
-        let out = self.add_activation(&joined(name, ".out"), input.shape);
+        let out = self.add_activation(name, input.shape);
         let cost = elementwise_cost(input.shape.elements(), 1);
         self.record(
             name,
             class,
-            vec![],
-            vec![input.tensor],
+            [],
+            [input.tensor],
             out,
             cost,
             cost,
@@ -445,13 +454,13 @@ impl GraphBuilder {
             b.shape.bytes(),
             "residual add of mismatched shapes"
         );
-        let out = self.add_activation(&joined(name, ".out"), a.shape);
+        let out = self.add_activation(name, a.shape);
         let cost = elementwise_cost(a.shape.elements(), 2);
         self.record(
             name,
             KernelClass::Elementwise,
-            vec![],
-            vec![a.tensor, b.tensor],
+            [],
+            [a.tensor, b.tensor],
             out,
             cost,
             cost,
@@ -466,13 +475,13 @@ impl GraphBuilder {
     /// Channel-wise scaling of a feature map by a per-channel vector
     /// (squeeze-and-excitation "excite" step).
     pub fn scale(&mut self, name: &str, map_input: &Act, vector_input: &Act) -> Act {
-        let out = self.add_activation(&joined(name, ".out"), map_input.shape);
+        let out = self.add_activation(name, map_input.shape);
         let cost = elementwise_cost(map_input.shape.elements(), 2);
         self.record(
             name,
             KernelClass::Elementwise,
-            vec![],
-            vec![map_input.tensor, vector_input.tensor],
+            [],
+            [map_input.tensor, vector_input.tensor],
             out,
             cost,
             cost,
@@ -490,13 +499,13 @@ impl GraphBuilder {
         let first = inputs[0].map();
         let total_c: u64 = inputs.iter().map(|a| a.map().c).sum();
         let out_map = FeatureMap::new(first.n, total_c, first.h, first.w);
-        let out = self.add_activation(&joined(name, ".out"), ActShape::Map(out_map));
+        let out = self.add_activation(name, ActShape::Map(out_map));
         let cost = elementwise_cost(out_map.elements(), 1);
         self.record(
             name,
             KernelClass::Elementwise,
-            vec![],
-            inputs.iter().map(|a| a.tensor).collect(),
+            [],
+            inputs.iter().map(|a| a.tensor),
             out,
             cost,
             cost,
@@ -529,7 +538,11 @@ impl GraphBuilder {
                     features: out_features,
                 },
             ),
-            ActShape::Seq(s) => (s.n * s.l, s.d, ActShape::Seq(s.with_hidden(out_features))),
+            ActShape::Seq(s) => (
+                product(&[s.n, s.l]),
+                s.d,
+                ActShape::Seq(s.with_hidden(out_features)),
+            ),
             ActShape::Map(m) => (
                 m.n,
                 m.c * m.h * m.w,
@@ -539,17 +552,14 @@ impl GraphBuilder {
                 },
             ),
         };
-        let weight = self.add_weight(
-            &joined(name, ".weight"),
-            fp32_bytes(in_features * out_features + out_features),
-        );
-        let out = self.add_activation(&joined(name, ".out"), out_shape);
+        let weight = self.add_weight(name, fp32_bytes(in_features * out_features + out_features));
+        let out = self.add_activation(name, out_shape);
         let fwd = gemm_cost(rows, out_features, in_features);
         self.record(
             name,
             KernelClass::Gemm,
-            vec![weight],
-            vec![input.tensor],
+            [weight],
+            [input.tensor],
             out,
             fwd,
             fwd,
@@ -564,14 +574,14 @@ impl GraphBuilder {
     /// Layer normalisation over the last dimension of a sequence.
     pub fn layer_norm(&mut self, name: &str, input: &Act) -> Act {
         let seq = input.seq();
-        let scale = self.add_weight(&joined(name, ".weight"), fp32_bytes(seq.d * 2));
-        let out = self.add_activation(&joined(name, ".out"), input.shape);
+        let scale = self.add_weight(name, fp32_bytes(seq.d * 2));
+        let out = self.add_activation(name, input.shape);
         let cost = normalization_cost(seq.elements());
         self.record(
             name,
             KernelClass::LayerNorm,
-            vec![scale],
-            vec![input.tensor],
+            [scale],
+            [input.tensor],
             out,
             cost,
             cost,
@@ -586,13 +596,13 @@ impl GraphBuilder {
     /// Residual addition of two sequence activations.
     pub fn add_seq(&mut self, name: &str, a: &Act, b: &Act) -> Act {
         debug_assert_eq!(a.shape.bytes(), b.shape.bytes());
-        let out = self.add_activation(&joined(name, ".out"), a.shape);
+        let out = self.add_activation(name, a.shape);
         let cost = elementwise_cost(a.shape.elements(), 2);
         self.record(
             name,
             KernelClass::Elementwise,
-            vec![],
-            vec![a.tensor, b.tensor],
+            [],
+            [a.tensor, b.tensor],
             out,
             cost,
             cost,
@@ -611,18 +621,18 @@ impl GraphBuilder {
         let score_elems = seq.attention_score_elements(heads);
         let out_shape = ActShape::Flat {
             n: seq.n,
-            features: heads * seq.l * seq.l,
+            features: product(&[heads, seq.l, seq.l]),
         };
-        let out = self.add_activation(&joined(name, ".out"), out_shape);
+        let out = self.add_activation(name, out_shape);
         // Each head multiplies (l × d/heads) by (d/heads × l).
         let per_head = gemm_cost(seq.l, seq.l, seq.d / heads.max(1));
-        let fwd = per_head.scale((seq.n * heads) as f64);
+        let fwd = per_head.scale(product(&[seq.n, heads]) as f64);
         debug_assert_eq!(out_shape.elements(), score_elems);
         self.record(
             name,
             KernelClass::Gemm,
-            vec![],
-            vec![q.tensor, k.tensor],
+            [],
+            [q.tensor, k.tensor],
             out,
             fwd,
             fwd.scale(2.0),
@@ -638,14 +648,14 @@ impl GraphBuilder {
     /// with the hidden size of `v`.
     pub fn attention_context(&mut self, name: &str, scores: &Act, v: &Act, heads: u64) -> Act {
         let seq = v.seq();
-        let out = self.add_activation(&joined(name, ".out"), ActShape::Seq(seq));
+        let out = self.add_activation(name, ActShape::Seq(seq));
         let per_head = gemm_cost(seq.l, seq.d / heads.max(1), seq.l);
-        let fwd = per_head.scale((seq.n * heads) as f64);
+        let fwd = per_head.scale(product(&[seq.n, heads]) as f64);
         self.record(
             name,
             KernelClass::Gemm,
-            vec![],
-            vec![scores.tensor, v.tensor],
+            [],
+            [scores.tensor, v.tensor],
             out,
             fwd,
             fwd.scale(2.0),
@@ -663,13 +673,13 @@ impl GraphBuilder {
     pub fn to_sequence(&mut self, name: &str, input: &Act, tokens: u64, hidden: u64) -> Act {
         let n = input.shape().batch();
         let out_shape = ActShape::Seq(SeqShape::new(n, tokens, hidden));
-        let out = self.add_activation(&joined(name, ".out"), out_shape);
+        let out = self.add_activation(name, out_shape);
         let cost = elementwise_cost(out_shape.elements(), 1);
         self.record(
             name,
             KernelClass::Elementwise,
-            vec![],
-            vec![input.tensor],
+            [],
+            [input.tensor],
             out,
             cost,
             cost,
@@ -683,13 +693,13 @@ impl GraphBuilder {
 
     /// Softmax over the last dimension of the given activation.
     pub fn softmax(&mut self, name: &str, input: &Act) -> Act {
-        let out = self.add_activation(&joined(name, ".out"), input.shape);
+        let out = self.add_activation(name, input.shape);
         let cost = softmax_cost(input.shape.elements());
         self.record(
             name,
             KernelClass::Softmax,
-            vec![],
-            vec![input.tensor],
+            [],
+            [input.tensor],
             out,
             cost,
             cost,
@@ -708,8 +718,22 @@ impl GraphBuilder {
     /// Finalises the graph: emits the forward kernels, a loss kernel seeded
     /// from `final_output`, the backward pass and the optimizer step, and
     /// returns the complete [`DnnGraph`].
-    pub fn finish(mut self, final_output: &Act) -> DnnGraph {
-        let records = std::mem::take(&mut self.records);
+    ///
+    /// Derived names (`conv1.forward`, `conv1.weight.grad`, …) are written
+    /// straight into the graph's name arena, and each kernel's operand lists
+    /// are assembled in scratch buffers reused across kernels, so finishing
+    /// allocates only as the graph's tables grow.
+    pub fn finish(self, final_output: &Act) -> DnnGraph {
+        let GraphBuilder {
+            mut graph,
+            records,
+            names,
+            operands,
+            ..
+        } = self;
+        let name = |rec: &LayerRecord| &names[rec.name.range()];
+        let act_inputs = |rec: &LayerRecord| &operands[rec.act_inputs.range()];
+        let weights = |rec: &LayerRecord| &operands[rec.weights.range()];
 
         // Reserve the graph's tables up front: per record one forward and up
         // to two backward kernels plus (fwd, bwd) workspaces, one gradient
@@ -717,54 +741,55 @@ impl GraphBuilder {
         // momentum tensor per weight, plus the loss kernel and its seed.
         let n_weights: usize = records.iter().map(|r| r.weights.len()).sum();
         let n_workspaces = records.iter().filter(|r| r.workspace_bytes > 0).count();
-        self.graph.reserve(
+        graph.reserve(
             2 * n_workspaces + records.len() + 2 * n_weights + 1,
             2 * records.len() + n_weights + 1,
         );
 
         // --- Forward kernels -------------------------------------------------
+        let mut outputs: Vec<TensorId> = Vec::with_capacity(2);
         for rec in &records {
-            let mut inputs: Vec<TensorId> =
-                Vec::with_capacity(rec.act_inputs.len() + rec.weights.len());
-            inputs.extend_from_slice(&rec.act_inputs);
-            inputs.extend_from_slice(&rec.weights);
-            let mut outputs = vec![rec.output];
+            outputs.clear();
+            outputs.push(rec.output);
             if rec.workspace_bytes > 0 {
-                let ws = self.graph.add_tensor(
+                outputs.push(graph.add_tensor_named(
                     TensorKind::Workspace,
                     rec.workspace_bytes,
-                    joined(&rec.name, ".fwd.workspace"),
-                );
-                outputs.push(ws);
+                    &[name(rec), ".fwd.workspace"],
+                ));
             }
-            self.graph.add_kernel(
-                joined(&rec.name, ".forward"),
+            graph.add_kernel_named(
+                &[name(rec), ".forward"],
                 rec.class,
                 rec.fwd_cost,
-                inputs,
-                outputs,
+                &operands[rec.act_inputs.through(rec.weights)],
+                &outputs,
             );
         }
 
         // --- Loss kernel ------------------------------------------------------
         // Produces the gradient of the final output (the gradient "seed").
-        let mut grad_of: Vec<Option<TensorId>> = vec![None; self.graph.num_tensors()];
+        // Gradients are looked up by forward tensor, so `grad_of` covers the
+        // tensors that exist before the backward pass.
+        let mut grad_of: Vec<Option<TensorId>> = vec![None; graph.num_tensors()];
         let final_bytes = final_output.shape.bytes();
-        let loss_grad =
-            self.graph
-                .add_tensor(TensorKind::ActivationGradient, final_bytes, "loss.grad");
-        grad_of.resize(self.graph.num_tensors(), None);
+        let loss_grad = graph.add_tensor(TensorKind::ActivationGradient, final_bytes, "loss.grad");
         grad_of[final_output.tensor.index()] = Some(loss_grad);
-        self.graph.add_kernel(
+        graph.add_kernel(
             "loss",
             KernelClass::Reduction,
             elementwise_cost(final_output.shape.elements(), 1),
-            vec![final_output.tensor],
-            vec![loss_grad],
+            &[final_output.tensor],
+            &[loss_grad],
         );
 
         // --- Backward kernels -------------------------------------------------
-        let mut weight_grads: Vec<(TensorId, TensorId, &str, u64)> = Vec::with_capacity(n_weights);
+        let mut weight_grads: Vec<(TensorId, TensorId, &LayerRecord)> =
+            Vec::with_capacity(n_weights);
+        let mut data_inputs: Vec<TensorId> = Vec::new();
+        let mut data_outputs: Vec<TensorId> = Vec::new();
+        let mut wgrad_inputs: Vec<TensorId> = Vec::new();
+        let mut wgrad_outputs: Vec<TensorId> = Vec::new();
         for rec in records.iter().rev() {
             let out_grad = match grad_of[rec.output.index()] {
                 Some(g) => g,
@@ -772,12 +797,11 @@ impl GraphBuilder {
                 // model zoo); give it a zero-seeded gradient so the backward
                 // pass stays well formed.
                 None => {
-                    let g = self.graph.add_tensor(
+                    let g = graph.add_tensor_named(
                         TensorKind::ActivationGradient,
                         rec.output_bytes,
-                        joined(&rec.name, ".out.grad"),
+                        &[name(rec), ".out.grad"],
                     );
-                    grad_of.resize(self.graph.num_tensors(), None);
                     grad_of[rec.output.index()] = Some(g);
                     g
                 }
@@ -786,36 +810,30 @@ impl GraphBuilder {
             // Data-gradient kernel: reads the output gradient (plus saved
             // activations / weights) and produces gradients for the
             // activation inputs.
-            let mut data_inputs = vec![out_grad];
+            data_inputs.clear();
+            data_inputs.push(out_grad);
             if rec.saves_input {
-                data_inputs.extend_from_slice(&rec.act_inputs);
+                data_inputs.extend_from_slice(act_inputs(rec));
             }
             if rec.saves_output {
                 data_inputs.push(rec.output);
             }
-            data_inputs.extend_from_slice(&rec.weights);
+            data_inputs.extend_from_slice(weights(rec));
 
-            let mut data_outputs = Vec::new();
+            data_outputs.clear();
             if rec.produces_input_grads {
-                for &input in &rec.act_inputs {
-                    let info_kind = self.graph.tensor(input).kind();
-                    if info_kind == TensorKind::Input {
+                for &input in act_inputs(rec) {
+                    if graph.tensor(input).kind() == TensorKind::Input {
                         continue; // no gradient for raw model inputs
                     }
-                    let bytes = self.graph.tensor(input).bytes();
-                    let name = joined(self.graph.tensor(input).name(), ".grad");
-                    let existing = grad_of.get(input.index()).copied().flatten();
-                    match existing {
+                    match grad_of[input.index()] {
                         Some(g) => {
                             // Gradient accumulation: read-modify-write.
                             data_inputs.push(g);
                             data_outputs.push(g);
                         }
                         None => {
-                            let g =
-                                self.graph
-                                    .add_tensor(TensorKind::ActivationGradient, bytes, name);
-                            grad_of.resize(self.graph.num_tensors(), None);
+                            let g = graph.add_gradient(TensorKind::ActivationGradient, input);
                             grad_of[input.index()] = Some(g);
                             data_outputs.push(g);
                         }
@@ -828,26 +846,19 @@ impl GraphBuilder {
             // weight-gradient kernel, matching how cuDNN/cuBLAS emit them.
             let split_wgrad = rec.bwd_weight_cost.is_some() && !rec.weights.is_empty();
             if !split_wgrad {
-                for &w in &rec.weights {
-                    let bytes = self.graph.tensor(w).bytes();
-                    let name = joined(self.graph.tensor(w).name(), ".grad");
-                    let g = self
-                        .graph
-                        .add_tensor(TensorKind::WeightGradient, bytes, name);
-                    grad_of.resize(self.graph.num_tensors(), None);
-                    weight_grads.push((w, g, rec.name.as_str(), bytes));
+                for &w in weights(rec) {
+                    let g = graph.add_gradient(TensorKind::WeightGradient, w);
+                    weight_grads.push((w, g, rec));
                     data_outputs.push(g);
                 }
             }
 
             if rec.workspace_bytes > 0 {
-                let ws = self.graph.add_tensor(
+                data_outputs.push(graph.add_tensor_named(
                     TensorKind::Workspace,
                     rec.workspace_bytes,
-                    joined(&rec.name, ".bwd.workspace"),
-                );
-                grad_of.resize(self.graph.num_tensors(), None);
-                data_outputs.push(ws);
+                    &[name(rec), ".bwd.workspace"],
+                ));
             }
 
             if data_outputs.is_empty() {
@@ -857,36 +868,31 @@ impl GraphBuilder {
                     continue;
                 }
             } else {
-                self.graph.add_kernel(
-                    joined(&rec.name, ".backward"),
+                graph.add_kernel_named(
+                    &[name(rec), ".backward"],
                     rec.class,
                     rec.bwd_data_cost,
-                    data_inputs,
-                    data_outputs,
+                    &data_inputs,
+                    &data_outputs,
                 );
             }
 
             if split_wgrad {
-                let mut wgrad_inputs = Vec::with_capacity(1 + rec.act_inputs.len());
+                wgrad_inputs.clear();
                 wgrad_inputs.push(out_grad);
-                wgrad_inputs.extend_from_slice(&rec.act_inputs);
-                let mut wgrad_outputs = Vec::with_capacity(rec.weights.len());
-                for &w in &rec.weights {
-                    let bytes = self.graph.tensor(w).bytes();
-                    let name = joined(self.graph.tensor(w).name(), ".grad");
-                    let g = self
-                        .graph
-                        .add_tensor(TensorKind::WeightGradient, bytes, name);
-                    grad_of.resize(self.graph.num_tensors(), None);
-                    weight_grads.push((w, g, rec.name.as_str(), bytes));
+                wgrad_inputs.extend_from_slice(act_inputs(rec));
+                wgrad_outputs.clear();
+                for &w in weights(rec) {
+                    let g = graph.add_gradient(TensorKind::WeightGradient, w);
+                    weight_grads.push((w, g, rec));
                     wgrad_outputs.push(g);
                 }
-                self.graph.add_kernel(
-                    joined(&rec.name, ".backward.wgrad"),
+                graph.add_kernel_named(
+                    &[name(rec), ".backward.wgrad"],
                     rec.class,
                     rec.bwd_weight_cost.unwrap_or(rec.bwd_data_cost),
-                    wgrad_inputs,
-                    wgrad_outputs,
+                    &wgrad_inputs,
+                    &wgrad_outputs,
                 );
             }
         }
@@ -894,31 +900,31 @@ impl GraphBuilder {
         // --- Optimizer step ---------------------------------------------------
         // One SGD-with-momentum kernel per parameterised layer, in parameter
         // registration order (the order optimizers iterate their param groups).
-        for (weight, grad, layer_name, bytes) in weight_grads.into_iter().rev() {
-            let momentum = self.graph.add_tensor(
+        for (weight, grad, rec) in weight_grads.into_iter().rev() {
+            let bytes = graph.tensor(weight).bytes();
+            let momentum = graph.add_tensor_named(
                 TensorKind::OptimizerState,
                 bytes,
-                joined(layer_name, ".momentum"),
+                &[name(rec), ".momentum"],
             );
-            let params = bytes / 4;
-            self.graph.add_kernel(
-                joined(layer_name, ".optimizer"),
+            graph.add_kernel_named(
+                &[name(rec), ".optimizer"],
                 KernelClass::Optimizer,
-                optimizer_cost(params),
-                vec![weight, grad, momentum],
-                vec![weight, momentum],
+                optimizer_cost(bytes / 4),
+                &[weight, grad, momentum],
+                &[weight, momentum],
             );
         }
 
         // Build the shared analysis index here, once, so every downstream
-        // consumer (stats, vitality, the replay engine) starts from the
+        // consumer (Figure 2, vitality, the replay engine) starts from the
         // cached CSR adjacency instead of deriving it on first use.
-        let _ = self.graph.index();
+        let _ = graph.index();
         debug_assert!(
-            self.graph.validate().is_ok(),
+            graph.validate().is_ok(),
             "builder produced an invalid graph"
         );
-        self.graph
+        graph
     }
 }
 
@@ -946,7 +952,7 @@ mod tests {
     fn toy_cnn_is_valid_and_has_all_phases() {
         let g = toy_cnn(4);
         g.validate().expect("graph must validate");
-        let names: Vec<&str> = g.kernels().iter().map(|k| k.name()).collect();
+        let names: Vec<&str> = g.kernels().iter().map(|k| g.kernel_name(k.id())).collect();
         assert!(names.iter().any(|n| n.ends_with(".forward")));
         assert!(names.contains(&"loss"));
         assert!(names.iter().any(|n| n.ends_with(".backward")));
@@ -960,22 +966,22 @@ mod tests {
         let first_backward = g
             .kernels()
             .iter()
-            .position(|k| k.name().contains(".backward"))
+            .position(|k| g.kernel_name(k.id()).contains(".backward"))
             .unwrap();
         let last_forward = g
             .kernels()
             .iter()
-            .rposition(|k| k.name().ends_with(".forward"))
+            .rposition(|k| g.kernel_name(k.id()).ends_with(".forward"))
             .unwrap();
         let first_optimizer = g
             .kernels()
             .iter()
-            .position(|k| k.name().ends_with(".optimizer"))
+            .position(|k| g.kernel_name(k.id()).ends_with(".optimizer"))
             .unwrap();
         let last_backward = g
             .kernels()
             .iter()
-            .rposition(|k| k.name().contains(".backward"))
+            .rposition(|k| g.kernel_name(k.id()).contains(".backward"))
             .unwrap();
         assert!(last_forward < first_backward);
         assert!(last_backward < first_optimizer);
@@ -987,7 +993,7 @@ mod tests {
         let conv1_weight = g
             .tensors()
             .iter()
-            .find(|t| t.name() == "conv1.weight")
+            .find(|t| g.tensor_name(t.id()) == "conv1.weight")
             .unwrap()
             .id();
         let uses: &[KernelId] = g.index().use_sites(conv1_weight);
@@ -995,7 +1001,7 @@ mod tests {
             uses.len() >= 3,
             "weight should be used in fwd, bwd and optimizer"
         );
-        let names: Vec<&str> = uses.iter().map(|k| g.kernel(*k).name()).collect();
+        let names: Vec<&str> = uses.iter().map(|k| g.kernel_name(*k)).collect();
         assert!(names.iter().any(|n| n.ends_with(".forward")));
         assert!(names.iter().any(|n| n.contains(".backward")));
         assert!(names.iter().any(|n| n.ends_with(".optimizer")));
@@ -1044,13 +1050,13 @@ mod tests {
         let r1_grad = g
             .tensors()
             .iter()
-            .find(|t| t.name() == "relu1.out.grad")
+            .find(|t| g.tensor_name(t.id()) == "relu1.out.grad")
             .map(|t| t.id());
         let r1_grad = r1_grad.expect("gradient for relu1.out should exist");
         let writers = g
             .kernels()
             .iter()
-            .filter(|k| k.outputs().contains(&r1_grad))
+            .filter(|k| g.outputs(k.id()).contains(&r1_grad))
             .count();
         assert!(
             writers >= 2,

@@ -6,6 +6,14 @@
 //! information the paper's tensor vitality analyzer extracts from the deep
 //! learning compiler (§4.2): the graph fixes, for every tensor, when it is
 //! born, when it dies, and during which kernels it is *active*.
+//!
+//! The graph stores its variable-length data in two arenas: one `String`
+//! of every tensor and kernel name, and one operand table of every
+//! kernel's inputs then outputs, one row per kernel (CSR form).
+//! [`Kernel`] and [`TensorInfo`] are `Copy` records holding ranges into
+//! them, so readers ask the graph for names and operands
+//! ([`DnnGraph::kernel_name`], [`DnnGraph::tensor_name`],
+//! [`DnnGraph::inputs`], [`DnnGraph::outputs`], [`DnnGraph::operands`]).
 
 use crate::error::GraphError;
 use crate::index::{GraphIndex, IndexCell};
@@ -13,6 +21,7 @@ use crate::op::{KernelClass, OpCost};
 use crate::tensor::{TensorId, TensorInfo, TensorKind};
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Identifier of a kernel inside one [`DnnGraph`].
@@ -40,27 +49,66 @@ impl fmt::Display for KernelId {
     }
 }
 
-/// One GPU kernel launch: its operator class, analytic cost, and the tensors
-/// it reads and writes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+/// A `[start, end)` range of one of a [`DnnGraph`]'s arenas.
+///
+/// Kernels and tensors keep spans instead of owned `String`s and `Vec`s, so
+/// neither owns heap memory and a whole graph is a handful of allocations.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub(crate) struct Span {
+    start: u32,
+    end: u32,
+}
+
+impl Span {
+    /// # Panics
+    ///
+    /// Panics if an arena outgrows `u32` offsets.
+    pub(crate) fn new(start: usize, end: usize) -> Span {
+        let offset = |at: usize| u32::try_from(at).expect("graph arena exceeds u32 offsets");
+        Span {
+            start: offset(start),
+            end: offset(end),
+        }
+    }
+
+    pub(crate) fn range(self) -> Range<usize> {
+        self.start as usize..self.end as usize
+    }
+
+    /// From this span's start to `later`'s end (`later` follows it).
+    pub(crate) fn through(self, later: Span) -> Range<usize> {
+        self.start as usize..later.end as usize
+    }
+
+    pub(crate) fn len(self) -> usize {
+        (self.end - self.start) as usize
+    }
+
+    pub(crate) fn is_empty(self) -> bool {
+        self.start == self.end
+    }
+}
+
+/// One GPU kernel launch: its operator class and analytic cost.  Its name
+/// and the tensors it reads and writes live in the owning [`DnnGraph`]'s
+/// arenas: see [`DnnGraph::kernel_name`], [`DnnGraph::inputs`],
+/// [`DnnGraph::outputs`] and [`DnnGraph::operands`].
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct Kernel {
     id: KernelId,
-    name: String,
     class: KernelClass,
     cost: OpCost,
-    inputs: Vec<TensorId>,
-    outputs: Vec<TensorId>,
+    name: Span,
+    /// The kernel's row of the operand table: `inputs` then, adjacent,
+    /// `outputs`.
+    inputs: Span,
+    outputs: Span,
 }
 
 impl Kernel {
     /// The kernel's id (== execution order index).
     pub fn id(&self) -> KernelId {
         self.id
-    }
-
-    /// Human-readable name, e.g. `"layer3.12.conv2.forward"`.
-    pub fn name(&self) -> &str {
-        &self.name
     }
 
     /// Operator class.
@@ -72,28 +120,16 @@ impl Kernel {
     pub fn cost(&self) -> OpCost {
         self.cost
     }
-
-    /// Tensors read by the kernel.
-    pub fn inputs(&self) -> &[TensorId] {
-        &self.inputs
-    }
-
-    /// Tensors written by the kernel.
-    pub fn outputs(&self) -> &[TensorId] {
-        &self.outputs
-    }
-
-    /// Iterator over every tensor the kernel touches (inputs then outputs,
-    /// duplicates possible if a tensor is updated in place).
-    pub fn tensors(&self) -> impl Iterator<Item = TensorId> + '_ {
-        self.inputs
-            .iter()
-            .copied()
-            .chain(self.outputs.iter().copied())
-    }
 }
 
 /// A complete dataflow graph for one training iteration of a DNN model.
+///
+/// Variable-length data lives in two per-graph arenas: one `String` holds
+/// every tensor and kernel name back to back, and one operand table holds
+/// every kernel's inputs and then its outputs, row after row in execution
+/// order (CSR form).  [`Kernel`] and [`TensorInfo`] keep ranges into them
+/// and own no heap memory, so building a graph costs a few amortised
+/// allocations rather than several per kernel.
 ///
 /// # Example
 ///
@@ -106,8 +142,11 @@ impl Kernel {
 /// let w = g.add_tensor(TensorKind::Weight, 1024, "fc.weight");
 /// let x = g.add_tensor(TensorKind::Input, 4096, "input");
 /// let y = g.add_tensor(TensorKind::Activation, 4096, "fc.out");
-/// g.add_kernel("fc.forward", KernelClass::Gemm, OpCost::new(1e6, 1e4), vec![x, w], vec![y]);
+/// let k = g.add_kernel("fc.forward", KernelClass::Gemm, OpCost::new(1e6, 1e4), &[x, w], &[y]);
 /// assert_eq!(g.num_kernels(), 1);
+/// assert_eq!(g.kernel_name(k), "fc.forward");
+/// assert_eq!(g.operands(k), [x, w, y]);
+/// assert_eq!(g.tensor_name(w), "fc.weight");
 /// assert!(g.validate().is_ok());
 /// ```
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -116,6 +155,10 @@ pub struct DnnGraph {
     batch_size: u64,
     tensors: Vec<TensorInfo>,
     kernels: Vec<Kernel>,
+    /// Every tensor and kernel name, back to back.
+    names: String,
+    /// Every kernel's inputs then outputs, one row per kernel.
+    operands: Vec<TensorId>,
     /// Lazily built analysis index; cleared on every mutation, ignored by
     /// equality, and shared (via `Arc`) by clones.
     index: IndexCell,
@@ -124,13 +167,7 @@ pub struct DnnGraph {
 impl DnnGraph {
     /// Creates an empty graph with the given model name.
     pub fn new(name: impl Into<String>) -> Self {
-        DnnGraph {
-            name: name.into(),
-            batch_size: 1,
-            tensors: Vec::new(),
-            kernels: Vec::new(),
-            index: IndexCell::default(),
-        }
+        Self::with_batch_size(name, 1)
     }
 
     /// Creates an empty graph annotated with the batch size it was built for.
@@ -140,6 +177,8 @@ impl DnnGraph {
             batch_size,
             tensors: Vec::new(),
             kernels: Vec::new(),
+            names: String::new(),
+            operands: Vec::new(),
             index: IndexCell::default(),
         }
     }
@@ -162,37 +201,84 @@ impl DnnGraph {
     }
 
     /// Registers a tensor and returns its id.
-    pub fn add_tensor(
+    pub fn add_tensor(&mut self, kind: TensorKind, bytes: u64, name: &str) -> TensorId {
+        self.add_tensor_named(kind, bytes, &[name])
+    }
+
+    /// Registers a tensor whose name is the concatenation of `name_parts`,
+    /// written straight into the name arena.
+    pub(crate) fn add_tensor_named(
         &mut self,
         kind: TensorKind,
         bytes: u64,
-        name: impl Into<String>,
+        name_parts: &[&str],
     ) -> TensorId {
-        self.index.invalidate();
-        let id = TensorId::new(self.tensors.len() as u32);
-        self.tensors.push(TensorInfo::new(id, kind, bytes, name));
-        id
+        let name = self.push_name(name_parts);
+        self.push_tensor(kind, bytes, name)
+    }
+
+    /// Registers the gradient of `of`: same size, named `<of's name>.grad`.
+    pub(crate) fn add_gradient(&mut self, kind: TensorKind, of: TensorId) -> TensorId {
+        let source = self.tensors[of.index()];
+        let start = self.names.len();
+        self.names.extend_from_within(source.name_span().range());
+        self.names.push_str(".grad");
+        let name = Span::new(start, self.names.len());
+        self.push_tensor(kind, source.bytes(), name)
     }
 
     /// Appends a kernel at the end of the execution order and returns its id.
     pub fn add_kernel(
         &mut self,
-        name: impl Into<String>,
+        name: &str,
         class: KernelClass,
         cost: OpCost,
-        inputs: Vec<TensorId>,
-        outputs: Vec<TensorId>,
+        inputs: &[TensorId],
+        outputs: &[TensorId],
+    ) -> KernelId {
+        self.add_kernel_named(&[name], class, cost, inputs, outputs)
+    }
+
+    /// [`DnnGraph::add_kernel`] with the name given as parts to concatenate.
+    pub(crate) fn add_kernel_named(
+        &mut self,
+        name_parts: &[&str],
+        class: KernelClass,
+        cost: OpCost,
+        inputs: &[TensorId],
+        outputs: &[TensorId],
     ) -> KernelId {
         self.index.invalidate();
+        let name = self.push_name(name_parts);
+        let start = self.operands.len();
+        self.operands.extend_from_slice(inputs);
+        let split = self.operands.len();
+        self.operands.extend_from_slice(outputs);
         let id = KernelId::new(self.kernels.len() as u32);
         self.kernels.push(Kernel {
             id,
-            name: name.into(),
             class,
             cost,
-            inputs,
-            outputs,
+            name,
+            inputs: Span::new(start, split),
+            outputs: Span::new(split, self.operands.len()),
         });
+        id
+    }
+
+    fn push_name(&mut self, parts: &[&str]) -> Span {
+        let start = self.names.len();
+        for part in parts {
+            self.names.push_str(part);
+        }
+        Span::new(start, self.names.len())
+    }
+
+    fn push_tensor(&mut self, kind: TensorKind, bytes: u64, name: Span) -> TensorId {
+        self.index.invalidate();
+        let id = TensorId::new(self.tensors.len() as u32);
+        self.tensors
+            .push(TensorInfo::in_graph(id, kind, bytes, name));
         id
     }
 
@@ -242,6 +328,53 @@ impl DnnGraph {
         &self.kernels[id.index()]
     }
 
+    /// The kernel's name, e.g. `"layer3.12.conv2.forward"`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id does not belong to this graph.
+    pub fn kernel_name(&self, id: KernelId) -> &str {
+        &self.names[self.kernels[id.index()].name.range()]
+    }
+
+    /// The tensor's layer-derived name, e.g. `"layer3.conv2.weight"`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id does not belong to this graph.
+    pub fn tensor_name(&self, id: TensorId) -> &str {
+        &self.names[self.tensors[id.index()].name_span().range()]
+    }
+
+    /// Tensors read by the kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id does not belong to this graph.
+    pub fn inputs(&self, id: KernelId) -> &[TensorId] {
+        &self.operands[self.kernels[id.index()].inputs.range()]
+    }
+
+    /// Tensors written by the kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id does not belong to this graph.
+    pub fn outputs(&self, id: KernelId) -> &[TensorId] {
+        &self.operands[self.kernels[id.index()].outputs.range()]
+    }
+
+    /// Every tensor the kernel touches: its inputs then its outputs
+    /// (duplicates possible if a tensor is updated in place).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id does not belong to this graph.
+    pub fn operands(&self, id: KernelId) -> &[TensorId] {
+        let kernel = &self.kernels[id.index()];
+        &self.operands[kernel.inputs.through(kernel.outputs)]
+    }
+
     /// Number of kernels in the iteration.
     pub fn num_kernels(&self) -> usize {
         self.kernels.len()
@@ -276,12 +409,13 @@ impl DnnGraph {
             }
         }
         for kernel in &self.kernels {
-            if kernel.inputs.is_empty() && kernel.outputs.is_empty() {
+            let operands = self.operands(kernel.id());
+            if operands.is_empty() {
                 return Err(GraphError::EmptyKernel {
                     kernel: kernel.id(),
                 });
             }
-            for t in kernel.tensors() {
+            for &t in operands {
                 if t.index() >= self.tensors.len() {
                     return Err(GraphError::UnknownTensor {
                         kernel: kernel.id(),
@@ -334,29 +468,29 @@ mod tests {
             "fwd",
             KernelClass::Gemm,
             OpCost::new(1e6, 1e4),
-            vec![x, w],
-            vec![y],
+            &[x, w],
+            &[y],
         );
         g.add_kernel(
             "loss",
             KernelClass::Reduction,
             OpCost::new(1e3, 1e3),
-            vec![y],
-            vec![dy],
+            &[y],
+            &[dy],
         );
         g.add_kernel(
             "bwd",
             KernelClass::Gemm,
             OpCost::new(2e6, 2e4),
-            vec![dy, x, w],
-            vec![dw],
+            &[dy, x, w],
+            &[dw],
         );
         g.add_kernel(
             "opt",
             KernelClass::Optimizer,
             OpCost::new(1e3, 1e3),
-            vec![w, dw],
-            vec![w],
+            &[w, dw],
+            &[w],
         );
         g
     }
@@ -368,14 +502,17 @@ mod tests {
         assert_eq!(g.batch_size(), 8);
         assert_eq!(g.num_kernels(), 4);
         assert_eq!(g.num_tensors(), 5);
-        assert_eq!(g.kernel(KernelId::new(0)).name(), "fwd");
-        let index = g.index();
-        assert!(index
-            .kernel_working_set(KernelId::new(0))
-            .contains(&TensorId::new(0)));
-        assert!(!index
-            .kernel_working_set(KernelId::new(1))
-            .contains(&TensorId::new(0)));
+        let bwd = KernelId::new(2);
+        assert_eq!(g.kernel_name(KernelId::new(0)), "fwd");
+        assert_eq!(g.kernel(bwd).class(), KernelClass::Gemm);
+        assert_eq!(g.tensor_name(TensorId::new(3)), "dy");
+        let [dy, x, w, dw] = [3, 0, 1, 4].map(TensorId::new);
+        assert_eq!(g.inputs(bwd), [dy, x, w]);
+        assert_eq!(g.outputs(bwd), [dw]);
+        assert_eq!(g.operands(bwd), [dy, x, w, dw]);
+        let (flat, offsets) = g.index().working_sets();
+        assert!(flat[offsets[0]..offsets[1]].contains(&x));
+        assert!(!flat[offsets[1]..offsets[2]].contains(&x));
         assert!(g.validate().is_ok());
     }
 
@@ -417,13 +554,7 @@ mod tests {
         let mut g = DnnGraph::new("bad");
         let x = g.add_tensor(TensorKind::Input, 16, "x");
         let _unused = g.add_tensor(TensorKind::Activation, 16, "unused");
-        g.add_kernel(
-            "k",
-            KernelClass::Elementwise,
-            OpCost::default(),
-            vec![x],
-            vec![x],
-        );
+        g.add_kernel("k", KernelClass::Elementwise, OpCost::default(), &[x], &[x]);
         assert!(matches!(g.validate(), Err(GraphError::UnusedTensor { .. })));
     }
 
@@ -431,13 +562,7 @@ mod tests {
     fn validation_catches_zero_sized_tensor() {
         let mut g = DnnGraph::new("bad");
         let x = g.add_tensor(TensorKind::Input, 0, "x");
-        g.add_kernel(
-            "k",
-            KernelClass::Elementwise,
-            OpCost::default(),
-            vec![x],
-            vec![x],
-        );
+        g.add_kernel("k", KernelClass::Elementwise, OpCost::default(), &[x], &[x]);
         assert!(matches!(
             g.validate(),
             Err(GraphError::ZeroSizedTensor { .. })
@@ -452,15 +577,15 @@ mod tests {
             "ok",
             KernelClass::Elementwise,
             OpCost::default(),
-            vec![x],
-            vec![x],
+            &[x],
+            &[x],
         );
         g.add_kernel(
             "empty",
             KernelClass::Elementwise,
             OpCost::default(),
-            vec![],
-            vec![],
+            &[],
+            &[],
         );
         assert!(matches!(g.validate(), Err(GraphError::EmptyKernel { .. })));
     }

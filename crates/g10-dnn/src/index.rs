@@ -89,7 +89,7 @@ impl GraphIndex {
         let total_refs: usize = graph
             .kernels()
             .iter()
-            .map(|k| k.inputs().len() + k.outputs().len())
+            .map(|k| graph.operands(k.id()).len())
             .sum();
 
         // Pass 1: per-kernel working sets (epoch-deduplicated), per-tensor
@@ -106,7 +106,7 @@ impl GraphIndex {
         for (k, kernel) in graph.kernels().iter().enumerate() {
             let stamp = k as u32;
             let mut bytes = 0u64;
-            for t in kernel.tensors() {
+            for &t in graph.operands(kernel.id()) {
                 let idx = t.index();
                 if seen_epoch[idx] != stamp {
                     seen_epoch[idx] = stamp;
@@ -223,12 +223,6 @@ impl GraphIndex {
         self.use_sites(tensor).last().copied()
     }
 
-    /// The kernel's unique working set in first-occurrence order (inputs
-    /// then outputs).
-    pub fn kernel_working_set(&self, kernel: KernelId) -> &[TensorId] {
-        &self.ws_flat[self.ws_offsets[kernel.index()]..self.ws_offsets[kernel.index() + 1]]
-    }
-
     /// The whole working-set arena: `(flat, offsets)` with kernel `k`'s
     /// tensors at `flat[offsets[k]..offsets[k + 1]]`.  The replay engine and
     /// the DeepUM+ look-ahead window consume this form directly.
@@ -335,21 +329,22 @@ mod tests {
     fn working_sets_are_deduplicated_in_first_occurrence_order() {
         let graph = model_graph();
         let index = graph.index();
+        let (flat, offsets) = index.working_sets();
         for kernel in graph.kernels() {
-            let ws = index.kernel_working_set(kernel.id());
+            let k = kernel.id().index();
+            let ws = &flat[offsets[k]..offsets[k + 1]];
             let mut seen = HashSet::new();
             let mut reference = Vec::new();
             let mut bytes = 0u64;
-            for t in kernel.tensors() {
+            for &t in graph.operands(kernel.id()) {
                 if seen.insert(t) {
                     reference.push(t);
                     bytes += graph.tensor(t).bytes();
                 }
             }
             assert_eq!(ws, reference.as_slice());
-            assert_eq!(index.active_bytes()[kernel.id().index()], bytes);
+            assert_eq!(index.active_bytes()[k], bytes);
         }
-        let (flat, offsets) = index.working_sets();
         assert_eq!(offsets.len(), graph.num_kernels() + 1);
         assert_eq!(*offsets.last().unwrap(), flat.len());
         assert_eq!(
@@ -385,8 +380,8 @@ mod tests {
             "k0",
             KernelClass::Elementwise,
             OpCost::default(),
-            vec![x],
-            vec![x],
+            &[x],
+            &[x],
         );
         assert_eq!(graph.index().num_kernels(), 1);
         let y = graph.add_tensor(TensorKind::Activation, 32, "y");
@@ -394,8 +389,8 @@ mod tests {
             "k1",
             KernelClass::Elementwise,
             OpCost::default(),
-            vec![x],
-            vec![y],
+            &[x],
+            &[y],
         );
         let index = graph.index();
         assert_eq!(index.num_kernels(), 2);

@@ -12,7 +12,9 @@
 //!   workspaces) and sizes.
 //! * [`op`] — operator descriptors with analytic FLOP and byte counts.
 //! * [`graph`] — the [`graph::DnnGraph`] dataflow graph: kernels in execution
-//!   order with their input/output tensor sets.
+//!   order with their input/output tensor sets.  Names and operand lists
+//!   live in two per-graph arenas, so no kernel or tensor owns heap memory
+//!   and building a graph costs a few amortised allocations.
 //! * [`index`] — the shared [`index::GraphIndex`]: CSR tensor→use-site
 //!   adjacency, per-tensor lifetimes, per-kernel working sets and the
 //!   liveness curve, derived once per graph and cached.  It is the one
@@ -22,8 +24,10 @@
 //! * [`builder`] — a layer-level builder that records a forward pass and
 //!   automatically derives the backward pass and optimizer step, mirroring
 //!   how a framework such as PyTorch materialises a training iteration.
+//!   It writes every name straight into the graph's name arena.
 //! * [`models`] — the model zoo used by the paper: BERT, ViT, Inception-v3,
-//!   ResNet-152 and SENet-154, parameterised by batch size.
+//!   ResNet-152 and SENet-154, parameterised by batch size (at most
+//!   [`models::MAX_BATCH`] from outside the process).
 //! * [`cost`] — an A100-like roofline cost model mapping operators to kernel
 //!   durations.
 //! * [`trace`] — [`trace::KernelTrace`]: the (kernel, duration) sequence the

@@ -124,11 +124,16 @@ mod tests {
         for layer in 0..cfg.layers {
             let prefix = format!("encoder.layer{layer}.attention.scores");
             assert!(
-                g.kernels().iter().any(|k| k.name().starts_with(&prefix)),
+                g.kernels()
+                    .iter()
+                    .any(|k| g.kernel_name(k.id()).starts_with(&prefix)),
                 "layer {layer} missing attention"
             );
             let ffn = format!("encoder.layer{layer}.intermediate.dense");
-            assert!(g.kernels().iter().any(|k| k.name().starts_with(&ffn)));
+            assert!(g
+                .kernels()
+                .iter()
+                .any(|k| g.kernel_name(k.id()).starts_with(&ffn)));
         }
     }
 

@@ -19,6 +19,12 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
+/// The largest batch size accepted from outside the process (the CLI's
+/// `--batch` and `--jobs`, the daemon's `batch` fields).  It is far above
+/// every paper batch (the largest sweep point is 1792), and every built-in
+/// model builds at it without a shape product overflowing `u64`.
+pub const MAX_BATCH: u64 = 1 << 20;
+
 /// The models used throughout the paper's evaluation, plus two deliberately
 /// small models used by tests and examples.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -191,22 +197,41 @@ pub fn build_model(kind: ModelKind, batch: u64) -> DnnGraph {
 mod tests {
     use super::*;
 
+    const ALL_MODELS: [ModelKind; 8] = [
+        ModelKind::Bert,
+        ModelKind::Vit,
+        ModelKind::InceptionV3,
+        ModelKind::ResNet152,
+        ModelKind::SENet154,
+        ModelKind::TinyCnn,
+        ModelKind::TinyTransformer,
+        ModelKind::StressGpt,
+    ];
+
     #[test]
     fn every_model_parses_its_own_name() {
-        for kind in [
-            ModelKind::Bert,
-            ModelKind::Vit,
-            ModelKind::InceptionV3,
-            ModelKind::ResNet152,
-            ModelKind::SENet154,
-            ModelKind::TinyCnn,
-            ModelKind::TinyTransformer,
-            ModelKind::StressGpt,
-        ] {
+        for kind in ALL_MODELS {
             let parsed: ModelKind = kind.name().parse().unwrap();
             assert_eq!(parsed, kind);
         }
         assert!("not-a-model".parse::<ModelKind>().is_err());
+    }
+
+    /// The shape products panic rather than wrap on overflow; no batch the
+    /// process accepts from outside reaches that panic.
+    #[test]
+    fn every_model_builds_at_max_batch() {
+        for kind in ALL_MODELS {
+            let small = build_model(kind, 1);
+            let g = build_model(kind, MAX_BATCH);
+            g.validate().unwrap();
+            assert_eq!(g.num_kernels(), small.num_kernels(), "{kind}");
+            assert!(
+                g.total_tensor_bytes() > small.total_tensor_bytes(),
+                "{kind}"
+            );
+            assert!(g.index().peak_live_bytes() >= g.index().global_tensor_bytes());
+        }
     }
 
     #[test]

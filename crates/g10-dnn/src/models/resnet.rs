@@ -196,12 +196,12 @@ mod tests {
             assert!(g
                 .kernels()
                 .iter()
-                .any(|k| k.name().starts_with(&format!("layer{stage}."))));
+                .any(|k| g.kernel_name(k.id()).starts_with(&format!("layer{stage}."))));
         }
         // Deepest stage has 36 blocks.
         assert!(g
             .kernels()
             .iter()
-            .any(|k| k.name().starts_with("layer3.35.")));
+            .any(|k| g.kernel_name(k.id()).starts_with("layer3.35.")));
     }
 }

@@ -85,8 +85,14 @@ mod tests {
     #[test]
     fn se_blocks_are_present() {
         let g = build(1);
-        assert!(g.kernels().iter().any(|k| k.name().contains(".se.scale")));
-        assert!(g.kernels().iter().any(|k| k.name().contains(".se.sigmoid")));
+        assert!(g
+            .kernels()
+            .iter()
+            .any(|k| g.kernel_name(k.id()).contains(".se.scale")));
+        assert!(g
+            .kernels()
+            .iter()
+            .any(|k| g.kernel_name(k.id()).contains(".se.sigmoid")));
     }
 
     #[test]

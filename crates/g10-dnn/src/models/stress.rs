@@ -18,8 +18,18 @@
 //! and inactive-period structure all grow linearly with
 //! `layers × grad_accum_steps`.
 
-use crate::builder::{joined, Act, GraphBuilder};
+use crate::builder::{Act, GraphBuilder};
 use crate::graph::DnnGraph;
+
+/// Concatenates a layer-name prefix and a fixed suffix into an
+/// exact-capacity `String`, skipping the `format!` machinery for the deep
+/// stack's many layer names.
+fn joined(prefix: &str, suffix: &str) -> String {
+    let mut name = String::with_capacity(prefix.len() + suffix.len());
+    name.push_str(prefix);
+    name.push_str(suffix);
+    name
+}
 
 /// Hyper-parameters of the stress transformer.
 #[derive(Debug, Clone, Copy)]
@@ -71,12 +81,6 @@ impl StressGptConfig {
     pub fn with_target_kernels(target: usize) -> Self {
         let budget = (target as u64).saturating_sub(KERNELS_PER_STEP_OVERHEAD);
         StressGptConfig::with_layers((budget / KERNELS_PER_LAYER).max(1))
-    }
-
-    /// Returns a copy with the given number of unrolled micro-steps.
-    pub fn with_grad_accum(mut self, steps: u64) -> Self {
-        self.grad_accum_steps = steps.max(1);
-        self
     }
 }
 
@@ -136,14 +140,17 @@ mod tests {
         assert!(g
             .kernels()
             .iter()
-            .any(|k| k.name().contains("layer3.attn.scores")));
+            .any(|k| g.kernel_name(k.id()).contains("layer3.attn.scores")));
     }
 
     #[test]
     fn micro_steps_unroll_linearly() {
         let single = build(1, &StressGptConfig::with_layers(3)).num_kernels() as i64;
         for steps in [2, 4] {
-            let cfg = StressGptConfig::with_layers(3).with_grad_accum(steps);
+            let cfg = StressGptConfig {
+                grad_accum_steps: steps,
+                ..StressGptConfig::with_layers(3)
+            };
             let got = build(1, &cfg).num_kernels() as i64;
             let want = single * steps as i64;
             assert!(
@@ -170,7 +177,11 @@ mod tests {
     #[test]
     fn grad_accum_steps_multiply_depth() {
         let one = build(1, &StressGptConfig::with_layers(3));
-        let four = build(1, &StressGptConfig::with_layers(3).with_grad_accum(4));
+        let four = StressGptConfig {
+            grad_accum_steps: 4,
+            ..StressGptConfig::with_layers(3)
+        };
+        let four = build(1, &four);
         assert!(four.num_kernels() > 3 * one.num_kernels());
         assert!(four.num_tensors() > 3 * one.num_tensors());
     }

@@ -93,7 +93,10 @@ mod tests {
     fn tiny_cnn_validates_and_has_residuals() {
         let g = build_cnn(4);
         g.validate().unwrap();
-        assert!(g.kernels().iter().any(|k| k.name().contains("block3.add")));
+        assert!(g
+            .kernels()
+            .iter()
+            .any(|k| g.kernel_name(k.id()).contains("block3.add")));
         assert!(g.num_kernels() > 40);
     }
 
@@ -101,11 +104,14 @@ mod tests {
     fn tiny_transformer_validates_and_has_attention() {
         let g = build_transformer(4);
         g.validate().unwrap();
-        assert!(g.kernels().iter().any(|k| k.name().contains("attn.scores")));
+        assert!(g
+            .kernels()
+            .iter()
+            .any(|k| g.kernel_name(k.id()).contains("attn.scores")));
         assert!(g
             .tensors()
             .iter()
-            .any(|t| t.kind() == TensorKind::Weight && t.name().contains("ffn.fc1")));
+            .any(|t| t.kind() == TensorKind::Weight && g.tensor_name(t.id()).contains("ffn.fc1")));
     }
 
     #[test]

@@ -145,14 +145,12 @@ mod tests {
         let g = build(1);
         let cfg = VitConfig::large32();
         for layer in 0..cfg.layers {
-            assert!(g
-                .kernels()
-                .iter()
-                .any(|k| k.name().starts_with(&format!("blocks.{layer}.attn.scores"))));
-            assert!(g
-                .kernels()
-                .iter()
-                .any(|k| k.name().starts_with(&format!("blocks.{layer}.mlp.fc1"))));
+            assert!(g.kernels().iter().any(|k| g
+                .kernel_name(k.id())
+                .starts_with(&format!("blocks.{layer}.attn.scores"))));
+            assert!(g.kernels().iter().any(|k| g
+                .kernel_name(k.id())
+                .starts_with(&format!("blocks.{layer}.mlp.fc1"))));
         }
     }
 }

@@ -5,10 +5,26 @@
 //! sequences (`N × L × D`) for transformer models.  A shape knows how many
 //! elements (and therefore bytes) it occupies, which is all the rest of the
 //! system needs.
+//!
+//! Element counts are checked products: a shape too large for `u64` panics
+//! with its dimensions instead of wrapping to a small, wrong size.  Batches
+//! from outside the process are bounded by [`crate::models::MAX_BATCH`],
+//! under which no built-in model comes near that limit.
 
 use crate::tensor::fp32_bytes;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+
+/// The product of `dims`, e.g. a shape's element count.
+///
+/// # Panics
+///
+/// Panics, naming the dimensions, if the product overflows `u64`.
+pub(crate) fn product(dims: &[u64]) -> u64 {
+    dims.iter()
+        .try_fold(1u64, |acc, &dim| acc.checked_mul(dim))
+        .unwrap_or_else(|| panic!("shape {dims:?} has more elements than a u64 counts"))
+}
 
 /// A feature-map shape `N × C × H × W` (batch, channels, height, width).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -30,8 +46,12 @@ impl FeatureMap {
     }
 
     /// Total number of elements.
-    pub const fn elements(&self) -> u64 {
-        self.n * self.c * self.h * self.w
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count overflows `u64`.
+    pub fn elements(&self) -> u64 {
+        product(&[self.n, self.c, self.h, self.w])
     }
 
     /// Size in bytes at FP32 precision.
@@ -76,8 +96,12 @@ impl SeqShape {
     }
 
     /// Total number of elements.
-    pub const fn elements(&self) -> u64 {
-        self.n * self.l * self.d
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count overflows `u64`.
+    pub fn elements(&self) -> u64 {
+        product(&[self.n, self.l, self.d])
     }
 
     /// Size in bytes at FP32 precision.
@@ -92,8 +116,12 @@ impl SeqShape {
     }
 
     /// Number of elements of the attention-score tensor `N × heads × L × L`.
-    pub const fn attention_score_elements(&self, heads: u64) -> u64 {
-        self.n * heads * self.l * self.l
+    ///
+    /// # Panics
+    ///
+    /// Panics if the count overflows `u64`.
+    pub fn attention_score_elements(&self, heads: u64) -> u64 {
+        product(&[self.n, heads, self.l, self.l])
     }
 }
 
@@ -130,6 +158,18 @@ mod tests {
         assert_eq!(s.bytes(), s.elements() * 4);
         assert_eq!(s.attention_score_elements(12), 8 * 12 * 128 * 128);
         assert_eq!(s.with_hidden(3072).d, 3072);
+    }
+
+    #[test]
+    #[should_panic(expected = "more elements than a u64 counts")]
+    fn overflowing_shapes_panic_instead_of_wrapping() {
+        FeatureMap::new(u64::MAX, 3, 224, 224).elements();
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow u64 bytes")]
+    fn overflowing_byte_sizes_panic_instead_of_wrapping() {
+        SeqShape::new(1 << 62, 1, 1).bytes();
     }
 
     #[test]

@@ -7,6 +7,7 @@
 //! after their death.  This module provides the vocabulary types that the
 //! rest of the workspace builds on.
 
+use crate::graph::Span;
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -109,25 +110,37 @@ impl fmt::Display for TensorKind {
     }
 }
 
-/// Full description of one tensor in a dataflow graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// Full description of one tensor in a dataflow graph.  Its name lives in
+/// the owning graph's name arena: see
+/// [`crate::graph::DnnGraph::tensor_name`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TensorInfo {
     id: TensorId,
     kind: TensorKind,
     bytes: u64,
-    name: String,
+    name: Span,
 }
 
 impl TensorInfo {
-    /// Creates a new tensor description.  Normally called through
-    /// [`crate::graph::DnnGraph::add_tensor`], which assigns the id.
-    pub fn new(id: TensorId, kind: TensorKind, bytes: u64, name: impl Into<String>) -> Self {
+    /// Creates a tensor description outside any graph (it has no name).
+    /// Graph tensors are made by [`crate::graph::DnnGraph::add_tensor`],
+    /// which assigns the id and records the name.
+    pub fn new(id: TensorId, kind: TensorKind, bytes: u64) -> Self {
+        Self::in_graph(id, kind, bytes, Span::default())
+    }
+
+    /// A graph tensor whose name occupies `name` of the graph's name arena.
+    pub(crate) fn in_graph(id: TensorId, kind: TensorKind, bytes: u64, name: Span) -> Self {
         TensorInfo {
             id,
             kind,
             bytes,
-            name: name.into(),
+            name,
         }
+    }
+
+    pub(crate) fn name_span(&self) -> Span {
+        self.name
     }
 
     /// The tensor's id within its graph.
@@ -145,11 +158,6 @@ impl TensorInfo {
         self.bytes
     }
 
-    /// Human-readable name (layer-derived), e.g. `"layer3.conv2.weight"`.
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Returns `true` if the tensor is global (lives across iterations).
     pub fn is_global(&self) -> bool {
         self.kind.is_global()
@@ -164,17 +172,19 @@ impl TensorInfo {
 
 impl fmt::Display for TensorInfo {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{} [{}] {} ({} bytes)",
-            self.id, self.kind, self.name, self.bytes
-        )
+        write!(f, "{} [{}] ({} bytes)", self.id, self.kind, self.bytes)
     }
 }
 
 /// Computes the byte size of an FP32 tensor with the given number of elements.
+///
+/// # Panics
+///
+/// Panics if the byte size overflows `u64`.
 pub fn fp32_bytes(elements: u64) -> u64 {
-    elements * FP32_BYTES
+    elements
+        .checked_mul(FP32_BYTES)
+        .unwrap_or_else(|| panic!("{elements} FP32 elements overflow u64 bytes"))
 }
 
 #[cfg(test)]
@@ -198,18 +208,18 @@ mod tests {
 
     #[test]
     fn pages_round_up() {
-        let t = TensorInfo::new(TensorId::new(0), TensorKind::Activation, 4097, "a");
+        let t = TensorInfo::new(TensorId::new(0), TensorKind::Activation, 4097);
         assert_eq!(t.pages(4096), 2);
-        let t = TensorInfo::new(TensorId::new(1), TensorKind::Activation, 4096, "b");
+        let t = TensorInfo::new(TensorId::new(1), TensorKind::Activation, 4096);
         assert_eq!(t.pages(4096), 1);
-        let t = TensorInfo::new(TensorId::new(2), TensorKind::Activation, 1, "c");
+        let t = TensorInfo::new(TensorId::new(2), TensorKind::Activation, 1);
         assert_eq!(t.pages(4096), 1);
     }
 
     #[test]
     fn display_formats() {
         assert_eq!(TensorId::new(5).to_string(), "t5");
-        let t = TensorInfo::new(TensorId::new(3), TensorKind::Weight, 16, "conv1.weight");
+        let t = TensorInfo::new(TensorId::new(3), TensorKind::Weight, 16);
         let s = t.to_string();
         assert!(s.contains("t3"));
         assert!(s.contains("weight"));

@@ -30,7 +30,7 @@ fn assemble(sizes: &[u64], kernels: &[(Vec<usize>, Vec<usize>)]) -> DnnGraph {
             3 => TensorKind::OptimizerState,
             _ => TensorKind::Workspace,
         };
-        graph.add_tensor(kind, bytes, format!("t{i}"));
+        graph.add_tensor(kind, bytes, &format!("t{i}"));
     }
     for (k, (inputs, outputs)) in kernels.iter().enumerate() {
         let inputs: Vec<TensorId> = inputs
@@ -42,11 +42,11 @@ fn assemble(sizes: &[u64], kernels: &[(Vec<usize>, Vec<usize>)]) -> DnnGraph {
             .map(|&i| TensorId::new((i % n) as u32))
             .collect();
         graph.add_kernel(
-            format!("k{k}"),
+            &format!("k{k}"),
             KernelClass::Elementwise,
             OpCost::default(),
-            inputs,
-            outputs,
+            &inputs,
+            &outputs,
         );
     }
     graph
@@ -84,17 +84,19 @@ proptest! {
 
         // Kernel → working sets: first-occurrence order, deduplicated bytes.
         let mut max_ws = 0u64;
+        let (flat, offsets) = index.working_sets();
         for kernel in graph.kernels() {
             let mut seen = HashSet::new();
             let mut reference = Vec::new();
             let mut bytes = 0u64;
-            for t in kernel.tensors() {
+            for &t in graph.operands(kernel.id()) {
                 if seen.insert(t) {
                     reference.push(t);
                     bytes += graph.tensor(t).bytes();
                 }
             }
-            prop_assert_eq!(index.kernel_working_set(kernel.id()), reference.as_slice());
+            let k = kernel.id().index();
+            prop_assert_eq!(&flat[offsets[k]..offsets[k + 1]], reference.as_slice());
             prop_assert_eq!(index.active_bytes()[kernel.id().index()], bytes);
             max_ws = max_ws.max(bytes);
         }
@@ -155,8 +157,8 @@ proptest! {
             "appended",
             KernelClass::Elementwise,
             OpCost::default(),
-            inputs,
-            vec![],
+            &inputs,
+            &[],
         );
         let index = graph.index();
         prop_assert_eq!(index.num_kernels(), kernels_before + 1);

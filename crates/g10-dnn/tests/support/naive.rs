@@ -17,7 +17,7 @@ pub fn tensor_use_sites(graph: &DnnGraph) -> Vec<Vec<KernelId>> {
     let mut uses = vec![Vec::new(); graph.num_tensors()];
     for kernel in graph.kernels() {
         let mut seen = HashSet::new();
-        for t in kernel.tensors() {
+        for &t in graph.operands(kernel.id()) {
             if seen.insert(t) {
                 uses[t.index()].push(kernel.id());
             }

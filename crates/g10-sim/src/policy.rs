@@ -97,8 +97,8 @@ mod tests {
     #[test]
     fn default_initial_location_depends_on_globality() {
         let policy = Dummy;
-        let weight = TensorInfo::new(TensorId::new(0), TensorKind::Weight, 16, "w");
-        let act = TensorInfo::new(TensorId::new(1), TensorKind::Activation, 16, "a");
+        let weight = TensorInfo::new(TensorId::new(0), TensorKind::Weight, 16);
+        let act = TensorInfo::new(TensorId::new(1), TensorKind::Activation, 16);
         assert_eq!(policy.initial_location(&weight), Location::Gpu);
         assert_eq!(policy.initial_location(&act), Location::Unallocated);
         assert!(policy.pays_fault_overhead());

@@ -119,6 +119,23 @@ for kind in build-panic step-panic tensor-out-of-range evict-non-resident prefet
     }
 done
 
+# A batch whose byte counts would wrap `u64` used to run and report
+# nonsense; every batch from outside the process is bounded instead.
+step "hardening: a batch above the bound fails clean"
+if cargo run "$PROFILE_FLAG" -q -p g10-bench --bin experiments -- \
+    run --model tinycnn --batch 18446744073709551615 --policy g10 --no-cache \
+    --out "$OUT_DIR/hard" >"$OUT_DIR/batch.log" 2>&1; then
+    echo "error: --batch 18446744073709551615 must exit non-zero" >&2
+    exit 1
+fi
+if [ "$(wc -l <"$OUT_DIR/batch.log")" -ne 1 ] ||
+    ! grep -q -- '--batch needs a 1-to-1048576 integer argument' "$OUT_DIR/batch.log" ||
+    grep -qi 'stack backtrace\|panicked at' "$OUT_DIR/batch.log"; then
+    echo "error: a batch above the bound must print one typed line" >&2
+    cat "$OUT_DIR/batch.log" >&2
+    exit 1
+fi
+
 step "hardening: fallback degradation completes with the fault recorded"
 cargo run "$PROFILE_FLAG" -q -p g10-bench --bin experiments -- \
     run --model tinycnn --batch 16 --policy deepum+ --inject-fault 2:step-panic \

@@ -148,7 +148,7 @@ fn naive_analysis_fingerprint(graph: &DnnGraph, trace: &KernelTrace) -> u64 {
     let mut offsets = vec![0];
     let mut seen_epoch = vec![u32::MAX; graph.num_tensors()];
     for (k, kernel) in graph.kernels().iter().enumerate() {
-        for t in kernel.tensors() {
+        for &t in graph.operands(kernel.id()) {
             let stamp = &mut seen_epoch[t.index()];
             if *stamp != k as u32 {
                 *stamp = k as u32;
@@ -171,10 +171,11 @@ fn naive_analysis_fingerprint(graph: &DnnGraph, trace: &KernelTrace) -> u64 {
         .iter()
         .map(|kernel| {
             let mut seen = HashSet::new();
-            kernel
-                .tensors()
-                .filter(|&t| seen.insert(t))
-                .map(|t| graph.tensor(t).bytes())
+            graph
+                .operands(kernel.id())
+                .iter()
+                .filter(|&&t| seen.insert(t))
+                .map(|&t| graph.tensor(t).bytes())
                 .sum::<u64>()
         })
         .max()
