@@ -17,7 +17,7 @@
 //! the store, and `bench snapshot` / `bench compare` write and gate a
 //! `BENCH_<n>.json` perf-trajectory snapshot (`scripts/bench-compare.sh`).
 
-use g10_bench::cli::{self, Args, Command};
+use g10_bench::cli::{self, Args, Command, MAX_TENANTS};
 use g10_bench::experiments::{self, run_cache_stats, set_run_store};
 use g10_bench::json::Json;
 use g10_bench::output::{write_figure_csvs, Table};
@@ -70,11 +70,16 @@ fn policy_names(args: &Args, default: &str) -> Result<Vec<String>, String> {
     Ok(policies)
 }
 
-/// The `--jobs` entries, empty when the flag is absent.
+/// The `--jobs` entries, empty when the flag is absent; at most
+/// [`MAX_TENANTS`], as the daemon accepts.
 fn job_requests(args: &Args) -> Result<Vec<JobRequest>, String> {
-    split_list(args.text("--jobs").unwrap_or_default())
+    let jobs: Vec<JobRequest> = split_list(args.text("--jobs").unwrap_or_default())
         .map(parse_job)
-        .collect()
+        .collect::<Result<_, _>>()?;
+    if jobs.len() as u64 > MAX_TENANTS {
+        return Err(format!("--jobs names more than {MAX_TENANTS} jobs"));
+    }
+    Ok(jobs)
 }
 
 /// The hardware of `run` and `multi`: Table 2 with the `--gpu-mib`

@@ -48,18 +48,35 @@ impl Command {
     }
 }
 
+/// The most tenants `multi --tenants` builds and the most jobs one
+/// `--jobs` list or wire `jobs` array names.  Each tenant builds its own
+/// workload and replays solo as well as in the mix, so a mix costs memory
+/// and time in proportion to its size; 1,024 is far above the three-job
+/// default and keeps a huge count from aborting on a failed allocation.
+pub const MAX_TENANTS: u64 = 1 << 10;
+
+/// The most `serve --workers`.  Each worker is an OS thread that replays
+/// one cell at a time, so workers beyond the core count only queue on the
+/// CPU; 256 covers any machine this runs on and keeps a huge count from
+/// asking the OS for more threads than it can start.
+pub const MAX_WORKERS: u64 = 1 << 8;
+
+/// The most `serve --queue-depth`.  A queued job holds its client's open
+/// connection until a worker answers, so a depth beyond the process's
+/// file-descriptor budget could never fill; 65,536 is above common
+/// descriptor limits.
+pub const MAX_QUEUE_DEPTH: u64 = 1 << 16;
+
 /// How a flag's value is checked: a `Switch` takes none; `Text` takes any
 /// text, which `--help` shows as the given placeholder; `U64` a `u64`,
-/// `PositiveU64` one of at least 1, `Batch` one from 1 to [`MAX_BATCH`],
-/// `PositiveF64` a finite `f64` above zero and `Fault` a [`FaultPlan`]
-/// (`<step>:<kind>`).
+/// `UpTo(max)` an integer from 1 to `max`, `PositiveF64` a finite `f64`
+/// above zero and `Fault` a [`FaultPlan`] (`<step>:<kind>`).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Check {
     Switch,
     Text(&'static str),
     U64,
-    PositiveU64,
-    Batch,
+    UpTo(u64),
     PositiveF64,
     Fault,
 }
@@ -90,18 +107,18 @@ pub const FLAGS: &[Flag] = &[
     flag("--cache-dir",      Text("DIR"),       "a directory",              &Command::ALL),
     flag("--no-cache",       Switch,            "",                         &Command::ALL),
     flag("--model",          Text("NAME"),      "a model name",             &[Run, Submit]),
-    flag("--batch",          Batch,             "a 1-to-1048576 integer",   &[Run, Submit]),
+    flag("--batch",          UpTo(MAX_BATCH),   "a 1-to-1048576 integer",   &[Run, Submit]),
     flag("--policy",         Text("NAME,..."),  "a policy-name",            &[Run, Multi, Submit]),
     flag("--gpu-mib",        U64,               "an integer",               &[Run, Multi, Submit]),
     flag("--inject-fault",   Fault,             "a <step>:<kind>",          &[Run, Submit]),
     flag("--on-fault",       Text("fail|NAME"), "a fail-or-policy-name",    &[Run]),
     flag("--deadline-ms",    U64,               "an integer millisecond",   &[Run, Submit]),
-    flag("--tenants",        PositiveU64,       "a positive integer",       &[Multi]),
+    flag("--tenants",        UpTo(MAX_TENANTS), "a 1-to-1024 integer",      &[Multi]),
     flag("--stress",         Switch,            "",                         &[Multi]),
     flag("--jobs",           Text("JOB,..."),   "a JOB,... list",           &[Multi, Submit]),
     flag("--addr",           Text("HOST:PORT"), "a HOST:PORT",              &[Serve, Submit]),
-    flag("--workers",        PositiveU64,       "a positive integer",       &[Serve]),
-    flag("--queue-depth",    PositiveU64,       "a positive integer",       &[Serve]),
+    flag("--workers",        UpTo(MAX_WORKERS), "a 1-to-256 integer",       &[Serve]),
+    flag("--queue-depth",    UpTo(MAX_QUEUE_DEPTH), "a 1-to-65536 integer", &[Serve]),
     flag("--queue-mib",      U64,               "an integer MiB",           &[Serve]),
     flag("--drain-ms",       U64,               "an integer millisecond",   &[Serve]),
     flag("--health",         Switch,            "",                         &[Submit]),
@@ -127,10 +144,7 @@ impl Flag {
         let fits = match self.check {
             Switch | Text(_) => true,
             U64 => text.parse::<u64>().is_ok(),
-            PositiveU64 => text.parse::<u64>().is_ok_and(|n| n > 0),
-            Batch => text
-                .parse::<u64>()
-                .is_ok_and(|n| (1..=MAX_BATCH).contains(&n)),
+            UpTo(max) => text.parse::<u64>().is_ok_and(|n| (1..=max).contains(&n)),
             PositiveF64 => text.parse::<f64>().is_ok_and(|x| x.is_finite() && x > 0.0),
             Fault => match text.parse::<FaultPlan>() {
                 Ok(_) => true,
@@ -140,12 +154,14 @@ impl Flag {
         fits.then(|| text.clone()).ok_or_else(needs)
     }
 
-    /// The flag as `--help` shows it, e.g. `[--batch N]`.
+    /// The flag as `--help` shows it, e.g. `[--gpu-mib N]`, or with its
+    /// bound, e.g. `[--tenants 1..1024]`.
     fn synopsis(&self) -> String {
         let placeholder = match self.check {
             Switch => return format!("[{}]", self.name),
             Text(placeholder) => placeholder,
-            U64 | PositiveU64 | Batch => "N",
+            U64 => "N",
+            UpTo(max) => return format!("[{} 1..{max}]", self.name),
             PositiveF64 => "X",
             Fault => "STEP:KIND",
         };
@@ -269,10 +285,10 @@ pub fn usage() -> String {
          G10_CACHE_DIR=DIR) and refuses any other flag.  <figure> is one of\n  {}.\n\
          run needs --model; submit needs --addr and --model, --jobs, --health,\n\
          --stats or --shutdown; cache gc needs --max-mib.  A JOB is\n\
-         model[:batch[:priority[:quota_mib[:arrival_us]]]]; a batch, given by\n\
-         --batch or in a JOB, is 1 to {MAX_BATCH}.  --policy takes\n\
-         ideal, base-uvm, deepum+, flashneuron, g10-gds, g10-host, g10, tensile\n\
-         or any policy registered via g10_sim::register_policy.",
+         model[:batch[:priority[:quota_mib[:arrival_us]]]], and --jobs names at\n\
+         most {MAX_TENANTS}; a batch, given by --batch or in a JOB, is 1 to {MAX_BATCH}.\n\
+         --policy takes ideal, base-uvm, deepum+, flashneuron, g10-gds, g10-host,\n\
+         g10, tensile or any policy registered via g10_sim::register_policy.",
         global.join(" "),
         figures.join(" ")
     )

@@ -9,6 +9,7 @@
 //! every error class, load shedding — is a JSON body with a stable
 //! `status` / `kind` shape, so clients never have to scrape prose.
 
+use crate::cli::MAX_TENANTS;
 use crate::experiments::workload;
 use crate::json::{obj, Json};
 use g10_dnn::models::{ModelKind, MAX_BATCH};
@@ -198,7 +199,8 @@ impl RunRequest {
     ///
     /// Returns a 400-ready message naming the offending field: unknown
     /// model, a batch outside 1 to [`MAX_BATCH`], out-of-range `gpu_mib`,
-    /// malformed `inject_fault`.  Unknown *policies* are deliberately **not** a parse
+    /// malformed `inject_fault`, an empty `jobs` array or one of more than
+    /// [`MAX_TENANTS`] jobs.  Unknown *policies* are deliberately **not** a parse
     /// error — the registry is consulted at run time so the error carries
     /// the live list of known names.
     pub fn from_json(value: &Json) -> Result<RunRequest, String> {
@@ -207,6 +209,9 @@ impl RunRequest {
             Some(Json::Arr(entries)) => {
                 if entries.is_empty() {
                     return Err("jobs must name at least one job".to_string());
+                }
+                if entries.len() as u64 > MAX_TENANTS {
+                    return Err(format!("jobs must name at most {MAX_TENANTS} jobs"));
                 }
                 entries
                     .iter()

@@ -2,15 +2,18 @@
 //! line, called directly (no subprocess).  Argv is drawn from the flag
 //! names of `cli::FLAGS`, command words, and values each check must weigh:
 //! `""`, `-1`, `nan`, `inf`, `1e999`, `18446744073709551616`, `0`,
-//! `MAX_BATCH` and one past it, `u64::MAX` and `3:step-panic`.
+//! each bound (`MAX_BATCH`, `MAX_TENANTS`, `MAX_WORKERS`, `MAX_QUEUE_DEPTH`)
+//! and one past it, `u64::MAX` and `3:step-panic`.
 //!
 //! No argv panics; every valued flag given last errors with `needs`; every
 //! (flag, command) pair outside the table is refused with `does not take`,
 //! and every pair inside it parses when given a valid value; numeric flags
-//! refuse NaN, infinity, negatives and overflow, and `--batch` anything
-//! above `MAX_BATCH`.
+//! refuse NaN, infinity, negatives and overflow, and each bounded flag
+//! (`--batch`, `--tenants`, `--workers`, `--queue-depth`) anything above
+//! its bound.  Only `parse` runs: no value is ever acted on, so no test
+//! starts the threads or builds the tenants a value names.
 
-use g10_bench::cli::{self, Check, Command, FLAGS};
+use g10_bench::cli::{self, Check, Command, FLAGS, MAX_QUEUE_DEPTH, MAX_TENANTS, MAX_WORKERS};
 use g10_dnn::models::MAX_BATCH;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -43,7 +46,7 @@ fn valid(check: Check) -> Option<&'static str> {
         Check::Switch => None,
         Check::Text(_) => Some("x"),
         Check::U64 => Some("0"),
-        Check::PositiveU64 | Check::Batch => Some("1"),
+        Check::UpTo(_) => Some("1"),
         Check::PositiveF64 => Some("1.5"),
         Check::Fault => Some("3:step-panic"),
     }
@@ -113,8 +116,8 @@ fn numeric_flags_refuse_nan_infinity_negatives_and_overflow() {
     for flag in FLAGS {
         let (zero_ok, max) = match flag.check {
             Check::U64 => (true, u64::MAX),
-            Check::PositiveU64 | Check::PositiveF64 => (false, u64::MAX),
-            Check::Batch => (false, MAX_BATCH),
+            Check::PositiveF64 => (false, u64::MAX),
+            Check::UpTo(max) => (false, max),
             _ => continue,
         };
         let (command, words, _) = COMMANDS
@@ -149,7 +152,7 @@ fn numeric_flags_refuse_nan_infinity_negatives_and_overflow() {
 fn batch_is_bounded_by_max_batch_and_help_says_so() {
     let bound = MAX_BATCH.to_string();
     let batch = FLAGS.iter().find(|flag| flag.name == "--batch").unwrap();
-    assert_eq!(batch.check, Check::Batch);
+    assert_eq!(batch.check, Check::UpTo(MAX_BATCH));
     assert!(batch.noun.contains(&bound), "{}", batch.noun);
     assert!(cli::usage().contains(&format!("is 1 to {bound}")));
     for command in ["run", "submit"] {
@@ -168,6 +171,31 @@ fn batch_is_bounded_by_max_batch_and_help_says_so() {
             assert_eq!(parsed, expected, "{line:?}");
         }
     }
+}
+
+#[test]
+fn tenants_workers_and_queue_depth_are_bounded_and_help_says_so() {
+    let usage = cli::usage();
+    for (name, command, bound) in [
+        ("--tenants", "multi", MAX_TENANTS),
+        ("--workers", "serve", MAX_WORKERS),
+        ("--queue-depth", "serve", MAX_QUEUE_DEPTH),
+    ] {
+        let flag = FLAGS.iter().find(|flag| flag.name == name).unwrap();
+        assert_eq!(flag.check, Check::UpTo(bound), "{name}");
+        assert_eq!(flag.noun, format!("a 1-to-{bound} integer"), "{name}");
+        assert!(usage.contains(&format!("[{name} 1..{bound}]")), "{name}");
+        for (value, ok) in [(bound, true), (bound + 1, false), (u64::MAX, false)] {
+            let line = argv(&[command, name, &value.to_string()]);
+            let parsed = cli::parse(&line).map(|args| args.unwrap().get::<u64>(name));
+            let expected = match ok {
+                true => Ok(Some(value)),
+                false => Err(format!("{name} needs {} argument", flag.noun)),
+            };
+            assert_eq!(parsed, expected, "{line:?}");
+        }
+    }
+    assert!(usage.contains(&format!("--jobs names at\nmost {MAX_TENANTS}")));
 }
 
 #[test]
@@ -220,9 +248,15 @@ const WORDS: [&str; 14] = [
 ];
 
 /// Values every check must weigh, and flags no table row names.
-const VALUES: [&str; 19] = [
+const VALUES: [&str; 25] = [
     "",
     "-1",
+    "256",
+    "257",
+    "1024",
+    "1025",
+    "65536",
+    "65537",
     "nan",
     "inf",
     "1e999",
@@ -273,10 +307,9 @@ proptest! {
                     prop_assert!(args.command.takes(flag.name), "{line:?}: {}", flag.name);
                     let checked = match flag.check {
                         Check::U64 => args.get::<u64>(flag.name).is_some(),
-                        Check::PositiveU64 => args.get::<u64>(flag.name).is_some_and(|n| n > 0),
-                        Check::Batch => args
+                        Check::UpTo(max) => args
                             .get::<u64>(flag.name)
-                            .is_some_and(|n| (1..=MAX_BATCH).contains(&n)),
+                            .is_some_and(|n| (1..=max).contains(&n)),
                         Check::PositiveF64 => args
                             .get::<f64>(flag.name)
                             .is_some_and(|x| x.is_finite() && x > 0.0),

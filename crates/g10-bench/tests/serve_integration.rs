@@ -8,6 +8,7 @@
 //! [`g10_bench::serve::exchange`], the same wire client `experiments
 //! submit` and kick-tires use.
 
+use g10_bench::cli::MAX_TENANTS;
 use g10_bench::json::Json;
 use g10_bench::serve::{exchange, exchange_raw};
 use g10_dnn::models::MAX_BATCH;
@@ -563,6 +564,17 @@ fn multi_job_requests_run_the_mix_and_count_tenants() {
     assert_eq!(
         response.path("error.kind").and_then(Json::as_str),
         Some("unknown-policy")
+    );
+
+    // A mix one job over the bound is refused before it is queued.
+    let over = vec![r#"{"model":"tinycnn","batch":8}"#; MAX_TENANTS as usize + 1];
+    let (status, response) = daemon.submit_raw(&format!(r#"{{"jobs":[{}]}}"#, over.join(",")));
+    assert_eq!(response_tag(status, &response), "400:bad-request");
+    let message = response.path("error.message").and_then(Json::as_str);
+    let expected = format!("jobs must name at most {MAX_TENANTS} jobs");
+    assert!(
+        message.is_some_and(|m| m.contains(&expected)),
+        "{response:?}"
     );
 
     let (status, stats) =

@@ -11,6 +11,7 @@
 //! small alphabets, so the characters each grammar cares about (quotes,
 //! escapes, surrogate halves, brackets, colons) show up often.
 
+use g10_bench::cli::MAX_TENANTS;
 use g10_bench::json::{Json, MAX_DEPTH};
 use g10_bench::serve::protocol::{parse_job, MAX_MIB};
 use g10_bench::serve::{JobRequest, RunRequest};
@@ -432,6 +433,26 @@ fn job_entry_fields_are_range_checked() {
         }
         let extra = format!("{model}:{}:0", TYPICAL.join(":"));
         assert_eq!(check_job_entry(&extra), None, "accepted {extra:?}");
+    }
+}
+
+/// A `jobs` array of up to `MAX_TENANTS` entries parses and one more is
+/// refused, as `--tenants` is bounded.  Only the parse runs: no tenant is
+/// built.  (`--tenants u64::MAX` is pinned in `cli_props.rs`; an array
+/// cannot hold that many entries.)
+#[test]
+fn jobs_arrays_are_bounded_like_tenants() {
+    let entry = r#"{"model":"tinycnn","batch":8}"#;
+    for (count, ok) in [(1, true), (MAX_TENANTS, true), (MAX_TENANTS + 1, false)] {
+        let body = format!(r#"{{"jobs":[{}]}}"#, vec![entry; count as usize].join(","));
+        let parsed = RunRequest::from_json(&Json::parse(&body).unwrap());
+        match ok {
+            true => assert_eq!(parsed.map(|r| r.jobs.len() as u64), Ok(count)),
+            false => assert_eq!(
+                parsed.map(|_| ()),
+                Err(format!("jobs must name at most {MAX_TENANTS} jobs"))
+            ),
+        }
     }
 }
 

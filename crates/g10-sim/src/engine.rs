@@ -10,6 +10,29 @@
 //! channels and the fault handler serialise concurrent migrations, so
 //! bandwidth contention shows up as later completion times and therefore as
 //! kernel stalls.
+//!
+//! # Bookkeeping structures
+//!
+//! * **Resident set**: a bitset over tensor ids, iterated in id order by
+//!   [`EngineState::evictable_tensors`].
+//! * **Pending-free ledger**: the GPU bytes that in-flight evictions free,
+//!   one `(completion time, bytes)` entry per distinct completion time in a
+//!   deque sorted by time.  An eviction inserts by binary search (almost
+//!   always at the back, since completions mostly grow with issue time);
+//!   equal times merge.  Expiry pops from the front, and the free-space
+//!   projections walk it in time order, keeping a running byte total
+//!   beside it.
+//! * **Victim index**: the [`VictimIndex`] behind the LRU and
+//!   largest-victim helpers, built from the resident set on the first
+//!   victim query and maintained from then on.  A replay that never asks
+//!   for a victim never builds it.
+//!
+//! | operation | cost |
+//! |---|---|
+//! | eviction into the ledger | O(log E) search, O(1) at the back (E = distinct pending completions) |
+//! | `apply_pending` | O(1) per expired entry |
+//! | `space_available_at`, `ensure_gpu_space` walk | O(entries walked) |
+//! | residency change, touch | O(1) before the first victim query; the [`VictimIndex`] costs after |
 
 use crate::cancel::{CancelRecord, CancelToken};
 use crate::fault::{catch_policy_panic, FaultRecord, OnPolicyFault, PolicyFaultKind, Validate};
@@ -24,8 +47,8 @@ use g10_dnn::tensor::TensorId;
 use g10_dnn::trace::KernelTrace;
 use g10_time::Nanos;
 use g10_uvm::{MemKind, UnifiedMemory, UnifiedMemoryConfig};
-use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::cell::{OnceCell, RefCell};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// A fixed-universe bitset over tensor indices: O(1) insert/remove and
@@ -196,11 +219,11 @@ pub struct EngineState {
     now: Nanos,
     uvm: UnifiedMemory,
     tensors: Vec<TensorRuntime>,
-    /// GPU bytes that will be freed when outbound evictions complete,
-    /// aggregated by completion time and kept in time order, so
-    /// [`EngineState::space_available_at`] walks completions in order
-    /// directly instead of cloning and sorting a flat list per call.
-    pending_gpu_free: BTreeMap<Nanos, u64>,
+    /// GPU bytes that will be freed when outbound evictions complete:
+    /// `(completion time, bytes)`, one entry per distinct time, sorted by
+    /// time, so [`EngineState::space_available_at`] walks completions in
+    /// order and `apply_pending` pops expired ones from the front.
+    pending_gpu_free: VecDeque<(Nanos, u64)>,
     /// Running prefix of the `pending_gpu_free` byte counts, so the
     /// projected free-space checks do not re-sum the ledger per victim
     /// candidate.
@@ -208,9 +231,10 @@ pub struct EngineState {
     /// Index of GPU-resident tensors (ordered, so victim scans iterate in
     /// tensor-id order exactly like the former full-table scan).
     resident_gpu: ResidentSet,
-    /// Ordered victim index over the evictable residents, maintained
-    /// incrementally on every location / last-touch change.
-    victims: VictimIndex,
+    /// Ordered victim index over the evictable residents: built from the
+    /// resident set by the first victim query, then maintained on every
+    /// location / last-touch change.
+    victims: OnceCell<VictimIndex>,
     protected: Vec<bool>,
     pays_fault_overhead: bool,
     prefetches_issued: u64,
@@ -344,13 +368,17 @@ impl EngineState {
         let t = self.tensors[idx];
         if t.location == Location::Gpu && location != Location::Gpu {
             self.resident_gpu.remove(idx);
-            self.victims.remove(idx as u32);
+            if let Some(victims) = self.victims.get_mut() {
+                victims.remove(idx as u32);
+            }
             self.ledger_note(|usage| {
                 usage.resident_bytes = usage.resident_bytes.saturating_sub(t.bytes);
             });
         } else if t.location != Location::Gpu && location == Location::Gpu {
             self.resident_gpu.insert(idx);
-            self.victims.insert(idx as u32, t.last_touch, t.bytes);
+            if let Some(victims) = self.victims.get_mut() {
+                victims.insert(idx as u32, t.last_touch);
+            }
             self.ledger_note(|usage| {
                 usage.resident_bytes = usage.resident_bytes.saturating_add(t.bytes);
                 usage.resident_high_water = usage.resident_high_water.max(usage.resident_bytes);
@@ -360,12 +388,26 @@ impl EngineState {
     }
 
     /// Records that `kernel` uses the tensor, re-keying the victim index
-    /// if the tensor is an evictable resident.
+    /// if it exists and the tensor is an evictable resident.
     fn touch(&mut self, idx: usize, kernel: usize) {
         if self.tensors[idx].last_touch != kernel {
             self.tensors[idx].last_touch = kernel;
-            self.victims.touch(idx as u32, kernel);
+            if let Some(victims) = self.victims.get_mut() {
+                victims.touch(idx as u32, kernel);
+            }
         }
+    }
+
+    /// The victim index, built from the resident set on first use.
+    fn victims(&self) -> &VictimIndex {
+        self.victims.get_or_init(|| {
+            VictimIndex::from_residents(
+                self.tensors.iter().map(|t| t.bytes),
+                self.resident_gpu
+                    .iter()
+                    .map(|idx| (idx as u32, self.tensors[idx].last_touch)),
+            )
+        })
     }
 
     /// The tensor the LRU selection helper would evict right now: the first
@@ -376,7 +418,7 @@ impl EngineState {
     /// [`crate::naive`].
     pub fn lru_victim_candidate(&self) -> Option<TensorId> {
         let picked = self
-            .victims
+            .victims()
             .lru(|idx| self.protected[idx as usize])
             .map(TensorId::new);
         debug_assert_eq!(
@@ -390,12 +432,12 @@ impl EngineState {
     /// The tensor the largest-victim selection helper would evict right
     /// now: the last unprotected evictable resident by `(bytes, tensor_id)`.
     ///
-    /// Answered by the victim index's size order in O(log R + protected),
-    /// built on the first call; debug builds cross-check every answer
-    /// against the linear scan in [`crate::naive`].
+    /// Answered by the victim index's size ranks, built on the first call;
+    /// debug builds cross-check every answer against the linear scan in
+    /// [`crate::naive`].
     pub fn largest_victim_candidate(&self) -> Option<TensorId> {
         let picked = self
-            .victims
+            .victims()
             .largest(|idx| self.protected[idx as usize])
             .map(TensorId::new);
         debug_assert_eq!(
@@ -471,8 +513,7 @@ impl EngineState {
         };
         let now = self.now;
         let completion = self.uvm.transfer_from_gpu(bytes, kind, now);
-        *self.pending_gpu_free.entry(completion).or_insert(0) += bytes;
-        self.pending_gpu_free_bytes += bytes;
+        self.add_pending_free(completion, bytes);
         self.set_location(idx, destination);
         self.evictions_issued += 1;
         self.ledger_note(|usage| {
@@ -610,9 +651,9 @@ impl EngineState {
             now: self.now,
             used_bytes: self.uvm.gpu().used_bytes(),
             capacity_bytes: self.uvm.gpu().capacity_bytes(),
-            pending_ledger_bytes: self.pending_gpu_free.values().sum(),
+            pending_ledger_bytes: self.pending_gpu_free.iter().map(|&(_, bytes)| bytes).sum(),
             pending_prefix_bytes: self.pending_gpu_free_bytes,
-            earliest_pending_due: self.pending_gpu_free.keys().next().copied(),
+            earliest_pending_due: self.pending_gpu_free.front().map(|&(time, _)| time),
             tracked_bytes: tracked + self.pending_gpu_free_bytes,
             resident_index_diverged: diverged,
             oversubscribed: self.oversubscribed,
@@ -628,7 +669,7 @@ impl EngineState {
         if free >= needed {
             return self.now;
         }
-        for (&time, &bytes) in &self.pending_gpu_free {
+        for &(time, bytes) in &self.pending_gpu_free {
             free += bytes;
             if free >= needed {
                 return time.max(self.now);
@@ -637,13 +678,27 @@ impl EngineState {
         self.now
     }
 
+    /// Records `bytes` of GPU memory freed when an eviction completes at
+    /// `completion`, merging with an entry of the same time.
+    fn add_pending_free(&mut self, completion: Nanos, bytes: u64) {
+        let ledger = &mut self.pending_gpu_free;
+        let at = ledger.partition_point(|&(time, _)| time < completion);
+        match ledger.get_mut(at) {
+            Some((time, pending)) if *time == completion => *pending += bytes,
+            _ => ledger.insert(at, (completion, bytes)),
+        }
+        self.pending_gpu_free_bytes += bytes;
+    }
+
+    /// Frees the GPU bytes of every eviction completed by `now`.
     fn apply_pending(&mut self, now: Nanos) {
         let mut freed = 0u64;
-        while let Some(entry) = self.pending_gpu_free.first_entry() {
-            if *entry.key() > now {
+        while let Some(&(time, bytes)) = self.pending_gpu_free.front() {
+            if time > now {
                 break;
             }
-            freed += entry.remove();
+            freed += bytes;
+            self.pending_gpu_free.pop_front();
         }
         if freed > 0 {
             self.pending_gpu_free_bytes -= freed;
@@ -702,7 +757,7 @@ impl EngineState {
         }
         // Find the earliest completion time at which enough space is free.
         let mut free = self.uvm.gpu().free_bytes();
-        for (&time, &bytes) in &self.pending_gpu_free {
+        for &(time, bytes) in &self.pending_gpu_free {
             free += bytes;
             if free >= needed {
                 return time;
@@ -838,12 +893,10 @@ impl<'a> ReplayEngine<'a> {
         let working_set_exceeds_gpu = index.max_kernel_working_set_bytes() > gpu_capacity;
 
         let mut resident_gpu = ResidentSet::new(num_tensors);
-        let mut victims = VictimIndex::new();
         let mut initial_resident_bytes = 0u64;
         for (idx, t) in tensors.iter().enumerate() {
             if t.location == Location::Gpu {
                 resident_gpu.insert(idx);
-                victims.insert(idx as u32, t.last_touch, t.bytes);
                 initial_resident_bytes += t.bytes;
             }
         }
@@ -863,10 +916,10 @@ impl<'a> ReplayEngine<'a> {
                 now: Nanos::ZERO,
                 uvm,
                 tensors,
-                pending_gpu_free: BTreeMap::new(),
+                pending_gpu_free: VecDeque::new(),
                 pending_gpu_free_bytes: 0,
                 resident_gpu,
-                victims,
+                victims: OnceCell::new(),
                 protected: vec![false; num_tensors],
                 pays_fault_overhead: policy.pays_fault_overhead(),
                 prefetches_issued: 0,
@@ -1157,6 +1210,9 @@ impl<'a> ReplayEngine<'a> {
         self.state.tensors[idx].inbound_ready = None;
     }
 }
+
+#[cfg(test)]
+mod ledger_tests;
 
 #[cfg(test)]
 mod tests {

@@ -22,89 +22,132 @@ use g10_time::Nanos;
 /// head-room for the tensors of the currently executing kernels.
 const MEMORY_BUDGET_FRACTION: f64 = 0.9;
 
+/// Per-kernel tensor lists in CSR form: kernel `k`'s tensors are
+/// `flat[offsets[k]..offsets[k + 1]]`.
+#[derive(Debug, Clone)]
+struct KernelLists {
+    offsets: Vec<usize>,
+    flat: Vec<TensorId>,
+}
+
+impl KernelLists {
+    /// Groups `(kernel, tensor)` entries by kernel, keeping their order
+    /// within each kernel: a counting sort over the two passes `entries`
+    /// allows.
+    fn new(n_kernels: usize, entries: impl Iterator<Item = (usize, TensorId)> + Clone) -> Self {
+        let mut offsets = vec![0; n_kernels + 1];
+        for (kernel, _) in entries.clone() {
+            offsets[kernel + 1] += 1;
+        }
+        for k in 0..n_kernels {
+            offsets[k + 1] += offsets[k];
+        }
+        // Place each entry at its kernel's cursor, `offsets[kernel]`; the
+        // cursors end one row on, so shifting them back restores the rows.
+        let mut flat = vec![TensorId::new(0); offsets[n_kernels]];
+        for (kernel, tensor) in entries {
+            flat[offsets[kernel]] = tensor;
+            offsets[kernel] += 1;
+        }
+        offsets.rotate_right(1);
+        offsets[0] = 0;
+        KernelLists { offsets, flat }
+    }
+
+    fn get(&self, kernel: usize) -> &[TensorId] {
+        &self.flat[self.offsets[kernel]..self.offsets[kernel + 1]]
+    }
+}
+
+/// One planned offload: the tensor, the kernel after which it is evicted
+/// and the kernel before which it is prefetched.
+type Offload = (TensorId, usize, usize);
+
 /// The FlashNeuron baseline.
 #[derive(Debug, Clone)]
 pub struct FlashNeuronPolicy {
     /// Tensors to evict right after the given kernel completes.
-    evict_after: Vec<Vec<TensorId>>,
+    evict_after: KernelLists,
     /// Tensors to prefetch right before the given kernel starts.
-    prefetch_before: Vec<Vec<TensorId>>,
+    prefetch_before: KernelLists,
 }
 
 impl FlashNeuronPolicy {
     /// Plans FlashNeuron's offload set for one training iteration.
     pub fn new(graph: &DnnGraph, trace: &KernelTrace, config: &SystemConfig) -> Self {
-        let analysis = VitalityAnalysis::analyze(graph, trace);
+        let offloads = plan(graph, trace, config);
         let n_kernels = graph.num_kernels();
-        let budget = (config.gpu_memory_bytes as f64 * MEMORY_BUDGET_FRACTION) as u64;
-        let peak = analysis.peak_live_bytes();
-
-        // Each tensor's longest non-wrapping period, indexed in one pass.
-        // On equal lengths the later period wins, as `max_by_key` picks.
-        let mut longest: Vec<Option<&InactivePeriod>> = vec![None; graph.num_tensors()];
-        for period in analysis.periods().iter().filter(|p| !p.wraps_iteration) {
-            let slot = &mut longest[period.tensor.index()];
-            if slot.is_none_or(|kept| period.length() >= kept.length()) {
-                *slot = Some(period);
-            }
-        }
-
-        // Linear tensor selection: walk activation tensors in the order they
-        // are produced and offload them until the projected peak fits the
-        // budget.  Weights and gradients are never offloaded.  The offload
-        // set keeps that deterministic first-use order (ties in tensor id
-        // order): iterating a hash set here made the planned
-        // eviction/prefetch instruction order — and therefore the replayed
-        // migration interleaving — vary run to run.  Each selected tensor is
-        // kept with the longest period found above.
-        let index = graph.index();
-        let mut selected: Vec<&InactivePeriod> = Vec::new();
-        let mut projected = peak;
-        let mut candidates: Vec<_> = graph
-            .tensors()
+        let evict = offloads.iter().map(|&(tensor, evict, _)| (evict, tensor));
+        let prefetch = offloads
             .iter()
-            .filter(|t| t.kind() == TensorKind::Activation)
-            .filter_map(|t| Some((index.first_use(t.id())?, t)))
-            .collect();
-        candidates.sort_by_key(|&(first_use, _)| first_use);
-        for (_, tensor) in candidates {
-            if projected <= budget {
-                break;
-            }
-            // FlashNeuron's linear selection only requires that the tensor
-            // is unused for some window between forward and backward; unlike
-            // G10 it does not weigh the migration cost against the period
-            // length, which is exactly the behaviour the paper contrasts.
-            let Some(period) = longest[tensor.id().index()] else {
-                continue;
-            };
-            selected.push(period);
-            projected = projected.saturating_sub(tensor.bytes());
-        }
-
-        // Attach evictions and prefetches to kernels.
-        let mut evict_after = vec![Vec::new(); n_kernels];
-        let mut prefetch_before = vec![Vec::new(); n_kernels];
-        for period in &selected {
-            let tensor = period.tensor;
-            evict_after[period.start_kernel.index()].push(tensor);
-            // Prefetch early enough to cover the SSD read at the trace's
-            // kernel granularity.
-            let transfer = config.prefetch_time(period.bytes, g10_core::config::Destination::Ssd);
-            let mut kernel = period.end_kernel.index();
-            let mut lead = Nanos::ZERO;
-            while kernel > period.start_kernel.index() + 1 && lead < transfer {
-                kernel -= 1;
-                lead += trace.duration(g10_dnn::graph::KernelId::new(kernel as u32));
-            }
-            prefetch_before[kernel].push(tensor);
-        }
-
+            .map(|&(tensor, _, prefetch)| (prefetch, tensor));
         FlashNeuronPolicy {
-            evict_after,
-            prefetch_before,
+            evict_after: KernelLists::new(n_kernels, evict),
+            prefetch_before: KernelLists::new(n_kernels, prefetch),
         }
     }
+}
+
+/// FlashNeuron's offload set for one training iteration, in selection
+/// order.
+fn plan(graph: &DnnGraph, trace: &KernelTrace, config: &SystemConfig) -> Vec<Offload> {
+    let analysis = VitalityAnalysis::analyze(graph, trace);
+    let budget = (config.gpu_memory_bytes as f64 * MEMORY_BUDGET_FRACTION) as u64;
+    let peak = analysis.peak_live_bytes();
+
+    // Each tensor's longest non-wrapping period, indexed in one pass.
+    // On equal lengths the later period wins, as `max_by_key` picks.
+    let mut longest: Vec<Option<&InactivePeriod>> = vec![None; graph.num_tensors()];
+    for period in analysis.periods().iter().filter(|p| !p.wraps_iteration) {
+        let slot = &mut longest[period.tensor.index()];
+        if slot.is_none_or(|kept| period.length() >= kept.length()) {
+            *slot = Some(period);
+        }
+    }
+
+    // Linear tensor selection: walk activation tensors in the order they
+    // are produced and offload them until the projected peak fits the
+    // budget.  Weights and gradients are never offloaded.  The offload
+    // set keeps that deterministic first-use order (ties in tensor id
+    // order): iterating a hash set here made the planned
+    // eviction/prefetch instruction order — and therefore the replayed
+    // migration interleaving — vary run to run.  Each selected tensor is
+    // kept with the longest period found above, and attached to the
+    // kernels that evict and prefetch it.
+    let index = graph.index();
+    let mut offloads = Vec::new();
+    let mut projected = peak;
+    let mut candidates: Vec<_> = graph
+        .tensors()
+        .iter()
+        .filter(|t| t.kind() == TensorKind::Activation)
+        .filter_map(|t| Some((index.first_use(t.id())?, t)))
+        .collect();
+    candidates.sort_by_key(|&(first_use, _)| first_use);
+    for (_, tensor) in candidates {
+        if projected <= budget {
+            break;
+        }
+        // FlashNeuron's linear selection only requires that the tensor
+        // is unused for some window between forward and backward; unlike
+        // G10 it does not weigh the migration cost against the period
+        // length, which is exactly the behaviour the paper contrasts.
+        let Some(period) = longest[tensor.id().index()] else {
+            continue;
+        };
+        // Prefetch early enough to cover the SSD read at the trace's
+        // kernel granularity.
+        let transfer = config.prefetch_time(period.bytes, g10_core::config::Destination::Ssd);
+        let mut kernel = period.end_kernel.index();
+        let mut lead = Nanos::ZERO;
+        while kernel > period.start_kernel.index() + 1 && lead < transfer {
+            kernel -= 1;
+            lead += trace.duration(g10_dnn::graph::KernelId::new(kernel as u32));
+        }
+        offloads.push((period.tensor, period.start_kernel.index(), kernel));
+        projected = projected.saturating_sub(tensor.bytes());
+    }
+    offloads
 }
 
 impl MemoryPolicy for FlashNeuronPolicy {
@@ -113,7 +156,7 @@ impl MemoryPolicy for FlashNeuronPolicy {
     }
 
     fn before_kernel(&mut self, kernel: usize, state: &mut EngineState) {
-        for &tensor in &self.prefetch_before[kernel] {
+        for &tensor in self.prefetch_before.get(kernel) {
             if state.is_resident_or_inbound(tensor)
                 || state.location(tensor) == Location::Unallocated
             {
@@ -124,7 +167,7 @@ impl MemoryPolicy for FlashNeuronPolicy {
     }
 
     fn after_kernel(&mut self, kernel: usize, state: &mut EngineState) {
-        for &tensor in &self.evict_after[kernel] {
+        for &tensor in self.evict_after.get(kernel) {
             if state.location(tensor) == Location::Gpu {
                 state.request_evict(tensor, Location::Ssd);
             }
@@ -158,8 +201,44 @@ mod tests {
 
     /// `(evictions, prefetches)` the plan attaches to kernels.
     fn planned(p: &FlashNeuronPolicy) -> (usize, usize) {
-        let count = |lists: &[Vec<TensorId>]| lists.iter().map(Vec::len).sum();
-        (count(&p.evict_after), count(&p.prefetch_before))
+        (p.evict_after.flat.len(), p.prefetch_before.flat.len())
+    }
+
+    /// Both tables hold, kernel by kernel, exactly the lists that pushing
+    /// each offload onto a per-kernel `Vec` in selection order builds.
+    #[test]
+    fn tables_match_nested_lists() {
+        let workloads = [
+            (ModelKind::TinyCnn, 64, 64 << 20),
+            (ModelKind::Bert, ModelKind::Bert.eval_batch(), 40 << 30),
+        ];
+        for (kind, batch, gpu_bytes) in workloads {
+            let graph = build_model(kind, batch);
+            let trace = KernelTrace::profile(&graph, &GpuCostModel::a100());
+            let config = SystemConfig::table2().with_gpu_memory(gpu_bytes);
+            let offloads = plan(&graph, &trace, &config);
+            assert!(!offloads.is_empty(), "{kind}: nothing offloaded");
+            let mut evict_after = vec![Vec::new(); graph.num_kernels()];
+            let mut prefetch_before = vec![Vec::new(); graph.num_kernels()];
+            for &(tensor, evict, prefetch) in &offloads {
+                evict_after[evict].push(tensor);
+                prefetch_before[prefetch].push(tensor);
+            }
+            let policy = FlashNeuronPolicy::new(&graph, &trace, &config);
+            for k in 0..graph.num_kernels() {
+                assert_eq!(
+                    policy.evict_after.get(k),
+                    evict_after[k],
+                    "{kind} kernel {k}"
+                );
+                assert_eq!(
+                    policy.prefetch_before.get(k),
+                    prefetch_before[k],
+                    "{kind} kernel {k}"
+                );
+            }
+            assert_eq!(planned(&policy), (offloads.len(), offloads.len()));
+        }
     }
 
     #[test]

@@ -19,6 +19,8 @@
 //! Membership mirrors the engine's GPU resident set (tensors resident and
 //! not in flight); the per-kernel *protected* working set stays in the index
 //! and is skipped at query time instead, so protection changes cost nothing.
+//! The index covers a fixed universe of tensor ids whose sizes it is given
+//! at construction; sizes never change.
 //!
 //! # Recency list
 //!
@@ -31,31 +33,41 @@
 //! kernel's index *before* any of it becomes resident (see
 //! `ReplayEngine::step`), so every entry linked during a step carries the
 //! newest stamp and the walk passes only the entries that same kernel
-//! already touched.
+//! already touched.  [`VictimIndex::from_residents`] links a resident set
+//! in sorted order, so each entry lands at the tail and the result is the
+//! list that inserts and touches from the start would have kept.
 //!
 //! # Size order
 //!
-//! The size order is an ordered set built from the list on the first
-//! [`VictimIndex::largest`] query and maintained from then on.  Only
-//! FlashNeuron asks for the largest victim, so every other design never
-//! pays for it.
+//! The first [`VictimIndex::largest`] query sorts the whole id universe
+//! once by `(bytes, tensor_id)` into ranks and marks the members' ranks in
+//! a bitset; from then on `insert` and `remove` set or clear one bit.
+//! `largest` scans down from the highest set rank past protected members.
+//! Only FlashNeuron asks for the largest victim, so every other design
+//! never pays for it.
 //!
 //! | operation | cost |
 //! |---|---|
-//! | `insert`, `touch` | O(1 + entries with a larger key); O(1 + this kernel's entries) in the engine, plus O(log R) once the size order exists |
-//! | `remove` | O(1), plus O(log R) once the size order exists |
+//! | `insert`, `touch` | O(1 + entries with a larger key); O(1 + this kernel's entries) in the engine |
+//! | `remove` | O(1) |
 //! | `lru` | O(1 + protected) |
-//! | `largest` | O(log R + protected), after a one-time O(R log R) build |
+//! | `largest` | O(N / 64 + protected) over a universe of N ids, after a one-time O(N log N) rank sort |
+//! | `from_residents` | O(N + R log R) |
 //!
 //! The pre-index linear scans live on in [`crate::naive`] as the
 //! property-tested reference (`crates/g10-sim/tests/victim_props.rs` pins
 //! the two against each other on randomized touch/evict sequences).
 
 use std::cell::OnceCell;
-use std::collections::BTreeSet;
 
 /// End-of-list marker for the recency links.
 const NIL: u32 = u32::MAX;
+
+/// `(key, id)` as one integer with the same order, so sorts compare
+/// contiguous integers instead of looking keys up per comparison.
+fn pack(key: u64, id: u32) -> u128 {
+    u128::from(key) << 32 | u128::from(id)
+}
 
 /// One tensor id's slot in the recency list.
 #[derive(Debug, Clone, Copy)]
@@ -68,14 +80,28 @@ struct Link {
     linked: bool,
 }
 
-impl Link {
-    const UNLINKED: Link = Link {
-        prev: NIL,
-        next: NIL,
-        stamp: 0,
-        bytes: 0,
-        linked: false,
-    };
+/// The size order: every id of the universe ranked by `(bytes, id)`, and
+/// one membership bit per rank.
+#[derive(Debug, Clone)]
+struct SizeRanks {
+    /// Tensor id at each rank, smallest `(bytes, id)` first.
+    ids: Vec<u32>,
+    /// Rank of each tensor id.
+    rank: Vec<u32>,
+    /// Bit `r` is set when the id at rank `r` is a member.
+    members: Vec<u64>,
+}
+
+impl SizeRanks {
+    fn set(&mut self, idx: u32, member: bool) {
+        let rank = self.rank[idx as usize] as usize;
+        let bit = 1u64 << (rank % 64);
+        if member {
+            self.members[rank / 64] |= bit;
+        } else {
+            self.members[rank / 64] &= !bit;
+        }
+    }
 }
 
 /// Ordered index over evictable GPU-resident tensors.
@@ -88,42 +114,61 @@ pub struct VictimIndex {
     /// Most-recently-used end of the list.
     tail: u32,
     len: usize,
-    /// Members keyed by `(bytes, tensor_id)`, built on the first
-    /// [`VictimIndex::largest`] query.
-    by_size: OnceCell<BTreeSet<(u64, u32)>>,
+    /// The size order, built on the first [`VictimIndex::largest`] query.
+    by_size: OnceCell<SizeRanks>,
 }
 
-impl Default for VictimIndex {
-    fn default() -> Self {
+impl VictimIndex {
+    /// Creates an empty index over the tensor ids `0..sizes.len()`, where
+    /// tensor `i` is `sizes[i]` bytes.
+    pub fn new(sizes: impl IntoIterator<Item = u64>) -> Self {
+        let links = sizes
+            .into_iter()
+            .map(|bytes| Link {
+                prev: NIL,
+                next: NIL,
+                stamp: 0,
+                bytes,
+                linked: false,
+            })
+            .collect();
         VictimIndex {
-            links: Vec::new(),
+            links,
             head: NIL,
             tail: NIL,
             len: 0,
             by_size: OnceCell::new(),
         }
     }
-}
 
-impl VictimIndex {
-    /// Creates an empty index.
-    pub fn new() -> Self {
-        VictimIndex::default()
+    /// Builds the index of a resident set: `residents` yields each member's
+    /// `(tensor_id, last_touch)`, in any order.  Answers exactly like an
+    /// index that saw every insert, touch and remove that led there.
+    pub fn from_residents(
+        sizes: impl IntoIterator<Item = u64>,
+        residents: impl IntoIterator<Item = (u32, usize)>,
+    ) -> Self {
+        let mut index = VictimIndex::new(sizes);
+        let mut order: Vec<u128> = residents
+            .into_iter()
+            .map(|(idx, last_touch)| pack(last_touch as u64, idx))
+            .collect();
+        order.sort_unstable();
+        for key in order {
+            index.insert(key as u32, (key >> 32) as usize);
+        }
+        index
     }
 
     /// Adds a tensor that just became an evictable resident.
-    pub fn insert(&mut self, idx: u32, last_touch: usize, bytes: u64) {
-        let slot = idx as usize;
-        if slot >= self.links.len() {
-            self.links.resize(slot + 1, Link::UNLINKED);
-        }
-        debug_assert!(!self.links[slot].linked, "tensor {idx} is already indexed");
-        self.links[slot].stamp = last_touch;
-        self.links[slot].bytes = bytes;
+    pub fn insert(&mut self, idx: u32, last_touch: usize) {
+        let slot = &mut self.links[idx as usize];
+        debug_assert!(!slot.linked, "tensor {idx} is already indexed");
+        slot.stamp = last_touch;
         self.link(idx);
         self.len += 1;
         if let Some(by_size) = self.by_size.get_mut() {
-            by_size.insert((bytes, idx));
+            by_size.set(idx, true);
         }
     }
 
@@ -135,9 +180,8 @@ impl VictimIndex {
         }
         self.unlink(idx);
         self.len -= 1;
-        let bytes = self.links[idx as usize].bytes;
         if let Some(by_size) = self.by_size.get_mut() {
-            by_size.remove(&(bytes, idx));
+            by_size.set(idx, false);
         }
     }
 
@@ -169,16 +213,19 @@ impl VictimIndex {
     /// The largest unprotected resident: maximal `(bytes, tensor_id)`,
     /// skipping protected entries.  The first call builds the size order.
     pub fn largest(&self, is_protected: impl Fn(u32) -> bool) -> Option<u32> {
-        self.by_size
-            .get_or_init(|| {
-                self.members()
-                    .map(|idx| (self.links[idx as usize].bytes, idx))
-                    .collect()
-            })
-            .iter()
-            .rev()
-            .map(|&(_, idx)| idx)
-            .find(|&idx| !is_protected(idx))
+        let by_size = self.by_size.get_or_init(|| self.rank_by_size());
+        for (word, &bits) in by_size.members.iter().enumerate().rev() {
+            let mut bits = bits;
+            while bits != 0 {
+                let top = 63 - bits.leading_zeros() as usize;
+                let idx = by_size.ids[word * 64 + top];
+                if !is_protected(idx) {
+                    return Some(idx);
+                }
+                bits &= !(1u64 << top);
+            }
+        }
+        None
     }
 
     /// Number of evictable residents in the index.
@@ -195,7 +242,35 @@ impl VictimIndex {
         self.links.get(idx as usize).is_some_and(|link| link.linked)
     }
 
+    /// Ranks the whole universe by `(bytes, id)` and marks the members.
+    fn rank_by_size(&self) -> SizeRanks {
+        let mut keys: Vec<u128> = self
+            .links
+            .iter()
+            .enumerate()
+            .map(|(idx, link)| pack(link.bytes, idx as u32))
+            .collect();
+        keys.sort_unstable();
+        let ids: Vec<u32> = keys.iter().map(|&key| key as u32).collect();
+        let mut rank = vec![0u32; ids.len()];
+        for (r, &idx) in ids.iter().enumerate() {
+            rank[idx as usize] = r as u32;
+        }
+        let mut ranks = SizeRanks {
+            members: vec![0; ids.len().div_ceil(64)],
+            ids,
+            rank,
+        };
+        for (idx, link) in self.links.iter().enumerate() {
+            if link.linked {
+                ranks.set(idx as u32, true);
+            }
+        }
+        ranks
+    }
+
     /// Members in recency order, LRU first.
+    #[cfg(test)]
     fn members(&self) -> impl Iterator<Item = u32> + '_ {
         std::iter::successors((self.head != NIL).then_some(self.head), |&idx| {
             let next = self.links[idx as usize].next;
@@ -254,10 +329,10 @@ mod tests {
 
     #[test]
     fn lru_breaks_ties_by_smallest_id() {
-        let mut index = VictimIndex::new();
-        index.insert(5, 3, 100);
-        index.insert(2, 3, 100);
-        index.insert(9, 7, 100);
+        let mut index = VictimIndex::new([100; 10]);
+        index.insert(5, 3);
+        index.insert(2, 3);
+        index.insert(9, 7);
         assert_eq!(index.lru(|_| false), Some(2));
         index.remove(2);
         assert_eq!(index.lru(|_| false), Some(5));
@@ -266,10 +341,12 @@ mod tests {
 
     #[test]
     fn largest_breaks_ties_by_largest_id() {
-        let mut index = VictimIndex::new();
-        index.insert(5, 0, 100);
-        index.insert(2, 0, 100);
-        index.insert(9, 0, 50);
+        let mut sizes = [100; 10];
+        sizes[9] = 50;
+        let mut index = VictimIndex::new(sizes);
+        index.insert(5, 0);
+        index.insert(2, 0);
+        index.insert(9, 0);
         assert_eq!(index.largest(|_| false), Some(5));
         index.remove(5);
         assert_eq!(index.largest(|_| false), Some(2));
@@ -277,9 +354,9 @@ mod tests {
 
     #[test]
     fn touch_rekeys_only_present_tensors() {
-        let mut index = VictimIndex::new();
-        index.insert(1, 0, 10);
-        index.insert(2, 0, 20);
+        let mut index = VictimIndex::new([10, 10, 20, 0, 0, 0, 0, 0]);
+        index.insert(1, 0);
+        index.insert(2, 0);
         index.touch(1, 5);
         assert_eq!(index.lru(|_| false), Some(2));
         // Touching an absent tensor must not resurrect it.
@@ -290,10 +367,10 @@ mod tests {
 
     #[test]
     fn touching_the_tail_with_an_equal_stamp_keeps_id_order() {
-        let mut index = VictimIndex::new();
-        index.insert(7, 4, 10);
-        index.insert(3, 4, 10);
-        index.insert(5, 1, 10);
+        let mut index = VictimIndex::new([10; 8]);
+        index.insert(7, 4);
+        index.insert(3, 4);
+        index.insert(5, 1);
         assert_eq!(index.members().collect::<Vec<_>>(), vec![5, 3, 7]);
         // 7 is the tail: (4, 3) < (4, 7), and re-stamping it with 4 keeps it
         // there.
@@ -308,9 +385,9 @@ mod tests {
 
     #[test]
     fn protected_entries_are_skipped_not_removed() {
-        let mut index = VictimIndex::new();
-        index.insert(1, 0, 10);
-        index.insert(2, 1, 30);
+        let mut index = VictimIndex::new([0, 10, 30]);
+        index.insert(1, 0);
+        index.insert(2, 1);
         assert_eq!(index.lru(|idx| idx == 1), Some(2));
         assert_eq!(index.largest(|idx| idx == 2), Some(1));
         assert_eq!(index.lru(|_| true), None);
@@ -319,12 +396,12 @@ mod tests {
 
     #[test]
     fn size_order_built_late_tracks_later_changes() {
-        let mut index = VictimIndex::new();
-        index.insert(1, 0, 10);
-        index.insert(2, 0, 30);
+        let mut index = VictimIndex::new([0, 10, 30, 50]);
+        index.insert(1, 0);
+        index.insert(2, 0);
         index.touch(2, 3);
         assert_eq!(index.largest(|_| false), Some(2));
-        index.insert(3, 3, 50);
+        index.insert(3, 3);
         assert_eq!(index.largest(|_| false), Some(3));
         index.remove(3);
         index.remove(2);
@@ -333,5 +410,46 @@ mod tests {
         assert_eq!(index.largest(|_| false), None);
         assert_eq!(index.lru(|_| false), None);
         assert!(index.is_empty());
+    }
+
+    #[test]
+    fn size_ranks_span_several_words() {
+        // 200 ids of 7 distinct sizes: ranks cross three bitset words and
+        // equal sizes rank by id.
+        let sizes: Vec<u64> = (0..200).map(|i| (i * 37 % 7) as u64).collect();
+        let mut index = VictimIndex::new(sizes.iter().copied());
+        for idx in (0..200).step_by(3) {
+            index.insert(idx, 0);
+        }
+        let scan = |index: &VictimIndex, protected: &dyn Fn(u32) -> bool| {
+            index
+                .members()
+                .filter(|&idx| !protected(idx))
+                .max_by_key(|&idx| (sizes[idx as usize], idx))
+        };
+        for cut in [0, 1, 50, 150, 199, 200] {
+            let protected = |idx: u32| idx >= cut;
+            assert_eq!(index.largest(protected), scan(&index, &protected), "{cut}");
+        }
+    }
+
+    #[test]
+    fn from_residents_matches_incremental_maintenance() {
+        let sizes = [5, 9, 9, 1, 7, 3];
+        let mut kept = VictimIndex::new(sizes);
+        kept.insert(4, 0);
+        kept.insert(0, 0);
+        kept.insert(2, 1);
+        kept.insert(1, 1);
+        kept.touch(4, 2);
+        kept.insert(5, 2);
+        kept.remove(2);
+        let built = VictimIndex::from_residents(sizes, [(5, 2), (1, 1), (4, 2), (0, 0)]);
+        assert_eq!(
+            built.members().collect::<Vec<_>>(),
+            kept.members().collect::<Vec<_>>()
+        );
+        assert_eq!(built.len(), kept.len());
+        assert_eq!(built.largest(|_| false), kept.largest(|_| false));
     }
 }

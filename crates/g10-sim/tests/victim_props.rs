@@ -9,6 +9,10 @@
 //! `min_by_key` keeps the *first* minimum (LRU) and `max_by_key` keeps the
 //! *last* maximum (largest victim) — which is precisely the tie-breaking
 //! the index's `(last_touch, id)` / `(bytes, id)` keys encode.
+//!
+//! The engine builds its index from the resident set on the first victim
+//! query ([`VictimIndex::from_residents`]), so an index built mid-sequence
+//! must answer exactly like one maintained from the start.
 
 use g10_sim::victim::VictimIndex;
 use proptest::prelude::*;
@@ -41,6 +45,22 @@ fn scan_largest(slots: &[Slot]) -> Option<u32> {
         .filter(|(_, s)| s.resident && !s.protected)
         .max_by_key(|(_, s)| s.bytes)
         .map(|(i, _)| i as u32)
+}
+
+/// An index over the slots' sizes.
+fn empty_index(slots: &[Slot]) -> VictimIndex {
+    VictimIndex::new(slots.iter().map(|s| s.bytes))
+}
+
+/// An index built from the slots' current resident set, as the engine
+/// builds one on its first victim query.
+fn built_index(slots: &[Slot]) -> VictimIndex {
+    let residents = slots
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.resident)
+        .map(|(i, s)| (i as u32, s.last_touch));
+    VictimIndex::from_residents(slots.iter().map(|s| s.bytes), residents)
 }
 
 /// Asserts the index's size and LRU answer (and, with `with_largest`, its
@@ -77,7 +97,7 @@ proptest! {
             .iter()
             .map(|&bytes| Slot { resident: false, protected: false, last_touch: 0, bytes })
             .collect();
-        let mut index = VictimIndex::new();
+        let mut index = empty_index(&slots);
 
         for (op, raw_idx, stamp) in ops {
             let idx = raw_idx % n;
@@ -87,7 +107,7 @@ proptest! {
                 0 => {
                     if !slot.resident {
                         slot.resident = true;
-                        index.insert(idx as u32, slot.last_touch, slot.bytes);
+                        index.insert(idx as u32, slot.last_touch);
                     }
                 }
                 // A tensor leaves GPU memory (eviction/free).
@@ -133,7 +153,9 @@ proptest! {
     /// resident in scrambled id order, and hundreds of ids keep the list
     /// long.  The first largest-victim query comes after a random number
     /// of operations, so the size order is built mid-sequence and must
-    /// then track every later change.
+    /// then track every later change.  A second index is built from the
+    /// slots after another random number of operations and maintained from
+    /// then on, like the engine's; it must answer exactly like the first.
     #[test]
     fn index_matches_linear_scans_on_engine_like_sequences(
         sizes in proptest::collection::vec(1u64..6, 50..500),
@@ -143,24 +165,34 @@ proptest! {
             1..60,
         ),
         first_largest in 0usize..1_500,
+        build_at in 0usize..1_500,
+        late_first_largest in 0usize..1_500,
     ) {
         let n = sizes.len();
         let mut slots: Vec<Slot> = sizes
             .iter()
             .map(|&bytes| Slot { resident: false, protected: false, last_touch: 0, bytes })
             .collect();
-        let mut index = VictimIndex::new();
+        let mut index = Indexes { kept: empty_index(&slots), late: None };
         for (idx, slot) in slots.iter_mut().enumerate() {
             if initial[idx] == 1 {
                 slot.resident = true;
-                index.insert(idx as u32, 0, slot.bytes);
+                index.insert(idx as u32, 0);
             }
         }
 
         let mut ops = 0usize;
-        let mut check = |index: &VictimIndex, slots: &[Slot]| {
+        let mut check = |index: &mut Indexes, slots: &[Slot]| {
             ops += 1;
-            assert_agrees(index, slots, ops > first_largest);
+            if ops == build_at {
+                index.late = Some(built_index(slots));
+            }
+            assert_agrees(&index.kept, slots, ops > first_largest);
+            if let Some(late) = &index.late {
+                // The late index's size order is built on its own first
+                // query, which may come before or after the kept one's.
+                assert_agrees(late, slots, ops > late_first_largest);
+            }
         };
 
         let mut stamp = 0usize;
@@ -180,13 +212,13 @@ proptest! {
                     slot.last_touch = stamp;
                     index.touch(idx as u32, stamp);
                 }
-                check(&index, &slots);
+                check(&mut index, &slots);
             }
             for &idx in &working_set {
                 if !slots[idx].resident {
                     slots[idx].resident = true;
-                    index.insert(idx as u32, stamp, slots[idx].bytes);
-                    check(&index, &slots);
+                    index.insert(idx as u32, stamp);
+                    check(&mut index, &slots);
                 }
             }
             // Evict the LRU victim to make room.
@@ -194,19 +226,90 @@ proptest! {
                 let Some(victim) = scan_lru(&slots) else { break };
                 slots[victim as usize].resident = false;
                 index.remove(victim);
-                check(&index, &slots);
+                check(&mut index, &slots);
             }
             // Release, then unprotect, the working set; the first `deaths`
             // members die.
             for &idx in working_set.iter().take(deaths) {
                 slots[idx].resident = false;
                 index.remove(idx as u32);
-                check(&index, &slots);
+                check(&mut index, &slots);
             }
             for &idx in &working_set {
                 slots[idx].protected = false;
             }
-            check(&index, &slots);
+            check(&mut index, &slots);
         }
+    }
+
+    /// The size ranks cover the whole id universe, so ids that join the
+    /// index only after the first largest-victim query rank exactly where
+    /// the scan puts them.
+    #[test]
+    fn size_ranks_place_ids_inserted_after_the_first_query(
+        sizes in proptest::collection::vec(1u64..6, 2..200),
+        first in proptest::collection::vec(0usize..200, 0..20),
+        later in proptest::collection::vec((0usize..200, 0u8..3), 1..200),
+    ) {
+        let n = sizes.len();
+        let mut slots: Vec<Slot> = sizes
+            .iter()
+            .map(|&bytes| Slot { resident: false, protected: false, last_touch: 0, bytes })
+            .collect();
+        let mut index = empty_index(&slots);
+        for raw in first {
+            let slot = &mut slots[raw % n];
+            if !slot.resident {
+                slot.resident = true;
+                index.insert((raw % n) as u32, 0);
+            }
+        }
+        // The first query builds the ranks while most ids are outside.
+        assert_agrees(&index, &slots, true);
+        for (stamp, (raw, op)) in later.into_iter().enumerate() {
+            let idx = raw % n;
+            let slot = &mut slots[idx];
+            match op {
+                0 if !slot.resident => {
+                    slot.resident = true;
+                    slot.last_touch = stamp;
+                    index.insert(idx as u32, stamp);
+                }
+                1 if slot.resident => {
+                    slot.resident = false;
+                    index.remove(idx as u32);
+                }
+                _ => slot.protected = !slot.protected,
+            }
+            assert_agrees(&index, &slots, true);
+        }
+    }
+}
+
+/// The index maintained from the start, and the one built from the slots
+/// partway through (once built, both see every change).
+struct Indexes {
+    kept: VictimIndex,
+    late: Option<VictimIndex>,
+}
+
+impl Indexes {
+    fn each(&mut self, mut apply: impl FnMut(&mut VictimIndex)) {
+        apply(&mut self.kept);
+        if let Some(late) = &mut self.late {
+            apply(late);
+        }
+    }
+
+    fn insert(&mut self, idx: u32, last_touch: usize) {
+        self.each(|index| index.insert(idx, last_touch));
+    }
+
+    fn remove(&mut self, idx: u32) {
+        self.each(|index| index.remove(idx));
+    }
+
+    fn touch(&mut self, idx: u32, last_touch: usize) {
+        self.each(|index| index.touch(idx, last_touch));
     }
 }

@@ -136,6 +136,23 @@ if [ "$(wc -l <"$OUT_DIR/batch.log")" -ne 1 ] ||
     exit 1
 fi
 
+# A tenant count from outside the process is bounded too: `u64::MAX`
+# tenants used to abort on a failed allocation (exit 134).
+step "hardening: a tenant count above the bound fails clean"
+if cargo run "$PROFILE_FLAG" -q -p g10-bench --bin experiments -- \
+    multi --tenants 18446744073709551615 --no-cache \
+    >"$OUT_DIR/tenants.log" 2>&1; then
+    echo "error: --tenants 18446744073709551615 must exit non-zero" >&2
+    exit 1
+fi
+if [ "$(wc -l <"$OUT_DIR/tenants.log")" -ne 1 ] ||
+    ! grep -q -- '--tenants needs a 1-to-1024 integer argument' "$OUT_DIR/tenants.log" ||
+    grep -qi 'stack backtrace\|panicked at' "$OUT_DIR/tenants.log"; then
+    echo "error: a tenant count above the bound must print one typed line" >&2
+    cat "$OUT_DIR/tenants.log" >&2
+    exit 1
+fi
+
 step "hardening: fallback degradation completes with the fault recorded"
 cargo run "$PROFILE_FLAG" -q -p g10-bench --bin experiments -- \
     run --model tinycnn --batch 16 --policy deepum+ --inject-fault 2:step-panic \
