@@ -1,5 +1,5 @@
 //! Criterion bench: migration-planner cost at scale — eviction scheduling
-//! plus eager prefetch rescheduling on the indexed (segment-tree pressure,
+//! plus eager prefetch rescheduling on the indexed (range-max tree pressure,
 //! run-length bandwidth) timelines, over the synthetic deep GPT stress
 //! workload (`g10_dnn::models::stress`).  It goes through
 //! `schedule_evictions_with`, which bypasses the eviction-order memo, so

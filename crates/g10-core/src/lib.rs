@@ -3,9 +3,9 @@
 //! This crate implements the paper's primary contribution — the tensor
 //! vitality analyzer and the smart tensor migration scheduler (§4.2–§4.4 of
 //! the paper) — as a library that takes a DNN training dataflow graph plus a
-//! profiled kernel trace and produces a [`plan::MigrationPlan`]: the set of
-//! `g10_pre_evict` / `g10_prefetch` / `g10_alloc` / `g10_free` instructions
-//! that the runtime (or, here, the replay simulator in `g10-sim`) executes.
+//! profiled kernel trace and produces a [`plan::MigrationPlan`]: the
+//! `g10_pre_evict` / `g10_prefetch` instructions that the runtime (or, here,
+//! the replay simulator in `g10-sim`) executes.
 //!
 //! * [`config`] — the system configuration of Table 2 (GPU / host / SSD
 //!   capacities, bandwidths and latencies), with helpers for every
@@ -14,7 +14,8 @@
 //!   intermediate classification and inactive periods.
 //! * [`pressure`] — the GPU memory-pressure timeline (and the host-memory
 //!   occupancy timeline) the eviction algorithm maintains, backed by a
-//!   lazy-propagation segment tree (O(log n) range queries and updates),
+//!   bottom-up range-add/range-max tree (O(log n) range queries and
+//!   updates),
 //!   and eviction selection's index of the kernels above GPU capacity,
 //!   which scores candidates.
 //! * [`bandwidth`] — binned bandwidth-reservation timelines for the GPU–SSD
@@ -27,8 +28,11 @@
 //!   destination choice.
 //! * [`prefetch`] — latest-safe prefetch times plus the eager prefetch
 //!   rescheduling of §4.4.
-//! * [`plan`] — the migration plan data structure keyed by kernel index.
-//! * [`instrument`] — renders the instrumented GPU program of Figure 9.
+//! * [`plan`] — the migration plan: one CSR table of each kernel's
+//!   prefetches and pre-evictions.
+//! * [`instrument`] — the instrumented GPU program of Figure 9: the plan
+//!   plus the `g10_alloc` / `g10_free` lines derived from the graph, and
+//!   its pseudo-CUDA rendering.
 //! * [`scheduler`] — [`scheduler::G10Scheduler`], the top-level API tying
 //!   everything together, with the G10 / G10-GDS / G10-Host variants.
 //!

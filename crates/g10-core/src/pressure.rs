@@ -12,18 +12,22 @@
 //!
 //! # Complexity
 //!
-//! [`MemoryTimeline`] is backed by a lazy-propagation segment tree over the
+//! [`MemoryTimeline`] is a bottom-up range-add/range-max tree over the
 //! per-kernel occupancies, replacing the flat-`Vec` implementation that made
-//! the planner O(evictions × kernels).  With `n` kernels and `r` the length
-//! of the queried range:
+//! the planner O(evictions × kernels).  No operation recurses: a range-add
+//! walks up from the range's two ends, a range-max does the same while
+//! adding the pending adds of the covering nodes' ancestors, and
+//! `latest_fit` descends from the root on a fixed-size stack.  With `n`
+//! kernels and `r` the length of the queried range:
 //!
-//! | operation                           | flat `Vec` | segment tree          |
+//! | operation                           | flat `Vec` | tree                  |
 //! |-------------------------------------|------------|-----------------------|
 //! | [`MemoryTimeline::max_value`]       | O(n)       | O(1)                  |
 //! | [`MemoryTimeline::fits_extra`]      | O(r)       | O(log n)              |
 //! | [`MemoryTimeline::add`]             | O(r)       | O(log n)              |
 //! | [`MemoryTimeline::latest_fit`]      | O(r²)¹     | O(log n)              |
 //! | [`MemoryTimeline::values`]          | O(n)       | O(n)                  |
+//! | memory, in 8-byte words             | n          | 3N⁵                   |
 //! | [`AboveCapacity::reduction`]        | O(r)       | O((1 + k) log n)²     |
 //! | [`AboveCapacity::sub`]              | O(r)       | O(log n) amortised³   |
 //! | [`AboveCapacity::any_above`]        | O(n)       | O(1)                  |
@@ -40,9 +44,13 @@
 //! ³ per range, plus O(log n) for each kernel the update lowers to the
 //!   capacity or below, which happens at most once per kernel.
 //! ⁴ the flat column is one `add` per eviction; the indexed column is one
-//!   difference-array pass and one O(n) build, where `e` lazy range-adds
+//!   difference-array pass and one O(n) build, where `e` range-adds
 //!   would cost O(n + e log n).  Both schedulers build their post-eviction
 //!   curve this way, once per plan.
+//! ⁵ `N` is `n` rounded up to a power of two, so at most `2n`: `2N` node
+//!   maxima and `N` pending adds.  The recursive lazy-propagation tree
+//!   this replaced kept three arrays of `4n` words (maxima, minima that
+//!   nothing read, and pending adds), 12n words.
 //!
 //! [`AboveCapacity`] is eviction selection's view of the pressure curve:
 //! fixed to one capacity and only ever lowered.  Its benefit accumulates
@@ -55,9 +63,9 @@
 //! README's planner section has the measured planning times.
 //!
 //! Measured on the BERT Figure-11 plan (1073 kernels, 335 evictions) the
-//! segment tree dropped `G10Scheduler::plan` from ~72 ms to ~11 ms, and on
-//! the synthetic 10k-kernel StressGPT workload from ~22 s to ~0.7 s (29×),
-//! against the flat `Vec`.
+//! first, recursive segment tree dropped `G10Scheduler::plan` from ~72 ms
+//! to ~11 ms, and on the synthetic 10k-kernel StressGPT workload from ~22 s
+//! to ~0.7 s (29×), against the flat `Vec`.
 
 use g10_time::Nanos;
 use serde::{Deserialize, Serialize};
@@ -65,7 +73,7 @@ use serde::{Deserialize, Serialize};
 /// The operations the eviction and prefetch schedulers need from a
 /// per-kernel memory-occupancy step function.
 ///
-/// Implemented by the segment-tree [`MemoryTimeline`] (the default) and by
+/// Implemented by the range-max tree [`MemoryTimeline`] (the default) and by
 /// the flat-`Vec` reference in `crates/g10-core/tests/support/naive.rs`,
 /// which the planner-equivalence tests substitute through this trait.
 pub trait PressureTimeline {
@@ -91,34 +99,49 @@ pub trait PressureTimeline {
     fn latest_fit(&self, floor: usize, end: usize, bytes: u64, capacity: u64) -> usize;
 }
 
-/// A per-kernel memory-occupancy step function on a lazy-propagation
-/// segment tree (range-add, range-max/min, pruned saturation descent).
+/// A per-kernel memory-occupancy step function on a bottom-up range-add,
+/// range-max tree.
+///
+/// The tree is perfect over `N = len.next_power_of_two()` leaves: node `p`
+/// has children `2p` and `2p + 1`, and leaf `i` is node `N + i`.  Leaves
+/// past `len` hold `i64::MIN`, so they never win a max, and no range-add
+/// covers them.  A range-add adds its delta to the O(log n) nodes that
+/// cover the range exactly, in both `max_v` and (for inner nodes)
+/// `pending`, and re-derives the maxima on the two boundary paths; nothing
+/// is ever pushed down.  So a node's true maximum is `max_v[p]` plus the
+/// pending adds of its strict ancestors, and every query accumulates those
+/// on its way.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MemoryTimeline {
     len: usize,
-    /// Per-node subtree maxima (including pending lazy of ancestors).
+    /// Per-node subtree maxima, excluding the pending adds of the node's
+    /// strict ancestors (`2N` words; index 0 unused).
     max_v: Vec<i64>,
-    /// Per-node subtree minima (including pending lazy of ancestors).
-    min_v: Vec<i64>,
-    /// Pending range-add deltas not yet pushed to children.
-    lazy: Vec<i64>,
+    /// Per-inner-node adds that apply to the whole subtree and are not in
+    /// the descendants' `max_v` (`N` words; index 0 unused and zero).
+    pending: Vec<i64>,
 }
+
+/// Room for one pending sibling per tree level, plus the node in hand.
+const DESCENT_STACK: usize = usize::BITS as usize + 1;
 
 impl MemoryTimeline {
     /// Creates a timeline from initial per-kernel occupancy.
     pub fn new(values: &[u64]) -> Self {
         let len = values.len();
-        let nodes = if len == 0 { 1 } else { 4 * len };
-        let mut t = MemoryTimeline {
-            len,
-            max_v: vec![0; nodes],
-            min_v: vec![0; nodes],
-            lazy: vec![0; nodes],
-        };
-        if len > 0 {
-            t.build(1, 0, len, values);
+        let leaves = len.next_power_of_two();
+        let mut max_v = vec![i64::MIN; 2 * leaves];
+        for (leaf, &v) in max_v[leaves..].iter_mut().zip(values) {
+            *leaf = v as i64;
         }
-        t
+        for p in (1..leaves).rev() {
+            max_v[p] = max_v[2 * p].max(max_v[2 * p + 1]);
+        }
+        MemoryTimeline {
+            len,
+            max_v,
+            pending: vec![0; leaves],
+        }
     }
 
     /// Creates an all-zero timeline over `kernels` kernels (used for
@@ -127,108 +150,136 @@ impl MemoryTimeline {
         MemoryTimeline::new(&vec![0; kernels])
     }
 
-    fn build(&mut self, node: usize, nl: usize, nr: usize, values: &[u64]) {
-        if nr - nl == 1 {
-            let v = values[nl] as i64;
-            self.max_v[node] = v;
-            self.min_v[node] = v;
-            return;
-        }
-        let mid = nl + (nr - nl) / 2;
-        self.build(2 * node, nl, mid, values);
-        self.build(2 * node + 1, mid, nr, values);
-        self.pull(node);
+    /// Number of leaves of the perfect tree, `N`.
+    fn leaves(&self) -> usize {
+        self.pending.len()
     }
 
-    fn pull(&mut self, node: usize) {
-        self.max_v[node] = self.max_v[2 * node].max(self.max_v[2 * node + 1]);
-        self.min_v[node] = self.min_v[2 * node].min(self.min_v[2 * node + 1]);
-    }
-
+    /// Adds `delta` to the whole subtree of `node`.
     fn apply(&mut self, node: usize, delta: i64) {
         self.max_v[node] += delta;
-        self.min_v[node] += delta;
-        self.lazy[node] += delta;
-    }
-
-    fn push(&mut self, node: usize) {
-        let delta = self.lazy[node];
-        if delta != 0 {
-            self.apply(2 * node, delta);
-            self.apply(2 * node + 1, delta);
-            self.lazy[node] = 0;
+        if node < self.leaves() {
+            self.pending[node] += delta;
         }
     }
 
-    fn range_add(&mut self, node: usize, nl: usize, nr: usize, l: usize, r: usize, delta: i64) {
-        if r <= nl || nr <= l {
-            return;
+    /// Re-derives the maxima of every strict ancestor of `node`.
+    fn rebuild_above(&mut self, mut node: usize) {
+        while node > 1 {
+            node >>= 1;
+            self.max_v[node] =
+                self.max_v[2 * node].max(self.max_v[2 * node + 1]) + self.pending[node];
         }
-        if l <= nl && nr <= r {
-            self.apply(node, delta);
-            return;
-        }
-        self.push(node);
-        let mid = nl + (nr - nl) / 2;
-        self.range_add(2 * node, nl, mid, l, r, delta);
-        self.range_add(2 * node + 1, mid, nr, l, r, delta);
-        self.pull(node);
     }
 
-    fn range_max(&self, node: usize, nl: usize, nr: usize, l: usize, r: usize, acc: i64) -> i64 {
-        if r <= nl || nr <= l {
-            return i64::MIN;
+    /// Adds `delta` to kernels `[l, r)`, `l < r <= len`.
+    fn range_add(&mut self, l: usize, r: usize, delta: i64) {
+        let n = self.leaves();
+        let (mut lo, mut hi) = (l + n, r + n);
+        while lo < hi {
+            if lo & 1 == 1 {
+                self.apply(lo, delta);
+                lo += 1;
+            }
+            if hi & 1 == 1 {
+                hi -= 1;
+                self.apply(hi, delta);
+            }
+            lo >>= 1;
+            hi >>= 1;
         }
-        if l <= nl && nr <= r {
-            return self.max_v[node] + acc;
-        }
-        let mid = nl + (nr - nl) / 2;
-        let acc = acc + self.lazy[node];
-        self.range_max(2 * node, nl, mid, l, r, acc)
-            .max(self.range_max(2 * node + 1, mid, nr, l, r, acc))
+        self.rebuild_above(l + n);
+        self.rebuild_above(r - 1 + n);
     }
 
-    /// Rightmost kernel in `[l, r)` whose occupancy exceeds `threshold`.
-    #[allow(clippy::too_many_arguments)]
-    fn rightmost_above(
-        &self,
-        node: usize,
-        nl: usize,
-        nr: usize,
-        l: usize,
-        r: usize,
-        threshold: i64,
-        acc: i64,
-    ) -> Option<usize> {
-        if r <= nl || nr <= l || self.max_v[node] + acc <= threshold {
-            return None;
+    /// The pending adds of `node` and each of its ancestors.
+    fn pending_from(&self, mut node: usize) -> i64 {
+        let mut sum = 0;
+        while node >= 1 {
+            sum += self.pending[node];
+            node >>= 1;
         }
-        if nr - nl == 1 {
-            return Some(nl);
-        }
-        let mid = nl + (nr - nl) / 2;
-        let acc = acc + self.lazy[node];
-        self.rightmost_above(2 * node + 1, mid, nr, l, r, threshold, acc)
-            .or_else(|| self.rightmost_above(2 * node, nl, mid, l, r, threshold, acc))
+        sum
     }
 
-    fn collect_values(&self, node: usize, nl: usize, nr: usize, acc: i64, out: &mut Vec<i64>) {
-        if nr - nl == 1 {
-            out.push(self.max_v[node] + acc);
-            return;
+    /// The maximum over kernels `[l, r)`, `l < r <= len`.
+    ///
+    /// The bottom-up walk takes the covering nodes from both ends.  Every
+    /// node taken from the left has its parent at `lo - 1` one level up,
+    /// and every node taken from the right has it at `hi`; from there on
+    /// both sides share their ancestors, the chains `lo - 1` and `hi`.  So
+    /// each side adds the pending add of its chain node once per level,
+    /// and then those of the chain's remaining ancestors.  A side that has
+    /// taken no node adds nothing: its chain may start past the tree, as
+    /// `hi` does when the range ends at `N`.
+    fn range_max(&self, l: usize, r: usize) -> i64 {
+        let n = self.leaves();
+        let (mut lo, mut hi) = (l + n, r + n);
+        let (mut left, mut right) = (None::<i64>, None::<i64>);
+        while lo < hi {
+            if lo & 1 == 1 {
+                left = Some(left.map_or(self.max_v[lo], |m| m.max(self.max_v[lo])));
+                lo += 1;
+            }
+            if hi & 1 == 1 {
+                hi -= 1;
+                right = Some(right.map_or(self.max_v[hi], |m| m.max(self.max_v[hi])));
+            }
+            lo >>= 1;
+            hi >>= 1;
+            if let Some(m) = left.as_mut() {
+                *m += self.pending[lo - 1];
+            }
+            if let Some(m) = right.as_mut() {
+                *m += self.pending[hi];
+            }
         }
-        let mid = nl + (nr - nl) / 2;
-        let acc = acc + self.lazy[node];
-        self.collect_values(2 * node, nl, mid, acc, out);
-        self.collect_values(2 * node + 1, mid, nr, acc, out);
+        let left = left.map(|m| m + self.pending_from((lo - 1) >> 1));
+        let right = right.map(|m| m + self.pending_from(hi >> 1));
+        left.max(right).expect("a non-empty range covers a node")
+    }
+
+    /// Rightmost kernel in `[l, r)` whose occupancy exceeds `threshold`: a
+    /// top-down descent, right child first, that carries the pending adds
+    /// of the ancestors of each node it visits.  It enters only nodes that
+    /// overlap the range and whose maximum exceeds `threshold`, so past
+    /// the two boundary paths the first node it enters holds the answer.
+    fn rightmost_above(&self, l: usize, r: usize, threshold: i64) -> Option<usize> {
+        let n = self.leaves();
+        // (node, pending adds of its strict ancestors)
+        let mut stack = [(0usize, 0i64); DESCENT_STACK];
+        stack[0] = (1, 0);
+        let mut depth = 1;
+        while depth > 0 {
+            depth -= 1;
+            let (node, above) = stack[depth];
+            let level = node.ilog2();
+            let width = n >> level;
+            let start = (node - (1 << level)) * width;
+            if start + width <= l || r <= start || self.max_v[node] + above <= threshold {
+                continue;
+            }
+            if node >= n {
+                return Some(start);
+            }
+            let above = above + self.pending[node];
+            stack[depth] = (2 * node, above);
+            stack[depth + 1] = (2 * node + 1, above);
+            depth += 2;
+        }
+        None
     }
 
     fn raw_values(&self) -> Vec<i64> {
-        let mut out = Vec::with_capacity(self.len);
-        if self.len > 0 {
-            self.collect_values(1, 0, self.len, 0, &mut out);
+        let n = self.leaves();
+        // through[p]: the pending adds of `p` and all of its ancestors.
+        let mut through = vec![0i64; n];
+        for p in 1..n {
+            through[p] = through[p >> 1] + self.pending[p];
         }
-        out
+        (0..self.len)
+            .map(|i| self.max_v[n + i] + through[(n + i) >> 1])
+            .collect()
     }
 
     /// Number of kernels covered.
@@ -263,7 +314,7 @@ impl MemoryTimeline {
         for &(lo, hi) in ranges {
             let hi = hi.min(self.len);
             if lo < hi {
-                self.range_add(1, 0, self.len, lo, hi, delta);
+                self.range_add(lo, hi, delta);
             }
         }
     }
@@ -275,7 +326,7 @@ impl MemoryTimeline {
         for &(lo, hi) in ranges {
             let hi = hi.min(self.len);
             if lo < hi {
-                let max = self.range_max(1, 0, self.len, lo, hi, 0);
+                let max = self.range_max(lo, hi);
                 if max as i128 + bytes as i128 > capacity as i128 {
                     return false;
                 }
@@ -302,7 +353,7 @@ impl MemoryTimeline {
         // values always fit i64 so the comparison is exact.
         let threshold =
             ((capacity as i128) - (bytes as i128)).clamp(i64::MIN as i128, i64::MAX as i128) as i64;
-        match self.rightmost_above(1, 0, self.len, floor, hi, threshold, 0) {
+        match self.rightmost_above(floor, hi, threshold) {
             Some(k) => k + 1,
             None => floor,
         }
@@ -339,7 +390,7 @@ impl PressureTimeline for MemoryTimeline {
 /// by one `add(ranges, -bytes)` per eviction: the arithmetic is integer, so
 /// the order of the subtractions does not matter.  Ranges are clipped to the
 /// timeline, as [`PressureTimeline::add`] clips them.  It costs O(n + e)
-/// for `n` kernels and `e` evictions, against O(e log n) lazy range-adds
+/// for `n` kernels and `e` evictions, against O(e log n) range-adds
 /// into an O(n) build.
 ///
 /// # Panics

@@ -127,55 +127,36 @@ impl G10Scheduler {
             &mut schedule.pressure,
         );
 
-        let mut plan = MigrationPlan::new(graph.num_kernels());
+        // Pre-evictions after the kernel that ends each exploited period,
+        // in selection order; prefetches before the kernel chosen by the
+        // eager rescheduler, in prefetch order.  The `g10_alloc` /
+        // `g10_free` lines of the instrumented program are not part of the
+        // plan: the runtime never executes them, and `instrument::Program`
+        // derives them from the graph.
+        let pre_evictions = schedule.decisions.iter().map(|decision| {
+            let instruction = Instruction::PreEvict {
+                tensor: decision.tensor,
+                bytes: decision.bytes,
+                destination: decision.destination,
+            };
+            (decision.evict_kernel, instruction)
+        });
+        let prefetch_instructions = prefetches.iter().map(|prefetch| {
+            let instruction = Instruction::Prefetch {
+                tensor: prefetch.tensor,
+                bytes: prefetch.bytes,
+                source: prefetch.source,
+            };
+            (prefetch.prefetch_kernel, instruction)
+        });
+        let mut plan =
+            MigrationPlan::new(graph.num_kernels(), pre_evictions, prefetch_instructions);
         plan.set_planned_peak_pressure(schedule.pressure.max_value());
         plan.set_planned_ideal_time(trace.total_duration());
 
-        // Allocation and deallocation instructions for intermediate tensors
-        // at their first and last use, in tensor id order (Fig. 9 shows them
-        // interleaved with the launches).
-        let index = graph.index();
-        for tensor in graph.tensors().iter().filter(|t| !t.is_global()) {
-            let id = tensor.id();
-            let (Some(first_use), Some(last_use)) = (index.first_use(id), index.last_use(id))
-            else {
-                continue;
-            };
-            plan.push_before(
-                first_use,
-                Instruction::Alloc {
-                    tensor: id,
-                    bytes: tensor.bytes(),
-                },
-            );
-            plan.push_after(last_use, Instruction::Free { tensor: id });
-        }
-
-        // Pre-evictions after the kernel that ends each exploited period.
-        for decision in &schedule.decisions {
-            plan.push_after(
-                decision.evict_kernel,
-                Instruction::PreEvict {
-                    tensor: decision.tensor,
-                    bytes: decision.bytes,
-                    destination: decision.destination,
-                },
-            );
-        }
-
-        // Prefetches before the kernel chosen by the eager rescheduler, and
-        // initial placements for wrap-around evictions (steady state).
+        // Initial placements for wrap-around evictions (steady state).
         for prefetch in &prefetches {
-            plan.push_before(
-                prefetch.prefetch_kernel,
-                Instruction::Prefetch {
-                    tensor: prefetch.tensor,
-                    bytes: prefetch.bytes,
-                    source: prefetch.source,
-                },
-            );
-            let period = analysis.period(prefetch.period);
-            if period.wraps_iteration {
+            if analysis.period(prefetch.period).wraps_iteration {
                 plan.add_initial_placement(prefetch.tensor, prefetch.source);
             }
         }
@@ -187,14 +168,20 @@ impl G10Scheduler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::instrument::Program;
     use g10_dnn::cost::GpuCostModel;
+    use g10_dnn::graph::KernelId;
     use g10_dnn::models::{build_model, ModelKind};
 
     fn plan_for(variant: SchedulerVariant, gpu_bytes: u64) -> MigrationPlan {
         let graph = build_model(ModelKind::TinyCnn, 64);
-        let trace = KernelTrace::profile(&graph, &GpuCostModel::a100());
+        plan_on(&graph, variant, gpu_bytes)
+    }
+
+    fn plan_on(graph: &DnnGraph, variant: SchedulerVariant, gpu_bytes: u64) -> MigrationPlan {
+        let trace = KernelTrace::profile(graph, &GpuCostModel::a100());
         let config = SystemConfig::table2().with_gpu_memory(gpu_bytes);
-        G10Scheduler::new(config, variant).plan(&graph, &trace)
+        G10Scheduler::new(config, variant).plan(graph, &trace)
     }
 
     #[test]
@@ -206,11 +193,22 @@ mod tests {
 
     #[test]
     fn plenty_of_memory_means_no_migrations() {
-        let plan = plan_for(SchedulerVariant::Full, 1 << 40);
+        let graph = build_model(ModelKind::TinyCnn, 64);
+        let plan = plan_on(&graph, SchedulerVariant::Full, 1 << 40);
         assert_eq!(plan.eviction_count(), 0);
         assert_eq!(plan.prefetch_count(), 0);
-        // Alloc/free instructions are still emitted for intermediates.
-        assert!(plan.instructions().count() > 0);
+        assert_eq!(plan.instructions().count(), 0);
+        // The instrumented program still allocates and frees the
+        // intermediates.
+        let program = Program::new(&graph, &plan);
+        let kernels = (0..plan.len()).map(|k| KernelId::new(k as u32));
+        let lines: usize = kernels
+            .map(|k| program.before(k).count() + program.after(k).count())
+            .sum();
+        assert_eq!(
+            lines,
+            2 * graph.tensors().iter().filter(|t| !t.is_global()).count()
+        );
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! `g10_core::pressure` and `g10_core::bandwidth`:
 //!
 //! * the property tests (`crates/g10-core/tests/timeline_props.rs`) assert
-//!   that the segment-tree `MemoryTimeline` and the run-length
+//!   that the range-max tree `MemoryTimeline` and the run-length
 //!   `BandwidthTimeline` agree with these on random operation sequences,
 //!   and
 //! * `tests/planner_scaling.rs` runs the whole eviction + prefetch pipeline

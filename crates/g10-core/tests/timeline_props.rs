@@ -1,7 +1,9 @@
-//! Property tests: the planning timelines (segment-tree [`MemoryTimeline`],
+//! Property tests: the planning timelines (range-max tree [`MemoryTimeline`],
 //! selection's [`AboveCapacity`] index, run-length [`BandwidthTimeline`])
 //! must agree with the flat-`Vec` reference implementations in
-//! `support/naive.rs` on random operation sequences.
+//! `support/naive.rs` on random operation sequences, and the pressure tree
+//! also on every operation at the lengths and ranges where its shape
+//! changes (powers of two, ranges from 0 and to the end, empty ranges).
 //!
 //! Every query must match *exactly*: the integer-valued ones (`max_value`,
 //! `fits_extra`, `latest_fit`, `values`), the integer-accumulated benefit
@@ -49,6 +51,102 @@ fn naive_bandwidth_matches_documented_semantics() {
         t.free_bytes_between(Nanos::ZERO, Nanos::from_millis(3)),
         2_000_000
     );
+}
+
+/// Lengths at which the tree's shape changes: empty, one and two kernels,
+/// and one short of, exactly at and one past every power of two up to
+/// 2^11 (the tree pads to the next power of two).
+fn edge_lengths() -> Vec<usize> {
+    let mut lengths = vec![0, 1, 2];
+    for k in 2..=11 {
+        lengths.extend([(1 << k) - 1, 1 << k, (1 << k) + 1]);
+    }
+    lengths.dedup();
+    lengths
+}
+
+/// Half-open ranges over an `n`-kernel timeline from a few boundary
+/// points: ranges from 0, ranges to `n` and past it, one-kernel ranges at
+/// both ends, empty ranges (`lo == hi`) and reversed ones (`lo > hi`).
+fn edge_ranges(n: usize) -> Vec<(usize, usize)> {
+    let points = [0, 1, n / 2, n.saturating_sub(1), n, n + 1];
+    let mut ranges = Vec::new();
+    for lo in points {
+        for hi in points {
+            ranges.push((lo, hi));
+        }
+    }
+    ranges.sort_unstable();
+    ranges.dedup();
+    ranges
+}
+
+/// Every query of both timelines over every edge range must agree.
+/// `fits_extra` is asked at the slack of the range (the largest extra that
+/// fits) and one byte over it; `latest_fit` only when `with_latest_fit`,
+/// as the reference's backward walk is quadratic in the range length.
+fn assert_edge_queries_agree(
+    tree: &MemoryTimeline,
+    flat: &NaiveMemoryTimeline,
+    ranges: &[(usize, usize)],
+    capacity: u64,
+    with_latest_fit: bool,
+) {
+    assert_eq!(tree.len(), flat.len());
+    assert_eq!(tree.values(), flat.values());
+    assert_eq!(tree.max_value(), flat.max_value());
+    for &(lo, hi) in ranges {
+        let slack = capacity.saturating_sub(flat.max_in(&[(lo, hi)]));
+        for bytes in [0, slack, slack + 1, u64::MAX >> 2] {
+            assert_eq!(
+                tree.fits_extra(&[(lo, hi)], bytes, capacity),
+                flat.fits_extra(&[(lo, hi)], bytes, capacity),
+                "fits_extra({lo}..{hi}, {bytes}) over {} kernels",
+                flat.len()
+            );
+            if with_latest_fit {
+                assert_eq!(
+                    tree.latest_fit(lo, hi, bytes, capacity),
+                    flat.latest_fit(lo, hi, bytes, capacity),
+                    "latest_fit({lo}, {hi}, {bytes}) over {} kernels",
+                    flat.len()
+                );
+            }
+        }
+    }
+}
+
+/// The tree against the reference at every [`edge_lengths`] length, under
+/// range-adds of both signs over every [`edge_ranges`] range, so pending
+/// adds sit on the boundary paths of ranges that start at 0 and that end
+/// at a power of two.  Some values fall below zero, where `values` and
+/// `max_value` clamp.
+#[test]
+fn memory_timeline_matches_the_reference_at_tree_shape_edges() {
+    const MIB: u64 = 1 << 20;
+    let capacity = 700 * MIB;
+    for n in edge_lengths() {
+        let values: Vec<u64> = (0..n as u64).map(|i| (i * 7_919 % 997) * MIB).collect();
+        let ranges = edge_ranges(n);
+        let mut tree = MemoryTimeline::new(&values);
+        let mut flat = NaiveMemoryTimeline::new(&values);
+        assert_edge_queries_agree(&tree, &flat, &ranges, capacity, true);
+        for (step, &(lo, hi)) in ranges.iter().enumerate() {
+            let delta = (step as i64 % 7 - 3) * 97 * MIB as i64;
+            tree.add(&[(lo, hi)], delta);
+            flat.add(&[(lo, hi)], delta);
+            assert_edge_queries_agree(&tree, &flat, &ranges, capacity, false);
+            let slack = capacity.saturating_sub(flat.max_in(&[(lo, hi)]));
+            for bytes in [slack, slack + 1] {
+                assert_eq!(
+                    tree.latest_fit(lo, hi, bytes, capacity),
+                    flat.latest_fit(lo, hi, bytes, capacity),
+                    "latest_fit({lo}, {hi}, {bytes}) over {n} kernels after {step} adds"
+                );
+            }
+        }
+        assert_edge_queries_agree(&tree, &flat, &ranges, capacity, true);
+    }
 }
 
 proptest! {

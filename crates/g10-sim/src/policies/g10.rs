@@ -8,7 +8,6 @@ use g10_core::plan::{Instruction, MigrationPlan};
 use g10_core::scheduler::SchedulerVariant;
 use g10_dnn::graph::KernelId;
 use g10_dnn::tensor::{TensorId, TensorInfo};
-use std::collections::HashMap;
 
 fn destination_to_location(destination: Destination) -> Location {
     match destination {
@@ -17,23 +16,30 @@ fn destination_to_location(destination: Destination) -> Location {
     }
 }
 
-/// Executes a [`MigrationPlan`] at runtime.
+/// Executes a [`MigrationPlan`] at runtime: before and after each kernel it
+/// issues that kernel's slice of the plan's table.
 #[derive(Debug, Clone)]
 pub struct G10Policy {
     plan: MigrationPlan,
     variant: SchedulerVariant,
-    initial: HashMap<TensorId, Location>,
+    /// The plan's initial placements sorted by tensor, one per tensor.
+    initial: Vec<(TensorId, Location)>,
 }
 
 impl G10Policy {
     /// Creates the runtime policy for a plan produced by the matching
     /// scheduler variant.
     pub fn new(plan: MigrationPlan, variant: SchedulerVariant) -> Self {
-        let initial = plan
+        // Reversed, so that the stable sort and `dedup` keep a tensor's
+        // last placement, as inserting them into a map in order would.
+        let mut initial: Vec<_> = plan
             .initial_placements()
             .iter()
+            .rev()
             .map(|p| (p.tensor, destination_to_location(p.location)))
             .collect();
+        initial.sort_by_key(|&(tensor, _)| tensor);
+        initial.dedup_by_key(|&mut (tensor, _)| tensor);
         G10Policy {
             plan,
             variant,
@@ -58,8 +64,11 @@ impl MemoryPolicy for G10Policy {
     }
 
     fn initial_location(&self, tensor: &TensorInfo) -> Location {
-        if let Some(location) = self.initial.get(&tensor.id()) {
-            *location
+        if let Ok(at) = self
+            .initial
+            .binary_search_by_key(&tensor.id(), |&(tensor, _)| tensor)
+        {
+            self.initial[at].1
         } else if tensor.is_global() {
             Location::Gpu
         } else {
@@ -150,6 +159,39 @@ mod tests {
             let graph = build_model(ModelKind::TinyCnn, 64);
             let info = graph.tensor(placement.tensor);
             assert_ne!(policy.initial_location(info), Location::Gpu);
+        }
+    }
+
+    #[test]
+    fn initial_locations_read_the_last_placement_of_each_tensor() {
+        let graph = build_model(ModelKind::TinyCnn, 8);
+        let mut plan =
+            MigrationPlan::new(graph.num_kernels(), std::iter::empty(), std::iter::empty());
+        let weight = graph
+            .tensors()
+            .iter()
+            .find(|t| t.is_global())
+            .expect("a weight");
+        let activation = graph
+            .tensors()
+            .iter()
+            .find(|t| !t.is_global())
+            .expect("an intermediate");
+        plan.add_initial_placement(weight.id(), Destination::Ssd);
+        plan.add_initial_placement(activation.id(), Destination::Host);
+        plan.add_initial_placement(weight.id(), Destination::Host);
+        let policy = G10Policy::new(plan, SchedulerVariant::Full);
+        assert_eq!(policy.initial_location(weight), Location::Host);
+        assert_eq!(policy.initial_location(activation), Location::Host);
+        for tensor in graph.tensors() {
+            if tensor.id() != weight.id() && tensor.id() != activation.id() {
+                let expected = if tensor.is_global() {
+                    Location::Gpu
+                } else {
+                    Location::Unallocated
+                };
+                assert_eq!(policy.initial_location(tensor), expected);
+            }
         }
     }
 }

@@ -40,23 +40,21 @@ fn plan_prefetches_every_evicted_tensor_before_its_next_use() {
     // initial placement for wrap-around periods).
     for kernel_idx in 0..plan.len() {
         let kernel = g10::dnn::graph::KernelId::new(kernel_idx as u32);
-        for instruction in &plan.at(kernel).after {
+        for instruction in plan.after(kernel) {
             if let Instruction::PreEvict { tensor, .. } = instruction {
                 let wrap = plan
                     .initial_placements()
                     .iter()
                     .any(|p| p.tensor == *tensor);
                 let prefetched_later = (kernel_idx..plan.len()).any(|k| {
-                    plan.at(g10::dnn::graph::KernelId::new(k as u32))
-                        .before
+                    plan.before(g10::dnn::graph::KernelId::new(k as u32))
                         .iter()
                         .any(
                             |i| matches!(i, Instruction::Prefetch { tensor: t, .. } if t == tensor),
                         )
                 });
                 let prefetched_anywhere = (0..plan.len()).any(|k| {
-                    plan.at(g10::dnn::graph::KernelId::new(k as u32))
-                        .before
+                    plan.before(g10::dnn::graph::KernelId::new(k as u32))
                         .iter()
                         .any(
                             |i| matches!(i, Instruction::Prefetch { tensor: t, .. } if t == tensor),

@@ -20,6 +20,7 @@ use g10::core::config::{Destination, SystemConfig};
 use g10::core::eviction::{
     schedule_evictions, schedule_evictions_with, EvictionDecision, EvictionOptions,
 };
+use g10::core::instrument::Program;
 use g10::core::prefetch::schedule_prefetches;
 use g10::core::pressure::MemoryTimeline;
 use g10::core::scheduler::{G10Scheduler, SchedulerVariant};
@@ -78,15 +79,18 @@ fn fingerprint_plan(
         fp.push(p.latest_safe_time.as_nanos());
     }
 
-    // The assembled plan, exactly as the simulator consumes it.
+    // The assembled plan, exactly as the simulator consumes it, in its
+    // instrumented program: the `g10_alloc` / `g10_free` lines the plan
+    // once stored, then the plan's own instructions, at every kernel.
     let plan = G10Scheduler::new(*config, variant).plan_with_analysis(graph, trace, analysis);
     fp.push(plan.planned_peak_pressure());
     fp.push(plan.planned_ssd_evict_bytes());
     fp.push(plan.planned_host_evict_bytes());
     fp.push(plan.planned_ideal_time().as_nanos());
+    let program = Program::new(graph, &plan);
     for k in 0..plan.len() {
-        let at = plan.at(g10::dnn::graph::KernelId::new(k as u32));
-        for instr in at.before.iter().chain(at.after.iter()) {
+        let kernel = g10::dnn::graph::KernelId::new(k as u32);
+        for instr in program.before(kernel).chain(program.after(kernel)) {
             let (code, tensor, bytes, loc) = match *instr {
                 Instruction::Alloc { tensor, bytes } => (0, tensor, bytes, 0),
                 Instruction::Free { tensor } => (1, tensor, 0, 0),
