@@ -18,8 +18,9 @@
 //! `BENCH_<n>.json` perf-trajectory snapshot (`scripts/bench-compare.sh`).
 
 use g10_bench::cli::{self, Args, Command, MAX_TENANTS};
-use g10_bench::experiments::{self, run_cache_stats, set_run_store};
+use g10_bench::experiments;
 use g10_bench::json::Json;
+use g10_bench::lab::{Lab, RunCacheStats};
 use g10_bench::output::{write_figure_csvs, Table};
 use g10_bench::serve::protocol::{parse_job, split_list, MAX_MIB};
 use g10_bench::serve::{self, JobRequest, RunRequest, ServeOptions};
@@ -30,6 +31,7 @@ use g10_dnn::models::ModelKind;
 use g10_sim::{CancelToken, OnPolicyFault, RuntimeOptions};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Prints `tables` and writes them as `<name>.csv`, or `<name>_<i>.csv`
@@ -41,11 +43,11 @@ fn emit(name: &str, tables: &[Table], out_dir: &Path) {
     write_figure_csvs(tables, out_dir, name);
 }
 
-/// A figure command: its driver from [`experiments::figure_set`], or for
-/// `all` every driver, each with its wall time so per-figure grid costs
-/// are visible run to run.
-fn figures(command: &str, out_dir: &Path) -> Result<(), String> {
-    for (name, driver) in experiments::figure_set() {
+/// A figure command: its driver from [`experiments::figure_drivers`], or
+/// for `all` every driver, each with its wall time so per-figure grid
+/// costs are visible run to run.
+fn figures(lab: &Lab, command: &str, out_dir: &Path) -> Result<(), String> {
+    for (name, driver) in experiments::figure_drivers(lab) {
         if command == "all" {
             let started = Instant::now();
             emit(name, &driver(), out_dir);
@@ -95,7 +97,7 @@ fn hardware(args: &Args) -> Result<SystemConfig, String> {
 
 /// The `run` command: one (model, batch) cell under any list of policy
 /// names, resolved through the open policy registry.
-fn custom_run(args: &Args, out_dir: &Path) -> Result<(), String> {
+fn custom_run(lab: &Lab, args: &Args, out_dir: &Path) -> Result<(), String> {
     let model: ModelKind = args
         .text("--model")
         .ok_or_else(|| "run requires --model <name> (try --help)".to_string())?
@@ -115,15 +117,16 @@ fn custom_run(args: &Args, out_dir: &Path) -> Result<(), String> {
         let spec = fallback.parse().map_err(|err| format!("--on-fault: {err}"));
         options.on_policy_fault = OnPolicyFault::FallbackTo(spec?);
     }
-    let table = experiments::custom_run_with_options(model, batch, &policies, &config, &options)
-        .map_err(|err| err.to_string())?;
+    let table =
+        experiments::custom_run_with_options(lab, model, batch, &policies, &config, &options)
+            .map_err(|err| err.to_string())?;
     emit(&format!("run_{}_{batch}", model.name()), &[table], out_dir);
     Ok(())
 }
 
 /// The `multi` command: a tenant mix replayed under each named policy,
 /// reduced to throughput and per-job-slowdown CSVs.
-fn multi_cmd(args: &Args, out_dir: &Path) -> Result<(), String> {
+fn multi_cmd(lab: &Lab, args: &Args, out_dir: &Path) -> Result<(), String> {
     let tenants = args.get::<usize>("--tenants");
     let stress = args.switch("--stress");
     let policies = policy_names(args, "base-uvm,g10,tensile")?;
@@ -139,13 +142,13 @@ fn multi_cmd(args: &Args, out_dir: &Path) -> Result<(), String> {
         requests
             .iter()
             .enumerate()
-            .map(|(i, job)| job.to_spec(i))
+            .map(|(i, job)| job.to_spec(lab, i))
             .collect()
     } else {
         let tenants = tenants.unwrap_or(3);
         match stress {
             true => experiments::stress_tenant_mix(tenants),
-            false => experiments::default_tenant_mix(tenants),
+            false => experiments::default_tenant_mix(lab, tenants),
         }
     };
     let tables = experiments::multi_tenant_tables(&jobs, &policies, &config)
@@ -155,20 +158,21 @@ fn multi_cmd(args: &Args, out_dir: &Path) -> Result<(), String> {
     Ok(())
 }
 
-/// The `serve` command: run the experiment daemon until shutdown.
-fn serve_cmd(args: &Args) -> Result<(), String> {
+/// The `serve` command: run the experiment daemon on `lab` until shutdown.
+fn serve_cmd(lab: Arc<Lab>, args: &Args) -> Result<(), String> {
     let defaults = ServeOptions::default();
     let queue_mib = args.get::<u64>("--queue-mib");
     if queue_mib.is_some_and(|mib| mib == 0 || mib > MAX_MIB) {
         return Err("--queue-mib out of range".to_string());
     }
-    serve::serve(&ServeOptions {
+    let options = ServeOptions {
         addr: args.text("--addr").unwrap_or(&defaults.addr).to_string(),
         workers: args.get("--workers").unwrap_or(defaults.workers),
         queue_depth: args.get("--queue-depth").unwrap_or(defaults.queue_depth),
         queue_bytes: queue_mib.map_or(defaults.queue_bytes, |mib| mib << 20),
         drain_ms: args.get("--drain-ms").unwrap_or(defaults.drain_ms),
-    })
+    };
+    serve::serve(&options, lab)
 }
 
 /// The `submit` command: one exchange against a running daemon.  Shares
@@ -232,9 +236,9 @@ fn submit(args: &Args) -> Result<(), String> {
     }
 }
 
-/// `cache gc`: prune the persistent store to `--max-mib`.
-fn cache_gc(args: &Args) -> Result<(), String> {
-    let store = experiments::run_store().ok_or_else(|| {
+/// `cache gc`: prune `lab`'s persistent store to `--max-mib`.
+fn cache_gc(lab: &Lab, args: &Args) -> Result<(), String> {
+    let store = lab.store().ok_or_else(|| {
         "cache gc needs a store: pass --cache-dir DIR or set G10_CACHE_DIR".to_string()
     })?;
     let max_mib = args
@@ -251,8 +255,8 @@ fn cache_gc(args: &Args) -> Result<(), String> {
 }
 
 /// `bench snapshot`: emit the next `BENCH_<n>.json` under the out dir.
-fn bench_snapshot(out_dir: &Path) -> Result<(), String> {
-    let snapshot = trajectory::collect(out_dir);
+fn bench_snapshot(lab: &Lab, out_dir: &Path) -> Result<(), String> {
+    let snapshot = trajectory::collect(lab, out_dir);
     println!(
         "[bench] grid: {:.1} ms, {} cells replayed, {} memory hits, {} disk hits, {} CSV files",
         snapshot.grid.wall_ms,
@@ -335,39 +339,42 @@ fn main() -> ExitCode {
         }
     };
 
-    // Install the persistent run-cache store, if requested.  An explicit
-    // flag always wins; the environment variable is the CI/dev default.
+    // The process's one `Lab`, with the persistent run-cache store if one
+    // is requested.  An explicit flag always wins; the environment
+    // variable is the CI/dev default.
     let env_dir = || std::env::var_os("G10_CACHE_DIR").map(PathBuf::from);
     let cache_dir = args.text("--cache-dir").map(PathBuf::from).or_else(env_dir);
+    let mut store = None;
     if let Some(dir) = cache_dir.filter(|_| !args.switch("--no-cache")) {
         match RunStore::open(&dir) {
-            Ok(store) => set_run_store(Some(store)),
+            Ok(opened) => store = Some(opened),
             Err(err) => {
                 eprintln!("error: could not open cache dir {}: {err}", dir.display());
                 return ExitCode::FAILURE;
             }
         }
     }
+    let lab = Arc::new(Lab::new(store));
 
     let started = Instant::now();
     let out_dir = PathBuf::from(args.text("--out").unwrap_or("results"));
     let words = &args.words;
     let result = match args.command {
-        Command::Figure => figures(&words[0], &out_dir),
-        Command::Run => custom_run(&args, &out_dir),
-        Command::Multi => multi_cmd(&args, &out_dir),
-        Command::Serve => serve_cmd(&args),
+        Command::Figure => figures(&lab, &words[0], &out_dir),
+        Command::Run => custom_run(&lab, &args, &out_dir),
+        Command::Multi => multi_cmd(&lab, &args, &out_dir),
+        Command::Serve => serve_cmd(Arc::clone(&lab), &args),
         Command::Submit => submit(&args),
-        Command::CacheGc => cache_gc(&args),
-        Command::BenchSnapshot => bench_snapshot(&out_dir),
+        Command::CacheGc => cache_gc(&lab, &args),
+        Command::BenchSnapshot => bench_snapshot(&lab, &out_dir),
         Command::BenchCompare => bench_compare(&args, &words[2], &words[3]),
     };
     if let Err(err) = result {
         eprintln!("error: {err}");
         return ExitCode::FAILURE;
     }
-    let stats = run_cache_stats();
-    if stats.total() > 0 {
+    let stats = lab.stats();
+    if stats != RunCacheStats::default() {
         println!("[experiments] {}", stats.summary());
     }
     let written = match args.command.takes("--out") {

@@ -7,7 +7,7 @@
 //! the chosen command does not read, each with a one-line message; the
 //! binary only dispatches.  [`usage`] builds `--help` from the same table.
 
-use crate::experiments::figure_set;
+use crate::experiments::FIGURES;
 use g10_dnn::models::MAX_BATCH;
 use g10_sim::FaultPlan;
 use std::str::FromStr;
@@ -246,9 +246,7 @@ fn command(words: &[String]) -> Result<(Command, usize), String> {
         ["multi", ..] => (Multi, 1, 1),
         ["serve", ..] => (Serve, 1, 1),
         ["submit", ..] => (Submit, 1, 1),
-        [name, ..] if name == "all" || figure_set().iter().any(|(figure, _)| *figure == name) => {
-            (Figure, 1, 1)
-        }
+        [name, ..] if name == "all" || FIGURES.contains(&name) => (Figure, 1, 1),
         [name, ..] => return Err(format!("unknown command: {name}")),
     };
     if words.len() > count {
@@ -279,7 +277,6 @@ pub fn usage() -> String {
         text += "\n";
     }
     let global: Vec<String> = global.iter().map(|flag| flag.synopsis()).collect();
-    let figures: Vec<&str> = figure_set().iter().map(|(name, _)| *name).collect();
     text + &format!(
         "\nEvery command also takes {} (or reads\n\
          G10_CACHE_DIR=DIR) and refuses any other flag.  <figure> is one of\n  {}.\n\
@@ -290,6 +287,6 @@ pub fn usage() -> String {
          --policy takes ideal, base-uvm, deepum+, flashneuron, g10-gds, g10-host,\n\
          g10, tensile or any policy registered via g10_sim::register_policy.",
         global.join(" "),
-        figures.join(" ")
+        FIGURES.join(" ")
     )
 }

@@ -2,368 +2,100 @@
 //!
 //! Every driver returns a [`Table`] (or a set of tables) containing the same
 //! rows / series the paper reports, so the `experiments` binary can print
-//! them and write CSV files under `results/`.  The drivers are also reused
-//! by the criterion benches.
+//! them and write CSV files under `results/`.  A driver that builds
+//! workloads or replays cells takes the [`Lab`] that owns those caches.
 
+use crate::lab::{default_lab, Lab, RunCacheStats};
 use crate::output::Table;
-use crate::store::{RunKey, RunStore};
 use g10_core::config::SystemConfig;
 use g10_core::vitality::VitalityAnalysis;
 use g10_dnn::models::stress::StressGptConfig;
 use g10_dnn::models::ModelKind;
 use g10_sim::metrics::SimReport;
 use g10_sim::{
-    parallel_map, register_tensile, CancelRecord, CancelToken, Experiment, JobSpec, OnPolicyFault,
-    PolicyKind, PolicySpec, RuntimeOptions, SimError, Validate, Workload,
+    parallel_map, register_tensile, Experiment, JobSpec, PolicyKind, PolicySpec, RuntimeOptions,
+    SimError, Workload,
 };
 use g10_ssd::EnduranceModel;
 use g10_time::Nanos;
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 const GIB: f64 = (1u64 << 30) as f64;
 const GB: f64 = 1e9;
 
-/// Per-cell once-init slot: the map lock is held only to hand out the slot,
-/// and the slot's `OnceLock` guarantees the expensive value is computed
-/// exactly once even when several sweep workers race on the same cell.
-type CellSlot<T> = Arc<OnceLock<T>>;
-
-fn cell_slot<K: std::hash::Hash + Eq + Clone, T>(
-    cache: &Mutex<HashMap<K, CellSlot<T>>>,
-    key: &K,
-) -> CellSlot<T> {
-    cache
-        .lock()
-        .expect("cell cache poisoned")
-        .entry(key.clone())
-        .or_default()
-        .clone()
-}
-
-/// Memoized workload construction, shared across every figure driver.
-///
-/// Building and profiling a full-size graph costs far more than replaying
-/// it, and the drivers overlap heavily in the (model, batch) cells they
-/// visit — BERT at its evaluation batch alone used to be rebuilt six times
-/// across Table 1 and Figures 11–19.  The cache hands out `Arc`s so the
-/// parallel sweeps share one immutable instance, and each cell is built
-/// exactly once: workers racing on the *same* cell block on its `OnceLock`
-/// instead of each paying a full graph build, while different cells still
-/// build concurrently.
+/// perfbench's entry point: [`Lab::workload`] on the process-default
+/// `Lab`.  Goes with ROADMAP item 4b.
 pub fn workload(model: ModelKind, batch: u64) -> Arc<Workload> {
-    type WorkloadCache = Mutex<HashMap<(ModelKind, u64), CellSlot<Arc<Workload>>>>;
-    static CACHE: OnceLock<WorkloadCache> = OnceLock::new();
-    let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
-    let slot = cell_slot(cache, &(model, batch));
-    slot.get_or_init(|| Arc::new(Workload::new(model, batch)))
-        .clone()
+    default_lab().workload(model, batch)
 }
 
-/// Canonical hashable key of a [`SystemConfig`] — see
-/// [`SystemConfig::cache_key`]: sweeps that modify the hardware (host
-/// memory, SSD bandwidth, PCIe generation) get distinct run-cache cells.
-type ConfigKey = [u64; 12];
-
-/// The in-memory cell map shared by [`cached_run`] and
-/// [`cached_run_cancellable`]: both ultimately memoise the same canonical
-/// (model, batch, policy, config) cells, so a cell replayed by a figure
-/// sweep serves a daemon request and vice versa.
-type CellKey = (ModelKind, u64, PolicyKind, ConfigKey);
-
-fn run_cell_cache() -> &'static Mutex<HashMap<CellKey, CellSlot<Arc<SimReport>>>> {
-    type RunCache = Mutex<HashMap<CellKey, CellSlot<Arc<SimReport>>>>;
-    static CACHE: OnceLock<RunCache> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
-}
-
-/// The persistent-store key of one canonical cell.
-fn store_key(model: ModelKind, batch: u64, policy: PolicyKind, config: &SystemConfig) -> RunKey {
-    RunKey {
-        model: model.name().to_string(),
-        batch,
-        policy: policy.label().to_string(),
-        config: config.cache_key(),
-    }
-}
-
-static RUN_CACHE_MEMORY_HITS: AtomicU64 = AtomicU64::new(0);
-static RUN_CACHE_DISK_HITS: AtomicU64 = AtomicU64::new(0);
-static RUN_CACHE_REPLAYS: AtomicU64 = AtomicU64::new(0);
-
-/// The process-wide persistent store behind [`cached_run`], if one is
-/// configured (`--cache-dir`, `G10_CACHE_DIR`).
-static RUN_STORE: Mutex<Option<Arc<RunStore>>> = Mutex::new(None);
-
-/// Installs (or, with `None`, removes) the persistent on-disk store that
-/// [`cached_run`] consults before replaying a cell.  The in-memory cell map
-/// always sits in front of it, so each cell touches disk at most once per
-/// process.
-pub fn set_run_store(store: Option<RunStore>) {
-    *RUN_STORE.lock().expect("run store lock poisoned") = store.map(Arc::new);
-}
-
-/// The currently installed persistent store, if any.
-pub fn run_store() -> Option<Arc<RunStore>> {
-    RUN_STORE.lock().expect("run store lock poisoned").clone()
-}
-
-/// Memoized simulation cells, deduplicating the experiment grid.
-///
-/// The figures repeat (model, batch, policy, config) cells: Figure 11's
-/// end-to-end runs reappear as Figure 19's error-free baseline and as the
-/// eval-batch rows of Figure 15's sweep.  Each distinct cell replays once;
-/// repeats are served from the cache (`Arc`-shared, per-cell once-init like
-/// [`workload`]).  When a persistent store is installed
-/// ([`set_run_store`]), the first touch of a cell consults disk before
-/// replaying and persists what it replays, so *fresh processes* are served
-/// too — the three outcomes are tallied in [`run_cache_stats`].  Only
-/// replays of the workload's own trace under default runtime options go
-/// through here — the perturbed-trace runs of Figure 19 are not cacheable
-/// by this key and call the runner directly.
+/// perfbench's entry point: [`Lab::run`] on the process-default `Lab`.
+/// Goes with ROADMAP item 4b.
 pub fn cached_run(
     model: ModelKind,
     batch: u64,
     policy: PolicyKind,
     config: &SystemConfig,
 ) -> Arc<SimReport> {
-    cached_cell(model, batch, policy, config).0
+    default_lab().run(model, batch, policy, config)
 }
 
-/// [`cached_run`], also reporting where the cell was served from.
-fn cached_cell(
-    model: ModelKind,
-    batch: u64,
-    policy: PolicyKind,
-    config: &SystemConfig,
-) -> (Arc<SimReport>, CacheOutcome) {
-    let key = (model, batch, policy, config.cache_key());
-    let slot = cell_slot(run_cell_cache(), &key);
-    // `None` after get_or_init means another thread initialised the slot —
-    // an in-memory hit.
-    let mut first_touch = None;
-    let report = slot.get_or_init(|| {
-        let (report, outcome) =
-            load_or_replay(model, batch, policy, config, RuntimeOptions::default())
-                .expect("built-in policies always resolve");
-        first_touch = Some(outcome);
-        Arc::new(report)
-    });
-    let outcome = first_touch.unwrap_or(CacheOutcome::MemoryHit);
-    outcome.tally();
-    (report.clone(), outcome)
-}
-
-/// The miss path shared by [`cached_run`] and [`cached_run_cancellable`]:
-/// serves the cell from the persistent store if one is installed and holds
-/// it, else replays it under `options` and persists the result (a failed
-/// write only warns).  A failed replay writes nothing.  Touches neither the
-/// in-memory cell map nor the counters; the callers own both.
-fn load_or_replay(
-    model: ModelKind,
-    batch: u64,
-    policy: PolicyKind,
-    config: &SystemConfig,
-    options: RuntimeOptions,
-) -> Result<(SimReport, CacheOutcome), SimError> {
-    let store = run_store();
-    let store_key = store_key(model, batch, policy, config);
-    if let Some(report) = store.as_ref().and_then(|store| store.load(&store_key)) {
-        return Ok((report, CacheOutcome::DiskHit));
-    }
-    let report = Experiment::new(&workload(model, batch))
-        .policy(policy)
-        .config(*config)
-        .options(options)
-        .run()?;
-    if let Some(store) = &store {
-        if let Err(err) = store.save(&store_key, &report) {
-            eprintln!(
-                "warning: could not persist run-cache entry {}: {err}",
-                store.entry_path(&store_key).display()
-            );
-        }
-    }
-    Ok((report, CacheOutcome::Replayed))
-}
-
-/// Where a [`cached_run_cancellable`] lookup was served from.  The serve
-/// daemon reports this as the `source` field of a run response, so tests
-/// and kick-tires can assert cross-request and cross-process reuse.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum CacheOutcome {
-    /// Both caches missed; the cell was simulated (and persisted, if a
-    /// store is installed).
-    Replayed,
-    /// Served from this process's in-memory cell map.
-    MemoryHit,
-    /// Served from the persistent on-disk store.
-    DiskHit,
-}
-
-impl CacheOutcome {
-    /// Stable wire label (`replayed` / `memory` / `disk`).
-    pub const fn label(self) -> &'static str {
-        match self {
-            CacheOutcome::Replayed => "replayed",
-            CacheOutcome::MemoryHit => "memory",
-            CacheOutcome::DiskHit => "disk",
-        }
-    }
-
-    /// Counts one lookup served this way in [`run_cache_stats`].
-    fn tally(self) {
-        let counter = match self {
-            CacheOutcome::Replayed => &RUN_CACHE_REPLAYS,
-            CacheOutcome::MemoryHit => &RUN_CACHE_MEMORY_HITS,
-            CacheOutcome::DiskHit => &RUN_CACHE_DISK_HITS,
-        };
-        counter.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
-/// [`cached_run`] with cooperative cancellation, reporting where the result
-/// came from.  The lookup order is the same — in-memory cell map, then the
-/// persistent store, then a replay — but the replay runs with `cancel`
-/// installed, and a cancelled or expired run returns the typed
-/// [`SimError`] **without** touching either cache: nothing is memoised and
-/// no store entry is written, so a partial run can never be served later
-/// as the cell's canonical result.
-///
-/// Unlike [`cached_run`], concurrent callers racing on the same missing
-/// cell each replay it themselves rather than blocking on the slot's
-/// `OnceLock` — a deliberate trade: a request holding the once-init lock
-/// while honouring its own deadline would wedge every other request for
-/// that cell behind a budget it does not share.  Whoever finishes first
-/// populates the slot (the replays are deterministic, so the results are
-/// identical); the daemon's admission queue keeps the duplicated work
-/// bounded.
-///
-/// # Errors
-///
-/// [`SimError::DeadlineExceeded`] / [`SimError::Cancelled`] when `cancel`
-/// fires mid-replay; built-in policies cannot otherwise fail under default
-/// options.
-pub fn cached_run_cancellable(
-    model: ModelKind,
-    batch: u64,
-    policy: PolicyKind,
-    config: &SystemConfig,
-    cancel: CancelToken,
-) -> Result<(Arc<SimReport>, CacheOutcome), SimError> {
-    // A token that has already fired refuses even a cache hit: the caller
-    // (or the daemon on its behalf) has given up on this request, and
-    // answering an abandoned request — however cheaply — hides the typed
-    // deadline error the robustness contract promises.
-    if let Some(kind) = cancel.fired(0) {
-        return Err(CancelRecord {
-            policy: policy.label().to_string(),
-            step: 0,
-            kind,
-        }
-        .into());
-    }
-    let key = (model, batch, policy, config.cache_key());
-    let slot = cell_slot(run_cell_cache(), &key);
-    if let Some(report) = slot.get() {
-        CacheOutcome::MemoryHit.tally();
-        return Ok((report.clone(), CacheOutcome::MemoryHit));
-    }
-    let options = RuntimeOptions {
-        cancel: Some(cancel),
-        ..RuntimeOptions::default()
-    };
-    let (report, outcome) = load_or_replay(model, batch, policy, config, options)?;
-    let report = slot.get_or_init(|| Arc::new(report)).clone();
-    outcome.tally();
-    Ok((report, outcome))
-}
-
-/// Cumulative [`cached_run`] outcome counters — see [`run_cache_stats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct RunCacheStats {
-    /// Cells actually simulated (in-memory and disk caches both missed).
-    pub replayed: u64,
-    /// Lookups served by this process's in-memory cell map.
-    pub memory_hits: u64,
-    /// First touches served from the persistent on-disk store.
-    pub disk_hits: u64,
-}
-
-impl RunCacheStats {
-    /// Total `cached_run` lookups.
-    pub fn total(&self) -> u64 {
-        self.replayed + self.memory_hits + self.disk_hits
-    }
-
-    /// Counter-wise difference vs an earlier snapshot of the stats.
-    pub fn since(&self, earlier: &RunCacheStats) -> RunCacheStats {
-        RunCacheStats {
-            replayed: self.replayed - earlier.replayed,
-            memory_hits: self.memory_hits - earlier.memory_hits,
-            disk_hits: self.disk_hits - earlier.disk_hits,
-        }
-    }
-
-    /// The one-line summary the `experiments` binary prints.
-    pub fn summary(&self) -> String {
-        format!(
-            "simulation cells: {} replayed, {} memory hits, {} disk hits",
-            self.replayed, self.memory_hits, self.disk_hits
-        )
-    }
-}
-
-/// Three-way [`cached_run`] outcome tally across every driver so far —
-/// the `experiments` binary logs these so both grid deduplication (memory
-/// hits) and cross-process reuse (disk hits) stay visible.
+/// perfbench's entry point: [`Lab::stats`] of the process-default `Lab`.
+/// Goes with ROADMAP item 4b.
 pub fn run_cache_stats() -> RunCacheStats {
-    RunCacheStats {
-        replayed: RUN_CACHE_REPLAYS.load(Ordering::Relaxed),
-        memory_hits: RUN_CACHE_MEMORY_HITS.load(Ordering::Relaxed),
-        disk_hits: RUN_CACHE_DISK_HITS.load(Ordering::Relaxed),
-    }
+    default_lab().stats()
+}
+
+/// perfbench's entry point: [`figure_drivers`] on the process-default
+/// `Lab`.  Goes with ROADMAP item 4b.
+pub fn figure_set() -> Vec<(&'static str, FigureDriver<'static>)> {
+    figure_drivers(default_lab())
 }
 
 fn pct(x: f64) -> String {
     format!("{:.1}", x * 100.0)
 }
 
-/// One lazy figure driver from [`figure_set`]: call it (once) to replay
-/// the figure's cells and get its tables.
-pub type FigureDriver = Box<dyn FnOnce() -> Vec<Table>>;
+/// One lazy figure driver from [`figure_drivers`]: call it (once) to
+/// replay the figure's cells and get its tables.
+pub type FigureDriver<'a> = Box<dyn FnOnce() -> Vec<Table> + 'a>;
 
-/// The full evaluation grid as named lazy drivers, in presentation order.
+/// The names of [`figure_drivers`], in presentation order.
+pub(crate) const FIGURES: [&str; 15] = [
+    "table1", "table2", "fig2", "fig3", "fig4", "fig11", "fig12", "fig13", "fig14", "lifetime",
+    "fig15", "fig16", "fig17", "fig18", "fig19",
+];
+
+/// The full evaluation grid as named lazy drivers on `lab`, in
+/// presentation order.
 ///
 /// Shared by the `experiments all` command and the perf-trajectory
 /// snapshot so "the grid" means the same cell set everywhere.  Multi-table
 /// figures (2 and 4) yield one table per model; the Figure 11–14 +
 /// lifetime drivers share one [`EndToEndRuns::collect`] through a lazy
 /// slot, exactly as the binary always ran them.
-pub fn figure_set() -> Vec<(&'static str, FigureDriver)> {
+pub fn figure_drivers(lab: &Lab) -> Vec<(&'static str, FigureDriver<'_>)> {
     let shared: Arc<OnceLock<EndToEndRuns>> = Arc::new(OnceLock::new());
-    let end_to_end = |f: fn(&EndToEndRuns) -> Table| {
+    let end_to_end = |f: fn(&EndToEndRuns) -> Table| -> FigureDriver<'_> {
         let shared = Arc::clone(&shared);
-        Box::new(move || vec![f(shared.get_or_init(EndToEndRuns::collect))])
-            as Box<dyn FnOnce() -> Vec<Table>>
+        Box::new(move || vec![f(shared.get_or_init(|| EndToEndRuns::collect(lab)))])
     };
     vec![
-        ("table1", Box::new(|| vec![table1()])),
+        ("table1", Box::new(move || vec![table1(lab)])),
         ("table2", Box::new(|| vec![table2()])),
-        ("fig2", Box::new(fig2)),
-        ("fig3", Box::new(|| vec![fig3()])),
-        ("fig4", Box::new(fig4)),
+        ("fig2", Box::new(move || fig2(lab))),
+        ("fig3", Box::new(move || vec![fig3(lab)])),
+        ("fig4", Box::new(move || fig4(lab))),
         ("fig11", end_to_end(fig11)),
         ("fig12", end_to_end(fig12)),
         ("fig13", end_to_end(fig13)),
         ("fig14", end_to_end(fig14)),
         ("lifetime", end_to_end(lifetime)),
-        ("fig15", Box::new(|| vec![fig15()])),
-        ("fig16", Box::new(|| vec![fig16()])),
-        ("fig17", Box::new(|| vec![fig17()])),
-        ("fig18", Box::new(|| vec![fig18()])),
-        ("fig19", Box::new(|| vec![fig19()])),
+        ("fig15", Box::new(move || vec![fig15(lab)])),
+        ("fig16", Box::new(move || vec![fig16(lab)])),
+        ("fig17", Box::new(move || vec![fig17(lab)])),
+        ("fig18", Box::new(move || vec![fig18(lab)])),
+        ("fig19", Box::new(move || vec![fig19(lab)])),
     ]
 }
 
@@ -383,47 +115,6 @@ pub fn gpu_config(gpu_mib: Option<u64>) -> SystemConfig {
     }
 }
 
-/// Runs one free-form cell for the `experiments run` command and the serve
-/// daemon, reporting where the result came from (`None` for a direct
-/// replay).
-///
-/// The cell uses the run caches exactly when its result is the cell's
-/// canonical one: a built-in design with no fault plan, no fallback and no
-/// forced invariant audit.  Such hardened reports would poison
-/// [`cached_run`]'s default-options key, and custom registry policies are
-/// process-local, so persisting them by name would be unsound across
-/// processes; both replay directly under `options`.  A cancel token alone
-/// is *not* hardening — a run that completes within its budget is the
-/// canonical result — so a cacheable cell with a token goes through
-/// [`cached_run_cancellable`], honouring the budget mid-replay.
-pub(crate) fn run_cell(
-    model: ModelKind,
-    batch: u64,
-    spec: &PolicySpec,
-    config: &SystemConfig,
-    options: &RuntimeOptions,
-) -> Result<(Arc<SimReport>, Option<CacheOutcome>), SimError> {
-    let canonical = options.fault_plan.is_none()
-        && matches!(options.on_policy_fault, OnPolicyFault::Fail)
-        && !matches!(options.validate, Validate::Always);
-    match (spec, &options.cancel) {
-        (PolicySpec::Builtin(kind), None) if canonical => {
-            let (report, outcome) = cached_cell(model, batch, *kind, config);
-            Ok((report, Some(outcome)))
-        }
-        (PolicySpec::Builtin(kind), Some(cancel)) if canonical => {
-            cached_run_cancellable(model, batch, *kind, config, cancel.clone())
-                .map(|(report, outcome)| (report, Some(outcome)))
-        }
-        _ => Experiment::new(&workload(model, batch))
-            .config(*config)
-            .policy(spec.clone())
-            .options(options.clone())
-            .run()
-            .map(|report| (Arc::new(report), None)),
-    }
-}
-
 /// One free-form experiment cell: a model at a batch size under a list of
 /// policies named by string — built-ins and registered custom policies
 /// alike.  This is the driver behind the `experiments run` command, so
@@ -432,15 +123,15 @@ pub(crate) fn run_cell(
 ///
 /// Policy names resolve through [`PolicySpec`] parsing; an unknown name
 /// fails the whole run with a [`SimError::UnknownPolicy`] that lists every
-/// registered policy.  Each cell goes through the same dispatch as a
-/// served request (`run_cell`): built-in policies populate — and are
-/// served by — the same in-memory and persistent caches as the figure
-/// grid, while custom registered policies and hardened runs replay
-/// directly.
+/// registered policy.  Each cell goes through [`Lab::cell`], as a served
+/// request does: built-in policies populate — and are served by — the
+/// same in-memory and persistent caches as the figure grid, while custom
+/// registered policies and hardened runs replay directly.
 ///
 /// `options` carry the CLI's hardening flags (`--inject-fault`,
 /// `--on-fault`) and its `--deadline-ms` cancellation budget.
 pub fn custom_run_with_options(
+    lab: &Lab,
     model: ModelKind,
     batch: u64,
     policy_names: &[String],
@@ -452,7 +143,8 @@ pub fn custom_run_with_options(
         .map(|name| name.parse())
         .collect::<Result<_, _>>()?;
     let reports: Vec<Arc<SimReport>> = parallel_map(specs, |spec| {
-        run_cell(model, batch, spec, config, options).map(|(report, _)| report)
+        lab.cell(model, batch, spec, config, options)
+            .map(|(report, _)| report)
     })
     .into_iter()
     .collect::<Result<_, SimError>>()?;
@@ -525,13 +217,13 @@ fn tenant_name(i: usize) -> String {
 /// cycling through a fixed (model, batch, priority, quota) pattern, with
 /// arrivals staggered 20 µs
 /// apart so later tenants queue behind the incumbents.  Workloads come from
-/// the shared [`workload`] cache, so the solo baselines inside
+/// `lab`, so the solo baselines inside
 /// [`g10_sim::MultiExperiment::run_multi`] reuse the profiled graphs.
-pub fn default_tenant_mix(tenants: usize) -> Vec<JobSpec> {
+pub fn default_tenant_mix(lab: &Lab, tenants: usize) -> Vec<JobSpec> {
     (0..tenants)
         .map(|i| {
             let (model, batch, priority, quota) = TENANT_MIX_PATTERN[i % TENANT_MIX_PATTERN.len()];
-            JobSpec::new(tenant_name(i), workload(model, batch))
+            JobSpec::new(tenant_name(i), lab.workload(model, batch))
                 .arrival(Nanos::from_micros(20 * i as u64))
                 .priority(priority)
                 .quota_bytes(quota)
@@ -647,7 +339,7 @@ pub fn multi_tenant_tables(
 // ---------------------------------------------------------------------------
 
 /// Table 1: evaluated DNN models, kernel counts and memory footprints.
-pub fn table1() -> Table {
+pub fn table1(lab: &Lab) -> Table {
     let mut table = Table::new(
         "Table 1: evaluated DNN models",
         &[
@@ -661,7 +353,7 @@ pub fn table1() -> Table {
     );
     let config = SystemConfig::table2();
     let rows = parallel_map(ModelKind::PAPER_MODELS.to_vec(), |model| {
-        let workload = workload(*model, model.eval_batch());
+        let workload = lab.workload(*model, model.eval_batch());
         (
             model.name().to_string(),
             model.eval_batch(),
@@ -748,10 +440,10 @@ pub fn characterization_models() -> Vec<ModelKind> {
 
 /// Figure 2: per-kernel active vs total (live) memory consumption, as a
 /// fraction of the peak, sampled along the kernel index axis.
-pub fn fig2() -> Vec<Table> {
+pub fn fig2(lab: &Lab) -> Vec<Table> {
     parallel_map(characterization_models(), |model| {
         let batch = model.characterization_batch();
-        let workload = workload(*model, batch);
+        let workload = lab.workload(*model, batch);
         let index = workload.graph.index();
         let (active, live) = (index.active_bytes(), index.live_bytes());
         let peak = index.peak_live_bytes().max(1) as f64;
@@ -772,7 +464,7 @@ pub fn fig2() -> Vec<Table> {
 }
 
 /// Figure 3: distribution (CDF) of tensor inactive-period lengths.
-pub fn fig3() -> Table {
+pub fn fig3(lab: &Lab) -> Table {
     let mut table = Table::new(
         "Figure 3: inactive period length distribution",
         &[
@@ -790,7 +482,7 @@ pub fn fig3() -> Table {
     );
     let rows = parallel_map(characterization_models(), |model| {
         let batch = model.characterization_batch();
-        let workload = workload(*model, batch);
+        let workload = lab.workload(*model, batch);
         let analysis = VitalityAnalysis::analyze(&workload.graph, &workload.trace);
         let periods = analysis.periods();
         let mut lengths: Vec<f64> = periods.iter().map(|p| p.length().as_micros_f64()).collect();
@@ -828,10 +520,10 @@ pub fn fig3() -> Table {
 }
 
 /// Figure 4: inactive-period length vs tensor size (bucketed scatter).
-pub fn fig4() -> Vec<Table> {
+pub fn fig4(lab: &Lab) -> Vec<Table> {
     parallel_map(characterization_models(), |model| {
         let batch = model.characterization_batch();
-        let workload = workload(*model, batch);
+        let workload = lab.workload(*model, batch);
         let analysis = VitalityAnalysis::analyze(&workload.graph, &workload.trace);
         let periods = analysis.periods();
         let mut table = Table::new(
@@ -859,9 +551,10 @@ pub fn fig4() -> Vec<Table> {
 
 /// All end-to-end runs behind Figures 11–14 and the §7.7 lifetime analysis.
 pub struct EndToEndRuns {
-    /// Per model: the reports of every Figure-11 policy plus the Ideal run
-    /// (`Arc`-shared with the run cache).
-    pub runs: Vec<(ModelKind, Vec<Arc<SimReport>>)>,
+    /// Per model: its footprint over the Table 2 GPU capacity, and the
+    /// reports of every Figure-11 policy plus the Ideal run (`Arc`-shared
+    /// with the run cache).
+    pub runs: Vec<(ModelKind, f64, Vec<Arc<SimReport>>)>,
 }
 
 impl EndToEndRuns {
@@ -870,8 +563,8 @@ impl EndToEndRuns {
     /// The grid is flattened to one (model × policy) cell list before the
     /// parallel sweep — 35 independently scheduled cells instead of five
     /// serial seven-policy loops — so wall-clock follows the slowest *cell*
-    /// rather than the slowest *model*.  Cells route through [`cached_run`],
-    /// so any cell another figure already replayed is free.
+    /// rather than the slowest *model*.  Cells route through [`Lab::run`], so
+    /// any cell another figure already replayed is free.
     ///
     /// The list is policy-major with the G10 variants first.  A model's
     /// G10-GDS, G10-Host and G10 plans share one eviction selection, so
@@ -879,7 +572,7 @@ impl EndToEndRuns {
     /// and leave one waiting on the other's selection; this order hands
     /// them different models, and the cheap non-G10 cells fill the tail.
     /// The reports are regrouped per model in presentation order.
-    pub fn collect() -> Self {
+    pub fn collect(lab: &Lab) -> Self {
         let config = SystemConfig::table2();
         let mut policies = vec![PolicyKind::Ideal];
         policies.extend(PolicyKind::FIGURE11);
@@ -891,7 +584,7 @@ impl EndToEndRuns {
             .flat_map(|&policy| models.iter().map(move |&model| (model, policy)))
             .collect();
         let reports = parallel_map(cells, |(model, policy)| {
-            cached_run(*model, model.eval_batch(), *policy, &config)
+            lab.run(*model, model.eval_batch(), *policy, &config)
         });
         let report = |m: usize, policy: &PolicyKind| {
             let p = order
@@ -906,6 +599,8 @@ impl EndToEndRuns {
             .map(|(m, model)| {
                 (
                     *model,
+                    lab.workload(*model, model.eval_batch())
+                        .memory_ratio(&config),
                     policies.iter().map(|policy| report(m, policy)).collect(),
                 )
             })
@@ -916,7 +611,7 @@ impl EndToEndRuns {
     fn policies(&self) -> Vec<String> {
         self.runs
             .first()
-            .map(|(_, reports)| reports.iter().map(|r| r.policy.clone()).collect())
+            .map(|(_, _, reports)| reports.iter().map(|r| r.policy.clone()).collect())
             .unwrap_or_default()
     }
 }
@@ -934,9 +629,7 @@ pub fn fig11(data: &EndToEndRuns) -> Table {
         "Figure 11: normalized training performance (1.0 = ideal)",
         &header_refs,
     );
-    let config = SystemConfig::table2();
-    for (model, reports) in &data.runs {
-        let memory_ratio = workload(*model, model.eval_batch()).memory_ratio(&config);
+    for (model, memory_ratio, reports) in &data.runs {
         let mut row = vec![
             model.name().to_string(),
             model.eval_batch().to_string(),
@@ -956,7 +649,7 @@ pub fn fig12(data: &EndToEndRuns) -> Table {
         "Figure 12: execution time breakdown",
         &["model", "policy", "compute_and_transfer_pct", "stall_pct"],
     );
-    for (model, reports) in &data.runs {
+    for (model, _, reports) in &data.runs {
         for report in reports {
             if report.policy == "Ideal" || report.policy == "G10-GDS" || report.policy == "G10-Host"
             {
@@ -987,7 +680,7 @@ pub fn fig13(data: &EndToEndRuns) -> Table {
             "max",
         ],
     );
-    for (model, reports) in &data.runs {
+    for (model, _, reports) in &data.runs {
         for report in reports {
             if report.policy == "Ideal" || report.policy == "G10-GDS" || report.policy == "G10-Host"
             {
@@ -1020,7 +713,7 @@ pub fn fig14(data: &EndToEndRuns) -> Table {
             "ssd_reads_gb",
         ],
     );
-    for (model, reports) in &data.runs {
+    for (model, _, reports) in &data.runs {
         for report in reports {
             if report.policy == "Ideal" {
                 continue;
@@ -1052,7 +745,7 @@ pub fn lifetime(data: &EndToEndRuns) -> Table {
         ],
     );
     let endurance = EnduranceModel::samsung_z_ssd();
-    for (model, reports) in &data.runs {
+    for (model, _, reports) in &data.runs {
         let g10_writes = reports
             .iter()
             .find(|r| r.policy == "G10")
@@ -1082,7 +775,7 @@ pub fn lifetime(data: &EndToEndRuns) -> Table {
 // ---------------------------------------------------------------------------
 
 /// Figure 15: training throughput as the batch size varies.
-pub fn fig15() -> Table {
+pub fn fig15(lab: &Lab) -> Table {
     let mut table = Table::new(
         "Figure 15: training throughput vs batch size",
         &["model", "batch", "unit", "policy", "throughput"],
@@ -1103,7 +796,7 @@ pub fn fig15() -> Table {
             PolicyKind::DeepUmPlus,
             PolicyKind::G10Full,
         ] {
-            let report = cached_run(*model, *batch, policy, &config);
+            let report = lab.run(*model, *batch, policy, &config);
             rows.push(vec![
                 model.name().to_string(),
                 batch.to_string(),
@@ -1130,7 +823,7 @@ pub fn fig15() -> Table {
 pub const HOST_SWEEP_GIB: [u64; 6] = [0, 16, 32, 64, 128, 256];
 
 /// Figure 16: G10 execution time as the host memory capacity varies.
-pub fn fig16() -> Table {
+pub fn fig16(lab: &Lab) -> Table {
     let mut table = Table::new(
         "Figure 16: G10 execution time vs host memory capacity",
         &["model", "batch", "host_gib", "execution_time_s"],
@@ -1152,7 +845,7 @@ pub fn fig16() -> Table {
         let mut rows = Vec::new();
         for host_gib in HOST_SWEEP_GIB {
             let config = SystemConfig::table2().with_host_memory(host_gib << 30);
-            let report = cached_run(*model, *batch, PolicyKind::G10Full, &config);
+            let report = lab.run(*model, *batch, PolicyKind::G10Full, &config);
             rows.push(vec![
                 model.name().to_string(),
                 batch.to_string(),
@@ -1171,7 +864,7 @@ pub fn fig16() -> Table {
 }
 
 /// Figure 17: G10 vs DeepUM+ vs FlashNeuron across host memory capacities.
-pub fn fig17() -> Table {
+pub fn fig17(lab: &Lab) -> Table {
     let mut table = Table::new(
         "Figure 17: execution time vs host memory capacity (comparison)",
         &["model", "batch", "host_gib", "policy", "execution_time_s"],
@@ -1186,7 +879,7 @@ pub fn fig17() -> Table {
                 PolicyKind::FlashNeuron,
                 PolicyKind::G10Full,
             ] {
-                let report = cached_run(*model, *batch, policy, &config);
+                let report = lab.run(*model, *batch, policy, &config);
                 rows.push(vec![
                     model.name().to_string(),
                     batch.to_string(),
@@ -1219,7 +912,7 @@ pub const SSD_BANDWIDTH_SWEEP_GBPS: [f64; 5] = [6.4, 12.8, 19.2, 25.6, 32.0];
 /// Each (model, SSD rate) point is one parallel item: every point plans G10
 /// afresh, and 25 items keep two workers busy where five per-model items
 /// left one idle behind the slowest model.  Rows keep model-major order.
-pub fn fig18() -> Table {
+pub fn fig18(lab: &Lab) -> Table {
     let mut table = Table::new(
         "Figure 18: normalized performance vs SSD bandwidth (PCIe 4.0)",
         &["model", "ssd_gbps", "policy", "normalized_performance"],
@@ -1233,7 +926,7 @@ pub fn fig18() -> Table {
             .with_ssd_bandwidth(gbps * 1e9)
             .with_pcie_bandwidth(32e9);
         PolicyKind::COMPARED.map(|policy| {
-            let report = cached_run(model, model.eval_batch(), policy, &config);
+            let report = lab.run(model, model.eval_batch(), policy, &config);
             vec![
                 model.name().to_string(),
                 format!("{gbps:.1}"),
@@ -1262,7 +955,7 @@ pub const PROFILING_ERRORS: [f64; 5] = [0.0, 0.05, 0.10, 0.15, 0.20];
 /// reason as [`fig18`]: every perturbed trace plans G10 from scratch.  The
 /// error-free baselines are fetched first, one per model.  Rows keep
 /// model-major order.
-pub fn fig19() -> Table {
+pub fn fig19(lab: &Lab) -> Table {
     let mut table = Table::new(
         "Figure 19: G10 performance under kernel timing prediction errors",
         &["model", "error_pct", "normalized_to_no_error"],
@@ -1273,14 +966,14 @@ pub fn fig19() -> Table {
     // already replay; the perturbed-trace runs below plan against noisy
     // timings and are not cacheable by the grid key.
     let baselines = parallel_map(models.to_vec(), |model| {
-        cached_run(*model, model.eval_batch(), PolicyKind::G10Full, &config)
+        lab.run(*model, model.eval_batch(), PolicyKind::G10Full, &config)
     });
     let points: Vec<(usize, f64)> = (0..models.len())
         .flat_map(|m| PROFILING_ERRORS.map(|error| (m, error)))
         .collect();
     let rows = parallel_map(points, |&(m, error)| {
         let model = models[m];
-        let workload = workload(model, model.eval_batch());
+        let workload = lab.workload(model, model.eval_batch());
         let noisy = workload.trace.with_noise(error, 0xC0FFEE);
         let report = Experiment::new(&workload)
             .policy(PolicyKind::G10Full)
@@ -1321,36 +1014,40 @@ mod tests {
 
     #[test]
     fn cached_run_deduplicates_identical_cells() {
-        // A GPU capacity no other test or driver uses, so this cell is
-        // exclusively ours regardless of test interleaving.
+        let lab = Lab::default();
         let config = SystemConfig::table2().with_gpu_memory(48 << 20);
-        let before = run_cache_stats();
-        let first = cached_run(ModelKind::TinyCnn, 16, PolicyKind::BaseUvm, &config);
-        let second = cached_run(ModelKind::TinyCnn, 16, PolicyKind::BaseUvm, &config);
+        let first = lab.run(ModelKind::TinyCnn, 16, PolicyKind::BaseUvm, &config);
+        let second = lab.run(ModelKind::TinyCnn, 16, PolicyKind::BaseUvm, &config);
         assert_eq!(first, second, "cache must replay the identical report");
-        let delta = run_cache_stats().since(&before);
+        let stats = lab.stats();
         assert_eq!(
-            delta.replayed, 1,
-            "the second lookup must be served from the cache"
-        );
-        assert!(delta.memory_hits >= 1);
-        assert_eq!(
-            delta.disk_hits, 0,
-            "no persistent store is installed in unit tests"
+            (stats.replayed, stats.memory_hits, stats.disk_hits),
+            (1, 1, 0),
+            "one replay, then a memory hit; a store-less Lab never hits disk"
         );
         // A different hardware fingerprint is a different cell.
-        let other = cached_run(
+        let other = lab.run(
             ModelKind::TinyCnn,
             16,
             PolicyKind::BaseUvm,
             &config.with_gpu_memory(47 << 20),
         );
         assert!(other.total_time >= first.total_time);
+        assert_eq!(lab.stats().replayed, 2);
+    }
+
+    #[test]
+    fn figure_names_follow_the_drivers() {
+        let lab = Lab::default();
+        assert!(figure_drivers(&lab)
+            .into_iter()
+            .map(|(name, _)| name)
+            .eq(FIGURES));
     }
 
     #[test]
     fn multi_tables_cover_every_policy_and_job_deterministically() {
-        let jobs = default_tenant_mix(2);
+        let jobs = default_tenant_mix(&Lab::default(), 2);
         assert_eq!(jobs.len(), 2);
         assert_eq!(jobs[0].name, "tenant-a");
         assert!(jobs[1].arrival > jobs[0].arrival);

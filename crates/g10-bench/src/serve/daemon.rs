@@ -16,6 +16,10 @@
 //! 4. **Stopped** — workers joined, listener closed.  Store writes happen
 //!    synchronously inside the workers (atomic rename per entry), so there
 //!    is nothing left to flush by construction.
+//!
+//! The one process-wide `static` here is `TERMINATE`, the SIGTERM/SIGINT
+//! latch, since a signal handler can reach no other state.  [`serve`]
+//! shares the rest — the [`Lab`] it is given, queue, counters — by `Arc`.
 
 use g10_sim::CancelToken;
 use std::io::ErrorKind;
@@ -28,6 +32,7 @@ use super::protocol::{self, HttpRequest, RunRequest};
 use super::queue::{Admission, AdmissionError, Job};
 use super::worker::{worker_loop, RunningTokens, ServeStats};
 use crate::json::{obj, Json};
+use crate::lab::Lab;
 
 /// Knobs of one daemon instance, all settable from `experiments serve`.
 #[derive(Debug, Clone)]
@@ -136,14 +141,15 @@ fn wait_for_connection(_listener: &TcpListener, timeout: Duration) {
     std::thread::sleep(timeout);
 }
 
-/// Runs the daemon until shutdown completes.  Blocks the calling thread.
+/// Runs the daemon on `lab` until shutdown completes.  Blocks the calling
+/// thread.
 ///
 /// # Errors
 ///
 /// Only on startup failures (bad bind address); once listening, every
 /// per-connection problem is answered or dropped without stopping the
 /// daemon.
-pub fn serve(options: &ServeOptions) -> Result<(), String> {
+pub fn serve(options: &ServeOptions, lab: Arc<Lab>) -> Result<(), String> {
     let listener = TcpListener::bind(&options.addr)
         .map_err(|err| format!("could not bind {}: {err}", options.addr))?;
     let local = listener
@@ -164,9 +170,10 @@ pub fn serve(options: &ServeOptions) -> Result<(), String> {
             let admission = Arc::clone(&admission);
             let stats = Arc::clone(&stats);
             let running = Arc::clone(&running);
+            let lab = Arc::clone(&lab);
             std::thread::Builder::new()
                 .name(format!("g10-serve-worker-{i}"))
-                .spawn(move || worker_loop(i, &admission, &stats, &running))
+                .spawn(move || worker_loop(&lab, i, &admission, &stats, &running))
                 .expect("could not spawn worker thread")
         })
         .collect();

@@ -10,8 +10,8 @@
 //! `status` / `kind` shape, so clients never have to scrape prose.
 
 use crate::cli::MAX_TENANTS;
-use crate::experiments::workload;
 use crate::json::{obj, Json};
+use crate::lab::Lab;
 use g10_dnn::models::{ModelKind, MAX_BATCH};
 use g10_sim::{FaultPlan, JobSpec, SimError};
 use g10_time::Nanos;
@@ -375,12 +375,12 @@ impl JobRequest {
         })
     }
 
-    /// The tenant this entry describes, named `job-<index>-<model>`, on the
-    /// shared [`workload`] cache.
-    pub fn to_spec(&self, index: usize) -> JobSpec {
+    /// The tenant this entry describes, named `job-<index>-<model>`, on
+    /// `lab`'s workload.
+    pub fn to_spec(&self, lab: &Lab, index: usize) -> JobSpec {
         let spec = JobSpec::new(
             format!("job-{index}-{}", self.model.name()),
-            workload(self.model, self.batch),
+            lab.workload(self.model, self.batch),
         )
         .priority(self.priority)
         .arrival(Nanos::from_micros(self.arrival_us));

@@ -1,13 +1,14 @@
 //! The worker side of the experiment service: one admitted [`Job`] in, one
 //! typed HTTP response out, no matter what the policy code does.
 //!
-//! Workers are long-lived threads looping on [`Admission::take`].  Each
-//! job runs under the request's own [`CancelToken`] and inside
-//! [`catch_policy_panic`], so the three failure families stay separate and
-//! typed: client mistakes (400), policy faults and contained panics (500),
-//! expired deadlines and drain cancellations (504).  A worker thread
-//! itself never dies with a request — panic containment turns the panic
-//! into the 500 body and the loop continues.
+//! Workers are long-lived threads looping on [`Admission::take`] and
+//! sharing the daemon's one [`Lab`].  Each job runs under the request's
+//! own [`CancelToken`] and inside [`catch_policy_panic`], so the three
+//! failure families stay separate and typed: client mistakes (400), policy
+//! faults and contained panics (500), expired deadlines and drain
+//! cancellations (504).  A worker thread itself never dies with a request
+//! — panic containment turns the panic into the 500 body and the loop
+//! continues.
 
 use g10_sim::fault::catch_policy_panic;
 use g10_sim::{
@@ -19,8 +20,9 @@ use std::sync::Arc;
 
 use super::protocol::{self, RunRequest};
 use super::queue::{Admission, Job};
-use crate::experiments::{gpu_config, run_cell, CacheOutcome};
+use crate::experiments::gpu_config;
 use crate::json::Json;
+use crate::lab::{default_lab, CacheOutcome, Lab};
 
 /// Monotonic counters behind `GET /stats`, shared by acceptor and workers.
 #[derive(Debug, Default)]
@@ -115,46 +117,41 @@ fn request_options(request: &RunRequest, cancel: CancelToken) -> RuntimeOptions 
     }
 }
 
-/// Executes one run request under its token, through the same cell
-/// dispatch as `experiments run`: built-in policies without a fault plan,
-/// at any `gpu_mib`, are served from (and populate) the run caches like
-/// the figure drivers' cells and report `replayed` / `memory` / `disk`;
-/// custom registry policies and fault-injected runs execute directly and
-/// report `source: "direct"`.
+/// Executes one run request under its token through [`Lab::cell`], as
+/// `experiments run` does: the outcome is `None` for a direct run (a
+/// custom registry policy or a fault plan).
 ///
 /// # Errors
 ///
 /// Any [`SimError`]: unknown policy, typed policy fault, expired deadline,
 /// cancellation.
-pub fn run_request(
+pub fn execute(
+    lab: &Lab,
     request: &RunRequest,
     cancel: CancelToken,
-) -> Result<(Arc<SimReport>, &'static str), SimError> {
+) -> Result<(Arc<SimReport>, Option<CacheOutcome>), SimError> {
     let spec: PolicySpec = request.policy.parse()?;
-    let (report, outcome) = run_cell(
+    lab.cell(
         request.model,
         request.batch,
         &spec,
         &gpu_config(request.gpu_mib),
         &request_options(request, cancel),
-    )?;
-    Ok((report, outcome.map_or("direct", CacheOutcome::label)))
+    )
 }
 
 /// Executes one multi-job request: each `jobs: [...]` tenant becomes a
-/// [`JobSpec`](g10_sim::JobSpec) through
-/// [`JobRequest::to_spec`](protocol::JobRequest::to_spec), as the
-/// `experiments multi --jobs` tenants do, and the mix replays
-/// concurrently on one simulated device through the tenancy subsystem.  Multi runs never touch the run caches —
-/// a job's report depends on the whole mix, not just its own cell key —
-/// and the cross-job-aware `tensile` design is registered first so clients
-/// can name it like any built-in.
+/// [`JobSpec`](g10_sim::JobSpec) on `lab`'s workloads, as the `experiments
+/// multi --jobs` tenants do, and the mix replays on one simulated device.
+/// Multi runs never touch the run caches — a job's report depends on the
+/// whole mix — and `tensile` is registered first so clients can name it.
 ///
 /// # Errors
 ///
 /// Any [`SimError`]: unknown policy, typed policy fault, expired deadline,
 /// cancellation.
-pub fn run_multi_request(
+pub fn execute_multi(
+    lab: &Lab,
     request: &RunRequest,
     cancel: CancelToken,
 ) -> Result<MultiReport, SimError> {
@@ -165,7 +162,7 @@ pub fn run_multi_request(
             .jobs
             .iter()
             .enumerate()
-            .map(|(i, job)| job.to_spec(i)),
+            .map(|(i, job)| job.to_spec(lab, i)),
     )
     .policy(spec)
     .config(gpu_config(request.gpu_mib))
@@ -173,8 +170,27 @@ pub fn run_multi_request(
     .run_multi()
 }
 
+/// perfbench's entry point: [`execute`] on the process-default `Lab`.
+/// Goes with ROADMAP item 4b.
+pub fn run_request(
+    request: &RunRequest,
+    cancel: CancelToken,
+) -> Result<(Arc<SimReport>, Option<CacheOutcome>), SimError> {
+    execute(default_lab(), request, cancel)
+}
+
+/// perfbench's entry point: [`execute_multi`] on the process-default
+/// `Lab`.  Goes with ROADMAP item 4b.
+pub fn run_multi_request(
+    request: &RunRequest,
+    cancel: CancelToken,
+) -> Result<MultiReport, SimError> {
+    execute_multi(default_lab(), request, cancel)
+}
+
 /// The worker loop: take jobs until the queue closes, answer every one.
 pub fn worker_loop(
+    lab: &Lab,
     worker: usize,
     admission: &Admission,
     stats: &ServeStats,
@@ -189,33 +205,32 @@ pub fn worker_loop(
         } = job;
         stats.in_flight.fetch_add(1, Ordering::Relaxed);
         running.set(worker, Some(cancel.clone()));
+        let multi_tenants = request.jobs.len() as u64;
         // Containment boundary: a panic anywhere below — policy code, the
         // engine, response assembly — becomes this request's 500, and the
-        // worker thread lives on for the next job.
-        let multi_tenants = request.jobs.len() as u64;
-        let outcome = if multi_tenants > 0 {
-            stats.multi_requests.fetch_add(1, Ordering::Relaxed);
-            catch_policy_panic(|| {
-                run_multi_request(&request, cancel)
-                    .map(|report| (protocol::ok_multi_body(&report), "multi"))
-            })
-        } else {
-            catch_policy_panic(|| {
-                run_request(&request, cancel)
-                    .map(|(report, source)| (protocol::ok_body(source, &report), source))
-            })
-        };
-        let (status, retry_after, body) = match outcome {
-            Ok(Ok((body, source))) => {
-                stats.ok.fetch_add(1, Ordering::Relaxed);
-                match source {
-                    "memory" => stats.memory_hits.fetch_add(1, Ordering::Relaxed),
-                    "disk" => stats.disk_hits.fetch_add(1, Ordering::Relaxed),
-                    "multi" => stats
-                        .tenants_served
-                        .fetch_add(multi_tenants, Ordering::Relaxed),
-                    _ => stats.replayed.fetch_add(1, Ordering::Relaxed),
+        // worker thread lives on for the next job.  An ok answer names the
+        // `/stats` counter it adds to, and how much.
+        let outcome = catch_policy_panic(|| -> Result<_, SimError> {
+            if multi_tenants == 0 {
+                let (report, outcome) = execute(lab, &request, cancel)?;
+                // The wire's `source` labels; `replayed` counts direct runs.
+                let (counter, source) = match outcome {
+                    Some(CacheOutcome::MemoryHit) => (&stats.memory_hits, "memory"),
+                    Some(CacheOutcome::DiskHit) => (&stats.disk_hits, "disk"),
+                    Some(CacheOutcome::Replayed) => (&stats.replayed, "replayed"),
+                    None => (&stats.replayed, "direct"),
                 };
+                return Ok((protocol::ok_body(source, &report), counter, 1));
+            }
+            stats.multi_requests.fetch_add(1, Ordering::Relaxed);
+            let report = execute_multi(lab, &request, cancel)?;
+            let body = protocol::ok_multi_body(&report);
+            Ok((body, &stats.tenants_served, multi_tenants))
+        });
+        let (status, retry_after, body) = match outcome {
+            Ok(Ok((body, counter, by))) => {
+                stats.ok.fetch_add(1, Ordering::Relaxed);
+                counter.fetch_add(by, Ordering::Relaxed);
                 (200, None, body)
             }
             Ok(Err(err)) => {

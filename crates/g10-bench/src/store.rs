@@ -1,7 +1,7 @@
 //! Persistent on-disk run-cache store.
 //!
-//! [`crate::experiments::cached_run`] deduplicates the experiment grid
-//! within one process; this module extends that across processes: each
+//! A [`Lab`](crate::lab::Lab) deduplicates the experiment grid within one
+//! process; this module extends that across processes: each
 //! `(model, batch, policy, config cache key, schema version)`
 //! cell is a content-addressed file under the store root, so a repeated
 //! `experiments` invocation — or a CI job rerunning the grid — serves every
@@ -19,7 +19,10 @@
 //!   unique temp file in the store directory and `rename` it into place, so
 //!   readers — in this process or another — only ever observe complete
 //!   entries.  Two processes racing on the same cell both write valid files
-//!   for the same deterministic report; last rename wins.
+//!   for the same deterministic report; last rename wins.  The sequence is
+//!   the module's one process-wide `static`, `TMP_SEQ` in
+//!   [`RunStore::save`]: temp names must be unique across every store open
+//!   on one directory in the process, not only within one `RunStore`.
 //! * **Invalidation is structural.** The key embeds
 //!   [`SystemConfig::cache_key`](g10_core::config::SystemConfig::cache_key)
 //!   (which fails to compile if `SystemConfig`

@@ -18,8 +18,9 @@
 //!   under `max_wall_ratio` (default 4.0) times the baseline's, a deliberately
 //!   generous bound that still catches order-of-magnitude regressions.
 
-use crate::experiments::{self, run_cache_stats};
+use crate::experiments::figure_drivers;
 use crate::json::{obj, Json};
+use crate::lab::Lab;
 use crate::output::write_figure_csvs;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -94,26 +95,27 @@ fn commit_hash() -> String {
         .unwrap_or_else(|| "unknown".to_string())
 }
 
-/// Collects one snapshot: the full grid, writing its CSVs under
-/// `<out_dir>/results/`.
-pub fn collect(out_dir: &Path) -> BenchSnapshot {
+/// Collects one snapshot: the full grid on `lab`, writing its CSVs under
+/// `<out_dir>/results/`.  The snapshot records `lab`'s counters, so `lab`
+/// must be fresh: on a `Lab` that already holds cells, the grid's replays
+/// would read as memory hits.
+pub fn collect(lab: &Lab, out_dir: &Path) -> BenchSnapshot {
     // The full `experiments all` driver set, CSVs included.
     let results_dir = out_dir.join("results");
-    let before = run_cache_stats();
     let mut csv_files = 0u64;
     let started = Instant::now();
-    for (name, driver) in experiments::figure_set() {
+    for (name, driver) in figure_drivers(lab) {
         csv_files += write_figure_csvs(&driver(), &results_dir, name);
     }
     let grid_ms = started.elapsed().as_secs_f64() * 1e3;
-    let grid_delta = run_cache_stats().since(&before);
+    let stats = lab.stats();
 
     BenchSnapshot {
         commit: commit_hash(),
         grid: GridStats {
-            cells_replayed: grid_delta.replayed,
-            memory_hits: grid_delta.memory_hits,
-            disk_hits: grid_delta.disk_hits,
+            cells_replayed: stats.replayed,
+            memory_hits: stats.memory_hits,
+            disk_hits: stats.disk_hits,
             wall_ms: grid_ms,
             csv_files,
         },

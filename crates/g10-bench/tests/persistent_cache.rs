@@ -5,7 +5,7 @@
 //! binary as fresh processes against a shared `--cache-dir` and asserting
 //! on its printed run-cache tally and its CSV bytes.
 
-use g10_bench::experiments::{cached_run, run_cache_stats, run_store, set_run_store};
+use g10_bench::lab::Lab;
 use g10_bench::store::{RunKey, RunStore};
 use g10_core::config::SystemConfig;
 use g10_dnn::models::ModelKind;
@@ -175,25 +175,20 @@ fn corrupted_entries_degrade_to_a_clean_replay() {
 
 #[test]
 fn cached_run_persists_entries_the_store_can_load_back() {
-    // In-process check that `cached_run` both writes through to the store
-    // and produces an entry equal to its own return value.  The store is
-    // process-global, so restore it before the test ends.
+    // In-process check that a cell lookup both writes through to the
+    // `Lab`'s store and produces an entry equal to its own return value.
     let cache = fresh_dir("inprocess_cache");
-    let store = RunStore::open(&cache).unwrap();
-    set_run_store(Some(store));
+    let lab = Lab::new(Some(RunStore::open(&cache).unwrap()));
     let config = SystemConfig::table2();
-    let before = run_cache_stats();
-    let report = cached_run(ModelKind::TinyCnn, 16, PolicyKind::Ideal, &config);
-    let delta = run_cache_stats().since(&before);
-    assert_eq!(delta.replayed, 1);
+    let report = lab.run(ModelKind::TinyCnn, 16, PolicyKind::Ideal, &config);
+    assert_eq!(lab.stats().replayed, 1);
     let key = RunKey {
         model: ModelKind::TinyCnn.name().to_string(),
         batch: 16,
         policy: PolicyKind::Ideal.label().to_string(),
         config: config.cache_key(),
     };
-    let store = run_store().expect("store was just installed");
-    let loaded = store.load(&key).expect("cached_run must write through");
+    let store = lab.store().expect("the Lab has a store");
+    let loaded = store.load(&key).expect("the lookup must write through");
     assert_eq!(loaded, *report);
-    set_run_store(None);
 }

@@ -593,44 +593,50 @@ fn multi_job_requests_run_the_mix_and_count_tenants() {
 /// uncancelled run replays and persists normally.
 #[test]
 fn cancelled_run_leaves_no_partial_store_write() {
-    use g10_bench::experiments::{cached_run_cancellable, set_run_store, CacheOutcome};
+    use g10_bench::lab::{CacheOutcome, Lab, RunCacheStats};
     use g10_bench::store::RunStore;
     use g10_core::config::SystemConfig;
     use g10_dnn::models::ModelKind;
-    use g10_sim::{CancelToken, PolicyKind, SimError};
+    use g10_sim::{CancelToken, PolicyKind, PolicySpec, RuntimeOptions, SimError};
 
     let dir = fresh_dir("no_partial_write");
-    set_run_store(Some(RunStore::open(&dir).expect("open store")));
-    let store = g10_bench::experiments::run_store().expect("store installed");
+    let lab = Lab::new(Some(RunStore::open(&dir).expect("open store")));
+    let store = lab.store().expect("the Lab has a store");
     let config = SystemConfig::table2().with_gpu_memory(48 << 20);
+    let spec = PolicySpec::Builtin(PolicyKind::BaseUvm);
+    let with_token = |cancel| RuntimeOptions {
+        cancel: Some(cancel),
+        ..RuntimeOptions::default()
+    };
 
     // Mid-replay cancellation: typed error, empty store, nothing memoised.
-    let cancelled = cached_run_cancellable(
+    let cancelled = lab.cell(
         ModelKind::TinyCnn,
         9,
-        PolicyKind::BaseUvm,
+        &spec,
         &config,
-        CancelToken::at_step(1),
+        &with_token(CancelToken::at_step(1)),
     );
     match cancelled {
         Err(SimError::DeadlineExceeded { step, .. }) => assert_eq!(step, 1),
         other => panic!("expected a typed deadline error, got {other:?}"),
     }
     assert_eq!(store.entry_count(), 0, "cancelled run must not persist");
+    assert_eq!(lab.stats(), RunCacheStats::default(), "nor count");
 
     // The cell is not poisoned: a fresh token replays and persists.
-    let (report, outcome) = cached_run_cancellable(
-        ModelKind::TinyCnn,
-        9,
-        PolicyKind::BaseUvm,
-        &config,
-        CancelToken::new(),
-    )
-    .expect("uncancelled run succeeds");
-    assert_eq!(outcome, CacheOutcome::Replayed);
+    let (report, outcome) = lab
+        .cell(
+            ModelKind::TinyCnn,
+            9,
+            &spec,
+            &config,
+            &with_token(CancelToken::new()),
+        )
+        .expect("uncancelled run succeeds");
+    assert_eq!(outcome, Some(CacheOutcome::Replayed));
     assert_eq!(report.batch, 9);
     assert_eq!(store.entry_count(), 1, "completed run must persist");
 
-    set_run_store(None);
     let _ = std::fs::remove_dir_all(&dir);
 }

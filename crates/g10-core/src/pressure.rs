@@ -68,7 +68,6 @@
 //! to ~0.7 s (29×), against the flat `Vec`.
 
 use g10_time::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// The operations the eviction and prefetch schedulers need from a
 /// per-kernel memory-occupancy step function.
@@ -111,7 +110,7 @@ pub trait PressureTimeline {
 /// is ever pushed down.  So a node's true maximum is `max_v[p]` plus the
 /// pending adds of its strict ancestors, and every query accumulates those
 /// on its way.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct MemoryTimeline {
     len: usize,
     /// Per-node subtree maxima, excluding the pending adds of the node's

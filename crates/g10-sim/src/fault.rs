@@ -25,7 +25,9 @@
 //!   tests instead.
 //! * [`catch_policy_panic`] — `catch_unwind` containment with a silenced
 //!   panic hook, so one panicking policy becomes a typed per-cell error
-//!   instead of a backtrace and a dead `parallel_map` sweep.
+//!   instead of a backtrace and a dead `parallel_map` sweep.  The panic
+//!   hook is process-wide, so its once-guard `INSTALL` is a `static`, and
+//!   the per-thread `QUIET_PANICS` flag tells it which panics are contained.
 
 use crate::engine::{EngineState, Location, RuntimeOptions};
 use crate::policy::MemoryPolicy;

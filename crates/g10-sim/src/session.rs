@@ -12,7 +12,9 @@
 //! [`PolicyKind::names`] in every registry, which holds only custom
 //! registrations; a new design is a downstream `impl` plus one
 //! [`register_policy`] call, after which it parses from CLI strings exactly
-//! like a built-in.
+//! like a built-in.  Registrations live in the process-wide `static`
+//! `GLOBAL`, because a name registered once must parse at every entry
+//! point — CLI flags, wire requests, sweeps — without threading a registry.
 //!
 //! # Running a built-in design
 //!

@@ -176,7 +176,9 @@ fn custom_policy_round_trips_through_the_cli_string_parse_path() {
 
     // And through the driver behind `experiments run --policy <name>`:
     // built-in and custom names side by side in one CLI-shaped invocation.
+    let lab = g10_bench::Lab::default();
     let table = g10_bench::experiments::custom_run_with_options(
+        &lab,
         ModelKind::TinyCnn,
         64,
         &["base-uvm".to_string(), "largest-first".to_string()],
@@ -190,6 +192,7 @@ fn custom_policy_round_trips_through_the_cli_string_parse_path() {
 
     // An unknown name fails the CLI path with the typed error.
     let err = g10_bench::experiments::custom_run_with_options(
+        &lab,
         ModelKind::TinyCnn,
         64,
         &["no-such-design".to_string()],
