@@ -26,7 +26,6 @@ use g10_bench::serve::protocol::{parse_job, split_list, MAX_MIB};
 use g10_bench::serve::{self, JobRequest, RunRequest, ServeOptions};
 use g10_bench::store::RunStore;
 use g10_bench::trajectory::{self, CompareOptions};
-use g10_core::config::SystemConfig;
 use g10_dnn::models::ModelKind;
 use g10_sim::{CancelToken, OnPolicyFault, RuntimeOptions};
 use std::path::{Path, PathBuf};
@@ -84,17 +83,6 @@ fn job_requests(args: &Args) -> Result<Vec<JobRequest>, String> {
     Ok(jobs)
 }
 
-/// The hardware of `run` and `multi`: Table 2 with the `--gpu-mib`
-/// capacity, if given.
-fn hardware(args: &Args) -> Result<SystemConfig, String> {
-    let gpu_mib = args.get::<u64>("--gpu-mib");
-    // `mib << 20` must not overflow the byte count.
-    if gpu_mib.is_some_and(|mib| !(1..=MAX_MIB).contains(&mib)) {
-        return Err(format!("--gpu-mib must be between 1 and {MAX_MIB} MiB"));
-    }
-    Ok(experiments::gpu_config(gpu_mib))
-}
-
 /// The `run` command: one (model, batch) cell under any list of policy
 /// names, resolved through the open policy registry.
 fn custom_run(lab: &Lab, args: &Args, out_dir: &Path) -> Result<(), String> {
@@ -104,7 +92,7 @@ fn custom_run(lab: &Lab, args: &Args, out_dir: &Path) -> Result<(), String> {
         .parse()?;
     let batch = args.get("--batch").unwrap_or_else(|| model.eval_batch());
     let policies = policy_names(args, "g10")?;
-    let config = hardware(args)?;
+    let config = experiments::gpu_config(args.get("--gpu-mib"));
     // Same plumbing as the daemon: a wall-clock token threaded into the
     // engine's step loop, so expiry is the identical typed error.
     let deadline = |ms| CancelToken::with_deadline(Duration::from_millis(ms));
@@ -130,7 +118,7 @@ fn multi_cmd(lab: &Lab, args: &Args, out_dir: &Path) -> Result<(), String> {
     let tenants = args.get::<usize>("--tenants");
     let stress = args.switch("--stress");
     let policies = policy_names(args, "base-uvm,g10,tensile")?;
-    let config = hardware(args)?;
+    let config = experiments::gpu_config(args.get("--gpu-mib"));
     let jobs = if args.text("--jobs").is_some() {
         if stress || tenants.is_some() {
             return Err("--jobs is an explicit mix; drop --tenants/--stress".to_string());
@@ -161,15 +149,13 @@ fn multi_cmd(lab: &Lab, args: &Args, out_dir: &Path) -> Result<(), String> {
 /// The `serve` command: run the experiment daemon on `lab` until shutdown.
 fn serve_cmd(lab: Arc<Lab>, args: &Args) -> Result<(), String> {
     let defaults = ServeOptions::default();
-    let queue_mib = args.get::<u64>("--queue-mib");
-    if queue_mib.is_some_and(|mib| mib == 0 || mib > MAX_MIB) {
-        return Err("--queue-mib out of range".to_string());
-    }
     let options = ServeOptions {
         addr: args.text("--addr").unwrap_or(&defaults.addr).to_string(),
         workers: args.get("--workers").unwrap_or(defaults.workers),
         queue_depth: args.get("--queue-depth").unwrap_or(defaults.queue_depth),
-        queue_bytes: queue_mib.map_or(defaults.queue_bytes, |mib| mib << 20),
+        queue_bytes: args
+            .get::<u64>("--queue-mib")
+            .map_or(defaults.queue_bytes, |mib| mib << 20),
         drain_ms: args.get("--drain-ms").unwrap_or(defaults.drain_ms),
     };
     serve::serve(&options, lab)

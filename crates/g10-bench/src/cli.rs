@@ -8,6 +8,7 @@
 //! binary only dispatches.  [`usage`] builds `--help` from the same table.
 
 use crate::experiments::FIGURES;
+use crate::serve::protocol::MAX_MIB;
 use g10_dnn::models::MAX_BATCH;
 use g10_sim::FaultPlan;
 use std::str::FromStr;
@@ -109,7 +110,7 @@ pub const FLAGS: &[Flag] = &[
     flag("--model",          Text("NAME"),      "a model name",             &[Run, Submit]),
     flag("--batch",          UpTo(MAX_BATCH),   "a 1-to-1048576 integer",   &[Run, Submit]),
     flag("--policy",         Text("NAME,..."),  "a policy-name",            &[Run, Multi, Submit]),
-    flag("--gpu-mib",        U64,               "an integer",               &[Run, Multi, Submit]),
+    flag("--gpu-mib",        UpTo(MAX_MIB),     "a 1-to-17592186044415 integer", &[Run, Multi, Submit]),
     flag("--inject-fault",   Fault,             "a <step>:<kind>",          &[Run, Submit]),
     flag("--on-fault",       Text("fail|NAME"), "a fail-or-policy-name",    &[Run]),
     flag("--deadline-ms",    U64,               "an integer millisecond",   &[Run, Submit]),
@@ -119,7 +120,7 @@ pub const FLAGS: &[Flag] = &[
     flag("--addr",           Text("HOST:PORT"), "a HOST:PORT",              &[Serve, Submit]),
     flag("--workers",        UpTo(MAX_WORKERS), "a 1-to-256 integer",       &[Serve]),
     flag("--queue-depth",    UpTo(MAX_QUEUE_DEPTH), "a 1-to-65536 integer", &[Serve]),
-    flag("--queue-mib",      U64,               "an integer MiB",           &[Serve]),
+    flag("--queue-mib",      UpTo(MAX_MIB),     "a 1-to-17592186044415 integer", &[Serve]),
     flag("--drain-ms",       U64,               "an integer millisecond",   &[Serve]),
     flag("--health",         Switch,            "",                         &[Submit]),
     flag("--stats",          Switch,            "",                         &[Submit]),

@@ -105,8 +105,9 @@ pub fn figure_drivers(lab: &Lab) -> Vec<(&'static str, FigureDriver<'_>)> {
 
 /// The Table 2 hardware, with the GPU capacity overridden to `gpu_mib` MiB
 /// when given: the hardware of every `experiments run` / `multi` cell and
-/// every served request.  Callers validate `gpu_mib` against
-/// [`crate::serve::protocol::MAX_MIB`] first.
+/// every served request.  Callers bound `gpu_mib` by
+/// [`crate::serve::protocol::MAX_MIB`] first (the wire parser, and the
+/// `--gpu-mib` row of [`crate::cli::FLAGS`]).
 pub fn gpu_config(gpu_mib: Option<u64>) -> SystemConfig {
     let config = SystemConfig::table2();
     match gpu_mib {

@@ -2,18 +2,19 @@
 //! line, called directly (no subprocess).  Argv is drawn from the flag
 //! names of `cli::FLAGS`, command words, and values each check must weigh:
 //! `""`, `-1`, `nan`, `inf`, `1e999`, `18446744073709551616`, `0`,
-//! each bound (`MAX_BATCH`, `MAX_TENANTS`, `MAX_WORKERS`, `MAX_QUEUE_DEPTH`)
-//! and one past it, `u64::MAX` and `3:step-panic`.
+//! each bound (`MAX_BATCH`, `MAX_TENANTS`, `MAX_WORKERS`, `MAX_QUEUE_DEPTH`,
+//! `MAX_MIB`) and one past it, `u64::MAX` and `3:step-panic`.
 //!
 //! No argv panics; every valued flag given last errors with `needs`; every
 //! (flag, command) pair outside the table is refused with `does not take`,
 //! and every pair inside it parses when given a valid value; numeric flags
 //! refuse NaN, infinity, negatives and overflow, and each bounded flag
-//! (`--batch`, `--tenants`, `--workers`, `--queue-depth`) anything above
-//! its bound.  Only `parse` runs: no value is ever acted on, so no test
+//! (`--batch`, `--tenants`, `--workers`, `--queue-depth`, `--gpu-mib`,
+//! `--queue-mib`) anything above its bound.  Only `parse` runs: no value is ever acted on, so no test
 //! starts the threads or builds the tenants a value names.
 
 use g10_bench::cli::{self, Check, Command, FLAGS, MAX_QUEUE_DEPTH, MAX_TENANTS, MAX_WORKERS};
+use g10_bench::serve::protocol::MAX_MIB;
 use g10_dnn::models::MAX_BATCH;
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -174,12 +175,16 @@ fn batch_is_bounded_by_max_batch_and_help_says_so() {
 }
 
 #[test]
-fn tenants_workers_and_queue_depth_are_bounded_and_help_says_so() {
+fn counts_and_mib_sizes_are_bounded_and_help_says_so() {
     let usage = cli::usage();
     for (name, command, bound) in [
         ("--tenants", "multi", MAX_TENANTS),
         ("--workers", "serve", MAX_WORKERS),
         ("--queue-depth", "serve", MAX_QUEUE_DEPTH),
+        ("--gpu-mib", "run", MAX_MIB),
+        ("--gpu-mib", "multi", MAX_MIB),
+        ("--gpu-mib", "submit", MAX_MIB),
+        ("--queue-mib", "serve", MAX_MIB),
     ] {
         let flag = FLAGS.iter().find(|flag| flag.name == name).unwrap();
         assert_eq!(flag.check, Check::UpTo(bound), "{name}");
@@ -248,7 +253,7 @@ const WORDS: [&str; 14] = [
 ];
 
 /// Values every check must weigh, and flags no table row names.
-const VALUES: [&str; 25] = [
+const VALUES: [&str; 27] = [
     "",
     "-1",
     "256",
@@ -264,6 +269,8 @@ const VALUES: [&str; 25] = [
     "18446744073709551615",
     "1048576",
     "1048577",
+    "17592186044415",
+    "17592186044416",
     "0",
     "1",
     "1.5",

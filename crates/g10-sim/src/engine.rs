@@ -11,6 +11,18 @@
 //! bandwidth contention shows up as later completion times and therefore as
 //! kernel stalls.
 //!
+//! # Migration paths
+//!
+//! Three calls are the hook points for anything that observes or checks
+//! the simulated traffic.  `start_inbound` starts every transfer into GPU
+//! memory (planned prefetch, evicting prefetch, demand fetch; the last
+//! through the far-fault path for faulting designs), and
+//! [`EngineState::request_evict`] every transfer out.  `make_room` is the
+//! one loop that asks a policy for victims until free plus in-flight bytes
+//! cover a request, and the one walk that finds when they do; an evicting
+//! prefetch that gets no room is dropped, while a kernel's claim for a
+//! birth or demand fetch over-commits and marks the run oversubscribed.
+//!
 //! # Bookkeeping structures
 //!
 //! * **Resident set**: a bitset over tensor ids, iterated in id order by
@@ -19,9 +31,8 @@
 //!   one `(completion time, bytes)` entry per distinct completion time in a
 //!   deque sorted by time.  An eviction inserts by binary search (almost
 //!   always at the back, since completions mostly grow with issue time);
-//!   equal times merge.  Expiry pops from the front, and the free-space
-//!   projections walk it in time order, keeping a running byte total
-//!   beside it.
+//!   equal times merge.  Expiry pops from the front, and `make_room`
+//!   walks it in time order, keeping a running byte total beside it.
 //! * **Victim index**: the [`VictimIndex`] behind the LRU and
 //!   largest-victim helpers, built from the resident set on the first
 //!   victim query and maintained from then on.  A replay that never asks
@@ -31,7 +42,7 @@
 //! |---|---|
 //! | eviction into the ledger | O(log E) search, O(1) at the back (E = distinct pending completions) |
 //! | `apply_pending` | O(1) per expired entry |
-//! | `space_available_at`, `ensure_gpu_space` walk | O(entries walked) |
+//! | `make_room` | one selector call and one eviction per victim, then O(entries walked) |
 //! | residency change, touch | O(1) before the first victim query; the [`VictimIndex`] costs after |
 
 use crate::cancel::{CancelRecord, CancelToken};
@@ -104,6 +115,18 @@ pub enum Location {
     Host,
     /// Stored on the SSD.
     Ssd,
+}
+
+impl Location {
+    /// The off-GPU memory a tensor here migrates from: host DRAM or flash,
+    /// `None` for the GPU and for unallocated tensors.
+    fn source(self) -> Option<MemKind> {
+        match self {
+            Location::Host => Some(MemKind::Host),
+            Location::Ssd => Some(MemKind::Flash),
+            Location::Gpu | Location::Unallocated => None,
+        }
+    }
 }
 
 /// Extra runtime knobs that differ between the compared designs.
@@ -221,8 +244,8 @@ pub struct EngineState {
     tensors: Vec<TensorRuntime>,
     /// GPU bytes that will be freed when outbound evictions complete:
     /// `(completion time, bytes)`, one entry per distinct time, sorted by
-    /// time, so [`EngineState::space_available_at`] walks completions in
-    /// order and `apply_pending` pops expired ones from the front.
+    /// time, so `make_room` walks completions in order and `apply_pending`
+    /// pops expired ones from the front.
     pending_gpu_free: VecDeque<(Nanos, u64)>,
     /// Running prefix of the `pending_gpu_free` byte counts, so the
     /// projected free-space checks do not re-sum the ledger per victim
@@ -344,21 +367,13 @@ impl EngineState {
 
     /// Iterator over tensors that could be evicted right now: resident in
     /// GPU memory, not used by the current kernel, and not in flight.
-    /// Yields `(tensor, last_touch_kernel, bytes)`.
-    ///
-    /// Backed by the resident-set index, so victim selection scans only the
-    /// tensors actually in GPU memory instead of the whole tensor table.
-    /// Iteration stays in tensor-id order (the order of the former full
-    /// scan), so tie-breaking in the policies is unchanged.
+    /// Yields `(tensor, last_touch_kernel, bytes)` in tensor-id order,
+    /// scanning only the resident set.
     pub fn evictable_tensors(&self) -> impl Iterator<Item = (TensorId, usize, u64)> + '_ {
         self.resident_gpu.iter().filter_map(move |idx| {
             let t = &self.tensors[idx];
             debug_assert!(t.location == Location::Gpu && t.inbound_ready.is_none());
-            if !self.protected[idx] {
-                Some((TensorId::new(idx as u32), t.last_touch, t.bytes))
-            } else {
-                None
-            }
+            (!self.protected[idx]).then(|| (TensorId::new(idx as u32), t.last_touch, t.bytes))
         })
     }
 
@@ -452,36 +467,56 @@ impl EngineState {
     /// `false` (and does nothing) if the tensor is already resident or in
     /// flight, is not allocated anywhere, or GPU memory has no room for it.
     pub fn request_prefetch(&mut self, tensor: TensorId) -> bool {
-        if !self.tensor_in_range(tensor) {
+        let Some(source) = self.prefetch_source(tensor) else {
             return false;
-        }
-        let idx = tensor.index();
-        let (bytes, location) = (self.tensors[idx].bytes, self.tensors[idx].location);
-        if self.tensors[idx].inbound_ready.is_some() {
-            return false;
-        }
-        let source = match location {
-            Location::Host => MemKind::Host,
-            Location::Ssd => MemKind::Flash,
-            Location::Gpu | Location::Unallocated => return false,
         };
+        let idx = tensor.index();
         self.apply_pending(self.now);
-        if !self.uvm.gpu_mut().try_allocate(bytes) {
+        if !self.uvm.gpu_mut().try_allocate(self.tensors[idx].bytes) {
             self.prefetches_dropped += 1;
             return false;
         }
-        let now = self.now;
-        let completion = self.uvm.transfer_to_gpu(bytes, source, now);
+        self.prefetches_issued += 1;
+        self.start_inbound(idx, source, self.now, false);
+        true
+    }
+
+    /// Where a prefetch of `tensor` would read from: `None` when the id is
+    /// out of range (flagged as a policy fault), or the tensor is in
+    /// flight, resident or unallocated.
+    fn prefetch_source(&self, tensor: TensorId) -> Option<MemKind> {
+        if !self.tensor_in_range(tensor) {
+            return None;
+        }
+        let t = &self.tensors[tensor.index()];
+        if t.inbound_ready.is_some() {
+            return None;
+        }
+        t.location.source()
+    }
+
+    /// Starts the transfer of tensor `idx` from `source` into GPU memory
+    /// at `start`, through the far-fault path when `fault` is set, and
+    /// returns its arrival time.  The tensor's GPU space must already be
+    /// claimed; its host staging bytes are released here.  Every inbound
+    /// migration — planned prefetch, evicting prefetch, demand fetch —
+    /// starts through this one call.
+    fn start_inbound(&mut self, idx: usize, source: MemKind, start: Nanos, fault: bool) -> Nanos {
+        let bytes = self.tensors[idx].bytes;
+        let arrival = if fault {
+            self.uvm.fault_in(bytes, source, start)
+        } else {
+            self.uvm.transfer_to_gpu(bytes, source, start)
+        };
         if source == MemKind::Host {
             self.uvm.host_mut().free(bytes);
         }
-        self.tensors[idx].inbound_ready = Some(completion);
-        self.prefetches_issued += 1;
+        self.tensors[idx].inbound_ready = Some(arrival);
         self.ledger_note(|usage| {
             usage.migrations_in += 1;
             usage.bytes_in = usage.bytes_in.saturating_add(bytes);
         });
-        true
+        arrival
     }
 
     /// Starts an asynchronous eviction of `tensor` out of GPU memory to the
@@ -489,27 +524,18 @@ impl EngineState {
     /// the transfer completes.  Returns `false` if the tensor is not an
     /// evictable resident, or the destination is invalid.
     pub fn request_evict(&mut self, tensor: TensorId, destination: Location) -> bool {
-        if !self.tensor_in_range(tensor) {
+        if !self.tensor_in_range(tensor) || !self.evictable(tensor.index()) {
             return false;
         }
         let idx = tensor.index();
-        if self.tensors[idx].location != Location::Gpu
-            || self.tensors[idx].inbound_ready.is_some()
-            || self.protected[idx]
-        {
-            return false;
-        }
         let bytes = self.tensors[idx].bytes;
-        let destination = match destination {
-            Location::Host if self.uvm.host_mut().try_allocate(bytes) => Location::Host,
+        let (destination, kind) = match destination {
+            Location::Host if self.uvm.host_mut().try_allocate(bytes) => {
+                (Location::Host, MemKind::Host)
+            }
             // Host requested but full, or SSD requested: go to flash.
-            Location::Host | Location::Ssd => Location::Ssd,
+            Location::Host | Location::Ssd => (Location::Ssd, MemKind::Flash),
             Location::Gpu | Location::Unallocated => return false,
-        };
-        // `destination` can only be Host or Ssd at this point.
-        let kind = match destination {
-            Location::Host => MemKind::Host,
-            _ => MemKind::Flash,
         };
         let now = self.now;
         let completion = self.uvm.transfer_from_gpu(bytes, kind, now);
@@ -532,56 +558,20 @@ impl EngineState {
     pub fn request_prefetch_evicting(
         &mut self,
         tensor: TensorId,
-        mut select_victim: impl FnMut(&EngineState) -> Option<(TensorId, Location)>,
+        select_victim: impl FnMut(&EngineState) -> Option<(TensorId, Location)>,
     ) -> bool {
-        if !self.tensor_in_range(tensor) {
+        let Some(source) = self.prefetch_source(tensor) else {
             return false;
-        }
-        let idx = tensor.index();
-        if self.tensors[idx].inbound_ready.is_some() {
-            return false;
-        }
-        let source = match self.tensors[idx].location {
-            Location::Host => MemKind::Host,
-            Location::Ssd => MemKind::Flash,
-            Location::Gpu | Location::Unallocated => return false,
         };
+        let idx = tensor.index();
         let bytes = self.tensors[idx].bytes;
-        self.apply_pending(self.now);
-        if self.uvm.gpu().free_bytes() < bytes {
-            loop {
-                let projected: u64 = self.uvm.gpu().free_bytes() + self.pending_gpu_free_bytes;
-                if projected >= bytes {
-                    break;
-                }
-                match select_victim(self) {
-                    Some((victim, destination)) => {
-                        if !self.request_evict(victim, destination) {
-                            self.prefetches_dropped += 1;
-                            return false;
-                        }
-                    }
-                    None => {
-                        self.prefetches_dropped += 1;
-                        return false;
-                    }
-                }
-            }
-        }
-        let start = self.now.max(self.space_available_at(bytes));
-        if !self.uvm.gpu_mut().try_allocate(bytes) {
-            self.uvm.gpu_mut().force_allocate(bytes);
-        }
-        let completion = self.uvm.transfer_to_gpu(bytes, source, start);
-        if source == MemKind::Host {
-            self.uvm.host_mut().free(bytes);
-        }
-        self.tensors[idx].inbound_ready = Some(completion);
+        let Some(start) = self.make_room(bytes, select_victim) else {
+            self.prefetches_dropped += 1;
+            return false;
+        };
+        self.allocate_gpu(bytes);
         self.prefetches_issued += 1;
-        self.ledger_note(|usage| {
-            usage.migrations_in += 1;
-            usage.bytes_in = usage.bytes_in.saturating_add(bytes);
-        });
+        self.start_inbound(idx, source, start, false);
         true
     }
 
@@ -615,14 +605,18 @@ impl EngineState {
             return false;
         }
         let idx = tensor.index();
-        if self.tensors[idx].location != Location::Gpu
-            || self.tensors[idx].inbound_ready.is_some()
-            || self.protected[idx]
-        {
+        if !self.evictable(idx) {
             self.flag_fault(PolicyFaultKind::EvictNonResident { tensor: idx as u32 });
             return false;
         }
         self.request_evict(tensor, destination)
+    }
+
+    /// Whether tensor `idx` is a settled GPU resident the running kernel
+    /// does not use.
+    fn evictable(&self, idx: usize) -> bool {
+        let t = &self.tensors[idx];
+        t.location == Location::Gpu && t.inbound_ready.is_none() && !self.protected[idx]
     }
 
     /// Assembles the bookkeeping snapshot the [`InvariantGuard`] audits:
@@ -660,22 +654,42 @@ impl EngineState {
         }
     }
 
-    /// Earliest time at which `needed` bytes of GPU memory will be free,
-    /// given the evictions already in flight.  The ledger is kept ordered by
-    /// completion time, so this is a single in-order walk — no clone, no
-    /// sort.
-    fn space_available_at(&self, needed: u64) -> Nanos {
+    /// Makes room for `needed` bytes of GPU memory: frees what is due, asks
+    /// `select_victim` for evictions until the free bytes plus the
+    /// in-flight frees cover the request, then walks the pending-free
+    /// ledger in completion order for the earliest time (never before
+    /// `now`) at which they do.  `None` when the selector gives up or names
+    /// a tensor it cannot evict.  This is the engine's only victim loop.
+    fn make_room(
+        &mut self,
+        needed: u64,
+        mut select_victim: impl FnMut(&EngineState) -> Option<(TensorId, Location)>,
+    ) -> Option<Nanos> {
+        self.apply_pending(self.now);
         let mut free = self.uvm.gpu().free_bytes();
         if free >= needed {
-            return self.now;
+            return Some(self.now);
         }
-        for &(time, bytes) in &self.pending_gpu_free {
-            free += bytes;
-            if free >= needed {
-                return time.max(self.now);
+        while free + self.pending_gpu_free_bytes < needed {
+            let (victim, destination) = select_victim(self)?;
+            if !self.request_evict(victim, destination) {
+                return None;
             }
         }
-        self.now
+        self.pending_gpu_free.iter().find_map(|&(time, bytes)| {
+            free += bytes;
+            (free >= needed).then(|| time.max(self.now))
+        })
+    }
+
+    /// Allocates `bytes` of GPU memory, over-committing past capacity when
+    /// they do not fit; returns whether they fitted.
+    fn allocate_gpu(&mut self, bytes: u64) -> bool {
+        let fits = self.uvm.gpu_mut().try_allocate(bytes);
+        if !fits {
+            self.uvm.gpu_mut().force_allocate(bytes);
+        }
+        fits
     }
 
     /// Records `bytes` of GPU memory freed when an eviction completes at
@@ -709,62 +723,33 @@ impl EngineState {
         }
     }
 
+    /// Lands the tensor in GPU memory if its inbound transfer has arrived.
     fn settle(&mut self, tensor: TensorId) {
         let idx = tensor.index();
-        if let Some(ready) = self.tensors[idx].inbound_ready {
-            if ready <= self.now {
-                self.tensors[idx].inbound_ready = None;
-                self.set_location(idx, Location::Gpu);
-            }
+        if self.tensors[idx]
+            .inbound_ready
+            .is_some_and(|ready| ready <= self.now)
+        {
+            self.tensors[idx].inbound_ready = None;
+            self.set_location(idx, Location::Gpu);
         }
     }
 
-    /// Time at which enough GPU space for `needed` extra bytes will exist,
-    /// asking `select_victim` for evictions as necessary.  Marks the state
-    /// oversubscribed if space cannot be found.
-    fn ensure_gpu_space(
+    /// Claims `bytes` of GPU memory for the running kernel — a birth or a
+    /// demand fetch — making room through `select_victim`, and returns
+    /// when the space is free.  When the selector cannot make room, or the
+    /// claim over-commits, the run is marked oversubscribed and the bytes
+    /// are allocated anyway.
+    fn claim_gpu(
         &mut self,
-        needed: u64,
-        mut select_victim: impl FnMut(&EngineState) -> Option<(TensorId, Location)>,
+        bytes: u64,
+        select_victim: impl FnMut(&EngineState) -> Option<(TensorId, Location)>,
     ) -> Nanos {
+        let room_at = self.make_room(bytes, select_victim);
         self.apply_pending(self.now);
-        if self.uvm.gpu().free_bytes() >= needed {
-            return self.now;
-        }
-        // Keep evicting until currently-free plus in-flight frees cover the
-        // request, or the policy gives up.
-        loop {
-            let projected: u64 = self.uvm.gpu().free_bytes() + self.pending_gpu_free_bytes;
-            if projected >= needed {
-                break;
-            }
-            match select_victim(self) {
-                Some((victim, destination)) => {
-                    if !self.request_evict(victim, destination) {
-                        // The policy picked something unusable; treat as give-up.
-                        self.oversubscribed = true;
-                        return self.now;
-                    }
-                }
-                None => {
-                    self.oversubscribed = true;
-                    return self.now;
-                }
-            }
-        }
-        if self.uvm.gpu().free_bytes() >= needed {
-            return self.now;
-        }
-        // Find the earliest completion time at which enough space is free.
-        let mut free = self.uvm.gpu().free_bytes();
-        for &(time, bytes) in &self.pending_gpu_free {
-            free += bytes;
-            if free >= needed {
-                return time;
-            }
-        }
-        self.oversubscribed = true;
-        self.now
+        let fits = self.allocate_gpu(bytes);
+        self.oversubscribed |= room_at.is_none() || !fits;
+        room_at.unwrap_or(self.now)
     }
 }
 
@@ -850,36 +835,30 @@ impl<'a> ReplayEngine<'a> {
         // Per-tensor runtime state and initial placement; lifetimes come
         // from the graph's shared index instead of a fresh adjacency pass.
         let index = graph.index();
-        let mut tensors = Vec::with_capacity(graph.num_tensors());
+        let num_tensors = graph.num_tensors();
+        let mut tensors = Vec::with_capacity(num_tensors);
+        let mut resident_gpu = ResidentSet::new(num_tensors);
         for info in graph.tensors() {
-            let last_use = index.last_use(info.id()).map(|k| k.index()).unwrap_or(0);
-            let mut location = if index.use_count(info.id()) == 0 {
+            let (id, bytes) = (info.id(), info.bytes());
+            let mut location = if index.use_count(id) == 0 {
                 Location::Unallocated
             } else {
                 policy.initial_location(info)
             };
-            match location {
-                Location::Gpu => {
-                    if !uvm.gpu_mut().try_allocate(info.bytes()) {
-                        // Weights that do not fit initially spill to host.
-                        location = if uvm.host_mut().try_allocate(info.bytes()) {
-                            Location::Host
-                        } else {
-                            Location::Ssd
-                        };
-                    }
-                }
-                Location::Host => {
-                    if !uvm.host_mut().try_allocate(info.bytes()) {
-                        location = Location::Ssd;
-                    }
-                }
-                Location::Ssd | Location::Unallocated => {}
+            // Tensors that do not fit initially spill to host, then to SSD.
+            if location == Location::Gpu && !uvm.gpu_mut().try_allocate(bytes) {
+                location = Location::Host;
+            }
+            if location == Location::Host && !uvm.host_mut().try_allocate(bytes) {
+                location = Location::Ssd;
+            }
+            if location == Location::Gpu {
+                resident_gpu.insert(tensors.len());
             }
             tensors.push(TensorRuntime {
-                bytes: info.bytes(),
+                bytes,
                 is_global: info.is_global(),
-                last_use,
+                last_use: index.last_use(id).map_or(0, |k| k.index()),
                 location,
                 inbound_ready: None,
                 last_touch: 0,
@@ -887,21 +866,14 @@ impl<'a> ReplayEngine<'a> {
         }
 
         // Per-kernel unique working sets, borrowed from the index's arena.
-        let num_tensors = graph.num_tensors();
         let num_kernels = graph.num_kernels();
         let (required_flat, required_offsets) = index.working_sets();
         let working_set_exceeds_gpu = index.max_kernel_working_set_bytes() > gpu_capacity;
 
-        let mut resident_gpu = ResidentSet::new(num_tensors);
-        let mut initial_resident_bytes = 0u64;
-        for (idx, t) in tensors.iter().enumerate() {
-            if t.location == Location::Gpu {
-                resident_gpu.insert(idx);
-                initial_resident_bytes += t.bytes;
-            }
-        }
-        // Post the initial placement to the shared ledger (the loop above
-        // bypasses `set_location`, which does this incrementally later).
+        // Post the initial placement, every GPU byte allocated so far, to
+        // the shared ledger (the loop above bypasses `set_location`, which
+        // does this incrementally later).
+        let initial_resident_bytes = uvm.gpu().used_bytes();
         if let Some(ledger) = &options.device_ledger {
             ledger.note(options.tenant, |usage| {
                 usage.resident_bytes = usage.resident_bytes.saturating_add(initial_resident_bytes);
@@ -1097,25 +1069,17 @@ impl<'a> ReplayEngine<'a> {
                 Location::Gpu => {}
                 Location::Unallocated => {
                     // A tensor being born: it only needs space.
-                    let bytes = self.state.tensors[idx].bytes;
-                    let space_at = self.ensure_space(bytes);
-                    ready = ready.max(space_at);
-                    self.state.apply_pending(self.state.now);
-                    if !self.state.uvm.gpu_mut().try_allocate(bytes) {
-                        self.state.uvm.gpu_mut().force_allocate(bytes);
-                        self.state.oversubscribed = true;
-                    }
+                    ready = ready.max(self.claim_gpu(idx));
                     self.state.set_location(idx, Location::Gpu);
                 }
                 Location::Host | Location::Ssd => {
-                    if let Some(arrival) = self.state.tensors[idx].inbound_ready {
+                    let arrival = match self.state.tensors[idx].inbound_ready {
                         // A prefetch is already on the way.
-                        ready = ready.max(arrival);
-                    } else {
+                        Some(arrival) => arrival,
                         // Unplanned access: bring it in on demand.
-                        let arrival = self.demand_fetch(t);
-                        ready = ready.max(arrival);
-                    }
+                        None => self.demand_fetch(idx),
+                    };
+                    ready = ready.max(arrival);
                 }
             }
         }
@@ -1154,62 +1118,45 @@ impl<'a> ReplayEngine<'a> {
         self.policy.after_kernel(k, &mut self.state);
     }
 
-    /// Unplanned fetch of a tensor that the current kernel needs.
-    fn demand_fetch(&mut self, tensor: TensorId) -> Nanos {
-        let idx = tensor.index();
-        let bytes = self.state.tensors[idx].bytes;
-        let source = match self.state.tensors[idx].location {
-            Location::Host => MemKind::Host,
-            Location::Ssd => MemKind::Flash,
-            _ => return self.state.now,
+    /// Unplanned fetch of tensor `idx`, which the current kernel needs:
+    /// claims its space, then brings it in through the far-fault path when
+    /// the design pays for one.  Returns the arrival time.
+    fn demand_fetch(&mut self, idx: usize) -> Nanos {
+        let Some(source) = self.state.tensors[idx].location.source() else {
+            return self.state.now;
         };
-        let space_at = self.ensure_space(bytes);
-        self.state.apply_pending(self.state.now);
-        if !self.state.uvm.gpu_mut().try_allocate(bytes) {
-            self.state.uvm.gpu_mut().force_allocate(bytes);
-            self.state.oversubscribed = true;
-        }
-        let start = self.state.now.max(space_at);
-        let arrival = if self.state.pays_fault_overhead {
-            self.state.uvm.fault_in(bytes, source, start)
-        } else {
-            self.state.uvm.transfer_to_gpu(bytes, source, start)
-        };
-        if source == MemKind::Host {
-            self.state.uvm.host_mut().free(bytes);
-        }
-        self.state.tensors[idx].inbound_ready = Some(arrival);
-        self.state.ledger_note(|usage| {
-            usage.migrations_in += 1;
-            usage.bytes_in = usage.bytes_in.saturating_add(bytes);
-        });
-        arrival
+        let start = self.claim_gpu(idx);
+        let fault = self.state.pays_fault_overhead;
+        self.state.start_inbound(idx, source, start, fault)
     }
 
-    fn ensure_space(&mut self, bytes: u64) -> Nanos {
+    /// Claims GPU space for tensor `idx` through the policy's victims
+    /// ([`EngineState::claim_gpu`]) and returns when it is free.
+    fn claim_gpu(&mut self, idx: usize) -> Nanos {
         let policy = &mut self.policy;
+        let bytes = self.state.tensors[idx].bytes;
         self.state
-            .ensure_gpu_space(bytes, |state| policy.select_victim(state))
+            .claim_gpu(bytes, |state| policy.select_victim(state))
     }
 
     /// Releases a dead intermediate tensor from wherever it lives.
     fn release(&mut self, tensor: TensorId) {
         let idx = tensor.index();
+        let bytes = self.state.tensors[idx].bytes;
         // A dead tensor cannot still be in flight: it was just settled as
         // part of the kernel that used it last.
         match self.state.tensors[idx].location {
-            Location::Gpu => self.state.uvm.gpu_mut().free(self.state.tensors[idx].bytes),
-            Location::Host => self
-                .state
-                .uvm
-                .host_mut()
-                .free(self.state.tensors[idx].bytes),
+            Location::Gpu => self.state.uvm.gpu_mut().free(bytes),
+            Location::Host => self.state.uvm.host_mut().free(bytes),
             Location::Ssd | Location::Unallocated => {}
         }
         self.state.set_location(idx, Location::Unallocated);
         self.state.tensors[idx].inbound_ready = None;
     }
 }
+
+#[cfg(test)]
+mod inbound_tests;
 
 #[cfg(test)]
 mod ledger_tests;

@@ -7,19 +7,18 @@ use g10_dnn::cost::GpuCostModel;
 use g10_dnn::models::{build_model, ModelKind};
 use std::collections::BTreeMap;
 
-/// The reference's answer to [`EngineState::space_available_at`].
-fn space_available_at(reference: &BTreeMap<Nanos, u64>, state: &EngineState, needed: u64) -> Nanos {
+/// The reference's answer to `make_room` under a selector that never names
+/// a victim: when the free bytes plus the in-flight frees first cover
+/// `needed`, or `None` when they never do.
+fn room_at(reference: &BTreeMap<Nanos, u64>, state: &EngineState, needed: u64) -> Option<Nanos> {
     let mut free = state.uvm.gpu().free_bytes();
     if free >= needed {
-        return state.now;
+        return Some(state.now);
     }
-    for (&time, &bytes) in reference {
+    reference.iter().find_map(|(&time, &bytes)| {
         free += bytes;
-        if free >= needed {
-            return time.max(state.now);
-        }
-    }
-    state.now
+        (free >= needed).then(|| time.max(state.now))
+    })
 }
 
 /// The reference's `apply_pending`: removes every entry due by `now` and
@@ -29,7 +28,7 @@ fn apply_pending(reference: &mut BTreeMap<Nanos, u64>, now: Nanos) -> u64 {
     std::mem::replace(reference, later).into_values().sum()
 }
 
-fn assert_agrees(reference: &BTreeMap<Nanos, u64>, state: &EngineState) {
+fn assert_agrees(reference: &BTreeMap<Nanos, u64>, state: &mut EngineState) {
     let entries: Vec<(Nanos, u64)> = reference.iter().map(|(&t, &b)| (t, b)).collect();
     assert_eq!(state.pending_gpu_free, entries);
     assert_eq!(
@@ -46,11 +45,14 @@ fn assert_agrees(reference: &BTreeMap<Nanos, u64>, state: &EngineState) {
         free + total,
         free + total + 1,
     ] {
+        let expected = room_at(reference, state, needed);
         assert_eq!(
-            state.space_available_at(needed),
-            space_available_at(reference, state, needed),
+            state.make_room(needed, |_| None),
+            expected,
             "needed {needed}"
         );
+        // Nothing was due, so making room changed nothing.
+        assert_eq!(state.pending_gpu_free, entries);
     }
 }
 
@@ -78,10 +80,7 @@ fn ledger_matches_an_ordered_map_under_out_of_order_completions() {
         } else {
             Location::Host
         };
-        let kind = match destination {
-            Location::Host => MemKind::Host,
-            _ => MemKind::Flash,
-        };
+        let kind = destination.source().expect("an off-GPU destination");
         // The engine's channels are deterministic: a clone predicts the
         // completion time the eviction is about to get.
         let completion =
@@ -98,7 +97,7 @@ fn ledger_matches_an_ordered_map_under_out_of_order_completions() {
         }
         assert!(state.request_evict(tensor, destination));
         *reference.entry(completion).or_insert(0) += state.bytes_of(tensor);
-        assert_agrees(&reference, &state);
+        assert_agrees(&reference, &mut state);
         // Every third eviction, move the clock to just past the earliest
         // completion and expire what is due.
         if i % 3 == 2 {
@@ -108,7 +107,7 @@ fn ledger_matches_an_ordered_map_under_out_of_order_completions() {
             state.apply_pending(state.now);
             let freed = state.uvm.gpu().free_bytes() - free_before;
             assert_eq!(freed, apply_pending(&mut reference, state.now));
-            assert_agrees(&reference, &state);
+            assert_agrees(&reference, &mut state);
         }
     }
     assert!(out_of_order > 0, "no completion arrived out of order");
@@ -119,7 +118,7 @@ fn ledger_matches_an_ordered_map_under_out_of_order_completions() {
     for time in [times[0], times[times.len() / 2], times[times.len() - 1]] {
         state.add_pending_free(time, 64);
         *reference.entry(time).or_insert(0) += 64;
-        assert_agrees(&reference, &state);
+        assert_agrees(&reference, &mut state);
     }
 
     // Draining at the end frees everything in one pass.

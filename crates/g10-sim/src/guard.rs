@@ -42,8 +42,10 @@ pub(crate) struct AuditView {
     /// `true` if the resident-set index disagrees with the tensor table's
     /// per-tensor locations.
     pub resident_index_diverged: bool,
-    /// `true` once the engine has acknowledged oversubscription (its own
-    /// force-allocate escape hatch), which legitimises overcommit.
+    /// The engine's [`crate::SimReport::oversubscribed`] flag, which
+    /// legitimises overcommit for the rest of the run.  Any kernel claim that
+    /// over-commits raises it, even one that only waits for in-flight
+    /// evictions, so under memory pressure the capacity check is usually off.
     pub oversubscribed: bool,
 }
 

@@ -72,8 +72,11 @@ pub struct SimReport {
     pub prefetches_dropped: u64,
     /// Evictions issued (planned or capacity-driven).
     pub evictions_issued: u64,
-    /// `true` if GPU memory was transiently oversubscribed (a kernel's
-    /// working set could not be made to fit by evicting).
+    /// `true` once a birth or demand fetch was allocated past GPU capacity:
+    /// the policy named too few victims, or the room it made was still being
+    /// freed by in-flight evictions.  The latter is routine under pressure
+    /// (every non-Ideal paper cell at Table 2 sets it), so this is no
+    /// feasibility verdict; see `working_set_exceeds_gpu`.
     pub oversubscribed: bool,
     /// `true` if some kernel's working set exceeds the GPU capacity, which
     /// makes the workload infeasible for designs that require the full

@@ -16,8 +16,8 @@ use g10_dnn::graph::DnnGraph;
 use g10_dnn::index::GraphIndex;
 use std::sync::Arc;
 
-/// Default number of upcoming kernels whose working sets are prefetched.
-pub const DEFAULT_LOOKAHEAD: usize = 4;
+/// Number of upcoming kernels whose working sets are prefetched.
+const LOOKAHEAD: usize = 4;
 
 /// The DeepUM+ baseline.
 ///
@@ -33,27 +33,14 @@ pub struct DeepUmPolicy {
     /// The shared per-graph analysis index holding the flattened working
     /// sets: kernel `k` owns `flat[offsets[k]..offsets[k + 1]]`.
     index: Arc<GraphIndex>,
-    lookahead: usize,
 }
 
 impl DeepUmPolicy {
-    /// Creates the policy for one training-iteration graph with the default
-    /// look-ahead window.
+    /// Creates the policy for one training-iteration graph.
     pub fn new(graph: &DnnGraph) -> Self {
-        Self::with_lookahead(graph, DEFAULT_LOOKAHEAD)
-    }
-
-    /// Creates the policy with an explicit look-ahead window (in kernels).
-    fn with_lookahead(graph: &DnnGraph, lookahead: usize) -> Self {
         DeepUmPolicy {
             index: graph.shared_index(),
-            lookahead: lookahead.max(1),
         }
-    }
-
-    /// The look-ahead window in kernels.
-    pub fn lookahead(&self) -> usize {
-        self.lookahead
     }
 
     /// Number of kernels the policy tracks.
@@ -70,7 +57,7 @@ impl MemoryPolicy for DeepUmPolicy {
     fn before_kernel(&mut self, kernel: usize, state: &mut EngineState) {
         // The look-ahead window over kernels `kernel + 1 .. end` is one
         // contiguous arena slice; consecutive kernels share its overlap.
-        let end = (kernel + 1 + self.lookahead).min(self.num_kernels());
+        let end = (kernel + 1 + LOOKAHEAD).min(self.num_kernels());
         if kernel + 1 >= end {
             return;
         }
@@ -95,16 +82,6 @@ mod tests {
     #![allow(clippy::unwrap_used)]
     use super::*;
     use g10_dnn::models::{build_model, ModelKind};
-
-    #[test]
-    fn lookahead_is_clamped_to_at_least_one() {
-        let graph = build_model(ModelKind::TinyCnn, 4);
-        let p = DeepUmPolicy::with_lookahead(&graph, 0);
-        assert_eq!(p.lookahead(), 1);
-        let p = DeepUmPolicy::new(&graph);
-        assert_eq!(p.lookahead(), DEFAULT_LOOKAHEAD);
-        assert_eq!(p.name(), "DeepUM+");
-    }
 
     #[test]
     fn required_sets_cover_every_kernel() {
