@@ -103,7 +103,7 @@ pub fn render_window(graph: &DnnGraph, plan: &MigrationPlan, start: usize, end: 
             .map(|t| format!("tensor{}", t.index()))
             .collect();
         let _ = writeln!(out, "  // Kernel {k} [{}] {name}", kernel.class());
-        let _ = writeln!(out, "  {}({});", sanitize(name), args.join(", "));
+        let _ = writeln!(out, "  {}({});", sanitize(name.chars()), args.join(", "));
         for instr in program.after(kernel_id) {
             let _ = writeln!(out, "  {}", render_instruction(instr));
         }
@@ -111,9 +111,8 @@ pub fn render_window(graph: &DnnGraph, plan: &MigrationPlan, start: usize, end: 
     out
 }
 
-fn sanitize(name: &str) -> String {
-    name.chars()
-        .map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
+fn sanitize(name: impl Iterator<Item = char>) -> String {
+    name.map(|c| if c.is_ascii_alphanumeric() { c } else { '_' })
         .collect()
 }
 
@@ -266,7 +265,7 @@ mod tests {
     #[test]
     fn kernel_names_are_sanitised_into_identifiers() {
         assert_eq!(
-            sanitize("layer3.12.conv2.forward"),
+            sanitize("layer3.12.conv2.forward".chars()),
             "layer3_12_conv2_forward"
         );
     }

@@ -19,15 +19,17 @@
 //! are used in forward, backward and optimizer, and workspaces live for a
 //! single kernel.
 //!
-//! Like the graph, the builder keeps no per-layer heap data: layer names go
-//! into one name arena and each layer's activation inputs and weights into
-//! one operand arena.  Tensor names (`conv1.weight`, `conv1.out`) and the
-//! derived names of [`GraphBuilder::finish`] (`conv1.forward`,
-//! `conv1.out.grad`, `conv1.momentum`) are written straight into the
-//! graph's name arena, and `finish` assembles each kernel's operand lists
-//! in scratch buffers it reuses across kernels.
+//! Like the graph, the builder keeps no per-layer heap data: each layer name
+//! is written once, straight into the graph's name arena, and each layer's
+//! activation inputs and weights go into one operand arena.  Tensor names
+//! (`conv1.weight`, `conv1.out`) and the derived names of
+//! [`GraphBuilder::finish`] (`conv1.forward`, `conv1.out.grad`,
+//! `conv1.momentum`) are that layer name plus a suffix tag, so no derived
+//! name copies it.  `finish` assembles each kernel's operand lists in
+//! scratch buffers it reuses across kernels and leaves no table of the
+//! graph with spare capacity.
 
-use crate::graph::{DnnGraph, Span};
+use crate::graph::{DnnGraph, Span, Suffix};
 use crate::op::{
     conv2d_cost, elementwise_cost, embedding_cost, gemm_cost, normalization_cost, optimizer_cost,
     pooling_cost, softmax_cost, KernelClass, OpCost,
@@ -128,9 +130,9 @@ impl Act {
 }
 
 /// One recorded forward layer, with everything needed to derive its backward
-/// kernels later.  Its name and operand lists are spans of the builder's own
-/// arenas; `act_inputs` and `weights` are adjacent, so together they are the
-/// forward kernel's inputs.
+/// kernels later.  Its name is a span of the graph's name arena and its
+/// operand lists are spans of the builder's operand arena; `act_inputs` and
+/// `weights` are adjacent, so together they are the forward kernel's inputs.
 #[derive(Debug, Clone, Copy)]
 struct LayerRecord {
     name: Span,
@@ -176,8 +178,6 @@ pub struct GraphBuilder {
     graph: DnnGraph,
     batch: u64,
     records: Vec<LayerRecord>,
-    /// Every recorded layer name, back to back.
-    names: String,
     /// Every recorded layer's activation inputs then weights.
     operands: Vec<TensorId>,
 }
@@ -189,7 +189,6 @@ impl GraphBuilder {
             graph: DnnGraph::with_batch_size(name, batch),
             batch,
             records: Vec::new(),
-            names: String::new(),
             operands: Vec::new(),
         }
     }
@@ -200,23 +199,23 @@ impl GraphBuilder {
     }
 
     /// Registers layer `layer`'s output activation, `<layer>.out`.
-    fn add_activation(&mut self, layer: &str, shape: ActShape) -> Act {
+    fn add_activation(&mut self, layer: Span, shape: ActShape) -> Act {
         let tensor =
             self.graph
-                .add_tensor_named(TensorKind::Activation, shape.bytes(), &[layer, ".out"]);
+                .add_tensor_named(TensorKind::Activation, shape.bytes(), layer, Suffix::Out);
         Act { tensor, shape }
     }
 
     /// Registers layer `layer`'s parameters, `<layer>.weight`.
-    fn add_weight(&mut self, layer: &str, bytes: u64) -> TensorId {
+    fn add_weight(&mut self, layer: Span, bytes: u64) -> TensorId {
         self.graph
-            .add_tensor_named(TensorKind::Weight, bytes, &[layer, ".weight"])
+            .add_tensor_named(TensorKind::Weight, bytes, layer, Suffix::Weight)
     }
 
     #[allow(clippy::too_many_arguments)]
     fn record(
         &mut self,
-        name: &str,
+        name: Span,
         class: KernelClass,
         weights: impl IntoIterator<Item = TensorId>,
         act_inputs: impl IntoIterator<Item = TensorId>,
@@ -229,14 +228,12 @@ impl GraphBuilder {
         produces_input_grads: bool,
         workspace_bytes: u64,
     ) -> Act {
-        let name_start = self.names.len();
-        self.names.push_str(name);
         let start = self.operands.len();
         self.operands.extend(act_inputs);
         let split = self.operands.len();
         self.operands.extend(weights);
         self.records.push(LayerRecord {
-            name: Span::new(name_start, self.names.len()),
+            name,
             class,
             act_inputs: Span::new(start, split),
             weights: Span::new(split, self.operands.len()),
@@ -270,9 +267,10 @@ impl GraphBuilder {
     /// `batch × seq × hidden` sequence.
     pub fn embedding(&mut self, name: &str, seq: u64, hidden: u64, vocab: u64) -> Act {
         let ids_bytes = product(&[self.batch, seq, 4]);
+        let name = self.graph.push_base(name);
         let ids = self
             .graph
-            .add_tensor_named(TensorKind::Input, ids_bytes, &[name, ".ids"]);
+            .add_tensor_named(TensorKind::Input, ids_bytes, name, Suffix::Ids);
         let table = self.add_weight(name, fp32_bytes(vocab * hidden));
         let out_shape = ActShape::Seq(SeqShape::new(self.batch, seq, hidden));
         let out = self.add_activation(name, out_shape);
@@ -307,6 +305,7 @@ impl GraphBuilder {
         stride: u64,
         groups: u64,
     ) -> Act {
+        let name = self.graph.push_base(name);
         let in_map = input.map();
         let out_map = in_map.conv_output(out_c, stride);
         let weight_bytes = fp32_bytes(out_c * (in_map.c / groups.max(1)) * k * k);
@@ -336,6 +335,7 @@ impl GraphBuilder {
 
     /// Batch normalisation over a feature map.
     pub fn batch_norm(&mut self, name: &str, input: &Act) -> Act {
+        let name = self.graph.push_base(name);
         let map = input.map();
         let scale = self.add_weight(name, fp32_bytes(map.c * 2));
         let out = self.add_activation(name, input.shape);
@@ -358,6 +358,7 @@ impl GraphBuilder {
 
     /// Max pooling with window `k` and the given stride.
     pub fn max_pool(&mut self, name: &str, input: &Act, k: u64, stride: u64) -> Act {
+        let name = self.graph.push_base(name);
         let map = input.map();
         let out_map = map.conv_output(map.c, stride);
         let out = self.add_activation(name, ActShape::Map(out_map));
@@ -386,6 +387,7 @@ impl GraphBuilder {
     /// Global average pooling collapsing the spatial dimensions; the result
     /// is a flat `n × c` matrix ready for a classifier or SE block.
     pub fn global_avg_pool(&mut self, name: &str, input: &Act) -> Act {
+        let name = self.graph.push_base(name);
         let map = input.map();
         let out_shape = ActShape::Flat {
             n: map.n,
@@ -414,6 +416,7 @@ impl GraphBuilder {
     // ------------------------------------------------------------------
 
     fn activation_layer(&mut self, name: &str, input: &Act, class: KernelClass) -> Act {
+        let name = self.graph.push_base(name);
         let out = self.add_activation(name, input.shape);
         let cost = elementwise_cost(input.shape.elements(), 1);
         self.record(
@@ -449,6 +452,7 @@ impl GraphBuilder {
 
     /// Element-wise residual addition of two activations with equal shape.
     pub fn add(&mut self, name: &str, a: &Act, b: &Act) -> Act {
+        let name = self.graph.push_base(name);
         debug_assert_eq!(
             a.shape.bytes(),
             b.shape.bytes(),
@@ -475,6 +479,7 @@ impl GraphBuilder {
     /// Channel-wise scaling of a feature map by a per-channel vector
     /// (squeeze-and-excitation "excite" step).
     pub fn scale(&mut self, name: &str, map_input: &Act, vector_input: &Act) -> Act {
+        let name = self.graph.push_base(name);
         let out = self.add_activation(name, map_input.shape);
         let cost = elementwise_cost(map_input.shape.elements(), 2);
         self.record(
@@ -495,6 +500,7 @@ impl GraphBuilder {
 
     /// Channel concatenation of several feature maps (Inception branches).
     pub fn concat(&mut self, name: &str, inputs: &[Act]) -> Act {
+        let name = self.graph.push_base(name);
         assert!(!inputs.is_empty(), "concat requires at least one input");
         let first = inputs[0].map();
         let total_c: u64 = inputs.iter().map(|a| a.map().c).sum();
@@ -529,6 +535,7 @@ impl GraphBuilder {
     /// Fully connected layer.  Works on flat activations (`n × features`) and
     /// on sequences (`n × l × d`, applied to the last dimension).
     pub fn linear(&mut self, name: &str, input: &Act, out_features: u64) -> Act {
+        let name = self.graph.push_base(name);
         let (rows, in_features, out_shape) = match input.shape {
             ActShape::Flat { n, features } => (
                 n,
@@ -573,6 +580,7 @@ impl GraphBuilder {
 
     /// Layer normalisation over the last dimension of a sequence.
     pub fn layer_norm(&mut self, name: &str, input: &Act) -> Act {
+        let name = self.graph.push_base(name);
         let seq = input.seq();
         let scale = self.add_weight(name, fp32_bytes(seq.d * 2));
         let out = self.add_activation(name, input.shape);
@@ -595,6 +603,7 @@ impl GraphBuilder {
 
     /// Residual addition of two sequence activations.
     pub fn add_seq(&mut self, name: &str, a: &Act, b: &Act) -> Act {
+        let name = self.graph.push_base(name);
         debug_assert_eq!(a.shape.bytes(), b.shape.bytes());
         let out = self.add_activation(name, a.shape);
         let cost = elementwise_cost(a.shape.elements(), 2);
@@ -617,6 +626,7 @@ impl GraphBuilder {
     /// Batched attention-score matmul `Q·Kᵀ`, producing an `n × heads × l × l`
     /// tensor.
     pub fn attention_scores(&mut self, name: &str, q: &Act, k: &Act, heads: u64) -> Act {
+        let name = self.graph.push_base(name);
         let seq = q.seq();
         let score_elems = seq.attention_score_elements(heads);
         let out_shape = ActShape::Flat {
@@ -647,6 +657,7 @@ impl GraphBuilder {
     /// Batched attention-context matmul `softmax(S)·V`, producing a sequence
     /// with the hidden size of `v`.
     pub fn attention_context(&mut self, name: &str, scores: &Act, v: &Act, heads: u64) -> Act {
+        let name = self.graph.push_base(name);
         let seq = v.seq();
         let out = self.add_activation(name, ActShape::Seq(seq));
         let per_head = gemm_cost(seq.l, seq.d / heads.max(1), seq.l);
@@ -671,6 +682,7 @@ impl GraphBuilder {
     /// kernel (flatten + transpose + class-token concatenation as emitted by
     /// vision-transformer frameworks).
     pub fn to_sequence(&mut self, name: &str, input: &Act, tokens: u64, hidden: u64) -> Act {
+        let name = self.graph.push_base(name);
         let n = input.shape().batch();
         let out_shape = ActShape::Seq(SeqShape::new(n, tokens, hidden));
         let out = self.add_activation(name, out_shape);
@@ -693,6 +705,7 @@ impl GraphBuilder {
 
     /// Softmax over the last dimension of the given activation.
     pub fn softmax(&mut self, name: &str, input: &Act) -> Act {
+        let name = self.graph.push_base(name);
         let out = self.add_activation(name, input.shape);
         let cost = softmax_cost(input.shape.elements());
         self.record(
@@ -719,19 +732,18 @@ impl GraphBuilder {
     /// from `final_output`, the backward pass and the optimizer step, and
     /// returns the complete [`DnnGraph`].
     ///
-    /// Derived names (`conv1.forward`, `conv1.weight.grad`, …) are written
-    /// straight into the graph's name arena, and each kernel's operand lists
-    /// are assembled in scratch buffers reused across kernels, so finishing
-    /// allocates only as the graph's tables grow.
+    /// Derived names (`conv1.forward`, `conv1.weight.grad`, …) are the
+    /// layer's name in the graph's arena plus a suffix tag, and each
+    /// kernel's operand lists are assembled in scratch buffers reused across
+    /// kernels, so finishing allocates only as the graph's tables grow.  The
+    /// tables are then trimmed to their final lengths.
     pub fn finish(self, final_output: &Act) -> DnnGraph {
         let GraphBuilder {
             mut graph,
             records,
-            names,
             operands,
             ..
         } = self;
-        let name = |rec: &LayerRecord| &names[rec.name.range()];
         let act_inputs = |rec: &LayerRecord| &operands[rec.act_inputs.range()];
         let weights = |rec: &LayerRecord| &operands[rec.weights.range()];
 
@@ -755,11 +767,13 @@ impl GraphBuilder {
                 outputs.push(graph.add_tensor_named(
                     TensorKind::Workspace,
                     rec.workspace_bytes,
-                    &[name(rec), ".fwd.workspace"],
+                    rec.name,
+                    Suffix::FwdWorkspace,
                 ));
             }
             graph.add_kernel_named(
-                &[name(rec), ".forward"],
+                rec.name,
+                Suffix::Forward,
                 rec.class,
                 rec.fwd_cost,
                 &operands[rec.act_inputs.through(rec.weights)],
@@ -800,7 +814,8 @@ impl GraphBuilder {
                     let g = graph.add_tensor_named(
                         TensorKind::ActivationGradient,
                         rec.output_bytes,
-                        &[name(rec), ".out.grad"],
+                        rec.name,
+                        Suffix::OutGrad,
                     );
                     grad_of[rec.output.index()] = Some(g);
                     g
@@ -857,7 +872,8 @@ impl GraphBuilder {
                 data_outputs.push(graph.add_tensor_named(
                     TensorKind::Workspace,
                     rec.workspace_bytes,
-                    &[name(rec), ".bwd.workspace"],
+                    rec.name,
+                    Suffix::BwdWorkspace,
                 ));
             }
 
@@ -869,7 +885,8 @@ impl GraphBuilder {
                 }
             } else {
                 graph.add_kernel_named(
-                    &[name(rec), ".backward"],
+                    rec.name,
+                    Suffix::Backward,
                     rec.class,
                     rec.bwd_data_cost,
                     &data_inputs,
@@ -888,7 +905,8 @@ impl GraphBuilder {
                     wgrad_outputs.push(g);
                 }
                 graph.add_kernel_named(
-                    &[name(rec), ".backward.wgrad"],
+                    rec.name,
+                    Suffix::BackwardWgrad,
                     rec.class,
                     rec.bwd_weight_cost.unwrap_or(rec.bwd_data_cost),
                     &wgrad_inputs,
@@ -905,10 +923,12 @@ impl GraphBuilder {
             let momentum = graph.add_tensor_named(
                 TensorKind::OptimizerState,
                 bytes,
-                &[name(rec), ".momentum"],
+                rec.name,
+                Suffix::Momentum,
             );
             graph.add_kernel_named(
-                &[name(rec), ".optimizer"],
+                rec.name,
+                Suffix::Optimizer,
                 KernelClass::Optimizer,
                 optimizer_cost(bytes / 4),
                 &[weight, grad, momentum],
@@ -916,6 +936,9 @@ impl GraphBuilder {
             );
         }
 
+        // No table keeps growth slack: many graphs stay alive at once (a
+        // grid, a replay sweep, a serving daemon's cache).
+        graph.shrink_to_fit();
         // Build the shared analysis index here, once, so every downstream
         // consumer (Figure 2, vitality, the replay engine) starts from the
         // cached CSR adjacency instead of deriving it on first use.
@@ -952,9 +975,13 @@ mod tests {
     fn toy_cnn_is_valid_and_has_all_phases() {
         let g = toy_cnn(4);
         g.validate().expect("graph must validate");
-        let names: Vec<&str> = g.kernels().iter().map(|k| g.kernel_name(k.id())).collect();
+        let names: Vec<String> = g
+            .kernels()
+            .iter()
+            .map(|k| g.kernel_name(k.id()).to_string())
+            .collect();
         assert!(names.iter().any(|n| n.ends_with(".forward")));
-        assert!(names.contains(&"loss"));
+        assert!(names.iter().any(|n| n == "loss"));
         assert!(names.iter().any(|n| n.ends_with(".backward")));
         assert!(names.iter().any(|n| n.ends_with(".backward.wgrad")));
         assert!(names.iter().any(|n| n.ends_with(".optimizer")));
@@ -966,22 +993,22 @@ mod tests {
         let first_backward = g
             .kernels()
             .iter()
-            .position(|k| g.kernel_name(k.id()).contains(".backward"))
+            .position(|k| g.kernel_name(k.id()).to_string().contains(".backward"))
             .unwrap();
         let last_forward = g
             .kernels()
             .iter()
-            .rposition(|k| g.kernel_name(k.id()).ends_with(".forward"))
+            .rposition(|k| g.kernel_name(k.id()).to_string().ends_with(".forward"))
             .unwrap();
         let first_optimizer = g
             .kernels()
             .iter()
-            .position(|k| g.kernel_name(k.id()).ends_with(".optimizer"))
+            .position(|k| g.kernel_name(k.id()).to_string().ends_with(".optimizer"))
             .unwrap();
         let last_backward = g
             .kernels()
             .iter()
-            .rposition(|k| g.kernel_name(k.id()).contains(".backward"))
+            .rposition(|k| g.kernel_name(k.id()).to_string().contains(".backward"))
             .unwrap();
         assert!(last_forward < first_backward);
         assert!(last_backward < first_optimizer);
@@ -1001,7 +1028,7 @@ mod tests {
             uses.len() >= 3,
             "weight should be used in fwd, bwd and optimizer"
         );
-        let names: Vec<&str> = uses.iter().map(|k| g.kernel_name(*k)).collect();
+        let names: Vec<String> = uses.iter().map(|k| g.kernel_name(*k).to_string()).collect();
         assert!(names.iter().any(|n| n.ends_with(".forward")));
         assert!(names.iter().any(|n| n.contains(".backward")));
         assert!(names.iter().any(|n| n.ends_with(".optimizer")));

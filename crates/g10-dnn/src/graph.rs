@@ -8,12 +8,17 @@
 //! born, when it dies, and during which kernels it is *active*.
 //!
 //! The graph stores its variable-length data in two arenas: one `String`
-//! of every tensor and kernel name, and one operand table of every
-//! kernel's inputs then outputs, one row per kernel (CSR form).
-//! [`Kernel`] and [`TensorInfo`] are `Copy` records holding ranges into
-//! them, so readers ask the graph for names and operands
-//! ([`DnnGraph::kernel_name`], [`DnnGraph::tensor_name`],
-//! [`DnnGraph::inputs`], [`DnnGraph::outputs`], [`DnnGraph::operands`]).
+//! of base names, and one operand table of every kernel's inputs then
+//! outputs, one row per kernel (CSR form).  A tensor or kernel name is a
+//! base plus one suffix from a small closed table (`.out`, `.weight`,
+//! `.forward`, `.backward.wgrad`, `.out.grad`, `.momentum`, …), so a layer
+//! name is stored once however many names derive from it.  [`Kernel`] and
+//! [`TensorInfo`] are `Copy` records holding a range and a one-byte suffix
+//! tag, so readers ask the graph for names and operands
+//! ([`DnnGraph::kernel_name`] and [`DnnGraph::tensor_name`] return a
+//! borrowed [`Name`]; [`DnnGraph::inputs`], [`DnnGraph::outputs`],
+//! [`DnnGraph::operands`]).  No table keeps spare capacity once a
+//! builder has finished the graph.
 
 use crate::error::GraphError;
 use crate::index::{GraphIndex, IndexCell};
@@ -49,6 +54,16 @@ impl fmt::Display for KernelId {
     }
 }
 
+/// Converts an arena position to the `u32` offsets that spans and the
+/// index's CSR tables store.
+///
+/// # Panics
+///
+/// Panics if an arena outgrows `u32` offsets.
+pub(crate) fn arena_offset(at: usize) -> u32 {
+    u32::try_from(at).expect("graph arena exceeds u32 offsets")
+}
+
 /// A `[start, end)` range of one of a [`DnnGraph`]'s arenas.
 ///
 /// Kernels and tensors keep spans instead of owned `String`s and `Vec`s, so
@@ -64,10 +79,9 @@ impl Span {
     ///
     /// Panics if an arena outgrows `u32` offsets.
     pub(crate) fn new(start: usize, end: usize) -> Span {
-        let offset = |at: usize| u32::try_from(at).expect("graph arena exceeds u32 offsets");
         Span {
-            start: offset(start),
-            end: offset(end),
+            start: arena_offset(start),
+            end: arena_offset(end),
         }
     }
 
@@ -89,6 +103,129 @@ impl Span {
     }
 }
 
+/// The closed table of suffixes a name may carry after its base.  The
+/// builder derives every tensor and kernel name from a layer name and one
+/// of these; a name given whole to [`DnnGraph::add_tensor`] or
+/// [`DnnGraph::add_kernel`] is a base with [`Suffix::None`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[repr(u8)]
+pub(crate) enum Suffix {
+    #[default]
+    None,
+    Out,
+    Weight,
+    Ids,
+    OutGrad,
+    WeightGrad,
+    Forward,
+    Backward,
+    BackwardWgrad,
+    FwdWorkspace,
+    BwdWorkspace,
+    Momentum,
+    Optimizer,
+}
+
+impl Suffix {
+    const fn text(self) -> &'static str {
+        match self {
+            Suffix::None => "",
+            Suffix::Out => ".out",
+            Suffix::Weight => ".weight",
+            Suffix::Ids => ".ids",
+            Suffix::OutGrad => ".out.grad",
+            Suffix::WeightGrad => ".weight.grad",
+            Suffix::Forward => ".forward",
+            Suffix::Backward => ".backward",
+            Suffix::BackwardWgrad => ".backward.wgrad",
+            Suffix::FwdWorkspace => ".fwd.workspace",
+            Suffix::BwdWorkspace => ".bwd.workspace",
+            Suffix::Momentum => ".momentum",
+            Suffix::Optimizer => ".optimizer",
+        }
+    }
+
+    /// The suffix of the gradient of a tensor named `<base><self>`, i.e.
+    /// `<base><self>.grad`, if the table has it.
+    const fn grad(self) -> Option<Suffix> {
+        match self {
+            Suffix::Out => Some(Suffix::OutGrad),
+            Suffix::Weight => Some(Suffix::WeightGrad),
+            _ => None,
+        }
+    }
+}
+
+/// A tensor or kernel name borrowed from a [`DnnGraph`]: a base from the
+/// graph's name arena followed by a fixed suffix.  It renders with
+/// `Display` and compares by content, so `"fc.out"` given whole and the
+/// builder's `fc` + `.out` are the same name.
+///
+/// # Example
+///
+/// ```
+/// use g10_dnn::builder::GraphBuilder;
+///
+/// let mut b = GraphBuilder::new("toy", 2);
+/// let x = b.input_image(3, 8, 8);
+/// let y = b.conv2d("conv1", &x, 4, 3, 1, 1);
+/// let graph = b.finish(&y);
+/// let name = graph.tensor_name(y.tensor());
+/// assert_eq!(name, "conv1.out");
+/// assert_eq!(name.to_string(), "conv1.out");
+/// ```
+#[derive(Clone, Copy)]
+pub struct Name<'a> {
+    base: &'a str,
+    suffix: &'static str,
+}
+
+impl<'a> Name<'a> {
+    fn len(&self) -> usize {
+        self.base.len() + self.suffix.len()
+    }
+
+    /// The whole name's characters, base then suffix.
+    pub fn chars(&self) -> impl Iterator<Item = char> + 'a {
+        self.base.chars().chain(self.suffix.chars())
+    }
+}
+
+impl fmt::Display for Name<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(self.base)?;
+        f.write_str(self.suffix)
+    }
+}
+
+impl fmt::Debug for Name<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.to_string(), f)
+    }
+}
+
+impl PartialEq<str> for Name<'_> {
+    fn eq(&self, other: &str) -> bool {
+        other.len() == self.len()
+            && other.starts_with(self.base)
+            && &other[self.base.len()..] == self.suffix
+    }
+}
+
+impl PartialEq<&str> for Name<'_> {
+    fn eq(&self, other: &&str) -> bool {
+        *self == **other
+    }
+}
+
+impl PartialEq for Name<'_> {
+    fn eq(&self, other: &Name<'_>) -> bool {
+        self.len() == other.len() && self.chars().eq(other.chars())
+    }
+}
+
+impl Eq for Name<'_> {}
+
 /// One GPU kernel launch: its operator class and analytic cost.  Its name
 /// and the tensors it reads and writes live in the owning [`DnnGraph`]'s
 /// arenas: see [`DnnGraph::kernel_name`], [`DnnGraph::inputs`],
@@ -99,6 +236,7 @@ pub struct Kernel {
     class: KernelClass,
     cost: OpCost,
     name: Span,
+    suffix: Suffix,
     /// The kernel's row of the operand table: `inputs` then, adjacent,
     /// `outputs`.
     inputs: Span,
@@ -125,11 +263,12 @@ impl Kernel {
 /// A complete dataflow graph for one training iteration of a DNN model.
 ///
 /// Variable-length data lives in two per-graph arenas: one `String` holds
-/// every tensor and kernel name back to back, and one operand table holds
-/// every kernel's inputs and then its outputs, row after row in execution
-/// order (CSR form).  [`Kernel`] and [`TensorInfo`] keep ranges into them
-/// and own no heap memory, so building a graph costs a few amortised
-/// allocations rather than several per kernel.
+/// every base name back to back, and one operand table holds every
+/// kernel's inputs and then its outputs, row after row in execution order
+/// (CSR form).  [`Kernel`] and [`TensorInfo`] keep ranges into them and a
+/// suffix tag, and own no heap memory, so building a graph costs a few
+/// amortised allocations rather than several per kernel.  Equality
+/// compares names by content, not by where the arena keeps them.
 ///
 /// # Example
 ///
@@ -149,13 +288,14 @@ impl Kernel {
 /// assert_eq!(g.tensor_name(w), "fc.weight");
 /// assert!(g.validate().is_ok());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DnnGraph {
     name: String,
     batch_size: u64,
     tensors: Vec<TensorInfo>,
     kernels: Vec<Kernel>,
-    /// Every tensor and kernel name, back to back.
+    /// Every base name, back to back: the builder's layer names and the
+    /// names given whole to `add_tensor` / `add_kernel`.
     names: String,
     /// Every kernel's inputs then outputs, one row per kernel.
     operands: Vec<TensorId>,
@@ -200,34 +340,75 @@ impl DnnGraph {
         self.kernels.reserve(kernels);
     }
 
-    /// Registers a tensor and returns its id.
-    pub fn add_tensor(&mut self, kind: TensorKind, bytes: u64, name: &str) -> TensorId {
-        self.add_tensor_named(kind, bytes, &[name])
+    /// Drops every table's spare capacity (the builder calls it once the
+    /// graph is complete, so a finished graph holds no growth slack).
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.tensors.shrink_to_fit();
+        self.kernels.shrink_to_fit();
+        self.names.shrink_to_fit();
+        self.operands.shrink_to_fit();
     }
 
-    /// Registers a tensor whose name is the concatenation of `name_parts`,
-    /// written straight into the name arena.
+    /// `(table, len, capacity)` for every table of the graph and its index.
+    #[cfg(test)]
+    pub(crate) fn table_sizes(&self) -> Vec<(&'static str, usize, usize)> {
+        let mut sizes = vec![
+            ("tensors", self.tensors.len(), self.tensors.capacity()),
+            ("kernels", self.kernels.len(), self.kernels.capacity()),
+            ("names", self.names.len(), self.names.capacity()),
+            ("operands", self.operands.len(), self.operands.capacity()),
+        ];
+        sizes.extend(self.index().table_sizes());
+        sizes
+    }
+
+    /// Registers a tensor and returns its id.  The name is stored whole.
+    pub fn add_tensor(&mut self, kind: TensorKind, bytes: u64, name: &str) -> TensorId {
+        let base = self.push_base(name);
+        self.add_tensor_named(kind, bytes, base, Suffix::None)
+    }
+
+    /// Writes `base` into the name arena once; any number of tensor and
+    /// kernel names can then share it with different suffixes.
+    pub(crate) fn push_base(&mut self, base: &str) -> Span {
+        let start = self.names.len();
+        self.names.push_str(base);
+        Span::new(start, self.names.len())
+    }
+
+    /// Registers a tensor named `<base><suffix>`, `base` being a span
+    /// returned by [`DnnGraph::push_base`].
     pub(crate) fn add_tensor_named(
         &mut self,
         kind: TensorKind,
         bytes: u64,
-        name_parts: &[&str],
+        base: Span,
+        suffix: Suffix,
     ) -> TensorId {
-        let name = self.push_name(name_parts);
-        self.push_tensor(kind, bytes, name)
+        self.index.invalidate();
+        let id = TensorId::new(self.tensors.len() as u32);
+        self.tensors
+            .push(TensorInfo::in_graph(id, kind, bytes, base, suffix));
+        id
     }
 
     /// Registers the gradient of `of`: same size, named `<of's name>.grad`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `of` is a layer's `.out` or `.weight` tensor, the only
+    /// tensors the builder takes gradients of.
     pub(crate) fn add_gradient(&mut self, kind: TensorKind, of: TensorId) -> TensorId {
         let source = self.tensors[of.index()];
-        let start = self.names.len();
-        self.names.extend_from_within(source.name_span().range());
-        self.names.push_str(".grad");
-        let name = Span::new(start, self.names.len());
-        self.push_tensor(kind, source.bytes(), name)
+        let (base, suffix) = source.name_parts();
+        let grad = suffix
+            .grad()
+            .expect("gradients are taken of layer outputs and weights only");
+        self.add_tensor_named(kind, source.bytes(), base, grad)
     }
 
-    /// Appends a kernel at the end of the execution order and returns its id.
+    /// Appends a kernel at the end of the execution order and returns its
+    /// id.  The name is stored whole.
     pub fn add_kernel(
         &mut self,
         name: &str,
@@ -236,20 +417,21 @@ impl DnnGraph {
         inputs: &[TensorId],
         outputs: &[TensorId],
     ) -> KernelId {
-        self.add_kernel_named(&[name], class, cost, inputs, outputs)
+        let base = self.push_base(name);
+        self.add_kernel_named(base, Suffix::None, class, cost, inputs, outputs)
     }
 
-    /// [`DnnGraph::add_kernel`] with the name given as parts to concatenate.
+    /// [`DnnGraph::add_kernel`] for a kernel named `<base><suffix>`.
     pub(crate) fn add_kernel_named(
         &mut self,
-        name_parts: &[&str],
+        base: Span,
+        suffix: Suffix,
         class: KernelClass,
         cost: OpCost,
         inputs: &[TensorId],
         outputs: &[TensorId],
     ) -> KernelId {
         self.index.invalidate();
-        let name = self.push_name(name_parts);
         let start = self.operands.len();
         self.operands.extend_from_slice(inputs);
         let split = self.operands.len();
@@ -259,27 +441,19 @@ impl DnnGraph {
             id,
             class,
             cost,
-            name,
+            name: base,
+            suffix,
             inputs: Span::new(start, split),
             outputs: Span::new(split, self.operands.len()),
         });
         id
     }
 
-    fn push_name(&mut self, parts: &[&str]) -> Span {
-        let start = self.names.len();
-        for part in parts {
-            self.names.push_str(part);
+    fn name_of(&self, base: Span, suffix: Suffix) -> Name<'_> {
+        Name {
+            base: &self.names[base.range()],
+            suffix: suffix.text(),
         }
-        Span::new(start, self.names.len())
-    }
-
-    fn push_tensor(&mut self, kind: TensorKind, bytes: u64, name: Span) -> TensorId {
-        self.index.invalidate();
-        let id = TensorId::new(self.tensors.len() as u32);
-        self.tensors
-            .push(TensorInfo::in_graph(id, kind, bytes, name));
-        id
     }
 
     /// The shared analysis index of this graph, built on first use and
@@ -333,8 +507,9 @@ impl DnnGraph {
     /// # Panics
     ///
     /// Panics if the id does not belong to this graph.
-    pub fn kernel_name(&self, id: KernelId) -> &str {
-        &self.names[self.kernels[id.index()].name.range()]
+    pub fn kernel_name(&self, id: KernelId) -> Name<'_> {
+        let kernel = &self.kernels[id.index()];
+        self.name_of(kernel.name, kernel.suffix)
     }
 
     /// The tensor's layer-derived name, e.g. `"layer3.conv2.weight"`.
@@ -342,8 +517,9 @@ impl DnnGraph {
     /// # Panics
     ///
     /// Panics if the id does not belong to this graph.
-    pub fn tensor_name(&self, id: TensorId) -> &str {
-        &self.names[self.tensors[id.index()].name_span().range()]
+    pub fn tensor_name(&self, id: TensorId) -> Name<'_> {
+        let (base, suffix) = self.tensors[id.index()].name_parts();
+        self.name_of(base, suffix)
     }
 
     /// Tensors read by the kernel.
@@ -452,6 +628,34 @@ impl DnnGraph {
     }
 }
 
+impl PartialEq for DnnGraph {
+    /// Compares content: names by their text (one graph may store
+    /// `"fc.out"` whole where another stores `fc` and the `.out` suffix),
+    /// operands by their lists.  The cached index is ignored.
+    fn eq(&self, other: &Self) -> bool {
+        let same_tensor = |(a, b): (&TensorInfo, &TensorInfo)| {
+            a.id() == b.id()
+                && a.kind() == b.kind()
+                && a.bytes() == b.bytes()
+                && self.tensor_name(a.id()) == other.tensor_name(b.id())
+        };
+        let same_kernel = |(a, b): (&Kernel, &Kernel)| {
+            a.id == b.id
+                && a.class == b.class
+                && a.cost == b.cost
+                && self.kernel_name(a.id) == other.kernel_name(b.id)
+                && self.inputs(a.id) == other.inputs(b.id)
+                && self.outputs(a.id) == other.outputs(b.id)
+        };
+        self.name == other.name
+            && self.batch_size == other.batch_size
+            && self.tensors.len() == other.tensors.len()
+            && self.kernels.len() == other.kernels.len()
+            && self.tensors.iter().zip(&other.tensors).all(same_tensor)
+            && self.kernels.iter().zip(&other.kernels).all(same_kernel)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -511,8 +715,9 @@ mod tests {
         assert_eq!(g.outputs(bwd), [dw]);
         assert_eq!(g.operands(bwd), [dy, x, w, dw]);
         let (flat, offsets) = g.index().working_sets();
-        assert!(flat[offsets[0]..offsets[1]].contains(&x));
-        assert!(!flat[offsets[1]..offsets[2]].contains(&x));
+        let set = |k: usize| &flat[offsets[k] as usize..offsets[k + 1] as usize];
+        assert!(set(0).contains(&x));
+        assert!(!set(1).contains(&x));
         assert!(g.validate().is_ok());
     }
 
@@ -588,6 +793,69 @@ mod tests {
             &[],
         );
         assert!(matches!(g.validate(), Err(GraphError::EmptyKernel { .. })));
+    }
+
+    /// The builder's graph re-assembled through the public API, every name
+    /// given whole.
+    fn reassembled(built: &DnnGraph) -> DnnGraph {
+        let mut g = DnnGraph::with_batch_size(built.name(), built.batch_size());
+        for t in built.tensors() {
+            g.add_tensor(t.kind(), t.bytes(), &built.tensor_name(t.id()).to_string());
+        }
+        for k in built.kernels() {
+            let id = k.id();
+            g.add_kernel(
+                &built.kernel_name(id).to_string(),
+                k.class(),
+                k.cost(),
+                built.inputs(id),
+                built.outputs(id),
+            );
+        }
+        g
+    }
+
+    #[test]
+    fn a_name_given_whole_equals_the_builders_base_and_suffix() {
+        let mut b = crate::builder::GraphBuilder::new("toy", 2);
+        let x = b.input_image(3, 8, 8);
+        let fc = b.linear("fc", &x, 10);
+        let built = b.finish(&fc);
+        let whole = reassembled(&built);
+
+        let derived = built.tensor_name(fc.tensor());
+        let given = whole.tensor_name(fc.tensor());
+        assert_eq!((derived.base, derived.suffix), ("fc", ".out"));
+        assert_eq!((given.base, given.suffix), ("fc.out", ""));
+        // Render, compare and digest the same.
+        assert_eq!(derived.to_string(), "fc.out");
+        assert_eq!(given.to_string(), "fc.out");
+        assert_eq!(derived, given);
+        assert_eq!(derived, "fc.out");
+        assert_eq!(format!("{derived:?}"), format!("{given:?}"));
+        let digest = |name: Name<'_>| {
+            use std::hash::{Hash, Hasher};
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            name.to_string().hash(&mut h);
+            h.finish()
+        };
+        assert_eq!(digest(derived), digest(given));
+        assert_ne!(derived, "fc.ou");
+        assert_ne!(derived, "fc.outt");
+        assert_ne!(derived, "fcx.out");
+
+        // Graph equality reads names by content, not by arena layout.
+        assert_ne!(built.names, whole.names);
+        assert_eq!(built, whole);
+        let mut renamed = reassembled(&built);
+        renamed.names.replace_range(0..1, "g");
+        assert_ne!(built, renamed);
+    }
+
+    #[test]
+    fn name_tags_fit_in_record_padding() {
+        assert_eq!(std::mem::size_of::<TensorInfo>(), 24);
+        assert_eq!(std::mem::size_of::<Kernel>(), 48);
     }
 
     #[test]

@@ -15,10 +15,13 @@
 //! [`GraphIndex`] derives everything once, in two linear passes with an
 //! epoch-stamped scratch array (no hashing, no per-tensor or per-kernel
 //! allocation), and stores the results in CSR (compressed sparse row) form
-//! so consumers borrow slices instead of owning nested `Vec`s.  The index
-//! is built at [`crate::builder::GraphBuilder::finish`] (or lazily on first
-//! use for hand-assembled graphs), cached inside the graph, and invalidated
-//! whenever the graph is mutated.  It is the only home of these facts:
+//! so consumers borrow slices instead of owning nested `Vec`s.  Offsets are
+//! `u32`, like the graph's arena spans, and every table is sized to its
+//! final length (the working-set arena to the deduplicated count), because
+//! a process keeps many graphs, and so many indexes, alive at once.  The
+//! index is built at [`crate::builder::GraphBuilder::finish`] (or lazily on
+//! first use for hand-assembled graphs), cached inside the graph, and
+//! invalidated whenever the graph is mutated.  It is the only home of these facts:
 //! the graph itself keeps no per-tensor or per-kernel derivations.
 //!
 //! The pre-index derivations live on as naive references in the test
@@ -26,7 +29,7 @@
 //! index against them on random graphs
 //! (`crates/g10-dnn/tests/graph_index_props.rs`).
 
-use crate::graph::{DnnGraph, KernelId};
+use crate::graph::{arena_offset, DnnGraph, KernelId};
 use crate::tensor::TensorId;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
@@ -34,7 +37,9 @@ use std::sync::{Arc, OnceLock};
 /// Immutable analysis facts derived from one [`DnnGraph`].
 ///
 /// All per-tensor and per-kernel collections are stored CSR-flattened: one
-/// arena `Vec` plus an offsets `Vec`, so lookups return borrowed slices.
+/// arena `Vec` plus a `u32` offsets `Vec` (like the graph's arena spans),
+/// so lookups return borrowed slices.  Every table is sized to its final
+/// length.
 ///
 /// # Example
 ///
@@ -59,12 +64,12 @@ pub struct GraphIndex {
     /// (kernels, in execution order, deduplicated) are
     /// `use_flat[use_offsets[t.index()]..use_offsets[t.index() + 1]]`.
     use_flat: Vec<KernelId>,
-    use_offsets: Vec<usize>,
+    use_offsets: Vec<u32>,
     /// Kernel → unique working set, CSR-flattened in first-occurrence order
     /// (inputs then outputs): kernel `k`'s tensors are
     /// `ws_flat[ws_offsets[k.index()]..ws_offsets[k.index() + 1]]`.
     ws_flat: Vec<TensorId>,
-    ws_offsets: Vec<usize>,
+    ws_offsets: Vec<u32>,
     /// Per-kernel deduplicated working-set bytes (also the *active* bytes of
     /// the paper's Figure 2).
     ws_bytes: Vec<u64>,
@@ -99,7 +104,7 @@ impl GraphIndex {
         ws_offsets.push(0);
         let mut ws_bytes = Vec::with_capacity(n_kernels);
         let mut seen_epoch = vec![u32::MAX; n_tensors];
-        let mut use_counts = vec![0usize; n_tensors];
+        let mut use_counts = vec![0u32; n_tensors];
         let mut first_use = vec![u32::MAX; n_tensors];
         let mut last_use = vec![0u32; n_tensors];
         let mut max_ws_bytes = 0u64;
@@ -119,27 +124,30 @@ impl GraphIndex {
                     last_use[idx] = stamp;
                 }
             }
-            ws_offsets.push(ws_flat.len());
+            ws_offsets.push(arena_offset(ws_flat.len()));
             ws_bytes.push(bytes);
             max_ws_bytes = max_ws_bytes.max(bytes);
         }
+
+        // Reserved for every operand; keep only the deduplicated count.
+        ws_flat.shrink_to_fit();
 
         // Pass 2: transpose the working sets into the tensor → use-site CSR.
         // `ws_flat` visits kernels in execution order, so each tensor's
         // sites come out sorted without any comparison or hashing.
         let mut use_offsets = Vec::with_capacity(n_tensors + 1);
-        let mut running = 0usize;
+        let mut running = 0u32;
         use_offsets.push(0);
         for &count in &use_counts {
             running += count;
             use_offsets.push(running);
         }
-        let mut cursor: Vec<usize> = use_offsets[..n_tensors].to_vec();
-        let mut use_flat = vec![KernelId::new(0); running];
+        let mut cursor: Vec<u32> = use_offsets[..n_tensors].to_vec();
+        let mut use_flat = vec![KernelId::new(0); running as usize];
         for k in 0..n_kernels {
             let id = KernelId::new(k as u32);
-            for &t in &ws_flat[ws_offsets[k]..ws_offsets[k + 1]] {
-                use_flat[cursor[t.index()]] = id;
+            for &t in &ws_flat[ws_offsets[k] as usize..ws_offsets[k + 1] as usize] {
+                use_flat[cursor[t.index()] as usize] = id;
                 cursor[t.index()] += 1;
             }
         }
@@ -186,6 +194,31 @@ impl GraphIndex {
         }
     }
 
+    /// `(table, len, capacity)` for every table of the index.
+    #[cfg(test)]
+    pub(crate) fn table_sizes(&self) -> [(&'static str, usize, usize); 6] {
+        [
+            ("use_flat", self.use_flat.len(), self.use_flat.capacity()),
+            (
+                "use_offsets",
+                self.use_offsets.len(),
+                self.use_offsets.capacity(),
+            ),
+            ("ws_flat", self.ws_flat.len(), self.ws_flat.capacity()),
+            (
+                "ws_offsets",
+                self.ws_offsets.len(),
+                self.ws_offsets.capacity(),
+            ),
+            ("ws_bytes", self.ws_bytes.len(), self.ws_bytes.capacity()),
+            (
+                "live_bytes",
+                self.live_bytes.len(),
+                self.live_bytes.capacity(),
+            ),
+        ]
+    }
+
     /// Number of kernels the index covers.
     pub fn num_kernels(&self) -> usize {
         self.ws_bytes.len()
@@ -198,12 +231,13 @@ impl GraphIndex {
 
     /// The kernels (in execution order, deduplicated) that use the tensor.
     pub fn use_sites(&self, tensor: TensorId) -> &[KernelId] {
-        &self.use_flat[self.use_offsets[tensor.index()]..self.use_offsets[tensor.index() + 1]]
+        let t = tensor.index();
+        &self.use_flat[self.use_offsets[t] as usize..self.use_offsets[t + 1] as usize]
     }
 
     /// Number of kernels that use the tensor (0 for unused tensors).
     pub fn use_count(&self, tensor: TensorId) -> usize {
-        self.use_offsets[tensor.index() + 1] - self.use_offsets[tensor.index()]
+        self.use_sites(tensor).len()
     }
 
     /// Total number of (tensor, kernel) use pairs across the graph — an
@@ -224,9 +258,10 @@ impl GraphIndex {
     }
 
     /// The whole working-set arena: `(flat, offsets)` with kernel `k`'s
-    /// tensors at `flat[offsets[k]..offsets[k + 1]]`.  The replay engine and
-    /// the DeepUM+ look-ahead window consume this form directly.
-    pub fn working_sets(&self) -> (&[TensorId], &[usize]) {
+    /// tensors at `flat[offsets[k] as usize..offsets[k + 1] as usize]`.  The
+    /// replay engine and the DeepUM+ look-ahead window consume this form
+    /// directly.
+    pub fn working_sets(&self) -> (&[TensorId], &[u32]) {
         (&self.ws_flat, &self.ws_offsets)
     }
 
@@ -332,7 +367,7 @@ mod tests {
         let (flat, offsets) = index.working_sets();
         for kernel in graph.kernels() {
             let k = kernel.id().index();
-            let ws = &flat[offsets[k]..offsets[k + 1]];
+            let ws = &flat[offsets[k] as usize..offsets[k + 1] as usize];
             let mut seen = HashSet::new();
             let mut reference = Vec::new();
             let mut bytes = 0u64;
@@ -346,7 +381,7 @@ mod tests {
             assert_eq!(index.active_bytes()[k], bytes);
         }
         assert_eq!(offsets.len(), graph.num_kernels() + 1);
-        assert_eq!(*offsets.last().unwrap(), flat.len());
+        assert_eq!(*offsets.last().unwrap() as usize, flat.len());
         assert_eq!(
             index.max_kernel_working_set_bytes(),
             index.active_bytes().iter().copied().max().unwrap_or(0)

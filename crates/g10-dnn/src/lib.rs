@@ -12,19 +12,24 @@
 //!   workspaces) and sizes.
 //! * [`op`] — operator descriptors with analytic FLOP and byte counts.
 //! * [`graph`] — the [`graph::DnnGraph`] dataflow graph: kernels in execution
-//!   order with their input/output tensor sets.  Names and operand lists
-//!   live in two per-graph arenas, so no kernel or tensor owns heap memory
-//!   and building a graph costs a few amortised allocations.
+//!   order with their input/output tensor sets.  Base names and operand
+//!   lists live in two per-graph arenas, and each name is a base plus a tag
+//!   into a closed suffix table (read as a borrowed [`graph::Name`]), so no
+//!   kernel or tensor owns heap memory, a layer name is stored once, and
+//!   building a graph costs a few amortised allocations.  A finished graph
+//!   keeps no spare capacity in any table: many graphs stay alive at once.
 //! * [`index`] — the shared [`index::GraphIndex`]: CSR tensor→use-site
 //!   adjacency, per-tensor lifetimes, per-kernel working sets and the
-//!   liveness curve, derived once per graph and cached.  It is the one
+//!   liveness curve, derived once per graph and cached, with `u32` offsets
+//!   and every table sized to its length.  It is the one
 //!   source of the per-tensor and per-kernel facts behind Figure 2 of the
 //!   paper (active vs. live footprint); the inactive periods of Figures
 //!   3–4 are derived from it by `g10-core`'s vitality analysis.
 //! * [`builder`] — a layer-level builder that records a forward pass and
 //!   automatically derives the backward pass and optimizer step, mirroring
 //!   how a framework such as PyTorch materialises a training iteration.
-//!   It writes every name straight into the graph's name arena.
+//!   It writes each layer name once, straight into the graph's name arena;
+//!   derived names such as `conv1.forward` are that name plus a suffix tag.
 //! * [`models`] — the model zoo used by the paper: BERT, ViT, Inception-v3,
 //!   ResNet-152 and SENet-154, parameterised by batch size (at most
 //!   [`models::MAX_BATCH`] from outside the process).
@@ -61,7 +66,7 @@ pub mod trace;
 
 pub use cost::GpuCostModel;
 pub use error::GraphError;
-pub use graph::{DnnGraph, Kernel, KernelId};
+pub use graph::{DnnGraph, Kernel, KernelId, Name};
 pub use index::GraphIndex;
 pub use tensor::{TensorId, TensorInfo, TensorKind};
 pub use time::Nanos;

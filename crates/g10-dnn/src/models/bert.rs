@@ -126,14 +126,14 @@ mod tests {
             assert!(
                 g.kernels()
                     .iter()
-                    .any(|k| g.kernel_name(k.id()).starts_with(&prefix)),
+                    .any(|k| g.kernel_name(k.id()).to_string().starts_with(&prefix)),
                 "layer {layer} missing attention"
             );
             let ffn = format!("encoder.layer{layer}.intermediate.dense");
             assert!(g
                 .kernels()
                 .iter()
-                .any(|k| g.kernel_name(k.id()).starts_with(&ffn)));
+                .any(|k| g.kernel_name(k.id()).to_string().starts_with(&ffn)));
         }
     }
 

@@ -185,7 +185,7 @@ mod tests {
             assert!(
                 g.kernels()
                     .iter()
-                    .any(|k| g.kernel_name(k.id()).starts_with(prefix)),
+                    .any(|k| g.kernel_name(k.id()).to_string().starts_with(prefix)),
                 "missing inception module {prefix}"
             );
         }

@@ -234,6 +234,20 @@ mod tests {
         }
     }
 
+    /// Many graphs stay alive at once, so a built graph keeps no growth
+    /// slack in any table, its index's included.
+    #[test]
+    fn built_graphs_keep_no_spare_capacity() {
+        for kind in ALL_MODELS {
+            for batch in [kind.eval_batch(), kind.batch_sweep()[0]] {
+                let g = build_model(kind, batch);
+                for (table, len, capacity) in g.table_sizes() {
+                    assert_eq!(len, capacity, "{kind} b{batch}: {table}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn batch_sweeps_contain_eval_batch_or_smaller() {
         for kind in ModelKind::PAPER_MODELS {

@@ -193,15 +193,15 @@ mod tests {
     fn stage_structure_is_present() {
         let g = build(1);
         for stage in 1..=4 {
-            assert!(g
-                .kernels()
-                .iter()
-                .any(|k| g.kernel_name(k.id()).starts_with(&format!("layer{stage}."))));
+            assert!(g.kernels().iter().any(|k| g
+                .kernel_name(k.id())
+                .to_string()
+                .starts_with(&format!("layer{stage}."))));
         }
         // Deepest stage has 36 blocks.
         assert!(g
             .kernels()
             .iter()
-            .any(|k| g.kernel_name(k.id()).starts_with("layer3.35.")));
+            .any(|k| g.kernel_name(k.id()).to_string().starts_with("layer3.35.")));
     }
 }

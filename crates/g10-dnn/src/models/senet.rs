@@ -88,11 +88,11 @@ mod tests {
         assert!(g
             .kernels()
             .iter()
-            .any(|k| g.kernel_name(k.id()).contains(".se.scale")));
+            .any(|k| g.kernel_name(k.id()).to_string().contains(".se.scale")));
         assert!(g
             .kernels()
             .iter()
-            .any(|k| g.kernel_name(k.id()).contains(".se.sigmoid")));
+            .any(|k| g.kernel_name(k.id()).to_string().contains(".se.sigmoid")));
     }
 
     #[test]

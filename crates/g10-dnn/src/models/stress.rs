@@ -137,10 +137,10 @@ mod tests {
         let cfg = StressGptConfig::with_layers(4);
         let g = build(2, &cfg);
         g.validate().unwrap();
-        assert!(g
-            .kernels()
-            .iter()
-            .any(|k| g.kernel_name(k.id()).contains("layer3.attn.scores")));
+        assert!(g.kernels().iter().any(|k| g
+            .kernel_name(k.id())
+            .to_string()
+            .contains("layer3.attn.scores")));
     }
 
     #[test]

@@ -147,9 +147,11 @@ mod tests {
         for layer in 0..cfg.layers {
             assert!(g.kernels().iter().any(|k| g
                 .kernel_name(k.id())
+                .to_string()
                 .starts_with(&format!("blocks.{layer}.attn.scores"))));
             assert!(g.kernels().iter().any(|k| g
                 .kernel_name(k.id())
+                .to_string()
                 .starts_with(&format!("blocks.{layer}.mlp.fc1"))));
         }
     }

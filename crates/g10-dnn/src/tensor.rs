@@ -7,7 +7,7 @@
 //! after their death.  This module provides the vocabulary types that the
 //! rest of the workspace builds on.
 
-use crate::graph::Span;
+use crate::graph::{Span, Suffix};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -110,8 +110,8 @@ impl fmt::Display for TensorKind {
     }
 }
 
-/// Full description of one tensor in a dataflow graph.  Its name lives in
-/// the owning graph's name arena: see
+/// Full description of one tensor in a dataflow graph.  Its name is a base
+/// in the owning graph's name arena plus a suffix tag: see
 /// [`crate::graph::DnnGraph::tensor_name`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TensorInfo {
@@ -119,6 +119,7 @@ pub struct TensorInfo {
     kind: TensorKind,
     bytes: u64,
     name: Span,
+    suffix: Suffix,
 }
 
 impl TensorInfo {
@@ -126,21 +127,29 @@ impl TensorInfo {
     /// Graph tensors are made by [`crate::graph::DnnGraph::add_tensor`],
     /// which assigns the id and records the name.
     pub fn new(id: TensorId, kind: TensorKind, bytes: u64) -> Self {
-        Self::in_graph(id, kind, bytes, Span::default())
+        Self::in_graph(id, kind, bytes, Span::default(), Suffix::None)
     }
 
-    /// A graph tensor whose name occupies `name` of the graph's name arena.
-    pub(crate) fn in_graph(id: TensorId, kind: TensorKind, bytes: u64, name: Span) -> Self {
+    /// A graph tensor named `<name><suffix>`, `name` being a span of the
+    /// graph's name arena.
+    pub(crate) fn in_graph(
+        id: TensorId,
+        kind: TensorKind,
+        bytes: u64,
+        name: Span,
+        suffix: Suffix,
+    ) -> Self {
         TensorInfo {
             id,
             kind,
             bytes,
             name,
+            suffix,
         }
     }
 
-    pub(crate) fn name_span(&self) -> Span {
-        self.name
+    pub(crate) fn name_parts(&self) -> (Span, Suffix) {
+        (self.name, self.suffix)
     }
 
     /// The tensor's id within its graph.

@@ -50,11 +50,11 @@ fn digest(graph: &DnnGraph) -> u64 {
     for t in graph.tensors() {
         h.word(t.kind() as u64);
         h.word(t.bytes());
-        h.text(graph.tensor_name(t.id()));
+        h.text(&graph.tensor_name(t.id()).to_string());
     }
     h.word(graph.num_kernels() as u64);
     for k in graph.kernels() {
-        h.text(graph.kernel_name(k.id()));
+        h.text(&graph.kernel_name(k.id()).to_string());
         h.word(k.class() as u64);
         h.word(k.cost().flops.to_bits());
         h.word(k.cost().bytes.to_bits());

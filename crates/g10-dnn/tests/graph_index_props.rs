@@ -96,7 +96,7 @@ proptest! {
                 }
             }
             let k = kernel.id().index();
-            prop_assert_eq!(&flat[offsets[k]..offsets[k + 1]], reference.as_slice());
+            prop_assert_eq!(&flat[offsets[k] as usize..offsets[k + 1] as usize], reference.as_slice());
             prop_assert_eq!(index.active_bytes()[kernel.id().index()], bytes);
             max_ws = max_ws.max(bytes);
         }

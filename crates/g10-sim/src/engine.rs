@@ -765,7 +765,7 @@ pub struct ReplayEngine<'a> {
     /// so constructing an engine derives nothing and the step loop borrows
     /// slices instead of cloning a `Vec` per kernel.
     required_flat: &'a [TensorId],
-    required_offsets: &'a [usize],
+    required_offsets: &'a [u32],
     stall_time: Nanos,
     working_set_exceeds_gpu: bool,
     /// Whether the per-step invariant audit runs (from
@@ -1042,7 +1042,10 @@ impl<'a> ReplayEngine<'a> {
         // The kernel's working set, borrowed from the flattened arena.  The
         // loops below index into it directly so the engine state can be
         // mutated concurrently without cloning the list per kernel.
-        let (lo, hi) = (self.required_offsets[k], self.required_offsets[k + 1]);
+        let (lo, hi) = (
+            self.required_offsets[k] as usize,
+            self.required_offsets[k + 1] as usize,
+        );
 
         // Protect the working set of this kernel from eviction and stamp it
         // as used by this kernel.  Stamping before anything below makes a
@@ -1090,7 +1093,10 @@ impl<'a> ReplayEngine<'a> {
         let duration = self.trace.duration(kernel_id);
         let end = start + duration;
         self.stall_time += stall;
-        let slowdown = if duration.is_zero() {
+        // A kernel that did not stall ran at full speed: `x / x` is exactly
+        // 1.0 for finite nonzero `x`, so skipping the division changes no
+        // report.
+        let slowdown = if stall.is_zero() || duration.is_zero() {
             1.0
         } else {
             (stall + duration).as_secs_f64() / duration.as_secs_f64()

@@ -62,7 +62,7 @@ impl MemoryPolicy for DeepUmPolicy {
             return;
         }
         let (flat, offsets) = self.index.working_sets();
-        let window = offsets[kernel + 1]..offsets[end];
+        let window = offsets[kernel + 1] as usize..offsets[end] as usize;
         for idx in window {
             let tensor = flat[idx];
             if state.is_resident_or_inbound(tensor)
@@ -92,6 +92,6 @@ mod tests {
         // increase) and the arena is exactly covered.
         let (flat, offsets) = p.index.working_sets();
         assert!(offsets.windows(2).all(|w| w[0] < w[1]));
-        assert_eq!(*offsets.last().unwrap(), flat.len());
+        assert_eq!(*offsets.last().unwrap() as usize, flat.len());
     }
 }
