@@ -329,8 +329,10 @@ pub fn encode_entry(key: &RunKey, report: &SimReport) -> Vec<u8> {
     out.extend_from_slice(&report.total_time.as_nanos().to_le_bytes());
     out.extend_from_slice(&report.ideal_time.as_nanos().to_le_bytes());
     out.extend_from_slice(&report.stall_time.as_nanos().to_le_bytes());
+    // Slowdowns stay dense on disk, one word per kernel: the sparse
+    // in-memory form changed no entry byte.
     out.extend_from_slice(&(report.kernel_slowdowns.len() as u64).to_le_bytes());
-    for s in &report.kernel_slowdowns {
+    for s in report.kernel_slowdowns.iter() {
         out.extend_from_slice(&s.to_bits().to_le_bytes());
     }
     for word in [
@@ -498,11 +500,9 @@ pub fn decode_entry(bytes: &[u8], key: &RunKey) -> Option<SimReport> {
             if len > r.bytes.len() / 8 {
                 return None;
             }
-            let mut v = Vec::with_capacity(len);
-            for _ in 0..len {
-                v.push(f64::from_bits(r.u64()?));
-            }
-            v
+            (0..len)
+                .map(|_| r.u64().map(f64::from_bits))
+                .collect::<Option<_>>()?
         },
         traffic: TrafficStats {
             gpu_to_ssd_bytes: r.u64()?,

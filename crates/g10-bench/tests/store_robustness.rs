@@ -38,7 +38,9 @@ fn sample_report() -> SimReport {
         total_time: Nanos::from_nanos(123_456_789),
         ideal_time: Nanos::from_nanos(100_000_000),
         stall_time: Nanos::from_nanos(23_456_789),
-        kernel_slowdowns: vec![1.0, 1.25, f64::from_bits(0x3FF5_5555_5555_5555)],
+        kernel_slowdowns: [1.0, 1.25, f64::from_bits(0x3FF5_5555_5555_5555)]
+            .into_iter()
+            .collect(),
         traffic: TrafficStats {
             gpu_to_ssd_bytes: 11,
             ssd_to_gpu_bytes: 22,
@@ -62,6 +64,34 @@ fn sample_report() -> SimReport {
             },
         }),
     }
+}
+
+/// Length and checksum of [`sample_key`]'s entry for [`mixed_report`], as
+/// encoded when reports held their slowdowns as a dense `Vec<f64>`.
+const MIXED_ENTRY: (usize, u64) = (1_404, 0xbbae_fa8e_3be3_41da);
+
+/// [`sample_report`] with 130 slowdowns, a third of them stalled: the
+/// pattern crosses three words of a 64-kernel bitmap.
+fn mixed_report() -> SimReport {
+    let mut report = sample_report();
+    report.kernel_slowdowns = (0..130u32)
+        .map(|k| match k % 3 {
+            0 => 1.0 + f64::from(k) / 7.0,
+            _ => 1.0,
+        })
+        .collect();
+    report
+}
+
+/// The entry bytes do not depend on how a report holds its slowdowns, so
+/// existing store directories keep serving disk hits.
+#[test]
+fn entry_bytes_are_pinned() {
+    let key = sample_key();
+    let report = mixed_report();
+    let bytes = encode_entry(&key, &report);
+    assert_eq!((bytes.len(), checksum(&bytes)), MIXED_ENTRY);
+    assert_eq!(decode_entry(&bytes, &key), Some(report));
 }
 
 /// Every fault kind round-trips through the entry encoding bit-exactly.

@@ -434,11 +434,12 @@ fn selection_config(config: &SystemConfig) -> [u64; 6] {
 
 /// One memoised selection.  `order` is filled once by whichever thread
 /// looks the key up first; concurrent lookups of the same key wait for it
-/// instead of selecting twice.
+/// instead of selecting twice.  Entries over one graph and one trace share
+/// that trace's copy.
 struct Selection {
     graph: Weak<GraphIndex>,
     config: [u64; 6],
-    trace: KernelTrace,
+    trace: Arc<KernelTrace>,
     order: Arc<OnceLock<Arc<[PeriodId]>>>,
 }
 
@@ -459,16 +460,20 @@ fn memoised_order(
         let mut memo = SELECTIONS.lock().unwrap_or_else(PoisonError::into_inner);
         let hit = memo
             .iter()
-            .find(|s| s.graph.ptr_eq(&graph) && s.config == key && s.trace == *trace);
+            .find(|s| s.graph.ptr_eq(&graph) && s.config == key && *s.trace == *trace);
         match hit {
             Some(selection) => Arc::clone(&selection.order),
             None => {
                 memo.retain(|s| s.graph.strong_count() > 0);
+                let shared = memo
+                    .iter()
+                    .find(|s| s.graph.ptr_eq(&graph) && *s.trace == *trace)
+                    .map(|s| Arc::clone(&s.trace));
                 let order = Arc::new(OnceLock::new());
                 memo.push(Selection {
                     graph,
                     config: key,
-                    trace: trace.clone(),
+                    trace: shared.unwrap_or_else(|| Arc::new(trace.clone())),
                     order: Arc::clone(&order),
                 });
                 order
@@ -700,6 +705,24 @@ mod tests {
         plan(&rebuilt, &trace, &config);
         assert_eq!(entries_for(&key), 4);
         assert_eq!(entries_for(&Arc::downgrade(&rebuilt.shared_index())), 1);
+    }
+
+    #[test]
+    fn entries_over_one_graph_and_trace_share_one_trace() {
+        let graph = build_model(ModelKind::TinyCnn, 64);
+        let trace = KernelTrace::profile(&graph, &GpuCostModel::a100());
+        let config = SystemConfig::table2().with_gpu_memory(64 << 20);
+        let key = Arc::downgrade(&graph.shared_index());
+        plan(&graph, &trace, &config);
+        plan(&graph, &trace, &config.with_gpu_memory(48 << 20));
+        let memo = SELECTIONS.lock().unwrap_or_else(PoisonError::into_inner);
+        let traces: Vec<&Arc<KernelTrace>> = memo
+            .iter()
+            .filter(|s| s.graph.ptr_eq(&key))
+            .map(|s| &s.trace)
+            .collect();
+        assert_eq!(traces.len(), 2);
+        assert!(Arc::ptr_eq(traces[0], traces[1]));
     }
 
     #[test]

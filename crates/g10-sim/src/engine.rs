@@ -48,7 +48,7 @@
 use crate::cancel::{CancelRecord, CancelToken};
 use crate::fault::{catch_policy_panic, FaultRecord, OnPolicyFault, PolicyFaultKind, Validate};
 use crate::guard::{AuditView, InvariantGuard};
-use crate::metrics::SimReport;
+use crate::metrics::{KernelSlowdowns, SimReport};
 use crate::policy::MemoryPolicy;
 use crate::tenancy::{DeviceLedger, TenantId, TenantUsage};
 use crate::victim::VictimIndex;
@@ -265,7 +265,7 @@ pub struct EngineState {
     evictions_issued: u64,
     oversubscribed: bool,
     /// Per-kernel slowdowns recorded so far, in execution order.
-    kernel_slowdowns: Vec<f64>,
+    kernel_slowdowns: KernelSlowdowns,
     /// Kernel index of the step in progress, for fault attribution.
     current_kernel: usize,
     /// First policy fault flagged this run, `(step, kind)`.  Interior
@@ -866,7 +866,6 @@ impl<'a> ReplayEngine<'a> {
         }
 
         // Per-kernel unique working sets, borrowed from the index's arena.
-        let num_kernels = graph.num_kernels();
         let (required_flat, required_offsets) = index.working_sets();
         let working_set_exceeds_gpu = index.max_kernel_working_set_bytes() > gpu_capacity;
 
@@ -898,7 +897,7 @@ impl<'a> ReplayEngine<'a> {
                 prefetches_dropped: 0,
                 evictions_issued: 0,
                 oversubscribed: false,
-                kernel_slowdowns: Vec::with_capacity(num_kernels),
+                kernel_slowdowns: KernelSlowdowns::default(),
                 current_kernel: 0,
                 fault: RefCell::new(None),
                 tenant: options.tenant,
@@ -987,7 +986,7 @@ impl<'a> ReplayEngine<'a> {
         }
         if self.validate_active {
             let view = self.state.audit_view();
-            let last_slowdown = self.state.kernel_slowdowns.last().copied();
+            let last_slowdown = self.state.kernel_slowdowns.last();
             self.audits_run += 1;
             if let Some(kind) = self.guard.check_step(&view, last_slowdown, k) {
                 self.state.flag_fault(kind);
@@ -1015,7 +1014,8 @@ impl<'a> ReplayEngine<'a> {
     /// Assembles the final report; meaningful once [`ReplayEngine::is_done`]
     /// (the tenancy scheduler consumes finished lanes through this).
     pub(crate) fn into_report(self) -> SimReport {
-        let state = self.state;
+        let mut state = self.state;
+        state.kernel_slowdowns.shrink_to_fit();
         SimReport {
             model: self.graph.name().to_string(),
             batch: self.graph.batch_size(),
@@ -1201,7 +1201,7 @@ mod tests {
         assert!(report
             .kernel_slowdowns
             .iter()
-            .all(|s| (*s - 1.0).abs() < 1e-12));
+            .all(|s| (s - 1.0).abs() < 1e-12));
     }
 
     #[test]
@@ -1259,7 +1259,7 @@ mod tests {
         .try_run()
         .expect("built-in policies never fault");
         assert_eq!(report.kernel_slowdowns.len(), graph.num_kernels());
-        assert!(report.kernel_slowdowns.iter().all(|s| *s >= 1.0));
+        assert!(report.kernel_slowdowns.iter().all(|s| s >= 1.0));
     }
 
     /// The step whose `after_kernel` hook [`Corrupting`] corrupts in.
@@ -1331,7 +1331,10 @@ mod tests {
 
     #[test]
     fn audit_catches_non_finite_slowdown() {
-        let tag = caught(|state| state.kernel_slowdowns[CORRUPT_AT] = f64::NAN);
+        let tag = caught(|state| {
+            let recorded = state.kernel_slowdowns.iter().take(CORRUPT_AT);
+            state.kernel_slowdowns = recorded.chain([f64::NAN]).collect();
+        });
         assert_eq!(tag, "non-finite-slowdown");
     }
 

@@ -79,7 +79,7 @@ pub mod victim;
 pub use cancel::{CancelKind, CancelRecord, CancelToken};
 pub use engine::{EngineError, Location, ReplayEngine, RuntimeOptions, StepOutcome};
 pub use fault::{FaultPlan, FaultRecord, InjectedFault, OnPolicyFault, PolicyFaultKind, Validate};
-pub use metrics::{ReportFingerprint, SimReport};
+pub use metrics::{KernelSlowdowns, ReportFingerprint, SimReport};
 pub use policy::MemoryPolicy;
 pub use runner::{parallel_map, try_parallel_map, PolicyKind, Workload};
 pub use session::{

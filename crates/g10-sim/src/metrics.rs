@@ -5,6 +5,11 @@
 //! (Fig. 12), per-kernel slowdowns (Fig. 13), migration traffic by channel
 //! (Fig. 14), fault counts, and the write traffic feeding the SSD-lifetime
 //! analysis (§7.7).
+//!
+//! Most kernels never stall, and a kernel that did not stall has a slowdown
+//! of exactly 1.0, so [`KernelSlowdowns`] stores one bit per kernel and the
+//! values of the kernels that stalled.  Every reader sees the dense
+//! sequence, bit for bit.
 
 use crate::fault::FaultRecord;
 use g10_time::Nanos;
@@ -45,6 +50,93 @@ impl ReportFingerprint {
     }
 }
 
+/// Per-kernel slowdowns (actual / ideal duration) in execution order, stored
+/// sparsely: one bit per kernel, set where the slowdown is not bit-for-bit
+/// 1.0, and the values of the set bits in kernel order.  A slowdown of 1.0
+/// is implicit.
+///
+/// The representation is canonical (a value is stored exactly when it is
+/// not 1.0, and the tables hold no bits past `len`), so the derived
+/// equality compares the dense sequences element by element, as a
+/// `Vec<f64>` would.  Storage is `8·⌈len/64⌉` bytes of bitmap plus 8 bytes
+/// per stored value, never more than 1/64 above the dense vector.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct KernelSlowdowns {
+    len: usize,
+    stalled: Vec<u64>,
+    values: Vec<f64>,
+}
+
+impl KernelSlowdowns {
+    /// Number of kernels recorded.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether no kernel is recorded.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The slowdown of the last kernel recorded.
+    pub fn last(&self) -> Option<f64> {
+        let k = self.len.checked_sub(1)?;
+        Some(if self.is_stored(k) {
+            self.values[self.values.len() - 1]
+        } else {
+            1.0
+        })
+    }
+
+    /// Every slowdown in kernel order, the implicit 1.0s included.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = f64> + '_ {
+        let mut values = self.values.iter();
+        (0..self.len).map(move |k| match self.is_stored(k) {
+            true => *values.next().expect("one stored value per set bit"),
+            false => 1.0,
+        })
+    }
+
+    /// Records the next kernel's slowdown.
+    pub(crate) fn push(&mut self, slowdown: f64) {
+        let (word, bit) = (self.len / 64, self.len % 64);
+        if bit == 0 {
+            self.stalled.push(0);
+        }
+        if slowdown.to_bits() != 1.0f64.to_bits() {
+            self.stalled[word] |= 1 << bit;
+            self.values.push(slowdown);
+        }
+        self.len += 1;
+    }
+
+    /// Drops the tables' growth slack once recording is done.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.stalled.shrink_to_fit();
+        self.values.shrink_to_fit();
+    }
+
+    fn is_stored(&self, k: usize) -> bool {
+        self.stalled[k / 64] & (1 << (k % 64)) != 0
+    }
+
+    /// Number of implicit 1.0s.
+    fn ones(&self) -> usize {
+        self.len - self.values.len()
+    }
+}
+
+impl FromIterator<f64> for KernelSlowdowns {
+    fn from_iter<I: IntoIterator<Item = f64>>(iter: I) -> KernelSlowdowns {
+        let mut slowdowns = KernelSlowdowns::default();
+        for slowdown in iter {
+            slowdowns.push(slowdown);
+        }
+        slowdowns.shrink_to_fit();
+        slowdowns
+    }
+}
+
 /// The outcome of replaying one training iteration under one memory policy.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimReport {
@@ -60,8 +152,9 @@ pub struct SimReport {
     pub ideal_time: Nanos,
     /// Total time kernels spent stalled waiting for data or space.
     pub stall_time: Nanos,
-    /// Per-kernel slowdowns (actual / ideal duration), in execution order.
-    pub kernel_slowdowns: Vec<f64>,
+    /// Per-kernel slowdowns (actual / ideal duration), in execution order;
+    /// only the kernels that stalled store a value.
+    pub kernel_slowdowns: KernelSlowdowns,
     /// Migration traffic by channel and direction.
     pub traffic: TrafficStats,
     /// Number of far faults serviced.
@@ -108,7 +201,7 @@ impl SimReport {
         fp.push(self.total_time.as_nanos());
         fp.push(self.ideal_time.as_nanos());
         fp.push(self.stall_time.as_nanos());
-        for slowdown in &self.kernel_slowdowns {
+        for slowdown in self.kernel_slowdowns.iter() {
             fp.push(slowdown.to_bits());
         }
         fp.push(self.traffic.gpu_to_ssd_bytes);
@@ -160,27 +253,35 @@ impl SimReport {
     /// (Figure 13 reports the distribution; the paper quotes the share of
     /// kernels slower than ideal).
     pub fn fraction_of_kernels_slower_than(&self, threshold: f64) -> f64 {
-        if self.kernel_slowdowns.is_empty() {
+        let slowdowns = &self.kernel_slowdowns;
+        if slowdowns.is_empty() {
             return 0.0;
         }
-        let slower = self
-            .kernel_slowdowns
-            .iter()
-            .filter(|s| **s > threshold)
-            .count();
-        slower as f64 / self.kernel_slowdowns.len() as f64
+        let stored = slowdowns.values.iter().filter(|s| **s > threshold).count();
+        let ones = if 1.0 > threshold { slowdowns.ones() } else { 0 };
+        (stored + ones) as f64 / slowdowns.len() as f64
     }
 
     /// A quantile of the per-kernel slowdown distribution (`q` in `[0, 1]`),
     /// read off its CDF (Figure 13).
+    ///
+    /// Sorts only the stored values; the implicit 1.0s sit between the
+    /// values below 1.0 and the rest.
     pub fn slowdown_quantile(&self, q: f64) -> f64 {
-        let mut cdf = self.kernel_slowdowns.clone();
-        cdf.sort_by(|a, b| a.total_cmp(b));
-        if cdf.is_empty() {
+        let slowdowns = &self.kernel_slowdowns;
+        if slowdowns.is_empty() {
             return 1.0;
         }
-        let idx = ((cdf.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
-        cdf[idx]
+        let idx = ((slowdowns.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
+        let mut stored = slowdowns.values.clone();
+        stored.sort_by(|a, b| a.total_cmp(b));
+        let below = stored.partition_point(|s| s.total_cmp(&1.0).is_lt());
+        let ones = slowdowns.ones();
+        match idx {
+            i if i < below => stored[i],
+            i if i < below + ones => 1.0,
+            i => stored[i - ones],
+        }
     }
 
     /// Bytes written to the SSD during the iteration (wears the flash).
@@ -215,7 +316,7 @@ mod tests {
             total_time: Nanos::from_secs(10),
             ideal_time: Nanos::from_secs(9),
             stall_time: Nanos::from_secs(1),
-            kernel_slowdowns: vec![1.0, 1.0, 2.0, 4.0],
+            kernel_slowdowns: [1.0, 1.0, 2.0, 4.0].into_iter().collect(),
             traffic: TrafficStats {
                 gpu_to_ssd_bytes: 100,
                 ssd_to_gpu_bytes: 200,
@@ -272,7 +373,7 @@ mod tests {
         different.fault_count += 1;
         assert_ne!(r.fingerprint(), different.fingerprint());
         let mut slower = r.clone();
-        slower.kernel_slowdowns[0] = 1.5;
+        slower.kernel_slowdowns = [1.5, 1.0, 2.0, 4.0].into_iter().collect();
         assert_ne!(r.fingerprint(), slower.fingerprint());
     }
 
@@ -283,7 +384,7 @@ mod tests {
         assert_eq!(r.normalized_performance(), 1.0);
         assert_eq!(r.throughput(), 0.0);
         assert_eq!(r.stall_fraction(), 0.0);
-        r.kernel_slowdowns.clear();
+        r.kernel_slowdowns = std::iter::empty().collect();
         assert_eq!(r.fraction_of_kernels_slower_than(1.0), 0.0);
         assert_eq!(r.slowdown_quantile(0.5), 1.0);
     }

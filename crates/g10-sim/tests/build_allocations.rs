@@ -12,14 +12,17 @@
 //! the grid, a replay sweep and a serving daemon.  A
 //! G10 cell whose eviction order is already memoised (plan, policy build
 //! and replay) must make fewer than a quarter as many calls as the graph
-//! has kernels: the plan is one CSR table, not two lists per kernel.
+//! has kernels: the plan is one CSR table, not two lists per kernel.  A
+//! replayed report's per-kernel slowdowns retain one bitmap bit per kernel
+//! and one value per kernel that stalled, with no growth slack: the grid
+//! and a serving daemon keep every report they produce.
 
 use g10_core::config::SystemConfig;
 use g10_core::scheduler::{G10Scheduler, SchedulerVariant};
 use g10_core::vitality::VitalityAnalysis;
 use g10_dnn::models::ModelKind;
 use g10_sim::policies::G10Policy;
-use g10_sim::{ReplayEngine, RuntimeOptions, SimReport, Workload};
+use g10_sim::{Experiment, PolicyKind, ReplayEngine, RuntimeOptions, SimReport, Workload};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -180,5 +183,42 @@ fn memo_hit_g10_cell_makes_fewer_allocations_than_a_quarter_of_its_kernels() {
             calls < kernels / 4,
             "{model} at batch {batch}: {calls} allocation calls for {kernels} kernels"
         );
+    }
+}
+
+#[test]
+fn replayed_slowdowns_retain_a_bitmap_and_the_stalled_values() {
+    let config = SystemConfig::table2();
+    for model in ModelKind::PAPER_MODELS {
+        let batch = model.eval_batch();
+        let workload = Workload::new(model, batch);
+        for kind in [PolicyKind::Ideal, PolicyKind::BaseUvm, PolicyKind::G10Full] {
+            let report = Experiment::new(&workload)
+                .policy(kind)
+                .config(config)
+                .run()
+                .expect("built-in policies replay without a fault");
+            let slowdowns = report.kernel_slowdowns;
+            let kernels = slowdowns.len();
+            assert_eq!(kernels, workload.graph.num_kernels());
+            let stalled = slowdowns
+                .iter()
+                .filter(|s| s.to_bits() != 1f64.to_bits())
+                .count();
+            if kind == PolicyKind::Ideal {
+                assert_eq!(stalled, 0, "{model}: Ideal stalls no kernel");
+            }
+            // Dropping the slowdowns frees exactly what they retained.
+            let ((), _, live) = counted(|| drop(slowdowns));
+            let expected = 8 * kernels.div_ceil(64) + 8 * stalled;
+            println!(
+                "{model} b{batch} {kind:?}: {stalled} of {kernels} kernels stalled, {} B",
+                -live
+            );
+            assert_eq!(
+                -live, expected as i64,
+                "{model} at batch {batch} under {kind:?}: {stalled} of {kernels} kernels stalled"
+            );
+        }
     }
 }

@@ -65,7 +65,7 @@ fn check_case(spec: AdversarialSpec, gpu_mib: u64) -> Result<(), PolicyFaultKind
                 report
                     .kernel_slowdowns
                     .iter()
-                    .all(|s| s.is_finite() && *s >= 1.0),
+                    .all(|s| s.is_finite() && s >= 1.0),
                 "clean run produced non-physical slowdowns: {spec:?}"
             );
             assert!(

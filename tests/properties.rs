@@ -105,7 +105,7 @@ proptest! {
             .run()
             .expect("built-in policies resolve");
         prop_assert!(report.total_time >= report.ideal_time);
-        prop_assert!(report.kernel_slowdowns.iter().all(|s| *s >= 1.0 - 1e-9));
+        prop_assert!(report.kernel_slowdowns.iter().all(|s| s >= 1.0 - 1e-9));
         prop_assert!(report.normalized_performance() <= 1.0 + 1e-9);
     }
 
