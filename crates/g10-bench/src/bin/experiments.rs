@@ -18,7 +18,7 @@
 //! `BENCH_<n>.json` perf-trajectory snapshot (`scripts/bench-compare.sh`).
 
 use g10_bench::cli::{self, Args, Command, MAX_TENANTS};
-use g10_bench::experiments;
+use g10_bench::experiments::{self, Figure, FIGURES};
 use g10_bench::json::Json;
 use g10_bench::lab::{Lab, RunCacheStats};
 use g10_bench::output::{write_figure_csvs, Table};
@@ -42,21 +42,13 @@ fn emit(name: &str, tables: &[Table], out_dir: &Path) {
     write_figure_csvs(tables, out_dir, name);
 }
 
-/// A figure command: its driver from [`experiments::figure_drivers`], or
-/// for `all` every driver, each with its wall time so per-figure grid
-/// costs are visible run to run.
+/// A figure command: one figure, or `all` of them, run as one job list
+/// by [`experiments::run_figures`].
 fn figures(lab: &Lab, command: &str, out_dir: &Path) -> Result<(), String> {
-    for (name, driver) in experiments::figure_drivers(lab) {
-        if command == "all" {
-            let started = Instant::now();
-            emit(name, &driver(), out_dir);
-            println!(
-                "[experiments] {name} took {:.1}s",
-                started.elapsed().as_secs_f64()
-            );
-        } else if command == name {
-            emit(name, &driver(), out_dir);
-        }
+    let chosen = |figure: &&Figure| command == "all" || figure.name == command;
+    let figures: Vec<Figure> = FIGURES.iter().filter(chosen).copied().collect();
+    for (name, tables) in experiments::run_figures(lab, &figures) {
+        emit(name, &tables, out_dir);
     }
     Ok(())
 }

@@ -247,7 +247,7 @@ fn command(words: &[String]) -> Result<(Command, usize), String> {
         ["multi", ..] => (Multi, 1, 1),
         ["serve", ..] => (Serve, 1, 1),
         ["submit", ..] => (Submit, 1, 1),
-        [name, ..] if name == "all" || FIGURES.contains(&name) => (Figure, 1, 1),
+        [name, ..] if name == "all" || FIGURES.iter().any(|f| f.name == name) => (Figure, 1, 1),
         [name, ..] => return Err(format!("unknown command: {name}")),
     };
     if words.len() > count {
@@ -288,6 +288,6 @@ pub fn usage() -> String {
          --policy takes ideal, base-uvm, deepum+, flashneuron, g10-gds, g10-host,\n\
          g10, tensile or any policy registered via g10_sim::register_policy.",
         global.join(" "),
-        FIGURES.join(" ")
+        FIGURES.map(|figure| figure.name).join(" ")
     )
 }

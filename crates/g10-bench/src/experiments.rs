@@ -1,9 +1,9 @@
 //! Experiment drivers: one function per table / figure of the paper.
 //!
-//! Every driver returns a [`Table`] (or a set of tables) containing the same
-//! rows / series the paper reports, so the `experiments` binary can print
-//! them and write CSV files under `results/`.  A driver that builds
-//! workloads or replays cells takes the [`Lab`] that owns those caches.
+//! [`FIGURES`] declares the evaluation grid: each [`Figure`] lists the
+//! [`Cell`]s it reads and builds its [`Table`]s from their reports, and
+//! [`run_figures`] runs any set of them as one job list.  Functions that
+//! build workloads or replay cells take the [`Lab`] that owns those caches.
 
 use crate::lab::{default_lab, Lab, RunCacheStats};
 use crate::output::Table;
@@ -18,7 +18,8 @@ use g10_sim::{
 };
 use g10_ssd::EnduranceModel;
 use g10_time::Nanos;
-use std::sync::{Arc, OnceLock};
+use std::collections::{HashMap, HashSet};
+use std::sync::Arc;
 
 const GIB: f64 = (1u64 << 30) as f64;
 const GB: f64 = 1e9;
@@ -46,57 +47,150 @@ pub fn run_cache_stats() -> RunCacheStats {
     default_lab().stats()
 }
 
-/// perfbench's entry point: [`figure_drivers`] on the process-default
-/// `Lab`.  Goes with ROADMAP item 4b.
+/// perfbench's entry point: [`run_figures`] over [`FIGURES`] on the
+/// process-default `Lab`.  Goes with ROADMAP item 4b.
 pub fn figure_set() -> Vec<(&'static str, FigureDriver<'static>)> {
-    figure_drivers(default_lab())
+    let figures = run_figures(default_lab(), &FIGURES).into_iter();
+    figures
+        .map(|(name, tables)| (name, Box::new(move || tables) as FigureDriver))
+        .collect()
 }
+
+/// One figure's tables from [`figure_set`].
+pub type FigureDriver<'a> = Box<dyn FnOnce() -> Vec<Table> + 'a>;
 
 fn pct(x: f64) -> String {
     format!("{:.1}", x * 100.0)
 }
 
-/// One lazy figure driver from [`figure_drivers`]: call it (once) to
-/// replay the figure's cells and get its tables.
-pub type FigureDriver<'a> = Box<dyn FnOnce() -> Vec<Table> + 'a>;
+// ---------------------------------------------------------------------------
+// The figure grid
+// ---------------------------------------------------------------------------
 
-/// The names of [`figure_drivers`], in presentation order.
-pub(crate) const FIGURES: [&str; 15] = [
-    "table1", "table2", "fig2", "fig3", "fig4", "fig11", "fig12", "fig13", "fig14", "lifetime",
-    "fig15", "fig16", "fig17", "fig18", "fig19",
+/// One table or figure of the evaluation: its `experiments` command (and
+/// CSV name), the cells it reads, and its tables, built from those cells'
+/// reports.  Figures that read only workloads list no cells.
+#[derive(Clone, Copy)]
+pub struct Figure {
+    pub name: &'static str,
+    cells: fn() -> Vec<Cell>,
+    tables: fn(&Grid) -> Vec<Table>,
+}
+
+/// The evaluation grid in presentation order, shared by `experiments all`
+/// and the perf-trajectory snapshot so "the grid" means the same cells
+/// everywhere.  Figures 2 and 4 give one table per model.
+#[rustfmt::skip]
+pub const FIGURES: [Figure; 15] = [
+    Figure { name: "table1", cells: Vec::new, tables: |grid| vec![table1(grid.lab)] },
+    Figure { name: "table2", cells: Vec::new, tables: |_| vec![table2()] },
+    Figure { name: "fig2", cells: Vec::new, tables: |grid| fig2(grid.lab) },
+    Figure { name: "fig3", cells: Vec::new, tables: |grid| vec![fig3(grid.lab)] },
+    Figure { name: "fig4", cells: Vec::new, tables: |grid| fig4(grid.lab) },
+    Figure { name: "fig11", cells: end_to_end_cells, tables: |grid| vec![fig11(grid)] },
+    Figure { name: "fig12", cells: end_to_end_cells, tables: |grid| vec![fig12(grid)] },
+    Figure { name: "fig13", cells: end_to_end_cells, tables: |grid| vec![fig13(grid)] },
+    Figure { name: "fig14", cells: end_to_end_cells, tables: |grid| vec![fig14(grid)] },
+    Figure { name: "lifetime", cells: end_to_end_cells, tables: |grid| vec![lifetime(grid)] },
+    Figure { name: "fig15", cells: fig15_cells, tables: |grid| vec![fig15(grid)] },
+    Figure { name: "fig16", cells: fig16_cells, tables: |grid| vec![fig16(grid)] },
+    Figure { name: "fig17", cells: fig17_cells, tables: |grid| vec![fig17(grid)] },
+    Figure { name: "fig18", cells: fig18_cells, tables: |grid| vec![fig18(grid)] },
+    Figure { name: "fig19", cells: fig19_cells, tables: |grid| vec![fig19(grid)] },
 ];
 
-/// The full evaluation grid as named lazy drivers on `lab`, in
-/// presentation order.
-///
-/// Shared by the `experiments all` command and the perf-trajectory
-/// snapshot so "the grid" means the same cell set everywhere.  Multi-table
-/// figures (2 and 4) yield one table per model; the Figure 11–14 +
-/// lifetime drivers share one [`EndToEndRuns::collect`] through a lazy
-/// slot, exactly as the binary always ran them.
-pub fn figure_drivers(lab: &Lab) -> Vec<(&'static str, FigureDriver<'_>)> {
-    let shared: Arc<OnceLock<EndToEndRuns>> = Arc::new(OnceLock::new());
-    let end_to_end = |f: fn(&EndToEndRuns) -> Table| -> FigureDriver<'_> {
-        let shared = Arc::clone(&shared);
-        Box::new(move || vec![f(shared.get_or_init(|| EndToEndRuns::collect(lab)))])
-    };
-    vec![
-        ("table1", Box::new(move || vec![table1(lab)])),
-        ("table2", Box::new(|| vec![table2()])),
-        ("fig2", Box::new(move || fig2(lab))),
-        ("fig3", Box::new(move || vec![fig3(lab)])),
-        ("fig4", Box::new(move || fig4(lab))),
-        ("fig11", end_to_end(fig11)),
-        ("fig12", end_to_end(fig12)),
-        ("fig13", end_to_end(fig13)),
-        ("fig14", end_to_end(fig14)),
-        ("lifetime", end_to_end(lifetime)),
-        ("fig15", Box::new(move || vec![fig15(lab)])),
-        ("fig16", Box::new(move || vec![fig16(lab)])),
-        ("fig17", Box::new(move || vec![fig17(lab)])),
-        ("fig18", Box::new(move || vec![fig18(lab)])),
-        ("fig19", Box::new(move || vec![fig19(lab)])),
-    ]
+/// One simulation cell: the built-in `policy` on `model` at `batch` on
+/// `config` hardware, planned against the profiled kernel timings perturbed
+/// by up to `planning_error` (Figure 19).  An error-free cell is canonical,
+/// and the [`Lab`] caches its report.
+#[derive(Debug, Clone, Copy)]
+pub struct Cell {
+    model: ModelKind,
+    batch: u64,
+    policy: PolicyKind,
+    config: SystemConfig,
+    planning_error: f64,
+}
+
+/// A [`Cell`] as a hashable key.
+type CellKey = (ModelKind, u64, PolicyKind, [u64; 12], u64);
+
+impl Cell {
+    fn key(&self) -> CellKey {
+        let (config, error) = (self.config.cache_key(), self.planning_error.to_bits());
+        (self.model, self.batch, self.policy, config, error)
+    }
+
+    /// The G10 eviction selection this cell plans with, if it plans:
+    /// selection reads every hardware field but host memory.
+    fn selection(&self) -> Option<(ModelKind, u64, [u64; 12], u64)> {
+        self.policy.scheduler_variant()?;
+        let (config, error) = (self.config.with_host_memory(0), self.planning_error);
+        Some((self.model, self.batch, config.cache_key(), error.to_bits()))
+    }
+
+    fn run(&self, lab: &Lab) -> Arc<SimReport> {
+        if self.planning_error == 0.0 {
+            return lab.run(self.model, self.batch, self.policy, &self.config);
+        }
+        let workload = lab.workload(self.model, self.batch);
+        let noisy = workload.trace.with_noise(self.planning_error, 0xC0FFEE);
+        let experiment = Experiment::new(&workload)
+            .policy(self.policy)
+            .config(self.config);
+        let report = experiment.planning_trace(&noisy).run();
+        Arc::new(report.expect("built-in policies always resolve"))
+    }
+}
+
+/// The cells of `figures` as one job list: each distinct cell once.
+/// Planning cells come first, each ranked by how many earlier ones share
+/// its G10 selection: concurrent lookups of one selection wait for each
+/// other, so each round of the list plans distinct selections.
+fn job_list(figures: &[Figure]) -> Vec<Cell> {
+    let mut seen = HashSet::new();
+    let mut sharing = HashMap::new();
+    let mut jobs: Vec<(usize, Cell)> = figures
+        .iter()
+        .flat_map(|figure| (figure.cells)())
+        .filter(|cell| seen.insert(cell.key()))
+        .map(|cell| match cell.selection() {
+            Some(selection) => {
+                let earlier: &mut usize = sharing.entry(selection).or_default();
+                *earlier += 1;
+                (*earlier - 1, cell)
+            }
+            None => (usize::MAX, cell),
+        })
+        .collect();
+    jobs.sort_by_key(|&(rank, _)| rank);
+    jobs.into_iter().map(|(_, cell)| cell).collect()
+}
+
+/// The reports of a figure set's cells, and the [`Lab`] whose workloads
+/// its tables read.
+pub struct Grid<'a> {
+    lab: &'a Lab,
+    reports: HashMap<CellKey, Arc<SimReport>>,
+}
+
+impl Grid<'_> {
+    /// The report of `cell`, which a figure of the grid must list.
+    fn report(&self, cell: &Cell) -> &SimReport {
+        &self.reports[&cell.key()]
+    }
+}
+
+/// Runs `figures`: each distinct cell they list once, all on one
+/// [`parallel_map`], then each figure's tables, in the order given.
+pub fn run_figures(lab: &Lab, figures: &[Figure]) -> Vec<(&'static str, Vec<Table>)> {
+    let reports = parallel_map(job_list(figures), |cell| (cell.key(), cell.run(lab)));
+    let reports = reports.into_iter().collect();
+    let grid = Grid { lab, reports };
+    figures
+        .iter()
+        .map(|figure| (figure.name, (figure.tables)(&grid)))
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -355,24 +449,18 @@ pub fn table1(lab: &Lab) -> Table {
     let config = SystemConfig::table2();
     let rows = parallel_map(ModelKind::PAPER_MODELS.to_vec(), |model| {
         let workload = lab.workload(*model, model.eval_batch());
-        (
+        let graph = &workload.graph;
+        vec![
             model.name().to_string(),
-            model.eval_batch(),
-            workload.graph.num_kernels(),
-            workload.graph.num_tensors(),
-            workload.graph.total_tensor_bytes() as f64 / GIB,
-            workload.memory_ratio(&config) * 100.0,
-        )
+            model.eval_batch().to_string(),
+            graph.num_kernels().to_string(),
+            graph.num_tensors().to_string(),
+            format!("{:.1}", graph.total_tensor_bytes() as f64 / GIB),
+            format!("{:.1}", workload.memory_ratio(&config) * 100.0),
+        ]
     });
-    for (name, batch, kernels, tensors, gib, ratio) in rows {
-        table.push_row(vec![
-            name,
-            batch.to_string(),
-            kernels.to_string(),
-            tensors.to_string(),
-            format!("{gib:.1}"),
-            format!("{ratio:.1}"),
-        ]);
+    for row in rows {
+        table.push_row(row);
     }
     table
 }
@@ -550,94 +638,80 @@ pub fn fig4(lab: &Lab) -> Vec<Table> {
 // Figures 11-14 + §7.7: the end-to-end comparison at the evaluation batches
 // ---------------------------------------------------------------------------
 
-/// All end-to-end runs behind Figures 11–14 and the §7.7 lifetime analysis.
-pub struct EndToEndRuns {
-    /// Per model: its footprint over the Table 2 GPU capacity, and the
-    /// reports of every Figure-11 policy plus the Ideal run (`Arc`-shared
-    /// with the run cache).
-    pub runs: Vec<(ModelKind, f64, Vec<Arc<SimReport>>)>,
+/// The cells of every policy on every (model, batch) point on every
+/// hardware config, points outermost and policies innermost.
+fn sweep(
+    points: &[(ModelKind, u64)],
+    configs: &[SystemConfig],
+    policies: &[PolicyKind],
+) -> Vec<Cell> {
+    let mut cells = Vec::new();
+    for &(model, batch) in points {
+        for &config in configs {
+            for &policy in policies {
+                let planning_error = 0.0;
+                cells.push(Cell {
+                    model,
+                    batch,
+                    policy,
+                    config,
+                    planning_error,
+                });
+            }
+        }
+    }
+    cells
 }
 
-impl EndToEndRuns {
-    /// Runs every model at its evaluation batch size under every design.
-    ///
-    /// The grid is flattened to one (model × policy) cell list before the
-    /// parallel sweep — 35 independently scheduled cells instead of five
-    /// serial seven-policy loops — so wall-clock follows the slowest *cell*
-    /// rather than the slowest *model*.  Cells route through [`Lab::run`], so
-    /// any cell another figure already replayed is free.
-    ///
-    /// The list is policy-major with the G10 variants first.  A model's
-    /// G10-GDS, G10-Host and G10 plans share one eviction selection, so
-    /// model-major order would hand two workers the same model's G10 cells
-    /// and leave one waiting on the other's selection; this order hands
-    /// them different models, and the cheap non-G10 cells fill the tail.
-    /// The reports are regrouped per model in presentation order.
-    pub fn collect(lab: &Lab) -> Self {
-        let config = SystemConfig::table2();
-        let mut policies = vec![PolicyKind::Ideal];
-        policies.extend(PolicyKind::FIGURE11);
-        let mut order = policies.clone();
-        order.sort_by_key(|policy| policy.scheduler_variant().is_none());
-        let models = ModelKind::PAPER_MODELS;
-        let cells: Vec<(ModelKind, PolicyKind)> = order
-            .iter()
-            .flat_map(|&policy| models.iter().map(move |&model| (model, policy)))
-            .collect();
-        let reports = parallel_map(cells, |(model, policy)| {
-            lab.run(*model, model.eval_batch(), *policy, &config)
-        });
-        let report = |m: usize, policy: &PolicyKind| {
-            let p = order
-                .iter()
-                .position(|o| o == policy)
-                .expect("every policy is run");
-            Arc::clone(&reports[p * models.len() + m])
-        };
-        let runs = models
-            .iter()
-            .enumerate()
-            .map(|(m, model)| {
-                (
-                    *model,
-                    lab.workload(*model, model.eval_batch())
-                        .memory_ratio(&config),
-                    policies.iter().map(|policy| report(m, policy)).collect(),
-                )
-            })
-            .collect();
-        EndToEndRuns { runs }
-    }
+/// Every paper model at its evaluation batch.
+fn eval_batches() -> [(ModelKind, u64); 5] {
+    ModelKind::PAPER_MODELS.map(|model| (model, model.eval_batch()))
+}
 
-    fn policies(&self) -> Vec<String> {
-        self.runs
-            .first()
-            .map(|(_, _, reports)| reports.iter().map(|r| r.policy.clone()).collect())
-            .unwrap_or_default()
-    }
+/// Every paper model at its evaluation batch on Table 2 hardware, under
+/// each of `policies`.
+fn eval_cells(policies: &[PolicyKind]) -> Vec<Cell> {
+    sweep(&eval_batches(), &[SystemConfig::table2()], policies)
+}
+
+/// The cells behind Figures 11–14 and the §7.7 lifetime analysis: Ideal
+/// and then every Figure 11 design.  Figures 12–14 read a subset.
+fn end_to_end_cells() -> Vec<Cell> {
+    eval_cells(&[&[PolicyKind::Ideal][..], &PolicyKind::FIGURE11].concat())
 }
 
 /// Figure 11: end-to-end training throughput normalised to Ideal.
-pub fn fig11(data: &EndToEndRuns) -> Table {
+pub fn fig11(grid: &Grid) -> Table {
+    let cells = end_to_end_cells();
+    let per_model: Vec<&[Cell]> = cells.chunk_by(|a, b| a.model == b.model).collect();
     let mut header = vec![
         "model".to_string(),
         "batch".to_string(),
         "memory_pct".to_string(),
     ];
-    header.extend(data.policies());
+    header.extend(
+        per_model[0]
+            .iter()
+            .map(|cell| grid.report(cell).policy.clone()),
+    );
     let header_refs: Vec<&str> = header.iter().map(|s| s.as_str()).collect();
     let mut table = Table::new(
         "Figure 11: normalized training performance (1.0 = ideal)",
         &header_refs,
     );
-    for (model, memory_ratio, reports) in &data.runs {
+    for cells in per_model {
+        let (model, batch) = (cells[0].model, cells[0].batch);
+        let memory_ratio = grid
+            .lab
+            .workload(model, batch)
+            .memory_ratio(&cells[0].config);
         let mut row = vec![
             model.name().to_string(),
-            model.eval_batch().to_string(),
+            batch.to_string(),
             format!("{:.1}", memory_ratio * 100.0),
         ];
-        for report in reports {
-            row.push(format!("{:.3}", report.normalized_performance()));
+        for cell in cells {
+            row.push(format!("{:.3}", grid.report(cell).normalized_performance()));
         }
         table.push_row(row);
     }
@@ -645,30 +719,25 @@ pub fn fig11(data: &EndToEndRuns) -> Table {
 }
 
 /// Figure 12: execution-time breakdown (overlapped compute vs stall).
-pub fn fig12(data: &EndToEndRuns) -> Table {
+pub fn fig12(grid: &Grid) -> Table {
     let mut table = Table::new(
         "Figure 12: execution time breakdown",
         &["model", "policy", "compute_and_transfer_pct", "stall_pct"],
     );
-    for (model, _, reports) in &data.runs {
-        for report in reports {
-            if report.policy == "Ideal" || report.policy == "G10-GDS" || report.policy == "G10-Host"
-            {
-                continue;
-            }
-            table.push_row(vec![
-                model.name().to_string(),
-                report.policy.clone(),
-                pct(report.overlap_fraction()),
-                pct(report.stall_fraction()),
-            ]);
-        }
+    for cell in eval_cells(&PolicyKind::COMPARED) {
+        let report = grid.report(&cell);
+        table.push_row(vec![
+            cell.model.name().to_string(),
+            report.policy.clone(),
+            pct(report.overlap_fraction()),
+            pct(report.stall_fraction()),
+        ]);
     }
     table
 }
 
 /// Figure 13: distribution of per-kernel slowdowns.
-pub fn fig13(data: &EndToEndRuns) -> Table {
+pub fn fig13(grid: &Grid) -> Table {
     let mut table = Table::new(
         "Figure 13: kernel slowdown distribution (normalized to ideal)",
         &[
@@ -681,28 +750,23 @@ pub fn fig13(data: &EndToEndRuns) -> Table {
             "max",
         ],
     );
-    for (model, _, reports) in &data.runs {
-        for report in reports {
-            if report.policy == "Ideal" || report.policy == "G10-GDS" || report.policy == "G10-Host"
-            {
-                continue;
-            }
-            table.push_row(vec![
-                model.name().to_string(),
-                report.policy.clone(),
-                pct(report.fraction_of_kernels_slower_than(1.001)),
-                format!("{:.2}", report.slowdown_quantile(0.50)),
-                format!("{:.2}", report.slowdown_quantile(0.90)),
-                format!("{:.2}", report.slowdown_quantile(0.99)),
-                format!("{:.2}", report.slowdown_quantile(1.0)),
-            ]);
-        }
+    for cell in eval_cells(&PolicyKind::COMPARED) {
+        let report = grid.report(&cell);
+        table.push_row(vec![
+            cell.model.name().to_string(),
+            report.policy.clone(),
+            pct(report.fraction_of_kernels_slower_than(1.001)),
+            format!("{:.2}", report.slowdown_quantile(0.50)),
+            format!("{:.2}", report.slowdown_quantile(0.90)),
+            format!("{:.2}", report.slowdown_quantile(0.99)),
+            format!("{:.2}", report.slowdown_quantile(1.0)),
+        ]);
     }
     table
 }
 
 /// Figure 14: tensor migration traffic breakdown.
-pub fn fig14(data: &EndToEndRuns) -> Table {
+pub fn fig14(grid: &Grid) -> Table {
     let mut table = Table::new(
         "Figure 14: migration traffic (GB)",
         &[
@@ -714,26 +778,22 @@ pub fn fig14(data: &EndToEndRuns) -> Table {
             "ssd_reads_gb",
         ],
     );
-    for (model, _, reports) in &data.runs {
-        for report in reports {
-            if report.policy == "Ideal" {
-                continue;
-            }
-            table.push_row(vec![
-                model.name().to_string(),
-                report.policy.clone(),
-                format!("{:.1}", report.traffic.ssd_total() as f64 / GB),
-                format!("{:.1}", report.traffic.host_total() as f64 / GB),
-                format!("{:.1}", report.traffic.gpu_to_ssd_bytes as f64 / GB),
-                format!("{:.1}", report.traffic.ssd_to_gpu_bytes as f64 / GB),
-            ]);
-        }
+    for cell in eval_cells(&PolicyKind::FIGURE11) {
+        let report = grid.report(&cell);
+        table.push_row(vec![
+            cell.model.name().to_string(),
+            report.policy.clone(),
+            format!("{:.1}", report.traffic.ssd_total() as f64 / GB),
+            format!("{:.1}", report.traffic.host_total() as f64 / GB),
+            format!("{:.1}", report.traffic.gpu_to_ssd_bytes as f64 / GB),
+            format!("{:.1}", report.traffic.ssd_to_gpu_bytes as f64 / GB),
+        ]);
     }
     table
 }
 
 /// §7.7: SSD write traffic and projected device lifetime.
-pub fn lifetime(data: &EndToEndRuns) -> Table {
+pub fn lifetime(grid: &Grid) -> Table {
     let mut table = Table::new(
         "Section 7.7: SSD lifetime under continuous training",
         &[
@@ -746,27 +806,26 @@ pub fn lifetime(data: &EndToEndRuns) -> Table {
         ],
     );
     let endurance = EnduranceModel::samsung_z_ssd();
-    for (model, _, reports) in &data.runs {
-        let g10_writes = reports
-            .iter()
-            .find(|r| r.policy == "G10")
-            .map(|r| r.ssd_write_bytes())
-            .unwrap_or(0)
-            .max(1);
-        for report in reports {
-            if !matches!(report.policy.as_str(), "G10" | "DeepUM+" | "FlashNeuron") {
-                continue;
-            }
-            let write_rate = report.ssd_write_bytes() as f64 / report.total_time.as_secs_f64();
-            table.push_row(vec![
-                model.name().to_string(),
-                report.policy.clone(),
-                format!("{:.1}", report.ssd_write_bytes() as f64 / GB),
-                format!("{:.2}", write_rate / GB),
-                format!("{:.1}", endurance.lifetime_years(write_rate)),
-                format!("{:.2}", report.ssd_write_bytes() as f64 / g10_writes as f64),
-            ]);
-        }
+    let policies = [
+        PolicyKind::FlashNeuron,
+        PolicyKind::DeepUmPlus,
+        PolicyKind::G10Full,
+    ];
+    for cell in eval_cells(&policies) {
+        let (report, policy) = (grid.report(&cell), PolicyKind::G10Full);
+        let g10_writes = grid.report(&Cell { policy, ..cell }).ssd_write_bytes();
+        let write_rate = report.ssd_write_bytes() as f64 / report.total_time.as_secs_f64();
+        table.push_row(vec![
+            cell.model.name().to_string(),
+            report.policy.clone(),
+            format!("{:.1}", report.ssd_write_bytes() as f64 / GB),
+            format!("{:.2}", write_rate / GB),
+            format!("{:.1}", endurance.lifetime_years(write_rate)),
+            format!(
+                "{:.2}",
+                report.ssd_write_bytes() as f64 / g10_writes.max(1) as f64
+            ),
+        ]);
     }
     table
 }
@@ -775,43 +834,33 @@ pub fn lifetime(data: &EndToEndRuns) -> Table {
 // Figure 15: varying batch size
 // ---------------------------------------------------------------------------
 
+/// Figure 15's cells: each model's batch sweep under Ideal and every
+/// compared design.
+fn fig15_cells() -> Vec<Cell> {
+    let sweeps = ModelKind::PAPER_MODELS.map(|model| (model, model.batch_sweep()));
+    let points: Vec<_> = sweeps
+        .iter()
+        .flat_map(|(model, batches)| batches.iter().map(|&batch| (*model, batch)))
+        .collect();
+    let policies = [&[PolicyKind::Ideal][..], &PolicyKind::COMPARED].concat();
+    sweep(&points, &[SystemConfig::table2()], &policies)
+}
+
 /// Figure 15: training throughput as the batch size varies.
-pub fn fig15(lab: &Lab) -> Table {
+pub fn fig15(grid: &Grid) -> Table {
     let mut table = Table::new(
         "Figure 15: training throughput vs batch size",
         &["model", "batch", "unit", "policy", "throughput"],
     );
-    let config = SystemConfig::table2();
-    let mut specs = Vec::new();
-    for model in ModelKind::PAPER_MODELS {
-        for batch in model.batch_sweep() {
-            specs.push((model, batch));
-        }
-    }
-    let rows = parallel_map(specs, |(model, batch)| {
-        let mut rows = Vec::new();
-        for policy in [
-            PolicyKind::Ideal,
-            PolicyKind::BaseUvm,
-            PolicyKind::FlashNeuron,
-            PolicyKind::DeepUmPlus,
-            PolicyKind::G10Full,
-        ] {
-            let report = lab.run(*model, *batch, policy, &config);
-            rows.push(vec![
-                model.name().to_string(),
-                batch.to_string(),
-                model.throughput_unit().to_string(),
-                report.policy.clone(),
-                format!("{:.2}", report.throughput()),
-            ]);
-        }
-        rows
-    });
-    for group in rows {
-        for row in group {
-            table.push_row(row);
-        }
+    for cell in fig15_cells() {
+        let report = grid.report(&cell);
+        table.push_row(vec![
+            cell.model.name().to_string(),
+            cell.batch.to_string(),
+            cell.model.throughput_unit().to_string(),
+            report.policy.clone(),
+            format!("{:.2}", report.throughput()),
+        ]);
     }
     table
 }
@@ -823,79 +872,73 @@ pub fn fig15(lab: &Lab) -> Table {
 /// The host-memory capacities swept in §7.4, in GiB.
 pub const HOST_SWEEP_GIB: [u64; 6] = [0, 16, 32, 64, 128, 256];
 
+/// Table 2 hardware with each of `host_gib` GiB of host memory.
+fn host_configs(host_gib: &[u64]) -> Vec<SystemConfig> {
+    let config = |gib: &u64| SystemConfig::table2().with_host_memory(gib << 30);
+    host_gib.iter().map(config).collect()
+}
+
+/// Figure 16's cells: G10 over every host capacity, at four batches per model.
+fn fig16_cells() -> Vec<Cell> {
+    let batches = [
+        (ModelKind::Bert, [256, 384, 512, 640]),
+        (ModelKind::Vit, [768, 1024, 1280, 1536]),
+        (ModelKind::InceptionV3, [512, 1024, 1280, 1536]),
+        (ModelKind::ResNet152, [768, 1024, 1280, 1536]),
+        (ModelKind::SENet154, [256, 512, 768, 1024]),
+    ];
+    let points: Vec<_> = batches
+        .iter()
+        .flat_map(|&(model, list)| list.map(|batch| (model, batch)))
+        .collect();
+    let configs = host_configs(&HOST_SWEEP_GIB);
+    sweep(&points, &configs, &[PolicyKind::G10Full])
+}
+
 /// Figure 16: G10 execution time as the host memory capacity varies.
-pub fn fig16(lab: &Lab) -> Table {
+pub fn fig16(grid: &Grid) -> Table {
     let mut table = Table::new(
         "Figure 16: G10 execution time vs host memory capacity",
         &["model", "batch", "host_gib", "execution_time_s"],
     );
-    let batches: Vec<(ModelKind, Vec<u64>)> = vec![
-        (ModelKind::Bert, vec![256, 384, 512, 640]),
-        (ModelKind::Vit, vec![768, 1024, 1280, 1536]),
-        (ModelKind::InceptionV3, vec![512, 1024, 1280, 1536]),
-        (ModelKind::ResNet152, vec![768, 1024, 1280, 1536]),
-        (ModelKind::SENet154, vec![256, 512, 768, 1024]),
-    ];
-    let mut specs = Vec::new();
-    for (model, list) in &batches {
-        for &batch in list {
-            specs.push((*model, batch));
-        }
-    }
-    let rows = parallel_map(specs, |(model, batch)| {
-        let mut rows = Vec::new();
-        for host_gib in HOST_SWEEP_GIB {
-            let config = SystemConfig::table2().with_host_memory(host_gib << 30);
-            let report = lab.run(*model, *batch, PolicyKind::G10Full, &config);
-            rows.push(vec![
-                model.name().to_string(),
-                batch.to_string(),
-                host_gib.to_string(),
-                format!("{:.2}", report.total_time.as_secs_f64()),
-            ]);
-        }
-        rows
-    });
-    for group in rows {
-        for row in group {
-            table.push_row(row);
-        }
+    for cell in fig16_cells() {
+        table.push_row(vec![
+            cell.model.name().to_string(),
+            cell.batch.to_string(),
+            (cell.config.host_memory_bytes >> 30).to_string(),
+            format!("{:.2}", grid.report(&cell).total_time.as_secs_f64()),
+        ]);
     }
     table
 }
 
+/// Figure 17's cells: DeepUM+, FlashNeuron and G10 over five host
+/// capacities, on two (model, batch) points.
+fn fig17_cells() -> Vec<Cell> {
+    let points = [(ModelKind::Vit, 1024), (ModelKind::InceptionV3, 1280)];
+    let policies = [
+        PolicyKind::DeepUmPlus,
+        PolicyKind::FlashNeuron,
+        PolicyKind::G10Full,
+    ];
+    sweep(&points, &host_configs(&[0, 16, 32, 64, 256]), &policies)
+}
+
 /// Figure 17: G10 vs DeepUM+ vs FlashNeuron across host memory capacities.
-pub fn fig17(lab: &Lab) -> Table {
+pub fn fig17(grid: &Grid) -> Table {
     let mut table = Table::new(
         "Figure 17: execution time vs host memory capacity (comparison)",
         &["model", "batch", "host_gib", "policy", "execution_time_s"],
     );
-    let specs: Vec<(ModelKind, u64)> = vec![(ModelKind::Vit, 1024), (ModelKind::InceptionV3, 1280)];
-    let rows = parallel_map(specs, |(model, batch)| {
-        let mut rows = Vec::new();
-        for host_gib in [0u64, 16, 32, 64, 256] {
-            let config = SystemConfig::table2().with_host_memory(host_gib << 30);
-            for policy in [
-                PolicyKind::DeepUmPlus,
-                PolicyKind::FlashNeuron,
-                PolicyKind::G10Full,
-            ] {
-                let report = lab.run(*model, *batch, policy, &config);
-                rows.push(vec![
-                    model.name().to_string(),
-                    batch.to_string(),
-                    host_gib.to_string(),
-                    report.policy.clone(),
-                    format!("{:.2}", report.total_time.as_secs_f64()),
-                ]);
-            }
-        }
-        rows
-    });
-    for group in rows {
-        for row in group {
-            table.push_row(row);
-        }
+    for cell in fig17_cells() {
+        let report = grid.report(&cell);
+        table.push_row(vec![
+            cell.model.name().to_string(),
+            cell.batch.to_string(),
+            (cell.config.host_memory_bytes >> 30).to_string(),
+            report.policy.clone(),
+            format!("{:.2}", report.total_time.as_secs_f64()),
+        ]);
     }
     table
 }
@@ -907,37 +950,29 @@ pub fn fig17(lab: &Lab) -> Table {
 /// The SSD bandwidths swept in §7.5, in GB/s (1, 2, 3, 4, 5 stacked SSDs).
 pub const SSD_BANDWIDTH_SWEEP_GBPS: [f64; 5] = [6.4, 12.8, 19.2, 25.6, 32.0];
 
+/// Figure 18's cells: every compared design at each SSD bandwidth, with a
+/// PCIe 4.0 x16 interconnect.
+fn fig18_cells() -> Vec<Cell> {
+    let config = SystemConfig::table2().with_pcie_bandwidth(32e9);
+    let configs = SSD_BANDWIDTH_SWEEP_GBPS.map(|gbps| config.with_ssd_bandwidth(gbps * 1e9));
+    sweep(&eval_batches(), &configs, &PolicyKind::COMPARED)
+}
+
 /// Figure 18: performance (normalised to ideal) as the SSD bandwidth grows,
 /// with a PCIe 4.0 x16 interconnect.
-///
-/// Each (model, SSD rate) point is one parallel item: every point plans G10
-/// afresh, and 25 items keep two workers busy where five per-model items
-/// left one idle behind the slowest model.  Rows keep model-major order.
-pub fn fig18(lab: &Lab) -> Table {
+pub fn fig18(grid: &Grid) -> Table {
     let mut table = Table::new(
         "Figure 18: normalized performance vs SSD bandwidth (PCIe 4.0)",
         &["model", "ssd_gbps", "policy", "normalized_performance"],
     );
-    let points: Vec<(ModelKind, f64)> = ModelKind::PAPER_MODELS
-        .iter()
-        .flat_map(|&model| SSD_BANDWIDTH_SWEEP_GBPS.map(|gbps| (model, gbps)))
-        .collect();
-    let rows = parallel_map(points, |&(model, gbps)| {
-        let config = SystemConfig::table2()
-            .with_ssd_bandwidth(gbps * 1e9)
-            .with_pcie_bandwidth(32e9);
-        PolicyKind::COMPARED.map(|policy| {
-            let report = lab.run(model, model.eval_batch(), policy, &config);
-            vec![
-                model.name().to_string(),
-                format!("{gbps:.1}"),
-                report.policy.clone(),
-                format!("{:.3}", report.normalized_performance()),
-            ]
-        })
-    });
-    for row in rows.into_iter().flatten() {
-        table.push_row(row);
+    for cell in fig18_cells() {
+        let report = grid.report(&cell);
+        table.push_row(vec![
+            cell.model.name().to_string(),
+            format!("{:.1}", cell.config.ssd_read_bytes_per_sec / 1e9),
+            report.policy.clone(),
+            format!("{:.3}", report.normalized_performance()),
+        ]);
     }
     table
 }
@@ -949,50 +984,39 @@ pub fn fig18(lab: &Lab) -> Table {
 /// The kernel-timing error levels of §7.6.
 pub const PROFILING_ERRORS: [f64; 5] = [0.0, 0.05, 0.10, 0.15, 0.20];
 
+/// Figure 19's cells: G10 on every model, planned at each error level; the
+/// 0% cell is the error-free baseline that Figures 11 and 15 read too.
+fn fig19_cells() -> Vec<Cell> {
+    let baselines = eval_cells(&[PolicyKind::G10Full]);
+    let errors = |cell| {
+        PROFILING_ERRORS.map(|planning_error| Cell {
+            planning_error,
+            ..cell
+        })
+    };
+    baselines.into_iter().flat_map(errors).collect()
+}
+
 /// Figure 19: G10 performance when the scheduler plans against kernel timings
 /// perturbed by random error, normalised to the error-free plan.
-///
-/// Each (model, error) point is one parallel item, 25 in all, for the same
-/// reason as [`fig18`]: every perturbed trace plans G10 from scratch.  The
-/// error-free baselines are fetched first, one per model.  Rows keep
-/// model-major order.
-pub fn fig19(lab: &Lab) -> Table {
+pub fn fig19(grid: &Grid) -> Table {
     let mut table = Table::new(
         "Figure 19: G10 performance under kernel timing prediction errors",
         &["model", "error_pct", "normalized_to_no_error"],
     );
-    let config = SystemConfig::table2();
-    let models = ModelKind::PAPER_MODELS;
-    // The error-free baseline is the same cell Figure 11 and Figure 15
-    // already replay; the perturbed-trace runs below plan against noisy
-    // timings and are not cacheable by the grid key.
-    let baselines = parallel_map(models.to_vec(), |model| {
-        lab.run(*model, model.eval_batch(), PolicyKind::G10Full, &config)
-    });
-    let points: Vec<(usize, f64)> = (0..models.len())
-        .flat_map(|m| PROFILING_ERRORS.map(|error| (m, error)))
-        .collect();
-    let rows = parallel_map(points, |&(m, error)| {
-        let model = models[m];
-        let workload = lab.workload(model, model.eval_batch());
-        let noisy = workload.trace.with_noise(error, 0xC0FFEE);
-        let report = Experiment::new(&workload)
-            .policy(PolicyKind::G10Full)
-            .config(config)
-            .planning_trace(&noisy)
-            .run()
-            .expect("built-in policies always resolve");
-        vec![
-            model.name().to_string(),
-            format!("{:.0}", error * 100.0),
+    for cell in fig19_cells() {
+        let baseline = grid.report(&Cell {
+            planning_error: 0.0,
+            ..cell
+        });
+        table.push_row(vec![
+            cell.model.name().to_string(),
+            format!("{:.0}", cell.planning_error * 100.0),
             format!(
                 "{:.4}",
-                baselines[m].total_time.as_secs_f64() / report.total_time.as_secs_f64()
+                baseline.total_time.as_secs_f64() / grid.report(&cell).total_time.as_secs_f64()
             ),
-        ]
-    });
-    for row in rows {
-        table.push_row(row);
+        ]);
     }
     table
 }
@@ -1037,13 +1061,29 @@ mod tests {
         assert_eq!(lab.stats().replayed, 2);
     }
 
+    /// The grid's job list holds every cell its figures list, each once:
+    /// 359 canonical cells and Figure 19's 20 perturbed ones, planning
+    /// cells first.
     #[test]
-    fn figure_names_follow_the_drivers() {
-        let lab = Lab::default();
-        assert!(figure_drivers(&lab)
-            .into_iter()
-            .map(|(name, _)| name)
-            .eq(FIGURES));
+    fn the_grid_runs_each_cell_once() {
+        let jobs = job_list(&FIGURES);
+        let keys: HashSet<CellKey> = jobs.iter().map(Cell::key).collect();
+        let mut listed = FIGURES.iter().flat_map(|figure| (figure.cells)());
+        assert!(keys.len() == jobs.len() && listed.all(|cell| keys.contains(&cell.key())));
+        let perturbed = jobs.iter().filter(|cell| cell.planning_error != 0.0);
+        assert_eq!((jobs.len(), perturbed.count()), (359 + 20, 20));
+        let planning = jobs.iter().take_while(|cell| cell.selection().is_some());
+        let rest = &jobs[planning.count()..];
+        assert!(rest.iter().all(|cell| cell.selection().is_none()));
+    }
+
+    #[test]
+    fn every_figure_parses_as_a_figure_command() {
+        for figure in FIGURES {
+            let args = crate::cli::parse(&[figure.name.to_string()]).expect("a figure parses");
+            let command = args.map(|args| args.command);
+            assert_eq!(command, Some(crate::cli::Command::Figure));
+        }
     }
 
     #[test]

@@ -5,9 +5,10 @@
 //! The `experiments` binary builds one per process from `--cache-dir`,
 //! `G10_CACHE_DIR` and `--no-cache` and hands it to every driver; the
 //! serve daemon's workers share it through an `Arc`; each test builds its
-//! own, so tests share no cache and no counter.  The one process-wide
-//! `static` here is the store-less default `Lab` behind the free-function
-//! shims perfbench calls ([`crate::experiments::cached_run`] and its
+//! own, so tests share no cache and no counter.  Cell lookups never wait
+//! on each other: the figure grid deduplicates its cells up front.  The
+//! one process-wide `static` here is the store-less default `Lab` behind
+//! the shims perfbench calls ([`crate::experiments::cached_run`] and its
 //! siblings); it goes with them under ROADMAP item 4b, and CI fails if
 //! anything else in this crate calls it.
 
@@ -23,9 +24,9 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Per-cell once-init slots: the map lock is held only to hand out a slot,
-/// and the slot's `OnceLock` computes its value once even when several
-/// sweep workers race on the same cell.
+/// Per-cell once-init slots: the map lock is held only to hand out a slot.
+/// A workload builds inside its slot, so racers wait for one build; a
+/// report replays first, and its slot keeps the first one stored.
 type SlotMap<K, T> = Mutex<HashMap<K, Arc<OnceLock<T>>>>;
 
 fn cell_slot<K: Hash + Eq, T>(slots: &SlotMap<K, T>, key: K) -> Arc<OnceLock<T>> {
@@ -112,8 +113,7 @@ impl Lab {
     }
 
     /// The canonical report of a built-in cell: [`Lab::cell`] under default
-    /// options, so it cannot fail.  Each distinct cell replays once per
-    /// `Lab`, however many figures visit it.
+    /// options, so it cannot fail.
     pub fn run(
         &self,
         model: ModelKind,
@@ -135,12 +135,10 @@ impl Lab {
     /// poison the key, and custom policies are process-local, so both
     /// replay directly under `options`.  A canonical lookup tries the cell
     /// map, then the store, then replays under default options plus
-    /// `options.cancel`.  Without a token it blocks on the cell's slot, so
-    /// racing grid workers replay a cell once.  With a token it never
-    /// blocks, so no request waits on another's budget: racers each replay
-    /// and the first to finish fills the slot; a cancelled run neither
-    /// memoises nor persists anything; an already-fired token refuses even
-    /// a hit.
+    /// `options.cancel`.  It never blocks, so no lookup waits on another's
+    /// replay or budget: racers each replay and the first to finish fills
+    /// the slot; a cancelled run neither memoises nor persists anything;
+    /// an already-fired token refuses even a hit.
     ///
     /// # Errors
     ///
@@ -179,66 +177,45 @@ impl Lab {
             .into());
         }
         let config_key = config.cache_key();
+        let slot = cell_slot(&self.reports, (model, batch, policy, config_key));
+        if let Some(report) = slot.get() {
+            self.memory_hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((report.clone(), Some(CacheOutcome::MemoryHit)));
+        }
         // A miss: the store's entry, else a replay, persisted on success (a
         // failed write only warns).
-        let miss = || -> Result<(SimReport, CacheOutcome), SimError> {
-            let key = RunKey {
-                model: model.name().to_string(),
-                batch,
-                policy: policy.label().to_string(),
-                config: config_key,
-            };
-            if let Some(report) = self.store.as_ref().and_then(|store| store.load(&key)) {
-                return Ok((report, CacheOutcome::DiskHit));
-            }
-            let report = Experiment::new(&self.workload(model, batch))
-                .policy(policy)
-                .config(*config)
-                .options(RuntimeOptions {
-                    cancel: cancel.cloned(),
-                    ..RuntimeOptions::default()
-                })
-                .run()?;
-            if let Some(store) = &self.store {
-                if let Err(err) = store.save(&key, &report) {
-                    let path = store.entry_path(&key);
-                    eprintln!(
-                        "warning: could not persist run-cache entry {}: {err}",
-                        path.display()
-                    );
+        let key = RunKey {
+            model: model.name().to_string(),
+            batch,
+            policy: policy.label().to_string(),
+            config: config_key,
+        };
+        let stored = self.store.as_ref().and_then(|store| store.load(&key));
+        let (report, outcome, counter) = match stored {
+            Some(report) => (report, CacheOutcome::DiskHit, &self.disk_hits),
+            None => {
+                let report = Experiment::new(&self.workload(model, batch))
+                    .policy(policy)
+                    .config(*config)
+                    .options(RuntimeOptions {
+                        cancel: cancel.cloned(),
+                        ..RuntimeOptions::default()
+                    })
+                    .run()?;
+                if let Some(store) = &self.store {
+                    if let Err(err) = store.save(&key, &report) {
+                        let path = store.entry_path(&key);
+                        eprintln!(
+                            "warning: could not persist run-cache entry {}: {err}",
+                            path.display()
+                        );
+                    }
                 }
+                (report, CacheOutcome::Replayed, &self.replayed)
             }
-            Ok((report, CacheOutcome::Replayed))
-        };
-        let slot = cell_slot(&self.reports, (model, batch, policy, config_key));
-        let (report, outcome) = match (slot.get(), cancel) {
-            (Some(report), _) => (report.clone(), CacheOutcome::MemoryHit),
-            (None, Some(_)) => {
-                let (report, outcome) = miss()?;
-                (slot.get_or_init(|| Arc::new(report)).clone(), outcome)
-            }
-            (None, None) => {
-                // Still `None` after `get_or_init`: another worker filled the
-                // slot while this one waited, a memory hit.
-                let mut first_touch = None;
-                let report = slot.get_or_init(|| {
-                    let (report, outcome) = miss().expect("built-in policies always resolve");
-                    first_touch = Some(outcome);
-                    Arc::new(report)
-                });
-                (
-                    report.clone(),
-                    first_touch.unwrap_or(CacheOutcome::MemoryHit),
-                )
-            }
-        };
-        let counter = match outcome {
-            CacheOutcome::Replayed => &self.replayed,
-            CacheOutcome::MemoryHit => &self.memory_hits,
-            CacheOutcome::DiskHit => &self.disk_hits,
         };
         counter.fetch_add(1, Ordering::Relaxed);
-        Ok((report, Some(outcome)))
+        Ok((slot.get_or_init(|| Arc::new(report)).clone(), Some(outcome)))
     }
 }
 

@@ -18,7 +18,7 @@
 //!   under `max_wall_ratio` (default 4.0) times the baseline's, a deliberately
 //!   generous bound that still catches order-of-magnitude regressions.
 
-use crate::experiments::figure_drivers;
+use crate::experiments::{run_figures, FIGURES};
 use crate::json::{obj, Json};
 use crate::lab::Lab;
 use crate::output::write_figure_csvs;
@@ -36,7 +36,8 @@ pub const SNAPSHOT_SCHEMA: u64 = 2;
 pub struct GridStats {
     /// Simulation cells actually replayed.
     pub cells_replayed: u64,
-    /// Lookups served by the in-memory run cache (grid deduplication).
+    /// Lookups served by the in-memory run cache.  The grid deduplicates
+    /// its cells before it runs them, so this reads 0; schema 2 keeps it.
     pub memory_hits: u64,
     /// First touches served from the persistent on-disk store.
     pub disk_hits: u64,
@@ -100,12 +101,12 @@ fn commit_hash() -> String {
 /// must be fresh: on a `Lab` that already holds cells, the grid's replays
 /// would read as memory hits.
 pub fn collect(lab: &Lab, out_dir: &Path) -> BenchSnapshot {
-    // The full `experiments all` driver set, CSVs included.
+    // The full `experiments all` grid, CSVs included.
     let results_dir = out_dir.join("results");
     let mut csv_files = 0u64;
     let started = Instant::now();
-    for (name, driver) in figure_drivers(lab) {
-        csv_files += write_figure_csvs(&driver(), &results_dir, name);
+    for (name, tables) in run_figures(lab, &FIGURES) {
+        csv_files += write_figure_csvs(&tables, &results_dir, name);
     }
     let grid_ms = started.elapsed().as_secs_f64() * 1e3;
     let stats = lab.stats();

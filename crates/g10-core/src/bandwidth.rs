@@ -49,7 +49,6 @@
 use std::collections::BTreeMap;
 
 use g10_time::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// The operations the eviction scheduler needs from a channel-reservation
 /// ledger.  Implemented by the run-length [`BandwidthTimeline`] (the
@@ -79,7 +78,7 @@ pub(crate) fn bin_capacity(bytes_per_sec: f64, bin_width: Nanos) -> u64 {
 
 /// A binned bandwidth-reservation timeline for one channel direction, stored
 /// as runs of saturated bins plus the partly-filled bins.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BandwidthTimeline {
     bin_width: Nanos,
     bytes_per_bin: u64,

@@ -84,12 +84,11 @@ use g10_dnn::index::GraphIndex;
 use g10_dnn::tensor::TensorId;
 use g10_dnn::trace::KernelTrace;
 use g10_time::Nanos;
-use serde::{Deserialize, Serialize};
 use std::collections::binary_heap::{BinaryHeap, PeekMut};
 use std::sync::{Arc, Mutex, OnceLock, PoisonError, Weak};
 
 /// Which eviction destinations the planner may use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvictionOptions {
     /// Allow evicting to the SSD over the GPUDirect-Storage path.
     pub allow_ssd: bool,
@@ -117,7 +116,7 @@ impl EvictionOptions {
 }
 
 /// One scheduled pre-eviction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EvictionDecision {
     /// The inactive period being exploited.
     pub period: PeriodId,

@@ -17,10 +17,9 @@ use crate::config::Destination;
 use g10_dnn::graph::KernelId;
 use g10_dnn::tensor::TensorId;
 use g10_time::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// One instruction inserted into the instrumented GPU program (§4.4, Fig. 9).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Instruction {
     /// `g10_alloc(tensor, size)`: allocate GPU space for a tensor that is
     /// about to be born.  Derived by [`crate::instrument::Program`]; never
@@ -73,7 +72,7 @@ impl Instruction {
 
 /// A tensor that starts the iteration outside GPU memory (steady-state
 /// consequence of a wrap-around eviction in the previous iteration).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InitialPlacement {
     /// The tensor.
     pub tensor: TensorId,
@@ -85,7 +84,7 @@ pub struct InitialPlacement {
 /// before kernel `k` launches and slot `2k + 1` after it completes; slot
 /// `s` is `instructions[offsets[s]..offsets[s + 1]]`.  Slots run in kernel
 /// order, so the flat table is the whole stream in execution order.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub(crate) struct KernelSlots {
     offsets: Vec<usize>,
     instructions: Vec<Instruction>,
@@ -163,7 +162,7 @@ impl KernelSlots {
 /// kernel come its prefetches, in the prefetch scheduler's order; after it
 /// come its pre-evictions, in the order the eviction scheduler selected
 /// them.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MigrationPlan {
     slots: KernelSlots,
     initial_placements: Vec<InitialPlacement>,

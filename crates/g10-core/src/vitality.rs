@@ -16,10 +16,9 @@ use g10_dnn::graph::{DnnGraph, KernelId};
 use g10_dnn::tensor::TensorId;
 use g10_dnn::trace::KernelTrace;
 use g10_time::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// Identifier of one inactive period inside a [`VitalityAnalysis`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct PeriodId(pub usize);
 
 impl PeriodId {
@@ -30,7 +29,7 @@ impl PeriodId {
 }
 
 /// One tensor inactive period.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InactivePeriod {
     /// This period's id.
     pub id: PeriodId,
@@ -59,7 +58,7 @@ pub struct InactivePeriod {
 /// the tail of this iteration and the head of the next), so the planner
 /// keeps them in a fixed `[(usize, usize); 2]` instead of allocating a `Vec`
 /// per candidate per rescoring round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct PeriodRanges {
     ranges: [(usize, usize); 2],
     len: u8,
@@ -120,7 +119,7 @@ impl InactivePeriod {
 }
 
 /// The result of analysing one training-iteration graph.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VitalityAnalysis {
     /// The graph's shared analysis index, kept so use-site and liveness
     /// queries borrow it instead of owning copies.

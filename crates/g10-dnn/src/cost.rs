@@ -12,7 +12,6 @@
 use crate::graph::Kernel;
 use crate::op::OpCost;
 use crate::time::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// Roofline cost model for a data-centre GPU.
 ///
@@ -27,7 +26,7 @@ use serde::{Deserialize, Serialize};
 /// let small = model.duration_of(gemm_cost(64, 64, 64), true);
 /// assert!(big > small);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct GpuCostModel {
     /// Peak floating-point throughput in FLOP/s for dense (GEMM-like) work.
     pub peak_flops: f64,

@@ -24,7 +24,6 @@ use crate::error::GraphError;
 use crate::index::{GraphIndex, IndexCell};
 use crate::op::{KernelClass, OpCost};
 use crate::tensor::{TensorId, TensorInfo, TensorKind};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
@@ -33,7 +32,7 @@ use std::sync::Arc;
 ///
 /// Kernel ids are dense indices equal to the kernel's position in execution
 /// order, so `KernelId(3)` is always the fourth kernel launched.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct KernelId(u32);
 
 impl KernelId {
@@ -68,7 +67,7 @@ pub(crate) fn arena_offset(at: usize) -> u32 {
 ///
 /// Kernels and tensors keep spans instead of owned `String`s and `Vec`s, so
 /// neither owns heap memory and a whole graph is a handful of allocations.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub(crate) struct Span {
     start: u32,
     end: u32,
@@ -107,7 +106,7 @@ impl Span {
 /// builder derives every tensor and kernel name from a layer name and one
 /// of these; a name given whole to [`DnnGraph::add_tensor`] or
 /// [`DnnGraph::add_kernel`] is a base with [`Suffix::None`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 #[repr(u8)]
 pub(crate) enum Suffix {
     #[default]
@@ -230,7 +229,7 @@ impl Eq for Name<'_> {}
 /// and the tensors it reads and writes live in the owning [`DnnGraph`]'s
 /// arenas: see [`DnnGraph::kernel_name`], [`DnnGraph::inputs`],
 /// [`DnnGraph::outputs`] and [`DnnGraph::operands`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Kernel {
     id: KernelId,
     class: KernelClass,
@@ -288,7 +287,7 @@ impl Kernel {
 /// assert_eq!(g.tensor_name(w), "fc.weight");
 /// assert!(g.validate().is_ok());
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct DnnGraph {
     name: String,
     batch_size: u64,

@@ -15,7 +15,6 @@ pub mod tiny;
 pub mod vit;
 
 use crate::graph::DnnGraph;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::str::FromStr;
 
@@ -27,7 +26,7 @@ pub const MAX_BATCH: u64 = 1 << 20;
 
 /// The models used throughout the paper's evaluation, plus two deliberately
 /// small models used by tests and examples.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ModelKind {
     /// BERT-Large (24-layer transformer encoder, CoLA fine-tuning, seq 128).
     Bert,

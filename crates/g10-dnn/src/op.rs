@@ -7,7 +7,6 @@
 //! roofline model.  This module defines the operator vocabulary and computes
 //! those numbers from layer dimensions.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Broad operator classes.
@@ -15,7 +14,7 @@ use std::fmt;
 /// The class drives the cost model's efficiency factors (dense GEMM-like ops
 /// get close to peak FLOPs; element-wise ops are memory-bound) and is used by
 /// the characterisation reports to break kernels down by type.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum KernelClass {
     /// Dense convolution (forward or data/filter gradient).
     Conv2d,
@@ -86,7 +85,7 @@ impl fmt::Display for KernelClass {
 
 /// Work estimate for one kernel: floating-point operations and bytes that
 /// must cross the GPU memory hierarchy (reads + writes of operands).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct OpCost {
     /// Floating-point operations performed by the kernel.
     pub flops: f64,

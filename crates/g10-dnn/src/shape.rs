@@ -12,7 +12,6 @@
 //! under which no built-in model comes near that limit.
 
 use crate::tensor::fp32_bytes;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The product of `dims`, e.g. a shape's element count.
@@ -27,7 +26,7 @@ pub(crate) fn product(dims: &[u64]) -> u64 {
 }
 
 /// A feature-map shape `N × C × H × W` (batch, channels, height, width).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct FeatureMap {
     /// Batch size.
     pub n: u64,
@@ -79,7 +78,7 @@ impl fmt::Display for FeatureMap {
 }
 
 /// A token-sequence shape `N × L × D` (batch, sequence length, hidden size).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SeqShape {
     /// Batch size.
     pub n: u64,

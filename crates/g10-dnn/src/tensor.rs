@@ -8,7 +8,6 @@
 //! rest of the workspace builds on.
 
 use crate::graph::{Span, Suffix};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Size in bytes of a single FP32 element, the representation used by the
@@ -19,7 +18,7 @@ pub const FP32_BYTES: u64 = 4;
 ///
 /// Tensor ids are dense indices assigned in registration order, so they can
 /// be used to index side tables (`Vec<T>`) without hashing.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TensorId(u32);
 
 impl TensorId {
@@ -46,7 +45,7 @@ impl fmt::Display for TensorId {
 /// across iterations) or *intermediate* (born at first use inside an
 /// iteration, dead after its last use), which is exactly the classification
 /// the vitality analyzer performs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TensorKind {
     /// Model parameters (convolution filters, linear weights, biases,
     /// normalisation scales).  Global: used in the forward pass, the backward
@@ -113,7 +112,7 @@ impl fmt::Display for TensorKind {
 /// Full description of one tensor in a dataflow graph.  Its name is a base
 /// in the owning graph's name arena plus a suffix tag: see
 /// [`crate::graph::DnnGraph::tensor_name`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TensorInfo {
     id: TensorId,
     kind: TensorKind,

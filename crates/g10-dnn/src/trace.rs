@@ -12,10 +12,9 @@ use crate::graph::{DnnGraph, KernelId};
 use crate::time::Nanos;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// Per-kernel timing for one training iteration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct KernelTrace {
     durations: Vec<Nanos>,
     start_times: Vec<Nanos>,

@@ -14,7 +14,6 @@
 use crate::fault::FaultRecord;
 use g10_time::Nanos;
 use g10_uvm::TrafficStats;
-use serde::{Deserialize, Serialize};
 
 /// Incremental FNV-1a digest over `u64` words: the one shared fingerprint
 /// helper behind [`SimReport::fingerprint`],
@@ -138,7 +137,7 @@ impl FromIterator<f64> for KernelSlowdowns {
 }
 
 /// The outcome of replaying one training iteration under one memory policy.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// The model name (e.g. `"ResNet152"`).
     pub model: String,

@@ -11,9 +11,11 @@
 
 use crate::engine::{EngineState, Location};
 use crate::policy::{largest_victim_to_ssd, MemoryPolicy};
-use g10_core::config::SystemConfig;
+use g10_core::config::{Destination, SystemConfig};
+use g10_core::plan::Instruction::{PreEvict, Prefetch};
+use g10_core::plan::MigrationPlan;
 use g10_core::vitality::{InactivePeriod, VitalityAnalysis};
-use g10_dnn::graph::DnnGraph;
+use g10_dnn::graph::{DnnGraph, KernelId};
 use g10_dnn::tensor::{TensorId, TensorKind};
 use g10_dnn::trace::KernelTrace;
 use g10_time::Nanos;
@@ -22,75 +24,25 @@ use g10_time::Nanos;
 /// head-room for the tensors of the currently executing kernels.
 const MEMORY_BUDGET_FRACTION: f64 = 0.9;
 
-/// Per-kernel tensor lists in CSR form: kernel `k`'s tensors are
-/// `flat[offsets[k]..offsets[k + 1]]`.
-#[derive(Debug, Clone)]
-struct KernelLists {
-    offsets: Vec<usize>,
-    flat: Vec<TensorId>,
-}
-
-impl KernelLists {
-    /// Groups `(kernel, tensor)` entries by kernel, keeping their order
-    /// within each kernel: a counting sort over the two passes `entries`
-    /// allows.
-    fn new(n_kernels: usize, entries: impl Iterator<Item = (usize, TensorId)> + Clone) -> Self {
-        let mut offsets = vec![0; n_kernels + 1];
-        for (kernel, _) in entries.clone() {
-            offsets[kernel + 1] += 1;
-        }
-        for k in 0..n_kernels {
-            offsets[k + 1] += offsets[k];
-        }
-        // Place each entry at its kernel's cursor, `offsets[kernel]`; the
-        // cursors end one row on, so shifting them back restores the rows.
-        let mut flat = vec![TensorId::new(0); offsets[n_kernels]];
-        for (kernel, tensor) in entries {
-            flat[offsets[kernel]] = tensor;
-            offsets[kernel] += 1;
-        }
-        offsets.rotate_right(1);
-        offsets[0] = 0;
-        KernelLists { offsets, flat }
-    }
-
-    fn get(&self, kernel: usize) -> &[TensorId] {
-        &self.flat[self.offsets[kernel]..self.offsets[kernel + 1]]
-    }
-}
-
-/// One planned offload: the tensor, the kernel after which it is evicted
-/// and the kernel before which it is prefetched.
-type Offload = (TensorId, usize, usize);
-
 /// The FlashNeuron baseline.
 #[derive(Debug, Clone)]
 pub struct FlashNeuronPolicy {
-    /// Tensors to evict right after the given kernel completes.
-    evict_after: KernelLists,
-    /// Tensors to prefetch right before the given kernel starts.
-    prefetch_before: KernelLists,
+    /// Each offload as a pre-eviction to the SSD and a prefetch from it,
+    /// both slots in selection order.
+    plan: MigrationPlan,
 }
 
 impl FlashNeuronPolicy {
     /// Plans FlashNeuron's offload set for one training iteration.
     pub fn new(graph: &DnnGraph, trace: &KernelTrace, config: &SystemConfig) -> Self {
-        let offloads = plan(graph, trace, config);
-        let n_kernels = graph.num_kernels();
-        let evict = offloads.iter().map(|&(tensor, evict, _)| (evict, tensor));
-        let prefetch = offloads
-            .iter()
-            .map(|&(tensor, _, prefetch)| (prefetch, tensor));
         FlashNeuronPolicy {
-            evict_after: KernelLists::new(n_kernels, evict),
-            prefetch_before: KernelLists::new(n_kernels, prefetch),
+            plan: plan(graph, trace, config),
         }
     }
 }
 
-/// FlashNeuron's offload set for one training iteration, in selection
-/// order.
-fn plan(graph: &DnnGraph, trace: &KernelTrace, config: &SystemConfig) -> Vec<Offload> {
+/// FlashNeuron's offload set for one training iteration.
+fn plan(graph: &DnnGraph, trace: &KernelTrace, config: &SystemConfig) -> MigrationPlan {
     let analysis = VitalityAnalysis::analyze(graph, trace);
     let budget = (config.gpu_memory_bytes as f64 * MEMORY_BUDGET_FRACTION) as u64;
     let peak = analysis.peak_live_bytes();
@@ -112,8 +64,9 @@ fn plan(graph: &DnnGraph, trace: &KernelTrace, config: &SystemConfig) -> Vec<Off
     // order): iterating a hash set here made the planned
     // eviction/prefetch instruction order — and therefore the replayed
     // migration interleaving — vary run to run.  Each selected tensor is
-    // kept with the longest period found above, and attached to the
-    // kernels that evict and prefetch it.
+    // kept with the longest period found above: pre-evicted after the
+    // kernel that starts it and prefetched before the kernel that covers
+    // the SSD read.
     let index = graph.index();
     let mut offloads = Vec::new();
     let mut projected = peak;
@@ -137,17 +90,35 @@ fn plan(graph: &DnnGraph, trace: &KernelTrace, config: &SystemConfig) -> Vec<Off
         };
         // Prefetch early enough to cover the SSD read at the trace's
         // kernel granularity.
-        let transfer = config.prefetch_time(period.bytes, g10_core::config::Destination::Ssd);
+        let transfer = config.prefetch_time(period.bytes, Destination::Ssd);
         let mut kernel = period.end_kernel.index();
         let mut lead = Nanos::ZERO;
         while kernel > period.start_kernel.index() + 1 && lead < transfer {
             kernel -= 1;
-            lead += trace.duration(g10_dnn::graph::KernelId::new(kernel as u32));
+            lead += trace.duration(KernelId::new(kernel as u32));
         }
-        offloads.push((period.tensor, period.start_kernel.index(), kernel));
+        let prefetch = KernelId::new(kernel as u32);
+        offloads.push((tensor.id(), tensor.bytes(), period.start_kernel, prefetch));
         projected = projected.saturating_sub(tensor.bytes());
     }
-    offloads
+    let (destination, source) = (Destination::Ssd, Destination::Ssd);
+    let evictions = offloads.iter().map(|&(tensor, bytes, evict, _)| {
+        let instruction = PreEvict {
+            tensor,
+            bytes,
+            destination,
+        };
+        (evict, instruction)
+    });
+    let prefetches = offloads.iter().map(|&(tensor, bytes, _, prefetch)| {
+        let instruction = Prefetch {
+            tensor,
+            bytes,
+            source,
+        };
+        (prefetch, instruction)
+    });
+    MigrationPlan::new(graph.num_kernels(), evictions, prefetches)
 }
 
 impl MemoryPolicy for FlashNeuronPolicy {
@@ -156,7 +127,8 @@ impl MemoryPolicy for FlashNeuronPolicy {
     }
 
     fn before_kernel(&mut self, kernel: usize, state: &mut EngineState) {
-        for &tensor in self.prefetch_before.get(kernel) {
+        for instruction in self.plan.before(KernelId::new(kernel as u32)) {
+            let tensor = instruction.tensor();
             if state.is_resident_or_inbound(tensor)
                 || state.location(tensor) == Location::Unallocated
             {
@@ -167,7 +139,8 @@ impl MemoryPolicy for FlashNeuronPolicy {
     }
 
     fn after_kernel(&mut self, kernel: usize, state: &mut EngineState) {
-        for &tensor in self.evict_after.get(kernel) {
+        for instruction in self.plan.after(KernelId::new(kernel as u32)) {
+            let tensor = instruction.tensor();
             if state.location(tensor) == Location::Gpu {
                 state.request_evict(tensor, Location::Ssd);
             }
@@ -201,44 +174,7 @@ mod tests {
 
     /// `(evictions, prefetches)` the plan attaches to kernels.
     fn planned(p: &FlashNeuronPolicy) -> (usize, usize) {
-        (p.evict_after.flat.len(), p.prefetch_before.flat.len())
-    }
-
-    /// Both tables hold, kernel by kernel, exactly the lists that pushing
-    /// each offload onto a per-kernel `Vec` in selection order builds.
-    #[test]
-    fn tables_match_nested_lists() {
-        let workloads = [
-            (ModelKind::TinyCnn, 64, 64 << 20),
-            (ModelKind::Bert, ModelKind::Bert.eval_batch(), 40 << 30),
-        ];
-        for (kind, batch, gpu_bytes) in workloads {
-            let graph = build_model(kind, batch);
-            let trace = KernelTrace::profile(&graph, &GpuCostModel::a100());
-            let config = SystemConfig::table2().with_gpu_memory(gpu_bytes);
-            let offloads = plan(&graph, &trace, &config);
-            assert!(!offloads.is_empty(), "{kind}: nothing offloaded");
-            let mut evict_after = vec![Vec::new(); graph.num_kernels()];
-            let mut prefetch_before = vec![Vec::new(); graph.num_kernels()];
-            for &(tensor, evict, prefetch) in &offloads {
-                evict_after[evict].push(tensor);
-                prefetch_before[prefetch].push(tensor);
-            }
-            let policy = FlashNeuronPolicy::new(&graph, &trace, &config);
-            for k in 0..graph.num_kernels() {
-                assert_eq!(
-                    policy.evict_after.get(k),
-                    evict_after[k],
-                    "{kind} kernel {k}"
-                );
-                assert_eq!(
-                    policy.prefetch_before.get(k),
-                    prefetch_before[k],
-                    "{kind} kernel {k}"
-                );
-            }
-            assert_eq!(planned(&policy), (offloads.len(), offloads.len()));
-        }
+        (p.plan.eviction_count(), p.plan.prefetch_count())
     }
 
     #[test]

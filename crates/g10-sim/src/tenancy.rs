@@ -94,8 +94,6 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use serde::{Deserialize, Serialize};
-
 use crate::engine::{EngineError, EngineState, Location, ReplayEngine};
 use crate::metrics::{ReportFingerprint, SimReport};
 use crate::policy::MemoryPolicy;
@@ -106,9 +104,7 @@ use g10_time::Nanos;
 /// Identifies one tenant (one job) within a multi-tenant run.  Tenant 0 is
 /// the solo default: engines built outside the tenancy layer run as
 /// [`TenantId::SOLO`] and post no ledger traffic.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct TenantId(pub u16);
 
 impl TenantId {
@@ -186,7 +182,7 @@ impl JobSpec {
 /// pending frees and tenant-fair bandwidth tallies.  Cumulative counters
 /// (`evictions`, `migrations_*`, `bytes_*`) survive a fallback restart;
 /// residency is re-seeded when a quarantined job's engine is rebuilt.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantUsage {
     /// Stride weight as registered.
     pub priority: u8,
@@ -594,7 +590,7 @@ impl<'a> TenantScheduler<'a> {
 }
 
 /// One job's completion record inside a [`MultiReport`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobReport {
     /// Job display name.
     pub name: String,
@@ -648,7 +644,7 @@ impl JobReport {
 /// The result of [`run_multi`](crate::session::MultiExperiment::run_multi):
 /// aggregate throughput, per-job slowdown vs the solo baseline, and
 /// per-tenant migration/eviction tallies.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MultiReport {
     /// The policy spec the mix ran under, as the caller wrote it.
     pub policy: String,

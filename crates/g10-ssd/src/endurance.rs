@@ -5,10 +5,8 @@
 //! traffic of G10 against DeepUM+ and FlashNeuron (G10 writes 1.37× / 2.20×
 //! less, so its lifetime impact is smaller).
 
-use serde::{Deserialize, Serialize};
-
 /// Drive-writes-per-day endurance model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnduranceModel {
     /// Rated drive writes per day.
     pub dwpd: f64,

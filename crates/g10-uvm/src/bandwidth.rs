@@ -9,10 +9,9 @@
 //! to manage.
 
 use g10_time::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// A bandwidth channel (one direction of a link or one internal SSD stream).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BandwidthChannel {
     bytes_per_sec: f64,
     latency: Nanos,

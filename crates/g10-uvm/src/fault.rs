@@ -8,10 +8,9 @@
 //! handler time.
 
 use g10_time::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// GPU page-fault cost model.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultModel {
     /// Host-side handling latency per fault batch (Table 2: 45 µs).
     pub fault_latency: Nanos,

@@ -1,10 +1,8 @@
 //! Physical memory kinds and capacity tracking for the GPU HBM and host
 //! DRAM pools.
 
-use serde::{Deserialize, Serialize};
-
 /// The three physical backings a tensor can live in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum MemKind {
     /// GPU on-board HBM.
     Gpu,
@@ -31,7 +29,7 @@ pub enum MemKind {
 /// pool.free(512 << 10);
 /// assert_eq!(pool.used_bytes(), 0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct MemoryPool {
     capacity_bytes: u64,
     used_bytes: u64,

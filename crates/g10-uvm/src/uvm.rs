@@ -11,12 +11,11 @@ use crate::bandwidth::BandwidthChannel;
 use crate::fault::FaultModel;
 use crate::memory::{MemKind, MemoryPool};
 use g10_time::Nanos;
-use serde::{Deserialize, Serialize};
 
 /// Hardware parameters of the unified memory system.  The replay engine
 /// fills them in from `g10_core::config::SystemConfig`, which holds the
 /// paper's Table 2 values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct UnifiedMemoryConfig {
     /// GPU on-board memory capacity in bytes (40 GB HBM2e).
     pub gpu_capacity_bytes: u64,
@@ -46,7 +45,7 @@ pub struct UnifiedMemoryConfig {
 
 /// Migration traffic accumulated by direction (the quantities behind
 /// Figure 14 of the paper).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TrafficStats {
     /// Bytes moved GPU → SSD (evictions to flash).
     pub gpu_to_ssd_bytes: u64,

@@ -34,6 +34,23 @@ test -s "$OUT_DIR/table2.csv" || {
 }
 head -n 3 "$OUT_DIR/table2.csv"
 
+# One figure runs only the cells it lists, each once, and writes the same
+# CSV as the full grid (whose checksums perfbench/expected/ keeps).
+step "one figure replays only its own cells (fig17 -> $OUT_DIR/fig17)"
+cargo run "$PROFILE_FLAG" -q -p g10-bench --bin experiments -- \
+    fig17 --no-cache --out "$OUT_DIR/fig17" >"$OUT_DIR/fig17.log"
+grep -q 'simulation cells: 30 replayed, 0 memory hits, 0 disk hits' "$OUT_DIR/fig17.log" || {
+    echo "error: fig17 must replay its 30 cells once each" >&2
+    cat "$OUT_DIR/fig17.log" >&2
+    exit 1
+}
+EXPECTED_FIG17="$(grep ' fig17.csv$' perfbench/expected/grid_csv.sha256 | cut -d' ' -f1)"
+ACTUAL_FIG17="$(sha256sum "$OUT_DIR/fig17/fig17.csv" | cut -d' ' -f1)"
+[ -n "$EXPECTED_FIG17" ] && [ "$EXPECTED_FIG17" = "$ACTUAL_FIG17" ] || {
+    echo "error: fig17.csv differs from the grid's checksum" >&2
+    exit 1
+}
+
 # Persistent run cache: a cold pass populates the on-disk store, then a
 # second, fresh process must serve every cell from disk — no replays —
 # with byte-identical CSV output.
